@@ -27,6 +27,7 @@ from .code import (
     decode_shards_array,
     encode_parts_array,
 )
+from .gf3 import residues
 from .repair import compute_downloads, execute_repair, plan_repair
 
 __all__ = [
@@ -67,17 +68,23 @@ class DataLossError(RuntimeError):
 # Byte <-> trit mapping
 # ---------------------------------------------------------------------------
 
-_POW3_6 = np.array([243, 81, 27, 9, 3, 1], dtype=np.int32)
-_POW3_5 = np.array([81, 27, 9, 3, 1], dtype=np.int32)
-
 # byte value -> its 6 base-3 digits, most significant first
 _BYTE_TO_TRITS = np.array(
-    [[(b // int(p)) % 3 for p in _POW3_6] for b in range(256)], dtype=np.uint8
+    [[(b // 3**p) % 3 for p in range(5, -1, -1)] for b in range(256)], dtype=np.uint8
 )
 # packed byte value -> its 5 base-3 digits (values >= 243 are invalid)
 _PACKED_TO_TRITS = np.array(
-    [[(b // int(p)) % 3 for p in _POW3_5] for b in range(243)], dtype=np.uint8
+    [[(b // 3**p) % 3 for p in range(4, -1, -1)] for b in range(243)], dtype=np.uint8
 )
+
+
+def _horner(groups: np.ndarray, dtype) -> np.ndarray:
+    """Base-3 value of each row of trits, most significant first."""
+    vals = groups[:, 0].astype(dtype)
+    for c in range(1, groups.shape[1]):
+        vals *= 3
+        vals += groups[:, c]
+    return vals
 
 
 def bytes_to_trits(data: bytes) -> np.ndarray:
@@ -92,7 +99,8 @@ def trits_to_bytes(trits: np.ndarray, byte_count: int) -> bytes:
     need = 6 * byte_count
     if trits.shape[0] < need:
         raise CorruptDataError(f"need {need} trits for {byte_count} bytes, got {trits.shape[0]}")
-    vals = trits[:need].reshape(-1, 6).astype(np.int32) @ _POW3_6
+    # 6 trits reach 728, so the value needs uint16
+    vals = _horner(trits[:need].reshape(-1, 6), np.uint16)
     if vals.size and int(vals.max()) > 255:
         bad = int(np.argmax(vals > 255))
         raise CorruptDataError(f"trit group {bad} recombines to {int(vals[bad])} >= 256")
@@ -104,8 +112,7 @@ def _pack_trits(trits: np.ndarray) -> bytes:
     pad = (-trits.shape[0]) % 5
     if pad:
         trits = np.concatenate([trits, np.zeros(pad, dtype=np.uint8)])
-    vals = trits.reshape(-1, 5).astype(np.int32) @ _POW3_5
-    return vals.astype(np.uint8).tobytes()
+    return _horner(trits.reshape(-1, 5), np.uint8).tobytes()
 
 
 def _unpack_trits(blob: bytes, trit_count: int) -> np.ndarray:
@@ -173,7 +180,7 @@ def shard_to_bytes(params: CodeParams, node_id: int, payload: np.ndarray) -> byt
     stripes, n = payload.shape
     if n != params.n_rows:
         raise ValueError(f"payload row length {n} != {params.n_rows}")
-    trits = payload.astype(np.uint8).reshape(-1) % 3
+    trits = residues(payload).reshape(-1)
     packed = _pack_trits(trits)
     head = (
         SHARD_MAGIC

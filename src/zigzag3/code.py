@@ -7,7 +7,9 @@ picked by XOR-ing the row index with a basis vector and weighted by a +-1
 coefficient.  Equivalently, node k+1 stores sum_j A_j f_j for k signed
 permutation matrices A_j, built here both by the recursive block definition
 and directly from the row/coefficient description; the two constructions
-must agree entrywise and the encoder cross-checks them.
+must agree entrywise and the encoder cross-checks them.  Encoding and
+decoding apply the permutations through the int8 symbol kernel of ``gf3``;
+two lost systematic parts are recovered in closed form, O(N) per stripe.
 
 All symbols live in GF(3) with 2 standing for -1.
 """
@@ -18,7 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf3 import Gf3Matrix, SignedPermutation, rank, solve_square
+from .gf3 import (
+    Gf3Matrix,
+    SignedPermutation,
+    SingularMatrixError,
+    rank,
+    reduce_sum,
+    residues,
+)
 
 __all__ = [
     "MAX_K_DEFAULT",
@@ -150,8 +159,19 @@ def beta(params: CodeParams, i: int, j: int) -> int:
 
 
 def beta_row_coefficients(params: CodeParams, j: int) -> np.ndarray:
-    """Vector of beta(i, j) over all rows i, as uint8 field elements."""
-    return np.array([beta(params, i, j) for i in range(params.n_rows)], dtype=np.uint8)
+    """Vector of beta(i, j) over all rows i, as uint8 field elements.
+
+    Vectorised ``beta``: the parity of the first j index bits of every row
+    at once, folded down by XOR shifts.
+    """
+    if not 0 <= j < params.k:
+        raise ValueError(f"node index {j} out of range [0, {params.k})")
+    if j == 0:
+        return np.ones(params.n_rows, dtype=np.uint8)
+    v = np.arange(params.n_rows) >> (params.k - 1 - j)
+    for shift in (16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return (1 + (v & 1)).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -240,39 +260,47 @@ def second_parity_by_rows(params: CodeParams, parts: np.ndarray) -> np.ndarray:
     ``parts`` has shape (k, ..., N); the result row l sums, over parts j,
     the coefficient beta(l ^ e_j, j) times symbol l ^ e_j of part j.
     """
-    n = params.n_rows
-    acc = np.zeros(parts.shape[1:], dtype=np.int16)
+    parts = residues(parts)
+    rows = np.arange(params.n_rows)
+    acc = np.zeros(parts.shape[1:], dtype=np.int8)
     for j in range(params.k):
-        idx = np.arange(n) ^ basis_index(params, j)
-        coeff = beta_row_coefficients(params, j)[idx]
-        acc += parts[j][..., idx].astype(np.int16) * coeff
-    return (acc % 3).astype(np.uint8)
+        idx = rows ^ basis_index(params, j)
+        signs = np.where(beta_row_coefficients(params, j) == 1, 1, -1).astype(np.int8)
+        term = np.take(parts[j].view(np.int8), idx, axis=-1)
+        term *= signs[idx]
+        acc += term
+    return reduce_sum(acc)
 
 
 def second_parity_by_matrices(cm: CodingMatrixSet, parts: np.ndarray) -> np.ndarray:
     """Zigzag parity as sum_j A_j f_j using the compact permutations."""
-    acc = np.zeros(parts.shape[1:], dtype=np.int16)
+    parts = residues(parts)
+    acc = np.zeros(parts.shape[1:], dtype=np.int8)
     for j, m in enumerate(cm.matrices):
-        acc += m.apply(parts[j])
-    return (acc % 3).astype(np.uint8)
+        acc += m.terms(parts[j])
+    return reduce_sum(acc)
 
 
 def encode_parts_array(params: CodeParams, cm: CodingMatrixSet, parts: np.ndarray) -> np.ndarray:
-    """Encode parts of shape (k, ..., N) into shards of shape (k+2, ..., N).
+    """Encode parts of shape (k, ..., N) into uint8 shards of shape (k+2, ..., N).
 
-    The zigzag parity is produced by the O(kN) permutation path; under
-    asserts the per-row rule is recomputed and compared, keeping the
-    matrix/row-rule equivalence continuously exercised.
+    Parts of any integer dtype are taken mod 3 first.  The zigzag parity
+    is produced by the O(kN) permutation path; under asserts the per-row
+    rule is recomputed and compared, keeping the matrix/row-rule
+    equivalence continuously exercised.
     """
     if parts.shape[0] != params.k or parts.shape[-1] != params.n_rows:
         raise ValueError(f"parts shape {parts.shape} does not match k={params.k}, N={params.n_rows}")
-    parts = parts.astype(np.uint8, copy=False) % 3
-    row_sum = parts.sum(axis=0, dtype=np.int16) % 3
-    zigzag = second_parity_by_matrices(cm, parts)
-    assert np.array_equal(zigzag, second_parity_by_rows(params, parts)), (
+    parts = residues(parts)
+    k = params.k
+    shards = np.empty((k + 2,) + parts.shape[1:], dtype=np.uint8)
+    shards[:k] = parts
+    shards[k] = reduce_sum(parts.sum(axis=0, dtype=np.uint8))
+    shards[k + 1] = second_parity_by_matrices(cm, parts)
+    assert np.array_equal(shards[k + 1], second_parity_by_rows(params, parts)), (
         "coding-matrix and row-rule parities diverged"
     )
-    return np.concatenate([parts, row_sum[None].astype(np.uint8), zigzag[None]], axis=0)
+    return shards
 
 
 @dataclass(frozen=True)
@@ -362,10 +390,12 @@ def verify_mds(cm: CodingMatrixSet) -> MdsReport:
 # ---------------------------------------------------------------------------
 
 
-def _flatten_tail(x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """View (..., N) as (S, N); returns the flat array and the lead shape."""
-    lead = x.shape[:-1]
-    return x.reshape(-1, x.shape[-1]), lead
+def _residual(parity: np.ndarray, terms) -> np.ndarray:
+    """int8 ``parity - sum(terms)``, left unreduced for the caller's reduce_sum."""
+    acc = residues(parity).astype(np.int8)
+    for t in terms:
+        acc -= t
+    return acc
 
 
 def decode_shards_array(
@@ -374,9 +404,15 @@ def decode_shards_array(
     """Recover all k parts (shape (k, ..., N)) from any >= k shards.
 
     Case split: all systematic present -> copy; one missing -> peel it off
-    a parity (inverting a single signed permutation); two missing -> solve
-    the stacked 2N x 2N system built from both parities.  With more than k
-    shards the extras are cross-checked against a re-encode.
+    a parity (inverting a single signed permutation); two missing, j1 < j2
+    -> closed form.  With r1 = f_j1 + f_j2 and r2 = A_j1 f_j1 + A_j2 f_j2
+    left after peeling the present parts off both parities, let
+    P = A_j1^-1 A_j2.  Its index map x -> x ^ e_j1 ^ e_j2 has only
+    2-cycles, so A_j1 - A_j2 = A_j1 (I - P) is invertible exactly when
+    P^2 = -I, and then (I - P)^-1 = -(I + P).  Hence
+    f_j1 = -(I + P) A_j1^-1 (r2 - A_j2 r1) and f_j2 = r1 - f_j1, O(N) per
+    stripe; if P^2 != -I, SingularMatrixError is raised.  With more than
+    k shards the extras are cross-checked against a re-encode.
     """
     k, n = params.k, params.n_rows
     for node, data in available.items():
@@ -387,50 +423,45 @@ def decode_shards_array(
     if len(available) < k:
         raise InsufficientShardsError(f"got {len(available)} shards, need at least {k}")
 
+    present = [j for j in range(k) if j in available]
     missing_sys = [j for j in range(k) if j not in available]
     lead = next(iter(available.values())).shape[:-1]
-    parts = np.zeros((k,) + lead + (n,), dtype=np.uint8)
-    for j in range(k):
-        if j in available:
-            parts[j] = available[j] % 3
+    parts = np.empty((k,) + lead + (n,), dtype=np.uint8)
+    for j in present:
+        parts[j] = residues(available[j])
+    mats = cm.matrices
+
+    def row_sum_residual():
+        return _residual(available[k], (parts[l].view(np.int8) for l in present))
+
+    def zigzag_residual():
+        return _residual(available[k + 1], (mats[l].terms(parts[l]) for l in present))
 
     if len(missing_sys) == 1:
         j = missing_sys[0]
         if k in available:
-            acc = available[k].astype(np.int16)
-            for l in range(k):
-                if l != j:
-                    acc = acc - parts[l]
-            parts[j] = acc % 3
+            parts[j] = reduce_sum(row_sum_residual())
         else:
-            acc = available[k + 1].astype(np.int16)
-            for l in range(k):
-                if l != j:
-                    acc = acc - cm.matrices[l].apply(parts[l])
-            parts[j] = cm.matrices[j].inverse().apply(acc % 3)
+            parts[j] = reduce_sum(mats[j].inverse().terms(zigzag_residual()))
     elif len(missing_sys) == 2:
         j1, j2 = missing_sys
-        r1 = available[k].astype(np.int16)
-        r2 = available[k + 1].astype(np.int16)
-        for l in range(k):
-            if l not in missing_sys:
-                r1 = r1 - parts[l]
-                r2 = r2 - cm.matrices[l].apply(parts[l])
-        system = Gf3Matrix.stack(
-            Gf3Matrix.hstack(Gf3Matrix.identity(n), Gf3Matrix.identity(n)),
-            Gf3Matrix.hstack(cm.dense(j1), cm.dense(j2)),
-        )
-        flat1, _ = _flatten_tail(r1 % 3)
-        flat2, _ = _flatten_tail(r2 % 3)
-        rhs = Gf3Matrix(np.concatenate([flat1.T, flat2.T], axis=0))
-        sol = solve_square(system, rhs).array
-        parts[j1] = sol[:n].T.reshape(lead + (n,))
-        parts[j2] = sol[n:].T.reshape(lead + (n,))
+        a1_inv = mats[j1].inverse()
+        p = a1_inv @ mats[j2]
+        if p @ p != SignedPermutation.identity(n).negate():
+            raise SingularMatrixError(
+                f"A_{j1} - A_{j2} is singular: A_{j1}^-1 A_{j2} does not square to -I"
+            )
+        r1 = reduce_sum(row_sum_residual())
+        r2 = reduce_sum(zigzag_residual())
+        t = r2.view(np.int8) - mats[j2].terms(r1)
+        f1 = reduce_sum(-(a1_inv.terms(t) + (p @ a1_inv).terms(t)))
+        parts[j1] = f1
+        parts[j2] = reduce_sum(r1.view(np.int8) - f1.view(np.int8))
 
     if len(available) > k:
         shards = encode_parts_array(params, cm, parts)
         for node, data in available.items():
-            if not np.array_equal(shards[node], data % 3):
+            if not np.array_equal(shards[node], residues(data)):
                 raise InconsistentShardsError(f"shard {node} disagrees with the reconstruction")
     return parts
 

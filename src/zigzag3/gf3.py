@@ -1,10 +1,18 @@
-"""Exact dense linear algebra over GF(3).
+"""Exact arithmetic over GF(3): the symbol kernel and dense linear algebra.
 
 Field elements are the residues {0, 1, 2} with 2 standing for -1.  Every
 routine here is exact integer arithmetic mod 3; there is no floating point
-anywhere.  Matrices are stored dense and row-major as read-only uint8
-numpy arrays, so all values are immutable after construction and safe to
-share between threads.
+anywhere.
+
+The symbol kernel serves the encode/decode data path.  Symbols are uint8
+residues; a signed permutation contributes int8 terms sign * symbol in
+{-2..2}, a caller adds up to a few dozen such terms in int8 without
+overflow, and ``reduce_sum`` maps the sum back to residues with one
+256-entry table lookup instead of a division per term.
+
+Dense matrices (rank, nullspace, solving) are stored row-major as
+read-only uint8 numpy arrays, so all values are immutable after
+construction and safe to share between threads.
 
 Gaussian elimination uses the leftmost nonzero column as pivot and the
 first nonzero row as tie-break, which makes rank/solve outputs fully
@@ -24,6 +32,8 @@ __all__ = [
     "gf3_mul",
     "gf3_neg",
     "gf3_inv",
+    "residues",
+    "reduce_sum",
     "Gf3Matrix",
     "SignedPermutation",
     "rank",
@@ -84,6 +94,38 @@ def _as_gf3_array(data) -> np.ndarray:
     a = np.mod(a, 3).astype(np.uint8)
     a.setflags(write=False)
     return a
+
+
+# ---------------------------------------------------------------------------
+# Symbol kernel
+# ---------------------------------------------------------------------------
+
+# Residue mod 3 of every int8 value, indexed by its byte pattern.
+_INT8_RESIDUE = np.mod(np.arange(256, dtype=np.uint8).view(np.int8), 3).astype(np.uint8)
+_INT8_RESIDUE.setflags(write=False)
+
+
+def residues(x) -> np.ndarray:
+    """Symbols as uint8 residues mod 3, so -1 maps to 2.
+
+    uint8 input that is already reduced is returned as is, without a copy.
+    Anything else is reduced with ``np.mod`` before the cast, so negative
+    and wide integers keep their residue.
+    """
+    x = np.asarray(x)
+    if x.dtype == np.uint8 and (x.size == 0 or int(x.max()) < 3):
+        return x
+    return np.mod(x, 3).astype(np.uint8, copy=False)
+
+
+def reduce_sum(acc: np.ndarray) -> np.ndarray:
+    """Residues mod 3 of an int8 or uint8 sum of symbol terms, as uint8.
+
+    Exact while every entry fits in int8 (a uint8 sum must stay below
+    128).  A sum of k+1 terms in {-2..2} stays within +-2(k+1), which fits
+    for any k up to 62.
+    """
+    return np.take(_INT8_RESIDUE, acc.view(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +275,7 @@ class SignedPermutation:
 
     Stored compactly: ``target[r]`` is the column of row r's single nonzero
     and ``sign[r]`` is +1 or -1.  Applying one to a vector is O(N), against
-    O(N^2) for the dense form.
+    O(N^2) for the dense form.  ``A @ B`` composes two of them.
     """
 
     __slots__ = ("target", "sign")
@@ -284,16 +326,29 @@ class SignedPermutation:
         out[np.arange(n), self.target] = self.sign_gf3
         return Gf3Matrix(out)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product along the last axis of ``x``.
+    def terms(self, x: np.ndarray) -> np.ndarray:
+        """Unreduced product along the last axis: int8 sign[r] * x[..., target[r]].
 
-        ``x`` may be a single length-N vector or any stack of them; the
-        result y satisfies y[..., r] = sign[r] * x[..., target[r]] mod 3.
+        ``x`` holds uint8 residues or an int8 partial sum; the terms keep
+        its magnitude, so callers add several of them before one
+        ``reduce_sum``.
         """
-        x = np.asarray(x)
+        if x.dtype not in (np.uint8, np.int8):
+            raise TypeError(f"terms need uint8 residues or an int8 sum, got {x.dtype}")
         if x.shape[-1] != self.size:
-            raise Gf3ShapeError(f"apply: vector length {x.shape[-1]} != {self.size}")
-        return (x[..., self.target].astype(np.int16) * self.sign_gf3) % 3
+            raise Gf3ShapeError(f"vector length {x.shape[-1]} != {self.size}")
+        out = np.take(x.view(np.int8), self.target, axis=-1)
+        out *= self.sign
+        return out
+
+    def apply(self, x) -> np.ndarray:
+        """Matrix-vector product along the last axis of ``x``, as uint8 residues.
+
+        ``x`` may be a single length-N vector or any stack of them, of any
+        integer dtype; the result y satisfies
+        y[..., r] = sign[r] * x[..., target[r]] mod 3.
+        """
+        return reduce_sum(self.terms(residues(x)))
 
     def inverse(self) -> "SignedPermutation":
         # Entries are +-1, so the inverse is the transpose.
@@ -305,6 +360,12 @@ class SignedPermutation:
 
     def negate(self) -> "SignedPermutation":
         return SignedPermutation(self.target, -self.sign)
+
+    def __matmul__(self, other: "SignedPermutation") -> "SignedPermutation":
+        # (A B x)[r] = sA[r] * sB[tA[r]] * x[tB[tA[r]]]
+        if self.size != other.size:
+            raise Gf3ShapeError(f"matmul: {self.size} @ {other.size}")
+        return SignedPermutation(other.target[self.target], self.sign * other.sign[self.target])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedPermutation):

@@ -69,6 +69,22 @@ def test_decode_insufficient_shards(encoded):
     assert main(["decode", "--shards", *shards, "--out", str(tmp_path / "x")]) == 3
 
 
+def test_decode_singular_pair_exits_5(encoded, monkeypatch):
+    # With one coding-matrix sign flipped, A_0 - A_1 is singular: decoding
+    # without nodes 0 and 1 must fail with the parameter exit code and
+    # write nothing, never return wrong bytes.
+    import zigzag3.cli as cli
+    from zigzag3.verification import flip_one_sign
+
+    build = cli.build_coding_matrices
+    monkeypatch.setattr(cli, "build_coding_matrices", lambda params: flip_one_sign(build(params)))
+    _, out_dir, tmp_path = encoded
+    out = tmp_path / "restored.bin"
+    shards = [shard(out_dir, i) for i in range(2, K + 2)]
+    assert main(["decode", "--shards", *shards, "--out", str(out)]) == 5
+    assert not out.exists()
+
+
 def test_decode_corrupt_shard_exits_4(encoded):
     _, out_dir, tmp_path = encoded
     blob = bytearray((out_dir / "node_0.shard").read_bytes())

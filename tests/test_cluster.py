@@ -89,6 +89,11 @@ def test_shard_roundtrip():
     assert np.array_equal(got, payload)
 
 
+def test_shard_bytes_reduce_signed_payload():
+    _, _, got = shard_from_bytes(shard_to_bytes(CodeParams(2), 0, np.array([[-1, 1]])))
+    assert got.tolist() == [[2, 1]]
+
+
 def test_shard_wire_format_is_bit_exact():
     # k=2, node 0, one stripe of trits (1, 2): the packed payload is the
     # single byte 1*81 + 2*27 = 135, then CRC32 of that byte.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zigzag3.code import (
+    MAX_K_DEFAULT,
     CodeParams,
     CodingMatrixSet,
     FileParts,
@@ -13,6 +14,7 @@ from zigzag3.code import (
     InsufficientShardsError,
     basis_index,
     beta,
+    beta_row_coefficients,
     build_coding_matrices,
     coding_matrix_from_zigzag,
     decode_from_any_k,
@@ -27,7 +29,8 @@ from zigzag3.code import (
     verify_mds,
     zigzag_set,
 )
-from zigzag3.gf3 import Gf3Matrix, SignedPermutation
+from zigzag3.gf3 import Gf3Matrix, SignedPermutation, SingularMatrixError, solve_square
+from zigzag3.verification import flip_one_sign
 
 
 def cm_for(k):
@@ -119,6 +122,14 @@ def test_beta_examples():
     assert beta(p, 3, 2) == 1
 
 
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+def test_beta_row_coefficients_match_scalar_beta(k):
+    p = CodeParams(k)
+    for j in range(k):
+        want = [beta(p, i, j) for i in range(p.n_rows)]
+        assert beta_row_coefficients(p, j).tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # coding matrices
 # ---------------------------------------------------------------------------
@@ -198,6 +209,15 @@ def test_encode_zero_file():
     p = CodeParams(3)
     cw = encode(FileParts(p, np.zeros((3, 4), dtype=np.uint8)))
     assert not cw.shards.any()
+
+
+def test_encode_reduces_signed_parts_before_the_cast():
+    p = CodeParams(2)
+    raw = np.array([[-1, 1], [0, 4]])
+    shards = encode_parts_array(p, cm_for(2), raw)
+    assert shards.dtype == np.uint8
+    assert shards[0].tolist() == [2, 1]
+    assert np.array_equal(shards, encode(FileParts(p, raw)).shards)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -288,6 +308,79 @@ def test_decode_drop_two_systematic_repeated():
     shards = encode_parts_array(p, cm, parts)
     available = {i: shards[i] for i in (0, 2, 4, 5)}  # drop nodes 1 and 3
     assert np.array_equal(decode_shards_array(p, cm, available), parts)
+
+
+def dense_two_erasure_solve(params, cm, shards, j1, j2):
+    """Oracle for the two-systematic decode: one dense 2N x 2N solve.
+
+    Stacks [I I; A_j1 A_j2] over the parities left after removing the
+    present parts, computed with dense int64 products.
+    """
+    k, n = params.k, params.n_rows
+    r1 = shards[k].astype(np.int64)
+    r2 = shards[k + 1].astype(np.int64)
+    for l in range(k):
+        if l not in (j1, j2):
+            r1 -= shards[l]
+            r2 -= shards[l].astype(np.int64) @ cm.dense(l).array.T.astype(np.int64)
+    system = Gf3Matrix.stack(
+        Gf3Matrix.hstack(Gf3Matrix.identity(n), Gf3Matrix.identity(n)),
+        Gf3Matrix.hstack(cm.dense(j1), cm.dense(j2)),
+    )
+    sol = solve_square(system, Gf3Matrix(np.concatenate([r1.T, r2.T], axis=0))).array
+    return sol[:n].T, sol[n:].T
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_two_erasure_closed_form_matches_dense_oracle(k):
+    p = CodeParams(k)
+    cm = cm_for(k)
+    rng = np.random.default_rng(300 + k)
+    parts = rng.integers(0, 3, size=(k, 6, p.n_rows), dtype=np.uint8)
+    shards = encode_parts_array(p, cm, parts)
+    for j1, j2 in itertools.combinations(range(k), 2):
+        available = {i: shards[i] for i in range(k + 2) if i not in (j1, j2)}
+        got = decode_shards_array(p, cm, available)
+        want1, want2 = dense_two_erasure_solve(p, cm, shards, j1, j2)
+        assert np.array_equal(got[j1], want1), (j1, j2)
+        assert np.array_equal(got[j2], want2), (j1, j2)
+        assert np.array_equal(got, parts), (j1, j2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_two_erasure_decode_refuses_singular_pair(k):
+    # flip_one_sign makes A_0 - A_1 singular: both solvers must refuse it.
+    p = CodeParams(k)
+    cm = cm_for(k)
+    bad = flip_one_sign(cm)
+    rng = np.random.default_rng(400 + k)
+    shards = encode_parts_array(p, cm, rng.integers(0, 3, size=(k, 3, p.n_rows), dtype=np.uint8))
+    with pytest.raises(SingularMatrixError):
+        dense_two_erasure_solve(p, bad, shards, 0, 1)
+    with pytest.raises(SingularMatrixError):
+        decode_shards_array(p, bad, {i: shards[i] for i in range(2, k + 2)})
+
+
+def test_worst_case_accumulation_at_max_k():
+    # Stripe 0 is all 2s and stripe 1 all 1s: every int8 partial sum the
+    # encoder and decoder build takes its largest magnitude at k = 16.
+    k = MAX_K_DEFAULT
+    p = CodeParams(k)
+    cm = cm_for(k)
+    parts = np.empty((k, 2, p.n_rows), dtype=np.uint8)
+    parts[:, 0] = 2
+    parts[:, 1] = 1
+    shards = encode_parts_array(p, cm, parts)
+    assert np.array_equal(shards[:k], parts)
+    assert (shards[k, 0] == (2 * k) % 3).all() and (shards[k, 1] == k % 3).all()
+    for l in (0, 1, p.n_rows - 1):
+        coeff = sum(beta(p, l ^ basis_index(p, j), j) for j in range(k))
+        assert shards[k + 1, 0, l] == (2 * coeff) % 3
+        assert shards[k + 1, 1, l] == coeff % 3
+    lost1_zigzag = {i: shards[i] for i in (*range(1, k), k + 1)}
+    lost2 = {i: shards[i] for i in range(2, k + 2)}
+    for available in (lost1_zigzag, lost2):
+        assert np.array_equal(decode_shards_array(p, cm, available), parts)
 
 
 def test_decode_insufficient_shards():

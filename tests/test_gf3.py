@@ -19,6 +19,8 @@ from zigzag3.gf3 import (
     inverse,
     nullspace,
     rank,
+    reduce_sum,
+    residues,
     solve_left,
     solve_square,
 )
@@ -226,6 +228,44 @@ def test_signed_permutation_apply_matches_dense():
     dense = sp.dense()
     want = (x.astype(np.int64) @ dense.array.T.astype(np.int64)) % 3
     assert np.array_equal(sp.apply(x), want)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.random.default_rng(15).integers(0, 3, size=(5, 8), dtype=np.uint8),
+        np.random.default_rng(16).integers(3, 256, size=(5, 8), dtype=np.uint8),
+        np.random.default_rng(17).integers(-300, 300, size=(3, 5, 8)),
+    ],
+    ids=["uint8-residues", "uint8-unreduced", "int64-signed"],
+)
+def test_signed_permutation_apply_any_integer_input(x):
+    rng = np.random.default_rng(18)
+    sp = SignedPermutation(rng.permutation(8), rng.choice([-1, 1], size=8))
+    want = (x.astype(np.int64) @ sp.dense().array.T.astype(np.int64)) % 3
+    got = sp.apply(x)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
+def test_residues_reuse_reduced_uint8_and_wrap_negatives():
+    x = np.array([0, 1, 2], dtype=np.uint8)
+    assert residues(x) is x
+    got = residues(np.array([-1, -2, 3, 4, 255]))
+    assert got.dtype == np.uint8 and got.tolist() == [2, 1, 0, 1, 0]
+    assert residues(np.array([3, 255], dtype=np.uint8)).tolist() == [0, 0]
+
+
+def test_reduce_sum_every_int8_value():
+    acc = np.arange(-128, 128).astype(np.int8)
+    assert np.array_equal(reduce_sum(acc), np.mod(np.arange(-128, 128), 3))
+
+
+def test_signed_permutation_composition_matches_dense():
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        a, b = (SignedPermutation(rng.permutation(6), rng.choice([-1, 1], size=6)) for _ in range(2))
+        assert (a @ b).dense() == a.dense() @ b.dense()
 
 
 def test_signed_permutation_inverse():
