@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -228,9 +229,19 @@ def cmd_repair(cfg: Config, args) -> int:
     cm = build_coding_matrices(params)
     is_parity = rebuild in (k, k + 1)
     if is_parity:
+        start = time.perf_counter()
         plan = plan_repair(params, cm, rebuild)
+        plan_s = time.perf_counter() - start
+        start = time.perf_counter()
         downloads = compute_downloads(plan, {h: payloads[h] for h in plan.helper_nodes})
+        downloads_s = time.perf_counter() - start
+        start = time.perf_counter()
         restored = execute_repair(plan, downloads)
+        stage_seconds = {
+            "plan": plan_s,
+            "downloads": downloads_s,
+            "solve": time.perf_counter() - start,
+        }
         reads_per_node = {h: stripes * plan.io_per_node[h] for h in plan.helper_nodes}
         total_reads = sum(reads_per_node.values())
         expected = stripes * expected_repair_io(params)
@@ -238,8 +249,12 @@ def cmd_repair(cfg: Config, args) -> int:
         sent = stripes * repair_bandwidth(params)
     else:
         chosen = sorted(payloads)[:k]
+        start = time.perf_counter()
         parts = decode_shards_array(params, cm, {h: payloads[h] for h in chosen})
+        decode_s = time.perf_counter() - start
+        start = time.perf_counter()
         restored = encode_parts_array(params, cm, parts)[rebuild]
+        stage_seconds = {"decode": decode_s, "encode": time.perf_counter() - start}
         reads_per_node = {h: stripes * n for h in chosen}
         total_reads = sum(reads_per_node.values())
         expected = None
@@ -261,6 +276,7 @@ def cmd_repair(cfg: Config, args) -> int:
         "total_sent": sent,
         "expected_reads": expected,
         "match": (total_reads == expected) if expected is not None else None,
+        "stage_seconds": stage_seconds,
         "out": str(out_path),
     }
     if is_parity:

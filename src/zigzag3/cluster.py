@@ -14,6 +14,7 @@ fixed little-endian header and a CRC32 trailer; see ``shard_to_bytes``.
 
 from __future__ import annotations
 
+import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,7 +29,7 @@ from .code import (
     encode_parts_array,
 )
 from .gf3 import residues
-from .repair import compute_downloads, execute_repair, plan_repair
+from .repair import compute_downloads, execute_repair, expected_repair_io, plan_repair
 
 __all__ = [
     "CorruptDataError",
@@ -268,6 +269,13 @@ class NodeStore:
 
 @dataclass(frozen=True)
 class RepairReport:
+    """What one repair did: reads, transfers and per-stage wall time.
+
+    ``stage_seconds`` holds ``plan``, ``downloads`` and ``solve`` for a
+    parity-plan repair, ``decode`` and ``encode`` for a full download, and
+    nothing for a noop.
+    """
+
     node_id: int
     method: str  # "parity-plan" | "full-download" | "noop"
     optimal: bool
@@ -277,6 +285,7 @@ class RepairReport:
     expected_reads: Optional[int]  # only for parity-plan repairs
     stripes: int
     warning: Optional[str] = None
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def matches_expectation(self) -> Optional[bool]:
@@ -351,7 +360,12 @@ class ClusterState:
 
     # -- failure and repair ----------------------------------------------------
 
+    def _check_node_id(self, node_id: int) -> None:
+        if not 0 <= node_id < self.params.n_nodes:
+            raise ValueError(f"node id {node_id} out of range [0, {self.params.n_nodes})")
+
     def fail_node(self, node_id: int) -> None:
+        self._check_node_id(node_id)
         node = self.nodes[node_id]
         if node.status == FAILED:
             return
@@ -361,6 +375,7 @@ class ClusterState:
         node.payload = None
 
     def repair_node(self, node_id: int) -> RepairReport:
+        self._check_node_id(node_id)
         node = self.nodes[node_id]
         stripes = self.meta.stripe_count
         if node.status == HEALTHY:
@@ -379,7 +394,9 @@ class ClusterState:
 
     def _repair_parity_optimal(self, node_id: int) -> RepairReport:
         stripes = self.meta.stripe_count
+        start = time.perf_counter()
         plan = plan_repair(self.params, self.cm, node_id)
+        plan_s = time.perf_counter() - start
         payloads = {}
         reads_per_node = {}
         sent_each = stripes * (self.params.n_rows // 2)
@@ -387,13 +404,15 @@ class ClusterState:
             reads = stripes * plan.io_per_node[helper]
             payloads[helper] = self.nodes[helper].serve(reads, sent_each)
             reads_per_node[helper] = reads
+        start = time.perf_counter()
         downloads = compute_downloads(plan, payloads)
+        downloads_s = time.perf_counter() - start
+        start = time.perf_counter()
         restored = execute_repair(plan, downloads)
+        solve_s = time.perf_counter() - start
         node = self.nodes[node_id]
         node.payload = restored
         node.status = HEALTHY
-        from .repair import expected_repair_io
-
         return RepairReport(
             node_id=node_id,
             method="parity-plan",
@@ -403,13 +422,15 @@ class ClusterState:
             total_sent=sent_each * len(plan.helper_nodes),
             expected_reads=stripes * expected_repair_io(self.params),
             stripes=stripes,
+            stage_seconds={"plan": plan_s, "downloads": downloads_s, "solve": solve_s},
         )
 
     def _repair_full_download(self, node_id: int) -> RepairReport:
-        """Fallback: pull k whole shards, decode, re-encode the lost shard.
+        """Fallback: read k whole shards, decode, re-encode the lost shard.
 
-        Used for systematic nodes (whose half-download rebuild is out of
-        scope here) and for a parity whose peer is also down.
+        Used for every systematic node, and for a parity node while any
+        other node is also failed (the half-download plan needs all k+1
+        other nodes as helpers).
         """
         k = self.params.k
         stripes = self.meta.stripe_count
@@ -423,8 +444,12 @@ class ClusterState:
         for helper in chosen:
             payloads[helper] = self.nodes[helper].serve(per_node, per_node)
             reads_per_node[helper] = per_node
+        start = time.perf_counter()
         parts = decode_shards_array(self.params, self.cm, payloads)
+        decode_s = time.perf_counter() - start
+        start = time.perf_counter()
         shards = encode_parts_array(self.params, self.cm, parts)
+        encode_s = time.perf_counter() - start
         node = self.nodes[node_id]
         node.payload = np.ascontiguousarray(shards[node_id])
         node.status = HEALTHY
@@ -437,6 +462,7 @@ class ClusterState:
             total_sent=per_node * len(chosen),
             expected_reads=None,
             stripes=stripes,
+            stage_seconds={"decode": decode_s, "encode": encode_s},
         )
 
     # -- integrity --------------------------------------------------------------

@@ -14,6 +14,14 @@ zero column on the systematic side and none on the parity side, so a
 repair reads kN + N - k symbols in total.  That sits just above the
 provable floor of kN + (k-3)N/(2(k-1)) reads, which this module also
 evaluates exactly and, for small k, confirms by exhaustive search.
+
+A plan multiplies by coding matrices only as column scatters of their
+signed permutations, and finds all k-1 interference projectors with one
+elimination.  The matrices a repair applies (downloads, projectors, the
+solve inverse) have at most k nonzeros per row, so ``apply_matrix_rows``
+works on a padded index/sign form of each row: O(kN) per stripe, with
+the sign * symbol terms summed in int8 and reduced through the ``gf3``
+table before the sum can leave +-127.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .code import CodeParams, CodingMatrixSet, basis_index
-from .gf3 import Gf3Matrix, inverse, rank, solve_left
+from .gf3 import Gf3Matrix, SignedPermutation, inverse, rank, reduce_sum, residues, solve_left
 
 __all__ = [
     "FIRST_PARITY",
@@ -373,33 +381,48 @@ class RepairPlan:
         return sorted(self.downloads)
 
 
+def _times_permutation(m: Gf3Matrix, p: SignedPermutation) -> Gf3Matrix:
+    """``m @ p`` as a column scatter: (m p)[:, target[r]] = sign[r] * m[:, r]."""
+    out = np.empty_like(m.array)
+    out[:, p.target] = m.array * p.sign_gf3
+    return Gf3Matrix(out)
+
+
 def plan_repair(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPlan:
     """Build the download matrices, interference projectors and I/O tallies
-    for repairing parity node ``failed`` (k or k+1)."""
+    for repairing parity node ``failed`` (k or k+1).
+
+    Every product with a coding matrix is a column scatter by its signed
+    permutation, and the k-1 projectors come out of one elimination
+    against ``pair.s``.
+    """
     k = params.k
     if failed not in (k, k + 1):
         raise ValueError(f"node {failed} is not a parity node (expected {k} or {k + 1})")
     variant = FIRST_PARITY if failed == k else SECOND_PARITY
     pair = build_repair_pair(k, variant)
     surviving = k + 1 if failed == k else k
+    half = params.n_rows // 2
 
     downloads: dict[int, Gf3Matrix] = {}
     for j in range(k):
         if variant == FIRST_PARITY:
             downloads[j] = pair.s
         else:
-            downloads[j] = pair.s @ cm.dense(j)
+            downloads[j] = _times_permutation(pair.s, cm.matrix(j))
     downloads[surviving] = pair.s_tilde
 
-    projectors = {
-        l: solve_left(pair.s, pair.s_tilde @ _interference_transform(cm, l, variant))
-        for l in range(1, k)
-    }
+    # Interference rows s_tilde (I - A_l) for the row-sum parity and
+    # s_tilde (I + A_l) for the zigzag parity; see _interference_transform.
+    targets = []
+    for l in range(1, k):
+        moved = _times_permutation(pair.s_tilde, cm.matrix(l))
+        targets.append(pair.s_tilde - moved if variant == FIRST_PARITY else pair.s_tilde + moved)
+    stacked = solve_left(pair.s, Gf3Matrix.stack(*targets)).array
+    projectors = {l: Gf3Matrix(stacked[(l - 1) * half : l * half]) for l in range(1, k)}
 
-    if variant == FIRST_PARITY:
-        base = pair.s_tilde @ cm.dense(0)
-    else:
-        base = pair.s_tilde @ cm.matrices[0].inverse().dense()
+    a0 = cm.matrix(0) if variant == FIRST_PARITY else cm.matrix(0).inverse()
+    base = _times_permutation(pair.s_tilde, a0)
     solve_inv = inverse(Gf3Matrix.stack(pair.s, base))
 
     io_per_node = {node: m.nonzero_column_count() for node, m in downloads.items()}
@@ -415,15 +438,56 @@ def plan_repair(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairP
     )
 
 
+# Signs of the field elements 0, 1, 2 (= -1); 0 marks an ELL padding slot.
+_SIGN_OF = np.array([0, 1, -1], dtype=np.int8)
+
+# Terms summed in int8 between reductions: a residue (at most 2) plus 62
+# terms in {-2..2} stays within +-126.
+_TERMS_PER_REDUCE = 62
+
+
+def _ell_form(m: Gf3Matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Padded index/sign ("ELL") form of ``m``: (rows, w) columns and signs.
+
+    ``w`` is the largest nonzero count of any row.  Row r's nonzero
+    columns come first, in ascending order; padding slots have sign 0 and
+    repeat the row's first column, so the set of columns an apply gathers
+    is exactly the set of nonzero columns of ``m`` (plus column 0 for an
+    all-zero row).
+    """
+    a = m.array
+    width = int(np.count_nonzero(a, axis=1).max(initial=0))
+    cols = np.argsort(a == 0, axis=1, kind="stable")[:, :width]
+    signs = _SIGN_OF[np.take_along_axis(a, cols, axis=1)]
+    cols = np.where(signs != 0, cols, cols[:, :1])
+    return cols, signs
+
+
 def apply_matrix_rows(m: Gf3Matrix, x: np.ndarray) -> np.ndarray:
-    """Apply ``m`` to the last axis of ``x``: out[..., r] = sum_c m[r,c] x[..., c]."""
+    """Apply ``m`` to the last axis of ``x``: out[..., r] = sum_c m[r,c] x[..., c].
+
+    ``x`` may hold any integers; the result is uint8 residues of shape
+    ``x.shape[:-1] + (m.rows,)``.  Only the nonzero entries of each row
+    are touched: the symbols are laid out as (cols, vectors) so each ELL
+    slot gathers whole rows, and the sign * symbol terms are summed in
+    int8.  The sum is reduced after every 62 terms, so rows of any width
+    stay exact.
+    """
     x = np.asarray(x)
     if x.shape[-1] != m.cols:
         raise ValueError(f"last axis {x.shape[-1]} != matrix cols {m.cols}")
     lead = x.shape[:-1]
-    flat = x.reshape(-1, m.cols).astype(np.int64)
-    out = (flat @ m.array.T.astype(np.int64)) % 3
-    return out.astype(np.uint8).reshape(lead + (m.rows,))
+    cols, signs = _ell_form(m)
+    symbols = np.ascontiguousarray(residues(x).reshape(-1, m.cols).T).view(np.int8)
+    acc = np.zeros((m.rows, symbols.shape[1]), dtype=np.int8)
+    for t in range(cols.shape[1]):
+        if t and t % _TERMS_PER_REDUCE == 0:
+            acc = reduce_sum(acc).view(np.int8)
+        term = np.take(symbols, cols[:, t], axis=0)
+        term *= signs[:, t, None]
+        acc += term
+    out = np.ascontiguousarray(reduce_sum(acc).T)
+    return out.reshape(lead + (m.rows,))
 
 
 def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -441,6 +505,11 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
     the projectors rebuild each interference term so it can be folded into
     the parity-side rows; the precomputed inverse then lifts the full-rank
     stack back to all N symbols.
+
+    Both halves of the right-hand side are summed in int8 and reduced
+    once: k residues on top, and on the bottom the surviving-parity
+    download plus k-1 reduced projector outputs, at most 2k in size.  The
+    solve is the same sparse-row apply as the downloads.
     """
     k = plan.params.k
     expected_nodes = set(plan.helper_nodes)
@@ -458,14 +527,14 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
         elif d.shape[:-1] != lead:
             raise ValueError("downloads have inconsistent leading shapes")
 
-    rhs_top = np.zeros(lead + (half,), dtype=np.int64)
+    top = np.zeros(lead + (half,), dtype=np.int8)
     for j in range(k):
-        rhs_top += downloads[j]
-    rhs_bot = np.asarray(downloads[plan.surviving_parity]).astype(np.int64)
+        top += residues(downloads[j]).view(np.int8)
+    bottom = residues(downloads[plan.surviving_parity]).astype(np.int8)
     for l in range(1, k):
-        rhs_bot += apply_matrix_rows(plan.projectors[l], downloads[l])
+        bottom += apply_matrix_rows(plan.projectors[l], downloads[l]).view(np.int8)
 
-    rhs = np.concatenate([rhs_top % 3, rhs_bot % 3], axis=-1)
+    rhs = np.concatenate([reduce_sum(top), reduce_sum(bottom)], axis=-1)
     return apply_matrix_rows(plan.solve_inverse, rhs)
 
 

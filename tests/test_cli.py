@@ -146,6 +146,8 @@ def test_repair_json_report(encoded, capsys):
     assert report["method"] == "parity-plan" and report["match"] is True
     stripes = report["stripes"]
     assert report["total_reads"] == 36 * stripes
+    assert set(report["stage_seconds"]) == {"plan", "downloads", "solve"}
+    assert all(t >= 0 for t in report["stage_seconds"].values())
 
 
 def test_repair_present_node_exits_5(encoded):

@@ -234,7 +234,32 @@ def test_repair_healthy_node_is_noop():
     cl = fresh_cluster()
     rep = cl.repair_node(0)
     assert rep.method == "noop" and rep.warning
+    assert rep.stage_seconds == {}
     assert all(n.read_count == 0 and n.sent_count == 0 for n in cl.nodes)
+
+
+@pytest.mark.parametrize("node_id", [-1, -5, 5, 7])
+def test_node_ids_out_of_range_rejected(node_id):
+    cl = ClusterState.from_bytes(CodeParams(3), b"range check")
+    with pytest.raises(ValueError, match="out of range"):
+        cl.fail_node(node_id)
+    assert cl.failed_nodes == []
+    cl.fail_node(4)
+    with pytest.raises(ValueError, match="out of range"):
+        cl.repair_node(node_id)
+    assert cl.failed_nodes == [4]
+    assert all(n.read_count == 0 for n in cl.nodes)
+
+
+def test_repair_reports_stage_seconds():
+    cl = fresh_cluster()
+    cl.fail_node(cl.params.k)
+    rep = cl.repair_node(cl.params.k)
+    assert set(rep.stage_seconds) == {"plan", "downloads", "solve"}
+    assert all(t >= 0 for t in rep.stage_seconds.values())
+    cl.fail_node(0)
+    rep = cl.repair_node(0)
+    assert set(rep.stage_seconds) == {"decode", "encode"}
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from zigzag3.code import CodeParams, build_coding_matrices, encode_parts_array
-from zigzag3.gf3 import Gf3Matrix, rank
+from zigzag3.gf3 import Gf3Matrix, InconsistentSystemError, inverse, rank, solve_left
 from zigzag3.repair import (
     FIRST_PARITY,
     SECOND_PARITY,
     RepairMatrixPair,
+    _ell_form,
+    apply_matrix_rows,
     brute_force_min_io,
     build_helpers,
     build_repair_pair,
@@ -26,6 +28,7 @@ from zigzag3.repair import (
     verify_repair_conditions,
     verify_zero_column_structure,
 )
+from zigzag3.verification import flip_one_sign
 
 VARIANTS = (FIRST_PARITY, SECOND_PARITY)
 
@@ -185,9 +188,116 @@ def test_plan_rejects_systematic_node():
         plan_repair(p, cm, 1)
 
 
+def dense_plan(p, cm, failed):
+    """Reference plan from dense products: one solve_left per projector."""
+    k = p.k
+    pair = build_repair_pair(k, FIRST_PARITY if failed == k else SECOND_PARITY)
+    identity = Gf3Matrix.identity(p.n_rows)
+    if failed == k:
+        downloads = {j: pair.s for j in range(k)}
+        transforms = {l: identity - cm.dense(l) for l in range(1, k)}
+        base = pair.s_tilde @ cm.dense(0)
+    else:
+        downloads = {j: pair.s @ cm.dense(j) for j in range(k)}
+        transforms = {l: identity + cm.dense(l) for l in range(1, k)}
+        base = pair.s_tilde @ cm.matrices[0].inverse().dense()
+    downloads[2 * k + 1 - failed] = pair.s_tilde
+    projectors = {l: solve_left(pair.s, pair.s_tilde @ t) for l, t in transforms.items()}
+    return downloads, projectors, inverse(Gf3Matrix.stack(pair.s, base))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_plan_matches_dense_oracle(k):
+    p, cm = setup_k(k)
+    for failed in (k, k + 1):
+        plan = plan_repair(p, cm, failed)
+        downloads, projectors, solve_inv = dense_plan(p, cm, failed)
+        assert plan.downloads == downloads
+        assert plan.projectors == projectors
+        assert plan.solve_inverse == solve_inv
+        assert plan.io_per_node == {n: m.nonzero_column_count() for n, m in downloads.items()}
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_plan_on_flipped_sign_behaves_like_dense_oracle(k):
+    p, cm = setup_k(k)
+    bad = flip_one_sign(cm)
+    for failed in (k, k + 1):
+        try:
+            downloads, projectors, solve_inv = dense_plan(p, bad, failed)
+        except InconsistentSystemError:
+            with pytest.raises(InconsistentSystemError):
+                plan_repair(p, bad, failed)
+            continue
+        assert k == 2  # one flipped sign of A_1 still leaves N = 2 consistent
+        plan = plan_repair(p, bad, failed)
+        assert (plan.downloads, plan.projectors, plan.solve_inverse) == (
+            downloads, projectors, solve_inv
+        )
+
+
 # ---------------------------------------------------------------------------
 # executing repairs
 # ---------------------------------------------------------------------------
+
+
+def dense_apply(m, x):
+    """Reference for apply_matrix_rows: an int64 matmul and one % 3."""
+    x = np.asarray(x)
+    flat = x.reshape(-1, m.cols).astype(np.int64)
+    out = (flat @ m.array.T.astype(np.int64)) % 3
+    return out.astype(np.uint8).reshape(x.shape[:-1] + (m.rows,))
+
+
+def check_apply(m, x):
+    got = apply_matrix_rows(m, x)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, dense_apply(m, x))
+
+
+@pytest.mark.parametrize("cols", [1, 5, 64, 200])
+def test_apply_matches_dense_oracle_random(cols):
+    rng = np.random.default_rng(cols)
+    m = Gf3Matrix(rng.integers(0, 3, size=(7, cols)))
+    check_apply(m, rng.integers(0, 3, size=(11, cols), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("cols", [62, 63, 64, 125, 126, 127, 300])
+def test_apply_worst_case_rows_stay_exact(cols):
+    # Every term has the same sign, and with symbols 2 it is +-2: the int8
+    # sum reaches its edge just before each reduction.  One or two leading
+    # 1s make a block of 62 or 63 terms reduce to 2, the largest residue
+    # the next block builds on.
+    x = np.full((4, cols), 2, dtype=np.uint8)
+    x[0] = 1
+    x[2, :1] = 1
+    x[3, :2] = 1
+    for coefficient in (1, 2):
+        check_apply(Gf3Matrix(np.full((3, cols), coefficient)), x)
+
+
+def test_apply_zero_matrix():
+    x = np.arange(30).reshape(3, 10) % 3
+    got = apply_matrix_rows(Gf3Matrix.zeros(4, 10), x.astype(np.uint8))
+    assert got.dtype == np.uint8 and got.shape == (3, 4) and not got.any()
+
+
+def test_apply_unreduced_and_negative_input():
+    rng = np.random.default_rng(7)
+    m = Gf3Matrix(rng.integers(0, 3, size=(6, 9)))
+    check_apply(m, rng.integers(-1000, 1000, size=(5, 9), dtype=np.int64))
+    check_apply(m, rng.integers(3, 256, size=(5, 9), dtype=np.uint8))
+
+
+def test_apply_vector_and_3d_shapes():
+    rng = np.random.default_rng(8)
+    m = Gf3Matrix(rng.integers(0, 3, size=(4, 6)))
+    vec = rng.integers(0, 3, size=6, dtype=np.uint8)
+    assert apply_matrix_rows(m, vec).shape == (4,)
+    check_apply(m, vec)
+    cube = rng.integers(0, 3, size=(2, 3, 6), dtype=np.uint8)
+    assert apply_matrix_rows(m, cube).shape == (2, 3, 4)
+    check_apply(m, cube)
 
 
 def run_repair(p, cm, parts, failed):
@@ -206,7 +316,7 @@ def test_repair_exhaustive_k2():
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("k", range(3, 11))
 def test_repair_random_files(k):
     p, cm = setup_k(k)
     rng = np.random.default_rng(300 + k)
@@ -214,6 +324,13 @@ def test_repair_random_files(k):
     for failed in (k, k + 1):
         got, want = run_repair(p, cm, parts, failed)
         assert np.array_equal(got, want)
+        # The columns each helper's sparse apply gathers are exactly the
+        # ones io_per_node charges for.
+        plan = plan_repair(p, cm, failed)
+        for node, m in plan.downloads.items():
+            gathered = np.unique(_ell_form(m)[0]).tolist()
+            assert gathered == np.flatnonzero(m.array.any(axis=0)).tolist()
+            assert len(gathered) == plan.io_per_node[node]
 
 
 def test_repair_zero_file():
