@@ -156,17 +156,55 @@ def _load_shards(paths) -> tuple[CodeParams, int, dict[int, np.ndarray], dict[in
     return params, stripes, payloads, crcs
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_manifest(args, shard_paths) -> dict:
+    """Read the manifest and check its fields.
+
+    ``k``, ``stripes`` and ``original_len`` must be integers (not
+    booleans), ``original_len`` must fit in ``stripes`` stripes, and
+    ``shard_crc`` must be a list of k+2 integers; anything else raises
+    ``ShardFormatError``.
+    """
     if getattr(args, "manifest", None):
         path = Path(args.manifest)
     else:
         path = Path(shard_paths[0]).parent / MANIFEST_NAME
     if not path.exists():
         raise ShardFormatError(f"manifest not found at {path} (pass --manifest)")
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ShardFormatError(f"manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ShardFormatError(f"manifest {path} is not a JSON object")
     for key in ("k", "stripes", "original_len", "shard_crc"):
         if key not in manifest:
             raise ShardFormatError(f"manifest {path} lacks field {key!r}")
+    for key in ("k", "stripes", "original_len"):
+        if not _is_int(manifest[key]):
+            raise ShardFormatError(f"manifest {path}: {key} must be an integer, got {manifest[key]!r}")
+    try:
+        params = CodeParams(manifest["k"])
+    except ValueError as exc:
+        raise ShardFormatError(f"manifest {path}: {exc}") from None
+    stripes, original_len = manifest["stripes"], manifest["original_len"]
+    if stripes < 1:
+        raise ShardFormatError(f"manifest {path}: stripes must be at least 1, got {stripes}")
+    # Every byte takes 6 trits (see cluster.bytes_to_trits).
+    capacity = stripes * params.file_symbols // 6
+    if not 0 <= original_len <= capacity:
+        raise ShardFormatError(
+            f"manifest {path}: original_len {original_len} is outside [0, {capacity}], "
+            f"the bytes {stripes} stripe(s) hold at k={params.k}"
+        )
+    crcs = manifest["shard_crc"]
+    if not (isinstance(crcs, list) and len(crcs) == params.n_nodes and all(map(_is_int, crcs))):
+        raise ShardFormatError(
+            f"manifest {path}: shard_crc must be a list of {params.n_nodes} integers, got {crcs!r}"
+        )
     return manifest
 
 
@@ -323,6 +361,7 @@ def cmd_verify(cfg: Config, args) -> int:
     report = run_sweep(ks, trials=args.trials, seed=cfg.seed, fault_hook=hook)
     lines = [
         f"k={c.k:2d} {c.name:28s} {'PASS' if c.passed else 'FAIL'}"
+        + (f" {c.seconds:9.4f}s" if cfg.verbose else "")
         + (f"  {c.detail}" if (not c.passed or cfg.verbose) and c.detail else "")
         for c in report.checks
     ]

@@ -24,7 +24,6 @@ from .gf3 import (
     Gf3Matrix,
     SignedPermutation,
     SingularMatrixError,
-    rank,
     reduce_sum,
     residues,
 )
@@ -56,7 +55,8 @@ __all__ = [
     "decode_from_any_k",
 ]
 
-# Guard for dense rank checks; N doubles with every k. Raise per-call if needed.
+# Largest k accepted by default.  N = 2^(k-1) doubles with every k, and so
+# does the size of every shard and repair matrix; raise per call if needed.
 MAX_K_DEFAULT = 16
 
 
@@ -365,21 +365,47 @@ class MdsReport:
         return not self.violations
 
 
+def _fixed_space_dim(p: SignedPermutation) -> int:
+    """Nullity of I - P over GF(3): the number of cycles of P whose sign
+    product is +1.
+
+    P x = x forces x[r] = sign[r] x[target[r]] around each cycle, so a
+    cycle carries one free value if its signs multiply to +1 and forces 0
+    if they multiply to -1.  All cycles are walked in lockstep, as many
+    steps as the longest cycle has; each cycle is counted once, at its
+    smallest index.
+    """
+    start = np.arange(p.size)
+    at = p.target.copy()
+    product = p.sign.copy()
+    least = np.minimum(start, at)
+    walking = np.flatnonzero(at != start)
+    while walking.size:
+        product[walking] *= p.sign[at[walking]]
+        at[walking] = p.target[at[walking]]
+        least[walking] = np.minimum(least[walking], at[walking])
+        walking = walking[at[walking] != walking]
+    return int(np.count_nonzero((least == start) & (product == 1)))
+
+
 def verify_mds(cm: CodingMatrixSet) -> MdsReport:
-    """Check rank(A_i) = rank(A_i - A_j) = N for all i != j."""
+    """Check rank(A_i - A_j) = N for all i != j.
+
+    rank(A_i - A_j) = rank(I - A_i^-1 A_j) = N - c, with c the number of
+    cycles of the signed permutation A_i^-1 A_j whose sign product is +1
+    (``_fixed_space_dim``), so no elimination is needed.  rank(A_i) = N
+    needs no check: ``SignedPermutation`` only holds invertible matrices,
+    since its constructor rejects anything but one +-1 per row and column.
+    """
     params = cm.params
     n = params.n_rows
     violations = []
-    dense = [cm.dense(j) for j in range(params.k)]
-    for i in range(params.k):
-        r = rank(dense[i])
-        if r != n:
-            violations.append(f"rank(A_{i}) = {r}, expected {n}")
+    inverses = [m.inverse() for m in cm.matrices]
     for i in range(params.k):
         for j in range(params.k):
             if i == j:
                 continue
-            r = rank(dense[i] - dense[j])
+            r = n - _fixed_space_dim(inverses[i] @ cm.matrices[j])
             if r != n:
                 violations.append(f"rank(A_{i} - A_{j}) = {r}, expected {n}")
     return MdsReport(params, tuple(violations))

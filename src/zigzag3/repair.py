@@ -15,13 +15,24 @@ repair reads kN + N - k symbols in total.  That sits just above the
 provable floor of kN + (k-3)N/(2(k-1)) reads, which this module also
 evaluates exactly and, for small k, confirms by exhaustive search.
 
-A plan multiplies by coding matrices only as column scatters of their
-signed permutations, and finds all k-1 interference projectors with one
-elimination.  The matrices a repair applies (downloads, projectors, the
-solve inverse) have at most k nonzeros per row, so ``apply_matrix_rows``
-works on a padded index/sign form of each row: O(kN) per stripe, with
-the sign * symbol terms summed in int8 and reduced through the ``gf3``
-table before the sum can leave +-127.
+No rank claim and no plan needs Gaussian elimination.  Every row r of
+``s`` (and of ``s_tilde``) owns a unit column u_r: a column whose only
+nonzero, d_r = +-1, lies in row r.  Those columns prove full row rank, and
+reading any matrix t at them gives the unique X with X s equal to t on
+the pivot columns; the residual R = t - X s vanishes there, so
+rank(stack(s, t)) = rows(s) + rank(R).  R = 0 certifies an interference
+condition (and is the projector's consistency check); for the full-rank
+condition R restricted to the other columns is the Schur complement of
+the stacked system, a signed permutation, which also yields its inverse.
+Products with coding matrices are column scatters of their signed
+permutations.  Dense elimination remains only as a fallback for inputs
+that fail these certificates, where it keeps the reported ranks exact.
+
+The matrices a repair applies (downloads, projectors, the solve inverse)
+have at most k nonzeros per row, so ``apply_matrix_rows`` works on a
+padded index/sign form of each row: O(kN) per stripe, with the sign *
+symbol terms summed in int8 and reduced through the ``gf3`` table before
+the sum can leave +-127.
 """
 
 from __future__ import annotations
@@ -30,11 +41,20 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .code import CodeParams, CodingMatrixSet, basis_index
-from .gf3 import Gf3Matrix, SignedPermutation, inverse, rank, reduce_sum, residues, solve_left
+from .gf3 import (
+    Gf3Matrix,
+    InconsistentSystemError,
+    SignedPermutation,
+    SingularMatrixError,
+    rank,
+    reduce_sum,
+    residues,
+)
 
 __all__ = [
     "FIRST_PARITY",
@@ -50,6 +70,7 @@ __all__ = [
     "verify_duality",
     "ZeroColumnReport",
     "verify_zero_column_structure",
+    "MissingPivotError",
     "RepairPlan",
     "plan_repair",
     "apply_matrix_rows",
@@ -166,6 +187,134 @@ def build_repair_pair(k: int, variant: str) -> RepairMatrixPair:
 
 
 # ---------------------------------------------------------------------------
+# Unit-column certificates
+# ---------------------------------------------------------------------------
+
+
+class MissingPivotError(ValueError):
+    """A row of a repair matrix owns no unit column."""
+
+
+class _Pivots(NamedTuple):
+    """Unit-column pivots of a matrix s: s[:, unit] = diag(sign)."""
+
+    unit: np.ndarray  # u_r, one column per row
+    sign: np.ndarray  # d_r = s[r, u_r], 1 or 2
+    rest: np.ndarray  # the other columns, ascending
+
+
+def _unit_pivots(s: Gf3Matrix) -> _Pivots | None:
+    """One unit column per row of ``s``, or None if some row owns none.
+
+    Row r's pivot u_r is the first column whose only nonzero lies in row
+    r; d_r = s[r, u_r] is +-1, its own inverse over GF(3).  Pivots prove
+    that ``s`` has full row rank.
+    """
+    a = s.array
+    nonzero = a != 0
+    owned = nonzero & (np.count_nonzero(nonzero, axis=0) == 1)
+    if not owned.any(axis=1).all():
+        return None
+    u = np.argmax(owned, axis=1)
+    rest = np.ones(s.cols, dtype=bool)
+    rest[u] = False
+    return _Pivots(u, a[np.arange(s.rows), u], np.flatnonzero(rest))
+
+
+def _eliminate(s: Gf3Matrix, pivots: _Pivots, t: Gf3Matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the rows of ``t`` against ``s`` through its pivots.
+
+    Returns X = t[:, U] diag(d), the unique matrix with X s equal to t on
+    the pivot columns, and the residual R = t - X s on the other columns,
+    both uint8.  R vanishes on the pivot columns by construction, so
+    rank(stack(s, t)) = s.rows + rank(R).  Rows of X are sparse, so X s
+    is a sparse-row apply.
+    """
+    x = (t.array[:, pivots.unit] * pivots.sign) % 3
+    s_rest = s.array[:, pivots.rest]
+    xs = apply_matrix_rows(Gf3Matrix(x), s_rest.T).T
+    residual = reduce_sum(t.array[:, pivots.rest].view(np.int8) - xs.view(np.int8))
+    return x, residual
+
+
+def _residual_rank(r: np.ndarray) -> int:
+    """rank(R): 0 for R = 0, the number of nonzero rows when R has at most
+    one nonzero per row and per column, dense elimination otherwise (only
+    a pair failing its conditions gets there)."""
+    nonzero = r != 0
+    if not nonzero.any():
+        return 0
+    if nonzero.sum(axis=1).max() <= 1 and nonzero.sum(axis=0).max() <= 1:
+        return int(nonzero.any(axis=1).sum())
+    return rank(Gf3Matrix(r))
+
+
+def _stacked_rank(s: Gf3Matrix, t: Gf3Matrix) -> int:
+    """rank(stack(s, t)), exactly.
+
+    With unit-column pivots in ``s`` this is s.rows + rank(R) for the
+    residual R of ``_eliminate``; a matrix without pivots falls back to
+    dense elimination of the stack, so arbitrary pairs still get exact
+    ranks.
+    """
+    pivots = _unit_pivots(s)
+    if pivots is None:
+        return rank(Gf3Matrix.stack(s, t))
+    _, residual = _eliminate(s, pivots, t)
+    return s.rows + _residual_rank(residual)
+
+
+def _stacked_inverse(s: Gf3Matrix, pivots: _Pivots, m: np.ndarray, schur: np.ndarray) -> Gf3Matrix:
+    """Inverse of the square stack(s, base), from its Schur factors.
+
+    ``m`` = M = base_U diag(d) and ``schur`` = S = base_C - M s_C are what
+    ``_eliminate`` returns for ``base``.  Split the unknowns y at the
+    pivot columns U and the rest C.  The rows s y = top give
+    y_U = d (top - s_C y_C), since s_U = diag(d); the rows base y = bottom
+    then leave S y_C = bottom - M top.  S must be a signed permutation,
+    which also certifies full rank; otherwise ``SingularMatrixError`` is
+    raised.  Solving once with the identity as right-hand side yields the
+    dense inverse.
+    """
+    try:
+        schur_perm = SignedPermutation.from_dense(Gf3Matrix(schur))
+    except ValueError:
+        raise SingularMatrixError(
+            "Schur complement of the stacked system is not a signed permutation"
+        ) from None
+    half, n = s.rows, s.cols
+    # With the identity as right-hand side, top = [I | 0] and bottom = [0 | I],
+    # so bottom - M top = [-M | I].
+    reduced = np.zeros((n - half, n), dtype=np.uint8)
+    reduced[:, :half] = (3 - m) % 3
+    reduced[:, half:] = np.eye(n - half, dtype=np.uint8)
+    # S y = z row by row: sign[r] y[target[r]] = z[r].
+    y_rest = np.empty_like(reduced)
+    y_rest[schur_perm.target] = (reduced * schur_perm.sign_gf3[:, None]) % 3
+    s_rest = Gf3Matrix(s.array[:, pivots.rest])
+    top = np.eye(half, n, dtype=np.int16)
+    y_unit = (pivots.sign[:, None] * (top - apply_matrix_rows(s_rest, y_rest.T).T)) % 3
+    out = np.empty((n, n), dtype=np.uint8)
+    out[pivots.unit] = y_unit
+    out[pivots.rest] = y_rest
+    return Gf3Matrix(out)
+
+
+def _times_permutation(m: Gf3Matrix, p: SignedPermutation) -> Gf3Matrix:
+    """``m @ p`` as a column scatter: (m p)[:, target[r]] = sign[r] * m[:, r]."""
+    out = np.empty_like(m.array)
+    out[:, p.target] = m.array * p.sign_gf3
+    return Gf3Matrix(out)
+
+
+def _interference_rows(m: Gf3Matrix, a_l: SignedPermutation, variant: str) -> Gf3Matrix:
+    """m (I - A_l) for the row-sum parity; m (I + A_l) for the zigzag
+    parity, where A_0^-1 - A_l^-1 = I + A_l since A_l squares to -I."""
+    moved = _times_permutation(m, a_l)
+    return m - moved if variant == FIRST_PARITY else m + moved
+
+
+# ---------------------------------------------------------------------------
 # Rank conditions
 # ---------------------------------------------------------------------------
 
@@ -195,38 +344,31 @@ class ConditionReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _interference_transform(cm: CodingMatrixSet, l: int, variant: str) -> Gf3Matrix:
-    """The matrix multiplying the parity-side rows in the l-th interference
-    condition: A_0 - A_l when repairing the row-sum parity, A_0^-1 - A_l^-1
-    (= I + A_l, since A_l squares to -I) for the zigzag parity."""
-    identity = cm.dense(0)
-    if variant == FIRST_PARITY:
-        return identity - cm.dense(l)
-    return identity + cm.dense(l)
-
-
 def verify_repair_conditions(
     pair: RepairMatrixPair, cm: CodingMatrixSet, variant: str | None = None
 ) -> ConditionReport:
     """Rank conditions for optimal repair: the stacked pair must reach full
     rank N (recoverability) while every interference stack collapses to
-    rank N/2 (cancellability)."""
+    rank N/2 (cancellability).
+
+    Each rank is ``_stacked_rank`` of ``pair.s`` over rows built by column
+    scatters: s_tilde A_0^(+-1) for the full-rank stack, and
+    s_tilde (I -+ A_l) for interference l.  With unit-column pivots in
+    ``pair.s``, an interference rank of N/2 is certified by a zero
+    residual and full rank by a signed-permutation residual; any other
+    residual is ranked exactly, so a failing pair reports its true rank.
+    """
     if variant is None:
         variant = pair.variant
     _check_variant(variant)
     params = cm.params
     n = params.n_rows
-    checks = []
-    if variant == FIRST_PARITY:
-        base = pair.s_tilde @ cm.dense(0)
-    else:
-        base = pair.s_tilde @ cm.matrices[0].inverse().dense()
-    checks.append(
-        ConditionCheck("full-rank", n, rank(Gf3Matrix.stack(pair.s, base)))
-    )
+    a0 = cm.matrix(0) if variant == FIRST_PARITY else cm.matrix(0).inverse()
+    base = _times_permutation(pair.s_tilde, a0)
+    checks = [ConditionCheck("full-rank", n, _stacked_rank(pair.s, base))]
     for l in range(1, params.k):
-        stacked = Gf3Matrix.stack(pair.s, pair.s_tilde @ _interference_transform(cm, l, variant))
-        checks.append(ConditionCheck(f"interference-l{l}", n // 2, rank(stacked)))
+        rows = _interference_rows(pair.s_tilde, cm.matrix(l), variant)
+        checks.append(ConditionCheck(f"interference-l{l}", n // 2, _stacked_rank(pair.s, rows)))
     return ConditionReport(variant, tuple(checks))
 
 
@@ -256,18 +398,19 @@ def verify_duality(pair: RepairMatrixPair, cm: CodingMatrixSet) -> DualityReport
     """A valid pair for one parity, with roles swapped, repairs the other.
 
     Beyond re-running the swapped pair through the other parity's
-    conditions, the underlying rank identity is checked numerically for
-    every l: stacking s_tilde over s(I + A_l) has the same rank as
-    stacking s over s_tilde(I - A_l).
+    conditions, the underlying rank identity is checked for every l:
+    stacking s_tilde over s(I + A_l) has the same rank as stacking s over
+    s_tilde(I - A_l).  Both sides are ``_stacked_rank`` certificates, the
+    first against the unit-column pivots of ``s_tilde``, the second
+    against those of ``s``.
     """
     swapped = pair.swapped()
     swapped_report = verify_repair_conditions(swapped, cm)
-    identity = cm.dense(0)
     equalities = []
     for l in range(1, cm.params.k):
-        a_l = cm.dense(l)
-        lhs = rank(Gf3Matrix.stack(pair.s_tilde, pair.s @ (identity + a_l)))
-        rhs = rank(Gf3Matrix.stack(pair.s, pair.s_tilde @ (identity - a_l)))
+        a_l = cm.matrix(l)
+        lhs = _stacked_rank(pair.s_tilde, _interference_rows(pair.s, a_l, SECOND_PARITY))
+        rhs = _stacked_rank(pair.s, _interference_rows(pair.s_tilde, a_l, FIRST_PARITY))
         equalities.append(RankEquality(l, lhs, rhs))
     return DualityReport(pair.variant, swapped_report, tuple(equalities))
 
@@ -381,20 +524,20 @@ class RepairPlan:
         return sorted(self.downloads)
 
 
-def _times_permutation(m: Gf3Matrix, p: SignedPermutation) -> Gf3Matrix:
-    """``m @ p`` as a column scatter: (m p)[:, target[r]] = sign[r] * m[:, r]."""
-    out = np.empty_like(m.array)
-    out[:, p.target] = m.array * p.sign_gf3
-    return Gf3Matrix(out)
-
-
 def plan_repair(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPlan:
     """Build the download matrices, interference projectors and I/O tallies
     for repairing parity node ``failed`` (k or k+1).
 
     Every product with a coding matrix is a column scatter by its signed
-    permutation, and the k-1 projectors come out of one elimination
-    against ``pair.s``.
+    permutation.  Projector l is X_l of ``_eliminate`` for the
+    interference rows s_tilde (I -+ A_l), read off at the unit-column
+    pivots of ``pair.s``; a nonzero residual means those rows leave the
+    row space of ``pair.s`` and raises ``InconsistentSystemError``.  The
+    same elimination of the solve base s_tilde A_0^(+-1) gives the Schur
+    factors of the stacked system, whose inverse ``_stacked_inverse``
+    builds; it raises ``SingularMatrixError`` unless the Schur complement
+    is a signed permutation.  ``MissingPivotError`` is raised if a row of
+    ``pair.s`` owns no unit column.
     """
     k = params.k
     if failed not in (k, k + 1):
@@ -403,6 +546,9 @@ def plan_repair(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairP
     pair = build_repair_pair(k, variant)
     surviving = k + 1 if failed == k else k
     half = params.n_rows // 2
+    pivots = _unit_pivots(pair.s)
+    if pivots is None:
+        raise MissingPivotError(f"a row of the {variant} systematic-side matrix owns no unit column")
 
     downloads: dict[int, Gf3Matrix] = {}
     for j in range(k):
@@ -412,18 +558,16 @@ def plan_repair(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairP
             downloads[j] = _times_permutation(pair.s, cm.matrix(j))
     downloads[surviving] = pair.s_tilde
 
-    # Interference rows s_tilde (I - A_l) for the row-sum parity and
-    # s_tilde (I + A_l) for the zigzag parity; see _interference_transform.
-    targets = []
-    for l in range(1, k):
-        moved = _times_permutation(pair.s_tilde, cm.matrix(l))
-        targets.append(pair.s_tilde - moved if variant == FIRST_PARITY else pair.s_tilde + moved)
-    stacked = solve_left(pair.s, Gf3Matrix.stack(*targets)).array
-    projectors = {l: Gf3Matrix(stacked[(l - 1) * half : l * half]) for l in range(1, k)}
-
+    # One elimination serves the k-1 interference blocks and the solve base.
+    targets = [_interference_rows(pair.s_tilde, cm.matrix(l), variant) for l in range(1, k)]
     a0 = cm.matrix(0) if variant == FIRST_PARITY else cm.matrix(0).inverse()
-    base = _times_permutation(pair.s_tilde, a0)
-    solve_inv = inverse(Gf3Matrix.stack(pair.s, base))
+    targets.append(_times_permutation(pair.s_tilde, a0))
+    stacked, residual = _eliminate(pair.s, pivots, Gf3Matrix.stack(*targets))
+    base_at = (k - 1) * half
+    if residual[:base_at].any():
+        raise InconsistentSystemError("target rows are not in the row space")
+    projectors = {l: Gf3Matrix(stacked[(l - 1) * half : l * half]) for l in range(1, k)}
+    solve_inv = _stacked_inverse(pair.s, pivots, stacked[base_at:], residual[base_at:])
 
     io_per_node = {node: m.nonzero_column_count() for node, m in downloads.items()}
     return RepairPlan(

@@ -4,13 +4,14 @@ Run over a range of k, this checks the MDS ranks, the equivalence of the
 two coding-matrix constructions, the encoder's two parity formulas on
 random data, both variants' repair rank conditions, the swap duality, the
 zero-column census/propagation behind the I/O counts, and the I/O meter
-formulas themselves.  A fault hook lets tests corrupt the coding matrices
-and watch the sweep object.
+formulas themselves.  Each check records its wall-clock seconds.  A fault
+hook lets tests corrupt the coding matrices and watch the sweep object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,9 +47,16 @@ class SweepCheck:
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
-        return {"k": self.k, "name": self.name, "passed": self.passed, "detail": self.detail}
+        return {
+            "k": self.k,
+            "name": self.name,
+            "passed": self.passed,
+            "detail": self.detail,
+            "seconds": self.seconds,
+        }
 
 
 @dataclass(frozen=True)
@@ -149,11 +157,12 @@ def run_sweep(
     def record(k: int, name: str, fn) -> None:
         # A corrupted matrix set may violate a precondition deep inside a
         # check; that is a failure to report, not a crash.
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # noqa: BLE001
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        checks.append(SweepCheck(k, name, ok, detail))
+        checks.append(SweepCheck(k, name, ok, detail, time.perf_counter() - start))
 
     for k in k_values:
         params = CodeParams(k)

@@ -175,8 +175,8 @@ def test_criterion_2_construction_equivalence():
 
 
 def test_criterion_3_condition_sweep():
-    with criterion(3, "MDS + repair rank conditions + duality, k=2..10", budget=120.0):
-        for k in range(2, 11):
+    with criterion(3, "MDS + repair rank conditions + duality, k=2..11", budget=120.0):
+        for k in range(2, 12):
             params = CodeParams(k)
             cm = build_coding_matrices(params)
             assert verify_mds(cm).ok, k

@@ -111,6 +111,33 @@ def test_decode_missing_manifest_exits_4(encoded):
     assert main(["decode", "--shards", *shards, "--out", str(tmp_path / "x")]) == 4
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("shard_crc", "short"),
+        ("shard_crc", None),
+        ("original_len", "12"),
+        ("original_len", -5),
+    ],
+    ids=["crc-list-too-short", "crc-null", "length-string", "length-negative"],
+)
+def test_decode_malformed_manifest_exits_4(tmp_path, field, value):
+    # k = 3 from shards 0, 1 and 4: a malformed manifest must be a format
+    # error, never a crash and never a truncated file.
+    src = tmp_path / "input.bin"
+    src.write_bytes(np.random.default_rng(5).bytes(3000))
+    out_dir = tmp_path / "shards"
+    assert main(["encode", "--k", "3", "--input", str(src), "--out-dir", str(out_dir)]) == 0
+    path = out_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[field] = manifest["shard_crc"][:3] if value == "short" else value
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "restored.bin"
+    shards = [shard(out_dir, i) for i in (0, 1, 4)]
+    assert main(["decode", "--shards", *shards, "--out", str(out)]) == 4
+    assert not out.exists()
+
+
 def test_repair_parity_reports_match(encoded, capsys):
     _, out_dir, tmp_path = encoded
     helpers = [shard(out_dir, i) for i in (0, 1, 2, 3, 5)]
@@ -177,6 +204,20 @@ def test_verify_json_is_machine_parseable(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is True
     assert {c["name"] for c in report["checks"]} >= {"mds-ranks", "io-meters"}
+
+
+def test_verify_reports_check_seconds(capsys):
+    assert main(["--format", "json", "verify", "--k-range", "2..3", "--trials", "3"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in checks)
+    assert main(["--verbose", "verify", "--k-range", "2..2", "--trials", "3"]) == 0
+    verbose = capsys.readouterr().out.splitlines()
+    assert main(["verify", "--k-range", "2..2", "--trials", "3"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert len(verbose) == len(plain)
+    # "k= 2 <name> PASS 0.0003s ..." with --verbose, "k= 2 <name> PASS" without.
+    assert all(float(line.split()[4].removesuffix("s")) >= 0 for line in verbose[:-1])
+    assert all(len(line.split()) == 4 for line in plain[:-1])
 
 
 def test_verify_bad_range_exits_5():
