@@ -1,18 +1,16 @@
 """(k+2,k) zigzag MSR erasure code over GF(3).
 
 Systematic MDS array code storing 2^(k-1) symbols per node, tolerating any
-two node failures, with half-download repair of both parity nodes and
-exact disk-I/O accounting.
+two node failures, with half-download repair of every node and exact
+disk-I/O accounting.
 """
 
 from .code import (
     CodeParams,
-    Codeword,
     CodingMatrixSet,
-    FileParts,
     build_coding_matrices,
-    decode_from_any_k,
-    encode,
+    decode_shards_array,
+    encode_parts_array,
     verify_mds,
 )
 from .gf3 import Gf3Matrix, SignedPermutation
@@ -34,13 +32,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CodeParams",
     "CodingMatrixSet",
-    "FileParts",
-    "Codeword",
     "Gf3Matrix",
     "SignedPermutation",
     "build_coding_matrices",
-    "encode",
-    "decode_from_any_k",
+    "encode_parts_array",
+    "decode_shards_array",
     "verify_mds",
     "FIRST_PARITY",
     "SECOND_PARITY",

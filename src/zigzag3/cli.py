@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,21 +33,15 @@ from .cluster import (
     CorruptDataError,
     DataLossError,
     FileMeta,
+    NodeStore,
     ShardFormatError,
     extract,
     ingest,
+    repair_lost_node,
     shard_from_bytes,
     write_shard_file,
 )
-from .repair import (
-    brute_force_min_io,
-    compute_downloads,
-    execute_repair,
-    expected_repair_io,
-    io_lower_bound,
-    plan_repair,
-    repair_bandwidth,
-)
+from .repair import brute_force_min_io, io_lower_bound, repair_bandwidth
 from .verification import flip_one_sign, run_sweep
 
 EXIT_OK = 0
@@ -263,42 +256,9 @@ def cmd_repair(cfg: Config, args) -> int:
             f"got {len(payloads)}; missing {missing}"
         )
 
-    k, n = params.k, params.n_rows
+    helpers = {node: NodeStore(node, payload) for node, payload in payloads.items()}
     cm = build_coding_matrices(params)
-    is_parity = rebuild in (k, k + 1)
-    if is_parity:
-        start = time.perf_counter()
-        plan = plan_repair(params, cm, rebuild)
-        plan_s = time.perf_counter() - start
-        start = time.perf_counter()
-        downloads = compute_downloads(plan, {h: payloads[h] for h in plan.helper_nodes})
-        downloads_s = time.perf_counter() - start
-        start = time.perf_counter()
-        restored = execute_repair(plan, downloads)
-        stage_seconds = {
-            "plan": plan_s,
-            "downloads": downloads_s,
-            "solve": time.perf_counter() - start,
-        }
-        reads_per_node = {h: stripes * plan.io_per_node[h] for h in plan.helper_nodes}
-        total_reads = sum(reads_per_node.values())
-        expected = stripes * expected_repair_io(params)
-        method = "parity-plan"
-        sent = stripes * repair_bandwidth(params)
-    else:
-        chosen = sorted(payloads)[:k]
-        start = time.perf_counter()
-        parts = decode_shards_array(params, cm, {h: payloads[h] for h in chosen})
-        decode_s = time.perf_counter() - start
-        start = time.perf_counter()
-        restored = encode_parts_array(params, cm, parts)[rebuild]
-        stage_seconds = {"decode": decode_s, "encode": time.perf_counter() - start}
-        reads_per_node = {h: stripes * n for h in chosen}
-        total_reads = sum(reads_per_node.values())
-        expected = None
-        method = "full-download"
-        sent = total_reads
-
+    restored, report = repair_lost_node(params, cm, helpers, rebuild, stripes)
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.shards[0]).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / _shard_name(rebuild)
@@ -307,29 +267,24 @@ def cmd_repair(cfg: Config, args) -> int:
     payload = {
         "command": "repair",
         "node": rebuild,
-        "method": method,
+        "method": report.method,
         "stripes": stripes,
-        "reads_per_node": {str(h): c for h, c in sorted(reads_per_node.items())},
-        "total_reads": total_reads,
-        "total_sent": sent,
-        "expected_reads": expected,
-        "match": (total_reads == expected) if expected is not None else None,
-        "stage_seconds": stage_seconds,
+        "reads_per_node": {str(h): c for h, c in sorted(report.reads_per_node.items())},
+        "total_reads": report.total_reads,
+        "total_sent": report.total_sent,
+        "expected_reads": report.expected_reads,
+        "match": report.matches_expectation,
+        "stage_seconds": report.stage_seconds,
         "out": str(out_path),
     }
-    if is_parity:
-        status = "MATCH" if total_reads == expected else "MISMATCH"
-        lines = [
-            f"rebuilt parity node {rebuild} via half-download plan -> {out_path}",
-            f"reads={total_reads} expected={expected} ({expected_repair_io(params)}/stripe), {status}",
-            f"per-node reads: {dict(sorted(reads_per_node.items()))}",
-            f"transferred={sent} symbols ({repair_bandwidth(params)}/stripe)",
-        ]
-    else:
-        lines = [
-            f"rebuilt systematic node {rebuild} -> {out_path}",
-            f"fallback: full download, reads={total_reads} (k*N={k * n}/stripe)",
-        ]
+    lines = [
+        f"rebuilt node {rebuild} via {report.method} -> {out_path}",
+        f"reads={report.total_reads} expected={report.expected_reads} "
+        f"({report.expected_reads // stripes}/stripe), "
+        f"{'MATCH' if report.matches_expectation else 'MISMATCH'}",
+        f"per-node reads: {dict(sorted(report.reads_per_node.items()))}",
+        f"transferred={report.total_sent} symbols ({report.total_sent // stripes}/stripe)",
+    ]
     _emit(cfg, payload, lines)
     return EXIT_OK
 
@@ -356,6 +311,9 @@ def cmd_verify(cfg: Config, args) -> int:
             CodeParams(k)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARAMS
+    if args.trials < 1:
+        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
         return EXIT_PARAMS
     hook = flip_one_sign if args.inject_fault else None
     report = run_sweep(ks, trials=args.trials, seed=cfg.seed, fault_hook=hook)

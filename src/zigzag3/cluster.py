@@ -45,9 +45,9 @@ __all__ = [
     "shard_to_bytes",
     "shard_from_bytes",
     "write_shard_file",
-    "read_shard_file",
     "NodeStore",
     "RepairReport",
+    "repair_lost_node",
     "ScrubReport",
     "ClusterState",
 ]
@@ -235,11 +235,6 @@ def write_shard_file(path, params: CodeParams, node_id: int, payload: np.ndarray
     return int.from_bytes(blob[-4:], "little")
 
 
-def read_shard_file(path) -> tuple[CodeParams, int, np.ndarray]:
-    with open(path, "rb") as fh:
-        return shard_from_bytes(fh.read())
-
-
 # ---------------------------------------------------------------------------
 # Cluster
 # ---------------------------------------------------------------------------
@@ -272,17 +267,17 @@ class RepairReport:
     """What one repair did: reads, transfers and per-stage wall time.
 
     ``stage_seconds`` holds ``plan``, ``downloads`` and ``solve`` for a
-    parity-plan repair, ``decode`` and ``encode`` for a full download, and
+    plan repair, ``decode`` and ``encode`` for a full download, and
     nothing for a noop.
     """
 
     node_id: int
-    method: str  # "parity-plan" | "full-download" | "noop"
+    method: str  # "parity-plan" | "data-plan" | "full-download" | "noop"
     optimal: bool
     reads_per_node: dict[int, int]
     total_reads: int
     total_sent: int
-    expected_reads: Optional[int]  # only for parity-plan repairs
+    expected_reads: Optional[int]  # only for plan repairs
     stripes: int
     warning: Optional[str] = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -292,6 +287,49 @@ class RepairReport:
         if self.expected_reads is None:
             return None
         return self.total_reads == self.expected_reads
+
+
+def repair_lost_node(
+    params: CodeParams, cm: CodingMatrixSet, nodes, node_id: int, stripes: int
+) -> tuple[np.ndarray, RepairReport]:
+    """Rebuild the single lost node ``node_id`` through its repair plan.
+
+    ``nodes`` maps every other node id to its ``NodeStore``; all k+1 serve
+    as helpers, each charged with the symbols its download reads and
+    sends.  The plan, the downloads and the solve are timed separately.
+    Returns the rebuilt (stripes, N) payload and the report; storing the
+    payload is the caller's.
+    """
+    start = time.perf_counter()
+    plan = plan_repair(params, cm, node_id)
+    plan_s = time.perf_counter() - start
+    payloads = {}
+    reads_per_node = {}
+    total_sent = 0
+    io_per_node = plan.io_per_node
+    for helper in plan.helper_nodes:
+        reads = stripes * io_per_node[helper]
+        sent = stripes * plan.downloads[helper].rows
+        payloads[helper] = nodes[helper].serve(reads, sent)
+        reads_per_node[helper] = reads
+        total_sent += sent
+    start = time.perf_counter()
+    downloads = compute_downloads(plan, payloads)
+    downloads_s = time.perf_counter() - start
+    start = time.perf_counter()
+    restored = execute_repair(plan, downloads)
+    solve_s = time.perf_counter() - start
+    return restored, RepairReport(
+        node_id=node_id,
+        method="data-plan" if node_id < params.k else "parity-plan",
+        optimal=True,
+        reads_per_node=reads_per_node,
+        total_reads=sum(reads_per_node.values()),
+        total_sent=total_sent,
+        expected_reads=stripes * expected_repair_io(params, node_id),
+        stripes=stripes,
+        stage_seconds={"plan": plan_s, "downloads": downloads_s, "solve": solve_s},
+    )
 
 
 @dataclass(frozen=True)
@@ -383,54 +421,19 @@ class ClusterState:
                 node_id, "noop", False, {}, 0, 0, None, stripes,
                 warning=f"node {node_id} is healthy; nothing to repair",
             )
-        k = self.params.k
-        is_parity = node_id in (k, k + 1)
-        others_healthy = all(
-            self.nodes[i].status == HEALTHY for i in range(self.params.n_nodes) if i != node_id
-        )
-        if is_parity and others_healthy:
-            return self._repair_parity_optimal(node_id)
+        if self.failed_nodes == [node_id]:
+            restored, report = repair_lost_node(self.params, self.cm, self.nodes, node_id, stripes)
+            node.payload = restored
+            node.status = HEALTHY
+            return report
         return self._repair_full_download(node_id)
 
-    def _repair_parity_optimal(self, node_id: int) -> RepairReport:
-        stripes = self.meta.stripe_count
-        start = time.perf_counter()
-        plan = plan_repair(self.params, self.cm, node_id)
-        plan_s = time.perf_counter() - start
-        payloads = {}
-        reads_per_node = {}
-        sent_each = stripes * (self.params.n_rows // 2)
-        for helper in plan.helper_nodes:
-            reads = stripes * plan.io_per_node[helper]
-            payloads[helper] = self.nodes[helper].serve(reads, sent_each)
-            reads_per_node[helper] = reads
-        start = time.perf_counter()
-        downloads = compute_downloads(plan, payloads)
-        downloads_s = time.perf_counter() - start
-        start = time.perf_counter()
-        restored = execute_repair(plan, downloads)
-        solve_s = time.perf_counter() - start
-        node = self.nodes[node_id]
-        node.payload = restored
-        node.status = HEALTHY
-        return RepairReport(
-            node_id=node_id,
-            method="parity-plan",
-            optimal=True,
-            reads_per_node=reads_per_node,
-            total_reads=sum(reads_per_node.values()),
-            total_sent=sent_each * len(plan.helper_nodes),
-            expected_reads=stripes * expected_repair_io(self.params),
-            stripes=stripes,
-            stage_seconds={"plan": plan_s, "downloads": downloads_s, "solve": solve_s},
-        )
-
     def _repair_full_download(self, node_id: int) -> RepairReport:
-        """Fallback: read k whole shards, decode, re-encode the lost shard.
+        """Read k whole shards, decode, re-encode the lost shard.
 
-        Used for every systematic node, and for a parity node while any
-        other node is also failed (the half-download plan needs all k+1
-        other nodes as helpers).
+        Used only while another node is also failed: every repair plan
+        needs all k+1 other nodes as helpers.  Once this repair has run,
+        the other failed node is the only one and takes its plan.
         """
         k = self.params.k
         stripes = self.meta.stripe_count

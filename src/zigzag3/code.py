@@ -29,18 +29,12 @@ from .gf3 import (
 )
 
 __all__ = [
-    "MAX_K_DEFAULT",
+    "MAX_K",
     "CodeParams",
     "CodingMatrixSet",
-    "FileParts",
-    "Codeword",
     "InsufficientShardsError",
     "InconsistentShardsError",
     "basis_index",
-    "index_bits",
-    "index_from_bits",
-    "permutation_apply",
-    "zigzag_set",
     "beta",
     "beta_row_coefficients",
     "build_coding_matrices",
@@ -48,16 +42,14 @@ __all__ = [
     "second_parity_by_rows",
     "second_parity_by_matrices",
     "encode_parts_array",
-    "encode",
     "MdsReport",
     "verify_mds",
     "decode_shards_array",
-    "decode_from_any_k",
 ]
 
-# Largest k accepted by default.  N = 2^(k-1) doubles with every k, and so
-# does the size of every shard and repair matrix; raise per call if needed.
-MAX_K_DEFAULT = 16
+# Largest k accepted.  N = 2^(k-1) doubles with every k, and so does the
+# size of every shard and repair matrix.
+MAX_K = 16
 
 
 class InsufficientShardsError(ValueError):
@@ -73,13 +65,12 @@ class CodeParams:
     """Validity gate shared by every operation: k data nodes, N = 2^(k-1)."""
 
     k: int
-    max_k: int = MAX_K_DEFAULT
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.k > self.max_k:
-            raise ValueError(f"k={self.k} exceeds the configured cap {self.max_k}")
+        if self.k > MAX_K:
+            raise ValueError(f"k={self.k} exceeds the cap {MAX_K}")
 
     @property
     def n_rows(self) -> int:
@@ -101,20 +92,6 @@ class CodeParams:
 # ---------------------------------------------------------------------------
 
 
-def index_bits(params: CodeParams, i: int) -> tuple[int, ...]:
-    """Row index as its k-1 bits (i_1, ..., i_{k-1}), most significant first."""
-    if not 0 <= i < params.n_rows:
-        raise ValueError(f"row index {i} out of range [0, {params.n_rows})")
-    return tuple((i >> (params.k - 1 - j)) & 1 for j in range(1, params.k))
-
-
-def index_from_bits(params: CodeParams, bits) -> int:
-    bits = tuple(bits)
-    if len(bits) != params.k - 1 or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"need {params.k - 1} bits in {{0,1}}, got {bits}")
-    return sum(b << (params.k - 1 - j) for j, b in enumerate(bits, start=1))
-
-
 def basis_index(params: CodeParams, j: int) -> int:
     """Integer value of e_j under the big-endian bit convention; e_0 = 0.
 
@@ -123,23 +100,6 @@ def basis_index(params: CodeParams, j: int) -> int:
     if not 0 <= j < params.k:
         raise ValueError(f"node index {j} out of range [0, {params.k})")
     return 0 if j == 0 else 1 << (params.k - 1 - j)
-
-
-def permutation_apply(params: CodeParams, j: int, x: int) -> int:
-    """Row permutation used by part j: flip bit j of x (identity for j=0).
-
-    Self-inverse, since XOR undoes itself.
-    """
-    if not 0 <= x < params.n_rows:
-        raise ValueError(f"row index {x} out of range [0, {params.n_rows})")
-    return x ^ basis_index(params, j)
-
-
-def zigzag_set(params: CodeParams, l: int) -> list[tuple[int, int]]:
-    """The k (row, part) pairs feeding row l of the zigzag parity."""
-    if not 0 <= l < params.n_rows:
-        raise ValueError(f"row index {l} out of range [0, {params.n_rows})")
-    return [(l ^ basis_index(params, j), j) for j in range(params.k)]
 
 
 def beta(params: CodeParams, i: int, j: int) -> int:
@@ -218,9 +178,6 @@ class CodingMatrixSet:
     params: CodeParams
     matrices: tuple[SignedPermutation, ...]
     _dense_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def matrix(self, j: int) -> SignedPermutation:
-        return self.matrices[j]
 
     def dense(self, j: int) -> Gf3Matrix:
         if j not in self._dense_cache:
@@ -301,53 +258,6 @@ def encode_parts_array(params: CodeParams, cm: CodingMatrixSet, parts: np.ndarra
         "coding-matrix and row-rule parities diverged"
     )
     return shards
-
-
-@dataclass(frozen=True)
-class FileParts:
-    """One stripe of source data: k column vectors of N symbols each."""
-
-    params: CodeParams
-    parts: np.ndarray  # shape (k, N), uint8 mod 3
-
-    def __post_init__(self):
-        a = np.mod(np.asarray(self.parts), 3).astype(np.uint8)
-        if a.shape != (self.params.k, self.params.n_rows):
-            raise ValueError(
-                f"parts shape {a.shape} != ({self.params.k}, {self.params.n_rows})"
-            )
-        a.setflags(write=False)
-        object.__setattr__(self, "parts", a)
-
-    def part(self, j: int) -> np.ndarray:
-        return self.parts[j]
-
-
-@dataclass(frozen=True)
-class Codeword:
-    """One encoded stripe: k systematic shards plus the two parities."""
-
-    params: CodeParams
-    shards: np.ndarray  # shape (k+2, N), uint8 mod 3
-
-    def __post_init__(self):
-        a = np.mod(np.asarray(self.shards), 3).astype(np.uint8)
-        if a.shape != (self.params.n_nodes, self.params.n_rows):
-            raise ValueError(
-                f"shards shape {a.shape} != ({self.params.n_nodes}, {self.params.n_rows})"
-            )
-        a.setflags(write=False)
-        object.__setattr__(self, "shards", a)
-
-    def shard(self, node: int) -> np.ndarray:
-        return self.shards[node]
-
-
-def encode(parts: FileParts, cm: CodingMatrixSet | None = None) -> Codeword:
-    params = parts.params
-    if cm is None:
-        cm = build_coding_matrices(params)
-    return Codeword(params, encode_parts_array(params, cm, parts.parts))
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +401,3 @@ def decode_shards_array(
                 raise InconsistentShardsError(f"shard {node} disagrees with the reconstruction")
     return parts
 
-
-def decode_from_any_k(
-    params: CodeParams, cm: CodingMatrixSet, available: dict[int, np.ndarray]
-) -> FileParts:
-    return FileParts(params, decode_shards_array(params, cm, available))

@@ -10,7 +10,7 @@ residues; a signed permutation contributes int8 terms sign * symbol in
 overflow, and ``reduce_sum`` maps the sum back to residues with one
 256-entry table lookup instead of a division per term.
 
-Dense matrices (rank, nullspace, solving) are stored row-major as
+Dense matrices (rank, solving) are stored row-major as
 read-only uint8 numpy arrays, so all values are immutable after
 construction and safe to share between threads.
 
@@ -27,17 +27,11 @@ __all__ = [
     "Gf3ShapeError",
     "SingularMatrixError",
     "InconsistentSystemError",
-    "gf3_add",
-    "gf3_sub",
-    "gf3_mul",
-    "gf3_neg",
-    "gf3_inv",
     "residues",
     "reduce_sum",
     "Gf3Matrix",
     "SignedPermutation",
     "rank",
-    "nullspace",
     "solve_left",
     "solve_square",
     "inverse",
@@ -54,34 +48,6 @@ class SingularMatrixError(ValueError):
 
 class InconsistentSystemError(ValueError):
     """Target is outside the row space of the given rows."""
-
-
-# ---------------------------------------------------------------------------
-# Scalar field ops (they broadcast over numpy arrays as well)
-# ---------------------------------------------------------------------------
-
-
-def gf3_add(a, b):
-    return (a + b) % 3
-
-
-def gf3_sub(a, b):
-    return (a - b) % 3
-
-
-def gf3_mul(a, b):
-    return (a * b) % 3
-
-
-def gf3_neg(a):
-    return (-a) % 3
-
-
-def gf3_inv(a):
-    """Multiplicative inverse; 1 and 2 are self-inverse mod 3."""
-    if np.any(np.asarray(a) % 3 == 0):
-        raise ZeroDivisionError("0 has no inverse in GF(3)")
-    return a % 3
 
 
 def _as_gf3_array(data) -> np.ndarray:
@@ -196,13 +162,6 @@ class Gf3Matrix:
     def shape(self) -> tuple[int, int]:
         return self._a.shape
 
-    def transpose(self) -> "Gf3Matrix":
-        return Gf3Matrix(self._a.T)
-
-    @property
-    def T(self) -> "Gf3Matrix":
-        return self.transpose()
-
     def __getitem__(self, idx):
         return self._a[idx]
 
@@ -233,13 +192,7 @@ class Gf3Matrix:
         prod = self._a.astype(np.int64) @ other._a.astype(np.int64)
         return Gf3Matrix(prod % 3)
 
-    def scale(self, c: int) -> "Gf3Matrix":
-        return Gf3Matrix((self._a.astype(np.int16) * (c % 3)) % 3)
-
     # -- structure -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._a.any()
 
     def zero_columns(self) -> list[int]:
         """Indices of all-zero columns, ascending."""
@@ -247,9 +200,6 @@ class Gf3Matrix:
 
     def nonzero_column_count(self) -> int:
         return int(self._a.any(axis=0).sum())
-
-    def rank(self) -> int:
-        return rank(self)
 
     # -- identity ------------------------------------------------------------
 
@@ -421,19 +371,6 @@ def rank(m: Gf3Matrix) -> int:
     """Row rank by exact Gaussian elimination over GF(3)."""
     a = m.array.astype(np.int16)
     return len(_row_reduce(a, full=False))
-
-
-def nullspace(m: Gf3Matrix) -> Gf3Matrix:
-    """Basis of {x : m @ x = 0}, one vector per column; cols = nullity."""
-    a = m.array.astype(np.int16)
-    pivots = _row_reduce(a, full=True)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    basis = np.zeros((m.cols, len(free)), dtype=np.int16)
-    for idx, f in enumerate(free):
-        basis[f, idx] = 1
-        for row, p in enumerate(pivots):
-            basis[p, idx] = (-a[row, f]) % 3
-    return Gf3Matrix(basis)
 
 
 def solve_square(a: Gf3Matrix, b: Gf3Matrix) -> Gf3Matrix:

@@ -1,11 +1,13 @@
-"""Half-download repair of the two parity nodes, with disk-I/O accounting.
+"""Half-download repair of every node, with disk-I/O accounting.
 
-Either parity can be rebuilt by downloading only N/2 symbols from each of
-the k+1 surviving nodes.  Each helper applies an (N/2) x N full-row-rank
-repair matrix to its shard; the rank conditions enforced here guarantee
-that every unwanted term lands inside the row space of data already
-downloaded (so it can be cancelled) while the wanted shard stays fully
-recoverable.
+Any single lost node is rebuilt by downloading only N/2 symbols from each
+of the k+1 surviving nodes, through one ``RepairPlan`` type.  A data node
+uses the zigzag rebuild: every helper sends N/2 raw rows, so a repair
+reads (k+1)N/2 symbols, what it sends.  For a parity node each helper
+applies an (N/2) x N full-row-rank repair matrix to its shard; the rank
+conditions enforced here guarantee that every unwanted term lands inside
+the row space of data already downloaded (so it can be cancelled) while
+the wanted shard stays fully recoverable.
 
 The repair matrices are built by a block recursion from 1x2 seeds.  One
 seed choice serves the row-sum parity (node k), a second seed choice
@@ -28,11 +30,13 @@ Products with coding matrices are column scatters of their signed
 permutations.  Dense elimination remains only as a fallback for inputs
 that fail these certificates, where it keeps the reported ranks exact.
 
-The matrices a repair applies (downloads, projectors, the solve inverse)
-have at most k nonzeros per row, so ``apply_matrix_rows`` works on a
-padded index/sign form of each row: O(kN) per stripe, with the sign *
-symbol terms summed in int8 and reduced through the ``gf3`` table before
-the sum can leave +-127.
+The matrices a parity repair applies (downloads, projectors, the solve
+inverse) have at most k nonzeros per row, so ``apply_matrix_rows`` works
+on a padded index/sign form of each row: O(kN) per stripe, with the
+sign * symbol terms summed in int8 and reduced through the ``gf3`` table
+before the sum can leave +-127.  A data-node repair needs no matrix at
+all: raw row gathers, signed-permutation gathers on half-length rows and
+one signed permutation for the solve.
 """
 
 from __future__ import annotations
@@ -59,9 +63,7 @@ from .gf3 import (
 __all__ = [
     "FIRST_PARITY",
     "SECOND_PARITY",
-    "HelperMatrices",
     "RepairMatrixPair",
-    "build_helpers",
     "build_repair_pair",
     "ConditionCheck",
     "ConditionReport",
@@ -71,6 +73,7 @@ __all__ = [
     "ZeroColumnReport",
     "verify_zero_column_structure",
     "MissingPivotError",
+    "RowSelection",
     "RepairPlan",
     "plan_repair",
     "apply_matrix_rows",
@@ -102,19 +105,6 @@ def _check_variant(variant: str) -> None:
 
 
 @dataclass(frozen=True)
-class HelperMatrices:
-    """Coupling blocks spliced into the upper-right corners of the recursion."""
-
-    e: Gf3Matrix
-    f: Gf3Matrix
-    variant: str
-
-    def __post_init__(self):
-        if self.e.shape != self.f.shape:
-            raise ValueError(f"block shapes differ: {self.e.shape} vs {self.f.shape}")
-
-
-@dataclass(frozen=True)
 class RepairMatrixPair:
     """The (N/2) x N matrices applied by helpers during one parity repair.
 
@@ -142,18 +132,6 @@ def _seed_pair(variant: str) -> tuple[Gf3Matrix, Gf3Matrix]:
     if variant == FIRST_PARITY:
         return Gf3Matrix([[0, 1]]), Gf3Matrix([[1, 1]])
     return Gf3Matrix([[1, -1]]), Gf3Matrix([[0, 1]])
-
-
-def build_helpers(k: int, variant: str) -> HelperMatrices:
-    """Coupling blocks at level k: each level block-diagonals the previous
-    two in swapped order."""
-    _check_variant(variant)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    e, f = _seed_blocks(variant)
-    for _ in range(k - 2):
-        e, f = Gf3Matrix.block_diag(e, f), Gf3Matrix.block_diag(f, e)
-    return HelperMatrices(e, f, variant)
 
 
 def _build_recursion(k: int, variant: str) -> tuple[Gf3Matrix, Gf3Matrix]:
@@ -221,8 +199,11 @@ def _unit_pivots(s: Gf3Matrix) -> _Pivots | None:
     return _Pivots(u, a[np.arange(s.rows), u], np.flatnonzero(rest))
 
 
-def _eliminate(s: Gf3Matrix, pivots: _Pivots, t: Gf3Matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce the rows of ``t`` against ``s`` through its pivots.
+def _eliminate(
+    s: Gf3Matrix, pivots: _Pivots, targets: list[Gf3Matrix]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the rows of t, the stacked ``targets``, against ``s`` through
+    its pivots.
 
     Returns X = t[:, U] diag(d), the unique matrix with X s equal to t on
     the pivot columns, and the residual R = t - X s on the other columns,
@@ -230,10 +211,11 @@ def _eliminate(s: Gf3Matrix, pivots: _Pivots, t: Gf3Matrix) -> tuple[np.ndarray,
     rank(stack(s, t)) = s.rows + rank(R).  Rows of X are sparse, so X s
     is a sparse-row apply.
     """
-    x = (t.array[:, pivots.unit] * pivots.sign) % 3
+    t = np.vstack([m.array for m in targets])
+    x = (t[:, pivots.unit] * pivots.sign) % 3
     s_rest = s.array[:, pivots.rest]
     xs = apply_matrix_rows(Gf3Matrix(x), s_rest.T).T
-    residual = reduce_sum(t.array[:, pivots.rest].view(np.int8) - xs.view(np.int8))
+    residual = reduce_sum(t[:, pivots.rest].view(np.int8) - xs.view(np.int8))
     return x, residual
 
 
@@ -249,19 +231,32 @@ def _residual_rank(r: np.ndarray) -> int:
     return rank(Gf3Matrix(r))
 
 
-def _stacked_rank(s: Gf3Matrix, t: Gf3Matrix) -> int:
-    """rank(stack(s, t)), exactly.
+# Entries of the targets reduced in one ``_eliminate``: small targets
+# share the fixed cost of a call, while a batch this size still fits in
+# cache (one k = 11 target alone is 2^19 entries).
+_BATCH_ENTRIES = 1 << 18
 
-    With unit-column pivots in ``s`` this is s.rows + rank(R) for the
-    residual R of ``_eliminate``; a matrix without pivots falls back to
-    dense elimination of the stack, so arbitrary pairs still get exact
+
+def _stacked_ranks(s: Gf3Matrix, targets: list[Gf3Matrix]) -> list[int]:
+    """rank(stack(s, t)) for every t in ``targets``, exactly.
+
+    The pivots of ``s`` are found once, and the targets, all of one shape,
+    are reduced in batches of at most ``_BATCH_ENTRIES`` entries by one
+    ``_eliminate`` each; each rank is then s.rows + rank(R) for that
+    target's block R of the residual.  A matrix without pivots falls back
+    to dense elimination of each stack, so arbitrary pairs still get exact
     ranks.
     """
     pivots = _unit_pivots(s)
     if pivots is None:
-        return rank(Gf3Matrix.stack(s, t))
-    _, residual = _eliminate(s, pivots, t)
-    return s.rows + _residual_rank(residual)
+        return [rank(Gf3Matrix.stack(s, t)) for t in targets]
+    ranks = []
+    per_batch = max(1, _BATCH_ENTRIES // targets[0].array.size)
+    for i in range(0, len(targets), per_batch):
+        batch = targets[i : i + per_batch]
+        _, residual = _eliminate(s, pivots, batch)
+        ranks += [s.rows + _residual_rank(r) for r in np.split(residual, len(batch))]
+    return ranks
 
 
 def _stacked_inverse(s: Gf3Matrix, pivots: _Pivots, m: np.ndarray, schur: np.ndarray) -> Gf3Matrix:
@@ -344,6 +339,22 @@ class ConditionReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
+def _condition_rows(s_tilde: Gf3Matrix, cm: CodingMatrixSet, variant: str) -> list[Gf3Matrix]:
+    """The rows stacked under s for each repair condition, by column
+    scatters: s_tilde A_0^(+-1) for full rank, then s_tilde (I -+ A_l)
+    for interference l = 1..k-1."""
+    a0 = cm.matrices[0] if variant == FIRST_PARITY else cm.matrices[0].inverse()
+    rows = [_times_permutation(s_tilde, a0)]
+    rows += [_interference_rows(s_tilde, cm.matrices[l], variant) for l in range(1, cm.params.k)]
+    return rows
+
+
+def _condition_report(variant: str, n: int, ranks: list[int]) -> ConditionReport:
+    checks = [ConditionCheck("full-rank", n, ranks[0])]
+    checks += [ConditionCheck(f"interference-l{l}", n // 2, r) for l, r in enumerate(ranks[1:], 1)]
+    return ConditionReport(variant, tuple(checks))
+
+
 def verify_repair_conditions(
     pair: RepairMatrixPair, cm: CodingMatrixSet, variant: str | None = None
 ) -> ConditionReport:
@@ -351,25 +362,18 @@ def verify_repair_conditions(
     rank N (recoverability) while every interference stack collapses to
     rank N/2 (cancellability).
 
-    Each rank is ``_stacked_rank`` of ``pair.s`` over rows built by column
-    scatters: s_tilde A_0^(+-1) for the full-rank stack, and
-    s_tilde (I -+ A_l) for interference l.  With unit-column pivots in
-    ``pair.s``, an interference rank of N/2 is certified by a zero
-    residual and full rank by a signed-permutation residual; any other
-    residual is ranked exactly, so a failing pair reports its true rank.
+    The ranks are ``_stacked_ranks`` of ``pair.s`` over the rows of
+    ``_condition_rows``, reduced against one set of pivots.  With unit-column
+    pivots in ``pair.s``, an interference rank of N/2 is certified by a
+    zero residual and full rank by a signed-permutation residual; any
+    other residual is ranked exactly, so a failing pair reports its true
+    rank.
     """
     if variant is None:
         variant = pair.variant
     _check_variant(variant)
-    params = cm.params
-    n = params.n_rows
-    a0 = cm.matrix(0) if variant == FIRST_PARITY else cm.matrix(0).inverse()
-    base = _times_permutation(pair.s_tilde, a0)
-    checks = [ConditionCheck("full-rank", n, _stacked_rank(pair.s, base))]
-    for l in range(1, params.k):
-        rows = _interference_rows(pair.s_tilde, cm.matrix(l), variant)
-        checks.append(ConditionCheck(f"interference-l{l}", n // 2, _stacked_rank(pair.s, rows)))
-    return ConditionReport(variant, tuple(checks))
+    ranks = _stacked_ranks(pair.s, _condition_rows(pair.s_tilde, cm, variant))
+    return _condition_report(variant, cm.params.n_rows, ranks)
 
 
 @dataclass(frozen=True)
@@ -400,19 +404,19 @@ def verify_duality(pair: RepairMatrixPair, cm: CodingMatrixSet) -> DualityReport
     Beyond re-running the swapped pair through the other parity's
     conditions, the underlying rank identity is checked for every l:
     stacking s_tilde over s(I + A_l) has the same rank as stacking s over
-    s_tilde(I - A_l).  Both sides are ``_stacked_rank`` certificates, the
-    first against the unit-column pivots of ``s_tilde``, the second
-    against those of ``s``.
+    s_tilde(I - A_l).  Both sides are ``_stacked_ranks`` certificates: the
+    swapped conditions and every left side against the unit-column pivots
+    of ``s_tilde``, every right side against those of ``s``.
     """
     swapped = pair.swapped()
-    swapped_report = verify_repair_conditions(swapped, cm)
-    equalities = []
-    for l in range(1, cm.params.k):
-        a_l = cm.matrix(l)
-        lhs = _stacked_rank(pair.s_tilde, _interference_rows(pair.s, a_l, SECOND_PARITY))
-        rhs = _stacked_rank(pair.s, _interference_rows(pair.s_tilde, a_l, FIRST_PARITY))
-        equalities.append(RankEquality(l, lhs, rhs))
-    return DualityReport(pair.variant, swapped_report, tuple(equalities))
+    k = cm.params.k
+    lhs_rows = [_interference_rows(pair.s, cm.matrices[l], SECOND_PARITY) for l in range(1, k)]
+    rhs_rows = [_interference_rows(pair.s_tilde, cm.matrices[l], FIRST_PARITY) for l in range(1, k)]
+    ranks = _stacked_ranks(pair.s_tilde, _condition_rows(pair.s, cm, swapped.variant) + lhs_rows)
+    swapped_report = _condition_report(swapped.variant, cm.params.n_rows, ranks[:k])
+    rhs = _stacked_ranks(pair.s, rhs_rows)
+    equalities = tuple(RankEquality(l, ranks[k - 1 + l], rhs[l - 1]) for l in range(1, k))
+    return DualityReport(pair.variant, swapped_report, equalities)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +485,12 @@ def verify_zero_column_structure(pair: RepairMatrixPair, params: CodeParams) -> 
 # ---------------------------------------------------------------------------
 
 
-def expected_repair_io(params: CodeParams) -> int:
-    """Reads needed per stripe by the constructed strategy: kN + N - k."""
-    return params.k * params.n_rows + params.n_rows - params.k
+def expected_repair_io(params: CodeParams, node: int) -> int:
+    """Reads per stripe of the plan for ``node``: kN + N - k for a parity,
+    and (k+1)N/2 for a data node, whose helpers read only what they send."""
+    if node >= params.k:
+        return params.k * params.n_rows + params.n_rows - params.k
+    return repair_bandwidth(params)
 
 
 def repair_bandwidth(params: CodeParams) -> int:
@@ -491,25 +498,58 @@ def repair_bandwidth(params: CodeParams) -> int:
     return (params.k + 1) * params.n_rows // 2
 
 
+@dataclass(frozen=True, eq=False)
+class RowSelection:
+    """A download that sends rows ``index`` of a length-``cols`` shard, raw.
+
+    Applying it is one gather.  The dense 0/1 matrix is built only when
+    ``array`` is asked for, never on the repair path.
+    """
+
+    index: np.ndarray
+    cols: int
+
+    @property
+    def rows(self) -> int:
+        return self.index.size
+
+    @property
+    def array(self) -> np.ndarray:
+        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
+        out[np.arange(self.rows), self.index] = 1
+        return out
+
+    def nonzero_column_count(self) -> int:
+        return self.rows
+
+
 @dataclass(frozen=True)
 class RepairPlan:
-    """Everything precomputed for repairing one failed parity node.
+    """Everything precomputed for rebuilding one lost node from the k+1
+    others.
 
-    ``downloads`` maps each helper node to the matrix it applies to its
-    shard; ``projectors`` maps l = 1..k-1 to the matrix that rebuilds the
-    l-th interference term from systematic download l; ``solve_inverse``
-    is the inverse of the stacked full-rank system, factored once so a
-    repair is multiply/subtract/solve only.
+    Helper h sends ``downloads[h]`` applied to its shard, N/2 symbols per
+    stripe.  The rebuild stacks two halves: the top sums the downloads of
+    the nodes in ``top``, each with its +-1 coefficient; the bottom is the
+    download of ``bottom_node`` plus ``projectors[h]`` applied to the
+    download of h.  ``solve_inverse`` inverts the stacked system that maps
+    the lost shard to those halves.  It is factored once, so a repair is
+    gathers, int8 sums and one apply.
     """
 
     params: CodeParams
     failed_node: int
-    surviving_parity: int
-    pair: RepairMatrixPair
-    downloads: dict[int, Gf3Matrix]
-    projectors: dict[int, Gf3Matrix]
-    io_per_node: dict[int, int]
-    solve_inverse: Gf3Matrix = field(repr=False)
+    downloads: dict[int, Gf3Matrix | RowSelection]
+    top: dict[int, int]
+    bottom_node: int
+    projectors: dict[int, Gf3Matrix | SignedPermutation]
+    solve_inverse: Gf3Matrix | SignedPermutation = field(repr=False)
+
+    @property
+    def io_per_node(self) -> dict[int, int]:
+        """Symbols each helper reads per stripe: the nonzero columns of its
+        download, which are exactly the symbols the download gathers."""
+        return {node: m.nonzero_column_count() for node, m in self.downloads.items()}
 
     @property
     def total_io(self) -> int:
@@ -517,7 +557,8 @@ class RepairPlan:
 
     @property
     def bandwidth(self) -> int:
-        return repair_bandwidth(self.params)
+        """Symbols sent per stripe: the rows of every download."""
+        return sum(m.rows for m in self.downloads.values())
 
     @property
     def helper_nodes(self) -> list[int]:
@@ -525,23 +566,92 @@ class RepairPlan:
 
 
 def plan_repair(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPlan:
-    """Build the download matrices, interference projectors and I/O tallies
-    for repairing parity node ``failed`` (k or k+1).
+    """The plan for rebuilding lost node ``failed``, any of the k+2 nodes:
+    ``_plan_data`` for a data node, ``_plan_parity`` for a parity."""
+    if not 0 <= failed < params.n_nodes:
+        raise ValueError(f"node {failed} out of range [0, {params.n_nodes})")
+    if failed < params.k:
+        return _plan_data(params, cm, failed)
+    return _plan_parity(params, cm, failed)
 
-    Every product with a coding matrix is a column scatter by its signed
-    permutation.  Projector l is X_l of ``_eliminate`` for the
-    interference rows s_tilde (I -+ A_l), read off at the unit-column
-    pivots of ``pair.s``; a nonzero residual means those rows leave the
-    row space of ``pair.s`` and raises ``InconsistentSystemError``.  The
-    same elimination of the solve base s_tilde A_0^(+-1) gives the Schur
-    factors of the stacked system, whose inverse ``_stacked_inverse``
-    builds; it raises ``SingularMatrixError`` unless the Schur complement
-    is a signed permutation.  ``MissingPivotError`` is raised if a row of
-    ``pair.s`` owns no unit column.
+
+def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPlan:
+    """Zigzag rebuild of data node j = ``failed`` (Tamo, Wang and Bruck,
+    "Zigzag Codes: MDS Array Codes With Optimal Rebuilding", 2013).
+
+    Let T be the rows whose bit j is 0, or for j = 0 the rows of even
+    weight.  The other data nodes and the row-sum parity send their rows
+    T, so f_j[T] = p[T] - sum_i f_i[T] (the top half).  The zigzag parity
+    sends the rows Z that A_j maps outside T (Z = T for j >= 1, the odd
+    rows for j = 0).  Every other A_i maps Z into T, since XOR with e_i
+    keeps bit j (and for i >= 1 flips the weight), so its share of z[Z]
+    is a signed gather of the half f_i[T] already sent, with the signs
+    restricted to Z; peeling those off leaves A_j f_j on the rows Z (the
+    bottom half).
+    The solve inverse is the signed permutation that puts the top half at
+    T and the bottom half, signed, at A_j's targets of Z.  Every helper
+    reads the N/2 raw rows it sends.  Coding matrices without this
+    structure make a restricted map fail to be a permutation, which
+    raises ``ValueError``.
+    """
+    k, n = params.k, params.n_rows
+    half = n // 2
+    rows = np.arange(n)
+    if failed == 0:
+        odd = np.zeros(n, dtype=bool)
+        for bit in range(k - 1):
+            odd ^= ((rows >> bit) & 1).astype(bool)
+        sent = ~odd
+    else:
+        sent = (rows & basis_index(params, failed)) == 0
+    a_j = cm.matrices[failed]
+    top_rows = np.flatnonzero(sent)
+    zig_rows = np.flatnonzero(~sent[a_j.target])
+    position = np.full(n, -1)
+    position[top_rows] = np.arange(half)
+    others = [i for i in range(k) if i != failed]
+    projectors = {
+        i: SignedPermutation(position[cm.matrices[i].target[zig_rows]], -cm.matrices[i].sign[zig_rows])
+        for i in others
+    }
+    lost = a_j.target[zig_rows]
+    target = position.copy()
+    target[lost] = half + np.arange(half)
+    sign = np.ones(n, dtype=np.int8)
+    sign[lost] = a_j.sign[zig_rows]
+    top_selection = RowSelection(top_rows, n)
+    downloads = {h: top_selection for h in others + [k]}
+    downloads[k + 1] = RowSelection(zig_rows, n)
+    return RepairPlan(
+        params=params,
+        failed_node=failed,
+        downloads=downloads,
+        top={k: 1, **{i: -1 for i in others}},
+        bottom_node=k + 1,
+        projectors=projectors,
+        solve_inverse=SignedPermutation(target, sign),
+    )
+
+
+def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPlan:
+    """Download matrices, interference projectors and I/O tallies for
+    rebuilding parity node ``failed`` (k or k+1).
+
+    The systematic downloads sum to the lost shard's half-image (the
+    top); the surviving parity's download plus the projected interference
+    terms form the bottom.  Every product with a coding matrix is a column
+    scatter by its signed permutation.  Projector l is X_l of
+    ``_eliminate`` for the interference rows s_tilde (I -+ A_l), read off
+    at the unit-column pivots of ``pair.s``; a nonzero residual means
+    those rows leave the row space of ``pair.s`` and raises
+    ``InconsistentSystemError``.  The same elimination of the solve base
+    s_tilde A_0^(+-1) gives the Schur factors of the stacked system, whose
+    inverse ``_stacked_inverse`` builds; it raises ``SingularMatrixError``
+    unless the Schur complement is a signed permutation.
+    ``MissingPivotError`` is raised if a row of ``pair.s`` owns no unit
+    column.
     """
     k = params.k
-    if failed not in (k, k + 1):
-        raise ValueError(f"node {failed} is not a parity node (expected {k} or {k + 1})")
     variant = FIRST_PARITY if failed == k else SECOND_PARITY
     pair = build_repair_pair(k, variant)
     surviving = k + 1 if failed == k else k
@@ -555,30 +665,21 @@ def plan_repair(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairP
         if variant == FIRST_PARITY:
             downloads[j] = pair.s
         else:
-            downloads[j] = _times_permutation(pair.s, cm.matrix(j))
+            downloads[j] = _times_permutation(pair.s, cm.matrices[j])
     downloads[surviving] = pair.s_tilde
 
-    # One elimination serves the k-1 interference blocks and the solve base.
-    targets = [_interference_rows(pair.s_tilde, cm.matrix(l), variant) for l in range(1, k)]
-    a0 = cm.matrix(0) if variant == FIRST_PARITY else cm.matrix(0).inverse()
-    targets.append(_times_permutation(pair.s_tilde, a0))
-    stacked, residual = _eliminate(pair.s, pivots, Gf3Matrix.stack(*targets))
-    base_at = (k - 1) * half
-    if residual[:base_at].any():
+    # One elimination serves the solve base and the k-1 interference blocks.
+    stacked, residual = _eliminate(pair.s, pivots, _condition_rows(pair.s_tilde, cm, variant))
+    if residual[half:].any():
         raise InconsistentSystemError("target rows are not in the row space")
-    projectors = {l: Gf3Matrix(stacked[(l - 1) * half : l * half]) for l in range(1, k)}
-    solve_inv = _stacked_inverse(pair.s, pivots, stacked[base_at:], residual[base_at:])
-
-    io_per_node = {node: m.nonzero_column_count() for node, m in downloads.items()}
     return RepairPlan(
         params=params,
         failed_node=failed,
-        surviving_parity=surviving,
-        pair=pair,
         downloads=downloads,
-        projectors=projectors,
-        io_per_node=io_per_node,
-        solve_inverse=solve_inv,
+        top={j: 1 for j in range(k)},
+        bottom_node=surviving,
+        projectors={l: Gf3Matrix(stacked[l * half : (l + 1) * half]) for l in range(1, k)},
+        solve_inverse=_stacked_inverse(pair.s, pivots, stacked[:half], residual[:half]),
     )
 
 
@@ -634,28 +735,35 @@ def apply_matrix_rows(m: Gf3Matrix, x: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (m.rows,))
 
 
+def _apply(m, x) -> np.ndarray:
+    """``m`` applied to the last axis of ``x``, as uint8 residues: a raw
+    gather for a ``RowSelection``, a signed gather for a
+    ``SignedPermutation``, a sparse-row apply for a ``Gf3Matrix``."""
+    if isinstance(m, RowSelection):
+        return residues(np.take(x, m.index, axis=-1))
+    if isinstance(m, SignedPermutation):
+        return m.apply(x)
+    return apply_matrix_rows(m, x)
+
+
 def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """What each helper transmits: its download matrix applied to its shard."""
+    """What each helper transmits: its download applied to its shard."""
     missing = [n for n in plan.helper_nodes if n not in payloads]
     if missing:
         raise ValueError(f"payloads missing for helper nodes {missing}")
-    return {node: apply_matrix_rows(plan.downloads[node], payloads[node]) for node in plan.helper_nodes}
+    return {node: _apply(plan.downloads[node], payloads[node]) for node in plan.helper_nodes}
 
 
 def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.ndarray:
-    """Rebuild the failed parity shard from the k+1 half-size downloads.
-
-    The systematic downloads sum to the failed shard's own half-image;
-    the projectors rebuild each interference term so it can be folded into
-    the parity-side rows; the precomputed inverse then lifts the full-rank
-    stack back to all N symbols.
+    """Rebuild the lost shard from the k+1 half-size downloads.
 
     Both halves of the right-hand side are summed in int8 and reduced
-    once: k residues on top, and on the bottom the surviving-parity
-    download plus k-1 reduced projector outputs, at most 2k in size.  The
-    solve is the same sparse-row apply as the downloads.
+    once.  The top holds k signed residues.  The bottom holds the
+    ``bottom_node`` download plus k-1 projector terms: reduced outputs of
+    a sparse-row apply, or unreduced signed gathers, each at most 2 in
+    size.  ``solve_inverse`` then lifts the stacked halves to all N
+    symbols.
     """
-    k = plan.params.k
     expected_nodes = set(plan.helper_nodes)
     got = set(downloads)
     if got != expected_nodes:
@@ -672,14 +780,21 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
             raise ValueError("downloads have inconsistent leading shapes")
 
     top = np.zeros(lead + (half,), dtype=np.int8)
-    for j in range(k):
-        top += residues(downloads[j]).view(np.int8)
-    bottom = residues(downloads[plan.surviving_parity]).astype(np.int8)
-    for l in range(1, k):
-        bottom += apply_matrix_rows(plan.projectors[l], downloads[l]).view(np.int8)
+    for node, coefficient in plan.top.items():
+        term = residues(downloads[node]).view(np.int8)
+        if coefficient == 1:
+            top += term
+        else:
+            top -= term
+    bottom = residues(downloads[plan.bottom_node]).astype(np.int8)
+    for node, m in plan.projectors.items():
+        if isinstance(m, SignedPermutation):
+            bottom += m.terms(residues(downloads[node]))
+        else:
+            bottom += apply_matrix_rows(m, downloads[node]).view(np.int8)
 
     rhs = np.concatenate([reduce_sum(top), reduce_sum(bottom)], axis=-1)
-    return apply_matrix_rows(plan.solve_inverse, rhs)
+    return _apply(plan.solve_inverse, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Run over a range of k, this checks the MDS ranks, the equivalence of the
 two coding-matrix constructions, the encoder's two parity formulas on
 random data, both variants' repair rank conditions, the swap duality, the
 zero-column census/propagation behind the I/O counts, and the I/O meter
-formulas themselves.  Each check records its wall-clock seconds.  A fault
+formulas on a repair plan for every node.  Each check records its wall-clock seconds.  A fault
 hook lets tests corrupt the coding matrices and watch the sweep object.
 """
 
@@ -114,22 +114,27 @@ def _check_encoder_forms(
 
 
 def _check_meters(params: CodeParams, cm: CodingMatrixSet) -> tuple[bool, str]:
-    expected = expected_repair_io(params)
-    bound = io_lower_bound(params.k)
+    """Plan every node: each helper sends N/2 rows, a data node reads
+    (k+1)N/2 and a parity kN + N - k, at or above the parity floor."""
+    k = params.k
+    floor = io_lower_bound(k).lower_bound_ceil
+    bandwidth = repair_bandwidth(params)
     details = []
-    ok = True
-    for failed in (params.k, params.k + 1):
+    for failed in range(params.n_nodes):
         plan = plan_repair(params, cm, failed)
+        expected = expected_repair_io(params, failed)
         if plan.total_io != expected:
-            ok = False
             details.append(f"node {failed}: total_io {plan.total_io} != {expected}")
-        if plan.bandwidth != repair_bandwidth(params):
-            ok = False
-            details.append(f"node {failed}: bandwidth {plan.bandwidth}")
-        if plan.total_io < bound.lower_bound_ceil:
-            ok = False
-            details.append(f"node {failed}: below floor {bound.lower_bound_ceil}")
-    return ok, "; ".join(details) or f"both parities read {expected}, floor {bound.lower_bound_ceil}"
+        if plan.bandwidth != bandwidth:
+            details.append(f"node {failed}: bandwidth {plan.bandwidth} != {bandwidth}")
+        if failed >= k and plan.total_io < floor:
+            details.append(f"node {failed}: below floor {floor}")
+    if details:
+        return False, "; ".join(details)
+    return True, (
+        f"data nodes read {expected_repair_io(params, 0)}, "
+        f"parities {expected_repair_io(params, k)}, floor {floor}"
+    )
 
 
 def _check_alt_seed_census(params: CodeParams) -> tuple[bool, str]:

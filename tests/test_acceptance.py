@@ -268,14 +268,15 @@ def test_criterion_8_end_to_end_one_mebibyte():
         for node_id in range(params.n_nodes):
             cluster.fail_node(node_id)
             report = cluster.repair_node(node_id)
+            assert report.optimal and report.matches_expectation, node_id
+            assert report.expected_reads == stripes * expected_repair_io(params, node_id)
+            assert report.total_sent == stripes * repair_bandwidth(params)
             if node_id in (4, 5):
-                assert report.method == "parity-plan" and report.optimal
+                assert report.method == "parity-plan"
                 assert report.total_reads == 36 * stripes, node_id
-                assert report.expected_reads == stripes * expected_repair_io(params)
-                assert report.matches_expectation
-                assert report.total_sent == stripes * repair_bandwidth(params)
             else:
-                assert report.method == "full-download" and not report.optimal
+                assert report.method == "data-plan"
+                assert report.total_reads == 20 * stripes, node_id
             assert np.array_equal(cluster.nodes[node_id].payload, originals[node_id]), node_id
 
         assert cluster.extract_file() == data

@@ -30,7 +30,7 @@ from zigzag3.repair import (
     MissingPivotError,
     RankEquality,
     RepairMatrixPair,
-    _stacked_rank,
+    _stacked_ranks,
     _times_permutation,
     _unit_pivots,
     build_repair_pair,
@@ -180,11 +180,11 @@ def test_stacked_rank_matches_dense_on_flipped_entries(monkeypatch):
                     r, c = rng.integers(st.shape[0]), rng.integers(st.shape[1])
                     st[r, c] = (st[r, c] + rng.integers(1, 3)) % 3
                 st = Gf3Matrix(st)
-                rows = [_times_permutation(st, cm.matrix(0))]
-                rows += [repair._interference_rows(st, cm.matrix(l), variant) for l in range(1, k)]
+                rows = [_times_permutation(st, cm.matrices[0])]
+                rows += [repair._interference_rows(st, cm.matrices[l], variant) for l in range(1, k)]
                 for t in rows:
                     dense_calls.clear()
-                    got = _stacked_rank(pair.s, t)
+                    (got,) = _stacked_ranks(pair.s, [t])
                     assert got == rank(Gf3Matrix.stack(pair.s, t)), (k, variant, flips)
                     if dense_calls:
                         branches.add("dense-fallback")
@@ -210,7 +210,7 @@ def test_pivot_free_pair_gets_exact_ranks():
     ):
         assert verify_repair_conditions(pair, cm) == dense_verify_repair_conditions(pair, cm)
         assert verify_duality(pair, cm) == dense_verify_duality(pair, cm)
-        assert _stacked_rank(pair.s, pair.s_tilde) == rank(Gf3Matrix.stack(pair.s, pair.s_tilde))
+        assert _stacked_ranks(pair.s, [pair.s_tilde]) == [rank(Gf3Matrix.stack(pair.s, pair.s_tilde))]
 
 
 # ---------------------------------------------------------------------------

@@ -156,8 +156,24 @@ def test_repair_systematic_labeled_fallback(encoded, capsys):
     code = main(["repair", "--shards", *helpers, "--rebuild", "0", "--out-dir", str(tmp_path / "r")])
     assert code == 0
     out = capsys.readouterr().out
-    assert "fallback: full download" in out
+    assert "via data-plan" in out and "MATCH" in out and "(20/stripe)" in out
     rebuilt = (tmp_path / "r" / "node_0.shard").read_bytes()
+    assert rebuilt == (out_dir / "node_0.shard").read_bytes()
+
+
+def test_repair_data_node_json_report(encoded, capsys):
+    _, out_dir, tmp_path = encoded
+    helpers = [shard(out_dir, i) for i in (1, 2, 3, 4, 5)]
+    code = main(
+        ["--format", "json", "repair", "--shards", *helpers, "--rebuild", "0",
+         "--out-dir", str(tmp_path / "rd")]
+    )
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["method"] == "data-plan" and report["match"] is True
+    assert report["total_reads"] == report["total_sent"] == 20 * report["stripes"]
+    assert set(report["stage_seconds"]) == {"plan", "downloads", "solve"}
+    rebuilt = (tmp_path / "rd" / "node_0.shard").read_bytes()
     assert rebuilt == (out_dir / "node_0.shard").read_bytes()
 
 
@@ -222,6 +238,12 @@ def test_verify_reports_check_seconds(capsys):
 
 def test_verify_bad_range_exits_5():
     assert main(["verify", "--k-range", "0..3"]) == 5
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_bad_trials_exits_5(trials, capsys):
+    assert main(["verify", "--k-range", "2..3", "--trials", trials]) == 5
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_bound_k5(capsys):

@@ -194,19 +194,49 @@ def test_meter_law_per_parity_repair(k):
         cl.repair_node(parity)
         dr = sum(n.read_count for n in cl.nodes) - sum(before_reads)
         ds = sum(n.sent_count for n in cl.nodes) - sum(before_sent)
-        assert dr == stripes * expected_repair_io(p)
+        assert dr == stripes * expected_repair_io(p, parity)
         assert ds == stripes * repair_bandwidth(p)
 
 
 def test_systematic_repair_is_fallback():
+    # A lost data node takes the zigzag plan: every helper reads and sends
+    # N/2 symbols per stripe.
     cl = fresh_cluster()
+    p, stripes = cl.params, cl.meta.stripe_count
     original = cl.nodes[1].payload.copy()
     cl.fail_node(1)
     rep = cl.repair_node(1)
-    assert rep.method == "full-download" and not rep.optimal
-    assert rep.expected_reads is None
-    assert rep.total_reads == cl.meta.stripe_count * cl.params.k * cl.params.n_rows
+    assert rep.method == "data-plan" and rep.optimal
+    assert rep.reads_per_node == {h: stripes * p.n_rows // 2 for h in (0, 2, 3, 4)}
+    assert rep.total_reads == rep.expected_reads == rep.total_sent == stripes * repair_bandwidth(p)
+    assert rep.matches_expectation
     assert np.array_equal(cl.nodes[1].payload, original)
+
+
+def test_data_node_plan_at_max_k():
+    # One stripe at k = 16: a dense (N/2) x N matrix would be 512 MiB, so the
+    # data-node plan must stay in gathers.
+    cl = ClusterState.from_bytes(CodeParams(16), b"sixteen")
+    for node in (0, 15):
+        original = cl.nodes[node].payload.copy()
+        cl.fail_node(node)
+        rep = cl.repair_node(node)
+        assert rep.method == "data-plan" and rep.total_reads == 17 * (1 << 14)
+        assert np.array_equal(cl.nodes[node].payload, original)
+    assert cl.extract_file() == b"sixteen"
+
+
+def test_double_data_failure_full_download_then_plan():
+    cl = fresh_cluster(k=4)
+    originals = [n.payload.copy() for n in cl.nodes]
+    cl.fail_node(0)
+    cl.fail_node(2)
+    r1 = cl.repair_node(2)
+    r2 = cl.repair_node(0)
+    assert r1.method == "full-download" and set(r1.stage_seconds) == {"decode", "encode"}
+    assert r2.method == "data-plan" and set(r2.stage_seconds) == {"plan", "downloads", "solve"}
+    for i, orig in enumerate(originals):
+        assert np.array_equal(cl.nodes[i].payload, orig)
 
 
 def test_both_parities_fail_reencode():
@@ -259,7 +289,7 @@ def test_repair_reports_stage_seconds():
     assert all(t >= 0 for t in rep.stage_seconds.values())
     cl.fail_node(0)
     rep = cl.repair_node(0)
-    assert set(rep.stage_seconds) == {"decode", "encode"}
+    assert set(rep.stage_seconds) == {"plan", "downloads", "solve"}
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

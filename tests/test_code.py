@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from zigzag3.code import (
-    MAX_K_DEFAULT,
+    MAX_K,
     CodeParams,
     CodingMatrixSet,
-    FileParts,
     InconsistentShardsError,
     InsufficientShardsError,
     basis_index,
@@ -17,17 +16,11 @@ from zigzag3.code import (
     beta_row_coefficients,
     build_coding_matrices,
     coding_matrix_from_zigzag,
-    decode_from_any_k,
     decode_shards_array,
-    encode,
     encode_parts_array,
-    index_bits,
-    index_from_bits,
-    permutation_apply,
     second_parity_by_matrices,
     second_parity_by_rows,
     verify_mds,
-    zigzag_set,
 )
 from zigzag3.gf3 import Gf3Matrix, SignedPermutation, SingularMatrixError, solve_square
 from zigzag3.verification import flip_one_sign
@@ -35,6 +28,40 @@ from zigzag3.verification import flip_one_sign
 
 def cm_for(k):
     return build_coding_matrices(CodeParams(k))
+
+
+# Scalar forms of the row-index definitions, built on ``basis_index``.
+
+
+def index_bits(params, i):
+    """Row index as its k-1 bits (i_1, ..., i_{k-1}), most significant first."""
+    if not 0 <= i < params.n_rows:
+        raise ValueError(f"row index {i} out of range [0, {params.n_rows})")
+    return tuple((i >> (params.k - 1 - j)) & 1 for j in range(1, params.k))
+
+
+def index_from_bits(params, bits):
+    bits = tuple(bits)
+    if len(bits) != params.k - 1 or any(b not in (0, 1) for b in bits):
+        raise ValueError(f"need {params.k - 1} bits in {{0,1}}, got {bits}")
+    return sum(b << (params.k - 1 - j) for j, b in enumerate(bits, start=1))
+
+
+def permutation_apply(params, j, x):
+    """Row permutation used by part j: flip bit j of x (identity for j=0).
+
+    Self-inverse, since XOR undoes itself.
+    """
+    if not 0 <= x < params.n_rows:
+        raise ValueError(f"row index {x} out of range [0, {params.n_rows})")
+    return x ^ basis_index(params, j)
+
+
+def zigzag_set(params, l):
+    """The k (row, part) pairs feeding row l of the zigzag parity."""
+    if not 0 <= l < params.n_rows:
+        raise ValueError(f"row index {l} out of range [0, {params.n_rows})")
+    return [(l ^ basis_index(params, j), j) for j in range(params.k)]
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +79,10 @@ def test_params_rejects_small_k():
         CodeParams(1)
 
 
-def test_params_cap_is_adjustable():
+def test_params_rejects_k_above_cap():
+    assert CodeParams(MAX_K).n_rows == 1 << (MAX_K - 1)
     with pytest.raises(ValueError):
-        CodeParams(17)
-    assert CodeParams(17, max_k=20).n_rows == 1 << 16
+        CodeParams(MAX_K + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +201,7 @@ def test_matrices_square_to_minus_identity_compact(k):
     # lands on target[target[r]] with sign[r]*sign[target[r]].
     cm = cm_for(k)
     for j in range(1, k):
-        m = cm.matrix(j)
+        m = cm.matrices[j]
         assert np.array_equal(m.target[m.target], np.arange(m.size))
         assert (m.sign * m.sign[m.target] == -1).all()
 
@@ -200,15 +227,14 @@ def test_mds_detects_duplicate_matrix():
 
 def test_encode_k2_worked_example():
     p = CodeParams(2)
-    cw = encode(FileParts(p, [[1, 0], [0, 1]]))
-    assert cw.shard(2).tolist() == [1, 1]
-    assert cw.shard(3).tolist() == [0, 0]
+    shards = encode_parts_array(p, cm_for(2), np.array([[1, 0], [0, 1]]))
+    assert shards[2].tolist() == [1, 1]
+    assert shards[3].tolist() == [0, 0]
 
 
 def test_encode_zero_file():
     p = CodeParams(3)
-    cw = encode(FileParts(p, np.zeros((3, 4), dtype=np.uint8)))
-    assert not cw.shards.any()
+    assert not encode_parts_array(p, cm_for(3), np.zeros((3, 4), dtype=np.uint8)).any()
 
 
 def test_encode_reduces_signed_parts_before_the_cast():
@@ -217,7 +243,7 @@ def test_encode_reduces_signed_parts_before_the_cast():
     shards = encode_parts_array(p, cm_for(2), raw)
     assert shards.dtype == np.uint8
     assert shards[0].tolist() == [2, 1]
-    assert np.array_equal(shards, encode(FileParts(p, raw)).shards)
+    assert np.array_equal(shards, encode_parts_array(p, cm_for(2), raw % 3))
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -262,8 +288,8 @@ def test_decode_systematic_passthrough():
     rng = np.random.default_rng(31)
     parts = rng.integers(0, 3, size=(4, p.n_rows), dtype=np.uint8)
     shards = encode_parts_array(p, cm, parts)
-    got = decode_from_any_k(p, cm, {j: shards[j] for j in range(4)})
-    assert np.array_equal(got.parts, parts)
+    got = decode_shards_array(p, cm, {j: shards[j] for j in range(4)})
+    assert np.array_equal(got, parts)
 
 
 def test_decode_from_parities_only_k2_exhaustive():
@@ -364,7 +390,7 @@ def test_two_erasure_decode_refuses_singular_pair(k):
 def test_worst_case_accumulation_at_max_k():
     # Stripe 0 is all 2s and stripe 1 all 1s: every int8 partial sum the
     # encoder and decoder build takes its largest magnitude at k = 16.
-    k = MAX_K_DEFAULT
+    k = MAX_K
     p = CodeParams(k)
     cm = cm_for(k)
     parts = np.empty((k, 2, p.n_rows), dtype=np.uint8)

@@ -6,16 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zigzag3.code import CodeParams, build_coding_matrices, encode_parts_array
-from zigzag3.gf3 import Gf3Matrix, InconsistentSystemError, inverse, rank, solve_left
+from zigzag3.code import CodeParams, build_coding_matrices, encode_parts_array, second_parity_by_matrices
+from zigzag3.gf3 import Gf3Matrix, InconsistentSystemError, SignedPermutation, inverse, rank, solve_left
 from zigzag3.repair import (
     FIRST_PARITY,
     SECOND_PARITY,
     RepairMatrixPair,
+    RowSelection,
     _ell_form,
     apply_matrix_rows,
     brute_force_min_io,
-    build_helpers,
     build_repair_pair,
     compute_downloads,
     enumerate_rref,
@@ -43,29 +43,40 @@ def setup_k(k):
 # ---------------------------------------------------------------------------
 
 
+def coupling_blocks(k, variant):
+    """The coupling blocks e, f of recursion level k, read off the pair one
+    level up.  In the recursion's own labelling (which the zigzag parity
+    swaps) that pair is s = [[s, e], [0, s_tilde]] and
+    s_tilde = [[s_tilde, -f], [0, s]]."""
+    pair = build_repair_pair(k + 1, variant)
+    s, st = (pair.s, pair.s_tilde) if variant == FIRST_PARITY else (pair.s_tilde, pair.s)
+    rows, cols = s.rows // 2, s.cols // 2
+    return Gf3Matrix(s.array[:rows, cols:]), -Gf3Matrix(st.array[:rows, cols:])
+
+
 def test_helper_seeds():
-    h = build_helpers(2, FIRST_PARITY)
-    assert h.e.tolist() == [[0, 2]] and h.f.tolist() == [[2, 0]]
-    h = build_helpers(2, SECOND_PARITY)
-    assert h.e.tolist() == [[2, 0]] and h.f.tolist() == [[0, 2]]
+    e, f = coupling_blocks(2, FIRST_PARITY)
+    assert e.tolist() == [[0, 2]] and f.tolist() == [[2, 0]]
+    e, f = coupling_blocks(2, SECOND_PARITY)
+    assert e.tolist() == [[2, 0]] and f.tolist() == [[0, 2]]
 
 
 def test_helper_one_level():
-    h = build_helpers(3, FIRST_PARITY)
-    assert h.e.tolist() == [[0, 2, 0, 0], [0, 0, 2, 0]]
-    assert h.f.tolist() == [[2, 0, 0, 0], [0, 0, 0, 2]]
+    e, f = coupling_blocks(3, FIRST_PARITY)
+    assert e.tolist() == [[0, 2, 0, 0], [0, 0, 2, 0]]
+    assert f.tolist() == [[2, 0, 0, 0], [0, 0, 0, 2]]
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_helper_dimensions(k, variant):
-    h = build_helpers(k, variant)
-    assert h.e.shape == h.f.shape == (1 << (k - 2), 1 << (k - 1))
+    e, f = coupling_blocks(k, variant)
+    assert e.shape == f.shape == (1 << (k - 2), 1 << (k - 1))
 
 
 def test_helpers_reject_k1():
     with pytest.raises(ValueError):
-        build_helpers(1, FIRST_PARITY)
+        build_repair_pair(1, FIRST_PARITY)
 
 
 def test_pair_seeds():
@@ -160,7 +171,7 @@ def test_plan_first_parity_k3():
     p, cm = setup_k(3)
     plan = plan_repair(p, cm, 3)
     assert plan.io_per_node == {0: 3, 1: 3, 2: 3, 4: 4}
-    assert plan.total_io == 13 == expected_repair_io(p)
+    assert plan.total_io == 13 == expected_repair_io(p, 3)
     assert plan.bandwidth == 8
 
 
@@ -177,15 +188,29 @@ def test_plan_meters_both_parities(k):
     p, cm = setup_k(k)
     for failed in (k, k + 1):
         plan = plan_repair(p, cm, failed)
-        assert plan.total_io == expected_repair_io(p)
+        assert plan.total_io == expected_repair_io(p, failed)
         assert plan.bandwidth == repair_bandwidth(p) == (k + 1) * p.n_rows // 2
         assert all(m.rows == p.n_rows // 2 for m in plan.downloads.values())
 
 
-def test_plan_rejects_systematic_node():
+def test_plan_rejects_unknown_node():
     p, cm = setup_k(3)
-    with pytest.raises(ValueError):
-        plan_repair(p, cm, 1)
+    for node in (-1, p.n_nodes):
+        with pytest.raises(ValueError, match="out of range"):
+            plan_repair(p, cm, node)
+
+
+def test_data_node_plan_rows_k3():
+    # Node 0: even-weight rows from the data helpers and the row-sum
+    # parity, odd-weight rows from the zigzag parity.  Node j >= 1: the rows
+    # whose bit j is 0 from every helper.
+    p, cm = setup_k(3)
+    rows = {n: m.index.tolist() for n, m in plan_repair(p, cm, 0).downloads.items()}
+    assert rows == {1: [0, 3], 2: [0, 3], 3: [0, 3], 4: [1, 2]}
+    rows = {n: m.index.tolist() for n, m in plan_repair(p, cm, 1).downloads.items()}
+    assert rows == {0: [0, 1], 2: [0, 1], 3: [0, 1], 4: [0, 1]}
+    rows = {n: m.index.tolist() for n, m in plan_repair(p, cm, 2).downloads.items()}
+    assert rows == {0: [0, 2], 1: [0, 2], 3: [0, 2], 4: [0, 2]}
 
 
 def dense_plan(p, cm, failed):
@@ -314,6 +339,48 @@ def test_repair_exhaustive_k2():
             parts = np.array(vals, dtype=np.uint8).reshape(2, 2)
             got, want = run_repair(p, cm, parts, failed)
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_data_node_plans_round_trip(k):
+    p, cm = setup_k(k)
+    half = p.n_rows // 2
+    parts = np.random.default_rng(700 + k).integers(0, 3, size=(k, 6, p.n_rows), dtype=np.uint8)
+    shards = encode_parts_array(p, cm, parts)
+    for failed in range(k):
+        plan = plan_repair(p, cm, failed)
+        assert plan.io_per_node == {h: half for h in range(k + 2) if h != failed}
+        assert plan.total_io == (k + 1) * half == expected_repair_io(p, failed) == plan.bandwidth
+        assert all(isinstance(m, RowSelection) for m in plan.downloads.values())
+        assert all(isinstance(m, SignedPermutation) and m.size == half for m in plan.projectors.values())
+        assert isinstance(plan.solve_inverse, SignedPermutation)
+        downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
+        assert np.array_equal(execute_repair(plan, downloads), shards[failed]), (k, failed)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_data_node_repair_on_flipped_sign(k):
+    # The zigzag rebuild uses only the index structure of the coding
+    # matrices, so a flipped sign still rebuilds a codeword encoded with it.
+    p, cm = setup_k(k)
+    bad = flip_one_sign(cm)
+    parts = np.random.default_rng(800 + k).integers(0, 3, size=(k, 6, p.n_rows), dtype=np.uint8)
+    shards = np.concatenate([parts, parts.sum(axis=0, keepdims=True) % 3,
+                             second_parity_by_matrices(bad, parts)[None]])
+    for failed in range(k):
+        plan = plan_repair(p, bad, failed)
+        downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
+        assert np.array_equal(execute_repair(plan, downloads), shards[failed]), (k, failed)
+
+
+def test_row_selection_matches_its_dense_view():
+    p, cm = setup_k(4)
+    x = np.random.default_rng(9).integers(0, 3, size=(5, p.n_rows), dtype=np.uint8)
+    plan = plan_repair(p, cm, 0)
+    downloads = compute_downloads(plan, {h: x for h in plan.helper_nodes})
+    for node, m in plan.downloads.items():
+        assert m.array.shape == (m.rows, m.cols) == (p.n_rows // 2, p.n_rows)
+        assert np.array_equal(downloads[node], dense_apply(m, x))
 
 
 @pytest.mark.parametrize("k", range(3, 11))
