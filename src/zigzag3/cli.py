@@ -5,7 +5,7 @@ Exit codes are a scriptable contract:
   2  verification failure
   3  insufficient data
   4  format or CRC error
-  5  invalid parameters
+  5  invalid parameters, or a path that cannot be read or written
 
 Reports print as human text by default; ``--format json`` switches the
 whole output to a single stable-ordered JSON document.
@@ -39,6 +39,7 @@ from .cluster import (
     ingest,
     repair_lost_node,
     shard_from_bytes,
+    shard_to_bytes,
     write_shard_file,
 )
 from .repair import brute_force_min_io, io_lower_bound, repair_bandwidth
@@ -95,8 +96,12 @@ def cmd_encode(cfg: Config, args) -> int:
         return EXIT_PARAMS
     data = Path(args.input).read_bytes()
     cm = build_coding_matrices(params)
+    # Each stage's input is released once the next stage holds the data,
+    # so no more than two copies of the file are alive at a time.
     parts, meta = ingest(params, data)
+    del data
     shards = encode_parts_array(params, cm, parts)
+    del parts
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     crcs = []
@@ -201,9 +206,12 @@ def _load_manifest(args, shard_paths) -> dict:
     return manifest
 
 
-def cmd_decode(cfg: Config, args) -> int:
-    params, stripes, payloads, crcs = _load_shards(args.shards)
-    manifest = _load_manifest(args, args.shards)
+def _check_against_manifest(
+    manifest: dict, params: CodeParams, stripes: int, crcs: dict[int, int]
+) -> None:
+    """Shards must share the manifest's k and stripe count, and each
+    shard's CRC must equal the manifest's entry for its node; anything
+    else raises ``ShardFormatError``."""
     if manifest["k"] != params.k or manifest["stripes"] != stripes:
         raise ShardFormatError(
             f"mixed manifests: shards say k={params.k}/stripes={stripes}, "
@@ -212,12 +220,21 @@ def cmd_decode(cfg: Config, args) -> int:
     for node, crc in crcs.items():
         if crc != manifest["shard_crc"][node]:
             raise ShardFormatError(f"shard for node {node} does not match the manifest CRC")
+
+
+def cmd_decode(cfg: Config, args) -> int:
+    params, stripes, payloads, crcs = _load_shards(args.shards)
+    manifest = _load_manifest(args, args.shards)
+    _check_against_manifest(manifest, params, stripes, crcs)
     if len(payloads) < params.k:
         raise InsufficientShardsError(
             f"got {len(payloads)} shards, need at least {params.k}"
         )
     cm = build_coding_matrices(params)
+    used = sorted(payloads)
     parts = decode_shards_array(params, cm, payloads)
+    # As in encode: the payloads go before extract builds the output.
+    del payloads
     meta = FileMeta(manifest["original_len"], stripes)
     data = extract(params, parts, meta)
     Path(args.out).write_bytes(data)
@@ -226,11 +243,11 @@ def cmd_decode(cfg: Config, args) -> int:
         {
             "command": "decode",
             "k": params.k,
-            "shards_used": sorted(payloads),
+            "shards_used": used,
             "bytes": len(data),
             "out": str(args.out),
         },
-        [f"decoded {len(data)} bytes from shards {sorted(payloads)} -> {args.out}"],
+        [f"decoded {len(data)} bytes from shards {used} -> {args.out}"],
     )
     return EXIT_OK
 
@@ -241,7 +258,13 @@ def cmd_decode(cfg: Config, args) -> int:
 
 
 def cmd_repair(cfg: Config, args) -> int:
-    params, stripes, payloads, _ = _load_shards(args.shards)
+    """Rebuild one node from the other k+1 shards.
+
+    Every helper must match the CRC that the manifest beside the first
+    shard lists for its node, and so must the rebuilt shard before it is
+    written; a mismatch is a format error and writes nothing.
+    """
+    params, stripes, payloads, crcs = _load_shards(args.shards)
     rebuild = args.rebuild
     if not 0 <= rebuild < params.n_nodes:
         print(f"error: node {rebuild} out of range for k={params.k}", file=sys.stderr)
@@ -256,13 +279,19 @@ def cmd_repair(cfg: Config, args) -> int:
             f"got {len(payloads)}; missing {missing}"
         )
 
+    manifest = _load_manifest(args, args.shards)
+    _check_against_manifest(manifest, params, stripes, crcs)
+
     helpers = {node: NodeStore(node, payload) for node, payload in payloads.items()}
     cm = build_coding_matrices(params)
     restored, report = repair_lost_node(params, cm, helpers, rebuild, stripes)
+    blob = shard_to_bytes(params, rebuild, restored)
+    if int.from_bytes(blob[-4:], "little") != manifest["shard_crc"][rebuild]:
+        raise ShardFormatError(f"rebuilt node {rebuild} does not match the manifest CRC")
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.shards[0]).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / _shard_name(rebuild)
-    write_shard_file(out_path, params, rebuild, restored)
+    out_path.write_bytes(blob)
 
     payload = {
         "command": "repair",
@@ -453,7 +482,7 @@ def main(argv=None) -> int:
     except (ShardFormatError, CorruptDataError, InconsistentShardsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except ValueError as exc:

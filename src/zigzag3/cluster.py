@@ -10,6 +10,10 @@ whole shards.
 
 On disk a shard packs five trits per byte (3^5 = 243 <= 256) behind a
 fixed little-endian header and a CRC32 trailer; see ``shard_to_bytes``.
+
+Both expansions are whole-row table lookups: the digit tables are viewed
+as one opaque six- or five-byte row per byte value, so a single
+``np.take`` turns a byte array into its trit stream.
 """
 
 from __future__ import annotations
@@ -69,14 +73,23 @@ class DataLossError(RuntimeError):
 # Byte <-> trit mapping
 # ---------------------------------------------------------------------------
 
-# byte value -> its 6 base-3 digits, most significant first
-_BYTE_TO_TRITS = np.array(
-    [[(b // 3**p) % 3 for p in range(5, -1, -1)] for b in range(256)], dtype=np.uint8
-)
+
+def _digit_rows(values: int, digits: int) -> np.ndarray:
+    """The base-3 digits of 0..values-1, most significant first, each
+    value's digits viewed as one opaque ``digits``-byte row, read-only."""
+    table = np.array(
+        [[(b // 3**p) % 3 for p in range(digits - 1, -1, -1)] for b in range(values)],
+        dtype=np.uint8,
+    )
+    rows = table.view(np.dtype((np.void, digits))).reshape(values)
+    rows.setflags(write=False)
+    return rows
+
+
+# byte value -> its 6 base-3 digits
+_BYTE_TO_TRITS = _digit_rows(256, 6)
 # packed byte value -> its 5 base-3 digits (values >= 243 are invalid)
-_PACKED_TO_TRITS = np.array(
-    [[(b // 3**p) % 3 for p in range(4, -1, -1)] for b in range(243)], dtype=np.uint8
-)
+_PACKED_TO_TRITS = _digit_rows(243, 5)
 
 
 def _horner(groups: np.ndarray, dtype) -> np.ndarray:
@@ -88,15 +101,30 @@ def _horner(groups: np.ndarray, dtype) -> np.ndarray:
     return vals
 
 
-def bytes_to_trits(data: bytes) -> np.ndarray:
-    """Expand each byte to 6 trits, most significant digit first."""
-    if not data:
-        return np.zeros(0, dtype=np.uint8)
-    return _BYTE_TO_TRITS[np.frombuffer(data, dtype=np.uint8)].reshape(-1)
+def bytes_to_trits(data: bytes, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Expand each byte to 6 trits, most significant digit first.
+
+    The trits go to the first 6*len(data) entries of the uint8 array
+    ``out`` (a new array by default), which are returned.  One whole-row
+    ``np.take``: every byte indexes a row, so ``clip`` never clips; it
+    only lets the take write into ``out`` directly, where the default
+    ``raise`` mode buffers it.
+    """
+    if out is None:
+        out = np.empty(6 * len(data), dtype=np.uint8)
+    trits = out[: 6 * len(data)]
+    rows = trits.view(_BYTE_TO_TRITS.dtype)
+    np.take(_BYTE_TO_TRITS, np.frombuffer(data, dtype=np.uint8), out=rows, mode="clip")
+    return trits
 
 
-def trits_to_bytes(trits: np.ndarray, byte_count: int) -> bytes:
-    """Recombine groups of 6 trits into bytes; groups >= 256 are corrupt."""
+def trits_to_bytes(trits: np.ndarray, byte_count: int, *, first: int = 0) -> bytes:
+    """Recombine groups of 6 trits into bytes; groups >= 256 are corrupt.
+
+    ``first`` is the index of the first group in the whole stream, so that
+    a block cut from a longer stream reports a corrupt group by its place
+    in that stream.
+    """
     need = 6 * byte_count
     if trits.shape[0] < need:
         raise CorruptDataError(f"need {need} trits for {byte_count} bytes, got {trits.shape[0]}")
@@ -104,26 +132,36 @@ def trits_to_bytes(trits: np.ndarray, byte_count: int) -> bytes:
     vals = _horner(trits[:need].reshape(-1, 6), np.uint16)
     if vals.size and int(vals.max()) > 255:
         bad = int(np.argmax(vals > 255))
-        raise CorruptDataError(f"trit group {bad} recombines to {int(vals[bad])} >= 256")
+        raise CorruptDataError(f"trit group {first + bad} recombines to {int(vals[bad])} >= 256")
     return vals.astype(np.uint8).tobytes()
 
 
 def _pack_trits(trits: np.ndarray) -> bytes:
-    """Pack 5 trits per byte, earliest trit in the highest place value."""
-    pad = (-trits.shape[0]) % 5
-    if pad:
-        trits = np.concatenate([trits, np.zeros(pad, dtype=np.uint8)])
-    return _horner(trits.reshape(-1, 5), np.uint8).tobytes()
+    """Pack 5 trits per byte, earliest trit in the highest place value.
+
+    A last group of fewer than 5 trits is zero-padded on the right; it is
+    packed on its own, so the stream is never copied to pad it.
+    """
+    whole = trits.shape[0] - trits.shape[0] % 5
+    packed = _horner(trits[:whole].reshape(-1, 5), np.uint8).tobytes()
+    if whole < trits.shape[0]:
+        last = np.zeros((1, 5), dtype=np.uint8)
+        last[0, : trits.shape[0] - whole] = trits[whole:]
+        packed += _horner(last, np.uint8).tobytes()
+    return packed
 
 
 def _unpack_trits(blob: bytes, trit_count: int) -> np.ndarray:
+    """The first ``trit_count`` trits of 5-trit packed bytes, by one
+    whole-row ``np.take``; a byte >= 243 or too short a payload raises
+    ``ShardFormatError``."""
     arr = np.frombuffer(blob, dtype=np.uint8)
     if arr.size and int(arr.max()) >= 243:
         raise ShardFormatError("payload byte >= 243 cannot encode 5 trits")
-    trits = _PACKED_TO_TRITS[arr].reshape(-1)
+    trits = np.take(_PACKED_TO_TRITS, arr).view(np.uint8)
     if trits.shape[0] < trit_count:
         raise ShardFormatError(f"payload holds {trits.shape[0]} trits, header claims {trit_count}")
-    return trits[:trit_count].copy()
+    return trits[:trit_count]
 
 
 # ---------------------------------------------------------------------------
@@ -139,30 +177,66 @@ class FileMeta:
     stripe_count: int
 
 
+# Trits per codec block: ingest and extract convert the stream a few
+# stripes at a time, so neither lays out a file-sized copy of it.
+_BLOCK_TRITS = 1 << 18
+
+
+def _block_stripes(params: CodeParams) -> int:
+    """Stripes per codec block: a multiple of 3, so every block starts on
+    a byte (a stripe holds an even number of trits)."""
+    return 3 * max(1, _BLOCK_TRITS // (3 * params.k * params.n_rows))
+
+
 def ingest(params: CodeParams, data: bytes) -> tuple[np.ndarray, FileMeta]:
     """Split a byte string into parts of shape (k, stripes, N).
 
     The trit stream is zero-padded to whole stripes; an empty file still
     occupies one all-zero stripe.  Within a stripe, part j takes trits
-    [j*N, (j+1)*N).
+    [j*N, (j+1)*N).  The stream is expanded block by block straight into
+    the parts, with no file-sized intermediate.
     """
     k, n = params.k, params.n_rows
-    trits = bytes_to_trits(data)
     per_stripe = k * n
-    stripes = max(1, -(-trits.shape[0] // per_stripe))
-    padded = np.zeros(stripes * per_stripe, dtype=np.uint8)
-    padded[: trits.shape[0]] = trits
-    parts = padded.reshape(stripes, k, n).transpose(1, 0, 2)
-    return np.ascontiguousarray(parts), FileMeta(len(data), stripes)
+    stripes = max(1, -(-6 * len(data) // per_stripe))
+    parts = np.empty((k, stripes, n), dtype=np.uint8)
+    step = _block_stripes(params)
+    block = np.empty(step * per_stripe, dtype=np.uint8)
+    view = memoryview(data)
+    for s0 in range(0, stripes, step):
+        s1 = min(stripes, s0 + step)
+        b0 = min(len(data), s0 * per_stripe // 6)
+        b1 = min(len(data), s1 * per_stripe // 6)
+        trits = block[: (s1 - s0) * per_stripe]
+        bytes_to_trits(view[b0:b1], out=trits)
+        trits[6 * (b1 - b0):] = 0
+        parts[:, s0:s1] = trits.reshape(s1 - s0, k, n).transpose(1, 0, 2)
+    return parts, FileMeta(len(data), stripes)
 
 
 def extract(params: CodeParams, parts: np.ndarray, meta: FileMeta) -> bytes:
-    """Inverse of ingest: reassemble the trit stream and strip the padding."""
+    """Inverse of ingest: reassemble the trit stream and strip the padding.
+
+    Like ``ingest`` it works block by block: only one block of the stream
+    is ever laid out in file order.
+    """
     k, n = params.k, params.n_rows
     if parts.shape != (k, meta.stripe_count, n):
         raise ValueError(f"parts shape {parts.shape} != ({k}, {meta.stripe_count}, {n})")
-    trits = parts.transpose(1, 0, 2).reshape(-1)
-    return trits_to_bytes(trits, meta.original_len)
+    size = meta.original_len
+    if parts.size < 6 * size:
+        raise CorruptDataError(f"need {6 * size} trits for {size} bytes, got {parts.size}")
+    per_stripe = k * n
+    step = _block_stripes(params)
+    blocks = []
+    for s0 in range(0, meta.stripe_count, step):
+        b0 = s0 * per_stripe // 6
+        if b0 >= size:
+            break
+        trits = parts[:, s0 : s0 + step].transpose(1, 0, 2).reshape(-1)
+        b1 = min(size, b0 + trits.shape[0] // 6)
+        blocks.append(trits_to_bytes(trits, b1 - b0, first=b0))
+    return b"".join(blocks)
 
 
 # ---------------------------------------------------------------------------

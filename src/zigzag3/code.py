@@ -35,7 +35,6 @@ __all__ = [
     "InsufficientShardsError",
     "InconsistentShardsError",
     "basis_index",
-    "beta",
     "beta_row_coefficients",
     "build_coding_matrices",
     "coding_matrix_from_zigzag",
@@ -102,27 +101,13 @@ def basis_index(params: CodeParams, j: int) -> int:
     return 0 if j == 0 else 1 << (params.k - 1 - j)
 
 
-def beta(params: CodeParams, i: int, j: int) -> int:
-    """Coefficient of part j's row-i symbol in the zigzag parity, in GF(3).
-
-    1 for j=0, otherwise the parity of the first j index bits decides
-    between +1 and -1 (returned as 1 or 2).
-    """
-    if not 0 <= i < params.n_rows:
-        raise ValueError(f"row index {i} out of range [0, {params.n_rows})")
-    if not 0 <= j < params.k:
-        raise ValueError(f"node index {j} out of range [0, {params.k})")
-    if j == 0:
-        return 1
-    bit_sum = (i >> (params.k - 1 - j)).bit_count()
-    return 1 if bit_sum % 2 == 0 else 2
-
-
 def beta_row_coefficients(params: CodeParams, j: int) -> np.ndarray:
-    """Vector of beta(i, j) over all rows i, as uint8 field elements.
+    """Coefficient beta(i, j) of part j's row-i symbol in the zigzag
+    parity, for all rows i at once, as uint8 field elements.
 
-    Vectorised ``beta``: the parity of the first j index bits of every row
-    at once, folded down by XOR shifts.
+    beta(i, 0) = 1; for j >= 1 it is +1 (1) when the first j of the k-1
+    index bits of i have even parity and -1 (2) otherwise.  The parities
+    of every row are folded down together by XOR shifts.
     """
     if not 0 <= j < params.k:
         raise ValueError(f"node index {j} out of range [0, {params.k})")
@@ -190,20 +175,15 @@ def build_coding_matrices(params: CodeParams) -> CodingMatrixSet:
     return CodingMatrixSet(params, tuple(_recursion_level(params.k)))
 
 
-def coding_matrix_from_zigzag(params: CodeParams, j: int) -> Gf3Matrix:
-    """Coding matrix j built entrywise from the row/coefficient description.
+def coding_matrix_from_zigzag(params: CodeParams, j: int) -> SignedPermutation:
+    """Coding matrix j built from the row/coefficient description.
 
     Row l has its single nonzero at column l ^ e_j with value beta(l ^ e_j, j).
     Independent of the block recursion; the two must agree entrywise.
     """
-    if not 0 <= j < params.k:
-        raise ValueError(f"node index {j} out of range [0, {params.k})")
-    n = params.n_rows
-    out = np.zeros((n, n), dtype=np.uint8)
-    for l in range(n):
-        i = l ^ basis_index(params, j)
-        out[l, i] = beta(params, i, j)
-    return Gf3Matrix(out)
+    target = np.arange(params.n_rows) ^ basis_index(params, j)
+    sign = np.where(beta_row_coefficients(params, j)[target] == 1, 1, -1)
+    return SignedPermutation(target, sign)
 
 
 # ---------------------------------------------------------------------------

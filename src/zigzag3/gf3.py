@@ -8,7 +8,7 @@ The symbol kernel serves the encode/decode data path.  Symbols are uint8
 residues; a signed permutation contributes int8 terms sign * symbol in
 {-2..2}, a caller adds up to a few dozen such terms in int8 without
 overflow, and ``reduce_sum`` maps the sum back to residues with one
-256-entry table lookup instead of a division per term.
+table lookup per pair of adjacent sums instead of a division per term.
 
 Dense matrices (rank, solving) are stored row-major as
 read-only uint8 numpy arrays, so all values are immutable after
@@ -70,6 +70,15 @@ def _as_gf3_array(data) -> np.ndarray:
 _INT8_RESIDUE = np.mod(np.arange(256, dtype=np.uint8).view(np.int8), 3).astype(np.uint8)
 _INT8_RESIDUE.setflags(write=False)
 
+# The residues of two adjacent int8 values at once: entry v holds, in each
+# of its two bytes, the residue of the int8 stored in that byte of v.  It
+# is built through a byte view of every uint16 value, so it holds in either
+# byte order.
+_PAIR_RESIDUE = np.take(
+    _INT8_RESIDUE, np.arange(1 << 16, dtype=np.uint16).view(np.uint8)
+).view(np.uint16)
+_PAIR_RESIDUE.setflags(write=False)
+
 
 def residues(x) -> np.ndarray:
     """Symbols as uint8 residues mod 3, so -1 maps to 2.
@@ -87,10 +96,21 @@ def residues(x) -> np.ndarray:
 def reduce_sum(acc: np.ndarray) -> np.ndarray:
     """Residues mod 3 of an int8 or uint8 sum of symbol terms, as uint8.
 
-    Exact while every entry fits in int8 (a uint8 sum must stay below
-    128).  A sum of k+1 terms in {-2..2} stays within +-2(k+1), which fits
-    for any k up to 62.
+    Returns a new writable uint8 array of the shape of ``acc``.  Exact
+    while every entry fits in int8 (a uint8 sum must stay below 128).  A
+    sum of k+1 terms in {-2..2} stays within +-2(k+1), which fits for any
+    k up to 62.
+
+    A C-contiguous ``acc`` with an even, non-zero last axis is read as
+    uint16 pairs of adjacent sums and reduced by one lookup per pair in
+    the 65,536-entry pair table; anything else (an odd last axis, a
+    strided or transposed view, no elements) takes one lookup per sum in
+    the 256-entry table.
     """
+    if acc.dtype.itemsize != 1:
+        raise TypeError(f"reduce_sum needs an int8 or uint8 sum, got {acc.dtype}")
+    if acc.ndim and acc.shape[-1] % 2 == 0 and acc.size and acc.flags.c_contiguous:
+        return np.take(_PAIR_RESIDUE, acc.view(np.uint16)).view(np.uint8)
     return np.take(_INT8_RESIDUE, acc.view(np.uint8))
 
 

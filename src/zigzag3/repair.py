@@ -406,16 +406,24 @@ def verify_duality(pair: RepairMatrixPair, cm: CodingMatrixSet) -> DualityReport
     stacking s_tilde over s(I + A_l) has the same rank as stacking s over
     s_tilde(I - A_l).  Both sides are ``_stacked_ranks`` certificates: the
     swapped conditions and every left side against the unit-column pivots
-    of ``s_tilde``, every right side against those of ``s``.
+    of ``s_tilde``, every right side against those of ``s``.  When the
+    swapped pair serves the zigzag parity, its interference rows are the
+    left sides s(I + A_l) themselves, so their ranks are reused.
     """
     swapped = pair.swapped()
     k = cm.params.k
-    lhs_rows = [_interference_rows(pair.s, cm.matrices[l], SECOND_PARITY) for l in range(1, k)]
-    rhs_rows = [_interference_rows(pair.s_tilde, cm.matrices[l], FIRST_PARITY) for l in range(1, k)]
-    ranks = _stacked_ranks(pair.s_tilde, _condition_rows(pair.s, cm, swapped.variant) + lhs_rows)
+    rows = _condition_rows(pair.s, cm, swapped.variant)
+    if swapped.variant == SECOND_PARITY:
+        ranks = _stacked_ranks(pair.s_tilde, rows)
+        lhs = ranks[1:]
+    else:
+        rows += [_interference_rows(pair.s, cm.matrices[l], SECOND_PARITY) for l in range(1, k)]
+        ranks = _stacked_ranks(pair.s_tilde, rows)
+        lhs = ranks[k:]
     swapped_report = _condition_report(swapped.variant, cm.params.n_rows, ranks[:k])
+    rhs_rows = [_interference_rows(pair.s_tilde, cm.matrices[l], FIRST_PARITY) for l in range(1, k)]
     rhs = _stacked_ranks(pair.s, rhs_rows)
-    equalities = tuple(RankEquality(l, ranks[k - 1 + l], rhs[l - 1]) for l in range(1, k))
+    equalities = tuple(RankEquality(l, lhs[l - 1], rhs[l - 1]) for l in range(1, k))
     return DualityReport(pair.variant, swapped_report, equalities)
 
 

@@ -98,7 +98,7 @@ def flip_one_sign(cm: CodingMatrixSet) -> CodingMatrixSet:
 
 def _check_equivalence(params: CodeParams, cm: CodingMatrixSet) -> tuple[bool, str]:
     for j in range(params.k):
-        if cm.dense(j) != coding_matrix_from_zigzag(params, j):
+        if cm.matrices[j] != coding_matrix_from_zigzag(params, j):
             return False, f"matrix {j} differs from the row/coefficient construction"
     return True, f"all {params.k} matrices agree entrywise"
 

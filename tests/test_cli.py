@@ -267,3 +267,104 @@ def test_usage_error_exits_5():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 5
+
+
+def _error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if line]
+
+
+def test_encode_input_directory_exits_5(tmp_path, capsys):
+    code = main(["encode", "--k", "3", "--input", str(tmp_path), "--out-dir", str(tmp_path / "o")])
+    assert code == 5
+    errors = _error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+def test_encode_out_dir_is_a_file_exits_5(tmp_path, capsys):
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"payload")
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"")
+    assert main(["encode", "--k", "3", "--input", str(src), "--out-dir", str(taken)]) == 5
+    errors = _error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+def test_decode_shard_directory_exits_5(encoded, capsys):
+    _, out_dir, tmp_path = encoded
+    shards = [shard(out_dir, i) for i in range(3)] + [str(out_dir)]
+    capsys.readouterr()
+    assert main(["decode", "--shards", *shards, "--out", str(tmp_path / "x")]) == 5
+    errors = _error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+def test_decode_out_directory_exits_5(encoded, capsys):
+    _, out_dir, tmp_path = encoded
+    shards = [shard(out_dir, i) for i in range(4)]
+    capsys.readouterr()
+    assert main(["decode", "--shards", *shards, "--out", str(tmp_path)]) == 5
+    errors = _error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+def test_decode_manifest_directory_exits_5(encoded, capsys):
+    _, out_dir, tmp_path = encoded
+    shards = [shard(out_dir, i) for i in range(4)]
+    capsys.readouterr()
+    code = main(["decode", "--shards", *shards, "--out", str(tmp_path / "x"),
+                 "--manifest", str(tmp_path)])
+    assert code == 5
+    errors = _error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error:")
+
+
+def test_repair_out_dir_is_a_file_exits_5(encoded, capsys):
+    _, out_dir, tmp_path = encoded
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"")
+    helpers = [shard(out_dir, i) for i in (0, 1, 2, 3, 5)]
+    capsys.readouterr()
+    assert main(["repair", "--shards", *helpers, "--rebuild", "4", "--out-dir", str(taken)]) == 5
+    errors = _error_lines(capsys)
+    assert len(errors) == 1 and errors[0].startswith("error:")
+    assert taken.read_bytes() == b""
+
+
+def test_repair_rejects_a_helper_from_another_file(tmp_path):
+    # Two files of one size encode to shards of one shape at k = 3; a
+    # node-4 rebuild from A's shards 0, 1, 3 and B's shard 2 would differ
+    # from A's node 4, so the CRC check against A's manifest must refuse it.
+    rng = np.random.default_rng(31)
+    dirs = []
+    for name in ("a", "b"):
+        src = tmp_path / f"{name}.bin"
+        src.write_bytes(rng.bytes(1000))
+        dirs.append(tmp_path / f"{name}_shards")
+        assert main(["encode", "--k", "3", "--input", str(src), "--out-dir", str(dirs[-1])]) == 0
+    a_dir, b_dir = dirs
+    helpers = [shard(a_dir, 0), shard(a_dir, 1), shard(b_dir, 2), shard(a_dir, 3)]
+    out = tmp_path / "rebuilt"
+    assert main(["repair", "--shards", *helpers, "--rebuild", "4", "--out-dir", str(out)]) == 4
+    assert not out.exists()
+
+
+def test_repair_rejects_a_rebuilt_shard_off_the_manifest(encoded):
+    _, out_dir, tmp_path = encoded
+    path = out_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["shard_crc"][4] ^= 1
+    path.write_text(json.dumps(manifest))
+    helpers = [shard(out_dir, i) for i in (0, 1, 2, 3, 5)]
+    out = tmp_path / "rebuilt"
+    assert main(["repair", "--shards", *helpers, "--rebuild", "4", "--out-dir", str(out)]) == 4
+    assert not out.exists()
+
+
+def test_repair_missing_manifest_exits_4(encoded):
+    _, out_dir, tmp_path = encoded
+    (out_dir / "manifest.json").unlink()
+    helpers = [shard(out_dir, i) for i in (0, 1, 2, 3, 5)]
+    out = tmp_path / "rebuilt"
+    assert main(["repair", "--shards", *helpers, "--rebuild", "4", "--out-dir", str(out)]) == 4
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Cluster simulation: ingest/extract, shard files, failure and repair."""
 
 import itertools
+import zlib
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from zigzag3.cluster import (
     DataLossError,
     FileMeta,
     ShardFormatError,
+    _unpack_trits,
     bytes_to_trits,
     extract,
     ingest,
@@ -29,6 +31,50 @@ from zigzag3.repair import expected_repair_io, repair_bandwidth
 
 def test_byte_to_trits_example():
     assert bytes_to_trits(b"\x05").tolist() == [0, 0, 0, 0, 1, 2]
+
+
+def digits(value, count):
+    """Base-3 digits of ``value``, most significant first."""
+    return [(value // 3**p) % 3 for p in range(count - 1, -1, -1)]
+
+
+def test_bytes_to_trits_every_byte():
+    trits = bytes_to_trits(bytes(range(256)))
+    assert trits.dtype == np.uint8 and trits.flags.writeable
+    assert trits.tolist() == [t for b in range(256) for t in digits(b, 6)]
+
+
+def test_ingest_every_byte_with_padding():
+    # 256 bytes are 1536 trits; at k = 5 a stripe holds 80, so the last of
+    # the 20 stripes is part padding.
+    p = CodeParams(5)
+    parts, meta = ingest(p, bytes(range(256)))
+    assert meta == FileMeta(256, 20)
+    assert parts.dtype == np.uint8 and parts.shape == (5, 20, 16)
+    stream = parts.transpose(1, 0, 2).reshape(-1).tolist()
+    assert stream == [t for b in range(256) for t in digits(b, 6)] + [0] * 64
+
+
+def test_unpack_every_packed_value():
+    trits = _unpack_trits(bytes(range(243)), 5 * 243)
+    assert trits.tolist() == [t for b in range(243) for t in digits(b, 5)]
+    assert _unpack_trits(bytes([242, 100]), 7).tolist() == [2] * 5 + digits(100, 5)[:2]
+
+
+@pytest.mark.parametrize("value", range(243, 256))
+def test_shard_rejects_packed_byte_out_of_range(value):
+    # The CRC is recomputed, so only the range check can refuse the byte.
+    p = CodeParams(3)
+    payload = np.random.default_rng(value).integers(0, 3, size=(5, 4), dtype=np.uint8)
+    blob = shard_to_bytes(p, 1, payload)
+    header_len = len(blob) - 4 - 4  # 20 trits pack into 4 payload bytes
+    for pos in (header_len, header_len + 2, len(blob) - 5):
+        bad = bytearray(blob)
+        bad[pos] = value
+        packed = bytes(bad[header_len:-4])
+        bad[-4:] = (zlib.crc32(packed) & 0xFFFFFFFF).to_bytes(4, "little")
+        with pytest.raises(ShardFormatError, match=">= 243"):
+            shard_from_bytes(bytes(bad))
 
 
 def test_trits_roundtrip_all_bytes():
@@ -59,6 +105,34 @@ def test_ingest_extract_roundtrip(size):
     parts, meta = ingest(p, data)
     assert meta.original_len == size
     assert extract(p, parts, meta) == data
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 8])
+def test_ingest_blocks_match_the_flat_stream(k):
+    # 200,003 bytes span several codec blocks at each k, the last one
+    # partly padding; at k = 3 and 6 a block holds a whole number of
+    # stripes that is not a power of two.
+    p = CodeParams(k)
+    data = np.random.default_rng(k).bytes(200_003)
+    parts, meta = ingest(p, data)
+    stream = parts.transpose(1, 0, 2).reshape(-1)
+    n_trits = 6 * len(data)
+    assert meta == FileMeta(len(data), -(-n_trits // (k * p.n_rows)))
+    assert np.array_equal(stream[:n_trits], bytes_to_trits(data))
+    assert not stream[n_trits:].any()
+    assert extract(p, parts, meta) == data
+
+
+def test_extract_reports_a_corrupt_group_by_its_stream_index():
+    p = CodeParams(4)
+    per_stripe = p.k * p.n_rows
+    parts, meta = ingest(p, bytes(100_000))
+    # Group 70,001 lies in the fourth codec block at k = 4.
+    for t in range(6 * 70_001, 6 * 70_002):
+        s, rest = divmod(t, per_stripe)
+        parts[rest // p.n_rows, s, rest % p.n_rows] = 2
+    with pytest.raises(CorruptDataError, match="trit group 70001 recombines to 728"):
+        extract(p, parts, meta)
 
 
 def test_ingest_stripe_geometry():

@@ -12,7 +12,6 @@ from zigzag3.code import (
     InconsistentShardsError,
     InsufficientShardsError,
     basis_index,
-    beta,
     beta_row_coefficients,
     build_coding_matrices,
     coding_matrix_from_zigzag,
@@ -28,6 +27,15 @@ from zigzag3.verification import flip_one_sign
 
 def cm_for(k):
     return build_coding_matrices(CodeParams(k))
+
+
+def beta(params, i, j):
+    """Scalar oracle for the zigzag coefficient of part j's row-i symbol:
+    1 for j = 0, otherwise 1 or 2 (for -1) by the parity of the first j
+    of the k-1 index bits of i."""
+    if j == 0:
+        return 1
+    return 1 if (i >> (params.k - 1 - j)).bit_count() % 2 == 0 else 2
 
 
 # Scalar forms of the row-index definitions, built on ``basis_index``.
@@ -179,7 +187,7 @@ def test_block_recursion_matches_row_rule(k):
     p = CodeParams(k)
     cm = cm_for(k)
     for j in range(k):
-        assert cm.dense(j) == coding_matrix_from_zigzag(p, j)
+        assert cm.dense(j) == coding_matrix_from_zigzag(p, j).dense()
 
 
 @pytest.mark.parametrize("k", range(2, 9))

@@ -237,6 +237,47 @@ def test_reduce_sum_every_int8_value():
     assert np.array_equal(reduce_sum(acc), np.mod(np.arange(-128, 128), 3))
 
 
+def assert_reduces(acc):
+    """reduce_sum equals the scalar residue of every entry, in a new
+    writable uint8 array of the input's shape."""
+    got = reduce_sum(acc)
+    assert got.dtype == np.uint8 and got.shape == acc.shape and got.flags.writeable
+    assert not np.shares_memory(got, acc)
+    want = [v % 3 for v in acc.astype(np.int64).reshape(-1).tolist()]
+    assert got.reshape(-1).tolist() == want
+
+
+def test_reduce_sum_every_ordered_int8_pair():
+    a, b = np.meshgrid(np.arange(-128, 128), np.arange(-128, 128), indexing="ij")
+    pairs = np.stack([a.reshape(-1), b.reshape(-1)], axis=-1).astype(np.int8)
+    assert pairs.shape == (65536, 2)
+    assert_reduces(pairs)
+    assert_reduces(pairs.reshape(-1))
+
+
+def test_reduce_sum_odd_last_axis():
+    acc = np.random.default_rng(3).integers(-40, 41, size=(7, 5)).astype(np.int8)
+    assert_reduces(acc)
+    assert_reduces(acc[0])
+
+
+def test_reduce_sum_transposed_and_strided_views():
+    acc = np.random.default_rng(4).integers(-40, 41, size=(16, 8)).astype(np.int8)
+    assert_reduces(acc.T)
+    assert_reduces(acc[:, ::2])
+    assert_reduces(acc[::3, 1:7])
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 4)])
+def test_reduce_sum_empty(shape):
+    assert_reduces(np.zeros(shape, dtype=np.int8))
+
+
+def test_reduce_sum_uint8_sums_below_128():
+    assert_reduces(np.arange(128, dtype=np.uint8).reshape(8, 16))
+    assert_reduces(np.arange(127, dtype=np.uint8))
+
+
 def test_signed_permutation_composition_matches_dense():
     rng = np.random.default_rng(19)
     for _ in range(10):
@@ -255,3 +296,8 @@ def test_signed_permutation_rejects_non_permutation():
         SignedPermutation([0, 0], [1, 1])
     with pytest.raises(ValueError):
         SignedPermutation.from_dense(Gf3Matrix([[1, 1], [0, 1]]))
+
+
+def test_reduce_sum_rejects_wide_sums():
+    with pytest.raises(TypeError):
+        reduce_sum(np.zeros(4, dtype=np.int16))
