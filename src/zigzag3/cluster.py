@@ -317,6 +317,14 @@ HEALTHY = "healthy"
 FAILED = "failed"
 
 
+def _read_only(payload: np.ndarray) -> np.ndarray:
+    """A view of ``payload`` that raises on any write, so no reader of a
+    helper's shard can change the stored copy."""
+    view = payload.view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass
 class NodeStore:
     """One storage node: its symbols plus monotone read/sent meters."""
@@ -328,12 +336,13 @@ class NodeStore:
     sent_count: int = 0
 
     def serve(self, reads: int, sent: int) -> np.ndarray:
-        """Hand out the payload for a repair, charging the meters."""
+        """Hand out a read-only view of the payload for a repair, charging
+        the meters."""
         if self.status != HEALTHY or self.payload is None:
             raise DataLossError(f"node {self.node_id} cannot serve reads while failed")
         self.read_count += reads
         self.sent_count += sent
-        return self.payload
+        return _read_only(self.payload)
 
 
 @dataclass(frozen=True)
@@ -453,12 +462,13 @@ class ClusterState:
         return [n.node_id for n in self.nodes if n.status == HEALTHY]
 
     def payloads(self, ids) -> dict[int, np.ndarray]:
+        """Read-only views of the payloads of healthy nodes ``ids``."""
         out = {}
         for i in ids:
             node = self.nodes[i]
             if node.status != HEALTHY or node.payload is None:
                 raise DataLossError(f"node {i} is failed")
-            out[i] = node.payload
+            out[i] = _read_only(node.payload)
         return out
 
     def extract_file(self) -> bytes:

@@ -313,6 +313,34 @@ def test_double_data_failure_full_download_then_plan():
         assert np.array_equal(cl.nodes[i].payload, orig)
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_repairs_and_extract_leave_helper_payloads_unchanged(k):
+    # Helpers hand out read-only views, and no repair or decode writes
+    # through one: every other node keeps its payload, bit for bit.
+    data = np.random.default_rng(40 + k).bytes(300)
+    cl = ClusterState.from_bytes(CodeParams(k), data)
+    originals = [n.payload.copy() for n in cl.nodes]
+
+    def assert_unchanged(skip=()):
+        for i, orig in enumerate(originals):
+            if i not in skip:
+                assert np.array_equal(cl.nodes[i].payload, orig), (k, i)
+
+    assert not cl.nodes[0].serve(0, 0).flags.writeable
+    assert not any(v.flags.writeable for v in cl.payloads(range(k)).values())
+    for node in range(k + 2):
+        cl.fail_node(node)
+        cl.repair_node(node)
+        assert_unchanged()
+    cl.fail_node(0)
+    cl.fail_node(k + 1)
+    assert cl.repair_node(0).method == "full-download"
+    assert_unchanged(skip=(k + 1,))
+    cl.repair_node(k + 1)
+    assert cl.extract_file() == data
+    assert_unchanged()
+
+
 def test_both_parities_fail_reencode():
     cl = fresh_cluster()
     originals = [n.payload.copy() for n in cl.nodes]

@@ -7,13 +7,24 @@ import numpy as np
 import pytest
 
 from zigzag3.code import CodeParams, build_coding_matrices, encode_parts_array, second_parity_by_matrices
-from zigzag3.gf3 import Gf3Matrix, InconsistentSystemError, SignedPermutation, inverse, rank, solve_left
+from zigzag3.gf3 import (
+    Gf3Matrix,
+    InconsistentSystemError,
+    SignedPermutation,
+    inverse,
+    rank,
+    reduce_sum,
+    solve_left,
+)
 from zigzag3.repair import (
     FIRST_PARITY,
     SECOND_PARITY,
     RepairMatrixPair,
     RowSelection,
     _ell_form,
+    _gather_sum,
+    _residue_stack,
+    _transpose,
     apply_matrix_rows,
     brute_force_min_io,
     build_repair_pair,
@@ -320,9 +331,107 @@ def test_apply_vector_and_3d_shapes():
     vec = rng.integers(0, 3, size=6, dtype=np.uint8)
     assert apply_matrix_rows(m, vec).shape == (4,)
     check_apply(m, vec)
-    cube = rng.integers(0, 3, size=(2, 3, 6), dtype=np.uint8)
-    assert apply_matrix_rows(m, cube).shape == (2, 3, 4)
-    check_apply(m, cube)
+    # Leading shapes of one and three axes.
+    for lead in [(1,), (7,), (2, 3), (2, 3, 5)]:
+        x = rng.integers(0, 3, size=lead + (6,), dtype=np.uint8)
+        assert apply_matrix_rows(m, x).shape == lead + (4,)
+        check_apply(m, x)
+
+
+# The blocked transpose copies 32 KiB at a time, 256 stripes of a k = 8
+# shard (N = 128): these stripe counts sit on and around its block edges.
+BLOCK_EDGE_STRIPES = [1, 255, 256, 257, 3073]
+
+
+@pytest.mark.parametrize("stripes", BLOCK_EDGE_STRIPES)
+def test_blocked_transpose_across_block_edges(stripes):
+    x = np.random.default_rng(stripes).integers(0, 256, size=(stripes, 128), dtype=np.uint8)
+    there = _transpose(x)
+    assert there.flags.c_contiguous and np.array_equal(there, x.T)
+    back = _transpose(there)
+    assert back.flags.c_contiguous and np.array_equal(back, x)
+    into = np.empty((128, stripes), dtype=np.uint8)
+    assert _transpose(x, into) is into and np.array_equal(into, x.T)
+
+
+@pytest.mark.parametrize("stripes", BLOCK_EDGE_STRIPES)
+def test_apply_plan_matrices_across_block_edges(stripes):
+    p, cm = setup_k(8)
+    plan = plan_repair(p, cm, p.k + 1)
+    x = np.random.default_rng(stripes).integers(0, 3, size=(stripes, p.n_rows), dtype=np.uint8)
+    for m in (plan.downloads[0], plan.downloads[p.k], plan.solve_inverse):
+        check_apply(m, x)
+    check_apply(plan.projectors[1], x[:, : p.n_rows // 2])
+    downloads = compute_downloads(plan, {h: x for h in plan.helper_nodes})
+    for node, m in plan.downloads.items():
+        assert np.array_equal(downloads[node], dense_apply(m, x))
+
+
+def test_apply_transposed_and_strided_input():
+    # A transposed view, strided views along either axis and an unreduced
+    # int64 view all read the same symbols.
+    rng = np.random.default_rng(12)
+    m = Gf3Matrix(rng.integers(0, 3, size=(9, 40)) * (rng.random((9, 40)) < 0.3))
+    x = rng.integers(0, 3, size=(300, 40), dtype=np.uint8)
+    check_apply(m, np.ascontiguousarray(x.T).T)
+    check_apply(m, np.repeat(x, 2, axis=0)[::2])
+    check_apply(m, np.repeat(x, 3, axis=1)[:, ::3])
+    check_apply(m, (np.ascontiguousarray(x.T).T.astype(np.int64) - 999)[::-1])
+    got = apply_matrix_rows(m, x)
+    assert got.T.flags.c_contiguous  # the transposed view of the symbol-major result
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_gather_sum_reduces_a_full_sum_in_place(sign):
+    # A sum already holding 62 terms of 2 (124) takes one more term, then
+    # is reduced before the next would leave int8.
+    form = _ell_form(Gf3Matrix([[sign % 3] * 3 + [0]]))
+    x = np.full((5, 4), 2, dtype=np.uint8)
+    stack = _residue_stack(x, np.empty((9, 5), dtype=np.int8), form.signed)
+    acc = np.full((1, 5), 124 * sign, dtype=np.int8)
+    acc, terms = _gather_sum(form, stack, acc, 62)
+    assert terms == 3
+    assert reduce_sum(acc).tolist() == [[(130 * sign) % 3] * 5]
+
+
+def test_ell_form_slots():
+    form = _ell_form(Gf3Matrix([[0, 1, 2, 0], [0, 0, 0, 0], [2, 0, 0, 0]]))
+    # +1 at column c is slot c, -1 is slot n + c, padding the zero row 2n.
+    assert form.slots.tolist() == [[1, 6], [8, 8], [4, 8]]
+    assert form.signed
+    form = _ell_form(RowSelection(np.array([3, 1]), 4))
+    assert form.slots.tolist() == [[3], [1]] and not form.signed
+    form = _ell_form(SignedPermutation([2, 0, 1], [1, -1, 1]))
+    assert form.slots.tolist() == [[2], [3], [1]] and form.signed
+
+
+def test_plan_forms_each_matrix_once():
+    p, cm = setup_k(5)
+    plan = plan_repair(p, cm, p.k)
+    assert plan._forms == {}  # nothing is formed by planning
+    shards = encode_parts_array(p, cm, np.zeros((p.k, 3, p.n_rows), dtype=np.uint8))
+    execute_repair(plan, compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes}))
+    # The k systematic downloads share one matrix, so one form serves them.
+    assert len({id(m) for m in plan.downloads.values()}) == 2
+    assert len(plan._forms) == 2 + len(plan.projectors) + 1
+    assert plan._form(plan.downloads[0]) is plan._form(plan.downloads[1])
+
+
+def test_repairs_build_no_dense_matrix(monkeypatch):
+    # Row selections and signed permutations are gathered from their
+    # index form; their dense view is never built on the repair path.
+    def refuse(*args):
+        raise AssertionError("dense form built")
+
+    monkeypatch.setattr(RowSelection, "array", property(refuse))
+    monkeypatch.setattr(SignedPermutation, "dense", refuse)
+    p, cm = setup_k(4)
+    shards = encode_parts_array(p, cm, np.random.default_rng(4).integers(0, 3, size=(4, 9, 8), dtype=np.uint8))
+    for failed in range(p.n_nodes):
+        plan = plan_repair(p, cm, failed)
+        downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
+        assert np.array_equal(execute_repair(plan, downloads), shards[failed])
+        assert plan.total_io == expected_repair_io(p, failed)
 
 
 def run_repair(p, cm, parts, failed):
@@ -374,13 +483,17 @@ def test_data_node_repair_on_flipped_sign(k):
 
 
 def test_row_selection_matches_its_dense_view():
-    p, cm = setup_k(4)
-    x = np.random.default_rng(9).integers(0, 3, size=(5, p.n_rows), dtype=np.uint8)
-    plan = plan_repair(p, cm, 0)
-    downloads = compute_downloads(plan, {h: x for h in plan.helper_nodes})
-    for node, m in plan.downloads.items():
-        assert m.array.shape == (m.rows, m.cols) == (p.n_rows // 2, p.n_rows)
-        assert np.array_equal(downloads[node], dense_apply(m, x))
+    # Every download of every plan, row selections and parity matrices,
+    # equals its dense view applied to the shard.
+    for k in range(2, 9):
+        p, cm = setup_k(k)
+        x = np.random.default_rng(9 + k).integers(0, 3, size=(5, p.n_rows), dtype=np.uint8)
+        for failed in range(p.n_nodes):
+            plan = plan_repair(p, cm, failed)
+            downloads = compute_downloads(plan, {h: x for h in plan.helper_nodes})
+            for node, m in plan.downloads.items():
+                assert m.array.shape == (m.rows, m.cols) == (p.n_rows // 2, p.n_rows)
+                assert np.array_equal(downloads[node], dense_apply(m, x)), (k, failed, node)
 
 
 @pytest.mark.parametrize("k", range(3, 11))
@@ -388,14 +501,16 @@ def test_repair_random_files(k):
     p, cm = setup_k(k)
     rng = np.random.default_rng(300 + k)
     parts = rng.integers(0, 3, size=(k, 200, p.n_rows), dtype=np.uint8)
+    shards = encode_parts_array(p, cm, parts)
     for failed in (k, k + 1):
-        got, want = run_repair(p, cm, parts, failed)
-        assert np.array_equal(got, want)
-        # The columns each helper's sparse apply gathers are exactly the
-        # ones io_per_node charges for.
         plan = plan_repair(p, cm, failed)
+        downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
+        assert np.array_equal(execute_repair(plan, downloads), shards[failed])
+        # The columns each download's stored form gathers are exactly its
+        # nonzero columns, the ones io_per_node charges for.
         for node, m in plan.downloads.items():
-            gathered = np.unique(_ell_form(m)[0]).tolist()
+            slots = plan._forms[id(m)].slots
+            gathered = np.unique(slots[slots < 2 * p.n_rows] % p.n_rows).tolist()
             assert gathered == np.flatnonzero(m.array.any(axis=0)).tolist()
             assert len(gathered) == plan.io_per_node[node]
 
@@ -404,6 +519,42 @@ def test_repair_zero_file():
     p, cm = setup_k(4)
     got, want = run_repair(p, cm, np.zeros((4, p.n_rows), dtype=np.uint8), 4)
     assert not got.any() and np.array_equal(got, want)
+
+
+def test_downloads_are_views_of_symbol_major_arrays():
+    p, cm = setup_k(5)
+    parts = np.random.default_rng(5).integers(0, 3, size=(p.k, 2, 3, 7, p.n_rows), dtype=np.uint8)
+    shards = encode_parts_array(p, cm, parts.reshape(p.k, -1, p.n_rows)).reshape((p.n_nodes,) + parts.shape[1:])
+    for failed in range(p.n_nodes):
+        plan = plan_repair(p, cm, failed)
+        downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
+        for d in downloads.values():
+            assert d.shape == (2, 3, 7, p.n_rows // 2)
+            assert d.reshape(-1, p.n_rows // 2).T.flags.c_contiguous
+        rebuilt = execute_repair(plan, downloads)
+        assert rebuilt.flags.c_contiguous and np.array_equal(rebuilt, shards[failed])
+        # C-contiguous (stripes, N/2) downloads take one transpose each.
+        copies = {h: np.ascontiguousarray(d) for h, d in downloads.items()}
+        assert np.array_equal(execute_repair(plan, copies), shards[failed])
+
+
+@pytest.mark.parametrize("length", [7, 9])
+def test_compute_downloads_rejects_wrong_row_length(length):
+    p, cm = setup_k(4)
+    plan = plan_repair(p, cm, 0)
+    payloads = {h: np.zeros((5, length), dtype=np.uint8) for h in plan.helper_nodes}
+    with pytest.raises(ValueError, match="last axis"):
+        compute_downloads(plan, payloads)
+
+
+def test_compute_downloads_rejects_inconsistent_leading_shapes():
+    p, cm = setup_k(4)
+    for failed in (0, p.k):
+        plan = plan_repair(p, cm, failed)
+        payloads = {h: np.zeros((5, p.n_rows), dtype=np.uint8) for h in plan.helper_nodes}
+        payloads[plan.helper_nodes[-1]] = np.zeros((6, p.n_rows), dtype=np.uint8)
+        with pytest.raises(ValueError, match="leading shapes"):
+            compute_downloads(plan, payloads)
 
 
 def test_execute_repair_validates_downloads():
