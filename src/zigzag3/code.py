@@ -7,7 +7,7 @@ picked by XOR-ing the row index with a basis vector and weighted by a +-1
 coefficient.  Equivalently, node k+1 stores sum_j A_j f_j for k signed
 permutation matrices A_j, built here both by the recursive block definition
 and directly from the row/coefficient description; the two constructions
-must agree entrywise and the encoder cross-checks them.  Encoding and
+must agree entrywise, which the condition sweep checks.  Encoding and
 decoding apply the permutations through the int8 symbol kernel of ``gf3``;
 two lost systematic parts are recovered in closed form, O(N) per stripe.
 
@@ -222,9 +222,8 @@ def encode_parts_array(params: CodeParams, cm: CodingMatrixSet, parts: np.ndarra
     """Encode parts of shape (k, ..., N) into uint8 shards of shape (k+2, ..., N).
 
     Parts of any integer dtype are taken mod 3 first.  The zigzag parity
-    is produced by the O(kN) permutation path; under asserts the per-row
-    rule is recomputed and compared, keeping the matrix/row-rule
-    equivalence continuously exercised.
+    is produced by the O(kN) permutation path; ``second_parity_by_rows``
+    is its reference, which the sweep's ``encoder-forms`` check compares.
     """
     if parts.shape[0] != params.k or parts.shape[-1] != params.n_rows:
         raise ValueError(f"parts shape {parts.shape} does not match k={params.k}, N={params.n_rows}")
@@ -234,9 +233,6 @@ def encode_parts_array(params: CodeParams, cm: CodingMatrixSet, parts: np.ndarra
     shards[:k] = parts
     shards[k] = reduce_sum(parts.sum(axis=0, dtype=np.uint8))
     shards[k + 1] = second_parity_by_matrices(cm, parts)
-    assert np.array_equal(shards[k + 1], second_parity_by_rows(params, parts)), (
-        "coding-matrix and row-rule parities diverged"
-    )
     return shards
 
 
@@ -314,6 +310,23 @@ def _residual(parity: np.ndarray, terms) -> np.ndarray:
     return acc
 
 
+def _common_lead(arrays: dict[int, np.ndarray], length: int, what: str) -> tuple[int, ...]:
+    """The leading shape every array in ``arrays`` shares, each with last
+    axis ``length``; ``ValueError`` naming the first array that differs
+    otherwise."""
+    lead = None
+    for node, a in arrays.items():
+        shape = np.shape(a)
+        if not shape or shape[-1] != length:
+            got = shape[-1] if shape else "no axis"
+            raise ValueError(f"{what} {node} has last axis {got}, expected {length}")
+        if lead is None:
+            lead = shape[:-1]
+        elif shape[:-1] != lead:
+            raise ValueError(f"{what} {node}: inconsistent leading shapes, {shape[:-1]} against {lead}")
+    return lead
+
+
 def decode_shards_array(
     params: CodeParams, cm: CodingMatrixSet, available: dict[int, np.ndarray]
 ) -> np.ndarray:
@@ -328,20 +341,20 @@ def decode_shards_array(
     P^2 = -I, and then (I - P)^-1 = -(I + P).  Hence
     f_j1 = -(I + P) A_j1^-1 (r2 - A_j2 r1) and f_j2 = r1 - f_j1, O(N) per
     stripe; if P^2 != -I, SingularMatrixError is raised.  With more than
-    k shards the extras are cross-checked against a re-encode.
+    k shards the extras are cross-checked against a re-encode.  Every
+    shard must have last axis N and all must share one leading shape,
+    else ``ValueError`` naming the shard.
     """
     k, n = params.k, params.n_rows
-    for node, data in available.items():
+    for node in available:
         if not 0 <= node < params.n_nodes:
             raise ValueError(f"unknown node id {node}")
-        if data.shape[-1] != n:
-            raise ValueError(f"shard {node} has row length {data.shape[-1]}, expected {n}")
+    lead = _common_lead(available, n, "shard")
     if len(available) < k:
         raise InsufficientShardsError(f"got {len(available)} shards, need at least {k}")
 
     present = [j for j in range(k) if j in available]
     missing_sys = [j for j in range(k) if j not in available]
-    lead = next(iter(available.values())).shape[:-1]
     parts = np.empty((k,) + lead + (n,), dtype=np.uint8)
     for j in present:
         parts[j] = residues(available[j])

@@ -311,15 +311,6 @@ class SignedPermutation:
         out *= self.sign
         return out
 
-    def apply(self, x) -> np.ndarray:
-        """Matrix-vector product along the last axis of ``x``, as uint8 residues.
-
-        ``x`` may be a single length-N vector or any stack of them, of any
-        integer dtype; the result y satisfies
-        y[..., r] = sign[r] * x[..., target[r]] mod 3.
-        """
-        return reduce_sum(self.terms(residues(x)))
-
     def inverse(self) -> "SignedPermutation":
         # Entries are +-1, so the inverse is the transpose.
         inv_target = np.empty(self.size, dtype=np.int64)

@@ -30,16 +30,19 @@ Products with coding matrices are column scatters of their signed
 permutations.  Dense elimination remains only as a fallback for inputs
 that fail these certificates, where it keeps the reported ranks exact.
 
-The matrices a parity repair applies (downloads, projectors, the solve
-inverse) have at most k nonzeros per row, and a data-node repair applies
-raw row selections and signed permutations.  Every one of them runs as
-the same symbol-major gather: the symbols of a block are laid out as
-(rows, stripes), so a term is one whole-row ``np.take``, and each matrix
-is kept in a padded row form that names, per slot, a row of the residue
-stack [x; -x; 0].  Terms are summed in int8 and reduced through the
-``gf3`` table before the sum can leave +-127.  Shards and downloads keep
-their (stripes, N) shapes at the API; a repair transposes each helper's
-shard once on the way in and the rebuilt shard once on the way out.
+Every matrix a plan applies has one type, ``SparseRows``, formed when
+the plan is built: the downloads, projectors and solve inverse of a
+parity repair have at most k nonzeros per row, and a data-node repair
+applies raw row selections and signed permutations.  A ``SparseRows``
+names, per slot of each row, a row of the residue stack [x; -x; 0] of
+the symbols x it is applied to.  Those symbols are laid out as (rows,
+stripes), so a term is one whole-row ``np.take``; terms are summed in
+int8 and reduced through the ``gf3`` table before the sum can leave
++-127.  No plan holds a dense download: the zigzag parity's downloads
+s A_j are the form of s mapped through each A_j.  Shards and downloads
+keep their (stripes, N) shapes at the API; a repair transposes each
+helper's shard once on the way in and the rebuilt shard once on the way
+out.
 """
 
 from __future__ import annotations
@@ -52,9 +55,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .code import CodeParams, CodingMatrixSet, basis_index
+from .code import CodeParams, CodingMatrixSet, _common_lead, basis_index
 from .gf3 import (
     Gf3Matrix,
+    Gf3ShapeError,
     InconsistentSystemError,
     SignedPermutation,
     SingularMatrixError,
@@ -76,7 +80,7 @@ __all__ = [
     "ZeroColumnReport",
     "verify_zero_column_structure",
     "MissingPivotError",
-    "RowSelection",
+    "SparseRows",
     "RepairPlan",
     "plan_repair",
     "apply_matrix_rows",
@@ -204,22 +208,23 @@ def _unit_pivots(s: Gf3Matrix) -> _Pivots | None:
 
 def _eliminate(
     s: Gf3Matrix, pivots: _Pivots, targets: list[Gf3Matrix]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, SparseRows, np.ndarray]:
     """Reduce the rows of t, the stacked ``targets``, against ``s`` through
     its pivots.
 
     Returns X = t[:, U] diag(d), the unique matrix with X s equal to t on
-    the pivot columns, and the residual R = t - X s on the other columns,
-    both uint8.  R vanishes on the pivot columns by construction, so
-    rank(stack(s, t)) = s.rows + rank(R).  Rows of X are sparse, so X s
-    is a sparse-row apply.
+    the pivot columns, as uint8 and as ``SparseRows``, and the uint8
+    residual R = t - X s on the other columns.  R vanishes on the pivot
+    columns by construction, so rank(stack(s, t)) = s.rows + rank(R).
+    Rows of X are sparse, so X s is a sparse-row apply.
     """
     t = np.vstack([m.array for m in targets])
     x = (t[:, pivots.unit] * pivots.sign) % 3
+    x_form = SparseRows.from_dense(x)
     s_rest = s.array[:, pivots.rest]
-    xs = apply_matrix_rows(Gf3Matrix(x), s_rest.T).T
+    xs = apply_matrix_rows(x_form, s_rest.T).T
     residual = reduce_sum(t[:, pivots.rest].view(np.int8) - xs.view(np.int8))
-    return x, residual
+    return x, x_form, residual
 
 
 def _residual_rank(r: np.ndarray) -> int:
@@ -257,12 +262,12 @@ def _stacked_ranks(s: Gf3Matrix, targets: list[Gf3Matrix]) -> list[int]:
     per_batch = max(1, _BATCH_ENTRIES // targets[0].array.size)
     for i in range(0, len(targets), per_batch):
         batch = targets[i : i + per_batch]
-        _, residual = _eliminate(s, pivots, batch)
+        _, _, residual = _eliminate(s, pivots, batch)
         ranks += [s.rows + _residual_rank(r) for r in np.split(residual, len(batch))]
     return ranks
 
 
-def _stacked_inverse(s: Gf3Matrix, pivots: _Pivots, m: np.ndarray, schur: np.ndarray) -> Gf3Matrix:
+def _stacked_inverse(s: Gf3Matrix, pivots: _Pivots, m: np.ndarray, schur: np.ndarray) -> SparseRows:
     """Inverse of the square stack(s, base), from its Schur factors.
 
     ``m`` = M = base_U diag(d) and ``schur`` = S = base_C - M s_C are what
@@ -272,7 +277,7 @@ def _stacked_inverse(s: Gf3Matrix, pivots: _Pivots, m: np.ndarray, schur: np.nda
     then leave S y_C = bottom - M top.  S must be a signed permutation,
     which also certifies full rank; otherwise ``SingularMatrixError`` is
     raised.  Solving once with the identity as right-hand side yields the
-    dense inverse.
+    inverse, returned in sparse-row form.
     """
     try:
         schur_perm = SignedPermutation.from_dense(Gf3Matrix(schur))
@@ -289,13 +294,13 @@ def _stacked_inverse(s: Gf3Matrix, pivots: _Pivots, m: np.ndarray, schur: np.nda
     # S y = z row by row: sign[r] y[target[r]] = z[r].
     y_rest = np.empty_like(reduced)
     y_rest[schur_perm.target] = (reduced * schur_perm.sign_gf3[:, None]) % 3
-    s_rest = Gf3Matrix(s.array[:, pivots.rest])
+    s_rest = SparseRows.from_dense(s.array[:, pivots.rest])
     top = np.eye(half, n, dtype=np.int16)
     y_unit = (pivots.sign[:, None] * (top - apply_matrix_rows(s_rest, y_rest.T).T)) % 3
     out = np.empty((n, n), dtype=np.uint8)
     out[pivots.unit] = y_unit
     out[pivots.rest] = y_rest
-    return Gf3Matrix(out)
+    return SparseRows.from_dense(out)
 
 
 def _times_permutation(m: Gf3Matrix, p: SignedPermutation) -> Gf3Matrix:
@@ -509,65 +514,85 @@ def repair_bandwidth(params: CodeParams) -> int:
     return (params.k + 1) * params.n_rows // 2
 
 
-@dataclass(frozen=True, eq=False)
-class RowSelection:
-    """A download that sends rows ``index`` of a length-``cols`` shard, raw.
+class SparseRows:
+    """A GF(3) matrix with few nonzeros per row in padded row ("ELL")
+    form, the one type of every plan matrix.
 
-    Applying it is one gather.  The dense 0/1 matrix is built only when
-    ``array`` is asked for, never on the repair path.
+    ``slots[r, t]`` names a row of the residue stack [x; -x; 0] of the
+    ``cols``-row block x the matrix is applied to: c for a +1 entry of row
+    r in column c, cols + c for a -1 entry, and 2 cols, the zero row, on
+    padding.  Each row has at least one slot and names a column at most
+    once.  A row selection is ``SparseRows(index[:, None], cols)``.  The
+    dense ``array`` is built only when asked for.
     """
 
-    index: np.ndarray
-    cols: int
+    __slots__ = ("slots", "cols")
+
+    def __init__(self, slots, cols: int):
+        slots = np.asarray(slots, dtype=np.intp)
+        if slots.ndim != 2 or slots.shape[1] < 1:
+            raise Gf3ShapeError(f"slots must be 2-D with at least one column, got shape {slots.shape}")
+        # Read as unsigned, a negative slot exceeds 2 cols too.
+        if slots.size and slots.view(np.uintp).max() > 2 * cols:
+            raise ValueError(f"slots must lie in [0, {2 * cols}]")
+        slots.setflags(write=False)
+        self.slots = slots
+        self.cols = cols
+
+    @classmethod
+    def from_dense(cls, a) -> "SparseRows":
+        """The form of a 2-D matrix, any integers taken mod 3, with each
+        row's nonzeros in ascending column order."""
+        a = residues(a)
+        rows, n = a.shape
+        entries = a.ravel()
+        flat = np.flatnonzero(entries)
+        r, c = np.divmod(flat, n)
+        counts = np.bincount(r, minlength=rows)
+        first = np.cumsum(counts) - counts
+        slots = np.full((rows, max(1, int(counts.max(initial=0)))), 2 * n, dtype=np.intp)
+        slots[r, np.arange(flat.size) - first[r]] = c + n * (entries[flat] == 2)
+        return cls(slots, n)
+
+    @classmethod
+    def from_permutation(cls, p: SignedPermutation) -> "SparseRows":
+        """One slot per row: target[r], or size + target[r] for a -1."""
+        return cls((p.target + p.size * (p.sign < 0))[:, None], p.size)
 
     @property
     def rows(self) -> int:
-        return self.index.size
-
-    @property
-    def array(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        out[np.arange(self.rows), self.index] = 1
-        return out
-
-    def nonzero_column_count(self) -> int:
-        return self.rows
-
-
-class _Ell(NamedTuple):
-    """Padded row ("ELL") form of a matrix with ``n`` columns, as gathers
-    from the residue stack [x; -x; 0] of an n-row symbol block x.
-
-    ``slots[r, t]`` is c for a +1 entry of row r in column c, n + c for a
-    -1 entry, and 2n, the zero row, on padding slots.  The width is the
-    largest nonzero count of any row, and at least 1.
-    """
-
-    slots: np.ndarray
-    n: int
+        return self.slots.shape[0]
 
     @property
     def signed(self) -> bool:
         """Whether a slot reads past x, into -x or the zero row."""
-        return bool((self.slots >= self.n).any())
+        return bool((self.slots >= self.cols).any())
 
+    @property
+    def array(self) -> np.ndarray:
+        """The dense (rows, cols) uint8 matrix."""
+        hit = np.zeros((self.rows, 2 * self.cols + 1), dtype=np.uint8)
+        hit[np.arange(self.rows)[:, None], self.slots] = 1
+        return hit[:, : self.cols] + 2 * hit[:, self.cols : -1]
 
-def _ell_form(m: Gf3Matrix | SignedPermutation | RowSelection) -> _Ell:
-    """The ``_Ell`` form of a plan matrix: one slot per row for a row
-    selection or a signed permutation, each row's nonzeros in ascending
-    column order for a ``Gf3Matrix``."""
-    if isinstance(m, RowSelection):
-        return _Ell(m.index[:, None], m.cols)
-    if isinstance(m, SignedPermutation):
-        return _Ell((m.target + m.size * (m.sign < 0))[:, None], m.size)
-    a, n = m.array, m.cols
-    flat = np.flatnonzero(a != 0)
-    rows, cols = np.divmod(flat, n)
-    counts = np.bincount(rows, minlength=m.rows)
-    first = np.cumsum(counts) - counts
-    slots = np.full((m.rows, max(1, int(counts.max(initial=0)))), 2 * n, dtype=np.intp)
-    slots[rows, np.arange(flat.size) - first[rows]] = cols + n * (a.ravel()[flat] == 2)
-    return _Ell(slots, n)
+    def nonzero_column_count(self) -> int:
+        """Columns that some slot reads; padding reads the zero row."""
+        read = np.zeros(2 * self.cols + 1, dtype=bool)
+        read[self.slots] = True
+        return int(np.count_nonzero(read[: self.cols] | read[self.cols : -1]))
+
+    def times(self, p: SignedPermutation) -> "SparseRows":
+        """``self @ p``, whose column target[c] is sign[c] times column c.
+
+        One ``np.take`` of the slots through a 2n + 1 entry map: c goes to
+        target[c] (n + target[c] if sign[c] < 0), n + c to target[c]
+        (n + target[c] if sign[c] > 0), and the padding 2n stays.
+        """
+        n = self.cols
+        if p.size != n:
+            raise Gf3ShapeError(f"times: {n} columns @ permutation of size {p.size}")
+        image = np.concatenate([p.target + n * (p.sign < 0), p.target + n * (p.sign > 0), [2 * n]])
+        return SparseRows(np.take(image, self.slots), n)
 
 
 @dataclass(frozen=True)
@@ -583,35 +608,24 @@ class RepairPlan:
     the lost shard to those halves.  It is factored once, so a repair is
     gathers, int8 sums and one apply.
 
-    Each of these matrices is applied through its padded row form, which
-    the plan forms on first use and keeps: a matrix the plan holds more
-    than once (the row-sum plan's k systematic downloads share one) is
-    formed once.  Planning forms none of them.
+    Every matrix is a ``SparseRows``, formed when the plan is built; the
+    row-sum plan's k systematic downloads share one.
     """
 
     params: CodeParams
     failed_node: int
-    downloads: dict[int, Gf3Matrix | RowSelection]
+    downloads: dict[int, SparseRows]
     top: dict[int, int]
     bottom_node: int
-    projectors: dict[int, Gf3Matrix | SignedPermutation]
-    solve_inverse: Gf3Matrix | SignedPermutation = field(repr=False)
-    _forms: dict[int, _Ell] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _form(self, m) -> _Ell:
-        """The stored ``_Ell`` form of plan matrix ``m``, keyed by identity:
-        the plan holds ``m``, so its id stays valid while the plan lives."""
-        form = self._forms.get(id(m))
-        if form is None:
-            form = self._forms[id(m)] = _ell_form(m)
-        return form
+    projectors: dict[int, SparseRows]
+    solve_inverse: SparseRows = field(repr=False)
 
     @property
     def io_per_node(self) -> dict[int, int]:
-        """Symbols each helper reads per stripe: the nonzero columns of its
-        download, which are exactly the columns its stored form gathers
-        (padding slots read the zero row, not a column)."""
-        return {node: m.nonzero_column_count() for node, m in self.downloads.items()}
+        """Symbols each helper reads per stripe: the columns its download
+        gathers, counted once per distinct download."""
+        counts = {m: m.nonzero_column_count() for m in set(self.downloads.values())}
+        return {node: counts[m] for node, m in self.downloads.items()}
 
     @property
     def total_io(self) -> int:
@@ -654,7 +668,8 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
     T and the bottom half, signed, at A_j's targets of Z.  Every helper
     reads the N/2 raw rows it sends.  Coding matrices without this
     structure make a restricted map fail to be a permutation, which
-    raises ``ValueError``.
+    ``SignedPermutation`` rejects with ``ValueError`` before the plan
+    takes its sparse-row form.
     """
     k, n = params.k, params.n_rows
     half = n // 2
@@ -673,7 +688,9 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
     position[top_rows] = np.arange(half)
     others = [i for i in range(k) if i != failed]
     projectors = {
-        i: SignedPermutation(position[cm.matrices[i].target[zig_rows]], -cm.matrices[i].sign[zig_rows])
+        i: SparseRows.from_permutation(
+            SignedPermutation(position[cm.matrices[i].target[zig_rows]], -cm.matrices[i].sign[zig_rows])
+        )
         for i in others
     }
     lost = a_j.target[zig_rows]
@@ -681,9 +698,9 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
     target[lost] = half + np.arange(half)
     sign = np.ones(n, dtype=np.int8)
     sign[lost] = a_j.sign[zig_rows]
-    top_selection = RowSelection(top_rows, n)
+    top_selection = SparseRows(top_rows[:, None], n)
     downloads = {h: top_selection for h in others + [k]}
-    downloads[k + 1] = RowSelection(zig_rows, n)
+    downloads[k + 1] = SparseRows(zig_rows[:, None], n)
     return RepairPlan(
         params=params,
         failed_node=failed,
@@ -691,7 +708,7 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
         top={k: 1, **{i: -1 for i in others}},
         bottom_node=k + 1,
         projectors=projectors,
-        solve_inverse=SignedPermutation(target, sign),
+        solve_inverse=SparseRows.from_permutation(SignedPermutation(target, sign)),
     )
 
 
@@ -701,7 +718,9 @@ def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> Repair
 
     The systematic downloads sum to the lost shard's half-image (the
     top); the surviving parity's download plus the projected interference
-    terms form the bottom.  Every product with a coding matrix is a column
+    terms form the bottom.  The zigzag parity's download for helper j is
+    s A_j, the form of s mapped through A_j by ``SparseRows.times``, and
+    every product with a coding matrix in the elimination is a column
     scatter by its signed permutation.  Projector l is X_l of
     ``_eliminate`` for the interference rows s_tilde (I -+ A_l), read off
     at the unit-column pivots of ``pair.s``; a nonzero residual means
@@ -722,16 +741,15 @@ def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> Repair
     if pivots is None:
         raise MissingPivotError(f"a row of the {variant} systematic-side matrix owns no unit column")
 
-    downloads: dict[int, Gf3Matrix] = {}
-    for j in range(k):
-        if variant == FIRST_PARITY:
-            downloads[j] = pair.s
-        else:
-            downloads[j] = _times_permutation(pair.s, cm.matrices[j])
-    downloads[surviving] = pair.s_tilde
+    s_form = SparseRows.from_dense(pair.s.array)
+    if variant == FIRST_PARITY:
+        downloads = {j: s_form for j in range(k)}
+    else:
+        downloads = {j: s_form.times(cm.matrices[j]) for j in range(k)}
+    downloads[surviving] = SparseRows.from_dense(pair.s_tilde.array)
 
-    # One elimination serves the solve base and the k-1 interference blocks.
-    stacked, residual = _eliminate(pair.s, pivots, _condition_rows(pair.s_tilde, cm, variant))
+    # One elimination serves the solve base and the k-1 projectors, row blocks of X.
+    stacked, x, residual = _eliminate(pair.s, pivots, _condition_rows(pair.s_tilde, cm, variant))
     if residual[half:].any():
         raise InconsistentSystemError("target rows are not in the row space")
     return RepairPlan(
@@ -740,7 +758,7 @@ def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> Repair
         downloads=downloads,
         top={j: 1 for j in range(k)},
         bottom_node=surviving,
-        projectors={l: Gf3Matrix(stacked[l * half : (l + 1) * half]) for l in range(1, k)},
+        projectors={l: SparseRows(x.slots[l * half : (l + 1) * half], half) for l in range(1, k)},
         solve_inverse=_stacked_inverse(pair.s, pivots, stacked[:half], residual[:half]),
     )
 
@@ -755,26 +773,22 @@ _BLOCK_BYTES = 1 << 15
 
 
 def _transpose(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x.T`` of a 2-D array as a C-contiguous copy, into ``out`` if given.
+    """``x.T`` of a (stripes, n) array as a C-contiguous copy, into ``out`` if given.
 
-    The copy runs one block of about 32 KiB at a time along the longer
-    axis, the stripes of a shard: a 3,072 x 128 uint8 shard takes about
-    0.17 ms this way against 0.35 ms for ``np.ascontiguousarray(x.T)``
-    (timeit, 2-core Xeon VM).  An ``x`` that is itself the transposed
-    view of a C-contiguous array is copied straight.
+    The copy runs one block of about 32 KiB of stripes at a time: a
+    3,072 x 128 uint8 shard takes about 0.17 ms this way against 0.35 ms
+    for ``np.ascontiguousarray(x.T)`` (timeit, 2-core Xeon VM).  An ``x``
+    that is itself the transposed view of a C-contiguous array is copied
+    straight.
     """
     if out is None:
         out = np.empty(x.shape[::-1], dtype=x.dtype)
     if x.T.flags.c_contiguous:
         out[...] = x.T
-    elif x.shape[0] >= x.shape[1]:
-        step = max(1, _BLOCK_BYTES // max(1, x.shape[1] * x.itemsize))
-        for start in range(0, x.shape[0], step):
-            out[:, start : start + step] = x[start : start + step].T
-    else:
-        step = max(1, _BLOCK_BYTES // (x.shape[0] * x.itemsize))
-        for start in range(0, x.shape[1], step):
-            out[start : start + step] = x[:, start : start + step].T
+        return out
+    step = max(1, _BLOCK_BYTES // max(1, x.shape[1] * x.itemsize))
+    for start in range(0, x.shape[0], step):
+        out[:, start : start + step] = x[start : start + step].T
     return out
 
 
@@ -782,7 +796,7 @@ def _residue_stack(x: np.ndarray, buf: np.ndarray, signed: bool) -> np.ndarray:
     """The residue stack of the (stripes, n) residues ``x``, in ``buf``.
 
     ``buf`` is an int8 (2n + 1, stripes) buffer; its first n rows get x.T
-    by one ``_transpose``.  For a ``signed`` form the next n rows get
+    by one ``_transpose``.  For a ``signed`` matrix the next n rows get
     -x.T and the last row zeros.  Returns the rows filled.
     """
     n = x.shape[1]
@@ -795,17 +809,17 @@ def _residue_stack(x: np.ndarray, buf: np.ndarray, signed: bool) -> np.ndarray:
 
 
 def _gather_sum(
-    form: _Ell, stack: np.ndarray, acc: np.ndarray | None = None, terms: int = 0
+    m: SparseRows, stack: np.ndarray, acc: np.ndarray | None = None, terms: int = 0
 ) -> tuple[np.ndarray, int]:
-    """Add ``form``'s matrix applied to the block behind ``stack`` into the
-    int8 (rows, stripes) sum ``acc``, which holds ``terms`` terms.
+    """Add ``m`` applied to the block behind ``stack`` into the int8
+    (rows, stripes) sum ``acc``, which holds ``terms`` terms.
 
     Each slot is one whole-row ``np.take`` from the stack; without ``acc``
     the first one starts the sum.  Every term lies in {-2..2}, so ``acc``
     is reduced in place once it holds ``_INT8_TERMS`` of them.  Returns
     the sum and its new term count.
     """
-    for column in form.slots.T:
+    for column in m.slots.T:
         term = np.take(stack, column, axis=0)
         if acc is None:
             acc = term
@@ -818,15 +832,15 @@ def _gather_sum(
     return acc, terms
 
 
-def _apply_form(form: _Ell, stack: np.ndarray) -> np.ndarray:
-    """``form``'s matrix applied to the block behind ``stack``, as
-    (rows, stripes) uint8 residues; an unsigned one-slot form, a row
-    selection, gathers residues and needs no reduction."""
-    acc, terms = _gather_sum(form, stack)
-    return acc.view(np.uint8) if terms == 1 and not form.signed else reduce_sum(acc)
+def _apply(m: SparseRows, stack: np.ndarray) -> np.ndarray:
+    """``m`` applied to the block behind ``stack``, as (rows, stripes)
+    uint8 residues; an unsigned one-slot matrix, a row selection, gathers
+    residues and needs no reduction."""
+    acc, terms = _gather_sum(m, stack)
+    return acc.view(np.uint8) if terms == 1 and not m.signed else reduce_sum(acc)
 
 
-def apply_matrix_rows(m: Gf3Matrix, x: np.ndarray) -> np.ndarray:
+def apply_matrix_rows(m: SparseRows, x: np.ndarray) -> np.ndarray:
     """Apply ``m`` to the last axis of ``x``: out[..., r] = sum_c m[r,c] x[..., c].
 
     ``x`` may hold any integers, in any layout; the result is uint8
@@ -834,46 +848,29 @@ def apply_matrix_rows(m: Gf3Matrix, x: np.ndarray) -> np.ndarray:
     transposed view of a C-contiguous (m.rows, vectors) array.  The
     residues of ``x`` are laid out symbol-major, as (m.cols, vectors), by
     one blocked transpose (none when ``x`` is itself such a transposed
-    view), and every nonzero of ``m`` is a whole-row gather from their
+    view), and every slot of ``m`` is a whole-row gather from their
     residue stack, so the work is O(nonzeros) rows.
     """
     x = np.asarray(x)
     if x.shape[-1] != m.cols:
         raise ValueError(f"last axis {x.shape[-1]} != matrix cols {m.cols}")
-    form = _ell_form(m)
     flat = residues(x).reshape(-1, m.cols)
     buf = np.empty((2 * m.cols + 1, flat.shape[0]), dtype=np.int8)
-    out = _apply_form(form, _residue_stack(flat, buf, form.signed))
+    out = _apply(m, _residue_stack(flat, buf, m.signed))
     return out.T.reshape(x.shape[:-1] + (m.rows,))
-
-
-def _common_lead(arrays: dict[int, np.ndarray], length: int, what: str) -> tuple[int, ...]:
-    """The leading shape every array in ``arrays`` shares, each with last
-    axis ``length``; ``ValueError`` otherwise."""
-    lead = None
-    for node, a in arrays.items():
-        shape = np.shape(a)
-        if not shape or shape[-1] != length:
-            got = shape[-1] if shape else "no axis"
-            raise ValueError(f"{what} {node} has last axis {got}, expected {length}")
-        if lead is None:
-            lead = shape[:-1]
-        elif shape[:-1] != lead:
-            raise ValueError(f"{what}s have inconsistent leading shapes")
-    return lead
 
 
 def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """What each helper transmits: its download applied to its shard.
 
     Every payload must have last axis N and all must share one leading
-    shape, else ``ValueError``.  Each helper's shard is transposed once,
-    by a blocked transpose into one (2N + 1, stripes) residue-stack buffer
-    that every helper reuses, and its download is whole-row gathers from
-    it: one per row for a ``RowSelection``, one per slot of the download's
-    stored form for a matrix.  Each download is a C-contiguous
-    (N/2, stripes) array, returned as its transposed view of shape
-    lead + (N/2,); ``execute_repair`` takes it back without a copy.
+    shape, else ``ValueError`` naming the payload.  Each helper's shard
+    is transposed once, by a blocked transpose into one (2N + 1, stripes)
+    residue-stack buffer that every helper reuses, and its download is one
+    whole-row gather from it per slot of the download's ``SparseRows``.
+    Each download is a C-contiguous (N/2, stripes) array, returned as its
+    transposed view of shape lead + (N/2,); ``execute_repair`` takes it
+    back without a copy.
     """
     missing = [n for n in plan.helper_nodes if n not in payloads]
     if missing:
@@ -885,9 +882,8 @@ def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict
     buf = np.empty((2 * n + 1, stripes), dtype=np.int8)
     out = {}
     for node, x in helpers.items():
-        form = plan._form(plan.downloads[node])
-        stack = _residue_stack(residues(x).reshape(stripes, n), buf, form.signed)
-        d = _apply_form(form, stack)
+        m = plan.downloads[node]
+        d = _apply(m, _residue_stack(residues(x).reshape(stripes, n), buf, m.signed))
         out[node] = d.T.reshape(lead + (d.shape[0],))
     return out
 
@@ -904,9 +900,9 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
     ``top``, the bottom the ``bottom_node`` download and every
     projector's terms, gathered from the residue stack of its download
     (one buffer, reused) and reduced in place whenever the bottom holds
-    ``_INT8_TERMS`` terms.  One reduction, one apply of ``solve_inverse``
-    through its stored form, and one blocked transpose then write the
-    rebuilt shard as a C-contiguous array of shape lead + (N,).
+    ``_INT8_TERMS`` terms.  One reduction and one apply of
+    ``solve_inverse`` follow, and the rebuilt shard is written as a
+    C-contiguous array of shape lead + (N,).
     """
     expected_nodes = set(plan.helper_nodes)
     got = set(downloads)
@@ -933,13 +929,12 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
     terms = 1
     buf = np.empty((n + 1, stripes), dtype=np.int8)
     for node, m in plan.projectors.items():
-        form = plan._form(m)
-        _, terms = _gather_sum(form, _residue_stack(sym[node].T, buf, form.signed), bottom, terms)
+        _, terms = _gather_sum(m, _residue_stack(sym[node].T, buf, m.signed), bottom, terms)
 
     rhs = reduce_sum(rhs)
-    form = plan._form(plan.solve_inverse)
-    stack = _residue_stack(rhs.T, np.empty((2 * n + 1, stripes), dtype=np.int8), form.signed)
-    return _transpose(_apply_form(form, stack)).reshape(lead + (n,))
+    m = plan.solve_inverse
+    stack = _residue_stack(rhs.T, np.empty((2 * n + 1, stripes), dtype=np.int8), m.signed)
+    return np.ascontiguousarray(_apply(m, stack).T).reshape(lead + (n,))
 
 
 # ---------------------------------------------------------------------------

@@ -254,15 +254,17 @@ def test_encode_reduces_signed_parts_before_the_cast():
     assert np.array_equal(shards, encode_parts_array(p, cm_for(2), raw % 3))
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", range(2, MAX_K + 1))
 def test_encoder_forms_agree_on_random_data(k):
+    # The encoder's zigzag parity against the row-rule reference, at every
+    # k the code accepts; 2 stripes past k = 10, where N grows large.
     p = CodeParams(k)
     cm = cm_for(k)
     rng = np.random.default_rng(100 + k)
-    parts = rng.integers(0, 3, size=(k, 40, p.n_rows), dtype=np.uint8)
-    assert np.array_equal(
-        second_parity_by_rows(p, parts), second_parity_by_matrices(cm, parts)
-    )
+    parts = rng.integers(0, 3, size=(k, 40 if k <= 10 else 2, p.n_rows), dtype=np.uint8)
+    by_rows = second_parity_by_rows(p, parts)
+    assert np.array_equal(by_rows, second_parity_by_matrices(cm, parts))
+    assert np.array_equal(encode_parts_array(p, cm, parts)[k + 1], by_rows)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -423,6 +425,26 @@ def test_decode_insufficient_shards():
     shards = encode_parts_array(p, cm, np.zeros((3, 4), dtype=np.uint8))
     with pytest.raises(InsufficientShardsError):
         decode_shards_array(p, cm, {0: shards[0], 1: shards[1]})
+
+
+SHORT_SHARD_CASES = {"lost0": (0, 1, 2, 3), "lost1": (0, 1, 2, 4), "lost2": (0, 1, 4, 5)}
+
+
+@pytest.mark.parametrize("case", SHORT_SHARD_CASES)
+def test_decode_rejects_a_short_shard(case):
+    # Node 1's shard cut to 1 of 3 stripes, or to 7 of 8 symbols a stripe:
+    # every decode case names it.
+    p = CodeParams(4)
+    cm = cm_for(4)
+    parts = np.random.default_rng(62).integers(0, 3, size=(4, 3, p.n_rows), dtype=np.uint8)
+    shards = encode_parts_array(p, cm, parts)
+    available = {i: shards[i] for i in SHORT_SHARD_CASES[case]}
+    available[1] = shards[1][:1]
+    with pytest.raises(ValueError, match="shard 1: inconsistent leading shapes"):
+        decode_shards_array(p, cm, available)
+    available[1] = shards[1][:, :7]
+    with pytest.raises(ValueError, match="shard 1 has last axis 7"):
+        decode_shards_array(p, cm, available)
 
 
 def test_decode_detects_inconsistent_extra_shard():

@@ -197,31 +197,29 @@ def test_signed_permutation_roundtrip():
         assert SignedPermutation.from_dense(sp.dense()) == sp
 
 
-def test_signed_permutation_apply_matches_dense():
+def test_signed_permutation_terms_match_dense():
+    # terms followed by one reduce_sum is the dense product, on uint8
+    # residues and on an int8 partial sum, the two inputs decode gives it.
     rng = np.random.default_rng(13)
     sp = SignedPermutation(rng.permutation(8), rng.choice([-1, 1], size=8))
-    x = rng.integers(0, 3, size=(5, 8))
-    dense = sp.dense()
-    want = (x.astype(np.int64) @ dense.array.T.astype(np.int64)) % 3
-    assert np.array_equal(sp.apply(x), want)
-
-
-@pytest.mark.parametrize(
-    "x",
-    [
-        np.random.default_rng(15).integers(0, 3, size=(5, 8), dtype=np.uint8),
-        np.random.default_rng(16).integers(3, 256, size=(5, 8), dtype=np.uint8),
-        np.random.default_rng(17).integers(-300, 300, size=(3, 5, 8)),
-    ],
-    ids=["uint8-residues", "uint8-unreduced", "int64-signed"],
-)
-def test_signed_permutation_apply_any_integer_input(x):
-    rng = np.random.default_rng(18)
-    sp = SignedPermutation(rng.permutation(8), rng.choice([-1, 1], size=8))
-    want = (x.astype(np.int64) @ sp.dense().array.T.astype(np.int64)) % 3
-    got = sp.apply(x)
+    dense = sp.dense().array.T.astype(np.int64)
+    x = rng.integers(0, 3, size=(5, 8), dtype=np.uint8)
+    terms = sp.terms(x)
+    assert terms.dtype == np.int8
+    assert np.array_equal(reduce_sum(terms), (x.astype(np.int64) @ dense) % 3)
+    partial = rng.integers(-127, 128, size=(3, 5, 8)).astype(np.int8)
+    got = reduce_sum(sp.terms(partial))
     assert got.dtype == np.uint8
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, (partial.astype(np.int64) @ dense) % 3)
+
+
+def test_signed_permutation_terms_reject_other_inputs():
+    sp = SignedPermutation.identity(4)
+    for dtype in (np.int16, np.int64, np.uint16, np.float64):
+        with pytest.raises(TypeError):
+            sp.terms(np.zeros((2, 4), dtype=dtype))
+    with pytest.raises(Gf3ShapeError):
+        sp.terms(np.zeros((2, 5), dtype=np.uint8))
 
 
 def test_residues_reuse_reduced_uint8_and_wrap_negatives():

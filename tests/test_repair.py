@@ -20,8 +20,7 @@ from zigzag3.repair import (
     FIRST_PARITY,
     SECOND_PARITY,
     RepairMatrixPair,
-    RowSelection,
-    _ell_form,
+    SparseRows,
     _gather_sum,
     _residue_stack,
     _transpose,
@@ -216,11 +215,11 @@ def test_data_node_plan_rows_k3():
     # parity, odd-weight rows from the zigzag parity.  Node j >= 1: the rows
     # whose bit j is 0 from every helper.
     p, cm = setup_k(3)
-    rows = {n: m.index.tolist() for n, m in plan_repair(p, cm, 0).downloads.items()}
+    rows = {n: m.slots[:, 0].tolist() for n, m in plan_repair(p, cm, 0).downloads.items()}
     assert rows == {1: [0, 3], 2: [0, 3], 3: [0, 3], 4: [1, 2]}
-    rows = {n: m.index.tolist() for n, m in plan_repair(p, cm, 1).downloads.items()}
+    rows = {n: m.slots[:, 0].tolist() for n, m in plan_repair(p, cm, 1).downloads.items()}
     assert rows == {0: [0, 1], 2: [0, 1], 3: [0, 1], 4: [0, 1]}
-    rows = {n: m.index.tolist() for n, m in plan_repair(p, cm, 2).downloads.items()}
+    rows = {n: m.slots[:, 0].tolist() for n, m in plan_repair(p, cm, 2).downloads.items()}
     assert rows == {0: [0, 2], 1: [0, 2], 3: [0, 2], 4: [0, 2]}
 
 
@@ -242,15 +241,30 @@ def dense_plan(p, cm, failed):
     return downloads, projectors, inverse(Gf3Matrix.stack(pair.s, base))
 
 
+def dense_views(plan):
+    """The plan's downloads, projectors and solve inverse as dense lists."""
+    return (
+        {n: m.array.tolist() for n, m in plan.downloads.items()},
+        {l: m.array.tolist() for l, m in plan.projectors.items()},
+        plan.solve_inverse.array.tolist(),
+    )
+
+
+def oracle_lists(downloads, projectors, solve_inv):
+    return (
+        {n: m.tolist() for n, m in downloads.items()},
+        {l: m.tolist() for l, m in projectors.items()},
+        solve_inv.tolist(),
+    )
+
+
 @pytest.mark.parametrize("k", range(2, 9))
 def test_plan_matches_dense_oracle(k):
     p, cm = setup_k(k)
     for failed in (k, k + 1):
         plan = plan_repair(p, cm, failed)
         downloads, projectors, solve_inv = dense_plan(p, cm, failed)
-        assert plan.downloads == downloads
-        assert plan.projectors == projectors
-        assert plan.solve_inverse == solve_inv
+        assert dense_views(plan) == oracle_lists(downloads, projectors, solve_inv)
         assert plan.io_per_node == {n: m.nonzero_column_count() for n, m in downloads.items()}
 
 
@@ -267,9 +281,7 @@ def test_plan_on_flipped_sign_behaves_like_dense_oracle(k):
             continue
         assert k == 2  # one flipped sign of A_1 still leaves N = 2 consistent
         plan = plan_repair(p, bad, failed)
-        assert (plan.downloads, plan.projectors, plan.solve_inverse) == (
-            downloads, projectors, solve_inv
-        )
+        assert dense_views(plan) == oracle_lists(downloads, projectors, solve_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +306,7 @@ def check_apply(m, x):
 @pytest.mark.parametrize("cols", [1, 5, 64, 200])
 def test_apply_matches_dense_oracle_random(cols):
     rng = np.random.default_rng(cols)
-    m = Gf3Matrix(rng.integers(0, 3, size=(7, cols)))
+    m = SparseRows.from_dense(rng.integers(0, 3, size=(7, cols)))
     check_apply(m, rng.integers(0, 3, size=(11, cols), dtype=np.uint8))
 
 
@@ -309,25 +321,25 @@ def test_apply_worst_case_rows_stay_exact(cols):
     x[2, :1] = 1
     x[3, :2] = 1
     for coefficient in (1, 2):
-        check_apply(Gf3Matrix(np.full((3, cols), coefficient)), x)
+        check_apply(SparseRows.from_dense(np.full((3, cols), coefficient)), x)
 
 
 def test_apply_zero_matrix():
     x = np.arange(30).reshape(3, 10) % 3
-    got = apply_matrix_rows(Gf3Matrix.zeros(4, 10), x.astype(np.uint8))
+    got = apply_matrix_rows(SparseRows.from_dense(np.zeros((4, 10))), x.astype(np.uint8))
     assert got.dtype == np.uint8 and got.shape == (3, 4) and not got.any()
 
 
 def test_apply_unreduced_and_negative_input():
     rng = np.random.default_rng(7)
-    m = Gf3Matrix(rng.integers(0, 3, size=(6, 9)))
+    m = SparseRows.from_dense(rng.integers(0, 3, size=(6, 9)))
     check_apply(m, rng.integers(-1000, 1000, size=(5, 9), dtype=np.int64))
     check_apply(m, rng.integers(3, 256, size=(5, 9), dtype=np.uint8))
 
 
 def test_apply_vector_and_3d_shapes():
     rng = np.random.default_rng(8)
-    m = Gf3Matrix(rng.integers(0, 3, size=(4, 6)))
+    m = SparseRows.from_dense(rng.integers(0, 3, size=(4, 6)))
     vec = rng.integers(0, 3, size=6, dtype=np.uint8)
     assert apply_matrix_rows(m, vec).shape == (4,)
     check_apply(m, vec)
@@ -348,10 +360,10 @@ def test_blocked_transpose_across_block_edges(stripes):
     x = np.random.default_rng(stripes).integers(0, 256, size=(stripes, 128), dtype=np.uint8)
     there = _transpose(x)
     assert there.flags.c_contiguous and np.array_equal(there, x.T)
-    back = _transpose(there)
-    assert back.flags.c_contiguous and np.array_equal(back, x)
     into = np.empty((128, stripes), dtype=np.uint8)
     assert _transpose(x, into) is into and np.array_equal(into, x.T)
+    # The transposed view of a C-contiguous array is copied straight.
+    assert np.array_equal(_transpose(there.T), there)
 
 
 @pytest.mark.parametrize("stripes", BLOCK_EDGE_STRIPES)
@@ -371,7 +383,7 @@ def test_apply_transposed_and_strided_input():
     # A transposed view, strided views along either axis and an unreduced
     # int64 view all read the same symbols.
     rng = np.random.default_rng(12)
-    m = Gf3Matrix(rng.integers(0, 3, size=(9, 40)) * (rng.random((9, 40)) < 0.3))
+    m = SparseRows.from_dense(rng.integers(0, 3, size=(9, 40)) * (rng.random((9, 40)) < 0.3))
     x = rng.integers(0, 3, size=(300, 40), dtype=np.uint8)
     check_apply(m, np.ascontiguousarray(x.T).T)
     check_apply(m, np.repeat(x, 2, axis=0)[::2])
@@ -385,53 +397,96 @@ def test_apply_transposed_and_strided_input():
 def test_gather_sum_reduces_a_full_sum_in_place(sign):
     # A sum already holding 62 terms of 2 (124) takes one more term, then
     # is reduced before the next would leave int8.
-    form = _ell_form(Gf3Matrix([[sign % 3] * 3 + [0]]))
+    m = SparseRows.from_dense([[sign] * 3 + [0]])
     x = np.full((5, 4), 2, dtype=np.uint8)
-    stack = _residue_stack(x, np.empty((9, 5), dtype=np.int8), form.signed)
+    stack = _residue_stack(x, np.empty((9, 5), dtype=np.int8), m.signed)
     acc = np.full((1, 5), 124 * sign, dtype=np.int8)
-    acc, terms = _gather_sum(form, stack, acc, 62)
+    acc, terms = _gather_sum(m, stack, acc, 62)
     assert terms == 3
     assert reduce_sum(acc).tolist() == [[(130 * sign) % 3] * 5]
 
 
 def test_ell_form_slots():
-    form = _ell_form(Gf3Matrix([[0, 1, 2, 0], [0, 0, 0, 0], [2, 0, 0, 0]]))
+    m = SparseRows.from_dense(np.array([[0, 1, 2, 0], [0, 0, 0, 0], [2, 0, 0, 0]], dtype=np.uint8))
     # +1 at column c is slot c, -1 is slot n + c, padding the zero row 2n.
-    assert form.slots.tolist() == [[1, 6], [8, 8], [4, 8]]
-    assert form.signed
-    form = _ell_form(RowSelection(np.array([3, 1]), 4))
-    assert form.slots.tolist() == [[3], [1]] and not form.signed
-    form = _ell_form(SignedPermutation([2, 0, 1], [1, -1, 1]))
-    assert form.slots.tolist() == [[2], [3], [1]] and form.signed
+    assert m.slots.tolist() == [[1, 6], [8, 8], [4, 8]]
+    assert m.signed and m.rows == 3 and m.cols == 4
+    m = SparseRows(np.array([3, 1])[:, None], 4)
+    assert m.slots.tolist() == [[3], [1]] and not m.signed
+    assert m.array.tolist() == [[0, 0, 0, 1], [0, 1, 0, 0]]
+    m = SparseRows.from_permutation(SignedPermutation([2, 0, 1], [1, -1, 1]))
+    assert m.slots.tolist() == [[2], [3], [1]] and m.signed
+
+
+def random_sparse_rows(rng, rows, cols):
+    """A random residue matrix with a zero row, rows of unequal weight (so
+    the form pads) and entries of both signs."""
+    a = rng.integers(0, 3, size=(rows, cols), dtype=np.uint8)
+    a *= (rng.random((rows, cols)) < rng.random((rows, 1))).astype(np.uint8)
+    a[rng.integers(rows)] = 0
+    return a
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_rows_from_dense_round_trip(seed):
+    rng = np.random.default_rng(seed)
+    a = random_sparse_rows(rng, 9, 13)
+    m = SparseRows.from_dense(a)
+    assert np.array_equal(m.array, a)
+    assert (m.slots == 2 * 13).any() and m.signed  # padding and -1 entries
+    assert m.nonzero_column_count() == np.count_nonzero(a.any(axis=0))
+    assert SparseRows.from_dense(np.zeros((3, 5), dtype=np.uint8)).nonzero_column_count() == 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_rows_times_matches_dense(seed):
+    rng = np.random.default_rng(seed)
+    a = random_sparse_rows(rng, 9, 16)
+    p = SignedPermutation(rng.permutation(16), rng.choice([-1, 1], size=16))
+    got = SparseRows.from_dense(a).times(p)
+    assert np.array_equal(got.array, (Gf3Matrix(a) @ p.dense()).array)
+    assert got.nonzero_column_count() == np.count_nonzero(a.any(axis=0))
+    with pytest.raises(ValueError):
+        SparseRows.from_dense(a).times(SignedPermutation.identity(8))
+
+
+def test_sparse_rows_rejects_malformed_slots():
+    for slots in (np.zeros(3), np.zeros((3, 0)), [[0, 9]], [[-1]]):
+        with pytest.raises(ValueError):
+            SparseRows(slots, 4)
 
 
 def test_plan_forms_each_matrix_once():
+    # The row-sum plan's k systematic downloads share one form; the zigzag
+    # plan maps the form of its s, download 0 (A_0 = I), through each A_j.
     p, cm = setup_k(5)
     plan = plan_repair(p, cm, p.k)
-    assert plan._forms == {}  # nothing is formed by planning
-    shards = encode_parts_array(p, cm, np.zeros((p.k, 3, p.n_rows), dtype=np.uint8))
-    execute_repair(plan, compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes}))
-    # The k systematic downloads share one matrix, so one form serves them.
     assert len({id(m) for m in plan.downloads.values()}) == 2
-    assert len(plan._forms) == 2 + len(plan.projectors) + 1
-    assert plan._form(plan.downloads[0]) is plan._form(plan.downloads[1])
+    zigzag = plan_repair(p, cm, p.k + 1)
+    s = zigzag.downloads[0]
+    assert np.array_equal(s.array, build_repair_pair(p.k, SECOND_PARITY).s.array)
+    for j in range(p.k):
+        assert np.array_equal(zigzag.downloads[j].slots, s.times(cm.matrices[j]).slots)
+        assert np.array_equal(zigzag.downloads[j].array, (Gf3Matrix(s.array) @ cm.dense(j)).array)
 
 
 def test_repairs_build_no_dense_matrix(monkeypatch):
-    # Row selections and signed permutations are gathered from their
-    # index form; their dense view is never built on the repair path.
+    # Every plan matrix is gathered from its slots; no dense view of one,
+    # or of a signed permutation, is built to plan or run a repair.
     def refuse(*args):
         raise AssertionError("dense form built")
 
-    monkeypatch.setattr(RowSelection, "array", property(refuse))
+    monkeypatch.setattr(SparseRows, "array", property(refuse))
     monkeypatch.setattr(SignedPermutation, "dense", refuse)
-    p, cm = setup_k(4)
-    shards = encode_parts_array(p, cm, np.random.default_rng(4).integers(0, 3, size=(4, 9, 8), dtype=np.uint8))
-    for failed in range(p.n_nodes):
-        plan = plan_repair(p, cm, failed)
-        downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
-        assert np.array_equal(execute_repair(plan, downloads), shards[failed])
-        assert plan.total_io == expected_repair_io(p, failed)
+    for k in range(2, 9):
+        p, cm = setup_k(k)
+        parts = np.random.default_rng(k).integers(0, 3, size=(k, 9, p.n_rows), dtype=np.uint8)
+        shards = encode_parts_array(p, cm, parts)
+        for failed in range(p.n_nodes):
+            plan = plan_repair(p, cm, failed)
+            downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
+            assert np.array_equal(execute_repair(plan, downloads), shards[failed]), (k, failed)
+            assert plan.total_io == expected_repair_io(p, failed)
 
 
 def run_repair(p, cm, parts, failed):
@@ -460,9 +515,11 @@ def test_data_node_plans_round_trip(k):
         plan = plan_repair(p, cm, failed)
         assert plan.io_per_node == {h: half for h in range(k + 2) if h != failed}
         assert plan.total_io == (k + 1) * half == expected_repair_io(p, failed) == plan.bandwidth
-        assert all(isinstance(m, RowSelection) for m in plan.downloads.values())
-        assert all(isinstance(m, SignedPermutation) and m.size == half for m in plan.projectors.values())
-        assert isinstance(plan.solve_inverse, SignedPermutation)
+        # Raw rows, and signed permutations of N/2 and of N.
+        assert all(m.slots.shape == (half, 1) and not m.signed for m in plan.downloads.values())
+        for m, size in [(m, half) for m in plan.projectors.values()] + [(plan.solve_inverse, p.n_rows)]:
+            assert m.cols == size and m.slots.shape == (size, 1)
+            assert sorted(m.slots[:, 0] % size) == list(range(size))
         downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
         assert np.array_equal(execute_repair(plan, downloads), shards[failed]), (k, failed)
 
@@ -506,10 +563,10 @@ def test_repair_random_files(k):
         plan = plan_repair(p, cm, failed)
         downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
         assert np.array_equal(execute_repair(plan, downloads), shards[failed])
-        # The columns each download's stored form gathers are exactly its
-        # nonzero columns, the ones io_per_node charges for.
+        # The columns each download gathers are exactly its nonzero
+        # columns, the ones io_per_node charges for.
         for node, m in plan.downloads.items():
-            slots = plan._forms[id(m)].slots
+            slots = m.slots
             gathered = np.unique(slots[slots < 2 * p.n_rows] % p.n_rows).tolist()
             assert gathered == np.flatnonzero(m.array.any(axis=0)).tolist()
             assert len(gathered) == plan.io_per_node[node]
