@@ -407,15 +407,15 @@ def cmd_bruteforce(cfg: Config, args) -> int:
         "lower_bound_ceil": result.lower_bound_ceil,
         "construction_io": result.construction_io,
         "valid_pairs": result.valid_pairs,
-        "witness_s": result.witness.s.tolist(),
-        "witness_s_tilde": result.witness.s_tilde.tolist(),
+        "witness_s": result.witness.s.array.tolist(),
+        "witness_s_tilde": result.witness.s_tilde.array.tolist(),
     }
     lines = [
         f"k={result.k}: exhaustive minimum repair I/O = {result.min_io} "
         f"over {result.valid_pairs} canonical valid pairs",
         f"rational floor (ceil): {result.lower_bound_ceil}; construction: {result.construction_io}",
-        f"witness systematic-side matrix: {result.witness.s.tolist()}",
-        f"witness parity-side matrix:     {result.witness.s_tilde.tolist()}",
+        f"witness systematic-side matrix: {result.witness.s.array.tolist()}",
+        f"witness parity-side matrix:     {result.witness.s_tilde.array.tolist()}",
     ]
     _emit(cfg, payload, lines)
     return EXIT_OK

@@ -33,7 +33,7 @@ from .code import (
     encode_parts_array,
 )
 from .gf3 import residues
-from .repair import compute_downloads, execute_repair, expected_repair_io, plan_repair
+from .repair import RepairPlan, compute_downloads, execute_repair, expected_repair_io, plan_repair
 
 __all__ = [
     "CorruptDataError",
@@ -349,9 +349,11 @@ class NodeStore:
 class RepairReport:
     """What one repair did: reads, transfers and per-stage wall time.
 
-    ``stage_seconds`` holds ``plan``, ``downloads`` and ``solve`` for a
-    plan repair, ``decode`` and ``encode`` for a full download, and
-    nothing for a noop.
+    ``stage_seconds`` holds ``downloads`` and ``solve`` for a plan repair,
+    and ``plan`` too on the repair that built the plan (a cluster reuses
+    it for every later repair of that node, which then reports no plan
+    stage); ``decode`` and ``encode`` for a full download; and nothing
+    for a noop.
     """
 
     node_id: int
@@ -373,19 +375,31 @@ class RepairReport:
 
 
 def repair_lost_node(
-    params: CodeParams, cm: CodingMatrixSet, nodes, node_id: int, stripes: int
+    params: CodeParams,
+    cm: CodingMatrixSet,
+    nodes,
+    node_id: int,
+    stripes: int,
+    plans: Optional[dict[int, RepairPlan]] = None,
 ) -> tuple[np.ndarray, RepairReport]:
     """Rebuild the single lost node ``node_id`` through its repair plan.
 
     ``nodes`` maps every other node id to its ``NodeStore``; all k+1 serve
     as helpers, each charged with the symbols its download reads and
-    sends.  The plan, the downloads and the solve are timed separately.
-    Returns the rebuilt (stripes, N) payload and the report; storing the
-    payload is the caller's.
+    sends.  ``plans``, if given, caches plans by node for ``params`` and
+    ``cm``: a plan found there is reused, and one built here is stored
+    there.  The plan (when built), the downloads and the solve are timed
+    separately.  Returns the rebuilt (stripes, N) payload and the report;
+    storing the payload is the caller's.
     """
-    start = time.perf_counter()
-    plan = plan_repair(params, cm, node_id)
-    plan_s = time.perf_counter() - start
+    stage_seconds = {}
+    plan = plans.get(node_id) if plans is not None else None
+    if plan is None:
+        start = time.perf_counter()
+        plan = plan_repair(params, cm, node_id)
+        stage_seconds["plan"] = time.perf_counter() - start
+        if plans is not None:
+            plans[node_id] = plan
     payloads = {}
     reads_per_node = {}
     total_sent = 0
@@ -398,10 +412,10 @@ def repair_lost_node(
         total_sent += sent
     start = time.perf_counter()
     downloads = compute_downloads(plan, payloads)
-    downloads_s = time.perf_counter() - start
+    stage_seconds["downloads"] = time.perf_counter() - start
     start = time.perf_counter()
     restored = execute_repair(plan, downloads)
-    solve_s = time.perf_counter() - start
+    stage_seconds["solve"] = time.perf_counter() - start
     return restored, RepairReport(
         node_id=node_id,
         method="data-plan" if node_id < params.k else "parity-plan",
@@ -411,7 +425,7 @@ def repair_lost_node(
         total_sent=total_sent,
         expected_reads=stripes * expected_repair_io(params, node_id),
         stripes=stripes,
-        stage_seconds={"plan": plan_s, "downloads": downloads_s, "solve": solve_s},
+        stage_seconds=stage_seconds,
     )
 
 
@@ -430,12 +444,19 @@ class ClusterState:
 
     Single-writer: every mutation goes through fail_node/repair_node on one
     thread; NodeStore payloads are only read elsewhere.
+
+    Repair plans are kept per node, each built on the first repair of its
+    node, and dropped together whenever ``cm`` is no longer the coding
+    matrix set they were built from.  Only a state that repairs the same
+    node again reuses one; ``zigzag3 repair`` keeps no plans between runs.
     """
 
     params: CodeParams
     nodes: list[NodeStore]
     meta: FileMeta
     cm: CodingMatrixSet = field(repr=False, default=None)
+    _plans: dict[int, RepairPlan] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _plans_cm: Optional[CodingMatrixSet] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.cm is None:
@@ -506,7 +527,11 @@ class ClusterState:
                 warning=f"node {node_id} is healthy; nothing to repair",
             )
         if self.failed_nodes == [node_id]:
-            restored, report = repair_lost_node(self.params, self.cm, self.nodes, node_id, stripes)
+            if self._plans_cm is not self.cm:
+                self._plans, self._plans_cm = {}, self.cm
+            restored, report = repair_lost_node(
+                self.params, self.cm, self.nodes, node_id, stripes, self._plans
+            )
             node.payload = restored
             node.status = HEALTHY
             return report

@@ -17,32 +17,40 @@ repair reads kN + N - k symbols in total.  That sits just above the
 provable floor of kN + (k-3)N/(2(k-1)) reads, which this module also
 evaluates exactly and, for small k, confirms by exhaustive search.
 
-No rank claim and no plan needs Gaussian elimination.  Every row r of
-``s`` (and of ``s_tilde``) owns a unit column u_r: a column whose only
-nonzero, d_r = +-1, lies in row r.  Those columns prove full row rank, and
-reading any matrix t at them gives the unique X with X s equal to t on
-the pivot columns; the residual R = t - X s vanishes there, so
-rank(stack(s, t)) = rows(s) + rank(R).  R = 0 certifies an interference
-condition (and is the projector's consistency check); for the full-rank
-condition R restricted to the other columns is the Schur complement of
-the stacked system, a signed permutation, which also yields its inverse.
-Products with coding matrices are column scatters of their signed
-permutations.  Dense elimination remains only as a fallback for inputs
-that fail these certificates, where it keeps the reported ranks exact.
+Every matrix here is a ``SparseRows``: a row names, per slot, a row of
+the residue stack [x; -x; 0] of the symbols x it is applied to.  The
+recursion gives each row at most k nonzeros and runs in that form: each
+level appends one slot to every top row and shifts the other matrix into
+the bottom half.  The algebra stays sparse.  A product with a coding
+matrix maps slots through its signed permutation (``SparseRows.times``);
+sums and sparse products are lists of terms, one int64 key each, that
+one sort merges, adding equal cells mod 3.  No step forms a dense
+(N/2) x N or N x N matrix.
 
-Every matrix a plan applies has one type, ``SparseRows``, formed when
-the plan is built: the downloads, projectors and solve inverse of a
-parity repair have at most k nonzeros per row, and a data-node repair
-applies raw row selections and signed permutations.  A ``SparseRows``
-names, per slot of each row, a row of the residue stack [x; -x; 0] of
-the symbols x it is applied to.  Those symbols are laid out as (rows,
-stripes), so a term is one whole-row ``np.take``; terms are summed in
-int8 and reduced through the ``gf3`` table before the sum can leave
-+-127.  No plan holds a dense download: the zigzag parity's downloads
-s A_j are the form of s mapped through each A_j.  Shards and downloads
-keep their (stripes, N) shapes at the API; a repair transposes each
-helper's shard once on the way in and the rebuilt shard once on the way
-out.
+No rank claim and no plan needs Gaussian elimination.  Every row r of
+``s`` (and of ``s_tilde``) owns a unit column u_r, found from column
+counts: a column whose only nonzero, d_r = +-1, lies in row r.  Those
+columns prove full row rank, and reading any matrix t at them gives the
+unique X with X s equal to t on the pivot columns; the residual
+R = t - X s vanishes there, so rank(stack(s, t)) = rows(s) + rank(R).
+R = 0 certifies an interference condition (and is the projector's
+consistency check); for the full-rank condition R is the Schur
+complement of the stacked system, a signed permutation, from whose
+entries the inverse is built.  X and R are linear in t, so each product
+s_tilde P with a coding matrix P is reduced once, and every condition's
+X and R are signed sums of those: s_tilde (I -+ A_l) costs two small
+merges, not a reduction of its own.  A residual that fails these patterns is
+still ranked exactly: singleton rows and columns are peeled off, and
+only what is left goes to dense elimination.
+
+A plan's downloads, projectors and solve inverse have at most k nonzeros
+per row for a parity, and are raw row selections and signed
+permutations for a data node.  The symbols a plan is applied to are laid
+out as (rows, stripes), so a slot is one whole-row ``np.take``; terms
+are summed in int8 and reduced through the ``gf3`` table before the sum
+can leave +-127.  Shards and downloads keep their (stripes, N) shapes at
+the API; a repair transposes each helper's shard once on the way in and
+the rebuilt shard once on the way out.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -83,7 +91,6 @@ __all__ = [
     "SparseRows",
     "RepairPlan",
     "plan_repair",
-    "apply_matrix_rows",
     "compute_downloads",
     "execute_repair",
     "expected_repair_io",
@@ -107,6 +114,244 @@ def _check_variant(variant: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Sparse-row matrices
+# ---------------------------------------------------------------------------
+
+
+class SparseRows:
+    """A GF(3) matrix with few nonzeros per row in padded row ("ELL")
+    form, the one type of every repair matrix.
+
+    ``slots[r, t]`` names a row of the residue stack [x; -x; 0] of the
+    ``cols``-row block x the matrix is applied to: c for a +1 entry of row
+    r in column c, cols + c for a -1 entry, and 2 cols, the zero row, on
+    padding.  Each row has at least one slot and names a column at most
+    once.  A row selection is ``SparseRows(index[:, None], cols)``.  The
+    dense ``array`` is built only when asked for.
+    """
+
+    __slots__ = ("slots", "cols")
+
+    def __init__(self, slots, cols: int):
+        slots = np.asarray(slots, dtype=np.intp)
+        if slots.ndim != 2 or slots.shape[1] < 1:
+            raise Gf3ShapeError(f"slots must be 2-D with at least one column, got shape {slots.shape}")
+        # Read as unsigned, a negative slot exceeds 2 cols too.
+        if slots.size and slots.view(np.uintp).max() > 2 * cols:
+            raise ValueError(f"slots must lie in [0, {2 * cols}]")
+        slots.setflags(write=False)
+        self.slots = slots
+        self.cols = cols
+
+    @classmethod
+    def from_dense(cls, a) -> "SparseRows":
+        """The form of a 2-D matrix, any integers taken mod 3, with each
+        row's nonzeros in ascending column order."""
+        a = residues(a)
+        rows, n = a.shape
+        entries = a.ravel()
+        flat = np.flatnonzero(entries)
+        r, c = np.divmod(flat, n)
+        return _pack(rows, n, r, c, entries[flat])
+
+    @classmethod
+    def from_permutation(cls, target, sign) -> "SparseRows":
+        """The signed permutation whose row r is sign[r] at column
+        target[r], one slot per row; ``_permutation_slots`` checks it."""
+        slots = _permutation_slots(target, sign)
+        if slots.ndim != 1:
+            raise Gf3ShapeError("target and sign must be 1-D")
+        return cls(slots[:, None], slots.shape[0])
+
+    @property
+    def rows(self) -> int:
+        return self.slots.shape[0]
+
+    @property
+    def signed(self) -> bool:
+        """Whether a slot reads past x, into -x or the zero row."""
+        return bool((self.slots >= self.cols).any())
+
+    @property
+    def array(self) -> np.ndarray:
+        """The dense (rows, cols) uint8 matrix."""
+        hit = np.zeros((self.rows, 2 * self.cols + 1), dtype=np.uint8)
+        hit[np.arange(self.rows)[:, None], self.slots] = 1
+        return hit[:, : self.cols] + 2 * hit[:, self.cols : -1]
+
+    def read_columns(self) -> np.ndarray:
+        """Whether each column is read by some slot; padding reads the
+        zero row."""
+        read = np.zeros(2 * self.cols + 1, dtype=bool)
+        read[self.slots] = True
+        return read[: self.cols] | read[self.cols : -1]
+
+    def nonzero_column_count(self) -> int:
+        return int(np.count_nonzero(self.read_columns()))
+
+    def times(self, p: SignedPermutation) -> "SparseRows":
+        """``self @ p``, whose column target[c] is sign[c] times column c.
+
+        One ``np.take`` of the slots through a 2n + 1 entry map: c goes to
+        target[c] (n + target[c] if sign[c] < 0), n + c to target[c]
+        (n + target[c] if sign[c] > 0), and the padding 2n stays.
+        """
+        n = self.cols
+        if p.size != n:
+            raise Gf3ShapeError(f"times: {n} columns @ permutation of size {p.size}")
+        image = np.concatenate([p.target + n * (p.sign < 0), p.target + n * (p.sign > 0), [2 * n]])
+        return SparseRows(np.take(image, self.slots), n)
+
+
+def _permutation_slots(target, sign) -> np.ndarray:
+    """The slots of signed permutations along the last axis: target, or
+    n + target for a -1.  ``ValueError`` unless every row of ``target``
+    is a permutation of 0..n-1 and every sign is +-1; one sort checks
+    every row at once."""
+    target = np.asarray(target, dtype=np.intp)
+    sign = np.asarray(sign)
+    if target.shape != sign.shape or target.ndim < 1:
+        raise Gf3ShapeError("target and sign must have one shape, of at least one axis")
+    n = target.shape[-1]
+    if not (np.sort(target, axis=-1) == np.arange(n)).all():
+        raise ValueError("target is not a permutation of 0..N-1")
+    if not (np.abs(sign) == 1).all():
+        raise ValueError("signs must be +1 or -1")
+    return target + n * (sign < 0)
+
+
+def _pack(rows: int, n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray) -> SparseRows:
+    """The ``SparseRows`` of entries (r, c, v), v in {1, 2}, given in
+    ascending row order with at most one per row and column; each row's
+    slots keep the order given, padding last."""
+    counts = np.bincount(r, minlength=rows)
+    first = np.cumsum(counts) - counts
+    slots = np.full((rows, max(1, int(counts.max(initial=0)))), 2 * n, dtype=np.intp)
+    slots[r, np.arange(r.size) - first[r]] = c + n * (v == 2)
+    return SparseRows(slots, n)
+
+
+def _shift(cols: int) -> int:
+    """Bits below the row in a term key over ``cols`` columns."""
+    return int(cols).bit_length() + 2
+
+
+class _Terms:
+    """A rows x cols matrix as a sum of terms, each one int64 key:
+    row << (b + 2) | column << 2 | value, where b = cols.bit_length()
+    and the value is 1 or 2 (+1 or -1).  A (row, column) cell may take
+    several terms; the matrix is their sum mod 3.  One key per term keeps
+    every pass of the algebra to one array, and sorting the keys sorts
+    the terms by row, then column."""
+
+    __slots__ = ("rows", "cols", "key")
+
+    def __init__(self, rows: int, cols: int, key: np.ndarray):
+        self.rows, self.cols, self.key = rows, cols, key
+
+    @classmethod
+    def of(cls, rows: int, cols: int, r, c, v) -> "_Terms":
+        return cls(rows, cols, (r << _shift(cols)) | (c << 2) | v)
+
+    @property
+    def shift(self) -> int:
+        return _shift(self.cols)
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.key >> self.shift
+
+    @property
+    def c(self) -> np.ndarray:
+        return (self.key >> 2) & ((1 << (self.shift - 2)) - 1)
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.key & 3
+
+
+def _terms(slots: np.ndarray, n: int) -> _Terms:
+    """The terms of a slot array over n columns, one per slot that is not
+    padding, in row order; a row may name a column more than once."""
+    rows = slots.shape[0]
+    low = np.concatenate([(np.arange(n) << 2) | 1, (np.arange(n) << 2) | 2, [0]])
+    key = np.take(low, slots) | (np.arange(rows) << _shift(n))[:, None]
+    return _Terms(rows, n, key[slots < 2 * n])
+
+
+def _stacked(blocks: list[_Terms]) -> _Terms:
+    """Terms of one column count stacked as row blocks."""
+    offsets = np.cumsum([0] + [t.rows for t in blocks])
+    shift = blocks[0].shift
+    key = np.concatenate([t.key + (int(o) << shift) for t, o in zip(blocks, offsets)])
+    return _Terms(int(offsets[-1]), blocks[0].cols, key)
+
+
+def _summed(t: _Terms) -> _Terms:
+    """A sum of terms merged: one term per nonzero cell, sorted by row and
+    then column.
+
+    One ``np.sort`` of the keys lines equal (row, column) cells up, and
+    one ``np.add.reduceat`` adds their values mod 3; what cancels is
+    dropped.
+    """
+    key = np.sort(t.key)
+    cell = key >> 2
+    start = np.flatnonzero(np.concatenate([[True], cell[1:] != cell[:-1]]))
+    if start.size >= key.size:  # no cell repeats (or no terms)
+        return _Terms(t.rows, t.cols, key)
+    total = np.add.reduceat(key & 3, start) % 3
+    return _Terms(t.rows, t.cols, (cell[start[total != 0]] << 2) | total[total != 0])
+
+
+def _merged(t: _Terms) -> SparseRows:
+    """The ``SparseRows`` of a sum of terms, each row in ascending column
+    order."""
+    t = _summed(t)
+    return _pack(t.rows, t.cols, t.r, t.c, t.v)
+
+
+def _combined(parts: list[_Terms], combos) -> _Terms:
+    """One row block per combination, sum_(i, c) c parts[i] over its
+    (index, sign) pairs, stacked and summed by one ``_summed``; a -1
+    flips each term's value (XOR 3)."""
+    rows, shift = parts[0].rows, parts[0].shift
+    keys = [
+        (parts[i].key ^ (3 if sign == -1 else 0)) + (j * rows << shift)
+        for j, combo in enumerate(combos)
+        for i, sign in combo
+    ]
+    return _summed(_Terms(len(combos) * rows, parts[0].cols, np.concatenate(keys)))
+
+
+def _part(t: _Terms, i: int, rows: int) -> _Terms:
+    """Block i of ``rows`` rows of summed terms, renumbered from row 0."""
+    lo, hi = np.searchsorted(t.key, np.array([i, i + 1]) * rows << t.shift)
+    return _Terms(rows, t.cols, t.key[lo:hi] - (i * rows << t.shift))
+
+
+def _gathered(a: _Terms, b: _Terms) -> _Terms:
+    """The terms of the product a @ b, unmerged: every term (r, q, v) of
+    ``a`` contributes v times row q of ``b`` to row r.
+
+    The terms of ``b`` are in row order, so row q is one run of them;
+    the runs of all of ``a``'s terms are laid out by one ``np.repeat`` of
+    their starts plus one ``np.arange``.  Each term of the run keeps b's
+    column and value, with the value flipped (XOR 3) when v is -1.
+    """
+    if a.cols != b.rows:
+        raise Gf3ShapeError(f"product: {a.cols} columns @ {b.rows} rows")
+    bounds = np.searchsorted(b.key, np.arange(b.rows + 1) << b.shift)
+    q = a.c
+    lens = bounds[q + 1] - bounds[q]
+    firsts = np.cumsum(lens) - lens
+    at = np.repeat(bounds[q] - firsts, lens) + np.arange(int(lens.sum()))
+    head = (a.r << b.shift) | (3 * (a.v == 2))
+    low = b.key & ((1 << b.shift) - 1)
+    return _Terms(a.rows, b.cols, np.repeat(head, lens) ^ np.take(low, at))
+
+
+# ---------------------------------------------------------------------------
 # Recursive construction
 # ---------------------------------------------------------------------------
 
@@ -117,11 +362,11 @@ class RepairMatrixPair:
 
     ``s`` is applied by systematic helpers (composed with the coding matrix
     when the zigzag parity is being repaired); ``s_tilde`` is applied by
-    the surviving parity.
+    the surviving parity.  Both are ``SparseRows``.
     """
 
-    s: Gf3Matrix
-    s_tilde: Gf3Matrix
+    s: SparseRows
+    s_tilde: SparseRows
     variant: str
 
     def swapped(self) -> "RepairMatrixPair":
@@ -129,30 +374,42 @@ class RepairMatrixPair:
         return RepairMatrixPair(self.s_tilde, self.s, other)
 
 
-def _seed_blocks(variant: str) -> tuple[Gf3Matrix, Gf3Matrix]:
-    if variant == FIRST_PARITY:
-        return Gf3Matrix([[0, -1]]), Gf3Matrix([[-1, 0]])
-    return Gf3Matrix([[-1, 0]]), Gf3Matrix([[0, -1]])
+# Per variant, the 1 x 2 seeds of the recursion: the slots of s and
+# s_tilde over their 2 columns (c for +1, 2 + c for -1), and the column
+# of the single -1 of each coupling block e and f.
+_SEEDS = {
+    FIRST_PARITY: (([1], [0, 1]), (1, 0)),
+    SECOND_PARITY: (([0, 3], [1]), (0, 1)),
+}
 
 
-def _seed_pair(variant: str) -> tuple[Gf3Matrix, Gf3Matrix]:
-    if variant == FIRST_PARITY:
-        return Gf3Matrix([[0, 1]]), Gf3Matrix([[1, 1]])
-    return Gf3Matrix([[1, -1]]), Gf3Matrix([[0, 1]])
+def _build_recursion(k: int, variant: str) -> tuple[SparseRows, SparseRows]:
+    """Run the joint recursion for the repair pair and coupling blocks.
 
-
-def _build_recursion(k: int, variant: str) -> tuple[Gf3Matrix, Gf3Matrix]:
-    """Run the joint recursion for the repair pair and coupling blocks."""
-    s, st = _seed_pair(variant)
-    e, f = _seed_blocks(variant)
-    for _ in range(k - 2):
-        half = s.rows
-        zero = Gf3Matrix.zeros(half, 2 * half)
-        s_next = Gf3Matrix.stack(Gf3Matrix.hstack(s, e), Gf3Matrix.hstack(zero, st))
-        st_next = Gf3Matrix.stack(Gf3Matrix.hstack(st, -f), Gf3Matrix.hstack(zero, s))
-        s, st = s_next, st_next
-        e, f = Gf3Matrix.block_diag(e, f), Gf3Matrix.block_diag(f, e)
-    return s, st
+    One level maps s, s_tilde, e, f with n columns to
+    s' = [[s, e], [0, s_tilde]], s_tilde' = [[s_tilde, -f], [0, s]],
+    e' = diag(e, f) and f' = diag(f, e).  Each row of e and f holds one
+    -1, so a level appends one entry to every top row, in a slot of its
+    own, and shifts the other matrix's rows n columns right into the
+    bottom half.  Both matrices are carried together as k slots per row
+    over the final N columns, padding where a slot is still empty.
+    """
+    n_final = 1 << (k - 1)
+    pad = 2 * n_final
+    seeds, coupling = _SEEDS[variant]
+    slots = np.full((2, 1, k), pad)
+    for i, seed in enumerate(seeds):
+        slots[i, 0, : len(seed)] = [c + (n_final - 2) * (c >= 2) for c in seed]
+    e = np.array(coupling)[:, None]  # e for s, f for s_tilde
+    n = 2
+    for slot in range(2, k):
+        top = slots.copy()
+        top[:, :, slot] = n + e + [[n_final], [0]]  # e into s, -f into s_tilde
+        bottom = slots[::-1]
+        slots = np.concatenate([top, np.where(bottom < pad, bottom + n, pad)], axis=1)
+        e = np.concatenate([e, e[::-1] + n], axis=1)
+        n *= 2
+    return _merged(_terms(slots[0], n_final)), _merged(_terms(slots[1], n_final))
 
 
 def build_repair_pair(k: int, variant: str) -> RepairMatrixPair:
@@ -185,136 +442,192 @@ class _Pivots(NamedTuple):
 
     unit: np.ndarray  # u_r, one column per row
     sign: np.ndarray  # d_r = s[r, u_r], 1 or 2
-    rest: np.ndarray  # the other columns, ascending
+    row_of: np.ndarray  # r at column u_r, -1 at the other columns
+    rest: _Terms  # s on the other columns
 
 
-def _unit_pivots(s: Gf3Matrix) -> _Pivots | None:
+def _unit_pivots(s: SparseRows) -> _Pivots | None:
     """One unit column per row of ``s``, or None if some row owns none.
 
-    Row r's pivot u_r is the first column whose only nonzero lies in row
-    r; d_r = s[r, u_r] is +-1, its own inverse over GF(3).  Pivots prove
-    that ``s`` has full row rank.
+    A column is a unit column when exactly one slot reads it; row r's
+    pivot u_r is the first unit column its slots read, and d_r = s[r, u_r]
+    is +-1, its own inverse over GF(3).  Pivots prove that ``s`` has full
+    row rank.
     """
-    a = s.array
-    nonzero = a != 0
-    owned = nonzero & (np.count_nonzero(nonzero, axis=0) == 1)
-    if not owned.any(axis=1).all():
+    n = s.cols
+    t = _terms(s.slots, n)
+    r, c, v = t.r, t.c, t.v
+    owned = np.bincount(c, minlength=n)[c] == 1
+    unit = np.full(s.rows, n)
+    np.minimum.at(unit, r[owned], c[owned])
+    if (unit == n).any():
         return None
-    u = np.argmax(owned, axis=1)
-    rest = np.ones(s.cols, dtype=bool)
-    rest[u] = False
-    return _Pivots(u, a[np.arange(s.rows), u], np.flatnonzero(rest))
+    row_of = np.full(n, -1)
+    row_of[unit] = np.arange(s.rows)
+    sign = np.empty(s.rows, dtype=np.intp)
+    mine = owned & (c == unit[r])
+    sign[r[mine]] = v[mine]
+    off = row_of[c] < 0
+    return _Pivots(unit, sign, row_of, _Terms(s.rows, n, t.key[off]))
 
 
-def _eliminate(
-    s: Gf3Matrix, pivots: _Pivots, targets: list[Gf3Matrix]
-) -> tuple[np.ndarray, SparseRows, np.ndarray]:
-    """Reduce the rows of t, the stacked ``targets``, against ``s`` through
-    its pivots.
+def _eliminate(s: SparseRows, pivots: _Pivots, t: _Terms) -> tuple[_Terms, _Terms]:
+    """Reduce the rows of ``t`` against ``s`` through its pivots.
 
     Returns X = t[:, U] diag(d), the unique matrix with X s equal to t on
-    the pivot columns, as uint8 and as ``SparseRows``, and the uint8
-    residual R = t - X s on the other columns.  R vanishes on the pivot
-    columns by construction, so rank(stack(s, t)) = s.rows + rank(R).
-    Rows of X are sparse, so X s is a sparse-row apply.
+    the pivot columns, and the residual R = t - X s, both summed.  X is
+    the terms of ``t`` at the pivot columns, moved to the rows of ``s``
+    that own them; X s equals t there, so R is the merge of t's other
+    terms with the terms of -X s_C, the sparse product of X with the rest
+    of ``s``.  Neither needs ``t`` merged first: X and X s_C are linear
+    in its terms.  So rank(stack(s, t)) = s.rows + rank(R).
     """
-    t = np.vstack([m.array for m in targets])
-    x = (t[:, pivots.unit] * pivots.sign) % 3
-    x_form = SparseRows.from_dense(x)
-    s_rest = s.array[:, pivots.rest]
-    xs = apply_matrix_rows(x_form, s_rest.T).T
-    residual = reduce_sum(t[:, pivots.rest].view(np.int8) - xs.view(np.int8))
-    return x, x_form, residual
+    q = pivots.row_of[t.c]
+    on = q >= 0
+    flip = 3 * (pivots.sign[q[on]] == 2)
+    x = _Terms.of(t.rows, s.rows, t.r[on], q[on], t.v[on] ^ flip)
+    xs = _gathered(_Terms(x.rows, x.cols, x.key ^ 3), pivots.rest)
+    residual = _summed(_Terms(t.rows, s.cols, np.concatenate([t.key[~on], xs.key])))
+    return _summed(x), residual
 
 
-def _residual_rank(r: np.ndarray) -> int:
-    """rank(R): 0 for R = 0, the number of nonzero rows when R has at most
-    one nonzero per row and per column, dense elimination otherwise (only
-    a pair failing its conditions gets there)."""
-    nonzero = r != 0
-    if not nonzero.any():
-        return 0
-    if nonzero.sum(axis=1).max() <= 1 and nonzero.sum(axis=0).max() <= 1:
-        return int(nonzero.any(axis=1).sum())
-    return rank(Gf3Matrix(r))
+def _rank(t: _Terms) -> int:
+    """The rank of a summed matrix, exactly.
 
-
-# Entries of the targets reduced in one ``_eliminate``: small targets
-# share the fixed cost of a call, while a batch this size still fits in
-# cache (one k = 11 target alone is 2^19 entries).
-_BATCH_ENTRIES = 1 << 18
-
-
-def _stacked_ranks(s: Gf3Matrix, targets: list[Gf3Matrix]) -> list[int]:
-    """rank(stack(s, t)) for every t in ``targets``, exactly.
-
-    The pivots of ``s`` are found once, and the targets, all of one shape,
-    are reduced in batches of at most ``_BATCH_ENTRIES`` entries by one
-    ``_eliminate`` each; each rank is then s.rows + rank(R) for that
-    target's block R of the residual.  A matrix without pivots falls back
-    to dense elimination of each stack, so arbitrary pairs still get exact
-    ranks.
+    An entry alone in its column is a pivot: column operations clear the
+    rest of its row, so it adds one to the rank and leaves with its row
+    and column.  Such entries in distinct rows go together, and the next
+    pass does the same on the transpose, whose rank is the same.  Passes
+    alternate until two in a row peel nothing; what is left, if anything,
+    is ranked by dense elimination of its rows and columns.
     """
-    pivots = _unit_pivots(s)
-    if pivots is None:
-        return [rank(Gf3Matrix.stack(s, t)) for t in targets]
-    ranks = []
-    per_batch = max(1, _BATCH_ENTRIES // targets[0].array.size)
-    for i in range(0, len(targets), per_batch):
-        batch = targets[i : i + per_batch]
-        _, _, residual = _eliminate(s, pivots, batch)
-        ranks += [s.rows + _residual_rank(r) for r in np.split(residual, len(batch))]
+    r, c, v = t.r, t.c, t.v
+    peeled, idle = 0, 0
+    while r.size and idle < 2:
+        single = np.flatnonzero(np.bincount(c)[c] == 1)
+        pick = single[np.unique(r[single], return_index=True)[1]]
+        keep = ~(np.isin(r, r[pick]) | np.isin(c, c[pick]))
+        peeled, idle = peeled + pick.size, 0 if pick.size else idle + 1
+        r, c, v = c[keep], r[keep], v[keep]
+    if not r.size:
+        return peeled
+    _, rr = np.unique(r, return_inverse=True)
+    _, cc = np.unique(c, return_inverse=True)
+    dense = np.zeros((rr.max() + 1, cc.max() + 1), dtype=np.uint8)
+    dense[rr, cc] = v
+    return peeled + rank(Gf3Matrix(dense))
+
+
+def _block_ranks(t: _Terms, rows: int) -> list[int]:
+    """The rank of each block of ``rows`` rows of summed terms: its term
+    count when it has at most one per row and per column (zero, or a
+    signed permutation or part of one), else ``_rank``, which only a pair
+    failing its conditions gets to."""
+    blocks = t.rows // rows
+    r, c = t.r, t.c
+    b = r // rows
+    per_row = np.bincount(r, minlength=t.rows).reshape(blocks, rows).max(axis=1, initial=0)
+    per_col = np.bincount(b * t.cols + c, minlength=blocks * t.cols).reshape(blocks, t.cols).max(axis=1, initial=0)
+    ranks = np.bincount(b, minlength=blocks).tolist()
+    for i in np.flatnonzero((per_row > 1) | (per_col > 1)):
+        ranks[i] = _rank(_part(t, i, rows))
     return ranks
 
 
-def _stacked_inverse(s: Gf3Matrix, pivots: _Pivots, m: np.ndarray, schur: np.ndarray) -> SparseRows:
+# Terms of X s_C formed at a time by one ``_eliminate``: small targets
+# share the fixed cost of a call, while large ones are reduced a block
+# or a few at a time, so its arrays stay at a few hundred KB.  On a
+# 2-core VM, one call per block made the k = 2..9 sweep about 40% slower
+# (median), 2^18 was no faster than 2^15, and one unbounded batch raised
+# the traced peak of a k = 16 condition and duality check from 50 to
+# 300 MiB.
+_BATCH_ENTRIES = 1 << 15
+
+
+def _eliminated(
+    s: SparseRows, pivots: _Pivots, blocks: Iterable[_Terms]
+) -> Iterator[tuple[_Terms, _Terms]]:
+    """X and R of ``_eliminate`` for each of the row blocks ``blocks``, of
+    s.rows rows each.  The blocks are stacked a few at a time: a batch
+    takes blocks while the terms of X s_C they may form stay within
+    ``_BATCH_ENTRIES``.  ``blocks`` may be lazy, so only one batch of them
+    is held."""
+    half = s.rows
+    # The widest row of s_C bounds the terms of X s_C per term of a block.
+    per_term = max(1, int(np.bincount(pivots.rest.r, minlength=half).max(initial=0)))
+    for batch in _batches(blocks, lambda t: t.key.size * per_term):
+        x, residual = _eliminate(s, pivots, _stacked(batch))
+        for i in range(len(batch)):
+            yield _part(x, i, half), _part(residual, i, half)
+
+
+def _batches(blocks: Iterable[_Terms], cost) -> Iterator[list[_Terms]]:
+    """Consecutive blocks grouped while their summed ``cost`` stays within
+    ``_BATCH_ENTRIES`` (a block over it goes alone)."""
+    batch, size = [], 0
+    for t in blocks:
+        if batch and size + cost(t) > _BATCH_ENTRIES:
+            yield batch
+            batch, size = [], 0
+        batch.append(t)
+        size += cost(t)
+    if batch:
+        yield batch
+
+
+def _stacked_ranks(s: SparseRows, m: SparseRows, perms: list[SignedPermutation], combos) -> list[int]:
+    """rank(stack(s, t)) for every t = sum_(i, c) c m perms[i] over the
+    (index, sign) pairs of a combination in ``combos``, exactly.
+
+    Each m P is reduced against the unit-column pivots of ``s`` once, and
+    since X and R are linear in the rows reduced, the residual of each t
+    is the signed sum of theirs; its rank is s.rows + rank(R).  A matrix
+    without pivots falls back to dense elimination of each stack, so
+    arbitrary pairs still get exact ranks.
+    """
+    half = s.rows
+    moved = (_terms(m.times(p).slots, m.cols) for p in perms)
+    pivots = _unit_pivots(s)
+    if pivots is None:
+        t = _merged(_combined(list(moved), combos)).array
+        return [rank(Gf3Matrix(np.vstack([s.array, t[i : i + half]]))) for i in range(0, t.shape[0], half)]
+    residual = _combined([r for _, r in _eliminated(s, pivots, moved)], combos)
+    return [half + r for r in _block_ranks(residual, half)]
+
+
+def _stacked_inverse(s: SparseRows, pivots: _Pivots, m: _Terms, schur: _Terms) -> SparseRows:
     """Inverse of the square stack(s, base), from its Schur factors.
 
-    ``m`` = M = base_U diag(d) and ``schur`` = S = base_C - M s_C are what
-    ``_eliminate`` returns for ``base``.  Split the unknowns y at the
-    pivot columns U and the rest C.  The rows s y = top give
-    y_U = d (top - s_C y_C), since s_U = diag(d); the rows base y = bottom
-    then leave S y_C = bottom - M top.  S must be a signed permutation,
-    which also certifies full rank; otherwise ``SingularMatrixError`` is
-    raised.  Solving once with the identity as right-hand side yields the
-    inverse, returned in sparse-row form.
+    ``m`` = M = base_U diag(d) and ``schur`` = S = base - M s are what
+    ``_eliminate`` returns for ``base``; S lives on the columns C off the
+    pivots U.  Split the unknowns y at U and C.  The rows s y = a give
+    y_U = d (a - s_C y_C), since s_U = diag(d); the rows base y = b then
+    leave S y_C = b - M a.  S must be a signed permutation, which also
+    certifies full rank (else ``SingularMatrixError``): row r of it is
+    sigma_r at column c_r, so y[c_r] = sigma_r (b_r - (M a)_r), a row of
+    the inverse with one entry more than row r of M.  Each pivot row
+    y[u_q] = d_q (a_q - sum_c s[q, c] y[c]) is then the sparse product of
+    s_C with those rows.  The inverse maps [a; b] to y, so a is its first
+    half of columns and b its second.
     """
-    try:
-        schur_perm = SignedPermutation.from_dense(Gf3Matrix(schur))
-    except ValueError:
-        raise SingularMatrixError(
-            "Schur complement of the stacked system is not a signed permutation"
-        ) from None
     half, n = s.rows, s.cols
-    # With the identity as right-hand side, top = [I | 0] and bottom = [0 | I],
-    # so bottom - M top = [-M | I].
-    reduced = np.zeros((n - half, n), dtype=np.uint8)
-    reduced[:, :half] = (3 - m) % 3
-    reduced[:, half:] = np.eye(n - half, dtype=np.uint8)
-    # S y = z row by row: sign[r] y[target[r]] = z[r].
-    y_rest = np.empty_like(reduced)
-    y_rest[schur_perm.target] = (reduced * schur_perm.sign_gf3[:, None]) % 3
-    s_rest = SparseRows.from_dense(s.array[:, pivots.rest])
-    top = np.eye(half, n, dtype=np.int16)
-    y_unit = (pivots.sign[:, None] * (top - apply_matrix_rows(s_rest, y_rest.T).T)) % 3
-    out = np.empty((n, n), dtype=np.uint8)
-    out[pivots.unit] = y_unit
-    out[pivots.rest] = y_rest
-    return SparseRows.from_dense(out)
-
-
-def _times_permutation(m: Gf3Matrix, p: SignedPermutation) -> Gf3Matrix:
-    """``m @ p`` as a column scatter: (m p)[:, target[r]] = sign[r] * m[:, r]."""
-    out = np.empty_like(m.array)
-    out[:, p.target] = m.array * p.sign_gf3
-    return Gf3Matrix(out)
-
-
-def _interference_rows(m: Gf3Matrix, a_l: SignedPermutation, variant: str) -> Gf3Matrix:
-    """m (I - A_l) for the row-sum parity; m (I + A_l) for the zigzag
-    parity, where A_0^-1 - A_l^-1 = I + A_l since A_l squares to -I."""
-    moved = _times_permutation(m, a_l)
-    return m - moved if variant == FIRST_PARITY else m + moved
+    r, c, sigma = schur.r, schur.c, schur.v
+    if r.size != half or np.bincount(r, minlength=half).max() != 1 or np.bincount(c, minlength=n).max() != 1:
+        raise SingularMatrixError("Schur complement of the stacked system is not a signed permutation")
+    # r = 0..half-1 in order, so sigma and c are indexed by the rows of S.
+    y = _Terms.of(
+        n,
+        n,
+        np.concatenate([c, c[m.r]]),
+        np.concatenate([half + r, m.c]),
+        np.concatenate([sigma, m.v ^ (3 * (sigma[m.r] == 1))]),
+    )
+    y = _Terms(n, n, np.sort(y.key))
+    rest, d = pivots.rest, pivots.sign
+    # Row u_q takes -d_q s[q, c] times row c of y, and d_q at column q.
+    moved = _Terms.of(n, n, pivots.unit[rest.r], rest.c, rest.v ^ (3 * (d[rest.r] == 1)))
+    pivot_rows = _Terms.of(n, n, pivots.unit, np.arange(half), d)
+    return _merged(_Terms(n, n, np.concatenate([y.key, _gathered(moved, y).key, pivot_rows.key])))
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +660,16 @@ class ConditionReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _condition_rows(s_tilde: Gf3Matrix, cm: CodingMatrixSet, variant: str) -> list[Gf3Matrix]:
-    """The rows stacked under s for each repair condition, by column
-    scatters: s_tilde A_0^(+-1) for full rank, then s_tilde (I -+ A_l)
-    for interference l = 1..k-1."""
+def _conditions(cm: CodingMatrixSet, variant: str) -> tuple[list[SignedPermutation], list]:
+    """The signed permutations P whose products m P the repair conditions
+    combine, and each condition's combination as (index, sign) pairs:
+    m A_0^(+-1) for full rank, then m (I - A_l) for the row-sum parity
+    and m (I + A_l) for the zigzag parity, l = 1..k-1 (A_0^-1 - A_l^-1 =
+    I + A_l since A_l squares to -I)."""
     a0 = cm.matrices[0] if variant == FIRST_PARITY else cm.matrices[0].inverse()
-    rows = [_times_permutation(s_tilde, a0)]
-    rows += [_interference_rows(s_tilde, cm.matrices[l], variant) for l in range(1, cm.params.k)]
-    return rows
+    perms = [SignedPermutation.identity(cm.params.n_rows), a0, *cm.matrices[1:]]
+    sign = -1 if variant == FIRST_PARITY else 1
+    return perms, [((1, 1),)] + [((0, 1), (l + 1, sign)) for l in range(1, cm.params.k)]
 
 
 def _condition_report(variant: str, n: int, ranks: list[int]) -> ConditionReport:
@@ -371,16 +686,16 @@ def verify_repair_conditions(
     rank N/2 (cancellability).
 
     The ranks are ``_stacked_ranks`` of ``pair.s`` over the rows of
-    ``_condition_rows``, reduced against one set of pivots.  With unit-column
-    pivots in ``pair.s``, an interference rank of N/2 is certified by a
-    zero residual and full rank by a signed-permutation residual; any
-    other residual is ranked exactly, so a failing pair reports its true
-    rank.
+    ``_conditions``, reduced against one set of pivots.  With
+    unit-column pivots in ``pair.s``, an interference rank of N/2 is
+    certified by a zero residual and full rank by a signed-permutation
+    residual; any other residual is ranked exactly, so a failing pair
+    reports its true rank.
     """
     if variant is None:
         variant = pair.variant
     _check_variant(variant)
-    ranks = _stacked_ranks(pair.s, _condition_rows(pair.s_tilde, cm, variant))
+    ranks = _stacked_ranks(pair.s, pair.s_tilde, *_conditions(cm, variant))
     return _condition_report(variant, cm.params.n_rows, ranks)
 
 
@@ -416,21 +731,22 @@ def verify_duality(pair: RepairMatrixPair, cm: CodingMatrixSet) -> DualityReport
     swapped conditions and every left side against the unit-column pivots
     of ``s_tilde``, every right side against those of ``s``.  When the
     swapped pair serves the zigzag parity, its interference rows are the
-    left sides s(I + A_l) themselves, so their ranks are reused.
+    left sides s(I + A_l) themselves, so their ranks are reused; else the
+    left sides combine the same products s A_l.
     """
     swapped = pair.swapped()
     k = cm.params.k
-    rows = _condition_rows(pair.s, cm, swapped.variant)
+    perms, combos = _conditions(cm, swapped.variant)
     if swapped.variant == SECOND_PARITY:
-        ranks = _stacked_ranks(pair.s_tilde, rows)
+        ranks = _stacked_ranks(pair.s_tilde, pair.s, perms, combos)
         lhs = ranks[1:]
     else:
-        rows += [_interference_rows(pair.s, cm.matrices[l], SECOND_PARITY) for l in range(1, k)]
-        ranks = _stacked_ranks(pair.s_tilde, rows)
+        lhs_combos = [((0, 1), (l + 1, 1)) for l in range(1, k)]
+        ranks = _stacked_ranks(pair.s_tilde, pair.s, perms, combos + lhs_combos)
         lhs = ranks[k:]
     swapped_report = _condition_report(swapped.variant, cm.params.n_rows, ranks[:k])
-    rhs_rows = [_interference_rows(pair.s_tilde, cm.matrices[l], FIRST_PARITY) for l in range(1, k)]
-    rhs = _stacked_ranks(pair.s, rhs_rows)
+    perms, combos = _conditions(cm, FIRST_PARITY)
+    rhs = _stacked_ranks(pair.s, pair.s_tilde, perms, combos[1:])
     equalities = tuple(RankEquality(l, lhs[l - 1], rhs[l - 1]) for l in range(1, k))
     return DualityReport(pair.variant, swapped_report, equalities)
 
@@ -463,34 +779,40 @@ class ZeroColumnReport:
 
 
 def _propagation_violations(
-    params: CodeParams, zero_cols: list[int], other: Gf3Matrix, label: str
+    params: CodeParams, zero_cols: list[int], other: SparseRows, label: str
 ) -> list[str]:
     """Every zero column forces +- equal column pairs in the other matrix:
     the columns at the bit-flipped indices must match the base column up
-    to sign."""
+    to sign.  The columns are the rows of ``other``'s transpose, summed
+    once; a column is equal up to sign when its terms are, or are with
+    every value flipped (XOR 3)."""
+    t = _terms(other.slots, other.cols)
+    columns = _summed(_Terms.of(other.cols, other.rows, t.c, t.r, t.v))
     out = []
     for i in zero_cols:
-        base = other.column(i).astype(np.int16)
+        base = _part(columns, i, 1).key
         for l in range(1, params.k):
             j = i ^ basis_index(params, l)
-            col = other.column(j).astype(np.int16)
-            if not (np.array_equal(col, base) or np.array_equal(col, (-base) % 3)):
+            col = _part(columns, j, 1).key
+            if not (np.array_equal(col, base) or np.array_equal(col, base ^ 3)):
                 out.append(f"{label}: column {j} is not +-column {i} (flip l={l})")
     return out
 
 
 def verify_zero_column_structure(pair: RepairMatrixPair, params: CodeParams) -> ZeroColumnReport:
+    """Zero columns of both matrices, the columns no slot reads, and the
+    +- equal column pairs each of them forces in the other matrix."""
     n = params.n_rows
-    zc_s = pair.s.zero_columns()
-    zc_st = pair.s_tilde.zero_columns()
+    zc_s = np.flatnonzero(~pair.s.read_columns()).tolist()
+    zc_st = np.flatnonzero(~pair.s_tilde.read_columns()).tolist()
     violations = _propagation_violations(params, zc_s, pair.s_tilde, "parity-side")
     violations += _propagation_violations(params, zc_st, pair.s, "systematic-side")
     return ZeroColumnReport(
         variant=pair.variant,
         zero_cols_s=tuple(zc_s),
         zero_cols_s_tilde=tuple(zc_st),
-        nonzero_cols_s=pair.s.nonzero_column_count(),
-        nonzero_cols_s_tilde=pair.s_tilde.nonzero_column_count(),
+        nonzero_cols_s=n - len(zc_s),
+        nonzero_cols_s_tilde=n - len(zc_st),
         per_matrix_floor=n - Fraction(n, 2 * (params.k - 1)),
         propagation_violations=tuple(violations),
     )
@@ -514,87 +836,6 @@ def repair_bandwidth(params: CodeParams) -> int:
     return (params.k + 1) * params.n_rows // 2
 
 
-class SparseRows:
-    """A GF(3) matrix with few nonzeros per row in padded row ("ELL")
-    form, the one type of every plan matrix.
-
-    ``slots[r, t]`` names a row of the residue stack [x; -x; 0] of the
-    ``cols``-row block x the matrix is applied to: c for a +1 entry of row
-    r in column c, cols + c for a -1 entry, and 2 cols, the zero row, on
-    padding.  Each row has at least one slot and names a column at most
-    once.  A row selection is ``SparseRows(index[:, None], cols)``.  The
-    dense ``array`` is built only when asked for.
-    """
-
-    __slots__ = ("slots", "cols")
-
-    def __init__(self, slots, cols: int):
-        slots = np.asarray(slots, dtype=np.intp)
-        if slots.ndim != 2 or slots.shape[1] < 1:
-            raise Gf3ShapeError(f"slots must be 2-D with at least one column, got shape {slots.shape}")
-        # Read as unsigned, a negative slot exceeds 2 cols too.
-        if slots.size and slots.view(np.uintp).max() > 2 * cols:
-            raise ValueError(f"slots must lie in [0, {2 * cols}]")
-        slots.setflags(write=False)
-        self.slots = slots
-        self.cols = cols
-
-    @classmethod
-    def from_dense(cls, a) -> "SparseRows":
-        """The form of a 2-D matrix, any integers taken mod 3, with each
-        row's nonzeros in ascending column order."""
-        a = residues(a)
-        rows, n = a.shape
-        entries = a.ravel()
-        flat = np.flatnonzero(entries)
-        r, c = np.divmod(flat, n)
-        counts = np.bincount(r, minlength=rows)
-        first = np.cumsum(counts) - counts
-        slots = np.full((rows, max(1, int(counts.max(initial=0)))), 2 * n, dtype=np.intp)
-        slots[r, np.arange(flat.size) - first[r]] = c + n * (entries[flat] == 2)
-        return cls(slots, n)
-
-    @classmethod
-    def from_permutation(cls, p: SignedPermutation) -> "SparseRows":
-        """One slot per row: target[r], or size + target[r] for a -1."""
-        return cls((p.target + p.size * (p.sign < 0))[:, None], p.size)
-
-    @property
-    def rows(self) -> int:
-        return self.slots.shape[0]
-
-    @property
-    def signed(self) -> bool:
-        """Whether a slot reads past x, into -x or the zero row."""
-        return bool((self.slots >= self.cols).any())
-
-    @property
-    def array(self) -> np.ndarray:
-        """The dense (rows, cols) uint8 matrix."""
-        hit = np.zeros((self.rows, 2 * self.cols + 1), dtype=np.uint8)
-        hit[np.arange(self.rows)[:, None], self.slots] = 1
-        return hit[:, : self.cols] + 2 * hit[:, self.cols : -1]
-
-    def nonzero_column_count(self) -> int:
-        """Columns that some slot reads; padding reads the zero row."""
-        read = np.zeros(2 * self.cols + 1, dtype=bool)
-        read[self.slots] = True
-        return int(np.count_nonzero(read[: self.cols] | read[self.cols : -1]))
-
-    def times(self, p: SignedPermutation) -> "SparseRows":
-        """``self @ p``, whose column target[c] is sign[c] times column c.
-
-        One ``np.take`` of the slots through a 2n + 1 entry map: c goes to
-        target[c] (n + target[c] if sign[c] < 0), n + c to target[c]
-        (n + target[c] if sign[c] > 0), and the padding 2n stays.
-        """
-        n = self.cols
-        if p.size != n:
-            raise Gf3ShapeError(f"times: {n} columns @ permutation of size {p.size}")
-        image = np.concatenate([p.target + n * (p.sign < 0), p.target + n * (p.sign > 0), [2 * n]])
-        return SparseRows(np.take(image, self.slots), n)
-
-
 @dataclass(frozen=True)
 class RepairPlan:
     """Everything precomputed for rebuilding one lost node from the k+1
@@ -609,7 +850,9 @@ class RepairPlan:
     gathers, int8 sums and one apply.
 
     Every matrix is a ``SparseRows``, formed when the plan is built; the
-    row-sum plan's k systematic downloads share one.
+    row-sum plan's k systematic downloads share one.  A plan depends only
+    on the code, its coding matrices and the node, so it can be reused for
+    every repair of that node.
     """
 
     params: CodeParams
@@ -668,8 +911,7 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
     T and the bottom half, signed, at A_j's targets of Z.  Every helper
     reads the N/2 raw rows it sends.  Coding matrices without this
     structure make a restricted map fail to be a permutation, which
-    ``SignedPermutation`` rejects with ``ValueError`` before the plan
-    takes its sparse-row form.
+    ``_permutation_slots`` rejects with ``ValueError``.
     """
     k, n = params.k, params.n_rows
     half = n // 2
@@ -687,12 +929,11 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
     position = np.full(n, -1)
     position[top_rows] = np.arange(half)
     others = [i for i in range(k) if i != failed]
-    projectors = {
-        i: SparseRows.from_permutation(
-            SignedPermutation(position[cm.matrices[i].target[zig_rows]], -cm.matrices[i].sign[zig_rows])
-        )
-        for i in others
-    }
+    # The k-1 projectors, checked together: one row of slots each.
+    mats = [cm.matrices[i] for i in others]
+    targets = position[np.stack([m.target for m in mats])[:, zig_rows]]
+    slots = _permutation_slots(targets, -np.stack([m.sign for m in mats])[:, zig_rows])
+    projectors = {i: SparseRows(row[:, None], half) for i, row in zip(others, slots)}
     lost = a_j.target[zig_rows]
     target = position.copy()
     target[lost] = half + np.arange(half)
@@ -708,7 +949,7 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
         top={k: 1, **{i: -1 for i in others}},
         bottom_node=k + 1,
         projectors=projectors,
-        solve_inverse=SparseRows.from_permutation(SignedPermutation(target, sign)),
+        solve_inverse=SparseRows.from_permutation(target, sign),
     )
 
 
@@ -719,18 +960,16 @@ def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> Repair
     The systematic downloads sum to the lost shard's half-image (the
     top); the surviving parity's download plus the projected interference
     terms form the bottom.  The zigzag parity's download for helper j is
-    s A_j, the form of s mapped through A_j by ``SparseRows.times``, and
-    every product with a coding matrix in the elimination is a column
-    scatter by its signed permutation.  Projector l is X_l of
-    ``_eliminate`` for the interference rows s_tilde (I -+ A_l), read off
-    at the unit-column pivots of ``pair.s``; a nonzero residual means
-    those rows leave the row space of ``pair.s`` and raises
-    ``InconsistentSystemError``.  The same elimination of the solve base
-    s_tilde A_0^(+-1) gives the Schur factors of the stacked system, whose
-    inverse ``_stacked_inverse`` builds; it raises ``SingularMatrixError``
-    unless the Schur complement is a signed permutation.
-    ``MissingPivotError`` is raised if a row of ``pair.s`` owns no unit
-    column.
+    s A_j, the form of s mapped through A_j by ``SparseRows.times``.
+    Projector l is X of ``_eliminate`` for the interference rows
+    s_tilde (I -+ A_l), read off at the unit-column pivots of ``pair.s``;
+    a nonzero residual means those rows leave the row space of ``pair.s``
+    and raises ``InconsistentSystemError``.  The same
+    elimination of the solve base s_tilde A_0^(+-1) gives the Schur
+    factors of the stacked system, whose inverse ``_stacked_inverse``
+    builds; it raises ``SingularMatrixError`` unless the Schur complement
+    is a signed permutation.  ``MissingPivotError`` is raised if a row of
+    ``pair.s`` owns no unit column.
     """
     k = params.k
     variant = FIRST_PARITY if failed == k else SECOND_PARITY
@@ -741,25 +980,32 @@ def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> Repair
     if pivots is None:
         raise MissingPivotError(f"a row of the {variant} systematic-side matrix owns no unit column")
 
-    s_form = SparseRows.from_dense(pair.s.array)
     if variant == FIRST_PARITY:
-        downloads = {j: s_form for j in range(k)}
+        downloads = {j: pair.s for j in range(k)}
     else:
-        downloads = {j: s_form.times(cm.matrices[j]) for j in range(k)}
-    downloads[surviving] = SparseRows.from_dense(pair.s_tilde.array)
+        downloads = {j: pair.s.times(cm.matrices[j]) for j in range(k)}
+    downloads[surviving] = pair.s_tilde
 
-    # One elimination serves the solve base and the k-1 projectors, row blocks of X.
-    stacked, x, residual = _eliminate(pair.s, pivots, _condition_rows(pair.s_tilde, cm, variant))
-    if residual[half:].any():
+    # Each product s_tilde P is reduced once; block l of the conditions is
+    # a signed sum of two of them, and so are its X, projector l, and its
+    # residual, which must vanish.  The base's X and R are the Schur factors.
+    perms, combos = _conditions(cm, variant)
+    moved = (_terms(pair.s_tilde.times(p).slots, pair.s.cols) for p in perms)
+    xs, residuals = zip(*_eliminated(pair.s, pivots, moved))
+    if _combined(residuals, combos[1:]).key.size:
         raise InconsistentSystemError("target rows are not in the row space")
+    projectors = {}
+    for l, combo in enumerate(combos[1:], 1):
+        x = _combined(xs, [combo])
+        projectors[l] = _pack(half, half, x.r, x.c, x.v)
     return RepairPlan(
         params=params,
         failed_node=failed,
         downloads=downloads,
         top={j: 1 for j in range(k)},
         bottom_node=surviving,
-        projectors={l: SparseRows(x.slots[l * half : (l + 1) * half], half) for l in range(1, k)},
-        solve_inverse=_stacked_inverse(pair.s, pivots, stacked[:half], residual[:half]),
+        projectors=projectors,
+        solve_inverse=_stacked_inverse(pair.s, pivots, xs[1], residuals[1]),
     )
 
 
@@ -838,26 +1084,6 @@ def _apply(m: SparseRows, stack: np.ndarray) -> np.ndarray:
     residues and needs no reduction."""
     acc, terms = _gather_sum(m, stack)
     return acc.view(np.uint8) if terms == 1 and not m.signed else reduce_sum(acc)
-
-
-def apply_matrix_rows(m: SparseRows, x: np.ndarray) -> np.ndarray:
-    """Apply ``m`` to the last axis of ``x``: out[..., r] = sum_c m[r,c] x[..., c].
-
-    ``x`` may hold any integers, in any layout; the result is uint8
-    residues of shape ``x.shape[:-1] + (m.rows,)``, returned as the
-    transposed view of a C-contiguous (m.rows, vectors) array.  The
-    residues of ``x`` are laid out symbol-major, as (m.cols, vectors), by
-    one blocked transpose (none when ``x`` is itself such a transposed
-    view), and every slot of ``m`` is a whole-row gather from their
-    residue stack, so the work is O(nonzeros) rows.
-    """
-    x = np.asarray(x)
-    if x.shape[-1] != m.cols:
-        raise ValueError(f"last axis {x.shape[-1]} != matrix cols {m.cols}")
-    flat = residues(x).reshape(-1, m.cols)
-    buf = np.empty((2 * m.cols + 1, flat.shape[0]), dtype=np.int8)
-    out = _apply(m, _residue_stack(flat, buf, m.signed))
-    return out.T.reshape(x.shape[:-1] + (m.rows,))
 
 
 def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -1075,7 +1301,7 @@ def brute_force_min_io(k: int, cm: CodingMatrixSet | None = None) -> BruteForceR
             io = k * n1 + nonzero_counts[ti]
             if best_io is None or io < best_io:
                 best_io = io
-                best_pair = RepairMatrixPair(s, st, FIRST_PARITY)
+                best_pair = (s, st)
     if best_pair is None:
         raise RuntimeError("no valid repair pair found; conditions are unsatisfiable?")
 
@@ -1087,7 +1313,7 @@ def brute_force_min_io(k: int, cm: CodingMatrixSet | None = None) -> BruteForceR
     return BruteForceResult(
         k=k,
         min_io=best_io,
-        witness=best_pair,
+        witness=RepairMatrixPair(*(SparseRows.from_dense(m.array) for m in best_pair), FIRST_PARITY),
         valid_pairs=valid,
         lower_bound_ceil=bound.lower_bound_ceil,
         construction_io=bound.achieved_io,

@@ -4,8 +4,9 @@ Run over a range of k, this checks the MDS ranks, the equivalence of the
 two coding-matrix constructions, the encoder's two parity formulas on
 random data, both variants' repair rank conditions, the swap duality, the
 zero-column census/propagation behind the I/O counts, and the I/O meter
-formulas on a repair plan for every node.  Each check records its wall-clock seconds.  A fault
-hook lets tests corrupt the coding matrices and watch the sweep object.
+formulas on a repair plan for every node.  Each check records its
+wall-clock seconds.  A fault hook lets tests corrupt the coding matrices
+and watch the sweep object.
 """
 
 from __future__ import annotations
@@ -102,14 +103,21 @@ def _check_equivalence(params: CodeParams, cm: CodingMatrixSet) -> tuple[bool, s
             return False, f"matrix {j} differs from the row/coefficient construction"
     return True, f"all {params.k} matrices agree entrywise"
 
+# Symbols of random stripes drawn at a time by ``encoder-forms``, so that
+# ``trials`` costs time, not memory.
+_TRIAL_SYMBOLS = 1 << 20
+
+
 def _check_encoder_forms(
     params: CodeParams, cm: CodingMatrixSet, trials: int, rng: np.random.Generator
 ) -> tuple[bool, str]:
-    parts = rng.integers(0, 3, size=(params.k, trials, params.n_rows), dtype=np.uint8)
-    by_rows = second_parity_by_rows(params, parts)
-    by_mats = second_parity_by_matrices(cm, parts)
-    if not np.array_equal(by_rows, by_mats):
-        return False, "row-rule and matrix parities diverge on random data"
+    """Both parity formulas on ``trials`` random stripes, drawn and
+    compared in blocks of at most ``_TRIAL_SYMBOLS`` symbols."""
+    step = max(1, _TRIAL_SYMBOLS // params.file_symbols)
+    for start in range(0, trials, step):
+        parts = rng.integers(0, 3, size=(params.k, min(step, trials - start), params.n_rows), dtype=np.uint8)
+        if not np.array_equal(second_parity_by_rows(params, parts), second_parity_by_matrices(cm, parts)):
+            return False, "row-rule and matrix parities diverge on random data"
     return True, f"{trials} random stripes agree"
 
 

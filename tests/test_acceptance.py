@@ -151,12 +151,12 @@ def test_criterion_1_golden_matrices():
     with criterion(1, "golden repair matrices k=3,4,5", budget=1.0):
         for k, (s, st) in GOLDEN_FIRST.items():
             pair = build_repair_pair(k, FIRST_PARITY)
-            assert pair.s == Gf3Matrix(s), f"systematic-side matrix, first parity, k={k}"
-            assert pair.s_tilde == Gf3Matrix(st), f"parity-side matrix, first parity, k={k}"
+            assert Gf3Matrix(pair.s.array) == Gf3Matrix(s), f"systematic-side matrix, first parity, k={k}"
+            assert Gf3Matrix(pair.s_tilde.array) == Gf3Matrix(st), f"parity-side matrix, first parity, k={k}"
         for k, (s, st) in GOLDEN_SECOND.items():
             pair = build_repair_pair(k, SECOND_PARITY)
-            assert pair.s == Gf3Matrix(s), f"systematic-side matrix, second parity, k={k}"
-            assert pair.s_tilde == Gf3Matrix(st), f"parity-side matrix, second parity, k={k}"
+            assert Gf3Matrix(pair.s.array) == Gf3Matrix(s), f"systematic-side matrix, second parity, k={k}"
+            assert Gf3Matrix(pair.s_tilde.array) == Gf3Matrix(st), f"parity-side matrix, second parity, k={k}"
 
 
 def test_criterion_2_construction_equivalence():

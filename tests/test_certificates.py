@@ -1,10 +1,12 @@
 """Unit-column certificates against the dense-elimination oracle.
 
 The runtime checks MDS ranks by a cycle walk and the repair rank
-conditions by unit-column pivots.  The dense bodies they replaced are
-kept here, and the reports of both must agree exactly, on the healthy
-coding matrices and on ones with a flipped sign.
+conditions by unit-column pivots, on sparse rows.  The dense bodies they
+replaced are kept here, and the reports of both must agree exactly, on
+the healthy coding matrices and on ones with a flipped sign.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,8 +32,10 @@ from zigzag3.repair import (
     MissingPivotError,
     RankEquality,
     RepairMatrixPair,
+    SparseRows,
+    ZeroColumnReport,
+    _conditions,
     _stacked_ranks,
-    _times_permutation,
     _unit_pivots,
     build_repair_pair,
     compute_downloads,
@@ -39,7 +43,9 @@ from zigzag3.repair import (
     plan_repair,
     verify_duality,
     verify_repair_conditions,
+    verify_zero_column_structure,
 )
+from zigzag3.code import basis_index
 from zigzag3.verification import flip_one_sign, run_sweep
 
 VARIANTS = (FIRST_PARITY, SECOND_PARITY)
@@ -69,6 +75,10 @@ def dense_verify_mds(cm):
     return MdsReport(params, tuple(violations))
 
 
+def dense(m):
+    return Gf3Matrix(m.array)
+
+
 def dense_interference_transform(cm, l, variant):
     identity = cm.dense(0)
     if variant == FIRST_PARITY:
@@ -80,15 +90,14 @@ def dense_verify_repair_conditions(pair, cm, variant=None):
     if variant is None:
         variant = pair.variant
     n = cm.params.n_rows
+    s, st = dense(pair.s), dense(pair.s_tilde)
     if variant == FIRST_PARITY:
-        base = pair.s_tilde @ cm.dense(0)
+        base = st @ cm.dense(0)
     else:
-        base = pair.s_tilde @ cm.matrices[0].inverse().dense()
-    checks = [ConditionCheck("full-rank", n, rank(Gf3Matrix.stack(pair.s, base)))]
+        base = st @ cm.matrices[0].inverse().dense()
+    checks = [ConditionCheck("full-rank", n, rank(Gf3Matrix.stack(s, base)))]
     for l in range(1, cm.params.k):
-        stacked = Gf3Matrix.stack(
-            pair.s, pair.s_tilde @ dense_interference_transform(cm, l, variant)
-        )
+        stacked = Gf3Matrix.stack(s, st @ dense_interference_transform(cm, l, variant))
         checks.append(ConditionCheck(f"interference-l{l}", n // 2, rank(stacked)))
     return ConditionReport(variant, tuple(checks))
 
@@ -96,13 +105,43 @@ def dense_verify_repair_conditions(pair, cm, variant=None):
 def dense_verify_duality(pair, cm):
     swapped_report = dense_verify_repair_conditions(pair.swapped(), cm)
     identity = cm.dense(0)
+    s, st = dense(pair.s), dense(pair.s_tilde)
     equalities = []
     for l in range(1, cm.params.k):
         a_l = cm.dense(l)
-        lhs = rank(Gf3Matrix.stack(pair.s_tilde, pair.s @ (identity + a_l)))
-        rhs = rank(Gf3Matrix.stack(pair.s, pair.s_tilde @ (identity - a_l)))
+        lhs = rank(Gf3Matrix.stack(st, s @ (identity + a_l)))
+        rhs = rank(Gf3Matrix.stack(s, st @ (identity - a_l)))
         equalities.append(RankEquality(l, lhs, rhs))
     return DualityReport(pair.variant, swapped_report, tuple(equalities))
+
+
+def dense_verify_zero_column_structure(pair, params):
+    n = params.n_rows
+    s, st = dense(pair.s), dense(pair.s_tilde)
+
+    def violations(zero_cols, other, label):
+        out = []
+        for i in zero_cols:
+            base = other.column(i).astype(np.int16)
+            for l in range(1, params.k):
+                j = i ^ basis_index(params, l)
+                col = other.column(j).astype(np.int16)
+                if not (np.array_equal(col, base) or np.array_equal(col, (-base) % 3)):
+                    out.append(f"{label}: column {j} is not +-column {i} (flip l={l})")
+        return out
+
+    zc_s, zc_st = s.zero_columns(), st.zero_columns()
+    return ZeroColumnReport(
+        variant=pair.variant,
+        zero_cols_s=tuple(zc_s),
+        zero_cols_s_tilde=tuple(zc_st),
+        nonzero_cols_s=s.nonzero_column_count(),
+        nonzero_cols_s_tilde=st.nonzero_column_count(),
+        per_matrix_floor=n - Fraction(n, 2 * (params.k - 1)),
+        propagation_violations=tuple(
+            violations(zc_s, st, "parity-side") + violations(zc_st, s, "systematic-side")
+        ),
+    )
 
 
 def coding_sets(k):
@@ -125,6 +164,22 @@ def test_reports_match_dense_oracle(k):
                 pair, cm
             ), (k, label, variant)
             assert verify_duality(pair, cm) == dense_verify_duality(pair, cm), (k, label, variant)
+            assert verify_zero_column_structure(pair, cm.params) == dense_verify_zero_column_structure(
+                pair, cm.params
+            ), (k, label, variant)
+
+
+def test_zero_column_report_on_other_pairs():
+    # Pairs with many zero columns, and columns equal only up to rows.
+    params = CodeParams(3)
+    healthy = build_repair_pair(3, FIRST_PARITY)
+    for s, st in (
+        ([[1, 0, 0, 0], [0, 0, 0, 0]], [[1, 1, 2, 0], [0, 2, 0, 1]]),
+        ([[0, 1, 0, 0], [0, 0, 1, 0]], [[1, 2, 0, 0], [0, 0, 1, 2]]),
+        (healthy.s.array, np.zeros((2, 4))),
+    ):
+        pair = RepairMatrixPair(SparseRows.from_dense(s), SparseRows.from_dense(st), FIRST_PARITY)
+        assert verify_zero_column_structure(pair, params) == dense_verify_zero_column_structure(pair, params)
 
 
 def test_flipped_sign_reports_fail():
@@ -150,6 +205,7 @@ def test_sweep_matches_dense_oracle(fault_hook, monkeypatch):
     monkeypatch.setattr(verification, "verify_mds", dense_verify_mds)
     monkeypatch.setattr(verification, "verify_repair_conditions", dense_verify_repair_conditions)
     monkeypatch.setattr(verification, "verify_duality", dense_verify_duality)
+    monkeypatch.setattr(verification, "verify_zero_column_structure", dense_verify_zero_column_structure)
     want = without_seconds(run_sweep(range(2, 9), trials=5, fault_hook=fault_hook))
     assert got == want
     assert got["passed"] is (fault_hook is None)
@@ -161,42 +217,60 @@ def test_sweep_matches_dense_oracle(fault_hook, monkeypatch):
 
 
 def test_stacked_rank_matches_dense_on_flipped_entries(monkeypatch):
+    # Every way a residual block gets its rank: a zero block, a nonzero
+    # block by its (partial) signed-permutation pattern without `_rank`,
+    # the rest by `_rank` peeling singletons and, if anything is left,
+    # dense elimination.
     dense_calls = []
+    rank_calls = []
+    branches = set()
 
     def counting_rank(m):
         dense_calls.append(m.shape)
         return rank(m)
 
+    def branch_rank(t):
+        rank_calls.append(t.rows)
+        dense_calls.clear()
+        got = real_rank(t)
+        branches.add("dense-fallback" if dense_calls else "peeled")
+        return got
+
+    def branch_block_ranks(t, rows):
+        rank_calls.clear()
+        got = real_block_ranks(t, rows)
+        blocks = np.bincount(t.r // rows, minlength=t.rows // rows)
+        if (blocks == 0).any():
+            branches.add("zero")
+        if np.count_nonzero(blocks) > len(rank_calls):
+            branches.add("pattern")
+        return got
+
+    real_rank, real_block_ranks = repair._rank, repair._block_ranks
     monkeypatch.setattr(repair, "rank", counting_rank)
+    monkeypatch.setattr(repair, "_rank", branch_rank)
+    monkeypatch.setattr(repair, "_block_ranks", branch_block_ranks)
     rng = np.random.default_rng(606)
-    branches = set()
     for k in range(3, 7):
         cm = build_coding_matrices(CodeParams(k))
         for variant in VARIANTS:
             pair = build_repair_pair(k, variant)
+            perms, combos = _conditions(cm, variant)
             for flips in range(4):
                 st = pair.s_tilde.array.copy()
                 for _ in range(flips):
                     r, c = rng.integers(st.shape[0]), rng.integers(st.shape[1])
                     st[r, c] = (st[r, c] + rng.integers(1, 3)) % 3
-                st = Gf3Matrix(st)
-                rows = [_times_permutation(st, cm.matrices[0])]
-                rows += [repair._interference_rows(st, cm.matrices[l], variant) for l in range(1, k)]
-                for t in rows:
-                    dense_calls.clear()
-                    (got,) = _stacked_ranks(pair.s, [t])
-                    assert got == rank(Gf3Matrix.stack(pair.s, t)), (k, variant, flips)
-                    if dense_calls:
-                        branches.add("dense-fallback")
-                    elif got == pair.s.rows:
-                        branches.add("zero")
-                    else:
-                        branches.add("permutation")
-    assert branches == {"zero", "permutation", "dense-fallback"}
+                got = _stacked_ranks(pair.s, SparseRows.from_dense(st), perms, combos)
+                for combo, rank_got in zip(combos, got):
+                    t = sum(sign * (Gf3Matrix(st) @ perms[i].dense()).array.astype(int) for i, sign in combo)
+                    want = rank(Gf3Matrix.stack(dense(pair.s), Gf3Matrix(t)))
+                    assert rank_got == want, (k, variant, flips, combo)
+    assert branches == {"zero", "pattern", "peeled", "dense-fallback"}
 
 
 # A 2 x 4 matrix whose second row owns no unit column.
-PIVOT_FREE = Gf3Matrix([[1, 1, 1, 0], [1, 2, 0, 0]])
+PIVOT_FREE = SparseRows.from_dense([[1, 1, 1, 0], [1, 2, 0, 0]])
 
 
 def test_pivot_free_pair_gets_exact_ranks():
@@ -210,7 +284,9 @@ def test_pivot_free_pair_gets_exact_ranks():
     ):
         assert verify_repair_conditions(pair, cm) == dense_verify_repair_conditions(pair, cm)
         assert verify_duality(pair, cm) == dense_verify_duality(pair, cm)
-        assert _stacked_ranks(pair.s, [pair.s_tilde]) == [rank(Gf3Matrix.stack(pair.s, pair.s_tilde))]
+        identity = SignedPermutation.identity(pair.s.cols)
+        got = _stacked_ranks(pair.s, pair.s_tilde, [identity], [((0, 1),)])
+        assert got == [rank(Gf3Matrix.stack(dense(pair.s), dense(pair.s_tilde)))]
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +362,12 @@ def test_repair_pairs_own_unit_pivots(k, variant):
         assert pivots is not None, (k, variant)
         a = m.array
         assert np.array_equal(a[:, pivots.unit], np.diag(pivots.sign))
-        assert sorted(np.concatenate([pivots.unit, pivots.rest]).tolist()) == list(range(m.cols))
+        assert np.array_equal(np.flatnonzero(pivots.row_of >= 0), np.sort(pivots.unit))
+        assert np.array_equal(pivots.row_of[pivots.unit], np.arange(m.rows))
+        # rest is m off the pivot columns.
+        off = a.copy()
+        off[:, pivots.unit] = 0
+        assert np.array_equal(repair._merged(pivots.rest).array, off)
         # Each pivot is the first unit column of its row.
         unit_cols = np.flatnonzero((a != 0).sum(axis=0) == 1)
         owns = a[:, unit_cols] != 0
@@ -311,10 +392,10 @@ def test_plan_rejects_singular_stack_like_dense_inverse(monkeypatch):
     p = CodeParams(3)
     cm = build_coding_matrices(p)
     s = build_repair_pair(3, FIRST_PARITY).s
-    zero = Gf3Matrix.zeros(*s.shape)
+    zero = SparseRows.from_dense(np.zeros((s.rows, s.cols)))
     monkeypatch.setattr(repair, "build_repair_pair", lambda k, variant: RepairMatrixPair(s, zero, variant))
     with pytest.raises(SingularMatrixError):
-        inverse(Gf3Matrix.stack(s, zero))
+        inverse(Gf3Matrix.stack(dense(s), dense(zero)))
     for failed in (3, 4):
         with pytest.raises(SingularMatrixError):
             plan_repair(p, cm, failed)

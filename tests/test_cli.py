@@ -236,6 +236,30 @@ def test_verify_reports_check_seconds(capsys):
     assert all(len(line.split()) == 4 for line in plain[:-1])
 
 
+@pytest.mark.parametrize("inject", [False, True])
+def test_verify_draws_trials_in_bounded_blocks(inject, monkeypatch, capsys):
+    # With blocks of 24 symbols, two stripes at k = 3 (12 symbols each),
+    # 7 trials are drawn as 2 + 2 + 2 + 1 stripes: --trials costs draws,
+    # not one array of trials stripes.
+    import zigzag3.verification as verification
+
+    drawn = {}
+    real = verification.second_parity_by_rows
+
+    def by_rows(params, parts):
+        drawn.setdefault(params.k, []).append(parts.shape[1])
+        return real(params, parts)
+
+    monkeypatch.setattr(verification, "_TRIAL_SYMBOLS", 24)
+    monkeypatch.setattr(verification, "second_parity_by_rows", by_rows)
+    argv = ["--format", "json", "verify", "--k-range", "3..3", "--trials", "7"]
+    assert main(argv + (["--inject-fault"] if inject else [])) == (2 if inject else 0)
+    check = next(c for c in json.loads(capsys.readouterr().out)["checks"] if c["name"] == "encoder-forms")
+    assert check["passed"] is not inject
+    # A fault shows in the first block; healthy matrices run every block.
+    assert drawn[3] == ([2] if inject else [2, 2, 2, 1])
+
+
 def test_verify_bad_range_exits_5():
     assert main(["verify", "--k-range", "0..3"]) == 5
 

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+import zigzag3.cluster as cluster_module
 from zigzag3.cluster import (
     ClusterState,
     CorruptDataError,
@@ -21,7 +22,9 @@ from zigzag3.cluster import (
     trits_to_bytes,
 )
 from zigzag3.code import CodeParams
+from zigzag3.gf3 import InconsistentSystemError
 from zigzag3.repair import expected_repair_io, repair_bandwidth
+from zigzag3.verification import flip_one_sign
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +384,69 @@ def test_node_ids_out_of_range_rejected(node_id):
         cl.repair_node(node_id)
     assert cl.failed_nodes == [4]
     assert all(n.read_count == 0 for n in cl.nodes)
+
+
+def counting_plans(monkeypatch):
+    """Record the (node, coding matrices) of every plan the cluster builds."""
+    built = []
+
+    def plan(params, cm, node):
+        built.append((node, cm))
+        return real(params, cm, node)
+
+    real = cluster_module.plan_repair
+    monkeypatch.setattr(cluster_module, "plan_repair", plan)
+    return built
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_repeated_repairs_reuse_one_plan(k, monkeypatch):
+    built = counting_plans(monkeypatch)
+    cl = fresh_cluster(k=k, size=300, seed=k)
+    originals = [n.payload.copy() for n in cl.nodes]
+    for node in range(cl.params.n_nodes):
+        plans = []
+        for attempt in range(3):
+            cl.fail_node(node)
+            rep = cl.repair_node(node)
+            assert np.array_equal(cl.nodes[node].payload, originals[node]), (node, attempt)
+            assert rep.matches_expectation
+            # Only the repair that built the plan reports its stage.
+            want = {"plan", "downloads", "solve"} if attempt == 0 else {"downloads", "solve"}
+            assert set(rep.stage_seconds) == want, (node, attempt)
+            plans.append(cl._plans[node])
+        assert plans[0] is plans[1] is plans[2]
+    assert [node for node, _ in built] == list(range(k + 2))
+
+
+def test_replaced_coding_matrices_never_meet_a_stale_plan(monkeypatch):
+    built = counting_plans(monkeypatch)
+    cl = fresh_cluster(k=4, size=200)
+    healthy = cl.cm
+    parity = cl.params.k
+    cl.fail_node(parity)
+    cl.repair_node(parity)
+    # A flipped sign breaks the parity plan: the repair must replan and fail.
+    cl.cm = flip_one_sign(healthy)
+    cl.fail_node(parity)
+    with pytest.raises(InconsistentSystemError):
+        cl.repair_node(parity)
+    assert built[-1] == (parity, cl.cm)
+    # Back on the healthy set, a fresh plan rebuilds the node.
+    original = cl.nodes[0].payload.copy()
+    cl.cm = healthy
+    rep = cl.repair_node(parity)
+    assert "plan" in rep.stage_seconds and built[-1] == (parity, healthy)
+    cl.fail_node(0)
+    assert "plan" in cl.repair_node(0).stage_seconds
+    assert np.array_equal(cl.nodes[0].payload, original)
+    assert [node for node, _ in built] == [parity, parity, parity, 0]
+
+
+def test_from_bytes_builds_no_plan(monkeypatch):
+    built = counting_plans(monkeypatch)
+    cl = fresh_cluster(k=4)
+    assert built == [] and cl._plans == {}
 
 
 def test_repair_reports_stage_seconds():

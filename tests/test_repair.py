@@ -14,6 +14,7 @@ from zigzag3.gf3 import (
     inverse,
     rank,
     reduce_sum,
+    residues,
     solve_left,
 )
 from zigzag3.repair import (
@@ -21,10 +22,14 @@ from zigzag3.repair import (
     SECOND_PARITY,
     RepairMatrixPair,
     SparseRows,
+    _apply,
     _gather_sum,
+    _gathered,
+    _merged,
+    _rank,
     _residue_stack,
+    _Terms,
     _transpose,
-    apply_matrix_rows,
     brute_force_min_io,
     build_repair_pair,
     compute_downloads,
@@ -48,9 +53,45 @@ def setup_k(k):
     return p, build_coding_matrices(p)
 
 
+def dense(m):
+    return Gf3Matrix(m.array)
+
+
 # ---------------------------------------------------------------------------
 # recursive construction
 # ---------------------------------------------------------------------------
+
+
+def dense_recursion(k, variant):
+    """The block recursion on dense matrices, the oracle of the sparse one:
+    (s, s_tilde) of ``build_repair_pair`` as ``Gf3Matrix``."""
+    if variant == FIRST_PARITY:
+        s, st = Gf3Matrix([[0, 1]]), Gf3Matrix([[1, 1]])
+        e, f = Gf3Matrix([[0, -1]]), Gf3Matrix([[-1, 0]])
+    else:
+        s, st = Gf3Matrix([[1, -1]]), Gf3Matrix([[0, 1]])
+        e, f = Gf3Matrix([[-1, 0]]), Gf3Matrix([[0, -1]])
+    for _ in range(k - 2):
+        zero = Gf3Matrix.zeros(s.rows, s.cols)
+        s, st = (
+            Gf3Matrix.stack(Gf3Matrix.hstack(s, e), Gf3Matrix.hstack(zero, st)),
+            Gf3Matrix.stack(Gf3Matrix.hstack(st, -f), Gf3Matrix.hstack(zero, s)),
+        )
+        e, f = Gf3Matrix.block_diag(e, f), Gf3Matrix.block_diag(f, e)
+    return (st, s) if variant == SECOND_PARITY else (s, st)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pair_matches_dense_recursion(k, variant):
+    pair = build_repair_pair(k, variant)
+    s, st = dense_recursion(k, variant)
+    assert dense(pair.s) == s and dense(pair.s_tilde) == st
+    # Each row has at most k nonzeros, in ascending column order.
+    for m in (pair.s, pair.s_tilde):
+        assert m.slots.shape[1] <= k
+        cols = np.where(m.slots < 2 * m.cols, m.slots % m.cols, m.cols)
+        assert np.array_equal(np.sort(cols, axis=1), cols)
 
 
 def coupling_blocks(k, variant):
@@ -91,18 +132,18 @@ def test_helpers_reject_k1():
 
 def test_pair_seeds():
     p = build_repair_pair(2, FIRST_PARITY)
-    assert p.s.tolist() == [[0, 1]] and p.s_tilde.tolist() == [[1, 1]]
+    assert p.s.array.tolist() == [[0, 1]] and p.s_tilde.array.tolist() == [[1, 1]]
     p = build_repair_pair(2, SECOND_PARITY)
-    assert p.s.tolist() == [[0, 1]] and p.s_tilde.tolist() == [[1, 2]]
+    assert p.s.array.tolist() == [[0, 1]] and p.s_tilde.array.tolist() == [[1, 2]]
 
 
 def test_pair_k3_goldens():
     p = build_repair_pair(3, FIRST_PARITY)
-    assert p.s == Gf3Matrix([[0, 1, 0, -1], [0, 0, 1, 1]])
-    assert p.s_tilde == Gf3Matrix([[1, 1, 1, 0], [0, 0, 0, 1]])
+    assert dense(p.s) == Gf3Matrix([[0, 1, 0, -1], [0, 0, 1, 1]])
+    assert dense(p.s_tilde) == Gf3Matrix([[1, 1, 1, 0], [0, 0, 0, 1]])
     p = build_repair_pair(3, SECOND_PARITY)
-    assert p.s == Gf3Matrix([[0, 1, 0, 1], [0, 0, 1, -1]])
-    assert p.s_tilde == Gf3Matrix([[1, -1, -1, 0], [0, 0, 0, 1]])
+    assert dense(p.s) == Gf3Matrix([[0, 1, 0, 1], [0, 0, 1, -1]])
+    assert dense(p.s_tilde) == Gf3Matrix([[1, -1, -1, 0], [0, 0, 0, 1]])
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -110,8 +151,8 @@ def test_pair_k3_goldens():
 def test_pair_ranks(k, variant):
     pair = build_repair_pair(k, variant)
     half = 1 << (k - 2)
-    assert pair.s.shape == pair.s_tilde.shape == (half, 2 * half)
-    assert rank(pair.s) == rank(pair.s_tilde) == half
+    assert pair.s.array.shape == pair.s_tilde.array.shape == (half, 2 * half)
+    assert rank(dense(pair.s)) == rank(dense(pair.s_tilde)) == half
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +267,19 @@ def test_data_node_plan_rows_k3():
 def dense_plan(p, cm, failed):
     """Reference plan from dense products: one solve_left per projector."""
     k = p.k
-    pair = build_repair_pair(k, FIRST_PARITY if failed == k else SECOND_PARITY)
+    s, st = dense_recursion(k, FIRST_PARITY if failed == k else SECOND_PARITY)
     identity = Gf3Matrix.identity(p.n_rows)
     if failed == k:
-        downloads = {j: pair.s for j in range(k)}
+        downloads = {j: s for j in range(k)}
         transforms = {l: identity - cm.dense(l) for l in range(1, k)}
-        base = pair.s_tilde @ cm.dense(0)
+        base = st @ cm.dense(0)
     else:
-        downloads = {j: pair.s @ cm.dense(j) for j in range(k)}
+        downloads = {j: s @ cm.dense(j) for j in range(k)}
         transforms = {l: identity + cm.dense(l) for l in range(1, k)}
-        base = pair.s_tilde @ cm.matrices[0].inverse().dense()
-    downloads[2 * k + 1 - failed] = pair.s_tilde
-    projectors = {l: solve_left(pair.s, pair.s_tilde @ t) for l, t in transforms.items()}
-    return downloads, projectors, inverse(Gf3Matrix.stack(pair.s, base))
+        base = st @ cm.matrices[0].inverse().dense()
+    downloads[2 * k + 1 - failed] = st
+    projectors = {l: solve_left(s, st @ t) for l, t in transforms.items()}
+    return downloads, projectors, inverse(Gf3Matrix.stack(s, base))
 
 
 def dense_views(plan):
@@ -287,6 +328,18 @@ def test_plan_on_flipped_sign_behaves_like_dense_oracle(k):
 # ---------------------------------------------------------------------------
 # executing repairs
 # ---------------------------------------------------------------------------
+
+
+def apply_matrix_rows(m, x):
+    """``m`` applied to the last axis of ``x`` by the runtime's kernel: the
+    residues of ``x`` laid out symbol-major in a residue stack, one
+    whole-row gather per slot, and one reduction."""
+    x = np.asarray(x)
+    if x.shape[-1] != m.cols:
+        raise ValueError(f"last axis {x.shape[-1]} != matrix cols {m.cols}")
+    flat = residues(x).reshape(-1, m.cols)
+    buf = np.empty((2 * m.cols + 1, flat.shape[0]), dtype=np.int8)
+    return _apply(m, _residue_stack(flat, buf, m.signed)).T.reshape(x.shape[:-1] + (m.rows,))
 
 
 def dense_apply(m, x):
@@ -414,8 +467,18 @@ def test_ell_form_slots():
     m = SparseRows(np.array([3, 1])[:, None], 4)
     assert m.slots.tolist() == [[3], [1]] and not m.signed
     assert m.array.tolist() == [[0, 0, 0, 1], [0, 1, 0, 0]]
-    m = SparseRows.from_permutation(SignedPermutation([2, 0, 1], [1, -1, 1]))
+    m = SparseRows.from_permutation([2, 0, 1], [1, -1, 1])
     assert m.slots.tolist() == [[2], [3], [1]] and m.signed
+
+
+def test_from_permutation_rejects_non_permutations():
+    for target, sign in (([0, 0, 1], [1, 1, 1]), ([0, 1, 3], [1, 1, 1]), ([0, -1, 1], [1, 1, 1]),
+                         ([0, 1, 2], [1, 0, 1]), ([0, 1, 2], [1, 2, 1])):
+        with pytest.raises(ValueError):
+            SparseRows.from_permutation(target, sign)
+    with pytest.raises(ValueError):
+        SparseRows.from_permutation([0, 1], [1])
+    assert SparseRows.from_permutation([], []).rows == 0
 
 
 def random_sparse_rows(rng, rows, cols):
@@ -448,6 +511,51 @@ def test_sparse_rows_times_matches_dense(seed):
     assert got.nonzero_column_count() == np.count_nonzero(a.any(axis=0))
     with pytest.raises(ValueError):
         SparseRows.from_dense(a).times(SignedPermutation.identity(8))
+
+
+def random_terms(rng, rows, cols, count):
+    r = np.sort(rng.integers(0, rows, count))
+    return _Terms.of(rows, cols, r, rng.integers(0, cols, count), rng.integers(1, 3, count))
+
+
+def dense_sum(t):
+    """The matrix a list of terms sums to, by dense accumulation."""
+    out = np.zeros((t.rows, t.cols), dtype=np.int64)
+    np.add.at(out, (t.r, t.c), t.v)
+    return out % 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merged_terms_match_dense_sum(seed):
+    # Repeated cells, cells that cancel (1 + 2) and empty rows.
+    rng = np.random.default_rng(seed)
+    t = random_terms(rng, 9, 7, 60)
+    m = _merged(t)
+    assert np.array_equal(m.array, dense_sum(t))
+    cols = np.where(m.slots < 2 * m.cols, m.slots % m.cols, m.cols)
+    assert np.array_equal(np.sort(cols, axis=1), cols)
+    assert _merged(_Terms(3, 5, np.zeros(0, dtype=np.int64))).array.tolist() == [[0] * 5] * 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gathered_product_matches_dense(seed):
+    rng = np.random.default_rng(10 + seed)
+    a, b = random_terms(rng, 6, 8, 20), random_terms(rng, 8, 11, 30)
+    want = (dense_sum(a) @ dense_sum(b)) % 3
+    assert np.array_equal(_merged(_gathered(a, b)).array, want)
+    with pytest.raises(ValueError):
+        _gathered(b, a)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_matches_dense(seed):
+    # Sparse matrices with chains of singletons, and a dense core.
+    rng = np.random.default_rng(30 + seed)
+    a = random_sparse_rows(rng, 12, 10)
+    if seed % 2:
+        a[:4, :4] = rng.integers(0, 3, size=(4, 4))
+    r, c = np.nonzero(a)
+    assert _rank(_Terms.of(12, 10, r, c, a[r, c].astype(np.int64))) == rank(Gf3Matrix(a)), seed
 
 
 def test_sparse_rows_rejects_malformed_slots():
@@ -487,6 +595,27 @@ def test_repairs_build_no_dense_matrix(monkeypatch):
             downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
             assert np.array_equal(execute_repair(plan, downloads), shards[failed]), (k, failed)
             assert plan.total_io == expected_repair_io(p, failed)
+
+
+@pytest.mark.parametrize("failed", ["row-sum", "zigzag"])
+def test_parity_plan_memory_stays_near_what_it_keeps(failed):
+    # Planning works on sparse rows throughout: its traced peak stays
+    # within a small multiple of the slots the plan keeps (no (N/2) x N
+    # or N x N array, each 0.5 or 4 MiB of uint8 at k = 11).
+    import tracemalloc
+
+    p, cm = setup_k(11)
+    node = p.k if failed == "row-sum" else p.k + 1
+    plan_repair(p, cm, node)
+    tracemalloc.start()
+    try:
+        plan = plan_repair(p, cm, node)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrices = {id(m): m for m in [*plan.downloads.values(), *plan.projectors.values(), plan.solve_inverse]}
+    kept = sum(m.slots.nbytes for m in matrices.values())
+    assert peak <= 4 * kept, (peak, kept)
 
 
 def run_repair(p, cm, parts, failed):
