@@ -13,7 +13,9 @@ fixed little-endian header and a CRC32 trailer; see ``shard_to_bytes``.
 
 Both expansions are whole-row table lookups: the digit tables are viewed
 as one opaque six- or five-byte row per byte value, so a single
-``np.take`` turns a byte array into its trit stream.
+``np.take`` turns a byte array into its trit stream.  Unpacking a shard
+reads its packed bytes two at a time, as uint16, and looks each pair up in
+a 65,536-row table of ten-trit rows, so it takes half as many lookups.
 """
 
 from __future__ import annotations
@@ -90,6 +92,14 @@ def _digit_rows(values: int, digits: int) -> np.ndarray:
 _BYTE_TO_TRITS = _digit_rows(256, 6)
 # packed byte value -> its 5 base-3 digits (values >= 243 are invalid)
 _PACKED_TO_TRITS = _digit_rows(243, 5)
+# Two adjacent packed bytes, read as one uint16 -> their 10 digits.  Built
+# through a byte view of every uint16 value, so it holds in either byte
+# order.  A pair with a byte >= 243 gets a clipped row; ``_unpack_trits``
+# rejects such bytes before any lookup.
+_PAIR_TO_TRITS = np.take(
+    _PACKED_TO_TRITS, np.arange(1 << 16, dtype=np.uint16).view(np.uint8), mode="clip"
+).view(np.dtype((np.void, 10)))
+_PAIR_TO_TRITS.setflags(write=False)
 
 
 def _horner(groups: np.ndarray, dtype) -> np.ndarray:
@@ -152,15 +162,26 @@ def _pack_trits(trits: np.ndarray) -> bytes:
 
 
 def _unpack_trits(blob: bytes, trit_count: int) -> np.ndarray:
-    """The first ``trit_count`` trits of 5-trit packed bytes, by one
-    whole-row ``np.take``; a byte >= 243 or too short a payload raises
-    ``ShardFormatError``."""
+    """The first ``trit_count`` trits of 5-trit packed bytes; a byte >= 243
+    or too short a payload raises ``ShardFormatError``.
+
+    Whole-row lookups: each pair of bytes, read as a uint16, takes its 10
+    trits from ``_PAIR_TO_TRITS``, and an odd last byte its 5 trits from
+    ``_PACKED_TO_TRITS``.  Every index is in range, so ``clip`` never
+    clips; it only lets the takes write into the result directly.
+    """
     arr = np.frombuffer(blob, dtype=np.uint8)
     if arr.size and int(arr.max()) >= 243:
         raise ShardFormatError("payload byte >= 243 cannot encode 5 trits")
-    trits = np.take(_PACKED_TO_TRITS, arr).view(np.uint8)
-    if trits.shape[0] < trit_count:
-        raise ShardFormatError(f"payload holds {trits.shape[0]} trits, header claims {trit_count}")
+    if 5 * arr.size < trit_count:
+        raise ShardFormatError(f"payload holds {5 * arr.size} trits, header claims {trit_count}")
+    trits = np.empty(5 * arr.size, dtype=np.uint8)
+    whole = arr.size - arr.size % 2
+    for table, index, rows in (
+        (_PAIR_TO_TRITS, arr[:whole].view(np.uint16), trits[: 5 * whole]),
+        (_PACKED_TO_TRITS, arr[whole:], trits[5 * whole :]),
+    ):
+        np.take(table, index, out=rows.view(table.dtype), mode="clip")
     return trits[:trit_count]
 
 

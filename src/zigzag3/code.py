@@ -8,8 +8,12 @@ coefficient.  Equivalently, node k+1 stores sum_j A_j f_j for k signed
 permutation matrices A_j, built here both by the recursive block definition
 and directly from the row/coefficient description; the two constructions
 must agree entrywise, which the condition sweep checks.  Encoding and
-decoding apply the permutations through the int8 symbol kernel of ``gf3``;
-two lost systematic parts are recovered in closed form, O(N) per stripe.
+decoding apply the permutations through the int8 symbol kernel of ``gf3``.
+Each A_j maps row l to l ^ e_j, and so do their inverses and the products
+decode forms, with l ^ e_j1 ^ e_j2, so every apply is a gather of whole
+8-byte words plus byte reversals inside them (``SignedPermutation.terms``);
+``second_parity_by_rows`` keeps a per-byte gather as the reference.  Two
+lost systematic parts are recovered in closed form, O(N) per stripe.
 
 All symbols live in GF(3) with 2 standing for -1.
 """
@@ -124,35 +128,23 @@ def beta_row_coefficients(params: CodeParams, j: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _recursion_level(k: int) -> list[SignedPermutation]:
-    """Block recursion for the k signed permutations at level k.
+def _recursion_level(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Block recursion for the k signed permutations at level k, each as
+    its (target, sign) arrays.
 
     A_0 = I; A_1 swaps halves with a -1 on the upper right; for j >= 2,
     A_j = diag(B, -B) with B the (j-1)-th matrix one level down.
     """
     n = 1 << (k - 1)
-    if k == 2:
-        return [
-            SignedPermutation.identity(2),
-            SignedPermutation([1, 0], [-1, 1]),
-        ]
-    prev = _recursion_level(k - 1)
     half = n >> 1
-    mats = [SignedPermutation.identity(n)]
-    mats.append(
-        SignedPermutation(
-            np.concatenate([np.arange(half) + half, np.arange(half)]),
-            np.concatenate([-np.ones(half, dtype=np.int8), np.ones(half, dtype=np.int8)]),
-        )
-    )
-    for j in range(2, k):
-        b = prev[j - 1]
-        mats.append(
-            SignedPermutation(
-                np.concatenate([b.target, b.target + half]),
-                np.concatenate([b.sign, -b.sign]),
-            )
-        )
+    ones = np.ones(half, dtype=np.int8)
+    mats = [
+        (np.arange(n), np.ones(n, dtype=np.int8)),
+        (np.concatenate([np.arange(half) + half, np.arange(half)]), np.concatenate([-ones, ones])),
+    ]
+    if k > 2:
+        for target, sign in _recursion_level(k - 1)[1:]:
+            mats.append((np.concatenate([target, target + half]), np.concatenate([sign, -sign])))
     return mats
 
 
@@ -172,7 +164,7 @@ class CodingMatrixSet:
 
 def build_coding_matrices(params: CodeParams) -> CodingMatrixSet:
     """Coding matrices from the recursive block definition."""
-    return CodingMatrixSet(params, tuple(_recursion_level(params.k)))
+    return CodingMatrixSet(params, tuple(SignedPermutation(t, s) for t, s in _recursion_level(params.k)))
 
 
 def coding_matrix_from_zigzag(params: CodeParams, j: int) -> SignedPermutation:

@@ -9,6 +9,12 @@ residues; a signed permutation contributes int8 terms sign * symbol in
 {-2..2}, a caller adds up to a few dozen such terms in int8 without
 overflow, and ``reduce_sum`` maps the sum back to residues with one
 table lookup per pair of adjacent sums instead of a division per term.
+Every zigzag coding matrix, its inverse and every product decode forms
+sends row r to column r ^ c for one constant c, so ``terms`` moves
+whole 8-byte words: it gathers word w from word w ^ (c >> 3) and then
+reorders the bytes inside each word by up to three byte reversals of
+2-, 4- or 8-byte lanes.  Other permutations, and rows shorter than one
+word, are gathered byte by byte.
 
 Dense matrices (rank, solving) are stored row-major as
 read-only uint8 numpy arrays, so all values are immutable after
@@ -112,6 +118,31 @@ def reduce_sum(acc: np.ndarray) -> np.ndarray:
     if acc.ndim and acc.shape[-1] % 2 == 0 and acc.size and acc.flags.c_contiguous:
         return np.take(_PAIR_RESIDUE, acc.view(np.uint16)).view(np.uint8)
     return np.take(_INT8_RESIDUE, acc.view(np.uint8))
+
+
+# Byte reversal inside each 2-, 4- or 8-byte lane maps byte r of a word to
+# r ^ 1, r ^ 3 or r ^ 7, and XORs of those three give every offset 0..7:
+# entry c lists the lane widths to reverse for offset c (5 = 7 ^ 3 ^ 1).
+# A reversal is a cast from the opposite byte order, so it holds in either
+# byte order.
+_LANE_REVERSALS = ((), (2,), (4, 2), (4,), (8, 4), (8, 4, 2), (8, 2), (8,))
+_LANE_DTYPES = {w: (np.dtype(f"u{w}"), np.dtype(f"u{w}").newbyteorder()) for w in (2, 4, 8)}
+
+
+def _xor_gather(x: np.ndarray, c: int) -> np.ndarray:
+    """New int8 array of ``x[..., r ^ c]`` along a contiguous last axis
+    that holds whole 8-byte words: a word gather for ``c >> 3``, then a
+    lane reversal inside each word for every width in
+    ``_LANE_REVERSALS[c & 7]``."""
+    if not c:
+        return x.copy()
+    words = x.view(np.uint64)
+    if c >> 3:
+        words = np.take(words, np.arange(words.shape[-1]) ^ (c >> 3), axis=-1, mode="clip")
+    for width in _LANE_REVERSALS[c & 7]:
+        native, swapped = _LANE_DTYPES[width]
+        words = words.view(swapped).astype(native)
+    return words.view(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +279,7 @@ class SignedPermutation:
     O(N^2) for the dense form.  ``A @ B`` composes two of them.
     """
 
-    __slots__ = ("target", "sign")
+    __slots__ = ("target", "sign", "_xor")
 
     def __init__(self, target, sign):
         target = np.asarray(target, dtype=np.int64)
@@ -264,6 +295,7 @@ class SignedPermutation:
         sign.setflags(write=False)
         self.target = target
         self.sign = sign
+        self._xor = None
 
     @property
     def size(self) -> int:
@@ -296,18 +328,36 @@ class SignedPermutation:
         out[np.arange(n), self.target] = self.sign_gf3
         return Gf3Matrix(out)
 
+    def _word_xor(self) -> int:
+        """The constant c with ``target[r] == r ^ c`` for every row, when
+        there is one and N is a whole number of 8-byte words; -1
+        otherwise.  Found on the first call and kept."""
+        if self._xor is None:
+            n = self.size
+            c = int(self.target[0]) if n else 0
+            fits = n % 8 == 0 and np.array_equal(self.target, np.arange(n) ^ c)
+            self._xor = c if fits else -1
+        return self._xor
+
     def terms(self, x: np.ndarray) -> np.ndarray:
         """Unreduced product along the last axis: int8 sign[r] * x[..., target[r]].
 
         ``x`` holds uint8 residues or an int8 partial sum; the terms keep
         its magnitude, so callers add several of them before one
-        ``reduce_sum``.
+        ``reduce_sum``.  When ``target[r] == r ^ c`` (``_word_xor``) and
+        the last axis of ``x`` is contiguous, the gather moves whole
+        8-byte words (``_xor_gather``); otherwise it takes byte by byte.
         """
         if x.dtype not in (np.uint8, np.int8):
             raise TypeError(f"terms need uint8 residues or an int8 sum, got {x.dtype}")
         if x.shape[-1] != self.size:
             raise Gf3ShapeError(f"vector length {x.shape[-1]} != {self.size}")
-        out = np.take(x.view(np.int8), self.target, axis=-1)
+        x = x.view(np.int8)
+        c = self._word_xor()
+        if c >= 0 and x.strides[-1] == 1:
+            out = _xor_gather(x, c)
+        else:
+            out = np.take(x, self.target, axis=-1)
         out *= self.sign
         return out
 

@@ -64,6 +64,44 @@ def test_unpack_every_packed_value():
     assert _unpack_trits(bytes([242, 100]), 7).tolist() == [2] * 5 + digits(100, 5)[:2]
 
 
+def test_pair_table_matches_the_byte_table_for_every_pair():
+    # All 65,536 uint16 values: where both bytes are valid, the pair row is
+    # the two byte rows side by side, whatever the host's byte order.
+    pair_bytes = np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)
+    rows = cluster_module._PAIR_TO_TRITS.view(np.uint8).reshape(-1, 10)
+    byte_rows = cluster_module._PACKED_TO_TRITS.view(np.uint8).reshape(-1, 5)
+    valid = (pair_bytes < 243).all(axis=1)
+    assert valid.sum() == 243 * 243
+    want = np.concatenate([byte_rows[pair_bytes[valid, 0]], byte_rows[pair_bytes[valid, 1]]], axis=1)
+    assert np.array_equal(rows[valid], want)
+    # Unpacking every valid pair in one payload goes through that table.
+    payload = pair_bytes[valid].tobytes()
+    assert np.array_equal(_unpack_trits(payload, 5 * len(payload)), byte_rows[pair_bytes[valid]].reshape(-1))
+
+
+@pytest.mark.parametrize("length", [1, 3, 7, 64, 1001])
+def test_unpack_odd_and_even_payloads(length):
+    data = np.random.default_rng(length).integers(0, 243, size=length, dtype=np.uint8).tobytes()
+    want = [t for b in data for t in digits(b, 5)]
+    for count in (5 * length, 5 * length - 1, 5 * length - 4, 0):
+        got = _unpack_trits(data, count)
+        assert got.dtype == np.uint8 and got.tolist() == want[:count]
+    with pytest.raises(ShardFormatError, match="header claims"):
+        _unpack_trits(data, 5 * length + 1)
+
+
+@pytest.mark.parametrize("length", [4, 5])
+def test_unpack_rejects_an_invalid_byte_in_either_place_of_a_pair(length):
+    # Positions 0-3 are the first and second byte of two pairs; at length
+    # 5, position 4 is the odd last byte.
+    for pos in range(length):
+        for value in (243, 250, 255):
+            data = bytearray([0, 1, 241, 242, 100][:length])
+            data[pos] = value
+            with pytest.raises(ShardFormatError, match=">= 243"):
+                _unpack_trits(bytes(data), 5 * length)
+
+
 @pytest.mark.parametrize("value", range(243, 256))
 def test_shard_rejects_packed_byte_out_of_range(value):
     # The CRC is recomputed, so only the range check can refuse the byte.

@@ -464,3 +464,54 @@ def test_signed_permutation_compact_dense_roundtrip_on_coding_matrices():
     cm = cm_for(5)
     for m in cm.matrices:
         assert SignedPermutation.from_dense(m.dense()) == m
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_every_encode_and_decode_apply_takes_the_word_gather(k):
+    # Each matrix encode and decode apply (A_j, A_j^-1, P = A_j1^-1 A_j2
+    # and P A_j1^-1 for every pair) is XOR-structured, so none of them
+    # falls back to the per-byte gather.
+    mats = cm_for(k).matrices
+    applied = [*mats, *(m.inverse() for m in mats)]
+    for a1, a2 in itertools.combinations(mats, 2):
+        p = a1.inverse() @ a2
+        applied += [p, p @ a1.inverse()]
+    assert all(m._word_xor() >= 0 for m in applied)
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_encode_and_decode_run_every_apply_through_the_word_gather(k, monkeypatch):
+    # Counted in the code itself: every terms call of an encode and of
+    # each decode from k shards goes through the word gather.
+    import zigzag3.gf3 as gf3
+
+    calls = {"terms": 0, "words": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(SignedPermutation, "terms", counting("terms", SignedPermutation.terms))
+    monkeypatch.setattr(gf3, "_xor_gather", counting("words", gf3._xor_gather))
+    p, cm = CodeParams(k), cm_for(k)
+    parts = np.random.default_rng(500 + k).integers(0, 3, size=(k, 2, p.n_rows), dtype=np.uint8)
+    shards = encode_parts_array(p, cm, parts)
+    for nodes in itertools.combinations(range(k + 2), k):
+        assert np.array_equal(decode_shards_array(p, cm, {i: shards[i] for i in nodes}), parts)
+    assert calls["terms"] > 0 and calls["words"] == calls["terms"]
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_flipped_sign_still_fails_the_encoder_and_matrix_checks(k):
+    # flip_one_sign keeps A_1's XOR target and changes one sign, so the
+    # word gather runs and must still see the fault.
+    from zigzag3.verification import _check_encoder_forms, _check_equivalence
+
+    p = CodeParams(k)
+    bad = flip_one_sign(cm_for(k))
+    assert bad.matrices[1]._word_xor() >= 0
+    assert not _check_encoder_forms(p, bad, 20, np.random.default_rng(k))[0]
+    assert not _check_equivalence(p, bad)[0]

@@ -213,6 +213,21 @@ def test_signed_permutation_terms_match_dense():
     assert np.array_equal(got, (partial.astype(np.int64) @ dense) % 3)
 
 
+def test_word_gather_for_every_xor_constant():
+    # Every c at N = 64: each word offset c >> 3 and each of the eight
+    # lane-reversal combinations for c & 7, on residues and on a partial
+    # sum, against the per-byte gather.
+    rng = np.random.default_rng(14)
+    x = rng.integers(0, 3, size=(3, 64), dtype=np.uint8)
+    partial = rng.integers(-127, 128, size=(2, 3, 64)).astype(np.int8)
+    for c in range(64):
+        sp = SignedPermutation(np.arange(64) ^ c, rng.choice([-1, 1], size=64))
+        assert sp._word_xor() == c
+        for operand in (x, partial):
+            want = np.take(operand.view(np.int8), sp.target, axis=-1) * sp.sign
+            assert np.array_equal(sp.terms(operand), want), c
+
+
 def test_signed_permutation_terms_reject_other_inputs():
     sp = SignedPermutation.identity(4)
     for dtype in (np.int16, np.int64, np.uint16, np.float64):
