@@ -30,16 +30,19 @@ from .code import (
     encode_parts_array,
 )
 from .cluster import (
+    SHARD_VERSION,
     CorruptDataError,
     DataLossError,
     FileMeta,
     NodeStore,
     ShardFormatError,
+    byte_capacity,
     extract,
     ingest,
     repair_lost_node,
     shard_from_bytes,
     shard_to_bytes,
+    shard_version,
     write_shard_file,
 )
 from .repair import brute_force_min_io, io_lower_bound, repair_bandwidth
@@ -117,7 +120,7 @@ def cmd_encode(cfg: Config, args) -> int:
     (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
     _emit(
         cfg,
-        {"command": "encode", **manifest, "out_dir": str(out_dir)},
+        {"command": "encode", **manifest, "shard_version": SHARD_VERSION, "out_dir": str(out_dir)},
         [
             f"encoded {meta.original_len} bytes at k={params.k}: "
             f"{meta.stripe_count} stripe(s), {params.n_nodes} shards in {out_dir}",
@@ -131,38 +134,44 @@ def cmd_encode(cfg: Config, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_shards(paths) -> tuple[CodeParams, int, dict[int, np.ndarray], dict[int, int]]:
-    """Read shard files; returns (params, stripes, payloads, stored CRCs)."""
+def _load_shards(paths) -> tuple[CodeParams, int, int, dict[int, np.ndarray], dict[int, int]]:
+    """Read shard files that share k, stripe count and shard version
+    (anything else raises ``ShardFormatError``); returns (params,
+    stripes, version, payloads, stored CRCs)."""
     payloads: dict[int, np.ndarray] = {}
     crcs: dict[int, int] = {}
     params = None
-    stripes = None
+    stripes = version = None
     for p in paths:
         blob = Path(p).read_bytes()
         sp, node, payload = shard_from_bytes(blob)
+        sv = shard_version(blob)
         if params is None:
-            params, stripes = sp, payload.shape[0]
+            params, stripes, version = sp, payload.shape[0], sv
         elif sp.k != params.k or payload.shape[0] != stripes:
             raise ShardFormatError(
                 f"mixed manifests: {p} has k={sp.k}, stripes={payload.shape[0]}, "
                 f"expected k={params.k}, stripes={stripes}"
             )
+        elif sv != version:
+            raise ShardFormatError(f"mixed shard versions: {p} has version {sv}, expected {version}")
         if node in payloads:
             raise ShardFormatError(f"duplicate shard for node {node}")
         payloads[node] = payload
         crcs[node] = int.from_bytes(blob[-4:], "little")
-    return params, stripes, payloads, crcs
+    return params, stripes, version, payloads, crcs
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _load_manifest(args, shard_paths) -> dict:
+def _load_manifest(args, shard_paths, version: int) -> dict:
     """Read the manifest and check its fields.
 
     ``k``, ``stripes`` and ``original_len`` must be integers (not
-    booleans), ``original_len`` must fit in ``stripes`` stripes, and
+    booleans), ``original_len`` must fit in ``stripes`` stripes of the
+    shard ``version``'s byte layout, and
     ``shard_crc`` must be a list of k+2 integers; anything else raises
     ``ShardFormatError``.
     """
@@ -191,8 +200,7 @@ def _load_manifest(args, shard_paths) -> dict:
     stripes, original_len = manifest["stripes"], manifest["original_len"]
     if stripes < 1:
         raise ShardFormatError(f"manifest {path}: stripes must be at least 1, got {stripes}")
-    # Every byte takes 6 trits (see cluster.bytes_to_trits).
-    capacity = stripes * params.file_symbols // 6
+    capacity = byte_capacity(params, stripes, version)
     if not 0 <= original_len <= capacity:
         raise ShardFormatError(
             f"manifest {path}: original_len {original_len} is outside [0, {capacity}], "
@@ -223,8 +231,8 @@ def _check_against_manifest(
 
 
 def cmd_decode(cfg: Config, args) -> int:
-    params, stripes, payloads, crcs = _load_shards(args.shards)
-    manifest = _load_manifest(args, args.shards)
+    params, stripes, version, payloads, crcs = _load_shards(args.shards)
+    manifest = _load_manifest(args, args.shards, version)
     _check_against_manifest(manifest, params, stripes, crcs)
     if len(payloads) < params.k:
         raise InsufficientShardsError(
@@ -235,7 +243,7 @@ def cmd_decode(cfg: Config, args) -> int:
     parts = decode_shards_array(params, cm, payloads)
     # As in encode: the payloads go before extract builds the output.
     del payloads
-    meta = FileMeta(manifest["original_len"], stripes)
+    meta = FileMeta(manifest["original_len"], stripes, version)
     data = extract(params, parts, meta)
     Path(args.out).write_bytes(data)
     _emit(
@@ -243,6 +251,7 @@ def cmd_decode(cfg: Config, args) -> int:
         {
             "command": "decode",
             "k": params.k,
+            "shard_version": version,
             "shards_used": used,
             "bytes": len(data),
             "out": str(args.out),
@@ -262,9 +271,10 @@ def cmd_repair(cfg: Config, args) -> int:
 
     Every helper must match the CRC that the manifest beside the first
     shard lists for its node, and so must the rebuilt shard before it is
-    written; a mismatch is a format error and writes nothing.
+    written; a mismatch is a format error and writes nothing.  The rebuilt
+    shard takes its helpers' shard version.
     """
-    params, stripes, payloads, crcs = _load_shards(args.shards)
+    params, stripes, version, payloads, crcs = _load_shards(args.shards)
     rebuild = args.rebuild
     if not 0 <= rebuild < params.n_nodes:
         print(f"error: node {rebuild} out of range for k={params.k}", file=sys.stderr)
@@ -279,13 +289,13 @@ def cmd_repair(cfg: Config, args) -> int:
             f"got {len(payloads)}; missing {missing}"
         )
 
-    manifest = _load_manifest(args, args.shards)
+    manifest = _load_manifest(args, args.shards, version)
     _check_against_manifest(manifest, params, stripes, crcs)
 
     helpers = {node: NodeStore(node, payload) for node, payload in payloads.items()}
     cm = build_coding_matrices(params)
     restored, report = repair_lost_node(params, cm, helpers, rebuild, stripes)
-    blob = shard_to_bytes(params, rebuild, restored)
+    blob = shard_to_bytes(params, rebuild, restored, version=version)
     if int.from_bytes(blob[-4:], "little") != manifest["shard_crc"][rebuild]:
         raise ShardFormatError(f"rebuilt node {rebuild} does not match the manifest CRC")
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.shards[0]).parent
@@ -296,6 +306,7 @@ def cmd_repair(cfg: Config, args) -> int:
     payload = {
         "command": "repair",
         "node": rebuild,
+        "shard_version": version,
         "method": report.method,
         "stripes": stripes,
         "reads_per_node": {str(h): c for h, c in sorted(report.reads_per_node.items())},

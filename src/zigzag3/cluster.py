@@ -1,21 +1,31 @@
 """Deterministic in-process simulation of a k+2 node storage cluster.
 
-Byte files are expanded six trits per byte (256 <= 3^6), zero-padded to
-whole stripes of k*N symbols, and encoded stripe by stripe; the code is a
-fixed-size block code, so striping is the standard lift and all meters
-aggregate across stripes.  Repair reads are metered by the nonzero columns
-of the matrix a helper applies, which is exactly the disk-I/O quantity the
-repair strategy optimizes, even though the simulator could trivially read
-whole shards.
+A byte file is read as little-endian 8-byte words, the last one
+zero-padded, and each word is written as its 41 base-3 digits
+(3^41 > 2^64), so a byte costs 41/8 = 5.125 trits.  The digits go to
+stripes of k*N symbols plane by plane: block b of kN words fills stripes
+41b .. 41b+40, stripe 41b+d holding digit d of every word of the block,
+word j*N + r of the block in row r of part j.  A last block of W' < kN
+words is stored digit-major (digit d of word i at d*W' + i) and
+zero-padded to whole stripes.  The code is a fixed-size block code, so
+striping is the standard lift and all meters aggregate across stripes.
+Repair reads are metered by the nonzero columns of the matrix a helper
+applies, which is exactly the disk-I/O quantity the repair strategy
+optimizes, even though the simulator could trivially read whole shards.
 
 On disk a shard packs five trits per byte (3^5 = 243 <= 256) behind a
 fixed little-endian header and a CRC32 trailer; see ``shard_to_bytes``.
+The header's version byte names the byte layout: version 2 is the word
+layout above, version 1 the older one, six trits per byte in file order,
+which ``extract`` still reads.
 
-Both expansions are whole-row table lookups: the digit tables are viewed
-as one opaque six- or five-byte row per byte value, so a single
-``np.take`` turns a byte array into its trit stream.  Unpacking a shard
-reads its packed bytes two at a time, as uint16, and looks each pair up in
-a 65,536-row table of ten-trit rows, so it takes half as many lookups.
+Ingest splits each word by 3^20, 3^10 and 243 into uint8 groups of five
+digits and peels those by uint8 division straight into the digit planes;
+extract runs the inverse Horner steps.  Both work a whole number of
+blocks at a time, so every pass is a contiguous elementwise one and no
+temporary is file-sized.  Unpacking a shard reads its packed bytes two at
+a time, as uint16, and looks each pair up in a 65,536-row table of
+ten-trit rows.
 """
 
 from __future__ import annotations
@@ -42,14 +52,15 @@ __all__ = [
     "ShardFormatError",
     "DataLossError",
     "FileMeta",
-    "bytes_to_trits",
     "trits_to_bytes",
+    "byte_capacity",
     "ingest",
     "extract",
     "SHARD_MAGIC",
     "SHARD_VERSION",
     "shard_to_bytes",
     "shard_from_bytes",
+    "shard_version",
     "write_shard_file",
     "NodeStore",
     "RepairReport",
@@ -79,17 +90,12 @@ class DataLossError(RuntimeError):
 def _digit_rows(values: int, digits: int) -> np.ndarray:
     """The base-3 digits of 0..values-1, most significant first, each
     value's digits viewed as one opaque ``digits``-byte row, read-only."""
-    table = np.array(
-        [[(b // 3**p) % 3 for p in range(digits - 1, -1, -1)] for b in range(values)],
-        dtype=np.uint8,
-    )
+    table = (np.arange(values)[:, None] // 3 ** np.arange(digits - 1, -1, -1) % 3).astype(np.uint8)
     rows = table.view(np.dtype((np.void, digits))).reshape(values)
     rows.setflags(write=False)
     return rows
 
 
-# byte value -> its 6 base-3 digits
-_BYTE_TO_TRITS = _digit_rows(256, 6)
 # packed byte value -> its 5 base-3 digits (values >= 243 are invalid)
 _PACKED_TO_TRITS = _digit_rows(243, 5)
 # Two adjacent packed bytes, read as one uint16 -> their 10 digits.  Built
@@ -101,6 +107,14 @@ _PAIR_TO_TRITS = np.take(
 ).view(np.dtype((np.void, 10)))
 _PAIR_TO_TRITS.setflags(write=False)
 
+# Base-3 digits per 8-byte word: 3^40 < 2^64 < 3^41.
+_WORD_TRITS = 41
+_WORD = np.dtype("<u8")
+_P10 = 3**10
+_P20 = 3**20
+# 2^64 - 1 = _HI_MAX * 3^20 + _LO_MAX
+_HI_MAX, _LO_MAX = divmod(2**64 - 1, _P20)
+
 
 def _horner(groups: np.ndarray, dtype) -> np.ndarray:
     """Base-3 value of each row of trits, most significant first."""
@@ -111,25 +125,82 @@ def _horner(groups: np.ndarray, dtype) -> np.ndarray:
     return vals
 
 
-def bytes_to_trits(data: bytes, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Expand each byte to 6 trits, most significant digit first.
+def _word_digits(words: np.ndarray, planes: np.ndarray) -> None:
+    """Write the base-3 digits of each word, most significant first, into
+    ``planes`` (41, len(words)): plane d gets digit d of every word.
 
-    The trits go to the first 6*len(data) entries of the uint8 array
-    ``out`` (a new array by default), which are returned.  One whole-row
-    ``np.take``: every byte indexes a row, so ``clip`` never clips; it
-    only lets the take write into ``out`` directly, where the default
-    ``raise`` mode buffers it.
+    A word splits by 3^20 into halves, each half by 3^10 into quarters and
+    each quarter by 243 into two uint8 groups of five digits.  The top
+    quarter holds eleven digits, but is at most 89,594 < 2 * 3^10: its
+    top digit is 1 exactly when it reaches 3^10, and is taken out first.
+    The eight groups are then peeled together, four uint8 divisions
+    writing straight into the planes.
     """
-    if out is None:
-        out = np.empty(6 * len(data), dtype=np.uint8)
-    trits = out[: 6 * len(data)]
-    rows = trits.view(_BYTE_TO_TRITS.dtype)
-    np.take(_BYTE_TO_TRITS, np.frombuffer(data, dtype=np.uint8), out=rows, mode="clip")
-    return trits
+    count = words.shape[0]
+    halves = np.empty((2, count), dtype=np.uint64)
+    np.floor_divide(words, _P20, out=halves[0])
+    np.multiply(halves[0], _P20, out=halves[1])
+    np.subtract(words, halves[1], out=halves[1])
+    quotient = halves // _P10
+    quarters = np.empty((2, 2, count), dtype=np.uint32)
+    quarters[:, 0] = quotient
+    quotient *= _P10
+    np.subtract(halves, quotient, out=quarters[:, 1], casting="unsafe")
+    quarters = quarters.reshape(4, count)
+    top = planes[0].view(np.bool_)
+    np.greater_equal(quarters[0], _P10, out=top)
+    np.subtract(quarters[0], _P10, out=quarters[0], where=top)
+    quotient = quarters // 243
+    groups = np.empty((4, 2, count), dtype=np.uint8)
+    groups[:, 0] = quotient
+    quotient *= 243
+    np.subtract(quarters, quotient, out=groups[:, 1], casting="unsafe")
+    groups = groups.reshape(8, count)
+    step = np.empty_like(groups)
+    for i, place in enumerate((81, 27, 9, 3)):
+        digit = planes[1 + i :: 5]
+        np.floor_divide(groups, place, out=digit)
+        np.multiply(digit, place, out=step)
+        np.subtract(groups, step, out=groups if i < 3 else planes[5::5])
+
+
+def _digit_words(planes: np.ndarray, first: int) -> np.ndarray:
+    """Inverse of ``_word_digits``: the uint64 words of the digit planes
+    (41, count).  A word whose digits exceed 2^64 - 1 raises
+    ``CorruptDataError`` naming its index, counted from ``first``."""
+    count = planes.shape[1]
+    groups = planes[1::5] * np.uint8(3)
+    groups += planes[2::5]
+    for d in (3, 4, 5):
+        groups *= 3
+        groups += planes[d::5]
+    groups = groups.reshape(4, 2, count)
+    quarters = groups[:, 0].astype(np.uint32)
+    quarters *= 243
+    quarters += groups[:, 1]
+    top = planes[0].astype(np.uint32)
+    top *= _P10
+    quarters[0] += top
+    quarters = quarters.reshape(2, 2, count)
+    halves = quarters[:, 0].astype(np.uint64)
+    halves *= _P10
+    halves += quarters[:, 1]
+    high, low = halves
+    # Below this top quarter, no word can exceed 2^64 - 1.
+    if count and int(quarters[0, 0].max()) >= _HI_MAX // _P10:
+        bad = (high > _HI_MAX) | ((high == _HI_MAX) & (low > _LO_MAX))
+        if bad.any():
+            i = int(np.argmax(bad))
+            value = int(high[i]) * _P20 + int(low[i])
+            raise CorruptDataError(f"word {first + i} recombines to {value} >= 2**64")
+    high *= _P20
+    high += low
+    return high
 
 
 def trits_to_bytes(trits: np.ndarray, byte_count: int, *, first: int = 0) -> bytes:
-    """Recombine groups of 6 trits into bytes; groups >= 256 are corrupt.
+    """Recombine version-1 groups of 6 trits into bytes; groups >= 256 are
+    corrupt.
 
     ``first`` is the index of the first group in the whole stream, so that
     a block cut from a longer stream reports a corrupt group by its place
@@ -189,66 +260,164 @@ def _unpack_trits(blob: bytes, trit_count: int) -> np.ndarray:
 # Ingest / extract
 # ---------------------------------------------------------------------------
 
+# The byte layout ingest writes; extract and the shard reader also take
+# version 1.
+SHARD_VERSION = 2
+_SHARD_VERSIONS = (1, 2)
+
 
 @dataclass(frozen=True)
 class FileMeta:
-    """Original byte length plus the stripe geometry it padded out to."""
+    """Original byte length plus the stripe geometry it padded out to, and
+    the shard version whose byte layout the stripes hold."""
 
     original_len: int
     stripe_count: int
+    version: int = SHARD_VERSION
 
 
-# Trits per codec block: ingest and extract convert the stream a few
+def _stripe_count(params: CodeParams, words: int) -> int:
+    """Stripes that ``words`` words fill: 41 per whole block of kN words,
+    then the last block's 41*W' trits rounded up; at least one."""
+    blocks, rest = divmod(words, params.file_symbols)
+    return max(1, _WORD_TRITS * blocks + -(-_WORD_TRITS * rest // params.file_symbols))
+
+
+def byte_capacity(params: CodeParams, stripes: int, version: int) -> int:
+    """The most bytes ``stripes`` stripes hold in a shard ``version``'s
+    layout."""
+    kn = params.file_symbols
+    if version == 1:
+        return stripes * kn // 6
+    if version != 2:
+        raise ValueError(f"unsupported shard version {version}")
+    blocks, rest = divmod(stripes, _WORD_TRITS)
+    return 8 * (blocks * kn + rest * kn // _WORD_TRITS)
+
+
+# Trits per codec chunk: ingest and extract convert the stream a few
 # stripes at a time, so neither lays out a file-sized copy of it.
 _BLOCK_TRITS = 1 << 18
 
 
-def _block_stripes(params: CodeParams) -> int:
-    """Stripes per codec block: a multiple of 3, so every block starts on
-    a byte (a stripe holds an even number of trits)."""
-    return 3 * max(1, _BLOCK_TRITS // (3 * params.k * params.n_rows))
+def _chunks(params: CodeParams, words: int, stripes: int) -> list[tuple[int, int, int, int]]:
+    """(first word, end word, first stripe, end stripe) of each codec
+    chunk: runs of whole blocks, about ``_BLOCK_TRITS`` trits each (one
+    block where a block alone is larger, from k = 11), then the last
+    partial block and the padding, if any stripe is left."""
+    kn = params.file_symbols
+    step = kn * max(1, _BLOCK_TRITS // (_WORD_TRITS * kn))
+    whole = words - words % kn
+    ends = [*range(0, whole, step), whole]
+    chunks = [(w0, w1, _WORD_TRITS * w0 // kn, _WORD_TRITS * w1 // kn) for w0, w1 in zip(ends, ends[1:])]
+    if _WORD_TRITS * whole // kn < stripes:
+        chunks.append((whole, words, _WORD_TRITS * whole // kn, stripes))
+    return chunks
+
+
+def _chunk_views(params: CodeParams, rows: np.ndarray, buf: np.ndarray, chunk):
+    """Two views of one shape over a chunk's stripes, one into ``rows`` (the
+    parts as (k, stripes) opaque N-symbol rows) and one into the stream
+    buffer ``buf``, and the chunk's (41, words) digit planes within ``buf``.
+
+    A run of whole blocks is laid out digit-major across the whole run, so
+    each plane is one contiguous row; the last partial block is the stream
+    itself, its planes followed by zero padding."""
+    k, kn = params.k, params.file_symbols
+    w0, w1, s0, s1 = chunk
+    count = w1 - w0
+    rowtype = rows.dtype
+    if count and count % kn == 0:
+        blocks = count // kn
+        planes = buf[: _WORD_TRITS * count].reshape(_WORD_TRITS, count)
+        grid = planes.view(rowtype).reshape(_WORD_TRITS, blocks, k).transpose(2, 1, 0)
+        return rows[:, s0:s1].reshape(k, blocks, _WORD_TRITS), grid, planes
+    stream = buf[: (s1 - s0) * kn]
+    planes = stream[: _WORD_TRITS * count].reshape(_WORD_TRITS, count)
+    return rows[:, s0:s1], stream.view(rowtype).reshape(s1 - s0, k).T, planes
+
+
+def _as_rows(parts: np.ndarray) -> np.ndarray:
+    """A (k, stripes) view of C-contiguous uint8 parts with one opaque
+    N-byte row per stripe and part."""
+    return parts.view(np.dtype((np.void, parts.shape[-1])))[..., 0]
+
+
+def _chunk_buffer(params: CodeParams, chunks) -> np.ndarray:
+    return np.empty(max(s1 - s0 for _, _, s0, s1 in chunks) * params.file_symbols, dtype=np.uint8)
 
 
 def ingest(params: CodeParams, data: bytes) -> tuple[np.ndarray, FileMeta]:
-    """Split a byte string into parts of shape (k, stripes, N).
+    """Split a byte string into parts of shape (k, stripes, N) in the
+    version-2 layout (see the module docstring).
 
-    The trit stream is zero-padded to whole stripes; an empty file still
-    occupies one all-zero stripe.  Within a stripe, part j takes trits
-    [j*N, (j+1)*N).  The stream is expanded block by block straight into
-    the parts, with no file-sized intermediate.
+    An empty file still occupies one all-zero stripe.  The words are
+    converted chunk by chunk, each chunk's digits copied into the parts as
+    whole N-symbol rows.
     """
     k, n = params.k, params.n_rows
-    per_stripe = k * n
-    stripes = max(1, -(-6 * len(data) // per_stripe))
+    size = len(data)
+    words = -(-size // 8)
+    stripes = _stripe_count(params, words)
     parts = np.empty((k, stripes, n), dtype=np.uint8)
-    step = _block_stripes(params)
-    block = np.empty(step * per_stripe, dtype=np.uint8)
+    rows = _as_rows(parts)
+    chunks = _chunks(params, words, stripes)
+    buf = _chunk_buffer(params, chunks)
     view = memoryview(data)
-    for s0 in range(0, stripes, step):
-        s1 = min(stripes, s0 + step)
-        b0 = min(len(data), s0 * per_stripe // 6)
-        b1 = min(len(data), s1 * per_stripe // 6)
-        trits = block[: (s1 - s0) * per_stripe]
-        bytes_to_trits(view[b0:b1], out=trits)
-        trits[6 * (b1 - b0):] = 0
-        parts[:, s0:s1] = trits.reshape(s1 - s0, k, n).transpose(1, 0, 2)
-    return parts, FileMeta(len(data), stripes)
+    for chunk in chunks:
+        w0, w1, s0, s1 = chunk
+        if 8 * w1 <= size:
+            block = np.frombuffer(view[8 * w0 : 8 * w1], dtype=_WORD)
+        else:
+            block = np.zeros(w1 - w0, dtype=_WORD)
+            block.view(np.uint8)[: size - 8 * w0] = np.frombuffer(view[8 * w0 :], dtype=np.uint8)
+        stored, grid, planes = _chunk_views(params, rows, buf, chunk)
+        buf[_WORD_TRITS * (w1 - w0) : (s1 - s0) * params.file_symbols] = 0
+        _word_digits(block, planes)
+        stored[...] = grid
+    return parts, FileMeta(size, stripes)
 
 
 def extract(params: CodeParams, parts: np.ndarray, meta: FileMeta) -> bytes:
-    """Inverse of ingest: reassemble the trit stream and strip the padding.
+    """Inverse of ingest: recombine the words of the layout ``meta.version``
+    names and strip the padding.
 
-    Like ``ingest`` it works block by block: only one block of the stream
-    is ever laid out in file order.
+    ``parts`` holds trits 0..2.  Like ``ingest`` it works chunk by chunk:
+    only one chunk of the stream is ever laid out in file order.
     """
     k, n = params.k, params.n_rows
     if parts.shape != (k, meta.stripe_count, n):
         raise ValueError(f"parts shape {parts.shape} != ({k}, {meta.stripe_count}, {n})")
+    if meta.version == 1:
+        return _extract_v1(params, parts, meta)
+    if meta.version != 2:
+        raise ValueError(f"unsupported shard version {meta.version}")
+    size = meta.original_len
+    words = -(-size // 8)
+    stripes = _stripe_count(params, words)
+    if meta.stripe_count < stripes:
+        raise CorruptDataError(f"need {stripes} stripes for {size} bytes, got {meta.stripe_count}")
+    rows = _as_rows(np.ascontiguousarray(parts, dtype=np.uint8))
+    chunks = _chunks(params, words, stripes)
+    buf = _chunk_buffer(params, chunks)
+    out = np.empty(words, dtype=_WORD)
+    for chunk in chunks:
+        stored, grid, planes = _chunk_views(params, rows, buf, chunk)
+        grid[...] = stored
+        out[chunk[0] : chunk[1]] = _digit_words(planes, chunk[0])
+    return out.view(np.uint8)[:size].tobytes()
+
+
+def _extract_v1(params: CodeParams, parts: np.ndarray, meta: FileMeta) -> bytes:
+    """``extract`` for the version-1 layout: six trits per byte, in file
+    order across each stripe, part j taking trits [j*N, (j+1)*N)."""
     size = meta.original_len
     if parts.size < 6 * size:
         raise CorruptDataError(f"need {6 * size} trits for {size} bytes, got {parts.size}")
-    per_stripe = k * n
-    step = _block_stripes(params)
+    per_stripe = params.file_symbols
+    # A multiple of 3 stripes, so every block starts on a byte (a stripe
+    # holds an even number of trits).
+    step = 3 * max(1, _BLOCK_TRITS // (3 * per_stripe))
     blocks = []
     for s0 in range(0, meta.stripe_count, step):
         b0 = s0 * per_stripe // 6
@@ -265,14 +434,22 @@ def extract(params: CodeParams, parts: np.ndarray, meta: FileMeta) -> bytes:
 # ---------------------------------------------------------------------------
 
 SHARD_MAGIC = b"ZZG3"
-SHARD_VERSION = 1
 _HEADER_LEN = 4 + 1 + 1 + 1 + 4 + 8
 
 
-def shard_to_bytes(params: CodeParams, node_id: int, payload: np.ndarray) -> bytes:
-    """Serialize one node's payload (stripes, N) to the shard wire format."""
+def shard_to_bytes(
+    params: CodeParams, node_id: int, payload: np.ndarray, *, version: int = SHARD_VERSION
+) -> bytes:
+    """Serialize one node's payload (stripes, N) to the shard wire format.
+
+    ``version`` only sets the header's version byte: every version packs
+    its payload alike, and the byte tells a reader which byte layout the
+    stripes hold.
+    """
     if not 0 <= node_id < params.n_nodes:
         raise ValueError(f"node id {node_id} out of range")
+    if version not in _SHARD_VERSIONS:
+        raise ValueError(f"unsupported shard version {version}")
     stripes, n = payload.shape
     if n != params.n_rows:
         raise ValueError(f"payload row length {n} != {params.n_rows}")
@@ -280,7 +457,7 @@ def shard_to_bytes(params: CodeParams, node_id: int, payload: np.ndarray) -> byt
     packed = _pack_trits(trits)
     head = (
         SHARD_MAGIC
-        + bytes([SHARD_VERSION, params.k, node_id])
+        + bytes([version, params.k, node_id])
         + stripes.to_bytes(4, "little")
         + trits.shape[0].to_bytes(8, "little")
     )
@@ -294,7 +471,7 @@ def shard_from_bytes(blob: bytes) -> tuple[CodeParams, int, np.ndarray]:
         raise ShardFormatError("shard too short for header and CRC")
     if blob[:4] != SHARD_MAGIC:
         raise ShardFormatError(f"bad magic {blob[:4]!r}")
-    if blob[4] != SHARD_VERSION:
+    if blob[4] not in _SHARD_VERSIONS:
         raise ShardFormatError(f"unsupported version {blob[4]}")
     k = blob[5]
     node_id = blob[6]
@@ -320,6 +497,11 @@ def shard_from_bytes(blob: bytes) -> tuple[CodeParams, int, np.ndarray]:
         raise ShardFormatError("payload CRC mismatch")
     trits = _unpack_trits(packed, trit_count)
     return params, node_id, trits.reshape(stripes, params.n_rows)
+
+
+def shard_version(blob: bytes) -> int:
+    """The version byte of a shard that ``shard_from_bytes`` accepted."""
+    return blob[4]
 
 
 def write_shard_file(path, params: CodeParams, node_id: int, payload: np.ndarray) -> int:

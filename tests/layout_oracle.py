@@ -1,0 +1,68 @@
+"""The byte layouts of both shard versions, written the plain way, as
+test oracles.
+
+Version 1 expanded each byte to its six base-3 digits, most significant
+first, and laid the trit stream out in file order: stripe s holds trits
+[s*kN, (s+1)*kN), part j of it trits [j*N, (j+1)*N), the last stripe
+zero-padded.  The program only reads that layout now
+(``zigzag3.cluster.extract`` of a version-1 ``FileMeta``); ``ingest_v1``
+writes it, so the tests can check that reader against every byte value,
+padding and block boundary.
+
+Version 2 reads little-endian 8-byte words (the last zero-padded) and
+stores each block of kN words as its 41 digit planes, digit d of word i of
+a block of W words at stream position d*W + i; ``word_stream`` builds that
+stream one Python int at a time.
+"""
+
+import numpy as np
+
+from zigzag3.cluster import FileMeta
+from zigzag3.code import CodeParams
+
+
+def digits(value: int, count: int) -> list[int]:
+    """Base-3 digits of ``value``, most significant first."""
+    return [(value // 3**p) % 3 for p in range(count - 1, -1, -1)]
+
+
+# byte value -> its 6 base-3 digits
+BYTE_TO_TRITS = np.array([digits(b, 6) for b in range(256)], dtype=np.uint8)
+
+
+def bytes_to_trits(data: bytes) -> np.ndarray:
+    """The version-1 trit stream of ``data``: 6 trits per byte."""
+    return BYTE_TO_TRITS[np.frombuffer(data, dtype=np.uint8)].reshape(-1)
+
+
+def stream_to_parts(params: CodeParams, stream) -> np.ndarray:
+    """Parts (k, stripes, N) of a trit stream of whole stripes."""
+    stream = np.asarray(stream, dtype=np.uint8)
+    stripes = stream.size // params.file_symbols
+    return np.ascontiguousarray(stream.reshape(stripes, params.k, params.n_rows).transpose(1, 0, 2))
+
+
+def ingest_v1(params: CodeParams, data: bytes) -> tuple[np.ndarray, FileMeta]:
+    """Parts (k, stripes, N) of ``data`` in the version-1 layout."""
+    trits = bytes_to_trits(data)
+    stripes = max(1, -(-trits.shape[0] // params.file_symbols))
+    stream = np.zeros(stripes * params.file_symbols, dtype=np.uint8)
+    stream[: trits.shape[0]] = trits
+    return stream_to_parts(params, stream), FileMeta(len(data), stripes, version=1)
+
+
+def words_of(data: bytes) -> list[int]:
+    """``data`` as little-endian 8-byte words, the last one zero-padded."""
+    padded = data + bytes(-len(data) % 8)
+    return [int.from_bytes(padded[i : i + 8], "little") for i in range(0, len(padded), 8)]
+
+
+def word_stream(params: CodeParams, words: list[int]) -> list[int]:
+    """The version-2 trit stream of ``words``, padded to whole stripes
+    (one stripe at least)."""
+    kn = params.file_symbols
+    stream = []
+    for b0 in range(0, len(words), kn):
+        block = [digits(w, 41) for w in words[b0 : b0 + kn]]
+        stream += [w[d] for d in range(41) for w in block]
+    return stream + [0] * (-len(stream) % kn if stream else kn)

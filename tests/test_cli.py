@@ -1,11 +1,14 @@
 """Command-line behaviour, including the exit-code contract."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zigzag3.cli import main
+from zigzag3.cluster import byte_capacity
+from zigzag3.code import CodeParams
 
 K = 4
 
@@ -392,3 +395,112 @@ def test_repair_missing_manifest_exits_4(encoded):
     out = tmp_path / "rebuilt"
     assert main(["repair", "--shards", *helpers, "--rebuild", "4", "--out-dir", str(out)]) == 4
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# shard versions
+# ---------------------------------------------------------------------------
+
+V1_SET = Path(__file__).resolve().parent / "fixtures" / "v1" / "k4_1001"
+
+
+def copy_set(source: Path, target: Path) -> Path:
+    target.mkdir()
+    for path in source.iterdir():
+        (target / path.name).write_bytes(path.read_bytes())
+    return target
+
+
+def set_original_len(out_dir: Path, value: int) -> None:
+    path = out_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["original_len"] = value
+    path.write_text(json.dumps(manifest))
+
+
+def test_manifest_capacity_of_a_v2_set(tmp_path):
+    # At k = 4 (32 words a block) 45 stripes hold one block and 3 more
+    # words: 280 bytes, so a 280-byte file fills them exactly.
+    assert byte_capacity(CodeParams(K), 45, 2) == 280
+    data = np.random.default_rng(45).bytes(280)
+    src = tmp_path / "input.bin"
+    src.write_bytes(data)
+    out_dir = tmp_path / "shards"
+    assert main(["encode", "--k", str(K), "--input", str(src), "--out-dir", str(out_dir)]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["stripes"] == 45 and manifest["original_len"] == 280
+    shards = [shard(out_dir, i) for i in range(K)]
+    out = tmp_path / "restored.bin"
+    assert main(["decode", "--shards", *shards, "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+    set_original_len(out_dir, 281)
+    assert main(["decode", "--shards", *shards, "--out", str(tmp_path / "over.bin")]) == 4
+    assert not (tmp_path / "over.bin").exists()
+
+
+def test_manifest_capacity_of_a_v1_set(tmp_path):
+    # 1001 bytes took 188 stripes of 32 trits at k = 4, which hold
+    # 188 * 32 // 6 = 1002 bytes; the last one is padding, read as 0.
+    out_dir = copy_set(V1_SET, tmp_path / "v1")
+    assert json.loads((out_dir / "manifest.json").read_text())["stripes"] == 188
+    assert byte_capacity(CodeParams(K), 188, 1) == 1002
+    shards = [shard(out_dir, i) for i in range(2, K + 2)]
+    out = tmp_path / "restored.bin"
+    assert main(["decode", "--shards", *shards, "--out", str(out)]) == 0
+    original = out.read_bytes()
+    set_original_len(out_dir, 1002)
+    assert main(["decode", "--shards", *shards, "--out", str(out)]) == 0
+    assert out.read_bytes() == original + b"\0"
+    set_original_len(out_dir, 1003)
+    assert main(["decode", "--shards", *shards, "--out", str(tmp_path / "over.bin")]) == 4
+    assert not (tmp_path / "over.bin").exists()
+
+
+def test_mixed_shard_versions_exit_4(encoded, capsys):
+    # The version byte is outside the CRC, so only the version check can
+    # refuse a set that mixes layouts.
+    _, out_dir, tmp_path = encoded
+    path = out_dir / "node_3.shard"
+    blob = bytearray(path.read_bytes())
+    blob[4] = 1
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    shards = [shard(out_dir, i) for i in range(K)]
+    assert main(["decode", "--shards", *shards, "--out", str(tmp_path / "x")]) == 4
+    assert "mixed shard versions" in capsys.readouterr().err
+    helpers = [shard(out_dir, i) for i in (0, 1, 2, 3, 5)]
+    assert main(["repair", "--shards", *helpers, "--rebuild", "4", "--out-dir", str(tmp_path / "r")]) == 4
+    assert "mixed shard versions" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_repair_writes_the_helpers_version(version, encoded, capsys):
+    _, out_dir, tmp_path = encoded
+    if version == 1:
+        out_dir = copy_set(V1_SET, tmp_path / "v1")
+    for node in (0, K, K + 1):
+        helpers = [shard(out_dir, i) for i in range(K + 2) if i != node]
+        rebuilt_dir = tmp_path / f"rebuilt{node}"
+        argv = ["--format", "json", "repair", "--shards", *helpers, "--rebuild", str(node),
+                "--out-dir", str(rebuilt_dir)]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["match"] is True and report["shard_version"] == version
+        blob = (rebuilt_dir / f"node_{node}.shard").read_bytes()
+        assert blob[4] == version
+        assert blob == (out_dir / f"node_{node}.shard").read_bytes()
+
+
+def test_json_reports_report_the_shard_version(encoded, capsys):
+    data, out_dir, tmp_path = encoded
+    src = tmp_path / "input.bin"
+    capsys.readouterr()
+    argv = ["--format", "json", "encode", "--k", str(K), "--input", str(src),
+            "--out-dir", str(tmp_path / "again")]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["shard_version"] == 2
+    shards = [shard(out_dir, i) for i in range(K)]
+    assert main(["--format", "json", "decode", "--shards", *shards, "--out", str(tmp_path / "x")]) == 0
+    assert json.loads(capsys.readouterr().out)["shard_version"] == 2
+    assert (tmp_path / "x").read_bytes() == data

@@ -1,27 +1,31 @@
 """Cluster simulation: ingest/extract, shard files, failure and repair."""
 
 import itertools
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from layout_oracle import bytes_to_trits, digits, ingest_v1, word_stream, words_of
 
 import zigzag3.cluster as cluster_module
 from zigzag3.cluster import (
+    SHARD_VERSION,
     ClusterState,
     CorruptDataError,
     DataLossError,
     FileMeta,
     ShardFormatError,
     _unpack_trits,
-    bytes_to_trits,
+    byte_capacity,
     extract,
     ingest,
     shard_from_bytes,
     shard_to_bytes,
+    shard_version,
     trits_to_bytes,
 )
-from zigzag3.code import CodeParams
+from zigzag3.code import CodeParams, build_coding_matrices, decode_shards_array, encode_parts_array
 from zigzag3.gf3 import InconsistentSystemError
 from zigzag3.repair import expected_repair_io, repair_bandwidth
 from zigzag3.verification import flip_one_sign
@@ -29,33 +33,42 @@ from zigzag3.verification import flip_one_sign
 
 # ---------------------------------------------------------------------------
 # trit mapping and ingest/extract
+#
+# Version-1 tests write the old layout with the oracle in layout_oracle.py and
+# check the program's version-1 reader (trits_to_bytes, extract) on it.
 # ---------------------------------------------------------------------------
 
 
 def test_byte_to_trits_example():
     assert bytes_to_trits(b"\x05").tolist() == [0, 0, 0, 0, 1, 2]
-
-
-def digits(value, count):
-    """Base-3 digits of ``value``, most significant first."""
-    return [(value // 3**p) % 3 for p in range(count - 1, -1, -1)]
+    assert trits_to_bytes(np.array([0, 0, 0, 0, 1, 2], dtype=np.uint8), 1) == b"\x05"
 
 
 def test_bytes_to_trits_every_byte():
     trits = bytes_to_trits(bytes(range(256)))
     assert trits.dtype == np.uint8 and trits.flags.writeable
     assert trits.tolist() == [t for b in range(256) for t in digits(b, 6)]
+    assert trits_to_bytes(trits, 256) == bytes(range(256))
 
 
 def test_ingest_every_byte_with_padding():
-    # 256 bytes are 1536 trits; at k = 5 a stripe holds 80, so the last of
-    # the 20 stripes is part padding.
+    # Version 1: 256 bytes are 1536 trits; at k = 5 a stripe holds 80, so
+    # the last of the 20 stripes is part padding.
     p = CodeParams(5)
-    parts, meta = ingest(p, bytes(range(256)))
-    assert meta == FileMeta(256, 20)
+    parts, meta = ingest_v1(p, bytes(range(256)))
+    assert meta == FileMeta(256, 20, version=1)
     assert parts.dtype == np.uint8 and parts.shape == (5, 20, 16)
     stream = parts.transpose(1, 0, 2).reshape(-1).tolist()
     assert stream == [t for b in range(256) for t in digits(b, 6)] + [0] * 64
+    assert extract(p, parts, meta) == bytes(range(256))
+    # Version 2: the same 32 words, at 80 words per block, are one partial
+    # block stored digit-major, 41 * 32 = 1312 trits in 17 stripes.
+    parts, meta = ingest(p, bytes(range(256)))
+    assert meta == FileMeta(256, 17) and meta.version == SHARD_VERSION == 2
+    words = [int.from_bytes(bytes(range(8 * i, 8 * i + 8)), "little") for i in range(32)]
+    stream = parts.transpose(1, 0, 2).reshape(-1).tolist()
+    assert stream == [digits(w, 41)[d] for d in range(41) for w in words] + [0] * 48
+    assert extract(p, parts, meta) == bytes(range(256))
 
 
 def test_unpack_every_packed_value():
@@ -129,6 +142,26 @@ def test_trit_group_overflow_is_corruption():
         trits_to_bytes(trits, 1)
 
 
+@pytest.mark.parametrize("k, size", [(2, 40), (2, 64), (3, 97), (4, 256), (4, 263)])
+def test_words_take_41_digit_planes(k, size):
+    # Whole blocks of kN words put one digit plane in each stripe; a last
+    # partial block is digit-major and padded.  At k = 2 (4 words a block)
+    # 40 bytes are one whole block and one word; 64 bytes are two blocks.
+    p = CodeParams(k)
+    data = np.random.default_rng(size).bytes(size)
+    parts, meta = ingest(p, data)
+    want = word_stream(p, words_of(data))
+    assert meta == FileMeta(size, len(want) // p.file_symbols)
+    assert parts.transpose(1, 0, 2).reshape(-1).tolist() == want
+    if size % 8 == 0 and size // 8 % p.file_symbols == 0:
+        # every stripe is one digit plane of one block
+        for s in range(meta.stripe_count):
+            block, d = divmod(s, 41)
+            words = np.frombuffer(data, dtype="<u8").reshape(-1, p.k, p.n_rows)[block]
+            assert parts[:, s].tolist() == [[digits(int(w), 41)[d] for w in row] for row in words]
+    assert extract(p, parts, meta) == data
+
+
 def test_ingest_empty_file():
     p = CodeParams(3)
     parts, meta = ingest(p, b"")
@@ -151,23 +184,70 @@ def test_ingest_extract_roundtrip(size):
 @pytest.mark.parametrize("k", [2, 3, 6, 8])
 def test_ingest_blocks_match_the_flat_stream(k):
     # 200,003 bytes span several codec blocks at each k, the last one
-    # partly padding; at k = 3 and 6 a block holds a whole number of
-    # stripes that is not a power of two.
+    # partly padding; at k = 3 and 6 a version-1 block holds a whole
+    # number of stripes that is not a power of two.
     p = CodeParams(k)
     data = np.random.default_rng(k).bytes(200_003)
-    parts, meta = ingest(p, data)
+    parts, meta = ingest_v1(p, data)
     stream = parts.transpose(1, 0, 2).reshape(-1)
     n_trits = 6 * len(data)
-    assert meta == FileMeta(len(data), -(-n_trits // (k * p.n_rows)))
+    assert meta == FileMeta(len(data), -(-n_trits // (k * p.n_rows)), version=1)
     assert np.array_equal(stream[:n_trits], bytes_to_trits(data))
     assert not stream[n_trits:].any()
     assert extract(p, parts, meta) == data
 
 
+def flat_word_planes(params, data: bytes) -> np.ndarray:
+    """The version-2 trit stream of ``data``, built in one piece: all
+    digits by 41 successive divisions by 3, then each block's planes."""
+    kn = params.file_symbols
+    count = -(-len(data) // 8)
+    words = np.frombuffer(data + bytes(8 * count - len(data)), dtype="<u8").copy()
+    planes = np.empty((41, count), dtype=np.uint8)
+    for d in range(40, -1, -1):
+        planes[d] = words % 3
+        words //= 3
+    pieces = [planes[:, b0 : b0 + kn].reshape(-1) for b0 in range(0, count, kn)]
+    stream = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
+    return np.concatenate([stream, np.zeros(-stream.size % kn if stream.size else kn, dtype=np.uint8)])
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 8, 10])
+def test_word_planes_match_the_flat_stream(k):
+    # 200,003 bytes span several codec chunks at each k, and end in a
+    # partial block and a partial word.
+    p = CodeParams(k)
+    data = np.random.default_rng(k).bytes(200_003)
+    parts, meta = ingest(p, data)
+    want = flat_word_planes(p, data)
+    assert meta == FileMeta(len(data), want.size // p.file_symbols)
+    assert np.array_equal(parts.transpose(1, 0, 2).reshape(-1), want)
+    assert extract(p, parts, meta) == data
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_files_round_trip_through_any_k_shards(k):
+    # Bit-exact through encode and decode: every k-subset of the k+2
+    # shards up to k = 6, beyond that the first and the last k.
+    p = CodeParams(k)
+    cm = build_coding_matrices(p)
+    if k <= 6:
+        subsets = list(itertools.combinations(range(k + 2), k))
+    else:
+        subsets = [tuple(range(k)), tuple(range(2, k + 2))]
+    for size in (0, 1, 7, 8, 9, 17, 1001, 5000, 200_003):
+        data = np.random.default_rng(1000 * k + size).bytes(size)
+        parts, meta = ingest(p, data)
+        shards = encode_parts_array(p, cm, parts)
+        for nodes in subsets:
+            decoded = decode_shards_array(p, cm, {i: shards[i] for i in nodes})
+            assert extract(p, decoded, meta) == data, (size, nodes)
+
+
 def test_extract_reports_a_corrupt_group_by_its_stream_index():
     p = CodeParams(4)
     per_stripe = p.k * p.n_rows
-    parts, meta = ingest(p, bytes(100_000))
+    parts, meta = ingest_v1(p, bytes(100_000))
     # Group 70,001 lies in the fourth codec block at k = 4.
     for t in range(6 * 70_001, 6 * 70_002):
         s, rest = divmod(t, per_stripe)
@@ -176,12 +256,106 @@ def test_extract_reports_a_corrupt_group_by_its_stream_index():
         extract(p, parts, meta)
 
 
+@pytest.mark.parametrize("word", [0, 9_001, 12_499])
+def test_extract_reports_an_overflowing_word_by_its_index(word):
+    # 100,000 bytes are 12,500 words at k = 4, 32 words a block: word
+    # 9,001 lies in the second codec chunk, 12,499 in the last, partial
+    # block.  All-2 digits recombine to 3^41 - 1.
+    p = CodeParams(4)
+    kn = p.file_symbols
+    parts, meta = ingest(p, bytes(100_000))
+    block, i = divmod(word, kn)
+    width = min(kn, 12_500 - block * kn)
+    for d in range(41):
+        s, rest = divmod(block * 41 * kn + d * width + i, kn)
+        parts[rest // p.n_rows, s, rest % p.n_rows] = 2
+    with pytest.raises(CorruptDataError, match=f"word {word} recombines to {3**41 - 1} >= 2\\*\\*64"):
+        extract(p, parts, meta)
+
+
+def test_the_largest_word_round_trips_and_the_next_value_overflows():
+    p = CodeParams(2)
+    data = b"\xff" * 8
+    parts, meta = ingest(p, data)
+    assert parts.transpose(1, 0, 2).reshape(-1)[:41].tolist() == digits(2**64 - 1, 41)
+    assert extract(p, parts, meta) == data
+    # 2^64 shares every digit of 2^64 - 1 but the last: one more there.
+    stream = parts.transpose(1, 0, 2).reshape(-1)
+    assert stream[40] < 2
+    stream[40] += 1
+    over = np.ascontiguousarray(stream.reshape(meta.stripe_count, 2, 2).transpose(1, 0, 2))
+    with pytest.raises(CorruptDataError, match=f"word 0 recombines to {2**64} >= 2"):
+        extract(p, over, meta)
+
+
 def test_ingest_stripe_geometry():
     p = CodeParams(3)  # 12 trits per stripe
-    parts, meta = ingest(p, b"\x00\x01")  # 12 trits exactly
-    assert meta.stripe_count == 1
-    parts, meta = ingest(p, b"\x00\x01\x02")  # 18 trits -> 2 stripes
-    assert meta.stripe_count == 2
+    # Version 1: 2 bytes are 12 trits exactly, 3 bytes 18 trits -> 2 stripes.
+    assert ingest_v1(p, b"\x00\x01")[1].stripe_count == 1
+    assert ingest_v1(p, b"\x00\x01\x02")[1].stripe_count == 2
+    # Version 2: a block is 12 words in 41 stripes; one more word is 41
+    # trits, 4 stripes.
+    assert ingest(p, bytes(96))[1].stripe_count == 41
+    assert ingest(p, bytes(97))[1].stripe_count == 45
+    assert ingest(p, b"\x00")[1].stripe_count == 4
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+def test_byte_capacity_is_what_the_stripes_hold(k):
+    p = CodeParams(k)
+    for stripes in (1, 2, 40, 41, 42, 83, 200):
+        v1 = byte_capacity(p, stripes, 1)
+        assert ingest_v1(p, bytes(v1))[1].stripe_count <= stripes
+        assert ingest_v1(p, bytes(v1 + 1))[1].stripe_count > stripes
+        v2 = byte_capacity(p, stripes, 2)
+        assert v2 % 8 == 0
+        assert ingest(p, bytes(v2))[1].stripe_count <= stripes
+        assert ingest(p, bytes(v2 + 1))[1].stripe_count > stripes
+    with pytest.raises(ValueError, match="version"):
+        byte_capacity(p, 1, 3)
+
+
+@pytest.mark.parametrize("version", [0, 3])
+def test_extract_rejects_an_unknown_version(version):
+    p = CodeParams(3)
+    parts, meta = ingest(p, b"abc")
+    with pytest.raises(ValueError, match="version"):
+        extract(p, parts, FileMeta(3, meta.stripe_count, version))
+
+
+def test_extract_needs_the_stripes_the_length_takes():
+    p = CodeParams(3)
+    parts, _ = ingest(p, bytes(97))  # 45 stripes
+    with pytest.raises(CorruptDataError, match="need 45 stripes"):
+        extract(p, parts[:, :44], FileMeta(97, 44))
+    # Stripes past those the length takes are padding.
+    wide = np.concatenate([parts, np.ones((3, 5, 4), dtype=np.uint8)], axis=1)
+    assert extract(p, wide, FileMeta(97, 50)) == bytes(97)
+
+
+def test_codec_temporaries_do_not_grow_with_the_file():
+    # Ingest lays out the parts plus one chunk's temporaries; extract its
+    # words and the bytes it returns, plus one chunk's.  The chunk margin
+    # is the same at 1 MiB and 8 MiB.
+    p = CodeParams(8)
+    margins = []
+    for size in (1 << 20, 8 << 20):
+        data = np.random.default_rng(size).bytes(size)
+        tracemalloc.start()
+        try:
+            parts, meta = ingest(p, data)
+            ingest_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = extract(p, parts, meta)
+            extract_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out == data
+        margins.append((ingest_peak - parts.nbytes, extract_peak - 2 * size))
+        del parts, out
+    for ingest_margin, extract_margin in margins:
+        assert ingest_margin < 1 << 20 and extract_margin < 1 << 20, margins
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +371,11 @@ def make_payload(k=4, stripes=3, seed=0):
 
 def test_shard_roundtrip():
     p, payload = make_payload()
-    blob = shard_to_bytes(p, 2, payload)
-    assert blob[:4] == b"ZZG3" and blob[4] == 1
-    params, node, got = shard_from_bytes(blob)
-    assert params.k == 4 and node == 2
-    assert np.array_equal(got, payload)
+    for version, blob in ((2, shard_to_bytes(p, 2, payload)), (1, shard_to_bytes(p, 2, payload, version=1))):
+        assert blob[:4] == b"ZZG3" and blob[4] == version == shard_version(blob)
+        params, node, got = shard_from_bytes(blob)
+        assert params.k == 4 and node == 2
+        assert np.array_equal(got, payload)
 
 
 def test_shard_bytes_reduce_signed_payload():
@@ -217,13 +391,16 @@ def test_shard_wire_format_is_bit_exact():
     blob = shard_to_bytes(CodeParams(2), 0, np.array([[1, 2]], dtype=np.uint8))
     expected = (
         bytes.fromhex("5a5a4733")          # magic "ZZG3"
-        + bytes([1, 2, 0])                 # version, k, node_id
+        + bytes([2, 2, 0])                 # version, k, node_id
         + (1).to_bytes(4, "little")        # stripe count
         + (2).to_bytes(8, "little")        # payload trit count
         + bytes([135])                     # packed trits
         + (zlib.crc32(bytes([135])) & 0xFFFFFFFF).to_bytes(4, "little")
     )
     assert blob == expected
+    # A version-1 shard differs only in its version byte.
+    v1 = shard_to_bytes(CodeParams(2), 0, np.array([[1, 2]], dtype=np.uint8), version=1)
+    assert v1 == expected[:4] + bytes([1]) + expected[5:]
 
 
 def test_shard_rejects_bad_magic():
@@ -236,9 +413,12 @@ def test_shard_rejects_bad_magic():
 def test_shard_rejects_bad_version():
     p, payload = make_payload()
     blob = bytearray(shard_to_bytes(p, 0, payload))
-    blob[4] = 9
-    with pytest.raises(ShardFormatError, match="version"):
-        shard_from_bytes(bytes(blob))
+    for version in (0, 3, 9):
+        blob[4] = version
+        with pytest.raises(ShardFormatError, match="version"):
+            shard_from_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="version"):
+        shard_to_bytes(p, 0, payload, version=3)
 
 
 def test_shard_rejects_crc_mismatch():

@@ -1,9 +1,12 @@
-"""Property tests of the parity kernels, drawn with hypothesis.
+"""Property tests of the parity kernels and the byte codec, drawn with
+hypothesis.
 
 The word gather of ``SignedPermutation.terms`` is compared with a
 per-byte gather, the encoder with the row rule, and the decoder with the
-parts it started from.  Examples are few and small, so the module runs in
-a few seconds; no example database is written.
+parts it started from.  The version-2 codec is compared with the
+Python-int layout oracle in ``layout_oracle.py``.  Examples are few and
+small, so the module runs in a few seconds; no example database is
+written.
 """
 
 import itertools
@@ -15,6 +18,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from layout_oracle import digits, stream_to_parts, word_stream, words_of  # noqa: E402
+
+from zigzag3.cluster import CorruptDataError, FileMeta, extract, ingest  # noqa: E402
 from zigzag3.code import (  # noqa: E402
     CodeParams,
     build_coding_matrices,
@@ -93,3 +99,48 @@ def test_every_k_subset_decodes_to_the_parts(k, stripes, seed):
     shards = encode_parts_array(p, cm, parts)
     for nodes in itertools.combinations(range(k + 2), k):
         assert np.array_equal(decode_shards_array(p, cm, {i: shards[i] for i in nodes}), parts), nodes
+
+
+@st.composite
+def file_lengths(draw):
+    """(k, byte length): any length up to three blocks of kN words, or one
+    that sits on a block edge (exactly one block, or one word either side)."""
+    k = draw(st.integers(2, 8))
+    block = 8 * k * (1 << (k - 1))
+    edge = draw(st.sampled_from([block - 8, block, block + 8]))
+    length = draw(st.one_of(st.integers(0, 3 * block), st.just(edge), st.integers(edge - 7, edge + 7)))
+    return k, max(0, length)
+
+
+@FEW
+@given(shape=file_lengths(), seed=st.integers(0, 2**32 - 1))
+def test_word_codec_round_trips_and_matches_the_oracle(shape, seed):
+    k, length = shape
+    p = CodeParams(k)
+    data = np.random.default_rng(seed).bytes(length)
+    parts, meta = ingest(p, data)
+    want = stream_to_parts(p, word_stream(p, words_of(data)))
+    assert np.array_equal(parts, want)
+    assert extract(p, want, meta) == data
+    # The stripe count, from the word count W and a block of kN words.
+    words, kn = -(-length // 8), k * p.n_rows
+    assert meta == FileMeta(length, max(1, 41 * (words // kn) + -(-41 * (words % kn) // kn)))
+
+
+@FEW
+@given(
+    k=st.integers(2, 6),
+    words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=80),
+    pick=st.integers(0, 2**32 - 1),
+    value=st.integers(2**64, 3**41 - 1),
+)
+def test_an_overflowing_word_is_reported_by_its_index(k, words, pick, value):
+    # Any digit pattern above 2^64 - 1, in any word of whole or partial
+    # blocks, is corruption named by that word's index.
+    p = CodeParams(k)
+    bad = pick % len(words)
+    stream = word_stream(p, words[:bad] + [value] + words[bad + 1 :])
+    assert int("".join(map(str, digits(value, 41))), 3) == value
+    meta = FileMeta(8 * len(words), len(stream) // p.file_symbols)
+    with pytest.raises(CorruptDataError, match=f"word {bad} recombines to {value} "):
+        extract(p, stream_to_parts(p, stream), meta)

@@ -1,0 +1,58 @@
+"""Shard sets written in version 1 still decode and repair.
+
+The sets under ``fixtures/v1`` were written by ``zigzag3 encode`` when it
+still wrote version 1 (see the README there): decoding one must give back
+its input byte for byte, and rebuilding any node must give back that
+node's shard, version byte included, with the repair reads the plan
+expects.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from zigzag3.cli import main
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v1"
+SETS = sorted(d.name for d in FIXTURES.iterdir() if d.is_dir())
+
+
+def fixture_input(size: int) -> bytes:
+    return hashlib.shake_256(b"zigzag3 v1 fixture %d" % size).digest(size)
+
+
+def shard_set(name: str) -> tuple[int, int, Path]:
+    k, size = name.removeprefix("k").split("_")
+    return int(k), int(size), FIXTURES / name
+
+
+def test_every_set_is_present():
+    assert SETS == sorted(f"k{k}_{size}" for k in (2, 3, 4, 8) for size in (0, 1, 17, 1001, 5000))
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_v1_set_decodes_byte_identically(name, tmp_path, capsys):
+    k, size, directory = shard_set(name)
+    for nodes in (range(k), range(2, k + 2)):
+        out = tmp_path / "restored.bin"
+        shards = [str(directory / f"node_{i}.shard") for i in nodes]
+        assert main(["--format", "json", "decode", "--shards", *shards, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["shard_version"] == 1
+        assert out.read_bytes() == fixture_input(size)
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_v1_set_repairs_every_node_with_match(name, tmp_path, capsys):
+    k, _, directory = shard_set(name)
+    for node in range(k + 2):
+        helpers = [str(directory / f"node_{i}.shard") for i in range(k + 2) if i != node]
+        out_dir = tmp_path / f"node{node}"
+        argv = ["--format", "json", "repair", "--shards", *helpers, "--rebuild", str(node),
+                "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["match"] is True and report["shard_version"] == 1
+        rebuilt = (out_dir / f"node_{node}.shard").read_bytes()
+        assert rebuilt == (directory / f"node_{node}.shard").read_bytes()
