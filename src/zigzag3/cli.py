@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,6 +99,7 @@ def cmd_encode(cfg: Config, args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     data = Path(args.input).read_bytes()
+    file_crc = zlib.crc32(data)
     cm = build_coding_matrices(params)
     # Each stage's input is released once the next stage holds the data,
     # so no more than two copies of the file are alive at a time.
@@ -115,12 +117,14 @@ def cmd_encode(cfg: Config, args) -> int:
         "k": params.k,
         "stripes": meta.stripe_count,
         "original_len": meta.original_len,
+        "shard_version": SHARD_VERSION,
+        "file_crc32": file_crc,
         "shard_crc": crcs,
     }
     (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
     _emit(
         cfg,
-        {"command": "encode", **manifest, "shard_version": SHARD_VERSION, "out_dir": str(out_dir)},
+        {"command": "encode", **manifest, "out_dir": str(out_dir)},
         [
             f"encoded {meta.original_len} bytes at k={params.k}: "
             f"{meta.stripe_count} stripe(s), {params.n_nodes} shards in {out_dir}",
@@ -169,11 +173,11 @@ def _is_int(value) -> bool:
 def _load_manifest(args, shard_paths, version: int) -> dict:
     """Read the manifest and check its fields.
 
-    ``k``, ``stripes`` and ``original_len`` must be integers (not
+    ``k``, ``stripes``, ``original_len`` and, if present, ``shard_version``
+    (equal to ``version``) and ``file_crc32`` must be integers (not
     booleans), ``original_len`` must fit in ``stripes`` stripes of the
-    shard ``version``'s byte layout, and
-    ``shard_crc`` must be a list of k+2 integers; anything else raises
-    ``ShardFormatError``.
+    shard ``version``'s byte layout, and ``shard_crc`` must be a list of
+    k+2 integers; anything else raises ``ShardFormatError``.
     """
     if getattr(args, "manifest", None):
         path = Path(args.manifest)
@@ -190,9 +194,11 @@ def _load_manifest(args, shard_paths, version: int) -> dict:
     for key in ("k", "stripes", "original_len", "shard_crc"):
         if key not in manifest:
             raise ShardFormatError(f"manifest {path} lacks field {key!r}")
-    for key in ("k", "stripes", "original_len"):
-        if not _is_int(manifest[key]):
+    for key in ("k", "stripes", "original_len", "shard_version", "file_crc32"):
+        if key in manifest and not _is_int(manifest[key]):
             raise ShardFormatError(f"manifest {path}: {key} must be an integer, got {manifest[key]!r}")
+    if manifest.get("shard_version", version) != version:
+        raise ShardFormatError(f"manifest {path}: shard version {manifest['shard_version']}, shards {version}")
     try:
         params = CodeParams(manifest["k"])
     except ValueError as exc:
@@ -245,6 +251,8 @@ def cmd_decode(cfg: Config, args) -> int:
     del payloads
     meta = FileMeta(manifest["original_len"], stripes, version)
     data = extract(params, parts, meta)
+    if "file_crc32" in manifest and zlib.crc32(data) != manifest["file_crc32"]:
+        raise ShardFormatError("the decoded bytes do not match the manifest's file_crc32")
     Path(args.out).write_bytes(data)
     _emit(
         cfg,

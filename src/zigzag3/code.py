@@ -243,27 +243,39 @@ class MdsReport:
         return not self.violations
 
 
-def _fixed_space_dim(p: SignedPermutation) -> int:
-    """Nullity of I - P over GF(3): the number of cycles of P whose sign
-    product is +1.
+def _fixed_space_dim(target: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Nullity of I - P over GF(3) for each signed permutation P given by
+    a row of the (products, n) ``target`` and ``sign``: the number of
+    cycles of P whose sign product is +1.
 
     P x = x forces x[r] = sign[r] x[target[r]] around each cycle, so a
     cycle carries one free value if its signs multiply to +1 and forces 0
-    if they multiply to -1.  All cycles are walked in lockstep, as many
-    steps as the longest cycle has; each cycle is counted once, at its
-    smallest index.
+    if they multiply to -1.  The rows are laid end to end as one
+    permutation, and all its cycles are walked in lockstep, as many steps
+    as the longest cycle has; each cycle is counted once, at its smallest
+    index.
     """
-    start = np.arange(p.size)
-    at = p.target.copy()
-    product = p.sign.copy()
+    products, n = target.shape
+    flat = (target + n * np.arange(products)[:, None]).ravel()
+    sign = sign.ravel()
+    start = np.arange(flat.size)
+    at = flat.copy()
+    product = sign.copy()
     least = np.minimum(start, at)
     walking = np.flatnonzero(at != start)
     while walking.size:
-        product[walking] *= p.sign[at[walking]]
-        at[walking] = p.target[at[walking]]
-        least[walking] = np.minimum(least[walking], at[walking])
-        walking = walking[at[walking] != walking]
-    return int(np.count_nonzero((least == start) & (product == 1)))
+        step = at[walking]
+        product[walking] *= sign[step]
+        step = flat[step]
+        at[walking] = step
+        least[walking] = np.minimum(least[walking], step)
+        walking = walking[step != walking]
+    return np.count_nonzero(((least == start) & (product == 1)).reshape(products, n), axis=1)
+
+
+# Symbols of the products A_i^-1 A_j one walk takes (all up to k = 10, two
+# at k = 16): its random gathers stay near the size of a core's cache.
+_MDS_SYMBOLS = 1 << 16
 
 
 def verify_mds(cm: CodingMatrixSet) -> MdsReport:
@@ -271,21 +283,25 @@ def verify_mds(cm: CodingMatrixSet) -> MdsReport:
 
     rank(A_i - A_j) = rank(I - A_i^-1 A_j) = N - c, with c the number of
     cycles of the signed permutation A_i^-1 A_j whose sign product is +1
-    (``_fixed_space_dim``), so no elimination is needed.  rank(A_i) = N
-    needs no check: ``SignedPermutation`` only holds invertible matrices,
-    since its constructor rejects anything but one +-1 per row and column.
+    (``_fixed_space_dim``), so no elimination is needed.  Row r of the
+    product is (sign_i sign_j)[u] at column target_j[u], u = A_i^-1's
+    target at r: one gather forms ``_MDS_SYMBOLS`` symbols of products, and
+    one walk counts their cycles.  rank(A_i) = N needs no check:
+    ``SignedPermutation`` only holds invertible matrices.
     """
     params = cm.params
     n = params.n_rows
+    target = np.stack([m.target for m in cm.matrices])
+    sign = np.stack([m.sign for m in cm.matrices])
+    inverse = np.argsort(target, axis=1)
+    first, second = np.nonzero(~np.eye(params.k, dtype=bool))
+    step = max(1, _MDS_SYMBOLS // n)
     violations = []
-    inverses = [m.inverse() for m in cm.matrices]
-    for i in range(params.k):
-        for j in range(params.k):
-            if i == j:
-                continue
-            r = n - _fixed_space_dim(inverses[i] @ cm.matrices[j])
-            if r != n:
-                violations.append(f"rank(A_{i} - A_{j}) = {r}, expected {n}")
+    for lo in range(0, first.size, step):
+        i, j = first[lo : lo + step], second[lo : lo + step]
+        u = inverse[i]
+        nullity = _fixed_space_dim(np.take_along_axis(target[j], u, 1), np.take_along_axis(sign[i] * sign[j], u, 1))
+        violations += [f"rank(A_{a} - A_{b}) = {n - c}, expected {n}" for a, b, c in zip(i, j, nullity) if c]
     return MdsReport(params, tuple(violations))
 
 

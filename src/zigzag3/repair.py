@@ -55,6 +55,8 @@ the rebuilt shard once on the way out.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -575,23 +577,57 @@ def _batches(blocks: Iterable[_Terms], cost) -> Iterator[list[_Terms]]:
         yield batch
 
 
+# What the checks of one sweep k share (``_sharing``): its repair pairs,
+# by (N, variant), and per pair, by (s, s_tilde), the X and R of every
+# product s_tilde P reduced so far, by P.
+_SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_SHARED", default=None)
+
+
+@contextlib.contextmanager
+def _sharing(pairs: list[RepairMatrixPair]) -> Iterator[None]:
+    """Share ``pairs``, which parity plans take instead of building their
+    own, and their reductions among the calls made inside.  The first call
+    that reduces a product s_tilde P of a pair pays for it and keeps X and
+    R; later calls read them, and the pair's parity plan, their last
+    reader, takes them away.  A reduction that raises is not kept, so
+    each caller that needs it fails on its own.  Nothing outlives the
+    block."""
+    token = _SHARED.set({(p.s.cols, p.variant): p for p in pairs} | {(p.s, p.s_tilde): {} for p in pairs})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _reductions(
+    s: SparseRows, pivots: _Pivots, m: SparseRows, perms: list[SignedPermutation], take: bool = False
+) -> list[tuple[_Terms, _Terms]]:
+    """X and R of ``_eliminate`` for m P against the pivots of ``s``, each
+    distinct P in ``perms`` reduced once; inside ``_sharing`` a shared
+    pair (s, m) keeps them between calls, and ``take`` removes them."""
+    shared = _SHARED.get() or {}
+    memo = (shared.pop if take else shared.get)((s, m), {})
+    todo = [p for p in dict.fromkeys(perms) if p not in memo]
+    memo.update(zip(todo, _eliminated(s, pivots, (_terms(m.times(p).slots, m.cols) for p in todo))))
+    return [memo[p] for p in perms]
+
+
 def _stacked_ranks(s: SparseRows, m: SparseRows, perms: list[SignedPermutation], combos) -> list[int]:
     """rank(stack(s, t)) for every t = sum_(i, c) c m perms[i] over the
     (index, sign) pairs of a combination in ``combos``, exactly.
 
-    Each m P is reduced against the unit-column pivots of ``s`` once, and
-    since X and R are linear in the rows reduced, the residual of each t
-    is the signed sum of theirs; its rank is s.rows + rank(R).  A matrix
-    without pivots falls back to dense elimination of each stack, so
-    arbitrary pairs still get exact ranks.
+    Each m P is reduced against the unit-column pivots of ``s`` once
+    (``_reductions``), and since X and R are linear in the rows reduced,
+    the residual of each t is the signed sum of theirs; its rank is
+    s.rows + rank(R).  A matrix without pivots falls back to dense
+    elimination of each stack, so arbitrary pairs still get exact ranks.
     """
     half = s.rows
-    moved = (_terms(m.times(p).slots, m.cols) for p in perms)
     pivots = _unit_pivots(s)
     if pivots is None:
-        t = _merged(_combined(list(moved), combos)).array
+        t = _merged(_combined([_terms(m.times(p).slots, m.cols) for p in perms], combos)).array
         return [rank(Gf3Matrix(np.vstack([s.array, t[i : i + half]]))) for i in range(0, t.shape[0], half)]
-    residual = _combined([r for _, r in _eliminated(s, pivots, moved)], combos)
+    residual = _combined([r for _, r in _reductions(s, pivots, m, perms)], combos)
     return [half + r for r in _block_ranks(residual, half)]
 
 
@@ -729,24 +765,21 @@ def verify_duality(pair: RepairMatrixPair, cm: CodingMatrixSet) -> DualityReport
     stacking s_tilde over s(I + A_l) has the same rank as stacking s over
     s_tilde(I - A_l).  Both sides are ``_stacked_ranks`` certificates: the
     swapped conditions and every left side against the unit-column pivots
-    of ``s_tilde``, every right side against those of ``s``.  When the
-    swapped pair serves the zigzag parity, its interference rows are the
-    left sides s(I + A_l) themselves, so their ranks are reused; else the
-    left sides combine the same products s A_l.
+    of ``s_tilde``, every right side against those of ``s``: the products
+    s_tilde P of the repair conditions, which a sweep reduces once
+    (``_sharing``).  When the swapped pair serves the zigzag parity, its
+    interference rows are the left sides s(I + A_l) themselves, so their
+    ranks are reused; else the left sides combine the same products s A_l.
     """
     swapped = pair.swapped()
     k = cm.params.k
     perms, combos = _conditions(cm, swapped.variant)
-    if swapped.variant == SECOND_PARITY:
-        ranks = _stacked_ranks(pair.s_tilde, pair.s, perms, combos)
-        lhs = ranks[1:]
-    else:
-        lhs_combos = [((0, 1), (l + 1, 1)) for l in range(1, k)]
-        ranks = _stacked_ranks(pair.s_tilde, pair.s, perms, combos + lhs_combos)
-        lhs = ranks[k:]
+    lhs_combos = [] if swapped.variant == SECOND_PARITY else [((0, 1), (l + 1, 1)) for l in range(1, k)]
+    ranks = _stacked_ranks(pair.s_tilde, pair.s, perms, combos + lhs_combos)
+    lhs = ranks[k:] if lhs_combos else ranks[1:]
     swapped_report = _condition_report(swapped.variant, cm.params.n_rows, ranks[:k])
-    perms, combos = _conditions(cm, FIRST_PARITY)
-    rhs = _stacked_ranks(pair.s, pair.s_tilde, perms, combos[1:])
+    perms = [SignedPermutation.identity(cm.params.n_rows), *cm.matrices[1:]]
+    rhs = _stacked_ranks(pair.s, pair.s_tilde, perms, [((0, 1), (l, -1)) for l in range(1, k)])
     equalities = tuple(RankEquality(l, lhs[l - 1], rhs[l - 1]) for l in range(1, k))
     return DualityReport(pair.variant, swapped_report, equalities)
 
@@ -969,11 +1002,12 @@ def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> Repair
     factors of the stacked system, whose inverse ``_stacked_inverse``
     builds; it raises ``SingularMatrixError`` unless the Schur complement
     is a signed permutation.  ``MissingPivotError`` is raised if a row of
-    ``pair.s`` owns no unit column.
+    ``pair.s`` owns no unit column.  Inside ``_sharing`` the plan takes the
+    shared pair and its reductions.
     """
     k = params.k
     variant = FIRST_PARITY if failed == k else SECOND_PARITY
-    pair = build_repair_pair(k, variant)
+    pair = (_SHARED.get() or {}).get((params.n_rows, variant)) or build_repair_pair(k, variant)
     surviving = k + 1 if failed == k else k
     half = params.n_rows // 2
     pivots = _unit_pivots(pair.s)
@@ -990,8 +1024,7 @@ def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> Repair
     # a signed sum of two of them, and so are its X, projector l, and its
     # residual, which must vanish.  The base's X and R are the Schur factors.
     perms, combos = _conditions(cm, variant)
-    moved = (_terms(pair.s_tilde.times(p).slots, pair.s.cols) for p in perms)
-    xs, residuals = zip(*_eliminated(pair.s, pivots, moved))
+    xs, residuals = zip(*_reductions(pair.s, pivots, pair.s_tilde, perms, take=True))
     if _combined(residuals, combos[1:]).key.size:
         raise InconsistentSystemError("target rows are not in the row space")
     projectors = {}

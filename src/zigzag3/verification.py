@@ -7,12 +7,17 @@ zero-column census/propagation behind the I/O counts, and the I/O meter
 formulas on a repair plan for every node.  Each check records its
 wall-clock seconds.  A fault hook lets tests corrupt the coding matrices
 and watch the sweep object.
+
+Per k, both repair pairs are built once, before the checks and outside
+their seconds, and each product s_tilde P of a pair is reduced against the
+pivots of s once (``repair._sharing``): the repair-conditions check pays
+for it, and the pair's duality check and io-meters parity plan reuse it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +34,8 @@ from .code import (
 from .repair import (
     FIRST_PARITY,
     SECOND_PARITY,
+    RepairMatrixPair,
+    _sharing,
     build_repair_pair,
     io_lower_bound,
     expected_repair_io,
@@ -51,13 +58,7 @@ class SweepCheck:
     seconds: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,7 @@ def _check_meters(params: CodeParams, cm: CodingMatrixSet) -> tuple[bool, str]:
             details.append(f"node {failed}: bandwidth {plan.bandwidth} != {bandwidth}")
         if failed >= k and plan.total_io < floor:
             details.append(f"node {failed}: below floor {floor}")
+        del plan  # before the next is built: a k = 16 parity plan keeps up to 64 MiB
     if details:
         return False, "; ".join(details)
     return True, (
@@ -145,10 +147,9 @@ def _check_meters(params: CodeParams, cm: CodingMatrixSet) -> tuple[bool, str]:
     )
 
 
-def _check_alt_seed_census(params: CodeParams) -> tuple[bool, str]:
-    """Reusing the row-sum-parity matrices for the zigzag parity must cost
+def _check_alt_seed_census(params: CodeParams, pair: RepairMatrixPair) -> tuple[bool, str]:
+    """Reusing the row-sum-parity ``pair`` for the zigzag parity must cost
     kN + N - 1 reads, one more than the dedicated seeds; census only."""
-    pair = build_repair_pair(params.k, FIRST_PARITY)
     n = params.n_rows
     io = params.k * pair.s_tilde.nonzero_column_count() + pair.s.nonzero_column_count()
     expected = params.k * n + n - 1
@@ -164,6 +165,8 @@ def run_sweep(
     fault_hook: Optional[Callable[[CodingMatrixSet], CodingMatrixSet]] = None,
 ) -> SweepReport:
     k_values = tuple(k_values)
+    if not k_values or trials < 1:
+        raise ValueError(f"run_sweep needs at least one k and trials >= 1, got k={k_values}, trials={trials}")
     rng = np.random.default_rng(seed)
     checks: list[SweepCheck] = []
 
@@ -182,43 +185,42 @@ def run_sweep(
         cm = build_coding_matrices(params)
         if fault_hook is not None:
             cm = fault_hook(cm)
+        pairs = [build_repair_pair(k, variant) for variant in (FIRST_PARITY, SECOND_PARITY)]
+        with _sharing(pairs):
+            def check_mds():
+                mds = verify_mds(cm)
+                return mds.ok, "; ".join(mds.violations)
 
-        def check_mds():
-            mds = verify_mds(cm)
-            return mds.ok, "; ".join(mds.violations)
+            record(k, "mds-ranks", check_mds)
+            record(k, "coding-matrix-equivalence", lambda: _check_equivalence(params, cm))
+            record(k, "encoder-forms", lambda: _check_encoder_forms(params, cm, trials, rng))
 
-        record(k, "mds-ranks", check_mds)
-        record(k, "coding-matrix-equivalence", lambda: _check_equivalence(params, cm))
-        record(k, "encoder-forms", lambda: _check_encoder_forms(params, cm, trials, rng))
+            for pair, tag in zip(pairs, ("first", "second")):
+                def check_conditions(pair=pair):
+                    cond = verify_repair_conditions(pair, cm)
+                    return cond.ok, "; ".join(
+                        f"{c.name}: {c.actual} != {c.expected}" for c in cond.violations
+                    )
 
-        for variant, tag in ((FIRST_PARITY, "first"), (SECOND_PARITY, "second")):
-            pair = build_repair_pair(k, variant)
+                def check_duality(pair=pair):
+                    dual = verify_duality(pair, cm)
+                    return dual.ok, "" if dual.ok else "swapped-pair conditions or rank equalities failed"
 
-            def check_conditions(pair=pair):
-                cond = verify_repair_conditions(pair, cm)
-                return cond.ok, "; ".join(
-                    f"{c.name}: {c.actual} != {c.expected}" for c in cond.violations
-                )
+                def check_zero_columns(pair=pair):
+                    zc = verify_zero_column_structure(pair, params)
+                    census_ok = zc.zero_cols_s == (0,) and zc.zero_cols_s_tilde == ()
+                    detail = (
+                        f"zero cols s={zc.zero_cols_s} s_tilde={zc.zero_cols_s_tilde}; "
+                        f"floor {zc.per_matrix_floor}"
+                    )
+                    if zc.propagation_violations:
+                        detail += "; " + "; ".join(zc.propagation_violations)
+                    return zc.ok and census_ok, detail
 
-            def check_duality(pair=pair):
-                dual = verify_duality(pair, cm)
-                return dual.ok, "" if dual.ok else "swapped-pair conditions or rank equalities failed"
+                record(k, f"repair-conditions-{tag}", check_conditions)
+                record(k, f"duality-{tag}", check_duality)
+                record(k, f"zero-columns-{tag}", check_zero_columns)
 
-            def check_zero_columns(pair=pair):
-                zc = verify_zero_column_structure(pair, params)
-                census_ok = zc.zero_cols_s == (0,) and zc.zero_cols_s_tilde == ()
-                detail = (
-                    f"zero cols s={zc.zero_cols_s} s_tilde={zc.zero_cols_s_tilde}; "
-                    f"floor {zc.per_matrix_floor}"
-                )
-                if zc.propagation_violations:
-                    detail += "; " + "; ".join(zc.propagation_violations)
-                return zc.ok and census_ok, detail
-
-            record(k, f"repair-conditions-{tag}", check_conditions)
-            record(k, f"duality-{tag}", check_duality)
-            record(k, f"zero-columns-{tag}", check_zero_columns)
-
-        record(k, "io-meters", lambda: _check_meters(params, cm))
-        record(k, "alt-seed-census", lambda: _check_alt_seed_census(params))
+            record(k, "io-meters", lambda: _check_meters(params, cm))
+            record(k, "alt-seed-census", lambda: _check_alt_seed_census(params, pairs[0]))
     return SweepReport(k_values, trials, seed, tuple(checks))

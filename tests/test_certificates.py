@@ -3,14 +3,18 @@
 The runtime checks MDS ranks by a cycle walk and the repair rank
 conditions by unit-column pivots, on sparse rows.  The dense bodies they
 replaced are kept here, and the reports of both must agree exactly, on
-the healthy coding matrices and on ones with a flipped sign.
+the healthy coding matrices and on ones with a flipped sign.  A sweep
+shares each repair pair's reductions among its checks; what it reports
+must equal what each check reports on its own.
 """
 
+import contextlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import zigzag3.code as code
 import zigzag3.repair as repair
 import zigzag3.verification as verification
 from zigzag3.code import (
@@ -32,6 +36,7 @@ from zigzag3.repair import (
     MissingPivotError,
     RankEquality,
     RepairMatrixPair,
+    RepairPlan,
     SparseRows,
     ZeroColumnReport,
     _conditions,
@@ -212,6 +217,178 @@ def test_sweep_matches_dense_oracle(fault_hook, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# one elimination per product in a sweep
+# ---------------------------------------------------------------------------
+
+
+def plan_fields(plan):
+    """A plan, or the error building it raised, as comparable values."""
+    if not isinstance(plan, RepairPlan):
+        return type(plan).__name__, str(plan)
+
+    def slots(matrices):
+        return {node: m.slots.tolist() for node, m in matrices.items()}
+
+    return (slots(plan.downloads), slots(plan.projectors), plan.solve_inverse.slots.tolist(),
+            plan.top, plan.bottom_node, plan.io_per_node)
+
+
+def recording_plans(monkeypatch):
+    """Record every plan the sweep's io-meters check builds, or its error."""
+    plans = {}
+
+    def record(params, cm, failed):
+        try:
+            plans[failed] = repair.plan_repair(params, cm, failed)
+        except Exception as exc:  # noqa: BLE001
+            plans[failed] = exc
+            raise
+        return plans[failed]
+
+    monkeypatch.setattr(verification, "plan_repair", record)
+    return plans
+
+
+def with_a0(cm, target, sign):
+    return CodingMatrixSet(cm.params, (SignedPermutation(target, sign), *cm.matrices[1:]))
+
+
+def a0_sign_flipped(cm):
+    """A_0 differs from I by one sign, and equals its inverse."""
+    sign = cm.matrices[0].sign.copy()
+    sign[0] = -sign[0]
+    return with_a0(cm, cm.matrices[0].target, sign)
+
+
+def a0_three_cycle(cm):
+    """A_0 differs from its inverse: rows 0, 1, 2 are cycled."""
+    target = cm.matrices[0].target.copy()
+    target[:3] = target[[1, 2, 0]]
+    return with_a0(cm, target, cm.matrices[0].sign)
+
+
+@pytest.mark.parametrize("fault_hook", [None, flip_one_sign], ids=["healthy", "flipped"])
+@pytest.mark.parametrize("k", range(2, 13))
+def test_shared_sweep_matches_independent_checks(k, fault_hook, monkeypatch):
+    # Every check reads the same from shared reductions as from its own,
+    # and every parity plan equals the one plan_repair builds alone.
+    plans = assert_shared_sweep_matches_independent(k, fault_hook, monkeypatch)
+    # A flipped sign breaks the row-sum plan from k = 3 on.
+    assert isinstance(plans[k], RepairPlan) == (fault_hook is None or k == 2)
+
+
+@pytest.mark.parametrize("fault_hook", [a0_sign_flipped, a0_three_cycle])
+@pytest.mark.parametrize("k", [3, 5])
+def test_shared_sweep_keeps_products_of_other_a0_apart(k, fault_hook, monkeypatch):
+    # Products are shared only for equal permutations, compared by target
+    # and sign: I, A_0 and A_0^-1 all differ here.
+    assert_shared_sweep_matches_independent(k, fault_hook, monkeypatch)
+
+
+def assert_shared_sweep_matches_independent(k, fault_hook, monkeypatch):
+    """Compare the sweep with one whose checks share nothing, and the
+    parity plans built from shared reductions with plans built alone;
+    returns the plans the sweep built."""
+    plans = recording_plans(monkeypatch)
+    shared = run_sweep([k], trials=2, fault_hook=fault_hook)
+    with monkeypatch.context() as m:
+        m.setattr(verification, "_sharing", lambda pairs: contextlib.nullcontext())
+        alone = run_sweep([k], trials=2, fault_hook=fault_hook)
+    assert [(c.name, c.passed, c.detail) for c in shared.checks] == [
+        (c.name, c.passed, c.detail) for c in alone.checks
+    ]
+    params = CodeParams(k)
+    cm = build_coding_matrices(params) if fault_hook is None else fault_hook(build_coding_matrices(params))
+
+    def plan(failed):
+        try:
+            return plan_repair(params, cm, failed)
+        except Exception as exc:  # noqa: BLE001
+            return exc
+
+    # The sweep stops planning at the first plan that raises, so both
+    # parity plans are also built from reductions shared by hand.
+    pairs = [build_repair_pair(k, variant) for variant in VARIANTS]
+    with repair._sharing(pairs):
+        for pair in pairs:
+            verify_repair_conditions(pair, cm)
+            verify_duality(pair, cm)
+        by_hand = {failed: plan(failed) for failed in (k, k + 1)}
+    for failed, got in by_hand.items():
+        want = plan_fields(plan(failed))
+        assert plan_fields(got) == want, (k, failed)
+        if failed in plans:
+            assert plan_fields(plans[failed]) == want, (k, failed)
+    return plans
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_sweep_eliminates_each_product_once(k, monkeypatch):
+    # Counted, not timed: each pair is built once per k, and each distinct
+    # product (the matrix reduced against, and the terms reduced) meets
+    # `_eliminated` once.  A_0 = I, so each pair's conditions, duality and
+    # plan share k products, and each duality left side has k of its own.
+    products, built = [], []
+    real_eliminated, real_build = repair._eliminated, repair.build_repair_pair
+
+    def counting_eliminated(s, pivots, blocks):
+        blocks = list(blocks)
+        products.extend((s.slots.tobytes(), t.key.tobytes()) for t in blocks)
+        return real_eliminated(s, pivots, blocks)
+
+    def counting_build(k, variant):
+        built.append((k, variant))
+        return real_build(k, variant)
+
+    monkeypatch.setattr(repair, "_eliminated", counting_eliminated)
+    monkeypatch.setattr(repair, "build_repair_pair", counting_build)
+    monkeypatch.setattr(verification, "build_repair_pair", counting_build)
+    report = run_sweep([k], trials=2)
+    assert report.passed
+    assert built == [(k, FIRST_PARITY), (k, SECOND_PARITY)]
+    assert len(set(products)) == len(products) == 4 * k
+
+
+def test_shared_reductions_end_with_the_sweep():
+    # Outside a sweep nothing is kept; inside, a pair's plan takes them.
+    assert repair._SHARED.get() is None
+    cm = build_coding_matrices(CodeParams(4))
+    pairs = [build_repair_pair(4, v) for v in VARIANTS]
+    with repair._sharing(pairs):
+        verify_repair_conditions(pairs[0], cm)
+        assert len(repair._SHARED.get()[(pairs[0].s, pairs[0].s_tilde)]) == 4
+        plan_repair(cm.params, cm, 4)
+        assert (pairs[0].s, pairs[0].s_tilde) not in repair._SHARED.get()
+    assert repair._SHARED.get() is None
+    run_sweep([3, 4])
+    assert repair._SHARED.get() is None
+
+
+def test_failing_elimination_fails_each_check_that_needs_it(monkeypatch):
+    # At k = 4 every reduction raises: each check that needs one fails
+    # with its own detail, and k = 5 still runs and passes.
+    real = repair._eliminate
+
+    def failing(s, pivots, t):
+        if s.cols == 8:
+            raise RuntimeError("no reduction at N = 8")
+        return real(s, pivots, t)
+
+    monkeypatch.setattr(repair, "_eliminate", failing)
+    report = run_sweep([4, 5], trials=2)
+    failed = [(c.k, c.name, c.detail) for c in report.failures]
+    needs = ["repair-conditions-first", "duality-first", "repair-conditions-second", "duality-second", "io-meters"]
+    assert failed == [(4, name, "RuntimeError: no reduction at N = 8") for name in needs]
+    assert all(c.passed for c in report.checks if c.k == 5)
+
+
+@pytest.mark.parametrize("k_values, trials", [([], 5), ([3], 0), ([3], -5)])
+def test_sweep_rejects_bad_arguments(k_values, trials):
+    with pytest.raises(ValueError):
+        run_sweep(k_values, trials=trials)
+
+
+# ---------------------------------------------------------------------------
 # stacked rank: every branch against rank(stack)
 # ---------------------------------------------------------------------------
 
@@ -315,6 +492,11 @@ def dense_nullity(p):
     return p.size - rank(Gf3Matrix.identity(p.size) - p.dense())
 
 
+def nullities(perms):
+    """``_fixed_space_dim`` of signed permutations of one size, walked together."""
+    return _fixed_space_dim(np.stack([p.target for p in perms]), np.stack([p.sign for p in perms])).tolist()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33])
 def test_fixed_space_dim_matches_dense(n):
     rng = np.random.default_rng(n)
@@ -324,18 +506,35 @@ def test_fixed_space_dim_matches_dense(n):
         staircase.append(len(staircase) + 1)
     if sum(staircase) < n:
         staircase.append(n - sum(staircase))
-    for cycle_lengths in [None] * 20 + [[n], [1] * n, staircase]:
-        p = random_signed_permutation(rng, n, cycle_lengths)
-        assert _fixed_space_dim(p) == dense_nullity(p), (n, cycle_lengths)
+    cases = [None] * 20 + [[n], [1] * n, staircase]
+    perms = [random_signed_permutation(rng, n, cycle_lengths) for cycle_lengths in cases]
+    for p, cycle_lengths in zip(perms, cases):
+        assert nullities([p]) == [dense_nullity(p)], (n, cycle_lengths)
+    # Walked together, each permutation keeps its own count.
+    assert nullities(perms) == [dense_nullity(p) for p in perms]
 
 
 def test_fixed_space_dim_cycle_sign_products():
     # A 3-cycle with signs multiplying to +1 fixes a line; to -1, nothing.
     plus = SignedPermutation([1, 2, 0], [-1, -1, 1])
     minus = SignedPermutation([1, 2, 0], [-1, 1, 1])
-    assert (_fixed_space_dim(plus), _fixed_space_dim(minus)) == (1, 0)
-    assert _fixed_space_dim(SignedPermutation.identity(4)) == 4
-    assert _fixed_space_dim(SignedPermutation.identity(4).negate()) == 0
+    assert nullities([plus, minus]) == [1, 0]
+    identity = SignedPermutation.identity(4)
+    assert nullities([identity, identity.negate()]) == [4, 0]
+
+
+@pytest.mark.parametrize("symbols", [1, 24])
+def test_verify_mds_walks_products_in_blocks(symbols, monkeypatch):
+    # One product, or three at k = 4 (N = 8), per walk: the same report.
+    monkeypatch.setattr(code, "_MDS_SYMBOLS", symbols)
+    rng = np.random.default_rng(7)
+    for k in (3, 4):
+        params = CodeParams(k)
+        sets = [flip_one_sign(build_coding_matrices(params))]
+        sets += [CodingMatrixSet(params, tuple(random_signed_permutation(rng, params.n_rows) for _ in range(k)))
+                 for _ in range(10)]
+        for cm in sets:
+            assert verify_mds(cm) == dense_verify_mds(cm)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -1,6 +1,7 @@
 """Command-line behaviour, including the exit-code contract."""
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,8 @@ def test_encode_empty_file(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["encode", "--k", "3", "--input", str(src), "--out-dir", str(out_dir)]) == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest == {"k": 3, "stripes": 1, "original_len": 0,
-                        "shard_crc": manifest["shard_crc"]}
+    assert manifest == {"k": 3, "stripes": 1, "original_len": 0, "shard_version": 2,
+                        "file_crc32": 0, "shard_crc": manifest["shard_crc"]}
     out = tmp_path / "back.bin"
     shards = [shard(out_dir, i) for i in range(3)]
     assert main(["decode", "--shards", *shards, "--out", str(out)]) == 0
@@ -454,6 +455,73 @@ def test_manifest_capacity_of_a_v1_set(tmp_path):
     set_original_len(out_dir, 1003)
     assert main(["decode", "--shards", *shards, "--out", str(tmp_path / "over.bin")]) == 4
     assert not (tmp_path / "over.bin").exists()
+
+
+def encode_bytes(tmp_path, data: bytes) -> Path:
+    src = tmp_path / "input.bin"
+    src.write_bytes(data)
+    out_dir = tmp_path / "shards"
+    assert main(["encode", "--k", str(K), "--input", str(src), "--out-dir", str(out_dir)]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("original_len", [272, 279])
+def test_edited_original_len_fails_the_file_crc(tmp_path, capsys, original_len):
+    # With version 2, original_len also places the last partial block;
+    # 272 used to decode 272 wrong bytes with exit 0.
+    data = np.random.default_rng(45).bytes(280)
+    out_dir = encode_bytes(tmp_path, data)
+    assert json.loads((out_dir / "manifest.json").read_text())["file_crc32"] == zlib.crc32(data)
+    set_original_len(out_dir, original_len)
+    capsys.readouterr()
+    out = tmp_path / "restored.bin"
+    assert main(["decode", "--shards", *[shard(out_dir, i) for i in range(K)], "--out", str(out)]) == 4
+    assert "file_crc32" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [280, 4])
+def test_version_flipped_on_every_shard_exit_4(tmp_path, capsys, size):
+    # The version byte is outside the shard CRC.  4 bytes fit in the
+    # stripes of either layout: read as version 1, they used to decode
+    # to 4 wrong bytes with exit 0.
+    out_dir = encode_bytes(tmp_path, np.random.default_rng(size).bytes(size))
+    for node in range(K + 2):
+        path = Path(shard(out_dir, node))
+        blob = bytearray(path.read_bytes())
+        assert blob[4] == 2
+        blob[4] = 1
+        path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    out = tmp_path / "restored.bin"
+    assert main(["decode", "--shards", *[shard(out_dir, i) for i in range(K)], "--out", str(out)]) == 4
+    assert "shard version 2, shards 1" in capsys.readouterr().err
+    assert not out.exists()
+    helpers = [shard(out_dir, i) for i in range(1, K + 2)]
+    assert main(["repair", "--shards", *helpers, "--rebuild", "0", "--out-dir", str(tmp_path / "r")]) == 4
+    assert "shard version 2, shards 1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_manifest_without_version_or_file_crc_decodes(tmp_path):
+    # Sets written before these fields keep decoding; a field of the
+    # wrong type is a format error.
+    data = np.random.default_rng(3).bytes(1000)
+    out_dir = encode_bytes(tmp_path, data)
+    path = out_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    shards = [shard(out_dir, i) for i in range(2, K + 2)]
+    out = tmp_path / "restored.bin"
+    for key, bad in (("shard_version", "2"), ("file_crc32", True)):
+        path.write_text(json.dumps({**manifest, key: bad}))
+        assert main(["decode", "--shards", *shards, "--out", str(out)]) == 4
+    for key in ("shard_version", "file_crc32"):
+        manifest.pop(key)
+    path.write_text(json.dumps(manifest))
+    assert main(["decode", "--shards", *shards, "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+    helpers = [shard(out_dir, i) for i in range(K + 2) if i != K]
+    assert main(["repair", "--shards", *helpers, "--rebuild", str(K), "--out-dir", str(tmp_path / "r")]) == 0
 
 
 def test_mixed_shard_versions_exit_4(encoded, capsys):
