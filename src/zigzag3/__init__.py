@@ -13,7 +13,7 @@ from .code import (
     encode_parts_array,
     verify_mds,
 )
-from .gf3 import Gf3Matrix, SignedPermutation
+from .gf3 import SignedPermutation
 from .repair import (
     FIRST_PARITY,
     SECOND_PARITY,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CodeParams",
     "CodingMatrixSet",
-    "Gf3Matrix",
     "SignedPermutation",
     "build_coding_matrices",
     "encode_parts_array",

@@ -20,12 +20,11 @@ All symbols live in GF(3) with 2 standing for -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gf3 import (
-    Gf3Matrix,
     SignedPermutation,
     SingularMatrixError,
     reduce_sum,
@@ -150,16 +149,10 @@ def _recursion_level(k: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 @dataclass(frozen=True)
 class CodingMatrixSet:
-    """The k coding matrices, compact with dense views on demand."""
+    """The k coding matrices, each a signed permutation."""
 
     params: CodeParams
     matrices: tuple[SignedPermutation, ...]
-    _dense_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def dense(self, j: int) -> Gf3Matrix:
-        if j not in self._dense_cache:
-            self._dense_cache[j] = self.matrices[j].dense()
-        return self._dense_cache[j]
 
 
 def build_coding_matrices(params: CodeParams) -> CodingMatrixSet:

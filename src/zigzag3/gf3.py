@@ -1,4 +1,4 @@
-"""Exact arithmetic over GF(3): the symbol kernel and dense linear algebra.
+"""Exact arithmetic over GF(3): the symbol kernel and dense elimination.
 
 Field elements are the residues {0, 1, 2} with 2 standing for -1.  Every
 routine here is exact integer arithmetic mod 3; there is no floating point
@@ -7,8 +7,8 @@ anywhere.
 The symbol kernel serves the encode/decode data path.  Symbols are uint8
 residues; a signed permutation contributes int8 terms sign * symbol in
 {-2..2}, a caller adds up to a few dozen such terms in int8 without
-overflow, and ``reduce_sum`` maps the sum back to residues with one
-table lookup per pair of adjacent sums instead of a division per term.
+overflow, and ``reduce_sum`` maps the sum back to residues with five
+whole-array uint8 steps instead of a division per term.
 Every zigzag coding matrix, its inverse and every product decode forms
 sends row r to column r ^ c for one constant c, so ``terms`` moves
 whole 8-byte words: it gathers word w from word w ^ (c >> 3) and then
@@ -16,13 +16,13 @@ reorders the bytes inside each word by up to three byte reversals of
 2-, 4- or 8-byte lanes.  Other permutations, and rows shorter than one
 word, are gathered byte by byte.
 
-Dense matrices (rank, solving) are stored row-major as
-read-only uint8 numpy arrays, so all values are immutable after
-construction and safe to share between threads.
-
-Gaussian elimination uses the leftmost nonzero column as pivot and the
-first nonzero row as tie-break, which makes rank/solve outputs fully
-deterministic.
+Dense elimination (``rank`` and the solvers) takes any 2-D integer
+array-like, reduces it mod 3, and returns read-only uint8 arrays.  At
+run time it ranks only what peeling leaves of a sparse matrix
+(``repair._rank``) and the small matrices of the exhaustive search at
+k <= 3.  Gaussian elimination uses the leftmost nonzero column as pivot
+and the first nonzero row as tie-break, which makes rank/solve outputs
+fully deterministic.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "InconsistentSystemError",
     "residues",
     "reduce_sum",
-    "Gf3Matrix",
     "SignedPermutation",
     "rank",
     "solve_left",
@@ -72,20 +71,6 @@ def _as_gf3_array(data) -> np.ndarray:
 # Symbol kernel
 # ---------------------------------------------------------------------------
 
-# Residue mod 3 of every int8 value, indexed by its byte pattern.
-_INT8_RESIDUE = np.mod(np.arange(256, dtype=np.uint8).view(np.int8), 3).astype(np.uint8)
-_INT8_RESIDUE.setflags(write=False)
-
-# The residues of two adjacent int8 values at once: entry v holds, in each
-# of its two bytes, the residue of the int8 stored in that byte of v.  It
-# is built through a byte view of every uint16 value, so it holds in either
-# byte order.
-_PAIR_RESIDUE = np.take(
-    _INT8_RESIDUE, np.arange(1 << 16, dtype=np.uint16).view(np.uint8)
-).view(np.uint16)
-_PAIR_RESIDUE.setflags(write=False)
-
-
 def residues(x) -> np.ndarray:
     """Symbols as uint8 residues mod 3, so -1 maps to 2.
 
@@ -102,22 +87,23 @@ def residues(x) -> np.ndarray:
 def reduce_sum(acc: np.ndarray) -> np.ndarray:
     """Residues mod 3 of an int8 or uint8 sum of symbol terms, as uint8.
 
-    Returns a new writable uint8 array of the shape of ``acc``.  Exact
-    while every entry fits in int8 (a uint8 sum must stay below 128).  A
-    sum of k+1 terms in {-2..2} stays within +-2(k+1), which fits for any
-    k up to 62.
+    Returns a new writable, C-contiguous uint8 array of the shape of
+    ``acc``.  Exact while every entry fits in int8 (a uint8 sum must stay
+    below 128).  A sum of k+1 terms in {-2..2} stays within +-2(k+1),
+    which fits for any k up to 62.
 
-    A C-contiguous ``acc`` with an even, non-zero last axis is read as
-    uint16 pairs of adjacent sums and reduced by one lookup per pair in
-    the 65,536-entry pair table; anything else (an odd last axis, a
-    strided or transposed view, no elements) takes one lookup per sum in
-    the 256-entry table.
+    The byte u of a negative int8 x is x + 256, and 256 = 1 mod 3, so
+    w = u - (u >> 7) = x mod 3 for every byte, and w - 3 (w // 3) brings
+    w into 0..2.  Each step is a uint8 ufunc that numpy vectorises, which
+    ``np.remainder`` on uint8 is not.  A strided or transposed sum is
+    copied to C order first.
     """
     if acc.dtype.itemsize != 1:
         raise TypeError(f"reduce_sum needs an int8 or uint8 sum, got {acc.dtype}")
-    if acc.ndim and acc.shape[-1] % 2 == 0 and acc.size and acc.flags.c_contiguous:
-        return np.take(_PAIR_RESIDUE, acc.view(np.uint16)).view(np.uint8)
-    return np.take(_INT8_RESIDUE, acc.view(np.uint8))
+    u = np.asarray(acc, order="C").view(np.uint8)
+    w = u - (u >> 7)
+    w -= 3 * (w // 3)
+    return w
 
 
 # Byte reversal inside each 2-, 4- or 8-byte lane maps byte r of a word to
@@ -143,127 +129,6 @@ def _xor_gather(x: np.ndarray, c: int) -> np.ndarray:
         native, swapped = _LANE_DTYPES[width]
         words = words.view(swapped).astype(native)
     return words.view(np.int8)
-
-
-# ---------------------------------------------------------------------------
-# Dense matrix
-# ---------------------------------------------------------------------------
-
-
-class Gf3Matrix:
-    """Immutable dense matrix over GF(3).
-
-    Accepts any integer array-like; entries are reduced mod 3, so matrices
-    written with -1 entries come out with 2 there.  Equality is entrywise.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, data):
-        self._a = _as_gf3_array(data)
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Gf3Matrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf3Matrix":
-        return cls(np.eye(n, dtype=np.uint8))
-
-    @classmethod
-    def stack(cls, *blocks: "Gf3Matrix") -> "Gf3Matrix":
-        """Vertical concatenation."""
-        cols = {b.cols for b in blocks}
-        if len(cols) != 1:
-            raise Gf3ShapeError(f"cannot stack blocks with column counts {sorted(cols)}")
-        return cls(np.vstack([b._a for b in blocks]))
-
-    @classmethod
-    def hstack(cls, *blocks: "Gf3Matrix") -> "Gf3Matrix":
-        rows = {b.rows for b in blocks}
-        if len(rows) != 1:
-            raise Gf3ShapeError(f"cannot hstack blocks with row counts {sorted(rows)}")
-        return cls(np.hstack([b._a for b in blocks]))
-
-    @classmethod
-    def block_diag(cls, upper: "Gf3Matrix", lower: "Gf3Matrix") -> "Gf3Matrix":
-        out = np.zeros((upper.rows + lower.rows, upper.cols + lower.cols), dtype=np.uint8)
-        out[: upper.rows, : upper.cols] = upper._a
-        out[upper.rows :, upper.cols :] = lower._a
-        return cls(out)
-
-    # -- views ---------------------------------------------------------------
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only uint8 view of the entries."""
-        return self._a
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
-    def __getitem__(self, idx):
-        return self._a[idx]
-
-    def column(self, i: int) -> np.ndarray:
-        return self._a[:, i]
-
-    def tolist(self) -> list[list[int]]:
-        return self._a.tolist()
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "Gf3Matrix") -> "Gf3Matrix":
-        if self.shape != other.shape:
-            raise Gf3ShapeError(f"add: {self.shape} vs {other.shape}")
-        return Gf3Matrix((self._a.astype(np.int16) + other._a) % 3)
-
-    def __sub__(self, other: "Gf3Matrix") -> "Gf3Matrix":
-        if self.shape != other.shape:
-            raise Gf3ShapeError(f"sub: {self.shape} vs {other.shape}")
-        return Gf3Matrix((self._a.astype(np.int16) - other._a) % 3)
-
-    def __neg__(self) -> "Gf3Matrix":
-        return Gf3Matrix((-self._a.astype(np.int16)) % 3)
-
-    def __matmul__(self, other: "Gf3Matrix") -> "Gf3Matrix":
-        if self.cols != other.rows:
-            raise Gf3ShapeError(f"matmul: {self.shape} @ {other.shape}")
-        prod = self._a.astype(np.int64) @ other._a.astype(np.int64)
-        return Gf3Matrix(prod % 3)
-
-    # -- structure -----------------------------------------------------------
-
-    def zero_columns(self) -> list[int]:
-        """Indices of all-zero columns, ascending."""
-        return np.flatnonzero(~self._a.any(axis=0)).tolist()
-
-    def nonzero_column_count(self) -> int:
-        return int(self._a.any(axis=0).sum())
-
-    # -- identity ------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Gf3Matrix):
-            return NotImplemented
-        return self.shape == other.shape and np.array_equal(self._a, other._a)
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self._a.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"Gf3Matrix({self._a.tolist()})"
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +174,6 @@ class SignedPermutation:
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
         return cls(np.arange(n), np.ones(n, dtype=np.int8))
-
-    @classmethod
-    def from_dense(cls, m: Gf3Matrix) -> "SignedPermutation":
-        if m.rows != m.cols:
-            raise Gf3ShapeError("signed permutation must be square")
-        a = m.array
-        if np.any((a != 0).sum(axis=1) != 1) or np.any((a != 0).sum(axis=0) != 1):
-            raise ValueError("matrix does not have exactly one nonzero per row and column")
-        target = np.argmax(a != 0, axis=1)
-        vals = a[np.arange(m.rows), target]
-        sign = np.where(vals == 1, 1, -1).astype(np.int8)
-        return cls(target, sign)
-
-    def dense(self) -> Gf3Matrix:
-        n = self.size
-        out = np.zeros((n, n), dtype=np.uint8)
-        out[np.arange(n), self.target] = self.sign_gf3
-        return Gf3Matrix(out)
 
     def _word_xor(self) -> int:
         """The constant c with ``target[r] == r ^ c`` for every row, when
@@ -428,46 +275,50 @@ def _row_reduce(a: np.ndarray, full: bool) -> list[int]:
     return pivots
 
 
-def rank(m: Gf3Matrix) -> int:
-    """Row rank by exact Gaussian elimination over GF(3)."""
-    a = m.array.astype(np.int16)
-    return len(_row_reduce(a, full=False))
+def rank(m) -> int:
+    """Row rank of a 2-D integer matrix, entries taken mod 3, by exact
+    Gaussian elimination over GF(3)."""
+    return len(_row_reduce(_as_gf3_array(m).astype(np.int16), full=False))
 
 
-def solve_square(a: Gf3Matrix, b: Gf3Matrix) -> Gf3Matrix:
-    """Solve a @ x = b exactly for square nonsingular ``a``."""
-    if a.rows != a.cols:
+def solve_square(a, b) -> np.ndarray:
+    """Solve a @ x = b exactly for square nonsingular ``a``; x as a
+    read-only uint8 array."""
+    a, b = _as_gf3_array(a), _as_gf3_array(b)
+    n = a.shape[0]
+    if a.shape[1] != n:
         raise Gf3ShapeError(f"solve_square needs a square matrix, got {a.shape}")
-    if b.rows != a.rows:
-        raise Gf3ShapeError(f"solve_square: rhs has {b.rows} rows, expected {a.rows}")
-    n = a.rows
-    aug = np.hstack([a.array, b.array]).astype(np.int16)
+    if b.shape[0] != n:
+        raise Gf3ShapeError(f"solve_square: rhs has {b.shape[0]} rows, expected {n}")
+    aug = np.hstack([a, b]).astype(np.int16)
     pivots = _row_reduce(aug, full=True)
     if len(pivots) < n or pivots != list(range(n)):
         raise SingularMatrixError(f"matrix of rank {len(pivots)} < {n} is singular")
-    return Gf3Matrix(aug[:, n:])
+    return _as_gf3_array(aug[:, n:])
 
 
-def inverse(a: Gf3Matrix) -> Gf3Matrix:
-    return solve_square(a, Gf3Matrix.identity(a.rows))
+def inverse(a) -> np.ndarray:
+    a = _as_gf3_array(a)
+    return solve_square(a, np.eye(a.shape[0], dtype=np.uint8))
 
 
-def solve_left(x_rows: Gf3Matrix, target: Gf3Matrix) -> Gf3Matrix:
+def solve_left(x_rows, target) -> np.ndarray:
     """Find T with T @ x_rows = target, or fail if no such T exists.
 
     Requires every row of ``target`` to lie in the row space of ``x_rows``.
     Free coefficients are set to zero and pivots are taken left to right,
-    so the returned T is deterministic.
+    so the returned T, a read-only uint8 array, is deterministic.
     """
-    if x_rows.cols != target.cols:
-        raise Gf3ShapeError(f"solve_left: column counts differ, {x_rows.cols} vs {target.cols}")
-    p, q = x_rows.rows, target.rows
+    x_rows, target = _as_gf3_array(x_rows), _as_gf3_array(target)
+    if x_rows.shape[1] != target.shape[1]:
+        raise Gf3ShapeError(f"solve_left: column counts differ, {x_rows.shape[1]} vs {target.shape[1]}")
+    p, q = x_rows.shape[0], target.shape[0]
     # Transposed normal form: x_rows^T @ T^T = target^T.
-    aug = np.hstack([x_rows.array.T, target.array.T]).astype(np.int16)
+    aug = np.hstack([x_rows.T, target.T]).astype(np.int16)
     pivots = _row_reduce(aug, full=True)
     t_t = np.zeros((p, q), dtype=np.int16)
     for row, c in enumerate(pivots):
         if c >= p:
             raise InconsistentSystemError("target rows are not in the row space")
         t_t[c] = aug[row, p:]
-    return Gf3Matrix(t_t.T)
+    return _as_gf3_array(t_t.T)

@@ -47,7 +47,7 @@ A plan's downloads, projectors and solve inverse have at most k nonzeros
 per row for a parity, and are raw row selections and signed
 permutations for a data node.  The symbols a plan is applied to are laid
 out as (rows, stripes), so a slot is one whole-row ``np.take``; terms
-are summed in int8 and reduced through the ``gf3`` table before the sum
+are summed in int8 and reduced by ``gf3.reduce_sum`` before the sum
 can leave +-127.  Shards and downloads keep their (stripes, N) shapes at
 the API; a repair transposes each helper's shard once on the way in and
 the rebuilt shard once on the way out.
@@ -67,7 +67,6 @@ import numpy as np
 
 from .code import CodeParams, CodingMatrixSet, _common_lead, basis_index
 from .gf3 import (
-    Gf3Matrix,
     Gf3ShapeError,
     InconsistentSystemError,
     SignedPermutation,
@@ -517,7 +516,7 @@ def _rank(t: _Terms) -> int:
     _, cc = np.unique(c, return_inverse=True)
     dense = np.zeros((rr.max() + 1, cc.max() + 1), dtype=np.uint8)
     dense[rr, cc] = v
-    return peeled + rank(Gf3Matrix(dense))
+    return peeled + rank(dense)
 
 
 def _block_ranks(t: _Terms, rows: int) -> list[int]:
@@ -619,14 +618,15 @@ def _stacked_ranks(s: SparseRows, m: SparseRows, perms: list[SignedPermutation],
     Each m P is reduced against the unit-column pivots of ``s`` once
     (``_reductions``), and since X and R are linear in the rows reduced,
     the residual of each t is the signed sum of theirs; its rank is
-    s.rows + rank(R).  A matrix without pivots falls back to dense
-    elimination of each stack, so arbitrary pairs still get exact ranks.
+    s.rows + rank(R).  For a matrix without pivots each stack is ranked
+    whole by ``_rank``, so arbitrary pairs still get exact ranks.
     """
     half = s.rows
     pivots = _unit_pivots(s)
     if pivots is None:
-        t = _merged(_combined([_terms(m.times(p).slots, m.cols) for p in perms], combos)).array
-        return [rank(Gf3Matrix(np.vstack([s.array, t[i : i + half]]))) for i in range(0, t.shape[0], half)]
+        own = _terms(s.slots, s.cols)
+        t = _combined([_terms(m.times(p).slots, m.cols) for p in perms], combos)
+        return [_rank(_stacked([own, _part(t, i, half)])) for i in range(len(combos))]
     residual = _combined([r for _, r in _reductions(s, pivots, m, perms)], combos)
     return [half + r for r in _block_ranks(residual, half)]
 
@@ -1232,10 +1232,6 @@ class IoBoundReport:
     def gap(self) -> Fraction:
         return self.achieved_io - self.lower_bound
 
-    @property
-    def achieves_bound(self) -> bool:
-        return self.achieved_io >= self.lower_bound_ceil
-
 
 def io_lower_bound(k: int) -> IoBoundReport:
     if k < 2:
@@ -1313,22 +1309,22 @@ def brute_force_min_io(k: int, cm: CodingMatrixSet | None = None) -> BruteForceR
         cm = build_coding_matrices(params)
     n = params.n_rows
     half = n // 2
-    reps = [Gf3Matrix(m) for m in enumerate_rref(half, n)]
-    transforms = [cm.dense(0) - cm.dense(l) for l in range(1, k)]
+    reps = list(enumerate_rref(half, n))
 
     best_io = None
     best_pair = None
     valid = 0
-    nonzero_counts = [m.nonzero_column_count() for m in reps]
-    interference_rows = [[st @ t for t in transforms] for st in reps]
+    nonzero_counts = [int(m.any(axis=0).sum()) for m in reps]
+    # st (A_0 - A_l) for l = 1..k-1: each st A_j is a signed column
+    # permutation of st, and + 2 b is - b mod 3.
+    products = [[SparseRows.from_dense(st).times(a).array for a in cm.matrices] for st in reps]
+    interference_rows = [[(a[0] + 2 * a_l) % 3 for a_l in a[1:]] for a in products]
     for si, s in enumerate(reps):
         n1 = nonzero_counts[si]
         for ti, st in enumerate(reps):
-            if rank(Gf3Matrix.stack(s, st)) != n:
+            if rank(np.vstack([s, st])) != n:
                 continue
-            if any(
-                rank(Gf3Matrix.stack(s, m)) != half for m in interference_rows[ti]
-            ):
+            if any(rank(np.vstack([s, m])) != half for m in interference_rows[ti]):
                 continue
             valid += 1
             io = k * n1 + nonzero_counts[ti]
@@ -1346,7 +1342,7 @@ def brute_force_min_io(k: int, cm: CodingMatrixSet | None = None) -> BruteForceR
     return BruteForceResult(
         k=k,
         min_io=best_io,
-        witness=RepairMatrixPair(*(SparseRows.from_dense(m.array) for m in best_pair), FIRST_PARITY),
+        witness=RepairMatrixPair(*(SparseRows.from_dense(m) for m in best_pair), FIRST_PARITY),
         valid_pairs=valid,
         lower_bound_ceil=bound.lower_bound_ceil,
         construction_io=bound.achieved_io,

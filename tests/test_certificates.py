@@ -17,6 +17,7 @@ import pytest
 import zigzag3.code as code
 import zigzag3.repair as repair
 import zigzag3.verification as verification
+from gf3_oracle import add, dense, gf3, identity, mul, sub
 from zigzag3.code import (
     CodeParams,
     encode_parts_array,
@@ -26,7 +27,7 @@ from zigzag3.code import (
     build_coding_matrices,
     verify_mds,
 )
-from zigzag3.gf3 import Gf3Matrix, SignedPermutation, SingularMatrixError, inverse, rank
+from zigzag3.gf3 import SignedPermutation, SingularMatrixError, inverse, rank
 from zigzag3.repair import (
     FIRST_PARITY,
     SECOND_PARITY,
@@ -65,83 +66,74 @@ def dense_verify_mds(cm):
     params = cm.params
     n = params.n_rows
     violations = []
-    dense = [cm.dense(j) for j in range(params.k)]
+    a = [dense(m) for m in cm.matrices]
     for i in range(params.k):
-        r = rank(dense[i])
+        r = rank(a[i])
         if r != n:
             violations.append(f"rank(A_{i}) = {r}, expected {n}")
     for i in range(params.k):
         for j in range(params.k):
             if i == j:
                 continue
-            r = rank(dense[i] - dense[j])
+            r = rank(sub(a[i], a[j]))
             if r != n:
                 violations.append(f"rank(A_{i} - A_{j}) = {r}, expected {n}")
     return MdsReport(params, tuple(violations))
 
 
-def dense(m):
-    return Gf3Matrix(m.array)
-
-
 def dense_interference_transform(cm, l, variant):
-    identity = cm.dense(0)
-    if variant == FIRST_PARITY:
-        return identity - cm.dense(l)
-    return identity + cm.dense(l)
+    a0, a_l = dense(cm.matrices[0]), dense(cm.matrices[l])
+    return sub(a0, a_l) if variant == FIRST_PARITY else add(a0, a_l)
 
 
 def dense_verify_repair_conditions(pair, cm, variant=None):
     if variant is None:
         variant = pair.variant
     n = cm.params.n_rows
-    s, st = dense(pair.s), dense(pair.s_tilde)
-    if variant == FIRST_PARITY:
-        base = st @ cm.dense(0)
-    else:
-        base = st @ cm.matrices[0].inverse().dense()
-    checks = [ConditionCheck("full-rank", n, rank(Gf3Matrix.stack(s, base)))]
+    s, st = pair.s.array, pair.s_tilde.array
+    base = mul(st, dense(cm.matrices[0] if variant == FIRST_PARITY else cm.matrices[0].inverse()))
+    checks = [ConditionCheck("full-rank", n, rank(np.vstack([s, base])))]
     for l in range(1, cm.params.k):
-        stacked = Gf3Matrix.stack(s, st @ dense_interference_transform(cm, l, variant))
+        stacked = np.vstack([s, mul(st, dense_interference_transform(cm, l, variant))])
         checks.append(ConditionCheck(f"interference-l{l}", n // 2, rank(stacked)))
     return ConditionReport(variant, tuple(checks))
 
 
 def dense_verify_duality(pair, cm):
     swapped_report = dense_verify_repair_conditions(pair.swapped(), cm)
-    identity = cm.dense(0)
-    s, st = dense(pair.s), dense(pair.s_tilde)
+    a0 = dense(cm.matrices[0])
+    s, st = pair.s.array, pair.s_tilde.array
     equalities = []
     for l in range(1, cm.params.k):
-        a_l = cm.dense(l)
-        lhs = rank(Gf3Matrix.stack(st, s @ (identity + a_l)))
-        rhs = rank(Gf3Matrix.stack(s, st @ (identity - a_l)))
+        a_l = dense(cm.matrices[l])
+        lhs = rank(np.vstack([st, mul(s, add(a0, a_l))]))
+        rhs = rank(np.vstack([s, mul(st, sub(a0, a_l))]))
         equalities.append(RankEquality(l, lhs, rhs))
     return DualityReport(pair.variant, swapped_report, tuple(equalities))
 
 
 def dense_verify_zero_column_structure(pair, params):
     n = params.n_rows
-    s, st = dense(pair.s), dense(pair.s_tilde)
+    s, st = pair.s.array, pair.s_tilde.array
 
     def violations(zero_cols, other, label):
         out = []
         for i in zero_cols:
-            base = other.column(i).astype(np.int16)
+            base = other[:, i].astype(np.int16)
             for l in range(1, params.k):
                 j = i ^ basis_index(params, l)
-                col = other.column(j).astype(np.int16)
+                col = other[:, j].astype(np.int16)
                 if not (np.array_equal(col, base) or np.array_equal(col, (-base) % 3)):
                     out.append(f"{label}: column {j} is not +-column {i} (flip l={l})")
         return out
 
-    zc_s, zc_st = s.zero_columns(), st.zero_columns()
+    zc_s, zc_st = (np.flatnonzero(~m.any(axis=0)).tolist() for m in (s, st))
     return ZeroColumnReport(
         variant=pair.variant,
         zero_cols_s=tuple(zc_s),
         zero_cols_s_tilde=tuple(zc_st),
-        nonzero_cols_s=s.nonzero_column_count(),
-        nonzero_cols_s_tilde=st.nonzero_column_count(),
+        nonzero_cols_s=int(s.any(axis=0).sum()),
+        nonzero_cols_s_tilde=int(st.any(axis=0).sum()),
         per_matrix_floor=n - Fraction(n, 2 * (params.k - 1)),
         propagation_violations=tuple(
             violations(zc_s, st, "parity-side") + violations(zc_st, s, "systematic-side")
@@ -382,6 +374,22 @@ def test_failing_elimination_fails_each_check_that_needs_it(monkeypatch):
     assert all(c.passed for c in report.checks if c.k == 5)
 
 
+def test_healthy_paths_never_reach_dense_elimination(monkeypatch):
+    # The certificates and peeling rank everything a healthy sweep and
+    # every plan meet; dense elimination is only for what fails them.
+    def refuse(m):
+        raise AssertionError(f"dense rank of a {np.shape(m)} matrix")
+
+    monkeypatch.setattr(repair, "rank", refuse)
+    report = run_sweep(range(2, 12))
+    assert report.passed, [(c.k, c.name, c.detail) for c in report.failures]
+    for k in range(2, 12):
+        params = CodeParams(k)
+        cm = build_coding_matrices(params)
+        for node in range(params.n_nodes):
+            plan_repair(params, cm, node)
+
+
 @pytest.mark.parametrize("k_values, trials", [([], 5), ([3], 0), ([3], -5)])
 def test_sweep_rejects_bad_arguments(k_values, trials):
     with pytest.raises(ValueError):
@@ -440,8 +448,8 @@ def test_stacked_rank_matches_dense_on_flipped_entries(monkeypatch):
                     st[r, c] = (st[r, c] + rng.integers(1, 3)) % 3
                 got = _stacked_ranks(pair.s, SparseRows.from_dense(st), perms, combos)
                 for combo, rank_got in zip(combos, got):
-                    t = sum(sign * (Gf3Matrix(st) @ perms[i].dense()).array.astype(int) for i, sign in combo)
-                    want = rank(Gf3Matrix.stack(dense(pair.s), Gf3Matrix(t)))
+                    t = sum(sign * mul(st, dense(perms[i])).astype(int) for i, sign in combo)
+                    want = rank(np.vstack([pair.s.array, gf3(t)]))
                     assert rank_got == want, (k, variant, flips, combo)
     assert branches == {"zero", "pattern", "peeled", "dense-fallback"}
 
@@ -463,7 +471,7 @@ def test_pivot_free_pair_gets_exact_ranks():
         assert verify_duality(pair, cm) == dense_verify_duality(pair, cm)
         identity = SignedPermutation.identity(pair.s.cols)
         got = _stacked_ranks(pair.s, pair.s_tilde, [identity], [((0, 1),)])
-        assert got == [rank(Gf3Matrix.stack(dense(pair.s), dense(pair.s_tilde)))]
+        assert got == [rank(np.vstack([pair.s.array, pair.s_tilde.array]))]
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +497,7 @@ def random_signed_permutation(rng, n, cycle_lengths=None):
 
 
 def dense_nullity(p):
-    return p.size - rank(Gf3Matrix.identity(p.size) - p.dense())
+    return p.size - rank(sub(identity(p.size), dense(p)))
 
 
 def nullities(perms):
@@ -594,7 +602,7 @@ def test_plan_rejects_singular_stack_like_dense_inverse(monkeypatch):
     zero = SparseRows.from_dense(np.zeros((s.rows, s.cols)))
     monkeypatch.setattr(repair, "build_repair_pair", lambda k, variant: RepairMatrixPair(s, zero, variant))
     with pytest.raises(SingularMatrixError):
-        inverse(Gf3Matrix.stack(dense(s), dense(zero)))
+        inverse(np.vstack([s.array, zero.array]))
     for failed in (3, 4):
         with pytest.raises(SingularMatrixError):
             plan_repair(p, cm, failed)

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gf3_oracle import add, dense, gf3, identity, mul, sub
 from zigzag3.code import CodeParams, build_coding_matrices, encode_parts_array, second_parity_by_matrices
 from zigzag3.gf3 import (
-    Gf3Matrix,
     InconsistentSystemError,
     SignedPermutation,
     inverse,
@@ -53,10 +53,6 @@ def setup_k(k):
     return p, build_coding_matrices(p)
 
 
-def dense(m):
-    return Gf3Matrix(m.array)
-
-
 # ---------------------------------------------------------------------------
 # recursive construction
 # ---------------------------------------------------------------------------
@@ -64,20 +60,15 @@ def dense(m):
 
 def dense_recursion(k, variant):
     """The block recursion on dense matrices, the oracle of the sparse one:
-    (s, s_tilde) of ``build_repair_pair`` as ``Gf3Matrix``."""
+    (s, s_tilde) of ``build_repair_pair`` as uint8 arrays."""
     if variant == FIRST_PARITY:
-        s, st = Gf3Matrix([[0, 1]]), Gf3Matrix([[1, 1]])
-        e, f = Gf3Matrix([[0, -1]]), Gf3Matrix([[-1, 0]])
+        s, st, e, f = gf3([[0, 1]]), gf3([[1, 1]]), gf3([[0, -1]]), gf3([[-1, 0]])
     else:
-        s, st = Gf3Matrix([[1, -1]]), Gf3Matrix([[0, 1]])
-        e, f = Gf3Matrix([[-1, 0]]), Gf3Matrix([[0, -1]])
+        s, st, e, f = gf3([[1, -1]]), gf3([[0, 1]]), gf3([[-1, 0]]), gf3([[0, -1]])
     for _ in range(k - 2):
-        zero = Gf3Matrix.zeros(s.rows, s.cols)
-        s, st = (
-            Gf3Matrix.stack(Gf3Matrix.hstack(s, e), Gf3Matrix.hstack(zero, st)),
-            Gf3Matrix.stack(Gf3Matrix.hstack(st, -f), Gf3Matrix.hstack(zero, s)),
-        )
-        e, f = Gf3Matrix.block_diag(e, f), Gf3Matrix.block_diag(f, e)
+        zero = np.zeros_like(s)
+        s, st = np.block([[s, e], [zero, st]]), np.block([[st, sub(0, f)], [zero, s]])
+        e, f = np.block([[e, zero], [zero, f]]), np.block([[f, zero], [zero, e]])
     return (st, s) if variant == SECOND_PARITY else (s, st)
 
 
@@ -86,7 +77,7 @@ def dense_recursion(k, variant):
 def test_pair_matches_dense_recursion(k, variant):
     pair = build_repair_pair(k, variant)
     s, st = dense_recursion(k, variant)
-    assert dense(pair.s) == s and dense(pair.s_tilde) == st
+    assert np.array_equal(pair.s.array, s) and np.array_equal(pair.s_tilde.array, st)
     # Each row has at most k nonzeros, in ascending column order.
     for m in (pair.s, pair.s_tilde):
         assert m.slots.shape[1] <= k
@@ -102,7 +93,7 @@ def coupling_blocks(k, variant):
     pair = build_repair_pair(k + 1, variant)
     s, st = (pair.s, pair.s_tilde) if variant == FIRST_PARITY else (pair.s_tilde, pair.s)
     rows, cols = s.rows // 2, s.cols // 2
-    return Gf3Matrix(s.array[:rows, cols:]), -Gf3Matrix(st.array[:rows, cols:])
+    return s.array[:rows, cols:], sub(0, st.array[:rows, cols:])
 
 
 def test_helper_seeds():
@@ -139,11 +130,11 @@ def test_pair_seeds():
 
 def test_pair_k3_goldens():
     p = build_repair_pair(3, FIRST_PARITY)
-    assert dense(p.s) == Gf3Matrix([[0, 1, 0, -1], [0, 0, 1, 1]])
-    assert dense(p.s_tilde) == Gf3Matrix([[1, 1, 1, 0], [0, 0, 0, 1]])
+    assert np.array_equal(p.s.array, gf3([[0, 1, 0, -1], [0, 0, 1, 1]]))
+    assert np.array_equal(p.s_tilde.array, gf3([[1, 1, 1, 0], [0, 0, 0, 1]]))
     p = build_repair_pair(3, SECOND_PARITY)
-    assert dense(p.s) == Gf3Matrix([[0, 1, 0, 1], [0, 0, 1, -1]])
-    assert dense(p.s_tilde) == Gf3Matrix([[1, -1, -1, 0], [0, 0, 0, 1]])
+    assert np.array_equal(p.s.array, gf3([[0, 1, 0, 1], [0, 0, 1, -1]]))
+    assert np.array_equal(p.s_tilde.array, gf3([[1, -1, -1, 0], [0, 0, 0, 1]]))
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -152,7 +143,7 @@ def test_pair_ranks(k, variant):
     pair = build_repair_pair(k, variant)
     half = 1 << (k - 2)
     assert pair.s.array.shape == pair.s_tilde.array.shape == (half, 2 * half)
-    assert rank(dense(pair.s)) == rank(dense(pair.s_tilde)) == half
+    assert rank(pair.s.array) == rank(pair.s_tilde.array) == half
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +259,18 @@ def dense_plan(p, cm, failed):
     """Reference plan from dense products: one solve_left per projector."""
     k = p.k
     s, st = dense_recursion(k, FIRST_PARITY if failed == k else SECOND_PARITY)
-    identity = Gf3Matrix.identity(p.n_rows)
+    eye, a = identity(p.n_rows), [dense(m) for m in cm.matrices]
     if failed == k:
         downloads = {j: s for j in range(k)}
-        transforms = {l: identity - cm.dense(l) for l in range(1, k)}
-        base = st @ cm.dense(0)
+        transforms = {l: sub(eye, a[l]) for l in range(1, k)}
+        base = mul(st, a[0])
     else:
-        downloads = {j: s @ cm.dense(j) for j in range(k)}
-        transforms = {l: identity + cm.dense(l) for l in range(1, k)}
-        base = st @ cm.matrices[0].inverse().dense()
+        downloads = {j: mul(s, a[j]) for j in range(k)}
+        transforms = {l: add(eye, a[l]) for l in range(1, k)}
+        base = mul(st, dense(cm.matrices[0].inverse()))
     downloads[2 * k + 1 - failed] = st
-    projectors = {l: solve_left(s, st @ t) for l, t in transforms.items()}
-    return downloads, projectors, inverse(Gf3Matrix.stack(s, base))
+    projectors = {l: solve_left(s, mul(st, t)) for l, t in transforms.items()}
+    return downloads, projectors, inverse(np.vstack([s, base]))
 
 
 def dense_views(plan):
@@ -306,7 +297,7 @@ def test_plan_matches_dense_oracle(k):
         plan = plan_repair(p, cm, failed)
         downloads, projectors, solve_inv = dense_plan(p, cm, failed)
         assert dense_views(plan) == oracle_lists(downloads, projectors, solve_inv)
-        assert plan.io_per_node == {n: m.nonzero_column_count() for n, m in downloads.items()}
+        assert plan.io_per_node == {n: int(m.any(axis=0).sum()) for n, m in downloads.items()}
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -507,7 +498,7 @@ def test_sparse_rows_times_matches_dense(seed):
     a = random_sparse_rows(rng, 9, 16)
     p = SignedPermutation(rng.permutation(16), rng.choice([-1, 1], size=16))
     got = SparseRows.from_dense(a).times(p)
-    assert np.array_equal(got.array, (Gf3Matrix(a) @ p.dense()).array)
+    assert np.array_equal(got.array, mul(a, dense(p)))
     assert got.nonzero_column_count() == np.count_nonzero(a.any(axis=0))
     with pytest.raises(ValueError):
         SparseRows.from_dense(a).times(SignedPermutation.identity(8))
@@ -555,7 +546,7 @@ def test_rank_matches_dense(seed):
     if seed % 2:
         a[:4, :4] = rng.integers(0, 3, size=(4, 4))
     r, c = np.nonzero(a)
-    assert _rank(_Terms.of(12, 10, r, c, a[r, c].astype(np.int64))) == rank(Gf3Matrix(a)), seed
+    assert _rank(_Terms.of(12, 10, r, c, a[r, c].astype(np.int64))) == rank(a), seed
 
 
 def test_sparse_rows_rejects_malformed_slots():
@@ -575,17 +566,16 @@ def test_plan_forms_each_matrix_once():
     assert np.array_equal(s.array, build_repair_pair(p.k, SECOND_PARITY).s.array)
     for j in range(p.k):
         assert np.array_equal(zigzag.downloads[j].slots, s.times(cm.matrices[j]).slots)
-        assert np.array_equal(zigzag.downloads[j].array, (Gf3Matrix(s.array) @ cm.dense(j)).array)
+        assert np.array_equal(zigzag.downloads[j].array, mul(s.array, dense(cm.matrices[j])))
 
 
 def test_repairs_build_no_dense_matrix(monkeypatch):
-    # Every plan matrix is gathered from its slots; no dense view of one,
-    # or of a signed permutation, is built to plan or run a repair.
+    # Every plan matrix is gathered from its slots; no dense view of one is
+    # built to plan or run a repair (a signed permutation has none).
     def refuse(*args):
         raise AssertionError("dense form built")
 
     monkeypatch.setattr(SparseRows, "array", property(refuse))
-    monkeypatch.setattr(SignedPermutation, "dense", refuse)
     for k in range(2, 9):
         p, cm = setup_k(k)
         parts = np.random.default_rng(k).integers(0, 3, size=(k, 9, p.n_rows), dtype=np.uint8)
@@ -794,7 +784,7 @@ def test_bound_rejects_k1():
 @pytest.mark.parametrize("k", range(2, 11))
 def test_achieved_at_least_ceiling(k):
     r = io_lower_bound(k)
-    assert r.achieves_bound
+    assert r.achieved_io >= r.lower_bound_ceil
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +802,18 @@ def test_brute_force_k2():
     assert r.min_io == 4  # frozen from the enumeration itself
     assert r.lower_bound_ceil == 3 and r.construction_io == 4
     assert r.valid_pairs == 4
+    assert r.witness.s.array.tolist() == [[1, 0]]
+    assert r.witness.s_tilde.array.tolist() == [[1, 2]]
+
+
+def test_brute_force_k3():
+    # The minimum, the pair count and the first minimal pair in
+    # enumeration order, all frozen from the enumeration itself.
+    r = brute_force_min_io(3)
+    assert (r.min_io, r.valid_pairs, r.lower_bound_ceil, r.construction_io) == (13, 9, 12, 13)
+    assert r.witness.s.array.tolist() == [[1, 0, 0, 1], [0, 1, 0, 1]]
+    assert r.witness.s_tilde.array.tolist() == [[1, 0, 2, 1], [0, 1, 0, 0]]
+    assert r.witness.variant == FIRST_PARITY
 
 
 def test_brute_force_witness_is_valid():
