@@ -45,18 +45,30 @@ only what is left goes to dense elimination.
 
 A plan's downloads, projectors and solve inverse have at most k nonzeros
 per row for a parity, and are raw row selections and signed
-permutations for a data node.  The symbols a plan is applied to are laid
-out as (rows, stripes), so a slot is one whole-row ``np.take``; terms
-are summed in int8 and reduced by ``gf3.reduce_sum`` before the sum
-can leave +-127.  Shards and downloads keep their (stripes, N) shapes at
-the API; a repair transposes each helper's shard once on the way in and
-the rebuilt shard once on the way out.
+permutations for a data node.  Terms are summed in int8 and reduced by
+``gf3.reduce_sum`` before the sum can leave +-127.  Shards and downloads
+keep their (stripes, N) shapes at the API, and a plan runs in one of two
+layouts, chosen by its matrices:
+
+* A data-node plan whose downloads are runs, every one at j >= 1 and
+  node 0's at k = 2, runs in the shard layout, along the last axis of
+  the (stripes, N) shards (``_ShardKernels``).  The rows whose bit
+  k-1-j is clear are runs of 2^b symbols, so each download is a run
+  select (runs of 1, 2 or 4 are halves of little-endian words, longer
+  ones void blocks), each projector an XOR word gather
+  (``SignedPermutation.terms``), and the solve interleaves the two
+  halves back into those runs.  Nothing is transposed.
+* Every other plan, a parity's or node 0's for k > 2 (one row of each
+  pair), runs symbol-major: each helper's shard is transposed
+  once into a (rows, stripes) residue stack, a slot is one whole-row
+  ``np.take`` from it, and the rebuilt shard is transposed back once.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -883,9 +895,11 @@ class RepairPlan:
     gathers, int8 sums and one apply.
 
     Every matrix is a ``SparseRows``, formed when the plan is built; the
-    row-sum plan's k systematic downloads share one.  A plan depends only
-    on the code, its coding matrices and the node, so it can be reused for
-    every repair of that node.
+    row-sum plan's k systematic downloads share one.  A data node's plan
+    whose downloads are runs runs in the shard layout, by the forms its
+    first repair derives from its slots (``_kernels``).  A plan
+    depends only on the code, its coding matrices and the node, so it can
+    be reused, forms and all, for every repair of that node.
     """
 
     params: CodeParams
@@ -895,6 +909,13 @@ class RepairPlan:
     bottom_node: int
     projectors: dict[int, SparseRows]
     solve_inverse: SparseRows = field(repr=False)
+
+    @functools.cached_property
+    def _kernels(self) -> "_ShardKernels | None":
+        """``_shard_kernels`` of the plan, derived by its first repair and
+        kept: a sweep builds 44 data plans at k = 2..9 and runs none, and
+        the derivation would make each about four times as dear."""
+        return _shard_kernels(self)
 
     @property
     def io_per_node(self) -> dict[int, int]:
@@ -1119,17 +1140,162 @@ def _apply(m: SparseRows, stack: np.ndarray) -> np.ndarray:
     return acc.view(np.uint8) if terms == 1 and not m.signed else reduce_sum(acc)
 
 
+def _little(width: int) -> np.dtype:
+    """Little-endian unsigned integers of ``width`` bytes."""
+    return np.dtype(f"<u{width}")
+
+
+class _Runs(NamedTuple):
+    """The rows of a shard whose bit ``bit`` is ``side``: every other run
+    of 2^bit symbols along a row, in order.
+
+    Two neighbouring runs of 1, 2 or 4 bytes are one little-endian word,
+    so a select is a shift and a truncating cast, and a merge two casts, a
+    shift and an OR.  Runs of 8 bytes or more are elements of a void
+    dtype as wide as a run, and a select or merge copies every other one.
+    """
+
+    bit: int
+    side: int
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        """The selected rows of the C-contiguous (stripes, n) ``x`` as a
+        C-contiguous (stripes, n/2) array."""
+        stripes, n = x.shape
+        width = 1 << self.bit
+        if width < 8:
+            words = x.view(_little(2 * width))
+            if self.side:
+                words = words >> (8 * width)
+            return words.astype(_little(width)).view(np.uint8).reshape(stripes, n // 2)
+        runs = x.view(np.dtype((np.void, width))).reshape(-1, 2)[:, self.side]
+        return np.ascontiguousarray(runs).view(np.uint8).reshape(stripes, n // 2)
+
+    def merge(self, mine: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """The (stripes, n) rows holding the C-contiguous halves ``mine``
+        at the selected rows and ``other`` at the rest."""
+        stripes, half = mine.shape
+        width = 1 << self.bit
+        low, high = (other, mine) if self.side else (mine, other)
+        if width < 8:
+            words = high.view(_little(width)).astype(_little(2 * width))
+            words <<= 8 * width
+            words |= low.view(_little(width))
+            return words.view(np.uint8).reshape(stripes, 2 * half)
+        out = np.empty((stripes, 2 * half), dtype=np.uint8)
+        void = np.dtype((np.void, width))
+        runs = out.view(void).reshape(-1, 2)
+        runs[:, 0] = low.view(void).reshape(-1)
+        runs[:, 1] = high.view(void).reshape(-1)
+        return out
+
+
+def _halving(rows: np.ndarray, n: int) -> _Runs | None:
+    """The ``_Runs`` form of the selection ``rows`` of n/2 of the n rows,
+    in ascending order, or None if it has none.  Runs of 2^b rows start
+    with one whole run, so the first step that is not +1 names b."""
+    if n < 2 or rows.size != n // 2:
+        return None
+    steps = np.flatnonzero(np.diff(rows) != 1)
+    run = int(steps[0]) + 1 if steps.size else rows.size
+    if run & (run - 1):
+        return None
+    bit = run.bit_length() - 1
+    side = int(rows[0] >> bit) & 1
+    index = np.arange(n)
+    return _Runs(bit, side) if np.array_equal(rows, index[(index >> bit) & 1 == side]) else None
+
+
+def _signed_gather(m: SparseRows) -> SignedPermutation | None:
+    """The one-slot square ``m`` as a ``SignedPermutation``, whose terms
+    gather whole words for an XOR target, or None if it is not one."""
+    slot = m.slots[:, 0]
+    target = slot % m.cols
+    if m.rows == m.cols and (slot < 2 * m.cols).all() and np.array_equal(np.sort(target), np.arange(m.cols)):
+        return SignedPermutation(target, np.where(slot < m.cols, 1, -1))
+    return None
+
+
+class _ShardKernels(NamedTuple):
+    """A one-slot plan in the shard layout: ``downloads`` select each
+    helper's runs, ``projectors`` map a download into the bottom half, and
+    the solve interleaves the top half, at the runs of ``split``, with
+    ``bottom`` applied to the bottom half, at the others."""
+
+    downloads: dict[int, _Runs]
+    projectors: dict[int, SignedPermutation]
+    split: _Runs
+    bottom: SignedPermutation
+
+
+def _shard_kernels(plan: RepairPlan) -> _ShardKernels | None:
+    """The shard-layout forms of a plan, derived from its slots: unsigned
+    run selects for downloads, signed permutations for projectors, and a
+    solve that reads +top in order at the runs of one ``_Runs`` and the
+    bottom half alone, by a signed permutation, at the rest.  None for any
+    plan with a matrix of another form, which runs symbol-major: every
+    parity plan, and node 0's for k > 2, whose downloads take one row of
+    each pair."""
+    mats = [*plan.downloads.values(), *plan.projectors.values(), plan.solve_inverse]
+    if any(m.slots.shape[1] != 1 for m in mats) or any(m.signed for m in plan.downloads.values()):
+        return None
+    selects = {}
+    for m in plan.downloads.values():
+        if m not in selects:
+            selects[m] = _halving(m.slots[:, 0], m.cols)
+    projectors = {node: _signed_gather(m) for node, m in plan.projectors.items()}
+    m = plan.solve_inverse
+    n, half = m.cols, m.cols // 2
+    slot = m.slots[:, 0]
+    top_rows = np.flatnonzero(slot < half)
+    rest = slot[slot >= half]
+    if not np.array_equal(slot[top_rows], np.arange(top_rows.size)) or ((rest >= n) & (rest < n + half)).any():
+        return None
+    split = _halving(top_rows, n)
+    # +bottom[c] is slot half + c, -bottom[c] slot n + half + c, and
+    # padding 2n; over the bottom half they are c, half + c and 2 half.
+    bottom = _signed_gather(SparseRows((rest - np.where(rest < n, half, n))[:, None], half))
+    if None in (*selects.values(), *projectors.values(), split, bottom):
+        return None
+    return _ShardKernels({node: selects[m] for node, m in plan.downloads.items()}, projectors, split, bottom)
+
+
+def _execute_in_shard_layout(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.ndarray:
+    """The rebuilt (stripes, N) rows from C-contiguous (stripes, N/2)
+    residue downloads, by ``plan._kernels``.  Each half sums at most
+    k + 1 terms in {-2..2}, which int8 holds for every k up to 62."""
+    kernels = plan._kernels
+    top = np.zeros_like(downloads[plan.bottom_node], dtype=np.int8)
+    for node, coefficient in plan.top.items():
+        if coefficient == 1:
+            top += downloads[node].view(np.int8)
+        else:
+            top -= downloads[node].view(np.int8)
+    bottom = downloads[plan.bottom_node].view(np.int8).copy()
+    for node, gather in kernels.projectors.items():
+        bottom += gather.terms(downloads[node])
+    return kernels.split.merge(reduce_sum(top), reduce_sum(kernels.bottom.terms(bottom)))
+
+
 def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """What each helper transmits: its download applied to its shard.
 
     Every payload must have last axis N and all must share one leading
-    shape, else ``ValueError`` naming the payload.  Each helper's shard
-    is transposed once, by a blocked transpose into one (2N + 1, stripes)
-    residue-stack buffer that every helper reuses, and its download is one
-    whole-row gather from it per slot of the download's ``SparseRows``.
-    Each download is a C-contiguous (N/2, stripes) array, returned as its
-    transposed view of shape lead + (N/2,); ``execute_repair`` takes it
-    back without a copy.
+    shape, else ``ValueError`` naming the payload.  A payload may be any
+    integer array, in any layout; its symbols are taken mod 3.  Each
+    download has shape lead + (N/2,), in the layout the plan runs in:
+
+    * a plan in the shard layout (``plan._kernels``, a data node's whose
+      downloads are runs) selects each helper's runs along the last axis,
+      so its downloads are C-contiguous (stripes, N/2) arrays;
+    * any other plan, a parity's or node 0's for k > 2, runs symbol-major:
+      it transposes each helper's shard once, by a blocked
+      transpose into one (2N + 1, stripes) residue-stack buffer that every
+      helper reuses, and gathers one whole row from it per slot of the
+      download's ``SparseRows``; each download is a C-contiguous
+      (N/2, stripes) array, returned as its transposed view.
+
+    ``execute_repair`` takes either back without a copy.
     """
     missing = [n for n in plan.helper_nodes if n not in payloads]
     if missing:
@@ -1138,8 +1304,16 @@ def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict
     helpers = {node: np.asarray(payloads[node]) for node in plan.helper_nodes}
     lead = _common_lead(helpers, n, "payload")
     stripes = math.prod(lead)
-    buf = np.empty((2 * n + 1, stripes), dtype=np.int8)
     out = {}
+    if plan._kernels is not None:
+        for node, x in helpers.items():
+            # Selecting commutes with mod 3, so a uint8 shard is checked for
+            # residues only on the half that is sent.
+            x = np.ascontiguousarray((x if x.dtype == np.uint8 else residues(x)).reshape(stripes, n))
+            d = residues(plan._kernels.downloads[node].take(x))
+            out[node] = d.reshape(lead + (d.shape[-1],))
+        return out
+    buf = np.empty((2 * n + 1, stripes), dtype=np.int8)
     for node, x in helpers.items():
         m = plan.downloads[node]
         d = _apply(m, _residue_stack(residues(x).reshape(stripes, n), buf, m.signed))
@@ -1150,18 +1324,27 @@ def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict
 def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.ndarray:
     """Rebuild the lost shard from the k+1 half-size downloads.
 
-    Works symbol-major, (rows, stripes), from the downloads to the
-    rebuilt shard.  A download from ``compute_downloads`` is the
-    transposed view of such an array and is taken back as it is; any
-    other layout, such as a C-contiguous (stripes, N/2) array, gets one
-    blocked transpose.  Both halves of the right-hand side share one
-    (N, stripes) int8 sum: the top adds the k signed downloads of
+    Every download must have shape lead + (N/2,), one lead for all; any
+    integer array in any layout is taken mod 3.  The rebuilt shard is a
+    new C-contiguous array of shape lead + (N,).  Both halves of the
+    right-hand side are int8 sums: the top adds the k signed downloads of
     ``top``, the bottom the ``bottom_node`` download and every
-    projector's terms, gathered from the residue stack of its download
-    (one buffer, reused) and reduced in place whenever the bottom holds
-    ``_INT8_TERMS`` terms.  One reduction and one apply of
-    ``solve_inverse`` follow, and the rebuilt shard is written as a
-    C-contiguous array of shape lead + (N,).
+    projector's terms.  The plan's layout decides how:
+
+    * a plan in the shard layout works on C-contiguous (stripes, N/2)
+      downloads, the ones ``compute_downloads`` returns for it (any other
+      layout is copied to that once).  A projector is an XOR word gather
+      of its download, and the solve reduces both halves and interleaves
+      the top with the signed bottom into the rows' runs
+      (``_ShardKernels``).
+    * any other plan works symbol-major, (rows, stripes).  A download from
+      ``compute_downloads`` is the transposed view of such an array and is
+      taken back as it is; any other layout gets one blocked transpose.
+      The two halves share one (N, stripes) sum; projector terms are
+      gathered from the residue stack of their download (one buffer,
+      reused) and reduced in place whenever the bottom holds
+      ``_INT8_TERMS`` terms.  One reduction and one apply of
+      ``solve_inverse`` follow, and one transpose back.
     """
     expected_nodes = set(plan.helper_nodes)
     got = set(downloads)
@@ -1172,6 +1355,9 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
     arrays = {node: np.asarray(d) for node, d in downloads.items()}
     lead = _common_lead(arrays, half, "download")
     stripes = math.prod(lead)
+    if plan._kernels is not None:
+        rows = {node: np.ascontiguousarray(residues(d).reshape(stripes, half)) for node, d in arrays.items()}
+        return _execute_in_shard_layout(plan, rows).reshape(lead + (n,))
     sym = {}
     for node, d in arrays.items():
         x = residues(d).reshape(stripes, half)
@@ -1293,9 +1479,15 @@ def brute_force_min_io(k: int, cm: CodingMatrixSet | None = None) -> BruteForceR
     """Minimum repair I/O over every valid repair-matrix pair, by enumeration.
 
     Only feasible at k <= 3 (N <= 4); the canonical-form enumeration cuts
-    the pair space to row-space representatives.  The reported minimum is
-    asserted to sit between the rational floor and the construction's
-    kN + N - k.
+    the pair space to row-space representatives.  Every pair is tested at
+    once on row spaces: each representative's row space is a membership
+    mask over the 3^N vectors of GF(3)^N, coded in base 3.  Both matrices
+    have full row rank N/2, so their stack has rank N exactly when their
+    row spaces meet only in 0, and an interference stack (s over
+    s_tilde (A_0 - A_l)) has rank N/2 exactly when every row of the second
+    lies in the row space of s.  The first minimal pair in enumeration
+    order is the witness.  The reported minimum is asserted to sit between
+    the rational floor and the construction's kN + N - k.
     """
     if not 2 <= k <= BRUTE_FORCE_MAX_K:
         raise ValueError(
@@ -1309,30 +1501,30 @@ def brute_force_min_io(k: int, cm: CodingMatrixSet | None = None) -> BruteForceR
         cm = build_coding_matrices(params)
     n = params.n_rows
     half = n // 2
-    reps = list(enumerate_rref(half, n))
+    reps = np.array(list(enumerate_rref(half, n)), dtype=np.int64)  # (representatives, N/2, N)
+    count = len(reps)
+    nonzero_counts = reps.any(axis=1).sum(axis=1)
+    place = 3 ** np.arange(n)
+    combos = np.array(list(itertools.product(range(3), repeat=half)))
+    member = np.zeros((count, 3**n), dtype=bool)
+    member[np.arange(count)[:, None], (combos @ reps) % 3 @ place] = True
+    full_rank = (member[:, None] & member[None]).sum(axis=2) == 1
 
-    best_io = None
-    best_pair = None
-    valid = 0
-    nonzero_counts = [int(m.any(axis=0).sum()) for m in reps]
-    # st (A_0 - A_l) for l = 1..k-1: each st A_j is a signed column
-    # permutation of st, and + 2 b is - b mod 3.
-    products = [[SparseRows.from_dense(st).times(a).array for a in cm.matrices] for st in reps]
-    interference_rows = [[(a[0] + 2 * a_l) % 3 for a_l in a[1:]] for a in products]
-    for si, s in enumerate(reps):
-        n1 = nonzero_counts[si]
-        for ti, st in enumerate(reps):
-            if rank(np.vstack([s, st])) != n:
-                continue
-            if any(rank(np.vstack([s, m])) != half for m in interference_rows[ti]):
-                continue
-            valid += 1
-            io = k * n1 + nonzero_counts[ti]
-            if best_io is None or io < best_io:
-                best_io = io
-                best_pair = (s, st)
-    if best_pair is None:
+    def times(a: SignedPermutation) -> np.ndarray:
+        # Column target[c] of st A is sign[c] times column c of st.
+        out = np.empty_like(reps)
+        out[..., a.target] = reps * a.sign
+        return out
+
+    a0 = times(cm.matrices[0])
+    interference = np.concatenate([(a0 - times(a)) % 3 for a in cm.matrices[1:]], axis=1) @ place
+    valid = full_rank & member[:, interference].all(axis=2)
+    if not valid.any():
         raise RuntimeError("no valid repair pair found; conditions are unsatisfiable?")
+    io = k * nonzero_counts[:, None] + nonzero_counts[None, :]
+    best_io = int(io[valid].min())
+    si, ti = divmod(int(np.flatnonzero(valid & (io == best_io))[0]), count)
+    best_pair = (reps[si], reps[ti])
 
     bound = io_lower_bound(k)
     if not bound.lower_bound_ceil <= best_io <= bound.achieved_io:
@@ -1343,7 +1535,7 @@ def brute_force_min_io(k: int, cm: CodingMatrixSet | None = None) -> BruteForceR
         k=k,
         min_io=best_io,
         witness=RepairMatrixPair(*(SparseRows.from_dense(m) for m in best_pair), FIRST_PARITY),
-        valid_pairs=valid,
+        valid_pairs=int(valid.sum()),
         lower_bound_ceil=bound.lower_bound_ceil,
         construction_io=bound.achieved_io,
     )

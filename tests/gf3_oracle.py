@@ -21,11 +21,17 @@ def gf3(data) -> np.ndarray:
     return np.mod(a.reshape(1, -1) if a.ndim == 1 else a, 3).astype(np.uint8)
 
 
+def sign_gf3(p: SignedPermutation) -> np.ndarray:
+    """The signs of a ``SignedPermutation`` as field elements: +1 -> 1,
+    -1 -> 2."""
+    return np.where(p.sign > 0, 1, 2).astype(np.uint8)
+
+
 def dense(m) -> np.ndarray:
     """The dense matrix of a ``SignedPermutation`` or a ``SparseRows``."""
     if isinstance(m, SignedPermutation):
         out = np.zeros((m.size, m.size), dtype=np.uint8)
-        out[np.arange(m.size), m.target] = m.sign_gf3
+        out[np.arange(m.size), m.target] = sign_gf3(m)
         return out
     return m.array
 

@@ -77,7 +77,7 @@ def test_word_gather_equals_the_byte_gather(k, c_seed, seed, shape_kind, signed)
     got = sp.terms(x)
     assert got.dtype == np.int8 and got.shape == x.shape
     assert np.array_equal(got, want)
-    assert sp._word_xor() == (c if n >= 8 else -1)
+    assert sp._word_xor() == c
 
 
 @FEW

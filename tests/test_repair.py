@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import zigzag3.repair as repair
 from gf3_oracle import add, dense, gf3, identity, mul, sub
 from zigzag3.code import CodeParams, build_coding_matrices, encode_parts_array, second_parity_by_matrices
 from zigzag3.gf3 import (
@@ -21,13 +22,17 @@ from zigzag3.repair import (
     FIRST_PARITY,
     SECOND_PARITY,
     RepairMatrixPair,
+    RepairPlan,
     SparseRows,
     _apply,
     _gather_sum,
     _gathered,
+    _halving,
     _merged,
     _rank,
     _residue_stack,
+    _Runs,
+    _signed_gather,
     _Terms,
     _transpose,
     brute_force_min_io,
@@ -658,6 +663,173 @@ def test_data_node_repair_on_flipped_sign(k):
         assert np.array_equal(execute_repair(plan, downloads), shards[failed]), (k, failed)
 
 
+# Stripe counts of the shard-layout equivalence test: 2,624 is the 512 KiB
+# file at k = 8, 41 and 205 are odd, 8 and 257 sit on and past powers of two.
+SHARD_LAYOUT_STRIPES = [1, 7, 8, 41, 205, 257, 2624]
+
+
+def payload_layouts(x):
+    """The same symbols as ``x``, a C-contiguous (stripes, N) shard, in
+    every layout ``compute_downloads`` accepts: the array itself, a
+    transposed view, a view with strided rows, one with a strided last
+    axis, unreduced uint8 symbols (up to 239), and an unreduced int64
+    view (negative entries, rows reversed).  Past 257 stripes, only the
+    shard itself, to keep the test quick."""
+    if x.shape[0] > 257:
+        return {"c-contiguous": x}
+    return {
+        "c-contiguous": x,
+        "transposed": np.ascontiguousarray(x.T).T,
+        "rows-step": np.repeat(x, 2, axis=0)[::2],
+        "columns-step": np.repeat(x, 3, axis=1)[:, ::3],
+        "uint8": x + (3 * (np.arange(x.size) % 80)).astype(np.uint8).reshape(x.shape),
+        "int64": (x[::-1].astype(np.int64) - 999)[::-1],
+    }
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_data_node_repairs_in_the_shard_layout_are_exact(k):
+    # Every fast path of the shard layout: runs of one to four symbols as
+    # sub-word integers, runs of eight or more as void blocks, word
+    # gathers of N/2 whole words and of one short word (k <= 4), on
+    # healthy and flipped-sign coding sets and every payload layout.  Its
+    # downloads are C-contiguous raw rows.  Node 0 for k > 2 runs
+    # symbol-major.  Every rebuild is the stored shard, byte for byte.
+    p = CodeParams(k)
+    half = p.n_rows // 2
+    rng = np.random.default_rng(900 + k)
+    for cm in (build_coding_matrices(p), flip_one_sign(build_coding_matrices(p))):
+        for stripes in SHARD_LAYOUT_STRIPES:
+            parts = rng.integers(0, 3, size=(k, stripes, p.n_rows), dtype=np.uint8)
+            shards = encode_parts_array(p, cm, parts)
+            sets = [payload_layouts(x) for x in shards]
+            for failed in range(k):
+                plan = plan_repair(p, cm, failed)
+                shard_layout = plan._kernels is not None
+                assert shard_layout == (failed > 0 or k == 2)
+                sent = {h: shards[h][:, m.slots[:, 0]] for h, m in plan.downloads.items()}
+                for layout in sets[0]:
+                    payloads = {h: sets[h][layout] for h in plan.helper_nodes}
+                    downloads = compute_downloads(plan, payloads)
+                    for h, d in downloads.items():
+                        assert d.flags.c_contiguous == shard_layout or stripes == 1
+                        assert d.dtype == np.uint8 and d.shape == (stripes, half)
+                        assert np.array_equal(d, sent[h]), (layout, h)
+                    rebuilt = execute_repair(plan, downloads)
+                    assert rebuilt.flags.c_contiguous and rebuilt.dtype == np.uint8
+                    assert np.array_equal(rebuilt, shards[failed]), (k, stripes, failed, layout)
+
+
+def test_data_node_forms_follow_the_node():
+    # Node j >= 1 sends the runs of rows with bit k-1-j clear; node 0
+    # one row of each pair, which is a run only at N = 2, so it runs
+    # symbol-major for k > 2.  Every projector and the solve's bottom
+    # half are XOR word gathers.
+    for k in range(2, 12):
+        p, cm = setup_k(k)
+        for failed in range(k):
+            kernels = plan_repair(p, cm, failed)._kernels
+            if failed == 0 and k > 2:
+                assert kernels is None
+                continue
+            if failed == 0:  # N = 2: the zigzag parity sends row 1, the others row 0
+                assert kernels.split == _Runs(0, 0) and kernels.downloads[3] == _Runs(0, 1)
+            else:
+                bit = k - 1 - failed
+                assert set(kernels.downloads.values()) == {_Runs(bit, 0)} and kernels.split == _Runs(bit, 0)
+            for gather in [*kernels.projectors.values(), kernels.bottom]:
+                assert isinstance(gather, SignedPermutation) and gather._word_xor() >= 0
+
+
+def relabeled_plan(plan, order):
+    """``plan`` for shards whose rows are relabeled, row r moving to
+    order[r]: the downloads read the moved rows, and the solve writes
+    them.  No download is then a run select, so the plan runs
+    symbol-major."""
+    n = plan.params.n_rows
+    downloads = {h: SparseRows(order[m.slots], n) for h, m in plan.downloads.items()}
+    solve = np.empty_like(plan.solve_inverse.slots)
+    solve[order] = plan.solve_inverse.slots
+    return RepairPlan(
+        plan.params, plan.failed_node, downloads, plan.top, plan.bottom_node, plan.projectors, SparseRows(solve, n)
+    )
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_other_one_slot_forms_run_symbol_major(k):
+    # Rows in reverse order: every selection descends, and so do the solve
+    # rows that read the top half (at N = 2 a row is a run of its own).
+    p, cm = setup_k(k)
+    rng = np.random.default_rng(950 + k)
+    shards = encode_parts_array(p, cm, rng.integers(0, 3, size=(k, 33, p.n_rows), dtype=np.uint8))
+    order = np.arange(p.n_rows)[::-1]
+    moved = shards[..., ::-1].copy()
+    for failed in range(k):
+        plan = relabeled_plan(plan_repair(p, cm, failed), order)
+        assert (plan._kernels is None) == (p.n_rows > 2)
+        downloads = compute_downloads(plan, {h: moved[h] for h in plan.helper_nodes})
+        assert np.array_equal(execute_repair(plan, downloads), moved[failed]), (k, failed)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 4, 8, 16, 64])
+def test_shard_layout_kernels_match_the_dense_view(cols):
+    # The signed gather of a one-slot signed permutation, and every run
+    # select with its merge, against plain indexing; padding, repeated
+    # columns or a non-run selection have no form.
+    rng = np.random.default_rng(cols)
+    x = rng.integers(0, 3, size=(37, cols), dtype=np.uint8)
+    m = SparseRows((rng.permutation(cols) + cols * rng.integers(0, 2, cols))[:, None], cols)
+    assert np.array_equal(reduce_sum(_signed_gather(m).terms(x)), dense_apply(m, x))
+    assert _signed_gather(SparseRows(np.full((cols, 1), 2 * cols), cols)) is None
+    if cols > 1:
+        assert _signed_gather(SparseRows(np.zeros((cols, 1), dtype=np.int64), cols)) is None
+    if cols < 2:
+        return
+    for bit in range(cols.bit_length() - 1):
+        for side in (0, 1):
+            rows = np.flatnonzero(((np.arange(cols) >> bit) & 1) == side)
+            check_halving(_halving(rows, cols), _Runs(bit, side), rows, x)
+    # The even-weight row of each pair: no run form beyond one pair.
+    pairs = np.arange(cols // 2)
+    rows = 2 * pairs + np.bitwise_count(pairs) % 2
+    if cols == 2:
+        check_halving(_halving(rows, cols), _Runs(0, 0), rows, x)
+    else:
+        assert _halving(rows, cols) is None
+    assert _halving(rows[::-1], cols) is None or cols == 2
+    assert _halving(rows[:-1], cols) is None
+
+
+def check_halving(form, expected, rows, x):
+    assert form == expected
+    mine = form.take(x)
+    assert mine.flags.c_contiguous and np.array_equal(mine, x[:, rows])
+    rest = np.setdiff1d(np.arange(x.shape[1]), rows)
+    assert np.array_equal(form.merge(mine, np.ascontiguousarray(x[:, rest])), x)
+
+
+def test_data_node_repairs_never_transpose(monkeypatch):
+    # The shard layout runs every data-node plan but node 0's for k > 2
+    # with neither a transpose nor a residue stack; those and a parity
+    # plan still reach them, so a dispatch that flips fails here.
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbol-major kernel called")
+
+    monkeypatch.setattr(repair, "_transpose", refuse)
+    monkeypatch.setattr(repair, "_residue_stack", refuse)
+    for k in range(2, 11):
+        p, cm = setup_k(k)
+        shards = encode_parts_array(p, cm, np.random.default_rng(k).integers(0, 3, (k, 9, p.n_rows), dtype=np.uint8))
+        for failed in range(1 if k > 2 else 0, k):
+            plan = plan_repair(p, cm, failed)
+            downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
+            assert np.array_equal(execute_repair(plan, downloads), shards[failed]), (k, failed)
+        for failed in [0, p.k] if k > 2 else [p.k]:
+            plan = plan_repair(p, cm, failed)
+            with pytest.raises(AssertionError, match="symbol-major"):
+                compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
+
+
 def test_row_selection_matches_its_dense_view():
     # Every download of every plan, row selections and parity matrices,
     # equals its dense view applied to the shard.
@@ -698,20 +870,27 @@ def test_repair_zero_file():
 
 
 def test_downloads_are_views_of_symbol_major_arrays():
+    # A parity plan's downloads are transposed views of symbol-major
+    # (N/2, stripes) arrays; a data plan's are C-contiguous arrays in the
+    # shard layout.  Each plan also takes the other layout back.
     p, cm = setup_k(5)
+    half = p.n_rows // 2
     parts = np.random.default_rng(5).integers(0, 3, size=(p.k, 2, 3, 7, p.n_rows), dtype=np.uint8)
     shards = encode_parts_array(p, cm, parts.reshape(p.k, -1, p.n_rows)).reshape((p.n_nodes,) + parts.shape[1:])
     for failed in range(p.n_nodes):
         plan = plan_repair(p, cm, failed)
         downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
         for d in downloads.values():
-            assert d.shape == (2, 3, 7, p.n_rows // 2)
-            assert d.reshape(-1, p.n_rows // 2).T.flags.c_contiguous
+            assert d.shape == (2, 3, 7, half)
+            flat = d.reshape(-1, half)
+            assert flat.flags.c_contiguous if plan._kernels is not None else flat.T.flags.c_contiguous
         rebuilt = execute_repair(plan, downloads)
         assert rebuilt.flags.c_contiguous and np.array_equal(rebuilt, shards[failed])
-        # C-contiguous (stripes, N/2) downloads take one transpose each.
-        copies = {h: np.ascontiguousarray(d) for h, d in downloads.items()}
-        assert np.array_equal(execute_repair(plan, copies), shards[failed])
+        if plan._kernels is not None:
+            others = {h: np.ascontiguousarray(d.reshape(-1, half).T).T for h, d in downloads.items()}
+        else:
+            others = {h: np.ascontiguousarray(d.reshape(-1, half)) for h, d in downloads.items()}
+        assert np.array_equal(execute_repair(plan, others), shards[failed].reshape(-1, p.n_rows))
 
 
 @pytest.mark.parametrize("length", [7, 9])
@@ -820,6 +999,26 @@ def test_brute_force_witness_is_valid():
     _, cm = setup_k(2)
     r = brute_force_min_io(2)
     assert verify_repair_conditions(r.witness, cm).ok
+
+
+def test_brute_force_matches_dense_ranks_on_a_flipped_set():
+    # Row-space masks against the dense ranks of every stack, pair by pair
+    # in enumeration order, on coding matrices the construction does not
+    # use.
+    p, cm = setup_k(2)
+    bad = flip_one_sign(cm)
+    reps = list(enumerate_rref(1, 2))
+    valid, best = 0, None
+    for s, st in itertools.product(reps, repeat=2):
+        products = [mul(st, dense(a)) for a in bad.matrices]
+        if rank(np.vstack([s, st])) == 2 and rank(np.vstack([s, sub(products[0], products[1])])) == 1:
+            valid += 1
+            io = 2 * int(s.any(axis=0).sum()) + int(st.any(axis=0).sum())
+            if best is None or io < best[0]:
+                best = (io, s.tolist(), st.tolist())
+    r = brute_force_min_io(2, bad)
+    assert (r.valid_pairs, r.min_io) == (valid, best[0])
+    assert [r.witness.s.array.tolist(), r.witness.s_tilde.array.tolist()] == list(best[1:])
 
 
 def test_brute_force_rejects_large_k():
