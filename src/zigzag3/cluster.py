@@ -591,15 +591,18 @@ def repair_lost_node(
     as helpers, each charged with the symbols its download reads and
     sends.  ``plans``, if given, caches plans by node for ``params`` and
     ``cm``: a plan found there is reused, and one built here is stored
-    there.  The plan (when built), the downloads and the solve are timed
-    separately.  Returns the rebuilt (stripes, N) payload and the report;
-    storing the payload is the caller's.
+    there.  The plan (when built, with its shard-layout forms), the
+    downloads and the solve are timed separately.  Returns the rebuilt
+    (stripes, N) payload and the report; storing the payload is the
+    caller's.
     """
     stage_seconds = {}
     plan = plans.get(node_id) if plans is not None else None
     if plan is None:
         start = time.perf_counter()
         plan = plan_repair(params, cm, node_id)
+        if plan._selects is not None:
+            plan._gathers  # built here, so the plan stage pays for them
         stage_seconds["plan"] = time.perf_counter() - start
         if plans is not None:
             plans[node_id] = plan
@@ -684,25 +687,6 @@ class ClusterState:
     @property
     def healthy_nodes(self) -> list[int]:
         return [n.node_id for n in self.nodes if n.status == HEALTHY]
-
-    def payloads(self, ids) -> dict[int, np.ndarray]:
-        """Read-only views of the payloads of healthy nodes ``ids``."""
-        out = {}
-        for i in ids:
-            node = self.nodes[i]
-            if node.status != HEALTHY or node.payload is None:
-                raise DataLossError(f"node {i} is failed")
-            out[i] = _read_only(node.payload)
-        return out
-
-    def extract_file(self) -> bytes:
-        """Reassemble the original bytes from any k healthy nodes."""
-        healthy = self.healthy_nodes
-        if len(healthy) < self.params.k:
-            raise DataLossError(f"only {len(healthy)} healthy nodes, need {self.params.k}")
-        chosen = healthy[: self.params.k]
-        parts = decode_shards_array(self.params, self.cm, self.payloads(chosen))
-        return extract(self.params, parts, self.meta)
 
     # -- failure and repair ----------------------------------------------------
 

@@ -47,21 +47,19 @@ A plan's downloads, projectors and solve inverse have at most k nonzeros
 per row for a parity, and are raw row selections and signed
 permutations for a data node.  Terms are summed in int8 and reduced by
 ``gf3.reduce_sum`` before the sum can leave +-127.  Shards and downloads
-keep their (stripes, N) shapes at the API, and a plan runs in one of two
-layouts, chosen by its matrices:
+keep their (stripes, N) shapes at the API, and a plan runs in one layout
+per kind of plan:
 
-* A data-node plan whose downloads are runs, every one at j >= 1 and
-  node 0's at k = 2, runs in the shard layout, along the last axis of
-  the (stripes, N) shards (``_ShardKernels``).  The rows whose bit
-  k-1-j is clear are runs of 2^b symbols, so each download is a run
-  select (runs of 1, 2 or 4 are halves of little-endian words, longer
-  ones void blocks), each projector an XOR word gather
-  (``SignedPermutation.terms``), and the solve interleaves the two
-  halves back into those runs.  Nothing is transposed.
-* Every other plan, a parity's or node 0's for k > 2 (one row of each
-  pair), runs symbol-major: each helper's shard is transposed
-  once into a (rows, stripes) residue stack, a slot is one whole-row
-  ``np.take`` from it, and the rebuilt shard is transposed back once.
+* A data-node plan runs in the shard layout, along the last axis of the
+  (stripes, N) shards, since its planner records which rows the helpers
+  send: runs of 2^b symbols for node j >= 1 (``_Runs``), one row of each
+  pair for node 0 (``_Pairs``).  A download is a select of those rows, a
+  projector an XOR word gather (``SignedPermutation.terms``), and the
+  solve merges the two halves back into the rows.  Nothing is transposed.
+* A parity's plan, or one built by hand, runs symbol-major: each
+  helper's shard is transposed once into a (rows, stripes) residue
+  stack, a slot is one whole-row ``np.take`` from it, and the rebuilt
+  shard is transposed back once.
 """
 
 from __future__ import annotations
@@ -83,6 +81,8 @@ from .gf3 import (
     InconsistentSystemError,
     SignedPermutation,
     SingularMatrixError,
+    _line_of,
+    _times_per_column,
     rank,
     reduce_sum,
     residues,
@@ -179,11 +179,6 @@ class SparseRows:
     @property
     def rows(self) -> int:
         return self.slots.shape[0]
-
-    @property
-    def signed(self) -> bool:
-        """Whether a slot reads past x, into -x or the zero row."""
-        return bool((self.slots >= self.cols).any())
 
     @property
     def array(self) -> np.ndarray:
@@ -895,11 +890,12 @@ class RepairPlan:
     gathers, int8 sums and one apply.
 
     Every matrix is a ``SparseRows``, formed when the plan is built; the
-    row-sum plan's k systematic downloads share one.  A data node's plan
-    whose downloads are runs runs in the shard layout, by the forms its
-    first repair derives from its slots (``_kernels``).  A plan
-    depends only on the code, its coding matrices and the node, so it can
-    be reused, forms and all, for every repair of that node.
+    row-sum plan's k systematic downloads share one.  A plan runs in the
+    shard layout when ``_plan_data`` recorded the rows its helpers send
+    (``_selects``); one built by hand or by ``dataclasses.replace`` runs
+    symbol-major.  A plan depends only on the code, its coding matrices
+    and the node, so it can be reused, forms and all, for every repair of
+    that node.
     """
 
     params: CodeParams
@@ -909,13 +905,22 @@ class RepairPlan:
     bottom_node: int
     projectors: dict[int, SparseRows]
     solve_inverse: SparseRows = field(repr=False)
+    # Set by ``_plan_data`` alone, as ``_Runs`` or ``_Pairs``: the rows the
+    # helpers send and the solve's top half rebuilds, then the zigzag
+    # parity's.
+    _selects: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @functools.cached_property
-    def _kernels(self) -> "_ShardKernels | None":
-        """``_shard_kernels`` of the plan, derived by its first repair and
-        kept: a sweep builds 44 data plans at k = 2..9 and runs none, and
-        the derivation would make each about four times as dear."""
-        return _shard_kernels(self)
+    def _gathers(self) -> tuple[dict[int, SignedPermutation], SignedPermutation]:
+        """The one-slot projectors, and the solve on the bottom half, of a
+        plan with ``_selects`` as signed permutations.  Built on first use
+        and kept: a sweep builds 44 data plans at k = 2..9 and runs none,
+        and building these with the plan made it about twice as dear."""
+        half = self.params.n_rows // 2
+        slot = self.solve_inverse.slots[:, 0]
+        # Rows off the top read +bottom[c] at slot half + c, -bottom[c] at n + half + c.
+        projectors = {node: _signed(m.slots[:, 0], half) for node, m in self.projectors.items()}
+        return projectors, _signed(slot[slot >= half] - half, half)
 
     @property
     def io_per_node(self) -> dict[int, int]:
@@ -966,6 +971,11 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
     reads the N/2 raw rows it sends.  Coding matrices without this
     structure make a restricted map fail to be a permutation, which
     ``_permutation_slots`` rejects with ``ValueError``.
+
+    The plan records the selects of T and Z for the shard layout: every
+    other run of 2^b rows, b = k-1-j, for j >= 1; for j = 0, row
+    2m + parity(m) of each pair (2m, 2m+1), and Z the other row.  If A_j
+    sends Z elsewhere, the plan records none and runs symbol-major.
     """
     k, n = params.k, params.n_rows
     half = n // 2
@@ -975,11 +985,15 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
         for bit in range(k - 1):
             odd ^= ((rows >> bit) & 1).astype(bool)
         sent = ~odd
+        # Row 2m has the weight of m: pair m sends row 2m + 1 when that weight is odd.
+        selects = (_Pairs(odd[::2]), _Pairs(~odd[::2]))
     else:
         sent = (rows & basis_index(params, failed)) == 0
+        selects = (_Runs(k - 1 - failed, 0),) * 2
     a_j = cm.matrices[failed]
     top_rows = np.flatnonzero(sent)
-    zig_rows = np.flatnonzero(~sent[a_j.target])
+    zigzag = ~sent[a_j.target]
+    zig_rows = np.flatnonzero(zigzag)
     position = np.full(n, -1)
     position[top_rows] = np.arange(half)
     others = [i for i in range(k) if i != failed]
@@ -996,7 +1010,7 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
     top_selection = SparseRows(top_rows[:, None], n)
     downloads = {h: top_selection for h in others + [k]}
     downloads[k + 1] = SparseRows(zig_rows[:, None], n)
-    return RepairPlan(
+    plan = RepairPlan(
         params=params,
         failed_node=failed,
         downloads=downloads,
@@ -1005,6 +1019,9 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
         projectors=projectors,
         solve_inverse=SparseRows.from_permutation(target, sign),
     )
+    if np.array_equal(zigzag, sent if failed else ~sent):
+        object.__setattr__(plan, "_selects", selects)
+    return plan
 
 
 def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPlan:
@@ -1092,17 +1109,14 @@ def _transpose(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _residue_stack(x: np.ndarray, buf: np.ndarray, signed: bool) -> np.ndarray:
+def _residue_stack(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """The residue stack of the (stripes, n) residues ``x``, in ``buf``.
 
     ``buf`` is an int8 (2n + 1, stripes) buffer; its first n rows get x.T
-    by one ``_transpose``.  For a ``signed`` matrix the next n rows get
-    -x.T and the last row zeros.  Returns the rows filled.
+    by one ``_transpose``, the next n rows -x.T and the last row zeros.
     """
     n = x.shape[1]
     _transpose(x, buf[:n].view(np.uint8))
-    if not signed:
-        return buf[:n]
     np.negative(buf[:n], out=buf[n : 2 * n])
     buf[2 * n] = 0
     return buf
@@ -1134,10 +1148,8 @@ def _gather_sum(
 
 def _apply(m: SparseRows, stack: np.ndarray) -> np.ndarray:
     """``m`` applied to the block behind ``stack``, as (rows, stripes)
-    uint8 residues; an unsigned one-slot matrix, a row selection, gathers
-    residues and needs no reduction."""
-    acc, terms = _gather_sum(m, stack)
-    return acc.view(np.uint8) if terms == 1 and not m.signed else reduce_sum(acc)
+    uint8 residues."""
+    return reduce_sum(_gather_sum(m, stack)[0])
 
 
 def _little(width: int) -> np.dtype:
@@ -1190,91 +1202,52 @@ class _Runs(NamedTuple):
         return out
 
 
-def _halving(rows: np.ndarray, n: int) -> _Runs | None:
-    """The ``_Runs`` form of the selection ``rows`` of n/2 of the n rows,
-    in ascending order, or None if it has none.  Runs of 2^b rows start
-    with one whole run, so the first step that is not +1 names b."""
-    if n < 2 or rows.size != n // 2:
-        return None
-    steps = np.flatnonzero(np.diff(rows) != 1)
-    run = int(steps[0]) + 1 if steps.size else rows.size
-    if run & (run - 1):
-        return None
-    bit = run.bit_length() - 1
-    side = int(rows[0] >> bit) & 1
-    index = np.arange(n)
-    return _Runs(bit, side) if np.array_equal(rows, index[(index >> bit) & 1 == side]) else None
+class _Pairs:
+    """Row 2m + high[m] of each pair of rows (2m, 2m + 1), one
+    little-endian uint16 word; ``take`` and ``merge`` as for ``_Runs``.
+
+    A select multiplies each word by 1 where it keeps the high row and by
+    256 where the low one, and keeps the high byte; a merge multiplies
+    each half into its byte.  The products run a line of rows at a time
+    (``gf3._times_per_column``); per column, over the short rows of a
+    small k, they made node 0's repair slower than symbol-major.
+    """
+
+    def __init__(self, high: np.ndarray):
+        self.high = high
+
+    @functools.cached_property
+    def _lines(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lines of the factors that keep the selected row in the high
+        byte, and that move it there."""
+        keep = np.where(self.high, 1, 256).astype(_little(2))
+        return _line_of(keep), _line_of(keep ^ 257)
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        words = _times_per_column(x.view(_little(2)).copy(), self._lines[0])
+        return (words >> 8).astype(np.uint8)
+
+    def merge(self, mine: np.ndarray, other: np.ndarray) -> np.ndarray:
+        keep, move = self._lines
+        words = _times_per_column(mine.astype(_little(2)), move)
+        words |= _times_per_column(other.astype(_little(2)), keep)
+        return words.view(np.uint8)
 
 
-def _signed_gather(m: SparseRows) -> SignedPermutation | None:
-    """The one-slot square ``m`` as a ``SignedPermutation``, whose terms
-    gather whole words for an XOR target, or None if it is not one."""
-    slot = m.slots[:, 0]
-    target = slot % m.cols
-    if m.rows == m.cols and (slot < 2 * m.cols).all() and np.array_equal(np.sort(target), np.arange(m.cols)):
-        return SignedPermutation(target, np.where(slot < m.cols, 1, -1))
-    return None
+def _signed(slots: np.ndarray, cols: int) -> SignedPermutation:
+    """One slot per row over ``cols`` columns: c is +1 at c, c + cols or
+    c + 2 cols -1 at c."""
+    return SignedPermutation(slots % cols, np.where(slots < cols, 1, -1))
 
 
-class _ShardKernels(NamedTuple):
-    """A one-slot plan in the shard layout: ``downloads`` select each
-    helper's runs, ``projectors`` map a download into the bottom half, and
-    the solve interleaves the top half, at the runs of ``split``, with
-    ``bottom`` applied to the bottom half, at the others."""
-
-    downloads: dict[int, _Runs]
-    projectors: dict[int, SignedPermutation]
-    split: _Runs
-    bottom: SignedPermutation
-
-
-def _shard_kernels(plan: RepairPlan) -> _ShardKernels | None:
-    """The shard-layout forms of a plan, derived from its slots: unsigned
-    run selects for downloads, signed permutations for projectors, and a
-    solve that reads +top in order at the runs of one ``_Runs`` and the
-    bottom half alone, by a signed permutation, at the rest.  None for any
-    plan with a matrix of another form, which runs symbol-major: every
-    parity plan, and node 0's for k > 2, whose downloads take one row of
-    each pair."""
-    mats = [*plan.downloads.values(), *plan.projectors.values(), plan.solve_inverse]
-    if any(m.slots.shape[1] != 1 for m in mats) or any(m.signed for m in plan.downloads.values()):
-        return None
-    selects = {}
-    for m in plan.downloads.values():
-        if m not in selects:
-            selects[m] = _halving(m.slots[:, 0], m.cols)
-    projectors = {node: _signed_gather(m) for node, m in plan.projectors.items()}
-    m = plan.solve_inverse
-    n, half = m.cols, m.cols // 2
-    slot = m.slots[:, 0]
-    top_rows = np.flatnonzero(slot < half)
-    rest = slot[slot >= half]
-    if not np.array_equal(slot[top_rows], np.arange(top_rows.size)) or ((rest >= n) & (rest < n + half)).any():
-        return None
-    split = _halving(top_rows, n)
-    # +bottom[c] is slot half + c, -bottom[c] slot n + half + c, and
-    # padding 2n; over the bottom half they are c, half + c and 2 half.
-    bottom = _signed_gather(SparseRows((rest - np.where(rest < n, half, n))[:, None], half))
-    if None in (*selects.values(), *projectors.values(), split, bottom):
-        return None
-    return _ShardKernels({node: selects[m] for node, m in plan.downloads.items()}, projectors, split, bottom)
-
-
-def _execute_in_shard_layout(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.ndarray:
-    """The rebuilt (stripes, N) rows from C-contiguous (stripes, N/2)
-    residue downloads, by ``plan._kernels``.  Each half sums at most
-    k + 1 terms in {-2..2}, which int8 holds for every k up to 62."""
-    kernels = plan._kernels
-    top = np.zeros_like(downloads[plan.bottom_node], dtype=np.int8)
+def _sum_halves(plan: RepairPlan, downloads: dict[int, np.ndarray], top: np.ndarray, bottom: np.ndarray) -> None:
+    """Add the downloads of ``plan.top``, signed, into ``top``, and the bottom node's into ``bottom``."""
     for node, coefficient in plan.top.items():
         if coefficient == 1:
             top += downloads[node].view(np.int8)
         else:
             top -= downloads[node].view(np.int8)
-    bottom = downloads[plan.bottom_node].view(np.int8).copy()
-    for node, gather in kernels.projectors.items():
-        bottom += gather.terms(downloads[node])
-    return kernels.split.merge(reduce_sum(top), reduce_sum(kernels.bottom.terms(bottom)))
+    bottom += downloads[plan.bottom_node].view(np.int8)
 
 
 def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -1285,15 +1258,12 @@ def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict
     integer array, in any layout; its symbols are taken mod 3.  Each
     download has shape lead + (N/2,), in the layout the plan runs in:
 
-    * a plan in the shard layout (``plan._kernels``, a data node's whose
-      downloads are runs) selects each helper's runs along the last axis,
-      so its downloads are C-contiguous (stripes, N/2) arrays;
-    * any other plan, a parity's or node 0's for k > 2, runs symbol-major:
-      it transposes each helper's shard once, by a blocked
-      transpose into one (2N + 1, stripes) residue-stack buffer that every
-      helper reuses, and gathers one whole row from it per slot of the
-      download's ``SparseRows``; each download is a C-contiguous
-      (N/2, stripes) array, returned as its transposed view.
+    * a data-node plan selects each helper's rows along the last axis
+      (``plan._selects``): C-contiguous (stripes, N/2) downloads;
+    * any other plan transposes each helper's shard once, blocked, into
+      one (2N + 1, stripes) residue-stack buffer, and gathers one whole
+      row from it per slot of the download: the transposed view of a
+      C-contiguous (N/2, stripes) array.
 
     ``execute_repair`` takes either back without a copy.
     """
@@ -1305,18 +1275,18 @@ def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict
     lead = _common_lead(helpers, n, "payload")
     stripes = math.prod(lead)
     out = {}
-    if plan._kernels is not None:
+    if plan._selects is not None:
+        sent, zigzag = plan._selects
         for node, x in helpers.items():
             # Selecting commutes with mod 3, so a uint8 shard is checked for
             # residues only on the half that is sent.
             x = np.ascontiguousarray((x if x.dtype == np.uint8 else residues(x)).reshape(stripes, n))
-            d = residues(plan._kernels.downloads[node].take(x))
+            d = residues((zigzag if node == plan.bottom_node else sent).take(x))
             out[node] = d.reshape(lead + (d.shape[-1],))
         return out
     buf = np.empty((2 * n + 1, stripes), dtype=np.int8)
     for node, x in helpers.items():
-        m = plan.downloads[node]
-        d = _apply(m, _residue_stack(residues(x).reshape(stripes, n), buf, m.signed))
+        d = _apply(plan.downloads[node], _residue_stack(residues(x).reshape(stripes, n), buf))
         out[node] = d.T.reshape(lead + (d.shape[0],))
     return out
 
@@ -1331,19 +1301,16 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
     ``top``, the bottom the ``bottom_node`` download and every
     projector's terms.  The plan's layout decides how:
 
-    * a plan in the shard layout works on C-contiguous (stripes, N/2)
-      downloads, the ones ``compute_downloads`` returns for it (any other
-      layout is copied to that once).  A projector is an XOR word gather
-      of its download, and the solve reduces both halves and interleaves
-      the top with the signed bottom into the rows' runs
-      (``_ShardKernels``).
-    * any other plan works symbol-major, (rows, stripes).  A download from
-      ``compute_downloads`` is the transposed view of such an array and is
-      taken back as it is; any other layout gets one blocked transpose.
-      The two halves share one (N, stripes) sum; projector terms are
-      gathered from the residue stack of their download (one buffer,
-      reused) and reduced in place whenever the bottom holds
-      ``_INT8_TERMS`` terms.  One reduction and one apply of
+    * a data-node plan works in the shard layout, on C-contiguous
+      (stripes, N/2) downloads (any other layout is copied to that once).
+      A projector is an XOR word gather, and the solve merges the top with
+      the signed bottom into the rows they rebuild (``plan._gathers``).
+      Each half sums at most k + 1 terms, which int8 holds up to k = 62.
+    * any other plan works symbol-major, (rows, stripes): a download from
+      ``compute_downloads`` is taken back as it is, any other gets one
+      blocked transpose.  Projector terms are gathered from the residue
+      stack of their download, reduced whenever the bottom holds
+      ``_INT8_TERMS`` terms; one reduction and one apply of
       ``solve_inverse`` follow, and one transpose back.
     """
     expected_nodes = set(plan.helper_nodes)
@@ -1355,31 +1322,30 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
     arrays = {node: np.asarray(d) for node, d in downloads.items()}
     lead = _common_lead(arrays, half, "download")
     stripes = math.prod(lead)
-    if plan._kernels is not None:
+    if plan._selects is not None:
         rows = {node: np.ascontiguousarray(residues(d).reshape(stripes, half)) for node, d in arrays.items()}
-        return _execute_in_shard_layout(plan, rows).reshape(lead + (n,))
+        projectors, solve = plan._gathers
+        top, bottom = np.zeros((2, stripes, half), dtype=np.int8)
+        _sum_halves(plan, rows, top, bottom)
+        for node, gather in projectors.items():
+            bottom += gather.terms(rows[node])
+        return plan._selects[0].merge(reduce_sum(top), reduce_sum(solve.terms(bottom))).reshape(lead + (n,))
     sym = {}
     for node, d in arrays.items():
         x = residues(d).reshape(stripes, half)
         sym[node] = x.T if x.T.flags.c_contiguous else _transpose(x)
 
     rhs = np.zeros((n, stripes), dtype=np.int8)
-    top, bottom = rhs[:half], rhs[half:]
-    for node, coefficient in plan.top.items():
-        if coefficient == 1:
-            top += sym[node].view(np.int8)
-        else:
-            top -= sym[node].view(np.int8)
-    bottom += sym[plan.bottom_node].view(np.int8)
+    bottom = rhs[half:]
+    _sum_halves(plan, sym, rhs[:half], bottom)
     terms = 1
     buf = np.empty((n + 1, stripes), dtype=np.int8)
     for node, m in plan.projectors.items():
-        _, terms = _gather_sum(m, _residue_stack(sym[node].T, buf, m.signed), bottom, terms)
+        _, terms = _gather_sum(m, _residue_stack(sym[node].T, buf), bottom, terms)
 
     rhs = reduce_sum(rhs)
-    m = plan.solve_inverse
-    stack = _residue_stack(rhs.T, np.empty((2 * n + 1, stripes), dtype=np.int8), m.signed)
-    return np.ascontiguousarray(_apply(m, stack).T).reshape(lead + (n,))
+    stack = _residue_stack(rhs.T, np.empty((2 * n + 1, stripes), dtype=np.int8))
+    return np.ascontiguousarray(_apply(plan.solve_inverse, stack).T).reshape(lead + (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -1420,17 +1386,18 @@ class IoBoundReport:
 
 
 def io_lower_bound(k: int) -> IoBoundReport:
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    n = 1 << (k - 1)
+    """The floor at ``k`` against the reads of a parity plan,
+    ``expected_repair_io``; ``ValueError`` for a k ``CodeParams`` refuses."""
+    params = CodeParams(k)
+    n = params.n_rows
     correction = Fraction((k - 3) * n, 2 * (k - 1))
     return IoBoundReport(
         k=k,
         n_rows=n,
-        achieved_io=k * n + n - k,
+        achieved_io=expected_repair_io(params, k),
         lower_bound=k * n + correction,
         per_matrix_floor=n - Fraction(n, 2 * (k - 1)),
-        bandwidth_floor=(k + 1) * n // 2,
+        bandwidth_floor=repair_bandwidth(params),
         clamped=correction < 0,
     )
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from cluster_helpers import extract_file
 from gf3_oracle import dense, gf3
 from zigzag3.cluster import ClusterState
 from zigzag3.code import (
@@ -279,4 +280,4 @@ def test_criterion_8_end_to_end_one_mebibyte():
                 assert report.total_reads == 20 * stripes, node_id
             assert np.array_equal(cluster.nodes[node_id].payload, originals[node_id]), node_id
 
-        assert cluster.extract_file() == data
+        assert extract_file(cluster) == data

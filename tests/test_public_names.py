@@ -3,8 +3,9 @@
 A name in a module's ``__all__`` counts as used when ``src/zigzag3`` uses
 it outside its own definition (imports do not count), when the package's
 ``zigzag3.__all__`` lists it, or when the benchmark in ``perfbench/``
-names it.  A name only the tests call is code to delete or to move into
-the tests.
+names it.  Every public method and property of a public class is held to
+the same rule.  A name only the tests call is code to delete or to move
+into the tests.
 """
 
 import ast
@@ -65,3 +66,46 @@ def test_every_public_name_is_used_by_the_program():
             if not any(name in used_names(t, skip if p == path else range(0)) for p, t in trees.items()):
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"public names only tests use: {unused}"
+
+
+# ``ClusterState.scrub``, and the ``ScrubReport`` it returns, wait for a
+# caller: a ``zigzag3 scrub`` command (ROADMAP item 4).
+UNCALLED_METHODS = {"ClusterState.scrub"}
+
+
+def public_methods(tree: ast.Module):
+    """(class, method, lines) of every public method and property of the
+    public classes of a module."""
+    public = set(module_all(tree))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in public:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name, range(item.lineno, item.end_lineno + 1)
+
+
+def attribute_lines(tree: ast.Module) -> dict[str, set[int]]:
+    """The lines each attribute is referenced on; a method or property is
+    only ever reached as one."""
+    out: dict[str, set[int]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.setdefault(node.attr, set()).add(node.lineno)
+    return out
+
+
+def test_every_public_method_is_used_by_the_program():
+    # The same rule for the methods and properties of public classes: one
+    # counts as used when the program reads it as an attribute outside its
+    # own lines, or the benchmark names it.
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    uses = {path: attribute_lines(tree) for path, tree in trees.items()}
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    unused = []
+    for path, tree in trees.items():
+        for cls, name, own in public_methods(tree):
+            if f"{cls}.{name}" in UNCALLED_METHODS or re.search(rf"\b{re.escape(name)}\b", bench):
+                continue
+            if not any(lines.get(name, set()) - set(own if p == path else ()) for p, lines in uses.items()):
+                unused.append(f"{path.stem}.{cls}.{name}")
+    assert not unused, f"public methods only tests use: {unused}"

@@ -1,5 +1,6 @@
 """Repair-matrix construction, rank conditions, planning and I/O accounting."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -8,7 +9,13 @@ import pytest
 
 import zigzag3.repair as repair
 from gf3_oracle import add, dense, gf3, identity, mul, sub
-from zigzag3.code import CodeParams, build_coding_matrices, encode_parts_array, second_parity_by_matrices
+from zigzag3.code import (
+    CodeParams,
+    CodingMatrixSet,
+    build_coding_matrices,
+    encode_parts_array,
+    second_parity_by_matrices,
+)
 from zigzag3.gf3 import (
     InconsistentSystemError,
     SignedPermutation,
@@ -27,12 +34,12 @@ from zigzag3.repair import (
     _apply,
     _gather_sum,
     _gathered,
-    _halving,
     _merged,
+    _Pairs,
     _rank,
     _residue_stack,
     _Runs,
-    _signed_gather,
+    _signed,
     _Terms,
     _transpose,
     brute_force_min_io,
@@ -335,7 +342,7 @@ def apply_matrix_rows(m, x):
         raise ValueError(f"last axis {x.shape[-1]} != matrix cols {m.cols}")
     flat = residues(x).reshape(-1, m.cols)
     buf = np.empty((2 * m.cols + 1, flat.shape[0]), dtype=np.int8)
-    return _apply(m, _residue_stack(flat, buf, m.signed)).T.reshape(x.shape[:-1] + (m.rows,))
+    return _apply(m, _residue_stack(flat, buf)).T.reshape(x.shape[:-1] + (m.rows,))
 
 
 def dense_apply(m, x):
@@ -448,7 +455,7 @@ def test_gather_sum_reduces_a_full_sum_in_place(sign):
     # is reduced before the next would leave int8.
     m = SparseRows.from_dense([[sign] * 3 + [0]])
     x = np.full((5, 4), 2, dtype=np.uint8)
-    stack = _residue_stack(x, np.empty((9, 5), dtype=np.int8), m.signed)
+    stack = _residue_stack(x, np.empty((9, 5), dtype=np.int8))
     acc = np.full((1, 5), 124 * sign, dtype=np.int8)
     acc, terms = _gather_sum(m, stack, acc, 62)
     assert terms == 3
@@ -459,12 +466,12 @@ def test_ell_form_slots():
     m = SparseRows.from_dense(np.array([[0, 1, 2, 0], [0, 0, 0, 0], [2, 0, 0, 0]], dtype=np.uint8))
     # +1 at column c is slot c, -1 is slot n + c, padding the zero row 2n.
     assert m.slots.tolist() == [[1, 6], [8, 8], [4, 8]]
-    assert m.signed and m.rows == 3 and m.cols == 4
+    assert m.rows == 3 and m.cols == 4
     m = SparseRows(np.array([3, 1])[:, None], 4)
-    assert m.slots.tolist() == [[3], [1]] and not m.signed
+    assert m.slots.tolist() == [[3], [1]]
     assert m.array.tolist() == [[0, 0, 0, 1], [0, 1, 0, 0]]
     m = SparseRows.from_permutation([2, 0, 1], [1, -1, 1])
-    assert m.slots.tolist() == [[2], [3], [1]] and m.signed
+    assert m.slots.tolist() == [[2], [3], [1]]
 
 
 def test_from_permutation_rejects_non_permutations():
@@ -492,7 +499,7 @@ def test_sparse_rows_from_dense_round_trip(seed):
     a = random_sparse_rows(rng, 9, 13)
     m = SparseRows.from_dense(a)
     assert np.array_equal(m.array, a)
-    assert (m.slots == 2 * 13).any() and m.signed  # padding and -1 entries
+    assert (m.slots == 2 * 13).any() and ((m.slots >= 13) & (m.slots < 2 * 13)).any()  # padding and -1 entries
     assert m.nonzero_column_count() == np.count_nonzero(a.any(axis=0))
     assert SparseRows.from_dense(np.zeros((3, 5), dtype=np.uint8)).nonzero_column_count() == 0
 
@@ -640,7 +647,7 @@ def test_data_node_plans_round_trip(k):
         assert plan.io_per_node == {h: half for h in range(k + 2) if h != failed}
         assert plan.total_io == (k + 1) * half == expected_repair_io(p, failed) == plan.bandwidth
         # Raw rows, and signed permutations of N/2 and of N.
-        assert all(m.slots.shape == (half, 1) and not m.signed for m in plan.downloads.values())
+        assert all(m.slots.shape == (half, 1) and (m.slots < p.n_rows).all() for m in plan.downloads.values())
         for m, size in [(m, half) for m in plan.projectors.values()] + [(plan.solve_inverse, p.n_rows)]:
             assert m.cols == size and m.slots.shape == (size, 1)
             assert sorted(m.slots[:, 0] % size) == list(range(size))
@@ -659,6 +666,24 @@ def test_data_node_repair_on_flipped_sign(k):
                              second_parity_by_matrices(bad, parts)[None]])
     for failed in range(k):
         plan = plan_repair(p, bad, failed)
+        downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
+        assert np.array_equal(execute_repair(plan, downloads), shards[failed]), (k, failed)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_data_plans_on_other_row_orders_run_symbol_major(k):
+    # Every coding matrix with its rows reversed still has a zigzag
+    # rebuild, but its zigzag parity sends other rows: the other runs for
+    # j >= 1, and for node 0 at even k the even-weight rows.  Such a plan
+    # records no select, runs symbol-major, and rebuilds exactly.
+    p, cm = setup_k(k)
+    other = CodingMatrixSet(p, tuple(SignedPermutation(a.target[::-1], a.sign[::-1]) for a in cm.matrices))
+    parts = np.random.default_rng(850 + k).integers(0, 3, size=(k, 6, p.n_rows), dtype=np.uint8)
+    shards = np.concatenate([parts, parts.sum(axis=0, keepdims=True) % 3,
+                             second_parity_by_matrices(other, parts)[None]])
+    for failed in range(k):
+        plan = plan_repair(p, other, failed)
+        assert (plan._selects is None) == (failed > 0 or k % 2 == 0), (k, failed)
         downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
         assert np.array_equal(execute_repair(plan, downloads), shards[failed]), (k, failed)
 
@@ -692,9 +717,10 @@ def test_data_node_repairs_in_the_shard_layout_are_exact(k):
     # Every fast path of the shard layout: runs of one to four symbols as
     # sub-word integers, runs of eight or more as void blocks, word
     # gathers of N/2 whole words and of one short word (k <= 4), on
-    # healthy and flipped-sign coding sets and every payload layout.  Its
-    # downloads are C-contiguous raw rows.  Node 0 for k > 2 runs
-    # symbol-major.  Every rebuild is the stored shard, byte for byte.
+    # healthy and flipped-sign coding sets and every payload layout, for
+    # every data node: node 0 selects one row of each pair.  Its downloads
+    # are C-contiguous raw rows.  Every rebuild is the stored shard, byte
+    # for byte.
     p = CodeParams(k)
     half = p.n_rows // 2
     rng = np.random.default_rng(900 + k)
@@ -705,14 +731,13 @@ def test_data_node_repairs_in_the_shard_layout_are_exact(k):
             sets = [payload_layouts(x) for x in shards]
             for failed in range(k):
                 plan = plan_repair(p, cm, failed)
-                shard_layout = plan._kernels is not None
-                assert shard_layout == (failed > 0 or k == 2)
+                assert plan._selects is not None
                 sent = {h: shards[h][:, m.slots[:, 0]] for h, m in plan.downloads.items()}
                 for layout in sets[0]:
                     payloads = {h: sets[h][layout] for h in plan.helper_nodes}
                     downloads = compute_downloads(plan, payloads)
                     for h, d in downloads.items():
-                        assert d.flags.c_contiguous == shard_layout or stripes == 1
+                        assert d.flags.c_contiguous
                         assert d.dtype == np.uint8 and d.shape == (stripes, half)
                         assert np.array_equal(d, sent[h]), (layout, h)
                     rebuilt = execute_repair(plan, downloads)
@@ -720,25 +745,73 @@ def test_data_node_repairs_in_the_shard_layout_are_exact(k):
                     assert np.array_equal(rebuilt, shards[failed]), (k, stripes, failed, layout)
 
 
+def pair_parity(pairs):
+    """The parity of the weight of each of 0..pairs-1, the plain way."""
+    return np.array([bin(m).count("1") % 2 for m in range(pairs)], dtype=bool)
+
+
 def test_data_node_forms_follow_the_node():
-    # Node j >= 1 sends the runs of rows with bit k-1-j clear; node 0
-    # one row of each pair, which is a run only at N = 2, so it runs
-    # symbol-major for k > 2.  Every projector and the solve's bottom
-    # half are XOR word gathers.
+    # Node j >= 1 sends the runs of rows with bit k-1-j clear, and so
+    # does the zigzag parity; node 0 row 2m + parity(m) of each pair, and
+    # the zigzag parity the other row.  Every projector and the solve's
+    # bottom half are XOR word gathers.
     for k in range(2, 12):
         p, cm = setup_k(k)
+        parity = pair_parity(p.n_rows // 2)
         for failed in range(k):
-            kernels = plan_repair(p, cm, failed)._kernels
-            if failed == 0 and k > 2:
-                assert kernels is None
-                continue
-            if failed == 0:  # N = 2: the zigzag parity sends row 1, the others row 0
-                assert kernels.split == _Runs(0, 0) and kernels.downloads[3] == _Runs(0, 1)
+            plan = plan_repair(p, cm, failed)
+            sent, zigzag = plan._selects
+            if failed == 0:
+                assert isinstance(sent, _Pairs) and isinstance(zigzag, _Pairs)
+                assert np.array_equal(sent.high, parity) and np.array_equal(zigzag.high, ~parity)
             else:
-                bit = k - 1 - failed
-                assert set(kernels.downloads.values()) == {_Runs(bit, 0)} and kernels.split == _Runs(bit, 0)
-            for gather in [*kernels.projectors.values(), kernels.bottom]:
+                assert sent == zigzag == _Runs(k - 1 - failed, 0)
+            projectors, bottom = plan._gathers
+            for gather in [*projectors.values(), bottom]:
                 assert isinstance(gather, SignedPermutation) and gather._word_xor() >= 0
+
+
+def row_indices(select, n):
+    """The rows ``select`` takes from n rows, read off two byte planes of
+    the row indices."""
+    planes = np.stack([np.arange(n) & 255, np.arange(n) >> 8]).astype(np.uint8)
+    low, high = select.take(planes).astype(np.int64)
+    return low | high << 8
+
+
+def merged_sources(select, n):
+    """For each of n rows, where ``select.merge`` takes it from: i for
+    row i of the selected half, n/2 + i for row i of the other."""
+    half = n // 2
+    mine, other = (np.stack([v & 255, v >> 8]).astype(np.uint8) for v in (np.arange(half), half + np.arange(half)))
+    low, high = select.merge(mine, other).astype(np.int64)
+    return low | high << 8
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_data_plan_forms_agree_with_their_rows(k):
+    # The recorded forms of every data plan, entry for entry against the
+    # plan's SparseRows: each select takes the rows its downloads name,
+    # each projector is its slots, and the solve puts the top half in
+    # order at the rows of the top select and the signed bottom at the
+    # rest, as the solve inverse's slots say.
+    p, cm = setup_k(k)
+    n, half = p.n_rows, p.n_rows // 2
+    for failed in range(k):
+        plan = plan_repair(p, cm, failed)
+        sent, zigzag = plan._selects
+        for h, m in plan.downloads.items():
+            select = zigzag if h == plan.bottom_node else sent
+            assert np.array_equal(row_indices(select, n), m.slots[:, 0]), (k, failed, h)
+        projectors, bottom = plan._gathers
+        assert projectors.keys() == plan.projectors.keys()
+        for h, gather in projectors.items():
+            assert np.array_equal(gather.target + half * (gather.sign < 0), plan.projectors[h].slots[:, 0])
+        source = merged_sources(sent, n)
+        at = source[source >= half] - half
+        solve = source.copy()
+        solve[source >= half] = half + bottom.target[at] + n * (bottom.sign[at] < 0)
+        assert np.array_equal(solve, plan.solve_inverse.slots[:, 0]), (k, failed)
 
 
 def relabeled_plan(plan, order):
@@ -758,7 +831,8 @@ def relabeled_plan(plan, order):
 @pytest.mark.parametrize("k", range(2, 8))
 def test_other_one_slot_forms_run_symbol_major(k):
     # Rows in reverse order: every selection descends, and so do the solve
-    # rows that read the top half (at N = 2 a row is a run of its own).
+    # rows that read the top half.  A plan built by hand, or replaced, has
+    # no recorded form, so it runs symbol-major.
     p, cm = setup_k(k)
     rng = np.random.default_rng(950 + k)
     shards = encode_parts_array(p, cm, rng.integers(0, 3, size=(k, 33, p.n_rows), dtype=np.uint8))
@@ -766,42 +840,36 @@ def test_other_one_slot_forms_run_symbol_major(k):
     moved = shards[..., ::-1].copy()
     for failed in range(k):
         plan = relabeled_plan(plan_repair(p, cm, failed), order)
-        assert (plan._kernels is None) == (p.n_rows > 2)
+        assert plan._selects is None
+        assert dataclasses.replace(plan_repair(p, cm, failed), top=dict(plan.top))._selects is None
         downloads = compute_downloads(plan, {h: moved[h] for h in plan.helper_nodes})
         assert np.array_equal(execute_repair(plan, downloads), moved[failed]), (k, failed)
+        assert "_gathers" not in vars(plan)
 
 
 @pytest.mark.parametrize("cols", [1, 2, 4, 8, 16, 64])
 def test_shard_layout_kernels_match_the_dense_view(cols):
-    # The signed gather of a one-slot signed permutation, and every run
-    # select with its merge, against plain indexing; padding, repeated
-    # columns or a non-run selection have no form.
+    # The signed gather of one-slot signed rows, every run select with
+    # its merge, and pair selects of alternating and random rows with
+    # their merges, against plain indexing.
     rng = np.random.default_rng(cols)
     x = rng.integers(0, 3, size=(37, cols), dtype=np.uint8)
-    m = SparseRows((rng.permutation(cols) + cols * rng.integers(0, 2, cols))[:, None], cols)
-    assert np.array_equal(reduce_sum(_signed_gather(m).terms(x)), dense_apply(m, x))
-    assert _signed_gather(SparseRows(np.full((cols, 1), 2 * cols), cols)) is None
-    if cols > 1:
-        assert _signed_gather(SparseRows(np.zeros((cols, 1), dtype=np.int64), cols)) is None
+    slots = rng.permutation(cols) + cols * rng.integers(0, 2, cols)
+    assert np.array_equal(reduce_sum(_signed(slots, cols).terms(x)), dense_apply(SparseRows(slots[:, None], cols), x))
     if cols < 2:
         return
     for bit in range(cols.bit_length() - 1):
         for side in (0, 1):
             rows = np.flatnonzero(((np.arange(cols) >> bit) & 1) == side)
-            check_halving(_halving(rows, cols), _Runs(bit, side), rows, x)
-    # The even-weight row of each pair: no run form beyond one pair.
+            check_select(_Runs(bit, side), rows, x)
+    # Bytes beyond the residues too: a select and a merge move any byte.
+    x = rng.integers(0, 256, size=(37, cols), dtype=np.uint8)
     pairs = np.arange(cols // 2)
-    rows = 2 * pairs + np.bitwise_count(pairs) % 2
-    if cols == 2:
-        check_halving(_halving(rows, cols), _Runs(0, 0), rows, x)
-    else:
-        assert _halving(rows, cols) is None
-    assert _halving(rows[::-1], cols) is None or cols == 2
-    assert _halving(rows[:-1], cols) is None
+    for high in (pair_parity(cols // 2), ~pair_parity(cols // 2), rng.integers(0, 2, cols // 2).astype(bool)):
+        check_select(_Pairs(high), 2 * pairs + high, x)
 
 
-def check_halving(form, expected, rows, x):
-    assert form == expected
+def check_select(form, rows, x):
     mine = form.take(x)
     assert mine.flags.c_contiguous and np.array_equal(mine, x[:, rows])
     rest = np.setdiff1d(np.arange(x.shape[1]), rows)
@@ -809,9 +877,9 @@ def check_halving(form, expected, rows, x):
 
 
 def test_data_node_repairs_never_transpose(monkeypatch):
-    # The shard layout runs every data-node plan but node 0's for k > 2
-    # with neither a transpose nor a residue stack; those and a parity
-    # plan still reach them, so a dispatch that flips fails here.
+    # The shard layout runs every data-node plan, node 0's too, with
+    # neither a transpose nor a residue stack; a parity plan still
+    # reaches them, so a dispatch that flips fails here.
     def refuse(*args, **kwargs):
         raise AssertionError("symbol-major kernel called")
 
@@ -820,11 +888,11 @@ def test_data_node_repairs_never_transpose(monkeypatch):
     for k in range(2, 11):
         p, cm = setup_k(k)
         shards = encode_parts_array(p, cm, np.random.default_rng(k).integers(0, 3, (k, 9, p.n_rows), dtype=np.uint8))
-        for failed in range(1 if k > 2 else 0, k):
+        for failed in range(k):
             plan = plan_repair(p, cm, failed)
             downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
             assert np.array_equal(execute_repair(plan, downloads), shards[failed]), (k, failed)
-        for failed in [0, p.k] if k > 2 else [p.k]:
+        for failed in (p.k, p.k + 1):
             plan = plan_repair(p, cm, failed)
             with pytest.raises(AssertionError, match="symbol-major"):
                 compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
@@ -883,10 +951,12 @@ def test_downloads_are_views_of_symbol_major_arrays():
         for d in downloads.values():
             assert d.shape == (2, 3, 7, half)
             flat = d.reshape(-1, half)
-            assert flat.flags.c_contiguous if plan._kernels is not None else flat.T.flags.c_contiguous
+            assert flat.flags.c_contiguous if failed < p.k else flat.T.flags.c_contiguous
         rebuilt = execute_repair(plan, downloads)
         assert rebuilt.flags.c_contiguous and np.array_equal(rebuilt, shards[failed])
-        if plan._kernels is not None:
+        # A parity plan never builds the shard-layout forms.
+        assert ("_gathers" in vars(plan)) == (failed < p.k)
+        if failed < p.k:
             others = {h: np.ascontiguousarray(d.reshape(-1, half).T).T for h, d in downloads.items()}
         else:
             others = {h: np.ascontiguousarray(d.reshape(-1, half)) for h, d in downloads.items()}
