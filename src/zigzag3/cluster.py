@@ -23,9 +23,11 @@ Ingest splits each word by 3^20, 3^10 and 243 into uint8 groups of five
 digits and peels those by uint8 division straight into the digit planes;
 extract runs the inverse Horner steps.  Both work a whole number of
 blocks at a time, so every pass is a contiguous elementwise one and no
-temporary is file-sized.  Unpacking a shard reads its packed bytes two at
-a time, as uint16, and looks each pair up in a 65,536-row table of
-ten-trit rows.
+temporary is file-sized.  Packing a shard multiplies each 5-trit group,
+read as an 8-byte word, by one constant that sums its place values into
+one byte of the product (see ``_pack_trits``).  Unpacking reads the packed
+bytes two at a time, as uint16, and looks each pair up in a 65,536-row
+table of ten-trit rows.
 """
 
 from __future__ import annotations
@@ -217,24 +219,39 @@ def trits_to_bytes(trits: np.ndarray, byte_count: int, *, first: int = 0) -> byt
     return vals.astype(np.uint8).tobytes()
 
 
-def _pack_trits(trits: np.ndarray) -> bytes:
-    """Pack 5 trits per byte, earliest trit in the highest place value.
+# A word whose little-endian bytes 0-4 hold trits t0..t4, times this
+# constant, holds 81*t0 + 27*t1 + 9*t2 + 3*t3 + t4 in bits 32..39.
+_PACK_MULTIPLIER = np.uint64(81 << 32 | 27 << 24 | 9 << 16 | 3 << 8 | 1)
 
-    A last group of fewer than 5 trits is zero-padded on the right; it is
-    packed on its own, so the stream is never copied to pad it.
+
+def _pack_trits(trits: np.ndarray) -> bytes:
+    """Pack 5 trits per byte, earliest trit in the highest place value; a
+    last group of fewer than 5 trits is zero-padded on the right.
+
+    The trits are copied into a zero-padded buffer that is read as one
+    little-endian uint64 word per group, at a stride of 5 bytes: word g
+    holds trits 5g .. 5g+4 in its bytes 0-4, and 3 bytes of the next group
+    (or of the padding) above them.  Multiplying by ``_PACK_MULTIPLIER``
+    moves trit 5g+i into byte 4 with place value 3^(4-i), so byte 4 of the
+    product is the packed byte.  No byte of the product carries into the
+    next: byte j < 4 sums to at most 3^(j+1) - 1 <= 80, and byte 4 to at
+    most 242.
     """
-    whole = trits.shape[0] - trits.shape[0] % 5
-    packed = _horner(trits[:whole].reshape(-1, 5), np.uint8).tobytes()
-    if whole < trits.shape[0]:
-        last = np.zeros((1, 5), dtype=np.uint8)
-        last[0, : trits.shape[0] - whole] = trits[whole:]
-        packed += _horner(last, np.uint8).tobytes()
-    return packed
+    count = trits.shape[0]
+    groups = -(-count // 5)
+    buf = np.empty(5 * groups + 3, dtype=np.uint8)
+    buf[:count] = trits
+    buf[count:] = 0
+    words = np.ndarray((groups,), dtype=_WORD, buffer=buf, strides=(5,))
+    product = np.empty(groups, dtype=_WORD)
+    np.multiply(words, _PACK_MULTIPLIER, out=product)
+    return product.view(np.uint8)[4::8].tobytes()
 
 
 def _unpack_trits(blob: bytes, trit_count: int) -> np.ndarray:
-    """The first ``trit_count`` trits of 5-trit packed bytes; a byte >= 243
-    or too short a payload raises ``ShardFormatError``.
+    """The first ``trit_count`` trits of 5-trit packed bytes.  A byte >= 243,
+    too short a payload, or a nonzero trit past ``trit_count`` (which
+    ``_pack_trits`` never writes) raises ``ShardFormatError``.
 
     Whole-row lookups: each pair of bytes, read as a uint16, takes its 10
     trits from ``_PAIR_TO_TRITS``, and an odd last byte its 5 trits from
@@ -253,6 +270,8 @@ def _unpack_trits(blob: bytes, trit_count: int) -> np.ndarray:
         (_PACKED_TO_TRITS, arr[whole:], trits[5 * whole :]),
     ):
         np.take(table, index, out=rows.view(table.dtype), mode="clip")
+    if trits[trit_count:].any():
+        raise ShardFormatError(f"payload has a nonzero padding trit past trit {trit_count}")
     return trits[:trit_count]
 
 

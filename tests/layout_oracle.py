@@ -13,6 +13,10 @@ Version 2 reads little-endian 8-byte words (the last zero-padded) and
 stores each block of kN words as its 41 digit planes, digit d of word i of
 a block of W words at stream position d*W + i; ``word_stream`` builds that
 stream one Python int at a time.
+
+Both versions pack a shard's trits five to a byte, earliest trit in the
+highest place value; ``pack_trits_horner`` is the five-step Horner loop
+the program packed with before it used one word multiply.
 """
 
 import numpy as np
@@ -66,3 +70,16 @@ def word_stream(params: CodeParams, words: list[int]) -> list[int]:
         block = [digits(w, 41) for w in words[b0 : b0 + kn]]
         stream += [w[d] for d in range(41) for w in block]
     return stream + [0] * (-len(stream) % kn if stream else kn)
+
+
+def pack_trits_horner(trits: np.ndarray) -> bytes:
+    """Pack 5 trits per byte, a last short group zero-padded on the right,
+    by a Horner step per stride-5 column."""
+    count = trits.shape[0]
+    groups = np.zeros((-(-count // 5), 5), dtype=np.uint8)
+    groups.reshape(-1)[:count] = trits
+    packed = groups[:, 0].copy()
+    for c in range(1, 5):
+        packed *= 3
+        packed += groups[:, c]
+    return packed.tobytes()

@@ -542,6 +542,36 @@ def test_mixed_shard_versions_exit_4(encoded, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_a_nonzero_padding_trit_exits_4(encoded, capsys):
+    # 2,048 bytes at k = 4 fill 328 stripes of 8 trits: 2,624 trits, so
+    # the last payload byte ends in one padding trit.  Setting it and
+    # recomputing both the shard CRC and the manifest's entry leaves only
+    # the padding check to refuse the shard, which the packer never writes.
+    data, out_dir, tmp_path = encoded
+    path = out_dir / "node_1.shard"
+    blob = bytearray(path.read_bytes())
+    assert int.from_bytes(blob[11:19], "little") == 2624 and blob[-5] % 3 == 0
+    blob[-5] += 1
+    crc = zlib.crc32(blob[19:-4])
+    blob[-4:] = crc.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["shard_crc"][1] = crc
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "restored.bin"
+    assert main(["decode", "--shards", *[shard(out_dir, i) for i in range(K)], "--out", str(out)]) == 4
+    assert "nonzero padding trit past trit 2624" in capsys.readouterr().err
+    assert not out.exists()
+    helpers = [shard(out_dir, i) for i in (0, 1, 2, 3, 5)]
+    assert main(["repair", "--shards", *helpers, "--rebuild", "4", "--out-dir", str(tmp_path / "r")]) == 4
+    assert not (tmp_path / "r").exists()
+    # Without node 1 the set decodes.
+    assert main(["decode", "--shards", *[shard(out_dir, i) for i in (0, 2, 3, 4)], "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+
+
 @pytest.mark.parametrize("version", [1, 2])
 def test_repair_writes_the_helpers_version(version, encoded, capsys):
     _, out_dir, tmp_path = encoded

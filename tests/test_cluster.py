@@ -75,7 +75,11 @@ def test_ingest_every_byte_with_padding():
 def test_unpack_every_packed_value():
     trits = _unpack_trits(bytes(range(243)), 5 * 243)
     assert trits.tolist() == [t for b in range(243) for t in digits(b, 5)]
-    assert _unpack_trits(bytes([242, 100]), 7).tolist() == [2] * 5 + digits(100, 5)[:2]
+    # 7 trits end in a byte whose last 3 digits are padding: 108 = 11000
+    # in base 3 has zero padding, 100 = 10201 does not.
+    assert _unpack_trits(bytes([242, 108]), 7).tolist() == [2] * 5 + digits(108, 5)[:2]
+    with pytest.raises(ShardFormatError, match="padding trit past trit 7"):
+        _unpack_trits(bytes([242, 100]), 7)
 
 
 def test_pair_table_matches_the_byte_table_for_every_pair():
@@ -98,8 +102,18 @@ def test_unpack_odd_and_even_payloads(length):
     data = np.random.default_rng(length).integers(0, 243, size=length, dtype=np.uint8).tobytes()
     want = [t for b in data for t in digits(b, 5)]
     for count in (5 * length, 5 * length - 1, 5 * length - 4, 0):
-        got = _unpack_trits(data, count)
+        # The same payload with every trit past ``count`` zeroed decodes to
+        # the first ``count`` trits; the random one only if that changed
+        # nothing.
+        trits = want[:count] + [0] * (5 * length - count)
+        canonical = bytes(int("".join(map(str, trits[i : i + 5])), 3) for i in range(0, len(trits), 5))
+        got = _unpack_trits(canonical, count)
         assert got.dtype == np.uint8 and got.tolist() == want[:count]
+        if canonical == data:
+            assert _unpack_trits(data, count).tolist() == want[:count]
+        else:
+            with pytest.raises(ShardFormatError, match="padding trit"):
+                _unpack_trits(data, count)
     with pytest.raises(ShardFormatError, match="header claims"):
         _unpack_trits(data, 5 * length + 1)
 

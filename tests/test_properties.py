@@ -4,9 +4,9 @@ hypothesis.
 The word gather of ``SignedPermutation.terms`` is compared with a
 per-byte gather, the encoder with the row rule, and the decoder with the
 parts it started from.  The version-2 codec is compared with the
-Python-int layout oracle in ``layout_oracle.py``.  Examples are few and
-small, so the module runs in a few seconds; no example database is
-written.
+Python-int layout oracle in ``layout_oracle.py``, and the shard packer
+with the Horner packer there.  Examples are few and small, so the module
+runs in a few seconds; no example database is written.
 """
 
 import itertools
@@ -18,9 +18,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from layout_oracle import digits, stream_to_parts, word_stream, words_of  # noqa: E402
+from layout_oracle import (  # noqa: E402
+    digits,
+    pack_trits_horner,
+    stream_to_parts,
+    word_stream,
+    words_of,
+)
 
-from zigzag3.cluster import CorruptDataError, FileMeta, extract, ingest  # noqa: E402
+from zigzag3.cluster import (  # noqa: E402
+    CorruptDataError,
+    FileMeta,
+    ShardFormatError,
+    _pack_trits,
+    _unpack_trits,
+    extract,
+    ingest,
+)
 from zigzag3.code import (  # noqa: E402
     CodeParams,
     build_coding_matrices,
@@ -144,3 +158,56 @@ def test_an_overflowing_word_is_reported_by_its_index(k, words, pick, value):
     meta = FileMeta(8 * len(words), len(stream) // p.file_symbols)
     with pytest.raises(CorruptDataError, match=f"word {bad} recombines to {value} "):
         extract(p, stream_to_parts(p, stream), meta)
+
+
+def trit_operand(rng, length: int, layout: str) -> np.ndarray:
+    """``length`` random trits, contiguous or as a strided view."""
+    if layout == "contiguous":
+        return rng.integers(0, 3, length, dtype=np.uint8)
+    if layout == "column":
+        return rng.integers(0, 3, (length, 3), dtype=np.uint8)[:, 1]
+    return rng.integers(0, 3, length, dtype=np.uint8)[::-1]
+
+
+@FEW
+@given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["contiguous", "column", "reversed"]))
+def test_packer_equals_the_horner_reference_at_every_short_length(seed, layout):
+    # Every length 0..64 ends a group at every place, so the zero padding
+    # and the window over it are each hit at every offset.
+    rng = np.random.default_rng(seed)
+    for length in range(65):
+        trits = trit_operand(rng, length, layout)
+        packed = _pack_trits(trits)
+        assert packed == pack_trits_horner(trits)
+        assert np.array_equal(_unpack_trits(packed, length), trits)
+    assert _pack_trits(np.full(64, 2, dtype=np.uint8)) == bytes([242] * 12 + [240])
+
+
+@FEW
+@given(
+    length=st.integers(0, 200_000),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(["contiguous", "column", "reversed"]),
+)
+def test_packer_equals_the_horner_reference_at_any_length(length, seed, layout):
+    trits = trit_operand(np.random.default_rng(seed), length, layout)
+    packed = _pack_trits(trits)
+    assert packed == pack_trits_horner(trits)
+    assert np.array_equal(_unpack_trits(packed, length), trits)
+
+
+@FEW
+@given(
+    groups=st.integers(0, 400),
+    tail=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    bump=st.integers(1, 80),
+)
+def test_unpack_rejects_a_nonzero_padding_trit(groups, tail, seed, bump):
+    # The last byte's low 5 - tail digits are padding, zero as packed;
+    # adding 1 .. 3^(5 - tail) - 1 sets some of them and nothing else.
+    length = 5 * groups + tail
+    packed = bytearray(_pack_trits(np.random.default_rng(seed).integers(0, 3, length, dtype=np.uint8)))
+    packed[-1] += 1 + (bump - 1) % (3 ** (5 - tail) - 1)
+    with pytest.raises(ShardFormatError, match="padding trit"):
+        _unpack_trits(bytes(packed), length)

@@ -6,6 +6,10 @@ it outside its own definition (imports do not count), when the package's
 names it.  Every public method and property of a public class is held to
 the same rule.  A name only the tests call is code to delete or to move
 into the tests.
+
+Uses inside the definition of a flagged name do not count either: the
+check drops flagged names and runs again until nothing changes, so a name
+whose only program caller is itself test-only is flagged too.
 """
 
 import ast
@@ -16,6 +20,10 @@ import zigzag3
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "zigzag3"
+
+# ``ClusterState.scrub``, and the ``ScrubReport`` it returns, wait for a
+# caller: a ``zigzag3 scrub`` command (ROADMAP item 4).
+UNCALLED_METHODS = {"ClusterState.scrub"}
 
 
 def module_all(tree: ast.Module) -> list[str]:
@@ -39,40 +47,6 @@ def definition_lines(tree: ast.Module, name: str) -> range:
     return range(0)
 
 
-def used_names(tree: ast.Module, skip: range) -> set[str]:
-    """Names and attributes referenced in ``tree``, outside lines ``skip``."""
-    out = set()
-    for node in ast.walk(tree):
-        if getattr(node, "lineno", None) in skip:
-            continue
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-    return out
-
-
-def test_every_public_name_is_used_by_the_program():
-    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
-    unused = []
-    for path, tree in trees.items():
-        if path.name == "__init__.py":
-            continue
-        for name in module_all(tree):
-            if name in zigzag3.__all__ or re.search(rf"\b{re.escape(name)}\b", bench):
-                continue
-            skip = definition_lines(tree, name)
-            if not any(name in used_names(t, skip if p == path else range(0)) for p, t in trees.items()):
-                unused.append(f"{path.stem}.{name}")
-    assert not unused, f"public names only tests use: {unused}"
-
-
-# ``ClusterState.scrub``, and the ``ScrubReport`` it returns, wait for a
-# caller: a ``zigzag3 scrub`` command (ROADMAP item 4).
-UNCALLED_METHODS = {"ClusterState.scrub"}
-
-
 def public_methods(tree: ast.Module):
     """(class, method, lines) of every public method and property of the
     public classes of a module."""
@@ -84,28 +58,127 @@ def public_methods(tree: ast.Module):
                     yield node.name, item.name, range(item.lineno, item.end_lineno + 1)
 
 
-def attribute_lines(tree: ast.Module) -> dict[str, set[int]]:
-    """The lines each attribute is referenced on; a method or property is
-    only ever reached as one."""
-    out: dict[str, set[int]] = {}
+def reference_lines(tree: ast.Module) -> tuple[dict[str, set[int]], dict[str, set[int]]]:
+    """The lines each name is referenced on, as a name or an attribute, and
+    the lines each attribute is referenced on; a method or property is
+    only ever reached as an attribute."""
+    names: dict[str, set[int]] = {}
+    attributes: dict[str, set[int]] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            out.setdefault(node.attr, set()).add(node.lineno)
-    return out
+        if isinstance(node, ast.Name):
+            names.setdefault(node.id, set()).add(node.lineno)
+        elif isinstance(node, ast.Attribute):
+            names.setdefault(node.attr, set()).add(node.lineno)
+            attributes.setdefault(node.attr, set()).add(node.lineno)
+    return names, attributes
+
+
+def unused_names(sources: dict[str, str], bench: str, exported=(), exempt=()) -> set[str]:
+    """``module.name`` and ``module.Class.method`` of every public name in
+    ``sources`` (module stem -> source text) that the program does not use.
+
+    Module-level names in ``exported`` and methods in ``exempt``
+    (``Class.method``) count as used, as does any name ``bench`` names.
+    A name used only inside its own definition, or inside that of a
+    flagged name, is flagged, until nothing more is.
+    """
+    trees = {stem: ast.parse(text) for stem, text in sources.items()}
+    refs = {stem: reference_lines(tree) for stem, tree in trees.items()}
+    # (label, module, name, lines it spans, 0 if any reference counts or 1
+    # if only attributes do: an index into ``refs``)
+    candidates = []
+    for stem, tree in trees.items():
+        if stem != "__init__":
+            for name in module_all(tree):
+                if name not in exported and not re.search(rf"\b{re.escape(name)}\b", bench):
+                    candidates.append((f"{stem}.{name}", stem, name, definition_lines(tree, name), 0))
+        for cls, name, own in public_methods(tree):
+            if f"{cls}.{name}" not in exempt and not re.search(rf"\b{re.escape(name)}\b", bench):
+                candidates.append((f"{stem}.{cls}.{name}", stem, name, own, 1))
+    flagged: set[str] = set()
+    while True:
+        dead = {stem: set() for stem in trees}
+        for label, stem, _, lines, _ in candidates:
+            if label in flagged:
+                dead[stem].update(lines)
+        newly = {
+            label
+            for label, home, name, lines, kind in candidates
+            if label not in flagged
+            and not any(
+                refs[stem][kind].get(name, set()) - dead[stem] - set(lines if stem == home else ())
+                for stem in trees
+            )
+        }
+        if not newly:
+            return flagged
+        flagged |= newly
+
+
+def program_unused() -> set[str]:
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    return unused_names(sources, bench, zigzag3.__all__, UNCALLED_METHODS)
+
+
+def test_every_public_name_is_used_by_the_program():
+    unused = sorted(label for label in program_unused() if label.count(".") == 1)
+    assert not unused, f"public names only tests use: {unused}"
 
 
 def test_every_public_method_is_used_by_the_program():
     # The same rule for the methods and properties of public classes: one
     # counts as used when the program reads it as an attribute outside its
     # own lines, or the benchmark names it.
-    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    uses = {path: attribute_lines(tree) for path, tree in trees.items()}
-    bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
-    unused = []
-    for path, tree in trees.items():
-        for cls, name, own in public_methods(tree):
-            if f"{cls}.{name}" in UNCALLED_METHODS or re.search(rf"\b{re.escape(name)}\b", bench):
-                continue
-            if not any(lines.get(name, set()) - set(own if p == path else ()) for p, lines in uses.items()):
-                unused.append(f"{path.stem}.{cls}.{name}")
+    unused = sorted(label for label in program_unused() if label.count(".") == 2)
     assert not unused, f"public methods only tests use: {unused}"
+
+
+PLANTED = '''
+__all__ = ["Store", "entry", "helper", "leaf", "CONSTANT"]
+
+CONSTANT = 3
+
+
+def leaf():
+    return CONSTANT
+
+
+def helper():
+    return leaf()
+
+
+class Store:
+    def dump(self):
+        return self.rows()
+
+    def rows(self):
+        return self.size
+
+    @property
+    def size(self):
+        return 1
+
+    def run(self):
+        return 2
+
+
+def entry():
+    return Store().run()
+'''
+
+
+def test_a_chain_of_test_only_callers_is_flagged():
+    # ``helper`` and ``Store.dump`` have no caller; ``leaf`` and
+    # ``Store.rows`` are called only by them, and ``CONSTANT`` and
+    # ``Store.size`` only by those, two levels down.  ``entry`` is
+    # exported, so ``Store`` and ``Store.run`` are used.
+    want = {"mod.helper", "mod.leaf", "mod.CONSTANT", "mod.Store.dump", "mod.Store.rows", "mod.Store.size"}
+    assert unused_names({"mod": PLANTED}, "", exported={"entry"}) == want
+    # A name the benchmark names, or an exempt method, keeps its callees.
+    assert unused_names({"mod": PLANTED}, "helper()", exported={"entry"}) == want - {
+        "mod.helper", "mod.leaf", "mod.CONSTANT"
+    }
+    assert unused_names({"mod": PLANTED}, "", exported={"entry"}, exempt={"Store.dump"}) == want - {
+        "mod.Store.dump", "mod.Store.rows", "mod.Store.size"
+    }
