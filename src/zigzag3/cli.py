@@ -35,7 +35,6 @@ from .cluster import (
     CorruptDataError,
     DataLossError,
     FileMeta,
-    NodeStore,
     ShardFormatError,
     byte_capacity,
     extract,
@@ -300,9 +299,8 @@ def cmd_repair(cfg: Config, args) -> int:
     manifest = _load_manifest(args, args.shards, version)
     _check_against_manifest(manifest, params, stripes, crcs)
 
-    helpers = {node: NodeStore(node, payload) for node, payload in payloads.items()}
     cm = build_coding_matrices(params)
-    restored, report = repair_lost_node(params, cm, helpers, rebuild, stripes)
+    restored, report = repair_lost_node(params, cm, payloads, rebuild)
     blob = shard_to_bytes(params, rebuild, restored, version=version)
     if int.from_bytes(blob[-4:], "little") != manifest["shard_crc"][rebuild]:
         raise ShardFormatError(f"rebuilt node {rebuild} does not match the manifest CRC")

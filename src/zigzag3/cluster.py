@@ -9,9 +9,11 @@ word j*N + r of the block in row r of part j.  A last block of W' < kN
 words is stored digit-major (digit d of word i at d*W' + i) and
 zero-padded to whole stripes.  The code is a fixed-size block code, so
 striping is the standard lift and all meters aggregate across stripes.
-Repair reads are metered by the nonzero columns of the matrix a helper
-applies, which is exactly the disk-I/O quantity the repair strategy
-optimizes, even though the simulator could trivially read whole shards.
+A node is its payload, and is failed while that is None.  A repair's
+report meters the reads of each helper by the nonzero columns of the
+matrix it applies, which is exactly the disk-I/O quantity the repair
+strategy optimizes, even though the simulator could trivially read whole
+shards.
 
 On disk a shard packs five trits per byte (3^5 = 243 <= 256) behind a
 fixed little-endian header and a CRC32 trailer; see ``shard_to_bytes``.
@@ -535,10 +537,6 @@ def write_shard_file(path, params: CodeParams, node_id: int, payload: np.ndarray
 # Cluster
 # ---------------------------------------------------------------------------
 
-HEALTHY = "healthy"
-FAILED = "failed"
-
-
 def _read_only(payload: np.ndarray) -> np.ndarray:
     """A view of ``payload`` that raises on any write, so no reader of a
     helper's shard can change the stored copy."""
@@ -549,21 +547,15 @@ def _read_only(payload: np.ndarray) -> np.ndarray:
 
 @dataclass
 class NodeStore:
-    """One storage node: its symbols plus monotone read/sent meters."""
+    """One storage node: its symbols, or None while it is failed."""
 
     node_id: int
-    payload: Optional[np.ndarray]  # (stripes, N) or None while failed
-    status: str = HEALTHY
-    read_count: int = 0
-    sent_count: int = 0
+    payload: Optional[np.ndarray]  # (stripes, N)
 
-    def serve(self, reads: int, sent: int) -> np.ndarray:
-        """Hand out a read-only view of the payload for a repair, charging
-        the meters."""
-        if self.status != HEALTHY or self.payload is None:
+    def serve(self) -> np.ndarray:
+        """Hand out a read-only view of the payload for a repair."""
+        if self.payload is None:
             raise DataLossError(f"node {self.node_id} cannot serve reads while failed")
-        self.read_count += reads
-        self.sent_count += sent
         return _read_only(self.payload)
 
 
@@ -571,6 +563,9 @@ class NodeStore:
 class RepairReport:
     """What one repair did: reads, transfers and per-stage wall time.
 
+    The report is the repair's only meter.  ``method`` names the path: a
+    plan repair reads what ``expected_reads`` says; a full download reads
+    k whole shards and a noop nothing, and neither has an expectation.
     ``stage_seconds`` holds ``downloads`` and ``solve`` for a plan repair,
     and ``plan`` too on the repair that built the plan (a cluster reuses
     it for every later repair of that node, which then reports no plan
@@ -580,13 +575,11 @@ class RepairReport:
 
     node_id: int
     method: str  # "parity-plan" | "data-plan" | "full-download" | "noop"
-    optimal: bool
     reads_per_node: dict[int, int]
     total_reads: int
     total_sent: int
     expected_reads: Optional[int]  # only for plan repairs
     stripes: int
-    warning: Optional[str] = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -599,21 +592,21 @@ class RepairReport:
 def repair_lost_node(
     params: CodeParams,
     cm: CodingMatrixSet,
-    nodes,
+    payloads: dict[int, np.ndarray],
     node_id: int,
-    stripes: int,
     plans: Optional[dict[int, RepairPlan]] = None,
 ) -> tuple[np.ndarray, RepairReport]:
     """Rebuild the single lost node ``node_id`` through its repair plan.
 
-    ``nodes`` maps every other node id to its ``NodeStore``; all k+1 serve
-    as helpers, each charged with the symbols its download reads and
-    sends.  ``plans``, if given, caches plans by node for ``params`` and
-    ``cm``: a plan found there is reused, and one built here is stored
-    there.  The plan (when built, with its shard-layout forms), the
-    downloads and the solve are timed separately.  Returns the rebuilt
-    (stripes, N) payload and the report; storing the payload is the
-    caller's.
+    ``payloads`` maps every other node id to its (stripes, N) shard; all
+    k+1 serve as helpers, and the report charges each with the symbols
+    its download reads, and the repair with the symbols they send, per
+    stripe of the payloads.  ``plans``, if given, caches plans by node for
+    ``params`` and ``cm``: a plan found there is reused, and one built
+    here is stored there.  The plan (when built, with its shard-layout
+    forms), the downloads and the solve are timed separately.  Returns
+    the rebuilt (stripes, N) payload and the report; storing the payload
+    is the caller's.
     """
     stage_seconds = {}
     plan = plans.get(node_id) if plans is not None else None
@@ -625,29 +618,20 @@ def repair_lost_node(
         stage_seconds["plan"] = time.perf_counter() - start
         if plans is not None:
             plans[node_id] = plan
-    payloads = {}
-    reads_per_node = {}
-    total_sent = 0
-    io_per_node = plan.io_per_node
-    for helper in plan.helper_nodes:
-        reads = stripes * io_per_node[helper]
-        sent = stripes * plan.downloads[helper].rows
-        payloads[helper] = nodes[helper].serve(reads, sent)
-        reads_per_node[helper] = reads
-        total_sent += sent
     start = time.perf_counter()
     downloads = compute_downloads(plan, payloads)
     stage_seconds["downloads"] = time.perf_counter() - start
     start = time.perf_counter()
     restored = execute_repair(plan, downloads)
     stage_seconds["solve"] = time.perf_counter() - start
+    stripes = restored.size // params.n_rows
+    reads_per_node = {helper: stripes * io for helper, io in plan.io_per_node.items()}
     return restored, RepairReport(
         node_id=node_id,
         method="data-plan" if node_id < params.k else "parity-plan",
-        optimal=True,
         reads_per_node=reads_per_node,
         total_reads=sum(reads_per_node.values()),
-        total_sent=total_sent,
+        total_sent=stripes * plan.bandwidth,
         expected_reads=stripes * expected_repair_io(params, node_id),
         stripes=stripes,
         stage_seconds=stage_seconds,
@@ -679,13 +663,9 @@ class ClusterState:
     params: CodeParams
     nodes: list[NodeStore]
     meta: FileMeta
-    cm: CodingMatrixSet = field(repr=False, default=None)
+    cm: CodingMatrixSet = field(repr=False)
     _plans: dict[int, RepairPlan] = field(init=False, repr=False, compare=False, default_factory=dict)
     _plans_cm: Optional[CodingMatrixSet] = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        if self.cm is None:
-            self.cm = build_coding_matrices(self.params)
 
     # -- construction --------------------------------------------------------
 
@@ -701,11 +681,11 @@ class ClusterState:
 
     @property
     def failed_nodes(self) -> list[int]:
-        return [n.node_id for n in self.nodes if n.status == FAILED]
+        return [n.node_id for n in self.nodes if n.payload is None]
 
     @property
     def healthy_nodes(self) -> list[int]:
-        return [n.node_id for n in self.nodes if n.status == HEALTHY]
+        return [n.node_id for n in self.nodes if n.payload is not None]
 
     # -- failure and repair ----------------------------------------------------
 
@@ -716,30 +696,22 @@ class ClusterState:
     def fail_node(self, node_id: int) -> None:
         self._check_node_id(node_id)
         node = self.nodes[node_id]
-        if node.status == FAILED:
+        if node.payload is None:
             return
         if len(self.failed_nodes) >= 2:
             raise DataLossError("a third failure exceeds the two-erasure tolerance")
-        node.status = FAILED
         node.payload = None
 
     def repair_node(self, node_id: int) -> RepairReport:
         self._check_node_id(node_id)
         node = self.nodes[node_id]
-        stripes = self.meta.stripe_count
-        if node.status == HEALTHY:
-            return RepairReport(
-                node_id, "noop", False, {}, 0, 0, None, stripes,
-                warning=f"node {node_id} is healthy; nothing to repair",
-            )
+        if node.payload is not None:
+            return RepairReport(node_id, "noop", {}, 0, 0, None, self.meta.stripe_count)
         if self.failed_nodes == [node_id]:
             if self._plans_cm is not self.cm:
                 self._plans, self._plans_cm = {}, self.cm
-            restored, report = repair_lost_node(
-                self.params, self.cm, self.nodes, node_id, stripes, self._plans
-            )
-            node.payload = restored
-            node.status = HEALTHY
+            payloads = {n.node_id: n.serve() for n in self.nodes if n is not node}
+            node.payload, report = repair_lost_node(self.params, self.cm, payloads, node_id, self._plans)
             return report
         return self._repair_full_download(node_id)
 
@@ -760,7 +732,7 @@ class ClusterState:
         payloads = {}
         reads_per_node = {}
         for helper in chosen:
-            payloads[helper] = self.nodes[helper].serve(per_node, per_node)
+            payloads[helper] = self.nodes[helper].serve()
             reads_per_node[helper] = per_node
         start = time.perf_counter()
         parts = decode_shards_array(self.params, self.cm, payloads)
@@ -770,11 +742,9 @@ class ClusterState:
         encode_s = time.perf_counter() - start
         node = self.nodes[node_id]
         node.payload = np.ascontiguousarray(shards[node_id])
-        node.status = HEALTHY
         return RepairReport(
             node_id=node_id,
             method="full-download",
-            optimal=False,
             reads_per_node=reads_per_node,
             total_reads=sum(reads_per_node.values()),
             total_sent=per_node * len(chosen),
@@ -789,14 +759,14 @@ class ClusterState:
         """Recompute both parities from the systematic shards and diff."""
         k = self.params.k
         for j in range(k):
-            if self.nodes[j].status != HEALTHY:
+            if self.nodes[j].payload is None:
                 raise DataLossError(f"systematic node {j} is failed; cannot scrub")
         parts = np.stack([self.nodes[j].payload for j in range(k)])
         shards = encode_parts_array(self.params, self.cm, parts)
         mismatches = []
         for parity in (k, k + 1):
             node = self.nodes[parity]
-            if node.status != HEALTHY:
+            if node.payload is None:
                 continue
             diff = node.payload != shards[parity]
             for stripe, row in zip(*np.nonzero(diff)):

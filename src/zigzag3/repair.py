@@ -29,10 +29,12 @@ one sort merges, adding equal cells mod 3.  No step forms a dense
 
 No rank claim and no plan needs Gaussian elimination.  Every row r of
 ``s`` (and of ``s_tilde``) owns a unit column u_r, found from column
-counts: a column whose only nonzero, d_r = +-1, lies in row r.  Those
-columns prove full row rank, and reading any matrix t at them gives the
-unique X with X s equal to t on the pivot columns; the residual
-R = t - X s vanishes there, so rank(stack(s, t)) = rows(s) + rank(R).
+counts: a column whose only nonzero, d_r = +-1, lies in row r; a matrix
+with a row that owns none raises ``MissingPivotError``, and no pair the
+recursion builds has one.  Those columns prove full row rank, and
+reading any matrix t at them gives the unique X with X s equal to t on
+the pivot columns; the residual R = t - X s vanishes there, so
+rank(stack(s, t)) = rows(s) + rank(R).
 R = 0 certifies an interference condition (and is the projector's
 consistency check); for the full-rank condition R is the Schur
 complement of the stacked system, a signed permutation, from whose
@@ -71,7 +73,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -117,14 +119,6 @@ __all__ = [
 
 FIRST_PARITY = "first-parity"  # node k, the row-sum parity
 SECOND_PARITY = "second-parity"  # node k+1, the zigzag parity
-
-_VARIANTS = (FIRST_PARITY, SECOND_PARITY)
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-
 
 # ---------------------------------------------------------------------------
 # Sparse-row matrices
@@ -427,7 +421,8 @@ def build_repair_pair(k: int, variant: str) -> RepairMatrixPair:
     systematic helpers apply what the recursion labels the parity-side
     matrix, and vice versa.
     """
-    _check_variant(variant)
+    if variant not in _SEEDS:
+        raise ValueError(f"variant must be one of {tuple(_SEEDS)}, got {variant!r}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     s, st = _build_recursion(k, variant)
@@ -454,8 +449,9 @@ class _Pivots(NamedTuple):
     rest: _Terms  # s on the other columns
 
 
-def _unit_pivots(s: SparseRows) -> _Pivots | None:
-    """One unit column per row of ``s``, or None if some row owns none.
+def _unit_pivots(s: SparseRows) -> _Pivots:
+    """One unit column per row of ``s``; ``MissingPivotError`` if some row
+    owns none.
 
     A column is a unit column when exactly one slot reads it; row r's
     pivot u_r is the first unit column its slots read, and d_r = s[r, u_r]
@@ -469,7 +465,7 @@ def _unit_pivots(s: SparseRows) -> _Pivots | None:
     unit = np.full(s.rows, n)
     np.minimum.at(unit, r[owned], c[owned])
     if (unit == n).any():
-        return None
+        raise MissingPivotError(f"row {int(np.argmax(unit == n))} of the matrix owns no unit column")
     row_of = np.full(n, -1)
     row_of[unit] = np.arange(s.rows)
     sign = np.empty(s.rows, dtype=np.intp)
@@ -552,37 +548,6 @@ def _block_ranks(t: _Terms, rows: int) -> list[int]:
 _BATCH_ENTRIES = 1 << 15
 
 
-def _eliminated(
-    s: SparseRows, pivots: _Pivots, blocks: Iterable[_Terms]
-) -> Iterator[tuple[_Terms, _Terms]]:
-    """X and R of ``_eliminate`` for each of the row blocks ``blocks``, of
-    s.rows rows each.  The blocks are stacked a few at a time: a batch
-    takes blocks while the terms of X s_C they may form stay within
-    ``_BATCH_ENTRIES``.  ``blocks`` may be lazy, so only one batch of them
-    is held."""
-    half = s.rows
-    # The widest row of s_C bounds the terms of X s_C per term of a block.
-    per_term = max(1, int(np.bincount(pivots.rest.r, minlength=half).max(initial=0)))
-    for batch in _batches(blocks, lambda t: t.key.size * per_term):
-        x, residual = _eliminate(s, pivots, _stacked(batch))
-        for i in range(len(batch)):
-            yield _part(x, i, half), _part(residual, i, half)
-
-
-def _batches(blocks: Iterable[_Terms], cost) -> Iterator[list[_Terms]]:
-    """Consecutive blocks grouped while their summed ``cost`` stays within
-    ``_BATCH_ENTRIES`` (a block over it goes alone)."""
-    batch, size = [], 0
-    for t in blocks:
-        if batch and size + cost(t) > _BATCH_ENTRIES:
-            yield batch
-            batch, size = [], 0
-        batch.append(t)
-        size += cost(t)
-    if batch:
-        yield batch
-
-
 # What the checks of one sweep k share (``_sharing``): its repair pairs,
 # by (N, variant), and per pair, by (s, s_tilde), the X and R of every
 # product s_tilde P reduced so far, by P.
@@ -610,11 +575,23 @@ def _reductions(
 ) -> list[tuple[_Terms, _Terms]]:
     """X and R of ``_eliminate`` for m P against the pivots of ``s``, each
     distinct P in ``perms`` reduced once; inside ``_sharing`` a shared
-    pair (s, m) keeps them between calls, and ``take`` removes them."""
+    pair (s, m) keeps them between calls, and ``take`` removes them.
+
+    The products are stacked a fixed number at a time, and only one batch
+    of them is formed at once.  Every m P has the terms of m, and the
+    widest row of s_C bounds the terms of X s_C each term forms, so a
+    batch of max(1, ``_BATCH_ENTRIES`` // cost) products forms at most
+    ``_BATCH_ENTRIES`` of them (a product over it goes alone)."""
     shared = _SHARED.get() or {}
     memo = (shared.pop if take else shared.get)((s, m), {})
     todo = [p for p in dict.fromkeys(perms) if p not in memo]
-    memo.update(zip(todo, _eliminated(s, pivots, (_terms(m.times(p).slots, m.cols) for p in todo))))
+    half = s.rows
+    per_term = max(1, int(np.bincount(pivots.rest.r, minlength=half).max(initial=0)))
+    step = max(1, _BATCH_ENTRIES // max(1, int(np.count_nonzero(m.slots < 2 * m.cols)) * per_term))
+    for i in range(0, len(todo), step):
+        batch = todo[i : i + step]
+        x, residual = _eliminate(s, pivots, _stacked([_terms(m.times(p).slots, m.cols) for p in batch]))
+        memo.update((p, (_part(x, j, half), _part(residual, j, half))) for j, p in enumerate(batch))
     return [memo[p] for p in perms]
 
 
@@ -625,17 +602,11 @@ def _stacked_ranks(s: SparseRows, m: SparseRows, perms: list[SignedPermutation],
     Each m P is reduced against the unit-column pivots of ``s`` once
     (``_reductions``), and since X and R are linear in the rows reduced,
     the residual of each t is the signed sum of theirs; its rank is
-    s.rows + rank(R).  For a matrix without pivots each stack is ranked
-    whole by ``_rank``, so arbitrary pairs still get exact ranks.
+    s.rows + rank(R).  ``MissingPivotError`` if a row of ``s`` owns no
+    unit column.
     """
-    half = s.rows
-    pivots = _unit_pivots(s)
-    if pivots is None:
-        own = _terms(s.slots, s.cols)
-        t = _combined([_terms(m.times(p).slots, m.cols) for p in perms], combos)
-        return [_rank(_stacked([own, _part(t, i, half)])) for i in range(len(combos))]
-    residual = _combined([r for _, r in _reductions(s, pivots, m, perms)], combos)
-    return [half + r for r in _block_ranks(residual, half)]
+    residual = _combined([r for _, r in _reductions(s, _unit_pivots(s), m, perms)], combos)
+    return [s.rows + r for r in _block_ranks(residual, s.rows)]
 
 
 def _stacked_inverse(s: SparseRows, pivots: _Pivots, m: _Terms, schur: _Terms) -> SparseRows:
@@ -721,25 +692,21 @@ def _condition_report(variant: str, n: int, ranks: list[int]) -> ConditionReport
     return ConditionReport(variant, tuple(checks))
 
 
-def verify_repair_conditions(
-    pair: RepairMatrixPair, cm: CodingMatrixSet, variant: str | None = None
-) -> ConditionReport:
+def verify_repair_conditions(pair: RepairMatrixPair, cm: CodingMatrixSet) -> ConditionReport:
     """Rank conditions for optimal repair: the stacked pair must reach full
     rank N (recoverability) while every interference stack collapses to
     rank N/2 (cancellability).
 
     The ranks are ``_stacked_ranks`` of ``pair.s`` over the rows of
-    ``_conditions``, reduced against one set of pivots.  With
-    unit-column pivots in ``pair.s``, an interference rank of N/2 is
-    certified by a zero residual and full rank by a signed-permutation
-    residual; any other residual is ranked exactly, so a failing pair
-    reports its true rank.
+    ``_conditions``, reduced against the unit-column pivots of
+    ``pair.s``; a pair whose ``s`` lacks them raises
+    ``MissingPivotError``.  An interference rank of N/2 is certified by a
+    zero residual and full rank by a signed-permutation residual; any
+    other residual is ranked exactly, so a failing pair reports its true
+    rank.
     """
-    if variant is None:
-        variant = pair.variant
-    _check_variant(variant)
-    ranks = _stacked_ranks(pair.s, pair.s_tilde, *_conditions(cm, variant))
-    return _condition_report(variant, cm.params.n_rows, ranks)
+    ranks = _stacked_ranks(pair.s, pair.s_tilde, *_conditions(cm, pair.variant))
+    return _condition_report(pair.variant, cm.params.n_rows, ranks)
 
 
 @dataclass(frozen=True)
@@ -755,7 +722,6 @@ class RankEquality:
 
 @dataclass(frozen=True)
 class DualityReport:
-    original_variant: str
     swapped_report: ConditionReport
     equalities: tuple[RankEquality, ...]
 
@@ -788,7 +754,7 @@ def verify_duality(pair: RepairMatrixPair, cm: CodingMatrixSet) -> DualityReport
     perms = [SignedPermutation.identity(cm.params.n_rows), *cm.matrices[1:]]
     rhs = _stacked_ranks(pair.s, pair.s_tilde, perms, [((0, 1), (l, -1)) for l in range(1, k)])
     equalities = tuple(RankEquality(l, lhs[l - 1], rhs[l - 1]) for l in range(1, k))
-    return DualityReport(pair.variant, swapped_report, equalities)
+    return DualityReport(swapped_report, equalities)
 
 
 # ---------------------------------------------------------------------------
@@ -989,7 +955,7 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
         selects = (_Pairs(odd[::2]), _Pairs(~odd[::2]))
     else:
         sent = (rows & basis_index(params, failed)) == 0
-        selects = (_Runs(k - 1 - failed, 0),) * 2
+        selects = (_Runs(k - 1 - failed),) * 2
     a_j = cm.matrices[failed]
     top_rows = np.flatnonzero(sent)
     zigzag = ~sent[a_j.target]
@@ -1049,8 +1015,6 @@ def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> Repair
     surviving = k + 1 if failed == k else k
     half = params.n_rows // 2
     pivots = _unit_pivots(pair.s)
-    if pivots is None:
-        raise MissingPivotError(f"a row of the {variant} systematic-side matrix owns no unit column")
 
     if variant == FIRST_PARITY:
         downloads = {j: pair.s for j in range(k)}
@@ -1089,8 +1053,8 @@ _INT8_TERMS = 63
 _BLOCK_BYTES = 1 << 15
 
 
-def _transpose(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x.T`` of a (stripes, n) array as a C-contiguous copy, into ``out`` if given.
+def _transpose(x: np.ndarray, out: np.ndarray) -> None:
+    """``x.T`` of a (stripes, n) array, copied into the C-contiguous ``out``.
 
     The copy runs one block of about 32 KiB of stripes at a time: a
     2,624 x 128 uint8 shard takes about 0.18 ms this way against 0.34 ms
@@ -1098,15 +1062,12 @@ def _transpose(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     VM).  An ``x`` that is itself the transposed view of a C-contiguous
     array is copied straight.
     """
-    if out is None:
-        out = np.empty(x.shape[::-1], dtype=x.dtype)
     if x.T.flags.c_contiguous:
         out[...] = x.T
-        return out
+        return
     step = max(1, _BLOCK_BYTES // max(1, x.shape[1] * x.itemsize))
     for start in range(0, x.shape[0], step):
         out[:, start : start + step] = x[start : start + step].T
-    return out
 
 
 def _residue_stack(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -1158,17 +1119,16 @@ def _little(width: int) -> np.dtype:
 
 
 class _Runs(NamedTuple):
-    """The rows of a shard whose bit ``bit`` is ``side``: every other run
-    of 2^bit symbols along a row, in order.
+    """The rows of a shard whose bit ``bit`` is 0: every other run of
+    2^bit symbols along a row, from the first, in order.
 
     Two neighbouring runs of 1, 2 or 4 bytes are one little-endian word,
-    so a select is a shift and a truncating cast, and a merge two casts, a
-    shift and an OR.  Runs of 8 bytes or more are elements of a void
-    dtype as wide as a run, and a select or merge copies every other one.
+    so a select is a truncating cast, and a merge two casts, a shift and
+    an OR.  Runs of 8 bytes or more are elements of a void dtype as wide
+    as a run, and a select or merge copies every other one.
     """
 
     bit: int
-    side: int
 
     def take(self, x: np.ndarray) -> np.ndarray:
         """The selected rows of the C-contiguous (stripes, n) ``x`` as a
@@ -1176,11 +1136,8 @@ class _Runs(NamedTuple):
         stripes, n = x.shape
         width = 1 << self.bit
         if width < 8:
-            words = x.view(_little(2 * width))
-            if self.side:
-                words = words >> (8 * width)
-            return words.astype(_little(width)).view(np.uint8).reshape(stripes, n // 2)
-        runs = x.view(np.dtype((np.void, width))).reshape(-1, 2)[:, self.side]
+            return x.view(_little(2 * width)).astype(_little(width)).view(np.uint8).reshape(stripes, n // 2)
+        runs = x.view(np.dtype((np.void, width))).reshape(-1, 2)[:, 0]
         return np.ascontiguousarray(runs).view(np.uint8).reshape(stripes, n // 2)
 
     def merge(self, mine: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -1188,17 +1145,16 @@ class _Runs(NamedTuple):
         at the selected rows and ``other`` at the rest."""
         stripes, half = mine.shape
         width = 1 << self.bit
-        low, high = (other, mine) if self.side else (mine, other)
         if width < 8:
-            words = high.view(_little(width)).astype(_little(2 * width))
+            words = other.view(_little(width)).astype(_little(2 * width))
             words <<= 8 * width
-            words |= low.view(_little(width))
+            words |= mine.view(_little(width))
             return words.view(np.uint8).reshape(stripes, 2 * half)
         out = np.empty((stripes, 2 * half), dtype=np.uint8)
         void = np.dtype((np.void, width))
         runs = out.view(void).reshape(-1, 2)
-        runs[:, 0] = low.view(void).reshape(-1)
-        runs[:, 1] = high.view(void).reshape(-1)
+        runs[:, 0] = mine.view(void).reshape(-1)
+        runs[:, 1] = other.view(void).reshape(-1)
         return out
 
 
@@ -1307,10 +1263,10 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
       the signed bottom into the rows they rebuild (``plan._gathers``).
       Each half sums at most k + 1 terms, which int8 holds up to k = 62.
     * any other plan works symbol-major, (rows, stripes): a download from
-      ``compute_downloads`` is taken back as it is, any other gets one
-      blocked transpose.  Projector terms are gathered from the residue
-      stack of their download, reduced whenever the bottom holds
-      ``_INT8_TERMS`` terms; one reduction and one apply of
+      ``compute_downloads`` is taken back as it is, any other is copied
+      once by ``np.ascontiguousarray``.  Projector terms are gathered from
+      the residue stack of their download, reduced whenever the bottom
+      holds ``_INT8_TERMS`` terms; one reduction and one apply of
       ``solve_inverse`` follow, and one transpose back.
     """
     expected_nodes = set(plan.helper_nodes)
@@ -1330,10 +1286,7 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
         for node, gather in projectors.items():
             bottom += gather.terms(rows[node])
         return plan._selects[0].merge(reduce_sum(top), reduce_sum(solve.terms(bottom))).reshape(lead + (n,))
-    sym = {}
-    for node, d in arrays.items():
-        x = residues(d).reshape(stripes, half)
-        sym[node] = x.T if x.T.flags.c_contiguous else _transpose(x)
+    sym = {node: np.ascontiguousarray(residues(d).reshape(stripes, half).T) for node, d in arrays.items()}
 
     rhs = np.zeros((n, stripes), dtype=np.int8)
     bottom = rhs[half:]

@@ -269,7 +269,8 @@ def test_criterion_8_end_to_end_one_mebibyte():
         for node_id in range(params.n_nodes):
             cluster.fail_node(node_id)
             report = cluster.repair_node(node_id)
-            assert report.optimal and report.matches_expectation, node_id
+            method = "data-plan" if node_id < params.k else "parity-plan"
+            assert report.method == method and report.matches_expectation, node_id
             assert report.expected_reads == stripes * expected_repair_io(params, node_id)
             assert report.total_sent == stripes * repair_bandwidth(params)
             if node_id in (4, 5):

@@ -86,9 +86,8 @@ def dense_interference_transform(cm, l, variant):
     return sub(a0, a_l) if variant == FIRST_PARITY else add(a0, a_l)
 
 
-def dense_verify_repair_conditions(pair, cm, variant=None):
-    if variant is None:
-        variant = pair.variant
+def dense_verify_repair_conditions(pair, cm):
+    variant = pair.variant
     n = cm.params.n_rows
     s, st = pair.s.array, pair.s_tilde.array
     base = mul(st, dense(cm.matrices[0] if variant == FIRST_PARITY else cm.matrices[0].inverse()))
@@ -109,7 +108,7 @@ def dense_verify_duality(pair, cm):
         lhs = rank(np.vstack([st, mul(s, add(a0, a_l))]))
         rhs = rank(np.vstack([s, mul(st, sub(a0, a_l))]))
         equalities.append(RankEquality(l, lhs, rhs))
-    return DualityReport(pair.variant, swapped_report, tuple(equalities))
+    return DualityReport(swapped_report, tuple(equalities))
 
 
 def dense_verify_zero_column_structure(pair, params):
@@ -314,31 +313,77 @@ def assert_shared_sweep_matches_independent(k, fault_hook, monkeypatch):
     return plans
 
 
+def counting_eliminations(monkeypatch):
+    """Record, per ``_reductions`` call, each ``_eliminate`` call it makes
+    as (s, pivots, products): every product it stacks, as the bytes of s
+    and of the product's own terms."""
+    reductions = []
+    real_reductions, real_eliminate = repair._reductions, repair._eliminate
+
+    def counting_reductions(*args, **kwargs):
+        reductions.append([])
+        return real_reductions(*args, **kwargs)
+
+    def counting_eliminate(s, pivots, t):
+        block = t.r // s.rows
+        products = [
+            (s.slots.tobytes(), (t.key[block == i] - (i * s.rows << t.shift)).tobytes())
+            for i in range(t.rows // s.rows)
+        ]
+        reductions[-1].append((s, pivots, products))
+        return real_eliminate(s, pivots, t)
+
+    monkeypatch.setattr(repair, "_reductions", counting_reductions)
+    monkeypatch.setattr(repair, "_eliminate", counting_eliminate)
+    return reductions
+
+
 @pytest.mark.parametrize("k", range(3, 9))
 def test_sweep_eliminates_each_product_once(k, monkeypatch):
     # Counted, not timed: each pair is built once per k, and each distinct
     # product (the matrix reduced against, and the terms reduced) meets
-    # `_eliminated` once.  A_0 = I, so each pair's conditions, duality and
+    # `_eliminate` once.  A_0 = I, so each pair's conditions, duality and
     # plan share k products, and each duality left side has k of its own.
-    products, built = [], []
-    real_eliminated, real_build = repair._eliminated, repair.build_repair_pair
-
-    def counting_eliminated(s, pivots, blocks):
-        blocks = list(blocks)
-        products.extend((s.slots.tobytes(), t.key.tobytes()) for t in blocks)
-        return real_eliminated(s, pivots, blocks)
+    built = []
+    real_build = repair.build_repair_pair
 
     def counting_build(k, variant):
         built.append((k, variant))
         return real_build(k, variant)
 
-    monkeypatch.setattr(repair, "_eliminated", counting_eliminated)
+    reductions = counting_eliminations(monkeypatch)
     monkeypatch.setattr(repair, "build_repair_pair", counting_build)
     monkeypatch.setattr(verification, "build_repair_pair", counting_build)
     report = run_sweep([k], trials=2)
     assert report.passed
     assert built == [(k, FIRST_PARITY), (k, SECOND_PARITY)]
+    products = [p for calls in reductions for _, _, batch in calls for p in batch]
     assert len(set(products)) == len(products) == 4 * k
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_reductions_stack_a_fixed_number_of_products(k, monkeypatch):
+    # Every product m P has the terms of m, and each term forms at most as
+    # many terms of X s_C as the widest row of s_C: that many times the
+    # product's terms is its cost.  One `_reductions` call reduces its new
+    # products max(1, _BATCH_ENTRIES // cost) at a time, the last batch
+    # taking what is left, so no batch forms more than _BATCH_ENTRIES
+    # terms of X s_C unless it holds one product.  From k = 9 a pair's k
+    # products no longer fit in one batch.
+    reductions = counting_eliminations(monkeypatch)
+    assert run_sweep([k], trials=2).passed
+    split = 0
+    for calls in filter(None, reductions):
+        s, pivots, _ = calls[0]
+        per_term = max(1, int(np.bincount(pivots.rest.r, minlength=s.rows).max()))
+        costs = {np.frombuffer(t).size * per_term for _, _, batch in calls for _, t in batch}
+        assert len(costs) == 1
+        step = max(1, repair._BATCH_ENTRIES // costs.pop())
+        sizes = [len(batch) for _, _, batch in calls]
+        total = sum(sizes)
+        assert sizes == [step] * (total // step) + [total % step] * (total % step > 0), (k, step)
+        split += len(sizes) > 1
+    assert split
 
 
 def test_shared_reductions_end_with_the_sweep():
@@ -458,20 +503,27 @@ def test_stacked_rank_matches_dense_on_flipped_entries(monkeypatch):
 PIVOT_FREE = SparseRows.from_dense([[1, 1, 1, 0], [1, 2, 0, 0]])
 
 
-def test_pivot_free_pair_gets_exact_ranks():
-    assert _unit_pivots(PIVOT_FREE) is None
-    cm = build_coding_matrices(CodeParams(3))
+def test_pivot_free_matrices_raise_missing_pivot(monkeypatch):
+    # Every rank is certified against unit-column pivots: the conditions
+    # and a plan reduce against s, duality against s and s_tilde.  A
+    # pivot-free matrix in any of those places raises; no rank is
+    # reported for it.
+    with pytest.raises(MissingPivotError, match="row 1 "):
+        _unit_pivots(PIVOT_FREE)
+    p = CodeParams(3)
+    cm = build_coding_matrices(p)
     healthy = build_repair_pair(3, FIRST_PARITY)
-    for pair in (
-        RepairMatrixPair(PIVOT_FREE, PIVOT_FREE, FIRST_PARITY),
-        RepairMatrixPair(PIVOT_FREE, healthy.s_tilde, FIRST_PARITY),
-        RepairMatrixPair(healthy.s, PIVOT_FREE, SECOND_PARITY),
-    ):
-        assert verify_repair_conditions(pair, cm) == dense_verify_repair_conditions(pair, cm)
-        assert verify_duality(pair, cm) == dense_verify_duality(pair, cm)
-        identity = SignedPermutation.identity(pair.s.cols)
-        got = _stacked_ranks(pair.s, pair.s_tilde, [identity], [((0, 1),)])
-        assert got == [rank(np.vstack([pair.s.array, pair.s_tilde.array]))]
+    free_s = RepairMatrixPair(PIVOT_FREE, healthy.s_tilde, FIRST_PARITY)
+    free_st = RepairMatrixPair(healthy.s, PIVOT_FREE, FIRST_PARITY)
+    assert verify_repair_conditions(free_st, cm).checks[0].name == "full-rank"
+    with pytest.raises(MissingPivotError):
+        verify_repair_conditions(free_s, cm)
+    for pair in (free_s, free_st):
+        with pytest.raises(MissingPivotError):
+            verify_duality(pair, cm)
+    monkeypatch.setattr(repair, "build_repair_pair", lambda k, variant: free_s)
+    with pytest.raises(MissingPivotError):
+        plan_repair(p, cm, p.k)
 
 
 # ---------------------------------------------------------------------------

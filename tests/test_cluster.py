@@ -479,7 +479,7 @@ def test_parity_repair_meters_k3():
     cl = ClusterState.from_bytes(CodeParams(3), b"")
     cl.fail_node(3)
     rep = cl.repair_node(3)
-    assert rep.method == "parity-plan" and rep.optimal
+    assert rep.method == "parity-plan"
     assert rep.reads_per_node == {0: 3, 1: 3, 2: 3, 4: 4}
     assert rep.total_reads == 13 and rep.expected_reads == 13 and rep.matches_expectation
     assert rep.total_sent == 8
@@ -498,14 +498,11 @@ def test_meter_law_per_parity_repair(k):
     cl = fresh_cluster(k=k, size=60, seed=k)
     stripes = cl.meta.stripe_count
     for parity in (k, k + 1):
-        before_reads = [n.read_count for n in cl.nodes]
-        before_sent = [n.sent_count for n in cl.nodes]
         cl.fail_node(parity)
-        cl.repair_node(parity)
-        dr = sum(n.read_count for n in cl.nodes) - sum(before_reads)
-        ds = sum(n.sent_count for n in cl.nodes) - sum(before_sent)
-        assert dr == stripes * expected_repair_io(p, parity)
-        assert ds == stripes * repair_bandwidth(p)
+        rep = cl.repair_node(parity)
+        assert rep.stripes == stripes and set(rep.reads_per_node) == set(range(k + 2)) - {parity}
+        assert rep.total_reads == sum(rep.reads_per_node.values()) == stripes * expected_repair_io(p, parity)
+        assert rep.total_sent == stripes * repair_bandwidth(p)
 
 
 def test_systematic_repair_is_fallback():
@@ -516,7 +513,7 @@ def test_systematic_repair_is_fallback():
     original = cl.nodes[1].payload.copy()
     cl.fail_node(1)
     rep = cl.repair_node(1)
-    assert rep.method == "data-plan" and rep.optimal
+    assert rep.method == "data-plan"
     assert rep.reads_per_node == {h: stripes * p.n_rows // 2 for h in (0, 2, 3, 4)}
     assert rep.total_reads == rep.expected_reads == rep.total_sent == stripes * repair_bandwidth(p)
     assert rep.matches_expectation
@@ -562,7 +559,7 @@ def test_repairs_and_extract_leave_helper_payloads_unchanged(k):
             if i not in skip:
                 assert np.array_equal(cl.nodes[i].payload, orig), (k, i)
 
-    assert not cl.nodes[0].serve(0, 0).flags.writeable
+    assert not cl.nodes[0].serve().flags.writeable
     for node in range(k + 2):
         cl.fail_node(node)
         cl.repair_node(node)
@@ -600,9 +597,9 @@ def test_third_failure_refused():
 def test_repair_healthy_node_is_noop():
     cl = fresh_cluster()
     rep = cl.repair_node(0)
-    assert rep.method == "noop" and rep.warning
-    assert rep.stage_seconds == {}
-    assert all(n.read_count == 0 and n.sent_count == 0 for n in cl.nodes)
+    assert rep.method == "noop" and rep.expected_reads is None
+    assert rep.stage_seconds == {} and rep.reads_per_node == {}
+    assert rep.total_reads == rep.total_sent == 0
 
 
 @pytest.mark.parametrize("node_id", [-1, -5, 5, 7])
@@ -615,7 +612,9 @@ def test_node_ids_out_of_range_rejected(node_id):
     with pytest.raises(ValueError, match="out of range"):
         cl.repair_node(node_id)
     assert cl.failed_nodes == [4]
-    assert all(n.read_count == 0 for n in cl.nodes)
+    # The failed node still repairs through its plan, reading what it plans.
+    rep = cl.repair_node(4)
+    assert rep.method == "parity-plan" and rep.matches_expectation
 
 
 def counting_plans(monkeypatch):
@@ -734,14 +733,12 @@ def test_durability_exhaustive_patterns(k):
 def test_determinism_same_commands_same_state():
     def run():
         cl = fresh_cluster(k=4, size=100, seed=9)
-        cl.fail_node(4)
-        cl.repair_node(4)
-        cl.fail_node(0)
-        cl.repair_node(0)
-        return (
-            [n.payload.tobytes() for n in cl.nodes],
-            [(n.read_count, n.sent_count) for n in cl.nodes],
-        )
+        reports = []
+        for node in (4, 0):
+            cl.fail_node(node)
+            rep = cl.repair_node(node)
+            reports.append((rep.method, rep.reads_per_node, rep.total_reads, rep.total_sent))
+        return [n.payload.tobytes() for n in cl.nodes], reports
 
     assert run() == run()
 

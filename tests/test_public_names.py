@@ -10,6 +10,11 @@ into the tests.
 Uses inside the definition of a flagged name do not count either: the
 check drops flagged names and runs again until nothing changes, so a name
 whose only program caller is itself test-only is flagged too.
+
+The same holds for options: every defaulted parameter of a public
+function or method must be passed, by keyword or by position, by some
+call in ``src/zigzag3`` or the benchmark.  A default no program call
+overrides is an option with one value in use.
 """
 
 import ast
@@ -24,6 +29,11 @@ SRC = ROOT / "src" / "zigzag3"
 # ``ClusterState.scrub``, and the ``ScrubReport`` it returns, wait for a
 # caller: a ``zigzag3 scrub`` command (ROADMAP item 4).
 UNCALLED_METHODS = {"ClusterState.scrub"}
+
+# ``brute_force_min_io(cm=)`` is a test seam: it lets the tests compare the
+# row-space masks with dense ranks on coding matrices the construction
+# does not use.
+UNPASSED_DEFAULTS = {"repair.brute_force_min_io.cm"}
 
 
 def module_all(tree: ast.Module) -> list[str]:
@@ -182,3 +192,111 @@ def test_a_chain_of_test_only_callers_is_flagged():
     assert unused_names({"mod": PLANTED}, "", exported={"entry"}, exempt={"Store.dump"}) == want - {
         "mod.Store.dump", "mod.Store.rows", "mod.Store.size"
     }
+
+
+def public_functions(tree: ast.Module):
+    """(label, definition, leading parameters no call passes) of every
+    public function of a module and every public method of its public
+    classes: the attribute access passes a method's self or cls."""
+    public = set(module_all(tree))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and node.name in public:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                    yield f"{node.name}.{item.name}", item, 0 if static else 1
+
+
+def defaulted(fn: ast.FunctionDef, skip: int) -> list[tuple[str, int | None]]:
+    """(name, position in a call) of each defaulted parameter of ``fn``;
+    a keyword-only one has no position."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter; ``*args`` and ``**kwargs``
+    count as passing it."""
+    if any(k.arg in (name, None) for k in call.keywords) or any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unpassed_defaults(sources: dict[str, str], callers: list[str], exempt=()) -> set[str]:
+    """``module.function.parameter`` (``module.Class.method.parameter``
+    for a method) of every defaulted parameter of a public function or
+    method in ``sources`` that no call in ``callers`` passes, except those
+    in ``exempt``.  A call is matched by the name it calls."""
+    calls: dict[str, list[ast.Call]] = {}
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    out = set()
+    for stem, text in sources.items():
+        for label, fn, skip in public_functions(ast.parse(text)):
+            for param, position in defaulted(fn, skip):
+                found = f"{stem}.{label}.{param}"
+                if found not in exempt and not any(passes(c, param, position) for c in calls.get(fn.name, [])):
+                    out.add(found)
+    return out
+
+
+def test_every_default_is_passed_by_the_program():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    unpassed = sorted(unpassed_defaults(sources, [*sources.values(), *bench], UNPASSED_DEFAULTS))
+    assert not unpassed, f"defaulted parameters no program call passes: {unpassed}"
+
+
+PLANTED_DEFAULTS = '''
+__all__ = ["Store", "entry", "helper"]
+
+
+def helper(a, b=1, *, c=2, d=3):
+    return a
+
+
+def _hidden(x=1):
+    return x
+
+
+class Store:
+    def put(self, x, flag=False):
+        return x
+
+    @staticmethod
+    def make(size=0):
+        return Store()
+
+    @classmethod
+    def load(cls, path, mode="r"):
+        return cls()
+
+
+def entry():
+    helper(0, 5, c=1)
+    Store().put(1)
+    Store.make(3)
+    return Store.load("p"), _hidden()
+'''
+
+
+def test_a_default_no_call_passes_is_flagged():
+    # ``b`` is passed by position and ``c`` by keyword; ``d``, ``flag``
+    # and ``mode`` by no call.  ``make``'s position counts from ``size``,
+    # ``put``'s and ``load``'s from after self and cls.  ``_hidden`` is
+    # not public.
+    want = {"mod.helper.d", "mod.Store.put.flag", "mod.Store.load.mode"}
+    assert unpassed_defaults({"mod": PLANTED_DEFAULTS}, [PLANTED_DEFAULTS]) == want
+    # A call in another caller passes ``flag``; an exempt ``mode`` is not
+    # flagged; ``**kwargs`` passes every parameter.
+    callers = [PLANTED_DEFAULTS, "Store().put(1, flag=True)", "helper(0, **options)"]
+    assert unpassed_defaults({"mod": PLANTED_DEFAULTS}, callers, {"mod.Store.load.mode"}) == set()
