@@ -26,9 +26,9 @@ from .code import (
     CodeParams,
     InconsistentShardsError,
     InsufficientShardsError,
+    _encode_parities,
     build_coding_matrices,
     decode_shards_array,
-    encode_parts_array,
 )
 from .cluster import (
     SHARD_VERSION,
@@ -100,12 +100,11 @@ def cmd_encode(cfg: Config, args) -> int:
     data = Path(args.input).read_bytes()
     file_crc = zlib.crc32(data)
     cm = build_coding_matrices(params)
-    # Each stage's input is released once the next stage holds the data,
-    # so no more than two copies of the file are alive at a time.
+    # The file's bytes are released once the parts hold them; the data
+    # shards are the parts themselves, so only the two parities are new.
     parts, meta = ingest(params, data)
     del data
-    shards = encode_parts_array(params, cm, parts)
-    del parts
+    shards = [*parts, *_encode_parities(cm, parts)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     crcs = []

@@ -116,10 +116,13 @@ def beta_row_coefficients(params: CodeParams, j: int) -> np.ndarray:
         raise ValueError(f"node index {j} out of range [0, {params.k})")
     if j == 0:
         return np.ones(params.n_rows, dtype=np.uint8)
-    v = np.arange(params.n_rows) >> (params.k - 1 - j)
-    for shift in (16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return (1 + (v & 1)).astype(np.uint8)
+    return 1 + _odd_weight(np.arange(params.n_rows) >> (params.k - 1 - j)).astype(np.uint8)
+
+
+def _odd_weight(x: np.ndarray) -> np.ndarray:
+    """Whether each of the nonnegative integers ``x`` has an odd count of
+    set bits."""
+    return (np.bitwise_count(x) & 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +174,23 @@ def coding_matrix_from_zigzag(params: CodeParams, j: int) -> SignedPermutation:
     return SignedPermutation(target, sign)
 
 
+def _is_paper_set(cm: CodingMatrixSet) -> bool:
+    """Whether ``cm`` holds exactly the paper's k coding matrices, entry by
+    entry in O(kN): the row/coefficient rule of
+    ``coding_matrix_from_zigzag`` for every j at once.  Row l of A_j has
+    its nonzero at l ^ e_j, -1 where the first j index bits of that column
+    have odd parity: the bits left by shifting it k-1-j places right."""
+    k, n = cm.params.k, cm.params.n_rows
+    if len(cm.matrices) != k:
+        return False
+    shift = k - 1 - np.arange(k)[:, None]
+    target = np.arange(n) ^ np.where(shift < k - 1, 1 << shift, 0)
+    sign = np.where(_odd_weight(target >> shift), -1, 1)
+    return np.array_equal(np.stack([m.target for m in cm.matrices]), target) and np.array_equal(
+        np.stack([m.sign for m in cm.matrices]), sign
+    )
+
+
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
@@ -206,9 +226,8 @@ def second_parity_by_matrices(cm: CodingMatrixSet, parts: np.ndarray) -> np.ndar
 def encode_parts_array(params: CodeParams, cm: CodingMatrixSet, parts: np.ndarray) -> np.ndarray:
     """Encode parts of shape (k, ..., N) into uint8 shards of shape (k+2, ..., N).
 
-    Parts of any integer dtype are taken mod 3 first.  The zigzag parity
-    is produced by the O(kN) permutation path; ``second_parity_by_rows``
-    is its reference, which the sweep's ``encoder-forms`` check compares.
+    Parts of any integer dtype are taken mod 3 first.  The parities come
+    from ``_encode_parities``.
     """
     if parts.shape[0] != params.k or parts.shape[-1] != params.n_rows:
         raise ValueError(f"parts shape {parts.shape} does not match k={params.k}, N={params.n_rows}")
@@ -216,9 +235,19 @@ def encode_parts_array(params: CodeParams, cm: CodingMatrixSet, parts: np.ndarra
     k = params.k
     shards = np.empty((k + 2,) + parts.shape[1:], dtype=np.uint8)
     shards[:k] = parts
-    shards[k] = reduce_sum(parts.sum(axis=0, dtype=np.uint8))
-    shards[k + 1] = second_parity_by_matrices(cm, parts)
+    shards[k:] = _encode_parities(cm, parts)
     return shards
+
+
+def _encode_parities(cm: CodingMatrixSet, parts: np.ndarray) -> np.ndarray:
+    """The row-sum and zigzag parities of the k uint8 residue parts
+    (k, ..., N), as one uint8 array (2, ..., N).  The zigzag parity is
+    produced by the O(kN) permutation path; ``second_parity_by_rows`` is
+    its reference, which the sweep's ``encoder-forms`` check compares."""
+    parities = np.empty((2,) + parts.shape[1:], dtype=np.uint8)
+    parities[0] = reduce_sum(parts.sum(axis=0, dtype=np.uint8))
+    parities[1] = second_parity_by_matrices(cm, parts)
+    return parities
 
 
 # ---------------------------------------------------------------------------

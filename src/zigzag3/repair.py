@@ -27,7 +27,7 @@ sums and sparse products are lists of terms, one int64 key each, that
 one sort merges, adding equal cells mod 3.  No step forms a dense
 (N/2) x N or N x N matrix.
 
-No rank claim and no plan needs Gaussian elimination.  Every row r of
+No rank claim needs Gaussian elimination.  Every row r of
 ``s`` (and of ``s_tilde``) owns a unit column u_r, found from column
 counts: a column whose only nonzero, d_r = +-1, lies in row r; a matrix
 with a row that owns none raises ``MissingPivotError``, and no pair the
@@ -45,10 +45,27 @@ merges, not a reduction of its own.  A residual that fails these patterns is
 still ranked exactly: singleton rows and columns are peeled off, and
 only what is left goes to dense elimination.
 
-A plan's downloads, projectors and solve inverse have at most k nonzeros
-per row for a parity, and are raw row selections and signed
-permutations for a data node.  Terms are summed in int8 and reduced by
-``gf3.reduce_sum`` before the sum can leave +-127.  Shards and downloads
+No plan needs elimination either; every plan is in closed form.  A data
+node's is the zigzag rebuild.  For a parity, the pair is the rows of
+T = I + sigma C, where row u of C holds (-1)^popcount(u mod 2^b) at
+column u | 2^b for each bit b < k-1 clear in u: ``s`` the odd-weight
+rows and ``s_tilde`` the even-weight ones.  ``s`` is the identity on its
+odd-weight columns, so each X above is read off there; C^2 = 0 mod 3, so
+T^-1 = I - sigma C (``_plan_parity``).  Each projector splits into a base,
+sigma C on the even rows and odd columns, the same for every helper,
+and one signed slot per row.  These facts hold for the paper's coding
+matrices, and no parity plan is made for another set.  The planner runs
+no recursion; elimination stays the certificate: the sweep's io-meters
+check compares every parity plan's downloads with the recursion's pair
+and the rest with the reductions its condition checks already formed
+(``_check_parity_plan``).
+
+A plan's downloads, its solve inverse and a parity's projector base
+have at most k nonzeros per row; a data node's are raw row selections
+and signed permutations, and every projector part has one slot per row.
+Terms are summed in int8 and reduced by ``gf3.reduce_sum`` before the
+sum can leave +-127; sums of residue-stack rows, which hold 3 - x for
+-x, stay nonnegative and are reduced by ``_mod3``.  Shards and downloads
 keep their (stripes, N) shapes at the API, and a plan runs in one layout
 per kind of plan:
 
@@ -60,8 +77,11 @@ per kind of plan:
   solve merges the two halves back into the rows.  Nothing is transposed.
 * A parity's plan, or one built by hand, runs symbol-major: each
   helper's shard is transposed once into a (rows, stripes) residue
-  stack, a slot is one whole-row ``np.take`` from it, and the rebuilt
-  shard is transposed back once.
+  stack, a slot column is one whole-row ``np.take`` from it over the
+  rows that have a slot there, and the rebuilt shard is transposed back
+  once.  A parity plan applies its base once, to the sum of the
+  projected downloads, and each helper's one-slot part is a signed row
+  take.
 """
 
 from __future__ import annotations
@@ -77,7 +97,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .code import CodeParams, CodingMatrixSet, _common_lead, basis_index
+from .code import CodeParams, CodingMatrixSet, _common_lead, _is_paper_set, _odd_weight, basis_index
 from .gf3 import (
     Gf3ShapeError,
     InconsistentSystemError,
@@ -137,7 +157,7 @@ class SparseRows:
     dense ``array`` is built only when asked for.
     """
 
-    __slots__ = ("slots", "cols")
+    __slots__ = ("slots", "cols", "_columns", "_source")
 
     def __init__(self, slots, cols: int):
         slots = np.asarray(slots, dtype=np.intp)
@@ -149,6 +169,8 @@ class SparseRows:
         slots.setflags(write=False)
         self.slots = slots
         self.cols = cols
+        self._columns = None
+        self._source = None
 
     @classmethod
     def from_dense(cls, a) -> "SparseRows":
@@ -196,13 +218,52 @@ class SparseRows:
 
         One ``np.take`` of the slots through a 2n + 1 entry map: c goes to
         target[c] (n + target[c] if sign[c] < 0), n + c to target[c]
-        (n + target[c] if sign[c] > 0), and the padding 2n stays.
+        (n + target[c] if sign[c] > 0), and the padding 2n stays.  So the
+        product keeps the padding of ``self``, and its gather form is
+        that of ``self`` through the map, taken on first use.
         """
         n = self.cols
         if p.size != n:
             raise Gf3ShapeError(f"times: {n} columns @ permutation of size {p.size}")
-        image = np.concatenate([p.target + n * (p.sign < 0), p.target + n * (p.sign > 0), [2 * n]])
-        return SparseRows(np.take(image, self.slots), n)
+        product = SparseRows(np.take(_slot_image(p), self.slots), n)
+        product._source = (self, p)
+        return product
+
+    def _gather_columns(self) -> tuple[list[np.ndarray], np.ndarray | None]:
+        """The slots to gather one column at a time with no padding read,
+        and the take that puts the rows back in order (``None`` when they
+        keep it).  Found on the first call and kept.
+
+        Rows go by falling slot count, and a row with padding, 2 cols,
+        before a slot has its slots sorted, so padding comes last in every
+        row and slot column t is read only by the prefix of rows with more
+        than t slots.  The first column covers every row, so a row of
+        padding alone reads the zero row.  A product ``m.times(p)`` maps
+        the form of m, whose rows have the same padding.
+        """
+        if self._columns is None and self._source is not None:
+            source, p = self._source
+            columns, restore = source._gather_columns()
+            image = _slot_image(p)
+            self._columns = ([np.take(image, column) for column in columns], restore)
+        if self._columns is None:
+            pad = self.slots == 2 * self.cols
+            count = self.slots.shape[1] - np.count_nonzero(pad, axis=1)
+            order = np.argsort(-count, kind="stable")
+            slots = self.slots[order]
+            if (pad[:, :-1] & ~pad[:, 1:]).any():
+                slots = np.sort(slots, axis=1)
+            reach = [self.rows] + [int(np.count_nonzero(count > t)) for t in range(1, slots.shape[1])]
+            columns = [column[:r] for column, r in zip(np.ascontiguousarray(slots.T), reach) if r]
+            restore = None if np.array_equal(order, np.arange(self.rows)) else np.argsort(order)
+            self._columns = (columns, restore)
+        return self._columns
+
+
+def _slot_image(p: SignedPermutation) -> np.ndarray:
+    """Where ``SparseRows.times`` sends each slot over p.size columns."""
+    n = p.size
+    return np.concatenate([p.target + n * (p.sign < 0), p.target + n * (p.sign > 0), [2 * n]])
 
 
 def _permutation_slots(target, sign) -> np.ndarray:
@@ -549,25 +610,36 @@ _BATCH_ENTRIES = 1 << 15
 
 
 # What the checks of one sweep k share (``_sharing``): its repair pairs,
-# by (N, variant), and per pair, by (s, s_tilde), the X and R of every
-# product s_tilde P reduced so far, by P.
+# by (N, variant); per pair, by (s, s_tilde), the X and R of every
+# product s_tilde P reduced so far, by P; and by the matrix itself, the
+# unit-column pivots of each matrix reduced against so far.
 _SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_SHARED", default=None)
 
 
 @contextlib.contextmanager
 def _sharing(pairs: list[RepairMatrixPair]) -> Iterator[None]:
     """Share ``pairs``, which parity plans take instead of building their
-    own, and their reductions among the calls made inside.  The first call
-    that reduces a product s_tilde P of a pair pays for it and keeps X and
-    R; later calls read them, and the pair's parity plan, their last
-    reader, takes them away.  A reduction that raises is not kept, so
-    each caller that needs it fails on its own.  Nothing outlives the
-    block."""
+    own, and their pivots and reductions among the calls made inside.  The
+    first call that reduces a product s_tilde P of a pair pays for it and
+    keeps X and R; later calls read them, and the check of the pair's
+    parity plan (``_check_parity_plan``), their last reader, takes them
+    away.  A reduction that raises is not kept, so each caller that needs
+    it fails on its own.  Nothing outlives the block."""
     token = _SHARED.set({(p.s.cols, p.variant): p for p in pairs} | {(p.s, p.s_tilde): {} for p in pairs})
     try:
         yield
     finally:
         _SHARED.reset(token)
+
+
+def _pivots_of(s: SparseRows) -> _Pivots:
+    """``_unit_pivots`` of ``s``, found once per ``_sharing`` block."""
+    shared = _SHARED.get()
+    if shared is None:
+        return _unit_pivots(s)
+    if s not in shared:
+        shared[s] = _unit_pivots(s)
+    return shared[s]
 
 
 def _reductions(
@@ -605,7 +677,7 @@ def _stacked_ranks(s: SparseRows, m: SparseRows, perms: list[SignedPermutation],
     s.rows + rank(R).  ``MissingPivotError`` if a row of ``s`` owns no
     unit column.
     """
-    residual = _combined([r for _, r in _reductions(s, _unit_pivots(s), m, perms)], combos)
+    residual = _combined([r for _, r in _reductions(s, _pivots_of(s), m, perms)], combos)
     return [s.rows + r for r in _block_ranks(residual, s.rows)]
 
 
@@ -851,17 +923,22 @@ class RepairPlan:
     stripe.  The rebuild stacks two halves: the top sums the downloads of
     the nodes in ``top``, each with its +-1 coefficient; the bottom is the
     download of ``bottom_node`` plus ``projectors[h]`` applied to the
-    download of h.  ``solve_inverse`` inverts the stacked system that maps
-    the lost shard to those halves.  It is factored once, so a repair is
-    gathers, int8 sums and one apply.
+    download of h.  With a ``projector_base`` B, helper h's projector is
+    B + ``projectors[h]``: B is applied once, to the sum of the projected
+    downloads, and each ``projectors[h]`` has one slot per row.  Those
+    helpers are then top terms with coefficient +1, so the top forms that
+    sum (checked when the plan is made).  ``solve_inverse`` inverts the
+    stacked system that maps the lost shard to those halves.  It is
+    factored once, so a repair is gathers, int8 sums and one apply.
 
     Every matrix is a ``SparseRows``, formed when the plan is built; the
-    row-sum plan's k systematic downloads share one.  A plan runs in the
-    shard layout when ``_plan_data`` recorded the rows its helpers send
-    (``_selects``); one built by hand or by ``dataclasses.replace`` runs
-    symbol-major.  A plan depends only on the code, its coding matrices
-    and the node, so it can be reused, forms and all, for every repair of
-    that node.
+    row-sum plan's k systematic downloads share one.  Only parity plans
+    (``_plan_parity``) have a base; a data-node plan, or one built by hand,
+    has none.  A plan runs in the shard layout when ``_plan_data`` recorded
+    the rows its helpers send (``_selects``); one built by hand or by
+    ``dataclasses.replace`` runs symbol-major.  A plan depends only on the
+    code, its coding matrices and the node, so it can be reused, forms and
+    all, for every repair of that node.
     """
 
     params: CodeParams
@@ -871,10 +948,24 @@ class RepairPlan:
     bottom_node: int
     projectors: dict[int, SparseRows]
     solve_inverse: SparseRows = field(repr=False)
+    projector_base: SparseRows | None = field(default=None, repr=False)
     # Set by ``_plan_data`` alone, as ``_Runs`` or ``_Pairs``: the rows the
     # helpers send and the solve's top half rebuilds, then the zigzag
     # parity's.
     _selects: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.projector_base is not None and not all(
+            self.top.get(h) == 1 and m.slots.shape[1] == 1 for h, m in self.projectors.items()
+        ):
+            raise ValueError("with a projector base, each projector has one slot per row and a +1 top helper")
+
+    @functools.cached_property
+    def _one_slot(self) -> dict[int, SignedPermutation]:
+        """The projectors, of one slot per row, as signed permutations of
+        N/2: a data plan's, and a parity plan's parts off the base."""
+        half = self.params.n_rows // 2
+        return {node: _signed(m.slots[:, 0], half) for node, m in self.projectors.items()}
 
     @functools.cached_property
     def _gathers(self) -> tuple[dict[int, SignedPermutation], SignedPermutation]:
@@ -885,13 +976,12 @@ class RepairPlan:
         half = self.params.n_rows // 2
         slot = self.solve_inverse.slots[:, 0]
         # Rows off the top read +bottom[c] at slot half + c, -bottom[c] at n + half + c.
-        projectors = {node: _signed(m.slots[:, 0], half) for node, m in self.projectors.items()}
-        return projectors, _signed(slot[slot >= half] - half, half)
+        return self._one_slot, _signed(slot[slot >= half] - half, half)
 
-    @property
+    @functools.cached_property
     def io_per_node(self) -> dict[int, int]:
         """Symbols each helper reads per stripe: the columns its download
-        gathers, counted once per distinct download."""
+        gathers, counted once per distinct download and kept."""
         counts = {m: m.nonzero_column_count() for m in set(self.downloads.values())}
         return {node: counts[m] for node, m in self.downloads.items()}
 
@@ -911,9 +1001,12 @@ class RepairPlan:
 
 def plan_repair(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPlan:
     """The plan for rebuilding lost node ``failed``, any of the k+2 nodes:
-    ``_plan_data`` for a data node, ``_plan_parity`` for a parity."""
+    ``_plan_data`` for a data node, ``_plan_parity`` for a parity.
+    ``Gf3ShapeError`` unless ``cm`` is for ``params``."""
     if not 0 <= failed < params.n_nodes:
         raise ValueError(f"node {failed} out of range [0, {params.n_nodes})")
+    if cm.params != params:
+        raise Gf3ShapeError(f"coding matrices for k={cm.params.k}, plan for k={params.k}")
     if failed < params.k:
         return _plan_data(params, cm, failed)
     return _plan_parity(params, cm, failed)
@@ -947,9 +1040,7 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
     half = n // 2
     rows = np.arange(n)
     if failed == 0:
-        odd = np.zeros(n, dtype=bool)
-        for bit in range(k - 1):
-            odd ^= ((rows >> bit) & 1).astype(bool)
+        odd = _odd_weight(rows)
         sent = ~odd
         # Row 2m has the weight of m: pair m sends row 2m + 1 when that weight is odd.
         selects = (_Pairs(odd[::2]), _Pairs(~odd[::2]))
@@ -991,62 +1082,162 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
 
 
 def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPlan:
-    """Download matrices, interference projectors and I/O tallies for
-    rebuilding parity node ``failed`` (k or k+1).
+    """Rebuild parity node ``failed`` (k or k+1) by a plan in closed form.
 
-    The systematic downloads sum to the lost shard's half-image (the
-    top); the surviving parity's download plus the projected interference
-    terms form the bottom.  The zigzag parity's download for helper j is
-    s A_j, the form of s mapped through A_j by ``SparseRows.times``.
-    Projector l is X of ``_eliminate`` for the interference rows
-    s_tilde (I -+ A_l), read off at the unit-column pivots of ``pair.s``;
-    a nonzero residual means those rows leave the row space of ``pair.s``
-    and raises ``InconsistentSystemError``.  The same
-    elimination of the solve base s_tilde A_0^(+-1) gives the Schur
-    factors of the stacked system, whose inverse ``_stacked_inverse``
-    builds; it raises ``SingularMatrixError`` unless the Schur complement
-    is a signed permutation.  ``MissingPivotError`` is raised if a row of
-    ``pair.s`` owns no unit column.  Inside ``_sharing`` the plan takes the
-    shared pair and its reductions.
+    Index a shard's symbols u = 0..N-1 and pair them as (2m, 2m+1):
+    exactly one of each pair has odd weight (popcount).  Row u of C holds
+    (-1)^popcount(u mod 2^b) at column u | 2^b for every bit b < k-1 clear
+    in u, and T = I + sigma C, sigma = +1 for the row-sum parity and -1
+    for the zigzag parity.  The repair pair (s, s_tilde) is T's rows: s
+    the odd-weight ones and s_tilde the even-weight ones, so row m of each
+    comes from pair m; the plan builds them from T, not by the recursion.
+
+    * The systematic downloads sum to s applied to the lost shard (the
+      top): each is s, or for the zigzag parity s A_j, s mapped through
+      A_j by ``SparseRows.times``.  The surviving parity sends s_tilde.
+    * s is the identity on its odd-weight columns, so the X with
+      X s equal to t there is t at those columns.  Projector l is
+      X(s_tilde) + c X(s_tilde A_l), c = -sigma (``_conditions``).  The
+      base X(s_tilde) is sigma C on the even rows and odd columns, one for
+      every helper.  A_l flips one index bit, and so the weight, so
+      X(s_tilde A_l) reads only the diagonal of s_tilde: c X(s_tilde A_l)
+      has one slot per row, c times A_l's sign at the even row, at the pair
+      A_l sends it to, m XOR ((N/2) >> l).
+    * C^2 = 0 mod 3, so T^-1 = I - sigma C.  The solve inverse maps [top;
+      bottom] to the lost shard: T^-1 with its columns at the odd-weight
+      rows first, then at the even-weight rows.
+
+    Each row of T has at most k entries, so the plan takes O(kN) slots and
+    no elimination.  The closed form holds for the paper's coding matrices
+    (``code._is_paper_set``); any other set raises
+    ``InconsistentSystemError`` and gets no plan.  Elimination stays the
+    certificate: the sweep's ``io-meters`` check compares every parity
+    plan with it (``_check_parity_plan``), downloads included.
     """
+    if not _is_paper_set(cm):
+        raise InconsistentSystemError("parity plans are certified for the paper's coding matrices only")
     k = params.k
-    variant = FIRST_PARITY if failed == k else SECOND_PARITY
-    pair = (_SHARED.get() or {}).get((params.n_rows, variant)) or build_repair_pair(k, variant)
-    surviving = k + 1 if failed == k else k
     half = params.n_rows // 2
-    pivots = _unit_pivots(pair.s)
-
+    variant = FIRST_PARITY if failed == k else SECOND_PARITY
+    sigma = 1 if variant == FIRST_PARITY else -1
+    s, s_tilde, base, solve = _closed_form(k, sigma)
+    surviving = k + 1 if failed == k else k
     if variant == FIRST_PARITY:
-        downloads = {j: pair.s for j in range(k)}
+        downloads = {j: s for j in range(k)}
     else:
-        downloads = {j: pair.s.times(cm.matrices[j]) for j in range(k)}
-    downloads[surviving] = pair.s_tilde
-
-    # Each product s_tilde P is reduced once; block l of the conditions is
-    # a signed sum of two of them, and so are its X, projector l, and its
-    # residual, which must vanish.  The base's X and R are the Schur factors.
-    perms, combos = _conditions(cm, variant)
-    xs, residuals = zip(*_reductions(pair.s, pivots, pair.s_tilde, perms, take=True))
-    if _combined(residuals, combos[1:]).key.size:
-        raise InconsistentSystemError("target rows are not in the row space")
-    projectors = {}
-    for l, combo in enumerate(combos[1:], 1):
-        x = _combined(xs, [combo])
-        projectors[l] = _pack(half, half, x.r, x.c, x.v)
+        downloads = {j: s.times(cm.matrices[j]) for j in range(k)}
+    downloads[surviving] = s_tilde
+    even = np.flatnonzero(~_odd_weight(np.arange(params.n_rows)))
     return RepairPlan(
         params=params,
         failed_node=failed,
         downloads=downloads,
         top={j: 1 for j in range(k)},
         bottom_node=surviving,
-        projectors=projectors,
-        solve_inverse=_stacked_inverse(pair.s, pivots, xs[1], residuals[1]),
+        projectors={
+            l: SparseRows(((a.target[even] >> 1) + half * (a.sign[even] * -sigma < 0))[:, None], half)
+            for l, a in enumerate(cm.matrices[1:], 1)
+        },
+        solve_inverse=solve,
+        projector_base=base,
     )
 
 
-# A sum of 63 terms in {-2..2} stays within +-126, so 63 terms fit in
-# int8 between reductions; a reduced sum counts as one term.
-_INT8_TERMS = 63
+def _pair(k: int, variant: str) -> RepairMatrixPair:
+    """The repair pair of a sweep k inside ``_sharing``, else a new one."""
+    return (_SHARED.get() or {}).get((1 << (k - 1), variant)) or build_repair_pair(k, variant)
+
+
+def _closed_form(k: int, sigma: int) -> tuple[SparseRows, SparseRows, SparseRows, SparseRows]:
+    """The matrices of ``_plan_parity`` from T = I + sigma C: its
+    odd-weight rows and its even-weight rows, which the repair pair must
+    be, the base sigma C on the even rows and odd columns, and T^-1 =
+    I - sigma C with its columns at the odd-weight rows, then the even.
+
+    T is packed once, row by row: the diagonal in slot 0, then column
+    u | 2^b for every clear bit b, ascending, which is how
+    ``build_repair_pair`` orders the pair's slots.  The base and the
+    inverse map those slots to their own columns, flipping the sign off
+    the diagonal for the inverse, so the inverse's slots do not ascend.
+    """
+    n = 1 << (k - 1)
+    half = n // 2
+    u = np.arange(n)
+    keep = np.ones((n, k), dtype=bool)
+    for b in range(k - 1):
+        keep[:, b + 1] = ((u >> b) & 1) == 0
+    r, t = np.nonzero(keep)
+    bit = (1 << t) >> 1  # 2^b at t = b + 1, 0 on the diagonal
+    minus = (t > 0) & (_odd_weight(r & (bit - 1)) ^ (sigma < 0))  # C is (-1)^popcount(u mod 2^b)
+    slots = _pack(n, n, r, r | bit, np.where(minus, 2, 1)).slots
+    odd = _odd_weight(u)
+    # Slot maps: a column to its column in the base (c >> 1), or to its
+    # position in the inverse's columns, keeping the sign or flipping it.
+    pos = np.where(odd, u >> 1, half + (u >> 1))
+    base = np.concatenate([u >> 1, half + (u >> 1), [n]])
+    keep_sign = np.concatenate([pos, n + pos, [2 * n]])
+    flip_sign = np.concatenate([n + pos, pos, [2 * n]])
+    return (
+        SparseRows(slots[odd, : k - 1], n),
+        SparseRows(slots[~odd], n),
+        SparseRows(base[slots[~odd, 1:]], half),
+        SparseRows(np.concatenate([keep_sign[slots[:, :1]], flip_sign[slots[:, 1:]]], axis=1), n),
+    )
+
+
+def _check_parity_plan(plan: RepairPlan, cm: CodingMatrixSet) -> list[str]:
+    """What of the closed-form parity ``plan`` differs from elimination.
+
+    Everything is read off the reductions of the products s_tilde P
+    against the pivots of ``pair.s`` (``_reductions``), which inside
+    ``_sharing`` are the ones the pair's condition and duality checks
+    formed; this check, their last reader, takes them.  The downloads are
+    compared with the pair's, s (or s A_j) and s_tilde, slot for slot, as
+    the closed form keeps the recursion's slot order.  The base is
+    compared with X of s_tilde, each one-slot projector with c X of
+    s_tilde A_l, and the solve inverse with ``_stacked_inverse`` of the
+    Schur factors of s_tilde A_0^(+-1), each as merged terms.  What
+    elimination raises on propagates: ``MissingPivotError`` for a pair
+    without pivots, ``SingularMatrixError`` for a singular stack, and
+    ``InconsistentSystemError`` for an interference residual that does not
+    vanish.
+    """
+    k, half = plan.params.k, plan.params.n_rows // 2
+    variant = FIRST_PARITY if plan.failed_node == k else SECOND_PARITY
+    pair = _pair(k, variant)
+    pivots = _pivots_of(pair.s)
+    perms, combos = _conditions(cm, variant)
+    xs, residuals = zip(*_reductions(pair.s, pivots, pair.s_tilde, perms, take=True))
+    if _combined(residuals, combos[1:]).key.size:
+        raise InconsistentSystemError("target rows are not in the row space")
+    solve = _stacked_inverse(pair.s, pivots, xs[1], residuals[1])
+
+    # Block l of the conditions adds c times product l + 1 to the base
+    # product, index 0; the one-slot parts are compared in one stack.  The
+    # base's slots ascend and each part has one per row, so their terms
+    # are in merged order as they stand.
+    parts = _terms(np.concatenate([plan.projectors[l].slots for l in range(1, k)]), half)
+    found = []
+    downloads = {j: pair.s if variant == FIRST_PARITY else pair.s.times(cm.matrices[j]) for j in range(k)}
+    downloads[plan.bottom_node] = pair.s_tilde
+    if plan.downloads.keys() != downloads.keys() or not all(
+        np.array_equal(plan.downloads[h].slots, m.slots) for h, m in downloads.items()
+    ):
+        found.append("downloads")
+    if not np.array_equal(_terms(plan.projector_base.slots, half).key, xs[0].key):
+        found.append("projector base")
+    if not np.array_equal(parts.key, _combined(xs, [combo[1:] for combo in combos[1:]]).key):
+        found.append("one-slot projectors")
+    inverse = plan.solve_inverse
+    if not np.array_equal(_summed(_terms(inverse.slots, inverse.cols)).key, _terms(solve.slots, solve.cols).key):
+        found.append("solve inverse")
+    return found
+
+
+# Terms gathered from a residue stack lie in {0..3}, so a uint8 sum of
+# 85 of them stays below 256 between reductions; a reduced sum counts as
+# one term.
+_STACK_TERMS = 85
 
 # Bytes a blocked transpose copies at a time: 256 stripes of a k = 8
 # shard (N = 128), so the rows a block reads and writes stay in cache.
@@ -1073,44 +1264,49 @@ def _transpose(x: np.ndarray, out: np.ndarray) -> None:
 def _residue_stack(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """The residue stack of the (stripes, n) residues ``x``, in ``buf``.
 
-    ``buf`` is an int8 (2n + 1, stripes) buffer; its first n rows get x.T
-    by one ``_transpose``, the next n rows -x.T and the last row zeros.
+    ``buf`` is a (2n + 1, stripes) buffer of bytes, returned as uint8; its
+    first n rows get x.T by one ``_transpose``, the next n rows 3 - x.T,
+    which is -x.T mod 3, and the last row zeros.  Every row holds 0..3,
+    so sums of rows need no sign handling (``_mod3``).
     """
     n = x.shape[1]
-    _transpose(x, buf[:n].view(np.uint8))
-    np.negative(buf[:n], out=buf[n : 2 * n])
-    buf[2 * n] = 0
-    return buf
+    stack = buf.view(np.uint8)
+    _transpose(x, stack[:n])
+    np.subtract(3, stack[:n], out=stack[n : 2 * n])
+    stack[2 * n] = 0
+    return stack
 
 
-def _gather_sum(
-    m: SparseRows, stack: np.ndarray, acc: np.ndarray | None = None, terms: int = 0
-) -> tuple[np.ndarray, int]:
-    """Add ``m`` applied to the block behind ``stack`` into the int8
-    (rows, stripes) sum ``acc``, which holds ``terms`` terms.
-
-    Each slot is one whole-row ``np.take`` from the stack; without ``acc``
-    the first one starts the sum.  Every term lies in {-2..2}, so ``acc``
-    is reduced in place once it holds ``_INT8_TERMS`` of them.  Returns
-    the sum and its new term count.
-    """
-    for column in m.slots.T:
-        term = np.take(stack, column, axis=0)
-        if acc is None:
-            acc = term
-        else:
-            if terms == _INT8_TERMS:
-                acc[...] = reduce_sum(acc).view(np.int8)
-                terms = 1
-            acc += term
-        terms += 1
-    return acc, terms
+def _mod3(acc: np.ndarray) -> np.ndarray:
+    """``acc`` mod 3, in place, for a uint8 sum: three uint8 passes, where
+    ``gf3.reduce_sum`` takes five to handle signed sums."""
+    q = acc // 3
+    q *= 3
+    acc -= q
+    return acc
 
 
 def _apply(m: SparseRows, stack: np.ndarray) -> np.ndarray:
     """``m`` applied to the block behind ``stack``, as (rows, stripes)
-    uint8 residues."""
-    return reduce_sum(_gather_sum(m, stack)[0])
+    uint8 residues in the rows' order.
+
+    Each slot column is one ``np.take`` of whole rows from the uint8
+    stack, for the rows that have a slot there
+    (``SparseRows._gather_columns``), and one take puts the rows back in
+    order.  The sum is reduced in place (``_mod3``) once it holds
+    ``_STACK_TERMS`` terms, and at the end.
+    """
+    columns, restore = m._gather_columns()
+    acc = np.take(stack, columns[0], axis=0)
+    terms = 1
+    for column in columns[1:]:
+        if terms == _STACK_TERMS:
+            _mod3(acc)
+            terms = 1
+        acc[: column.size] += np.take(stack, column, axis=0)
+        terms += 1
+    _mod3(acc)
+    return acc if restore is None else np.take(acc, restore, axis=0)
 
 
 def _little(width: int) -> np.dtype:
@@ -1196,9 +1392,15 @@ def _signed(slots: np.ndarray, cols: int) -> SignedPermutation:
     return SignedPermutation(slots % cols, np.where(slots < cols, 1, -1))
 
 
-def _sum_halves(plan: RepairPlan, downloads: dict[int, np.ndarray], top: np.ndarray, bottom: np.ndarray) -> None:
-    """Add the downloads of ``plan.top``, signed, into ``top``, and the bottom node's into ``bottom``."""
+def _sum_halves(
+    plan: RepairPlan, downloads: dict[int, np.ndarray], top: np.ndarray, bottom: np.ndarray, summed=()
+) -> None:
+    """Add the downloads of ``plan.top``, signed, into ``top``, but for
+    the nodes already ``summed`` there, and the bottom node's into
+    ``bottom``."""
     for node, coefficient in plan.top.items():
+        if node in summed:
+            continue
         if coefficient == 1:
             top += downloads[node].view(np.int8)
         else:
@@ -1218,8 +1420,8 @@ def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict
       (``plan._selects``): C-contiguous (stripes, N/2) downloads;
     * any other plan transposes each helper's shard once, blocked, into
       one (2N + 1, stripes) residue-stack buffer, and gathers one whole
-      row from it per slot of the download: the transposed view of a
-      C-contiguous (N/2, stripes) array.
+      row from it per slot of the download, padding skipped (``_apply``):
+      the transposed view of a C-contiguous (N/2, stripes) array.
 
     ``execute_repair`` takes either back without a copy.
     """
@@ -1240,7 +1442,7 @@ def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict
             d = residues((zigzag if node == plan.bottom_node else sent).take(x))
             out[node] = d.reshape(lead + (d.shape[-1],))
         return out
-    buf = np.empty((2 * n + 1, stripes), dtype=np.int8)
+    buf = np.empty((2 * n + 1, stripes), dtype=np.uint8)
     for node, x in helpers.items():
         d = _apply(plan.downloads[node], _residue_stack(residues(x).reshape(stripes, n), buf))
         out[node] = d.T.reshape(lead + (d.shape[0],))
@@ -1264,10 +1466,14 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
       Each half sums at most k + 1 terms, which int8 holds up to k = 62.
     * any other plan works symbol-major, (rows, stripes): a download from
       ``compute_downloads`` is taken back as it is, any other is copied
-      once by ``np.ascontiguousarray``.  Projector terms are gathered from
-      the residue stack of their download, reduced whenever the bottom
-      holds ``_INT8_TERMS`` terms; one reduction and one apply of
-      ``solve_inverse`` follow, and one transpose back.
+      once by ``np.ascontiguousarray``.  With a ``projector_base`` (a
+      parity plan), the projected downloads are summed once, in the top,
+      and the base is applied to that sum from its residue stack; each
+      helper's one-slot part is then a signed row take, with no stack.
+      Without one, each projector is applied to the residue stack of its
+      download.  Every matrix is applied by ``_apply``.  The bottom holds
+      at most k + 1 reduced terms, the top k + 1; one reduction and one
+      apply of ``solve_inverse`` follow, and one transpose back.
     """
     expected_nodes = set(plan.helper_nodes)
     got = set(downloads)
@@ -1289,15 +1495,27 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
     sym = {node: np.ascontiguousarray(residues(d).reshape(stripes, half).T) for node, d in arrays.items()}
 
     rhs = np.zeros((n, stripes), dtype=np.int8)
-    bottom = rhs[half:]
-    _sum_halves(plan, sym, rhs[:half], bottom)
-    terms = 1
-    buf = np.empty((n + 1, stripes), dtype=np.int8)
-    for node, m in plan.projectors.items():
-        _, terms = _gather_sum(m, _residue_stack(sym[node].T, buf), bottom, terms)
+    top, bottom = rhs[:half], rhs[half:]
+    buf = np.empty((n + 1, stripes), dtype=np.uint8)
+    if plan.projector_base is None:
+        _sum_halves(plan, sym, top, bottom)
+        for node, m in plan.projectors.items():
+            bottom += _apply(m, _residue_stack(sym[node].T, buf)).view(np.int8)
+    else:
+        # A sum of residues is nonnegative, so ``_mod3`` reduces it in place
+        # before the base's stack copies it.
+        for node in plan.projectors:
+            top += sym[node].view(np.int8)
+        stack = _residue_stack(_mod3(top.view(np.uint8)).T, buf)
+        _sum_halves(plan, sym, top, bottom, summed=plan.projectors)
+        bottom += _apply(plan.projector_base, stack).view(np.int8)
+        for node, gather in plan._one_slot.items():
+            term = np.take(sym[node].view(np.int8), gather.target, axis=0)
+            term *= gather.sign[:, None]
+            bottom += term
 
     rhs = reduce_sum(rhs)
-    stack = _residue_stack(rhs.T, np.empty((2 * n + 1, stripes), dtype=np.int8))
+    stack = _residue_stack(rhs.T, np.empty((2 * n + 1, stripes), dtype=np.uint8))
     return np.ascontiguousarray(_apply(plan.solve_inverse, stack).T).reshape(lead + (n,))
 
 

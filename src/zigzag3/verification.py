@@ -11,7 +11,9 @@ and watch the sweep object.
 Per k, both repair pairs are built once, before the checks and outside
 their seconds, and each product s_tilde P of a pair is reduced against the
 pivots of s once (``repair._sharing``): the repair-conditions check pays
-for it, and the pair's duality check and io-meters parity plan reuse it.
+for it, and the pair's duality check and the io-meters check reuse it.
+Parity plans are built in closed form, with no elimination; io-meters
+compares each with what those reductions give (``_check_parity_plan``).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .repair import (
     FIRST_PARITY,
     SECOND_PARITY,
     RepairMatrixPair,
+    _check_parity_plan,
     _sharing,
     build_repair_pair,
     io_lower_bound,
@@ -124,7 +127,8 @@ def _check_encoder_forms(
 
 def _check_meters(params: CodeParams, cm: CodingMatrixSet) -> tuple[bool, str]:
     """Plan every node: each helper sends N/2 rows, a data node reads
-    (k+1)N/2 and a parity kN + N - k, at or above the parity floor."""
+    (k+1)N/2 and a parity kN + N - k, at or above the parity floor, and
+    each closed-form parity plan equals the one elimination gives."""
     k = params.k
     floor = io_lower_bound(k).lower_bound_ceil
     bandwidth = repair_bandwidth(params)
@@ -136,9 +140,11 @@ def _check_meters(params: CodeParams, cm: CodingMatrixSet) -> tuple[bool, str]:
             details.append(f"node {failed}: total_io {plan.total_io} != {expected}")
         if plan.bandwidth != bandwidth:
             details.append(f"node {failed}: bandwidth {plan.bandwidth} != {bandwidth}")
-        if failed >= k and plan.total_io < floor:
-            details.append(f"node {failed}: below floor {floor}")
-        del plan  # before the next is built: a k = 16 parity plan keeps up to 64 MiB
+        if failed >= k:
+            if plan.total_io < floor:
+                details.append(f"node {failed}: below floor {floor}")
+            details += [f"node {failed}: {what} differs from elimination" for what in _check_parity_plan(plan, cm)]
+        del plan  # before the next is built: a k = 16 parity plan keeps up to 40 MiB
     if details:
         return False, "; ".join(details)
     return True, (

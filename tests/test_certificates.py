@@ -9,6 +9,7 @@ must equal what each check reports on its own.
 """
 
 import contextlib
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -220,8 +221,8 @@ def plan_fields(plan):
     def slots(matrices):
         return {node: m.slots.tolist() for node, m in matrices.items()}
 
-    return (slots(plan.downloads), slots(plan.projectors), plan.solve_inverse.slots.tolist(),
-            plan.top, plan.bottom_node, plan.io_per_node)
+    return (slots(plan.downloads), slots(plan.projectors), plan.projector_base.slots.tolist(),
+            plan.solve_inverse.slots.tolist(), plan.top, plan.bottom_node, plan.io_per_node)
 
 
 def recording_plans(monkeypatch):
@@ -264,8 +265,8 @@ def test_shared_sweep_matches_independent_checks(k, fault_hook, monkeypatch):
     # Every check reads the same from shared reductions as from its own,
     # and every parity plan equals the one plan_repair builds alone.
     plans = assert_shared_sweep_matches_independent(k, fault_hook, monkeypatch)
-    # A flipped sign breaks the row-sum plan from k = 3 on.
-    assert isinstance(plans[k], RepairPlan) == (fault_hook is None or k == 2)
+    # A set with a flipped sign is not the paper's, so it gets no plan.
+    assert isinstance(plans[k], RepairPlan) == (fault_hook is None)
 
 
 @pytest.mark.parametrize("fault_hook", [a0_sign_flipped, a0_three_cycle])
@@ -387,14 +388,17 @@ def test_reductions_stack_a_fixed_number_of_products(k, monkeypatch):
 
 
 def test_shared_reductions_end_with_the_sweep():
-    # Outside a sweep nothing is kept; inside, a pair's plan takes them.
+    # Outside a sweep nothing is kept; inside, the check of a pair's plan
+    # takes them, and the plan itself reads none.
     assert repair._SHARED.get() is None
     cm = build_coding_matrices(CodeParams(4))
     pairs = [build_repair_pair(4, v) for v in VARIANTS]
     with repair._sharing(pairs):
         verify_repair_conditions(pairs[0], cm)
         assert len(repair._SHARED.get()[(pairs[0].s, pairs[0].s_tilde)]) == 4
-        plan_repair(cm.params, cm, 4)
+        plan = plan_repair(cm.params, cm, 4)
+        assert len(repair._SHARED.get()[(pairs[0].s, pairs[0].s_tilde)]) == 4
+        assert repair._check_parity_plan(plan, cm) == []
         assert (pairs[0].s, pairs[0].s_tilde) not in repair._SHARED.get()
     assert repair._SHARED.get() is None
     run_sweep([3, 4])
@@ -433,6 +437,61 @@ def test_healthy_paths_never_reach_dense_elimination(monkeypatch):
         cm = build_coding_matrices(params)
         for node in range(params.n_nodes):
             plan_repair(params, cm, node)
+
+
+def test_parity_plans_never_eliminate_outside_a_sweep(monkeypatch):
+    # A parity plan is built in closed form: outside a sweep it runs no
+    # recursion, finds no pivot, reduces nothing and builds no Schur
+    # inverse.
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination reached")
+
+    for name in ("build_repair_pair", "_unit_pivots", "_eliminate", "_reductions", "_stacked_inverse"):
+        monkeypatch.setattr(repair, name, refuse)
+    for k in range(2, 13):
+        params = CodeParams(k)
+        cm = build_coding_matrices(params)
+        for node in (k, k + 1):
+            plan_repair(params, cm, node)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_sweep_finds_each_matrix_pivots_once(k, monkeypatch):
+    # The conditions, duality and io-meters checks reduce against the
+    # pivots of s and s_tilde of both pairs: four matrices, each found once.
+    found = []
+    real = repair._unit_pivots
+    monkeypatch.setattr(repair, "_unit_pivots", lambda s: found.append(s) or real(s))
+    assert run_sweep([k], trials=2).passed
+    assert len(found) == len({id(s) for s in found}) == 4
+
+
+def negated(m):
+    """``m`` with every entry negated: each slot moves to the other half
+    of the residue stack, and padding stays."""
+    return SparseRows(np.where(m.slots == 2 * m.cols, m.slots, (m.slots + m.cols) % (2 * m.cols)), m.cols)
+
+
+@pytest.mark.parametrize("part", ["downloads", "projector base", "one-slot projectors", "solve inverse"])
+def test_io_meters_catch_a_plan_that_differs_from_elimination(part, monkeypatch):
+    # Each part of a parity plan that differs from what elimination gives
+    # fails the io-meters check, for both parities, and nothing else.
+    real = repair._plan_parity
+
+    def wrong(params, cm, failed):
+        plan = real(params, cm, failed)
+        if part == "downloads":
+            return dataclasses.replace(plan, downloads={**plan.downloads, 0: negated(plan.downloads[0])})
+        if part == "projector base":
+            return dataclasses.replace(plan, projector_base=negated(plan.projector_base))
+        if part == "one-slot projectors":
+            return dataclasses.replace(plan, projectors={**plan.projectors, 2: negated(plan.projectors[2])})
+        return dataclasses.replace(plan, solve_inverse=negated(plan.solve_inverse))
+
+    monkeypatch.setattr(repair, "_plan_parity", wrong)
+    report = run_sweep([4], trials=2)
+    detail = f"node 4: {part} differs from elimination; node 5: {part} differs from elimination"
+    assert [(c.name, c.detail) for c in report.failures] == [("io-meters", detail)]
 
 
 @pytest.mark.parametrize("k_values, trials", [([], 5), ([3], 0), ([3], -5)])
@@ -505,9 +564,9 @@ PIVOT_FREE = SparseRows.from_dense([[1, 1, 1, 0], [1, 2, 0, 0]])
 
 def test_pivot_free_matrices_raise_missing_pivot(monkeypatch):
     # Every rank is certified against unit-column pivots: the conditions
-    # and a plan reduce against s, duality against s and s_tilde.  A
-    # pivot-free matrix in any of those places raises; no rank is
-    # reported for it.
+    # and a parity plan's certificate (io-meters) reduce against s,
+    # duality against s and s_tilde.  A pivot-free matrix in any of those
+    # places raises; no rank is reported for it.
     with pytest.raises(MissingPivotError, match="row 1 "):
         _unit_pivots(PIVOT_FREE)
     p = CodeParams(3)
@@ -523,7 +582,7 @@ def test_pivot_free_matrices_raise_missing_pivot(monkeypatch):
             verify_duality(pair, cm)
     monkeypatch.setattr(repair, "build_repair_pair", lambda k, variant: free_s)
     with pytest.raises(MissingPivotError):
-        plan_repair(p, cm, p.k)
+        repair._check_parity_plan(plan_repair(p, cm, p.k), cm)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +694,8 @@ def test_repair_pairs_own_unit_pivots(k, variant):
 
 
 def test_plan_rejects_pivot_free_pair(monkeypatch):
+    # A parity plan is built in closed form, without the pair; its
+    # certificate reduces against the pair and rejects it.
     p = CodeParams(3)
     cm = build_coding_matrices(p)
     monkeypatch.setattr(
@@ -642,12 +703,13 @@ def test_plan_rejects_pivot_free_pair(monkeypatch):
     )
     for failed in (3, 4):
         with pytest.raises(MissingPivotError):
-            plan_repair(p, cm, failed)
+            repair._check_parity_plan(plan_repair(p, cm, failed), cm)
 
 
 def test_plan_rejects_singular_stack_like_dense_inverse(monkeypatch):
     # With s_tilde = 0 every interference row is 0 (consistent), but the
-    # stacked system has rank N/2: the Schur complement is 0.
+    # stacked system has rank N/2: the Schur complement is 0, and the
+    # certificate of the closed-form plan builds no inverse from it.
     p = CodeParams(3)
     cm = build_coding_matrices(p)
     s = build_repair_pair(3, FIRST_PARITY).s
@@ -657,7 +719,7 @@ def test_plan_rejects_singular_stack_like_dense_inverse(monkeypatch):
         inverse(np.vstack([s.array, zero.array]))
     for failed in (3, 4):
         with pytest.raises(SingularMatrixError):
-            plan_repair(p, cm, failed)
+            repair._check_parity_plan(plan_repair(p, cm, failed), cm)
 
 
 @pytest.mark.parametrize("k", [9, 10, 11])

@@ -17,6 +17,7 @@ from zigzag3.code import (
     second_parity_by_matrices,
 )
 from zigzag3.gf3 import (
+    Gf3ShapeError,
     InconsistentSystemError,
     SignedPermutation,
     inverse,
@@ -32,16 +33,22 @@ from zigzag3.repair import (
     RepairPlan,
     SparseRows,
     _apply,
-    _gather_sum,
+    _combined,
+    _conditions,
     _gathered,
     _merged,
     _Pairs,
     _rank,
+    _reductions,
     _residue_stack,
     _Runs,
     _signed,
+    _stacked_inverse,
+    _summed,
     _Terms,
+    _terms,
     _transpose,
+    _unit_pivots,
     brute_force_min_io,
     build_repair_pair,
     compute_downloads,
@@ -254,6 +261,15 @@ def test_plan_rejects_unknown_node():
             plan_repair(p, cm, node)
 
 
+def test_plan_rejects_coding_matrices_of_another_k():
+    p = CodeParams(3)
+    for other in (2, 4):
+        cm = build_coding_matrices(CodeParams(other))
+        for node in range(p.n_nodes):
+            with pytest.raises(Gf3ShapeError, match=f"k={other}, plan for k=3"):
+                plan_repair(p, cm, node)
+
+
 def test_data_node_plan_rows_k3():
     # Node 0: even-weight rows from the data helpers and the row-sum
     # parity, odd-weight rows from the zigzag parity.  Node j >= 1: the rows
@@ -286,10 +302,12 @@ def dense_plan(p, cm, failed):
 
 
 def dense_views(plan):
-    """The plan's downloads, projectors and solve inverse as dense lists."""
+    """The plan's downloads, projectors (with the base, if any) and solve
+    inverse as dense lists."""
+    base = 0 if plan.projector_base is None else plan.projector_base.array.astype(int)
     return (
         {n: m.array.tolist() for n, m in plan.downloads.items()},
-        {l: m.array.tolist() for l, m in plan.projectors.items()},
+        {l: ((base + m.array) % 3).tolist() for l, m in plan.projectors.items()},
         plan.solve_inverse.array.tolist(),
     )
 
@@ -314,18 +332,135 @@ def test_plan_matches_dense_oracle(k):
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_plan_on_flipped_sign_behaves_like_dense_oracle(k):
+    # A flipped sign leaves the interference rows outside the row space of
+    # s from k = 3 on, so the dense oracle fails too.  At k = 2 it still
+    # solves, but the set is not the paper's, so no closed-form plan is
+    # made for it either.
     p, cm = setup_k(k)
     bad = flip_one_sign(cm)
     for failed in (k, k + 1):
-        try:
-            downloads, projectors, solve_inv = dense_plan(p, bad, failed)
-        except InconsistentSystemError:
+        if k > 2:
             with pytest.raises(InconsistentSystemError):
-                plan_repair(p, bad, failed)
-            continue
-        assert k == 2  # one flipped sign of A_1 still leaves N = 2 consistent
-        plan = plan_repair(p, bad, failed)
-        assert dense_views(plan) == oracle_lists(downloads, projectors, solve_inv)
+                dense_plan(p, bad, failed)
+        with pytest.raises(InconsistentSystemError):
+            plan_repair(p, bad, failed)
+
+
+# ---------------------------------------------------------------------------
+# the closed form of parity plans
+# ---------------------------------------------------------------------------
+
+
+def closed_form_t(k, sigma):
+    """T = I + sigma C as a dense matrix, entry by entry: row u holds
+    sigma (-1)^popcount(u mod 2^b) at column u | 2^b for every bit
+    b < k - 1 clear in u."""
+    n = 1 << (k - 1)
+    t = np.eye(n, dtype=np.int64)
+    for u in range(n):
+        for b in range(k - 1):
+            if not (u >> b) & 1:
+                t[u, u | 1 << b] = sigma * (-1) ** bin(u % (1 << b)).count("1")
+    return gf3(t)
+
+
+def odd_weight(n):
+    return np.array([bin(u).count("1") % 2 == 1 for u in range(n)])
+
+
+def sigma_of(variant):
+    return 1 if variant == FIRST_PARITY else -1
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_repair_pair_is_the_rows_of_t(k, variant):
+    # s is T at the odd-weight rows and s_tilde at the even-weight ones,
+    # each in ascending order, so row m of each comes from pair (2m,
+    # 2m + 1).  The unit-column pivots of s are its odd-weight columns,
+    # each +1.  C squares to 0, so T (2I - T) = T (I - sigma C) = I.
+    pair = build_repair_pair(k, variant)
+    t = closed_form_t(k, sigma_of(variant))
+    odd = odd_weight(t.shape[0])
+    assert np.array_equal(pair.s.array, t[odd]) and np.array_equal(pair.s_tilde.array, t[~odd])
+    pivots = _unit_pivots(pair.s)
+    assert np.array_equal(pivots.unit, np.flatnonzero(odd)) and (pivots.sign == 1).all()
+    if k <= 8:
+        eye = identity(t.shape[0])
+        assert np.array_equal(mul(t, sub(2 * eye, t)), eye)
+
+
+def merged_key(*matrices):
+    """The merged terms of the sum of ``matrices``, as their keys."""
+    terms = [_terms(m.slots, m.cols) for m in matrices]
+    return _summed(_Terms(terms[0].rows, terms[0].cols, np.concatenate([t.key for t in terms]))).key
+
+
+def eliminated_parity_plan(p, cm, failed):
+    """The pair, projectors and solve inverse of a parity plan by
+    unit-column elimination: X of each interference block, as merged
+    keys, and the inverse of the stack from its Schur factors."""
+    variant = FIRST_PARITY if failed == p.k else SECOND_PARITY
+    pair = build_repair_pair(p.k, variant)
+    pivots = _unit_pivots(pair.s)
+    perms, combos = _conditions(cm, variant)
+    xs, residuals = zip(*_reductions(pair.s, pivots, pair.s_tilde, perms))
+    assert not _combined(residuals, combos[1:]).key.size
+    projectors = {l: _combined(xs, [combo]).key for l, combo in enumerate(combos[1:], 1)}
+    return pair, projectors, _stacked_inverse(pair.s, pivots, xs[1], residuals[1])
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_closed_form_plans_equal_eliminated_plans(k):
+    # Every part of both parity plans against elimination: the downloads
+    # slot for slot, top, bottom node and reads, each projector as the
+    # base plus its one-slot part, and the solve inverse.
+    p, cm = setup_k(k)
+    n = p.n_rows
+    for failed in (k, k + 1):
+        plan = plan_repair(p, cm, failed)
+        pair, projectors, solve = eliminated_parity_plan(p, cm, failed)
+        surviving = 2 * k + 1 - failed
+        downloads = {j: pair.s if failed == k else pair.s.times(cm.matrices[j]) for j in range(k)}
+        downloads[surviving] = pair.s_tilde
+        assert {h: m.slots.tolist() for h, m in plan.downloads.items()} == {
+            h: m.slots.tolist() for h, m in downloads.items()
+        }
+        assert plan.top == {j: 1 for j in range(k)} and plan.bottom_node == surviving
+        assert plan.io_per_node == {**{j: n - 1 for j in range(k)}, surviving: n}
+        assert plan.io_per_node is plan.io_per_node  # counted once per plan
+        assert plan.projectors.keys() == projectors.keys()
+        for l, key in projectors.items():
+            assert plan.projectors[l].slots.shape == (n // 2, 1)
+            assert np.array_equal(merged_key(plan.projector_base, plan.projectors[l]), key), (k, failed, l)
+        assert np.array_equal(merged_key(plan.solve_inverse), merged_key(solve)), (k, failed)
+
+
+def test_projector_base_needs_one_slot_parts_of_top_helpers():
+    # execute_repair applies the base to the sum of the projected
+    # downloads that the top forms, and gathers one slot of each part.
+    p, cm = setup_k(4)
+    plan = plan_repair(p, cm, 4)
+    with pytest.raises(ValueError, match="projector base"):
+        dataclasses.replace(plan, top={**plan.top, 1: -1})
+    with pytest.raises(ValueError, match="projector base"):
+        dataclasses.replace(plan, projectors={**plan.projectors, 1: plan.projector_base})
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_parity_plan_without_a_base_repairs_alike(k):
+    # Built by hand with each projector merged with the base, a parity
+    # plan applies every projector to its download's residue stack, and
+    # rebuilds the same shard.
+    p, cm = setup_k(k)
+    shards = encode_parts_array(p, cm, np.random.default_rng(60 + k).integers(0, 3, (k, 21, p.n_rows), dtype=np.uint8))
+    for failed in (k, k + 1):
+        plan = plan_repair(p, cm, failed)
+        projectors = {l: SparseRows.from_dense(add(plan.projector_base.array, m.array)) for l, m in plan.projectors.items()}
+        hand = RepairPlan(p, failed, plan.downloads, plan.top, plan.bottom_node, projectors, plan.solve_inverse)
+        assert hand.projector_base is None
+        downloads = compute_downloads(hand, {h: shards[h] for h in hand.helper_nodes})
+        assert np.array_equal(execute_repair(hand, downloads), shards[failed]), (k, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +586,17 @@ def test_apply_transposed_and_strided_input():
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-def test_gather_sum_reduces_a_full_sum_in_place(sign):
-    # A sum already holding 62 terms of 2 (124) takes one more term, then
-    # is reduced before the next would leave int8.
-    m = SparseRows.from_dense([[sign] * 3 + [0]])
-    x = np.full((5, 4), 2, dtype=np.uint8)
-    stack = _residue_stack(x, np.empty((9, 5), dtype=np.int8))
-    acc = np.full((1, 5), 124 * sign, dtype=np.int8)
-    acc, terms = _gather_sum(m, stack, acc, 62)
-    assert terms == 3
-    assert reduce_sum(acc).tolist() == [[(130 * sign) % 3] * 5]
+def test_apply_reduces_a_full_sum_in_place(sign):
+    # A row of 130 stack terms of 2 (260) would leave uint8: its sum is
+    # reduced in place once it holds 85 terms.  A -1 entry reads 3 - x, so
+    # x = 1 gives that term too.  The one-slot row is gathered second and
+    # put back first.
+    m = SparseRows.from_dense([[0] * 130 + [sign], [sign] * 130 + [0]])
+    x = np.full((5, 131), 2 if sign == 1 else 1, dtype=np.uint8)
+    stack = _residue_stack(x, np.empty((263, 5), dtype=np.int8))
+    assert np.array_equal(stack[:131], x.T) and np.array_equal(stack[131:262], 3 - x.T) and not stack[262].any()
+    value = int(x[0, 0]) * sign
+    assert _apply(m, stack).tolist() == [[value % 3] * 5, [(130 * value) % 3] * 5]
 
 
 def test_ell_form_slots():
@@ -616,7 +752,8 @@ def test_parity_plan_memory_stays_near_what_it_keeps(failed):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    matrices = {id(m): m for m in [*plan.downloads.values(), *plan.projectors.values(), plan.solve_inverse]}
+    kept_matrices = [*plan.downloads.values(), *plan.projectors.values(), plan.solve_inverse, plan.projector_base]
+    matrices = {id(m): m for m in kept_matrices}
     kept = sum(m.slots.nbytes for m in matrices.values())
     assert peak <= 4 * kept, (peak, kept)
 
