@@ -14,6 +14,7 @@ whole output to a single stable-ordered JSON document.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import zlib
@@ -442,7 +443,10 @@ def cmd_bruteforce(cfg: Config, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: ``parse_args``
+    keeps nothing between calls, so every ``main`` call can share it."""
     parser = _Parser(prog="zigzag3", description=__doc__.splitlines()[0])
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for randomized checks")

@@ -27,9 +27,8 @@ extract runs the inverse Horner steps.  Both work a whole number of
 blocks at a time, so every pass is a contiguous elementwise one and no
 temporary is file-sized.  Packing a shard multiplies each 5-trit group,
 read as an 8-byte word, by one constant that sums its place values into
-one byte of the product (see ``_pack_trits``).  Unpacking reads the packed
-bytes two at a time, as uint16, and looks each pair up in a 65,536-row
-table of ten-trit rows.
+one byte of the product (see ``_pack_trits``).  Unpacking looks each packed
+byte up in the 243-row table of its five trits.
 """
 
 from __future__ import annotations
@@ -102,14 +101,6 @@ def _digit_rows(values: int, digits: int) -> np.ndarray:
 
 # packed byte value -> its 5 base-3 digits (values >= 243 are invalid)
 _PACKED_TO_TRITS = _digit_rows(243, 5)
-# Two adjacent packed bytes, read as one uint16 -> their 10 digits.  Built
-# through a byte view of every uint16 value, so it holds in either byte
-# order.  A pair with a byte >= 243 gets a clipped row; ``_unpack_trits``
-# rejects such bytes before any lookup.
-_PAIR_TO_TRITS = np.take(
-    _PACKED_TO_TRITS, np.arange(1 << 16, dtype=np.uint16).view(np.uint8), mode="clip"
-).view(np.dtype((np.void, 10)))
-_PAIR_TO_TRITS.setflags(write=False)
 
 # Base-3 digits per 8-byte word: 3^40 < 2^64 < 3^41.
 _WORD_TRITS = 41
@@ -255,10 +246,12 @@ def _unpack_trits(blob: bytes, trit_count: int) -> np.ndarray:
     too short a payload, or a nonzero trit past ``trit_count`` (which
     ``_pack_trits`` never writes) raises ``ShardFormatError``.
 
-    Whole-row lookups: each pair of bytes, read as a uint16, takes its 10
-    trits from ``_PAIR_TO_TRITS``, and an odd last byte its 5 trits from
-    ``_PACKED_TO_TRITS``.  Every index is in range, so ``clip`` never
-    clips; it only lets the takes write into the result directly.
+    One whole-row lookup: each byte takes its 5 trits from
+    ``_PACKED_TO_TRITS``, 1,215 read-only bytes built at import, which
+    stay in L1 cache from shard to shard.  Each output byte is written
+    once, so the result does not depend on the order numpy writes rows in.
+    Every index is in range, so ``clip`` never clips; it only lets the
+    take write into the result directly.
     """
     arr = np.frombuffer(blob, dtype=np.uint8)
     if arr.size and int(arr.max()) >= 243:
@@ -266,12 +259,7 @@ def _unpack_trits(blob: bytes, trit_count: int) -> np.ndarray:
     if 5 * arr.size < trit_count:
         raise ShardFormatError(f"payload holds {5 * arr.size} trits, header claims {trit_count}")
     trits = np.empty(5 * arr.size, dtype=np.uint8)
-    whole = arr.size - arr.size % 2
-    for table, index, rows in (
-        (_PAIR_TO_TRITS, arr[:whole].view(np.uint16), trits[: 5 * whole]),
-        (_PACKED_TO_TRITS, arr[whole:], trits[5 * whole :]),
-    ):
-        np.take(table, index, out=rows.view(table.dtype), mode="clip")
+    np.take(_PACKED_TO_TRITS, arr, out=trits.view(_PACKED_TO_TRITS.dtype), mode="clip")
     if trits[trit_count:].any():
         raise ShardFormatError(f"payload has a nonzero padding trit past trit {trit_count}")
     return trits[:trit_count]

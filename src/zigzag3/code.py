@@ -20,6 +20,7 @@ All symbols live in GF(3) with 2 standing for -1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +159,14 @@ class CodingMatrixSet:
     matrices: tuple[SignedPermutation, ...]
 
 
+@functools.lru_cache(maxsize=MAX_K - 1)
 def build_coding_matrices(params: CodeParams) -> CodingMatrixSet:
-    """Coding matrices from the recursive block definition."""
+    """Coding matrices from the recursive block definition.
+
+    One set is built per ``CodeParams`` and kept for the process (at most
+    15 sets, under 9 MB in all), and every caller gets that same set.
+    Sharing it is safe: the set is frozen and its arrays are read-only, so
+    a variant, such as ``flip_one_sign`` makes, is always a new set."""
     return CodingMatrixSet(params, tuple(SignedPermutation(t, s) for t, s in _recursion_level(params.k)))
 
 

@@ -16,12 +16,14 @@ stream one Python int at a time.
 
 Both versions pack a shard's trits five to a byte, earliest trit in the
 highest place value; ``pack_trits_horner`` is the five-step Horner loop
-the program packed with before it used one word multiply.
+the program packed with before it used one word multiply, and
+``unpack_trits_by_rows`` unpacks by plain row indexing into the program's
+digit table.
 """
 
 import numpy as np
 
-from zigzag3.cluster import FileMeta
+from zigzag3.cluster import FileMeta, _digit_rows
 from zigzag3.code import CodeParams
 
 
@@ -83,3 +85,13 @@ def pack_trits_horner(trits: np.ndarray) -> bytes:
         packed *= 3
         packed += groups[:, c]
     return packed.tobytes()
+
+
+# packed byte value -> its 5 base-3 digits, one uint8 row per value
+PACKED_ROWS = _digit_rows(243, 5).view(np.uint8).reshape(243, 5)
+
+
+def unpack_trits_by_rows(blob: bytes) -> np.ndarray:
+    """All 5 * len(blob) trits of packed bytes < 243, each byte's row of
+    ``PACKED_ROWS`` picked by fancy indexing."""
+    return PACKED_ROWS[np.frombuffer(blob, dtype=np.uint8)].reshape(-1)

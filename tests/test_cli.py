@@ -9,7 +9,7 @@ import pytest
 
 from zigzag3.cli import main
 from zigzag3.cluster import byte_capacity
-from zigzag3.code import CodeParams
+from zigzag3.code import CodeParams, coding_matrix_from_zigzag
 
 K = 4
 
@@ -87,6 +87,8 @@ def test_decode_singular_pair_exits_5(encoded, monkeypatch):
     shards = [shard(out_dir, i) for i in range(2, K + 2)]
     assert main(["decode", "--shards", *shards, "--out", str(out)]) == 5
     assert not out.exists()
+    # The flipped set is a copy: the shared set is still the paper's.
+    assert all(build(CodeParams(K)).matrices[j] == coding_matrix_from_zigzag(CodeParams(K), j) for j in range(K))
 
 
 def test_decode_corrupt_shard_exits_4(encoded):
@@ -602,3 +604,66 @@ def test_json_reports_report_the_shard_version(encoded, capsys):
     assert main(["--format", "json", "decode", "--shards", *shards, "--out", str(tmp_path / "x")]) == 0
     assert json.loads(capsys.readouterr().out)["shard_version"] == 2
     assert (tmp_path / "x").read_bytes() == data
+
+
+def test_a_packed_byte_over_242_exits_4(encoded, capsys):
+    # The shard CRC and the manifest's entry are recomputed, so only the
+    # range check can refuse the byte.
+    _, out_dir, tmp_path = encoded
+    path = out_dir / "node_2.shard"
+    blob = bytearray(path.read_bytes())
+    blob[40] = 250
+    crc = zlib.crc32(blob[19:-4])
+    blob[-4:] = crc.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["shard_crc"][2] = crc
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "restored.bin"
+    assert main(["decode", "--shards", *[shard(out_dir, i) for i in range(K)], "--out", str(out)]) == 4
+    assert "payload byte >= 243" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _run(argv, capsys):
+    """(exit code, stdout, stderr) of one ``main`` call, argparse's exits
+    included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    import zigzag3.cli as cli
+    import zigzag3.code as code
+
+    assert cli.build_parser() is cli.build_parser()
+    data = np.random.default_rng(21).bytes(3000)
+    (tmp_path / "input.bin").write_bytes(data)
+    out_dir = tmp_path / "shards"
+    shards = [shard(out_dir, i) for i in (1, 2, 4, 5)]
+    calls = [
+        ["decode", "--bogus"],
+        ["--help"],
+        ["encode", "--k", str(K), "--input", str(tmp_path / "input.bin"), "--out-dir", str(out_dir)],
+        ["--format", "json", "decode", "--shards", *shards, "--out", str(tmp_path / "json.bin")],
+        ["decode", "--shards", *shards, "--out", str(tmp_path / "text.bin")],
+    ]
+    # Each call as the first of a process, with nothing kept from another
+    # call; the decodes read the shards the encode wrote.
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        code.build_coding_matrices.cache_clear()
+        first.append(_run(argv, capsys))
+    assert [c for c, _, _ in first] == [5, 0, 0, 0, 0]
+    assert first[0][2].startswith("usage: zigzag3")
+    assert first[1][1] == cli.build_parser.__wrapped__().format_help()
+    # The same calls in order, each after the ones before it.
+    assert [_run(argv, capsys) for argv in calls] == first
+    assert (tmp_path / "json.bin").read_bytes() == (tmp_path / "text.bin").read_bytes() == data

@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 from cluster_helpers import extract_file
-from layout_oracle import bytes_to_trits, digits, ingest_v1, word_stream, words_of
+from layout_oracle import bytes_to_trits, digits, ingest_v1, unpack_trits_by_rows, word_stream, words_of
 
 import zigzag3.cluster as cluster_module
 from zigzag3.cluster import (
@@ -82,19 +82,21 @@ def test_unpack_every_packed_value():
         _unpack_trits(bytes([242, 100]), 7)
 
 
-def test_pair_table_matches_the_byte_table_for_every_pair():
-    # All 65,536 uint16 values: where both bytes are valid, the pair row is
-    # the two byte rows side by side, whatever the host's byte order.
-    pair_bytes = np.arange(1 << 16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)
-    rows = cluster_module._PAIR_TO_TRITS.view(np.uint8).reshape(-1, 10)
-    byte_rows = cluster_module._PACKED_TO_TRITS.view(np.uint8).reshape(-1, 5)
-    valid = (pair_bytes < 243).all(axis=1)
-    assert valid.sum() == 243 * 243
-    want = np.concatenate([byte_rows[pair_bytes[valid, 0]], byte_rows[pair_bytes[valid, 1]]], axis=1)
-    assert np.array_equal(rows[valid], want)
-    # Unpacking every valid pair in one payload goes through that table.
-    payload = pair_bytes[valid].tobytes()
-    assert np.array_equal(_unpack_trits(payload, 5 * len(payload)), byte_rows[pair_bytes[valid]].reshape(-1))
+def test_unpack_matches_the_reference_at_every_position():
+    # Every byte value at every position of payloads of 0-12 bytes, the
+    # other bytes random, and one random 67 KB payload (a bulk-k8 shard).
+    rng = np.random.default_rng(21)
+    for length in range(13):
+        base = rng.integers(0, 243, size=length, dtype=np.uint8)
+        assert np.array_equal(_unpack_trits(base.tobytes(), 5 * length), unpack_trits_by_rows(base.tobytes()))
+        for pos in range(length):
+            for value in range(243):
+                data = base.copy()
+                data[pos] = value
+                got = _unpack_trits(data.tobytes(), 5 * length)
+                assert np.array_equal(got, unpack_trits_by_rows(data.tobytes())), (length, pos, value)
+    payload = rng.integers(0, 243, size=67_000, dtype=np.uint8).tobytes()
+    assert np.array_equal(_unpack_trits(payload, 5 * len(payload)), unpack_trits_by_rows(payload))
 
 
 @pytest.mark.parametrize("length", [1, 3, 7, 64, 1001])
@@ -120,8 +122,7 @@ def test_unpack_odd_and_even_payloads(length):
 
 @pytest.mark.parametrize("length", [4, 5])
 def test_unpack_rejects_an_invalid_byte_in_either_place_of_a_pair(length):
-    # Positions 0-3 are the first and second byte of two pairs; at length
-    # 5, position 4 is the odd last byte.
+    # Every position of an even and an odd payload, the last included.
     for pos in range(length):
         for value in (243, 250, 255):
             data = bytearray([0, 1, 241, 242, 100][:length])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gf3_oracle import dense, gf3, identity, mul
+from zigzag3.cli import main
 from zigzag3.code import (
     MAX_K,
     CodeParams,
@@ -507,3 +508,57 @@ def test_flipped_sign_still_fails_the_encoder_and_matrix_checks(k):
     assert bad.matrices[1]._word_xor() >= 0
     assert not _check_encoder_forms(p, bad, 20, np.random.default_rng(k))[0]
     assert not _check_equivalence(p, bad)[0]
+
+
+def test_one_read_only_coding_matrix_set_per_k():
+    for k in range(2, MAX_K + 1):
+        cm = build_coding_matrices(CodeParams(k))
+        assert build_coding_matrices(CodeParams(k)) is cm
+        for m in cm.matrices:
+            for array in (m.target, m.sign):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[0]
+
+
+def _encode_file(tmp_path):
+    data = np.random.default_rng(3000).bytes(3000)
+    (tmp_path / "input.bin").write_bytes(data)
+    out_dir = tmp_path / "shards"
+    assert main(["encode", "--k", "4", "--input", str(tmp_path / "input.bin"), "--out-dir", str(out_dir)]) == 0
+    return data, out_dir
+
+
+def _decode_without_nodes_0_and_1(tmp_path, out_dir):
+    out = tmp_path / "restored.bin"
+    shards = [str(out_dir / f"node_{i}.shard") for i in range(2, 6)]
+    assert main(["decode", "--shards", *shards, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_fault_hooks_leave_the_shared_set_alone(tmp_path, capsys):
+    assert flip_one_sign(cm_for(4)) != cm_for(4)
+    assert main(["verify", "--k-range", "2..6", "--inject-fault"]) == 2
+    for k in range(2, 7):
+        p = CodeParams(k)
+        assert all(cm_for(k).matrices[j] == coding_matrix_from_zigzag(p, j) for j in range(k))
+    data, out_dir = _encode_file(tmp_path)
+    assert _decode_without_nodes_0_and_1(tmp_path, out_dir) == data
+
+
+def test_two_decodes_run_the_block_recursion_once(tmp_path, capsys, monkeypatch):
+    import zigzag3.code as code
+
+    data, out_dir = _encode_file(tmp_path)
+    levels = []
+    recursion = code._recursion_level
+
+    def counted(k):
+        levels.append(k)
+        return recursion(k)
+
+    monkeypatch.setattr(code, "_recursion_level", counted)
+    build_coding_matrices.cache_clear()
+    for _ in range(2):
+        assert _decode_without_nodes_0_and_1(tmp_path, out_dir) == data
+    # One build recurses once through each level, k = 4 down to 2.
+    assert levels == [4, 3, 2]
