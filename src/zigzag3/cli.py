@@ -34,7 +34,6 @@ from .code import (
 from .cluster import (
     SHARD_VERSION,
     CorruptDataError,
-    DataLossError,
     FileMeta,
     ShardFormatError,
     byte_capacity,
@@ -494,9 +493,6 @@ def main(argv=None) -> int:
     try:
         return args.func(cfg, args)
     except InsufficientShardsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT
-    except DataLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
     except (ShardFormatError, CorruptDataError, InconsistentShardsError) as exc:

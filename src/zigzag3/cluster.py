@@ -44,7 +44,6 @@ from .code import (
     CodeParams,
     CodingMatrixSet,
     build_coding_matrices,
-    decode_shards_array,
     encode_parts_array,
 )
 from .gf3 import residues
@@ -53,7 +52,6 @@ from .repair import RepairPlan, compute_downloads, execute_repair, expected_repa
 __all__ = [
     "CorruptDataError",
     "ShardFormatError",
-    "DataLossError",
     "FileMeta",
     "trits_to_bytes",
     "byte_capacity",
@@ -68,7 +66,6 @@ __all__ = [
     "NodeStore",
     "RepairReport",
     "repair_lost_node",
-    "ScrubReport",
     "ClusterState",
 ]
 
@@ -79,10 +76,6 @@ class CorruptDataError(ValueError):
 
 class ShardFormatError(ValueError):
     """Shard bytes violate the on-disk format or fail CRC."""
-
-
-class DataLossError(RuntimeError):
-    """More failures than the code can tolerate."""
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +535,6 @@ class NodeStore:
 
     def serve(self) -> np.ndarray:
         """Hand out a read-only view of the payload for a repair."""
-        if self.payload is None:
-            raise DataLossError(f"node {self.node_id} cannot serve reads while failed")
         return _read_only(self.payload)
 
 
@@ -551,29 +542,24 @@ class NodeStore:
 class RepairReport:
     """What one repair did: reads, transfers and per-stage wall time.
 
-    The report is the repair's only meter.  ``method`` names the path: a
-    plan repair reads what ``expected_reads`` says; a full download reads
-    k whole shards and a noop nothing, and neither has an expectation.
-    ``stage_seconds`` holds ``downloads`` and ``solve`` for a plan repair,
-    and ``plan`` too on the repair that built the plan (a cluster reuses
-    it for every later repair of that node, which then reports no plan
-    stage); ``decode`` and ``encode`` for a full download; and nothing
-    for a noop.
+    The report is the repair's only meter.  ``method`` names the plan, and
+    ``expected_reads`` what that plan should read.  ``stage_seconds``
+    holds ``downloads`` and ``solve``, and ``plan`` too on the repair that
+    built the plan (a cluster reuses it for every later repair of that
+    node, which then reports no plan stage).
     """
 
     node_id: int
-    method: str  # "parity-plan" | "data-plan" | "full-download" | "noop"
+    method: str  # "parity-plan" | "data-plan"
     reads_per_node: dict[int, int]
     total_reads: int
     total_sent: int
-    expected_reads: Optional[int]  # only for plan repairs
+    expected_reads: int
     stripes: int
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
-    def matches_expectation(self) -> Optional[bool]:
-        if self.expected_reads is None:
-            return None
+    def matches_expectation(self) -> bool:
         return self.total_reads == self.expected_reads
 
 
@@ -626,21 +612,14 @@ def repair_lost_node(
     )
 
 
-@dataclass(frozen=True)
-class ScrubReport:
-    mismatches: tuple[tuple[int, int, int], ...]  # (node, stripe, row)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
 @dataclass
 class ClusterState:
     """A k+2 node cluster holding one striped file.
 
     Single-writer: every mutation goes through fail_node/repair_node on one
-    thread; NodeStore payloads are only read elsewhere.
+    thread; NodeStore payloads are only read elsewhere.  At most one node is
+    failed, since every repair plan needs all k+1 others: ``fail_node``
+    refuses a second, and ``repair_node`` a healthy one, with ``ValueError``.
 
     Repair plans are kept per node, each built on the first repair of its
     node, and dropped together whenever ``cm`` is no longer the coding
@@ -671,10 +650,6 @@ class ClusterState:
     def failed_nodes(self) -> list[int]:
         return [n.node_id for n in self.nodes if n.payload is None]
 
-    @property
-    def healthy_nodes(self) -> list[int]:
-        return [n.node_id for n in self.nodes if n.payload is not None]
-
     # -- failure and repair ----------------------------------------------------
 
     def _check_node_id(self, node_id: int) -> None:
@@ -686,77 +661,17 @@ class ClusterState:
         node = self.nodes[node_id]
         if node.payload is None:
             return
-        if len(self.failed_nodes) >= 2:
-            raise DataLossError("a third failure exceeds the two-erasure tolerance")
+        if self.failed_nodes:
+            raise ValueError(f"node {self.failed_nodes[0]} is already failed; repair it first")
         node.payload = None
 
     def repair_node(self, node_id: int) -> RepairReport:
         self._check_node_id(node_id)
         node = self.nodes[node_id]
         if node.payload is not None:
-            return RepairReport(node_id, "noop", {}, 0, 0, None, self.meta.stripe_count)
-        if self.failed_nodes == [node_id]:
-            if self._plans_cm is not self.cm:
-                self._plans, self._plans_cm = {}, self.cm
-            payloads = {n.node_id: n.serve() for n in self.nodes if n is not node}
-            node.payload, report = repair_lost_node(self.params, self.cm, payloads, node_id, self._plans)
-            return report
-        return self._repair_full_download(node_id)
-
-    def _repair_full_download(self, node_id: int) -> RepairReport:
-        """Read k whole shards, decode, re-encode the lost shard.
-
-        Used only while another node is also failed: every repair plan
-        needs all k+1 other nodes as helpers.  Once this repair has run,
-        the other failed node is the only one and takes its plan.
-        """
-        k = self.params.k
-        stripes = self.meta.stripe_count
-        healthy = self.healthy_nodes
-        if len(healthy) < k:
-            raise DataLossError(f"only {len(healthy)} healthy nodes, need {k}")
-        chosen = healthy[:k]
-        per_node = stripes * self.params.n_rows
-        payloads = {}
-        reads_per_node = {}
-        for helper in chosen:
-            payloads[helper] = self.nodes[helper].serve()
-            reads_per_node[helper] = per_node
-        start = time.perf_counter()
-        parts = decode_shards_array(self.params, self.cm, payloads)
-        decode_s = time.perf_counter() - start
-        start = time.perf_counter()
-        shards = encode_parts_array(self.params, self.cm, parts)
-        encode_s = time.perf_counter() - start
-        node = self.nodes[node_id]
-        node.payload = np.ascontiguousarray(shards[node_id])
-        return RepairReport(
-            node_id=node_id,
-            method="full-download",
-            reads_per_node=reads_per_node,
-            total_reads=sum(reads_per_node.values()),
-            total_sent=per_node * len(chosen),
-            expected_reads=None,
-            stripes=stripes,
-            stage_seconds={"decode": decode_s, "encode": encode_s},
-        )
-
-    # -- integrity --------------------------------------------------------------
-
-    def scrub(self) -> ScrubReport:
-        """Recompute both parities from the systematic shards and diff."""
-        k = self.params.k
-        for j in range(k):
-            if self.nodes[j].payload is None:
-                raise DataLossError(f"systematic node {j} is failed; cannot scrub")
-        parts = np.stack([self.nodes[j].payload for j in range(k)])
-        shards = encode_parts_array(self.params, self.cm, parts)
-        mismatches = []
-        for parity in (k, k + 1):
-            node = self.nodes[parity]
-            if node.payload is None:
-                continue
-            diff = node.payload != shards[parity]
-            for stripe, row in zip(*np.nonzero(diff)):
-                mismatches.append((parity, int(stripe), int(row)))
-        return ScrubReport(tuple(mismatches))
+            raise ValueError(f"node {node_id} is not failed")
+        if self._plans_cm is not self.cm:
+            self._plans, self._plans_cm = {}, self.cm
+        payloads = {n.node_id: n.serve() for n in self.nodes if n is not node}
+        node.payload, report = repair_lost_node(self.params, self.cm, payloads, node_id, self._plans)
+        return report

@@ -66,8 +66,8 @@ and signed permutations, and every projector part has one slot per row.
 Terms are summed in int8 and reduced by ``gf3.reduce_sum`` before the
 sum can leave +-127; sums of residue-stack rows, which hold 3 - x for
 -x, stay nonnegative and are reduced by ``_mod3``.  Shards and downloads
-keep their (stripes, N) shapes at the API, and a plan runs in one layout
-per kind of plan:
+keep their (stripes, N) shapes at the API, and a plan is one of two
+kinds, each with its own layout:
 
 * A data-node plan runs in the shard layout, along the last axis of the
   (stripes, N) shards, since its planner records which rows the helpers
@@ -75,13 +75,12 @@ per kind of plan:
   pair for node 0 (``_Pairs``).  A download is a select of those rows, a
   projector an XOR word gather (``SignedPermutation.terms``), and the
   solve merges the two halves back into the rows.  Nothing is transposed.
-* A parity's plan, or one built by hand, runs symbol-major: each
-  helper's shard is transposed once into a (rows, stripes) residue
-  stack, a slot column is one whole-row ``np.take`` from it over the
-  rows that have a slot there, and the rebuilt shard is transposed back
-  once.  A parity plan applies its base once, to the sum of the
-  projected downloads, and each helper's one-slot part is a signed row
-  take.
+* A parity plan runs symbol-major: each helper's shard is transposed
+  once into a (rows, stripes) residue stack, a slot column is one
+  whole-row ``np.take`` from it over the rows that have a slot there,
+  and the rebuilt shard is transposed back once.  The plan applies its
+  base once, to the sum of the projected downloads, and each helper's
+  one-slot part is a signed row take.
 """
 
 from __future__ import annotations
@@ -932,13 +931,14 @@ class RepairPlan:
     factored once, so a repair is gathers, int8 sums and one apply.
 
     Every matrix is a ``SparseRows``, formed when the plan is built; the
-    row-sum plan's k systematic downloads share one.  Only parity plans
-    (``_plan_parity``) have a base; a data-node plan, or one built by hand,
-    has none.  A plan runs in the shard layout when ``_plan_data`` recorded
-    the rows its helpers send (``_selects``); one built by hand or by
-    ``dataclasses.replace`` runs symbol-major.  A plan depends only on the
-    code, its coding matrices and the node, so it can be reused, forms and
-    all, for every repair of that node.
+    row-sum plan's k systematic downloads share one.  A plan is of one of
+    two kinds: a data plan (``_plan_data``) records the rows its helpers
+    send (``_selects``) and runs in the shard layout; a parity plan
+    (``_plan_parity``) has a base and runs symbol-major.  One built by
+    hand or by ``dataclasses.replace`` has no ``_selects``, and without a
+    base ``compute_downloads`` and ``execute_repair`` refuse it.  A plan
+    depends only on the code, its coding matrices and the node, so it can
+    be reused, forms and all, for every repair of that node.
     """
 
     params: CodeParams
@@ -1033,8 +1033,9 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
 
     The plan records the selects of T and Z for the shard layout: every
     other run of 2^b rows, b = k-1-j, for j >= 1; for j = 0, row
-    2m + parity(m) of each pair (2m, 2m+1), and Z the other row.  If A_j
-    sends Z elsewhere, the plan records none and runs symbol-major.
+    2m + parity(m) of each pair (2m, 2m+1), and Z the other row.  A set
+    whose A_j sends Z elsewhere raises ``InconsistentSystemError`` and
+    gets no plan.
     """
     k, n = params.k, params.n_rows
     half = n // 2
@@ -1048,8 +1049,10 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
         sent = (rows & basis_index(params, failed)) == 0
         selects = (_Runs(k - 1 - failed),) * 2
     a_j = cm.matrices[failed]
-    top_rows = np.flatnonzero(sent)
     zigzag = ~sent[a_j.target]
+    if not np.array_equal(zigzag, sent if failed else ~sent):
+        raise InconsistentSystemError(f"the zigzag parity does not send node {failed}'s shard-layout rows")
+    top_rows = np.flatnonzero(sent)
     zig_rows = np.flatnonzero(zigzag)
     position = np.full(n, -1)
     position[top_rows] = np.arange(half)
@@ -1076,8 +1079,7 @@ def _plan_data(params: CodeParams, cm: CodingMatrixSet, failed: int) -> RepairPl
         projectors=projectors,
         solve_inverse=SparseRows.from_permutation(target, sign),
     )
-    if np.array_equal(zigzag, sent if failed else ~sent):
-        object.__setattr__(plan, "_selects", selects)
+    object.__setattr__(plan, "_selects", selects)
     return plan
 
 
@@ -1408,6 +1410,13 @@ def _sum_halves(
     bottom += downloads[plan.bottom_node].view(np.int8)
 
 
+def _check_kind(plan: RepairPlan) -> None:
+    """``ValueError`` unless ``plan`` is a data plan with its planner's
+    selects or a parity plan with a base."""
+    if plan._selects is None and plan.projector_base is None:
+        raise ValueError("a plan runs with its planner's row selects or with a projector base; this one has neither")
+
+
 def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """What each helper transmits: its download applied to its shard.
 
@@ -1418,13 +1427,15 @@ def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict
 
     * a data-node plan selects each helper's rows along the last axis
       (``plan._selects``): C-contiguous (stripes, N/2) downloads;
-    * any other plan transposes each helper's shard once, blocked, into
+    * a parity plan transposes each helper's shard once, blocked, into
       one (2N + 1, stripes) residue-stack buffer, and gathers one whole
       row from it per slot of the download, padding skipped (``_apply``):
       the transposed view of a C-contiguous (N/2, stripes) array.
 
-    ``execute_repair`` takes either back without a copy.
+    ``execute_repair`` takes either back without a copy.  A plan of
+    neither kind raises ``ValueError``.
     """
+    _check_kind(plan)
     missing = [n for n in plan.helper_nodes if n not in payloads]
     if missing:
         raise ValueError(f"payloads missing for helper nodes {missing}")
@@ -1457,24 +1468,24 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
     new C-contiguous array of shape lead + (N,).  Both halves of the
     right-hand side are int8 sums: the top adds the k signed downloads of
     ``top``, the bottom the ``bottom_node`` download and every
-    projector's terms.  The plan's layout decides how:
+    projector's terms.  The plan's kind decides how, and a plan of
+    neither kind raises ``ValueError``:
 
     * a data-node plan works in the shard layout, on C-contiguous
       (stripes, N/2) downloads (any other layout is copied to that once).
       A projector is an XOR word gather, and the solve merges the top with
       the signed bottom into the rows they rebuild (``plan._gathers``).
       Each half sums at most k + 1 terms, which int8 holds up to k = 62.
-    * any other plan works symbol-major, (rows, stripes): a download from
+    * a parity plan works symbol-major, (rows, stripes): a download from
       ``compute_downloads`` is taken back as it is, any other is copied
-      once by ``np.ascontiguousarray``.  With a ``projector_base`` (a
-      parity plan), the projected downloads are summed once, in the top,
-      and the base is applied to that sum from its residue stack; each
-      helper's one-slot part is then a signed row take, with no stack.
-      Without one, each projector is applied to the residue stack of its
-      download.  Every matrix is applied by ``_apply``.  The bottom holds
-      at most k + 1 reduced terms, the top k + 1; one reduction and one
-      apply of ``solve_inverse`` follow, and one transpose back.
+      once by ``np.ascontiguousarray``.  The projected downloads are
+      summed once, in the top, and the base is applied to that sum from
+      its residue stack by ``_apply``; each helper's one-slot part is then
+      a signed row take, with no stack.  The bottom holds at most k + 1
+      reduced terms, the top k + 1; one reduction and one apply of
+      ``solve_inverse`` follow, and one transpose back.
     """
+    _check_kind(plan)
     expected_nodes = set(plan.helper_nodes)
     got = set(downloads)
     if got != expected_nodes:
@@ -1496,23 +1507,17 @@ def execute_repair(plan: RepairPlan, downloads: dict[int, np.ndarray]) -> np.nda
 
     rhs = np.zeros((n, stripes), dtype=np.int8)
     top, bottom = rhs[:half], rhs[half:]
-    buf = np.empty((n + 1, stripes), dtype=np.uint8)
-    if plan.projector_base is None:
-        _sum_halves(plan, sym, top, bottom)
-        for node, m in plan.projectors.items():
-            bottom += _apply(m, _residue_stack(sym[node].T, buf)).view(np.int8)
-    else:
-        # A sum of residues is nonnegative, so ``_mod3`` reduces it in place
-        # before the base's stack copies it.
-        for node in plan.projectors:
-            top += sym[node].view(np.int8)
-        stack = _residue_stack(_mod3(top.view(np.uint8)).T, buf)
-        _sum_halves(plan, sym, top, bottom, summed=plan.projectors)
-        bottom += _apply(plan.projector_base, stack).view(np.int8)
-        for node, gather in plan._one_slot.items():
-            term = np.take(sym[node].view(np.int8), gather.target, axis=0)
-            term *= gather.sign[:, None]
-            bottom += term
+    # A sum of residues is nonnegative, so ``_mod3`` reduces it in place
+    # before the base's stack copies it.
+    for node in plan.projectors:
+        top += sym[node].view(np.int8)
+    stack = _residue_stack(_mod3(top.view(np.uint8)).T, np.empty((n + 1, stripes), dtype=np.uint8))
+    _sum_halves(plan, sym, top, bottom, summed=plan.projectors)
+    bottom += _apply(plan.projector_base, stack).view(np.int8)
+    for node, gather in plan._one_slot.items():
+        term = np.take(sym[node].view(np.int8), gather.target, axis=0)
+        term *= gather.sign[:, None]
+        bottom += term
 
     rhs = reduce_sum(rhs)
     stack = _residue_stack(rhs.T, np.empty((2 * n + 1, stripes), dtype=np.uint8))

@@ -9,10 +9,11 @@ from zigzag3.code import decode_shards_array
 
 
 def extract_file(cluster) -> bytes:
-    """The file a cluster holds, decoded from its first k healthy nodes
-    through read-only views, so a decode that wrote to a payload raises."""
+    """The file a cluster holds, decoded from its first k nodes whose
+    payload is not None through read-only views, so a decode that wrote
+    to a payload raises."""
     views = {}
-    for i in cluster.healthy_nodes[: cluster.params.k]:
-        views[i] = cluster.nodes[i].payload.view()
-        views[i].setflags(write=False)
+    for node in [n for n in cluster.nodes if n.payload is not None][: cluster.params.k]:
+        views[node.node_id] = node.payload.view()
+        views[node.node_id].setflags(write=False)
     return extract(cluster.params, decode_shards_array(cluster.params, cluster.cm, views), cluster.meta)

@@ -221,6 +221,25 @@ def test_verify_detects_injected_fault():
     assert main(["verify", "--k-range", "3..3", "--inject-fault"]) == 2
 
 
+def test_injected_fault_fails_exactly_the_checks_that_read_the_signs(capsys):
+    # One flipped sign in A_1 breaks every check that reads the coding
+    # matrices' signs, and no other: the pair checks at k = 2 have no A_1
+    # term.  io-meters fails on the parity plans, not on the data plans,
+    # whose zigzag rebuild reads only the row structure.
+    assert main(["--format", "json", "verify", "--k-range", "2..6", "--inject-fault"]) == 2
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = {(c["k"], c["name"]) for c in checks if not c["passed"]}
+    every_k = ["mds-ranks", "coding-matrix-equivalence", "encoder-forms", "io-meters"]
+    from_3 = ["repair-conditions-first", "repair-conditions-second", "duality-first"]
+    assert failed == {(k, name) for k in range(2, 7) for name in every_k + from_3 * (k >= 3)}
+    assert len(failed) == 32
+    for c in checks:
+        if c["name"] == "io-meters":
+            assert c["detail"] == (
+                "InconsistentSystemError: parity plans are certified for the paper's coding matrices only"
+            ), c["k"]
+
+
 def test_verify_json_is_machine_parseable(capsys):
     assert main(["--format", "json", "verify", "--k-range", "2..3", "--trials", "3"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -14,7 +14,6 @@ from zigzag3.cluster import (
     SHARD_VERSION,
     ClusterState,
     CorruptDataError,
-    DataLossError,
     FileMeta,
     ShardFormatError,
     _unpack_trits,
@@ -534,19 +533,6 @@ def test_data_node_plan_at_max_k():
     assert extract_file(cl) == b"sixteen"
 
 
-def test_double_data_failure_full_download_then_plan():
-    cl = fresh_cluster(k=4)
-    originals = [n.payload.copy() for n in cl.nodes]
-    cl.fail_node(0)
-    cl.fail_node(2)
-    r1 = cl.repair_node(2)
-    r2 = cl.repair_node(0)
-    assert r1.method == "full-download" and set(r1.stage_seconds) == {"decode", "encode"}
-    assert r2.method == "data-plan" and set(r2.stage_seconds) == {"plan", "downloads", "solve"}
-    for i, orig in enumerate(originals):
-        assert np.array_equal(cl.nodes[i].payload, orig)
-
-
 @pytest.mark.parametrize("k", range(2, 9))
 def test_repairs_and_extract_leave_helper_payloads_unchanged(k):
     # Helpers hand out read-only views, and no repair or decode writes
@@ -565,42 +551,62 @@ def test_repairs_and_extract_leave_helper_payloads_unchanged(k):
         cl.fail_node(node)
         cl.repair_node(node)
         assert_unchanged()
-    cl.fail_node(0)
     cl.fail_node(k + 1)
-    assert cl.repair_node(0).method == "full-download"
-    assert_unchanged(skip=(k + 1,))
-    cl.repair_node(k + 1)
     assert extract_file(cl) == data
-    assert_unchanged()
+    assert_unchanged(skip=(k + 1,))
 
 
-def test_both_parities_fail_reencode():
+def test_repairs_hand_helpers_read_only_views(monkeypatch):
+    # Every repair reads the k+1 other nodes through views that raise on
+    # a write, so no repair can change a helper's stored copy.
+    seen = []
+
+    def downloads(plan, payloads):
+        seen.append((plan.failed_node, {h: x.flags.writeable for h, x in payloads.items()}))
+        return real(plan, payloads)
+
+    real = cluster_module.compute_downloads
+    monkeypatch.setattr(cluster_module, "compute_downloads", downloads)
+    cl = fresh_cluster(k=4)
+    n = cl.params.n_nodes
+    for node in range(n):
+        cl.fail_node(node)
+        cl.repair_node(node)
+    assert seen == [(node, {h: False for h in range(n) if h != node}) for node in range(n)]
+
+
+@pytest.mark.parametrize("first", [0, 2, 3, 4])
+def test_a_second_failure_is_refused(first):
+    # Every repair plan needs all k+1 other nodes, so a cluster holds one
+    # failed node at a time.  The refusal changes nothing, the failed node
+    # still repairs, and then another node may fail.
     cl = fresh_cluster()
     originals = [n.payload.copy() for n in cl.nodes]
-    cl.fail_node(3)
-    cl.fail_node(4)
-    r1 = cl.repair_node(3)
-    r2 = cl.repair_node(4)
-    assert r1.method == "full-download"  # peer parity was down
-    assert r2.method == "parity-plan"  # everything healthy again
-    for i, orig in enumerate(originals):
-        assert np.array_equal(cl.nodes[i].payload, orig)
-
-
-def test_third_failure_refused():
-    cl = fresh_cluster(k=4)
-    cl.fail_node(0)
+    cl.fail_node(first)
+    cl.fail_node(first)  # failing the failed node again is no second failure
+    for other in range(cl.params.n_nodes):
+        if other != first:
+            with pytest.raises(ValueError, match=f"node {first} is already failed"):
+                cl.fail_node(other)
+            assert cl.failed_nodes == [first]
+    assert cl.repair_node(first).matches_expectation
+    assert all(np.array_equal(n.payload, o) for n, o in zip(cl.nodes, originals))
     cl.fail_node(1)
-    with pytest.raises(DataLossError):
-        cl.fail_node(2)
+    assert cl.failed_nodes == [1]
 
 
-def test_repair_healthy_node_is_noop():
+def test_repairing_a_healthy_node_is_refused():
     cl = fresh_cluster()
-    rep = cl.repair_node(0)
-    assert rep.method == "noop" and rep.expected_reads is None
-    assert rep.stage_seconds == {} and rep.reads_per_node == {}
-    assert rep.total_reads == rep.total_sent == 0
+    originals = [n.payload.copy() for n in cl.nodes]
+    for node in range(cl.params.n_nodes):
+        with pytest.raises(ValueError, match=f"node {node} is not failed"):
+            cl.repair_node(node)
+    cl.fail_node(3)
+    with pytest.raises(ValueError, match="node 0 is not failed"):
+        cl.repair_node(0)
+    assert cl.failed_nodes == [3] and cl._plans == {}
+    cl.repair_node(3)
+    assert all(np.array_equal(n.payload, o) for n, o in zip(cl.nodes, originals))
 
 
 @pytest.mark.parametrize("node_id", [-1, -5, 5, 7])
@@ -716,19 +722,14 @@ def test_durability_exhaustive_patterns(k):
     p = CodeParams(k)
     rng = np.random.default_rng(500 + k)
     data = rng.bytes(30)
-    singles = [(i,) for i in range(p.n_nodes)]
-    doubles = list(itertools.combinations(range(p.n_nodes), 2))
-    for pattern in singles + doubles:
-        for order in itertools.permutations(pattern):
-            cl = ClusterState.from_bytes(p, data)
-            before = [n.payload.copy() for n in cl.nodes]
-            for nid in pattern:
-                cl.fail_node(nid)
-            for nid in order:
-                cl.repair_node(nid)
-            for nid in range(p.n_nodes):
-                assert np.array_equal(cl.nodes[nid].payload, before[nid]), (pattern, order)
-            assert extract_file(cl) == data
+    for nid in range(p.n_nodes):
+        cl = ClusterState.from_bytes(p, data)
+        before = [n.payload.copy() for n in cl.nodes]
+        cl.fail_node(nid)
+        cl.repair_node(nid)
+        for i in range(p.n_nodes):
+            assert np.array_equal(cl.nodes[i].payload, before[i]), (nid, i)
+        assert extract_file(cl) == data
 
 
 def test_determinism_same_commands_same_state():
@@ -742,38 +743,3 @@ def test_determinism_same_commands_same_state():
         return [n.payload.tobytes() for n in cl.nodes], reports
 
     assert run() == run()
-
-
-# ---------------------------------------------------------------------------
-# scrub
-# ---------------------------------------------------------------------------
-
-
-def test_scrub_clean_after_encode():
-    assert fresh_cluster().scrub().ok
-
-
-def test_scrub_flags_flipped_parity_symbol():
-    cl = fresh_cluster()
-    payload = cl.nodes[3].payload.copy()
-    payload[0, 2] = (payload[0, 2] + 1) % 3
-    cl.nodes[3].payload = payload
-    assert cl.scrub().mismatches == ((3, 0, 2),)
-
-
-def test_scrub_flipped_systematic_symbol_hits_both_parities():
-    cl = fresh_cluster(k=3)
-    payload = cl.nodes[1].payload.copy()
-    payload[0, 1] = (payload[0, 1] + 1) % 3
-    cl.nodes[1].payload = payload
-    report = cl.scrub()
-    nodes = sorted(node for node, _, _ in report.mismatches)
-    assert nodes == [3, 4]
-    assert len(report.mismatches) == 2
-
-
-def test_scrub_requires_systematic_nodes():
-    cl = fresh_cluster()
-    cl.fail_node(0)
-    with pytest.raises(DataLossError):
-        cl.scrub()

@@ -26,10 +26,6 @@ import zigzag3
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "zigzag3"
 
-# ``ClusterState.scrub``, and the ``ScrubReport`` it returns, wait for a
-# caller: a ``zigzag3 scrub`` command (ROADMAP item 4).
-UNCALLED_METHODS = {"ClusterState.scrub"}
-
 # ``brute_force_min_io(cm=)`` is a test seam: it lets the tests compare the
 # row-space masks with dense ranks on coding matrices the construction
 # does not use.
@@ -83,12 +79,12 @@ def reference_lines(tree: ast.Module) -> tuple[dict[str, set[int]], dict[str, se
     return names, attributes
 
 
-def unused_names(sources: dict[str, str], bench: str, exported=(), exempt=()) -> set[str]:
+def unused_names(sources: dict[str, str], bench: str, exported=()) -> set[str]:
     """``module.name`` and ``module.Class.method`` of every public name in
     ``sources`` (module stem -> source text) that the program does not use.
 
-    Module-level names in ``exported`` and methods in ``exempt``
-    (``Class.method``) count as used, as does any name ``bench`` names.
+    Module-level names in ``exported`` count as used, as does any name
+    ``bench`` names.
     A name used only inside its own definition, or inside that of a
     flagged name, is flagged, until nothing more is.
     """
@@ -103,7 +99,7 @@ def unused_names(sources: dict[str, str], bench: str, exported=(), exempt=()) ->
                 if name not in exported and not re.search(rf"\b{re.escape(name)}\b", bench):
                     candidates.append((f"{stem}.{name}", stem, name, definition_lines(tree, name), 0))
         for cls, name, own in public_methods(tree):
-            if f"{cls}.{name}" not in exempt and not re.search(rf"\b{re.escape(name)}\b", bench):
+            if not re.search(rf"\b{re.escape(name)}\b", bench):
                 candidates.append((f"{stem}.{cls}.{name}", stem, name, own, 1))
     flagged: set[str] = set()
     while True:
@@ -128,7 +124,7 @@ def unused_names(sources: dict[str, str], bench: str, exported=(), exempt=()) ->
 def program_unused() -> set[str]:
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     bench = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
-    return unused_names(sources, bench, zigzag3.__all__, UNCALLED_METHODS)
+    return unused_names(sources, bench, zigzag3.__all__)
 
 
 def test_every_public_name_is_used_by_the_program():
@@ -185,11 +181,11 @@ def test_a_chain_of_test_only_callers_is_flagged():
     # exported, so ``Store`` and ``Store.run`` are used.
     want = {"mod.helper", "mod.leaf", "mod.CONSTANT", "mod.Store.dump", "mod.Store.rows", "mod.Store.size"}
     assert unused_names({"mod": PLANTED}, "", exported={"entry"}) == want
-    # A name the benchmark names, or an exempt method, keeps its callees.
+    # A name the benchmark names keeps its callees.
     assert unused_names({"mod": PLANTED}, "helper()", exported={"entry"}) == want - {
         "mod.helper", "mod.leaf", "mod.CONSTANT"
     }
-    assert unused_names({"mod": PLANTED}, "", exported={"entry"}, exempt={"Store.dump"}) == want - {
+    assert unused_names({"mod": PLANTED}, "dump()", exported={"entry"}) == want - {
         "mod.Store.dump", "mod.Store.rows", "mod.Store.size"
     }
 

@@ -447,22 +447,6 @@ def test_projector_base_needs_one_slot_parts_of_top_helpers():
         dataclasses.replace(plan, projectors={**plan.projectors, 1: plan.projector_base})
 
 
-@pytest.mark.parametrize("k", range(2, 8))
-def test_parity_plan_without_a_base_repairs_alike(k):
-    # Built by hand with each projector merged with the base, a parity
-    # plan applies every projector to its download's residue stack, and
-    # rebuilds the same shard.
-    p, cm = setup_k(k)
-    shards = encode_parts_array(p, cm, np.random.default_rng(60 + k).integers(0, 3, (k, 21, p.n_rows), dtype=np.uint8))
-    for failed in (k, k + 1):
-        plan = plan_repair(p, cm, failed)
-        projectors = {l: SparseRows.from_dense(add(plan.projector_base.array, m.array)) for l, m in plan.projectors.items()}
-        hand = RepairPlan(p, failed, plan.downloads, plan.top, plan.bottom_node, projectors, plan.solve_inverse)
-        assert hand.projector_base is None
-        downloads = compute_downloads(hand, {h: shards[h] for h in hand.helper_nodes})
-        assert np.array_equal(execute_repair(hand, downloads), shards[failed]), (k, failed)
-
-
 # ---------------------------------------------------------------------------
 # executing repairs
 # ---------------------------------------------------------------------------
@@ -809,21 +793,28 @@ def test_data_node_repair_on_flipped_sign(k):
 
 
 @pytest.mark.parametrize("k", range(2, 7))
-def test_data_plans_on_other_row_orders_run_symbol_major(k):
+def test_data_plans_on_other_row_orders_are_refused(k):
     # Every coding matrix with its rows reversed still has a zigzag
-    # rebuild, but its zigzag parity sends other rows: the other runs for
-    # j >= 1, and for node 0 at even k the even-weight rows.  Such a plan
-    # records no select, runs symbol-major, and rebuilds exactly.
+    # rebuild, but its zigzag parity sends other rows than the shard
+    # layout selects: the other runs for j >= 1, and for node 0 at even k
+    # the even-weight rows.  The planner refuses those nodes.  At odd k,
+    # reversing keeps each row's weight parity, so node 0's zigzag parity
+    # still sends the odd rows: that plan selects them and rebuilds
+    # exactly.  The set is not the paper's, so both parities are refused.
     p, cm = setup_k(k)
     other = CodingMatrixSet(p, tuple(SignedPermutation(a.target[::-1], a.sign[::-1]) for a in cm.matrices))
     parts = np.random.default_rng(850 + k).integers(0, 3, size=(k, 6, p.n_rows), dtype=np.uint8)
     shards = np.concatenate([parts, parts.sum(axis=0, keepdims=True) % 3,
                              second_parity_by_matrices(other, parts)[None]])
-    for failed in range(k):
-        plan = plan_repair(p, other, failed)
-        assert (plan._selects is None) == (failed > 0 or k % 2 == 0), (k, failed)
-        downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
-        assert np.array_equal(execute_repair(plan, downloads), shards[failed]), (k, failed)
+    for failed in range(p.n_nodes):
+        if failed == 0 and k % 2:
+            plan = plan_repair(p, other, failed)
+            assert plan._selects is not None
+            downloads = compute_downloads(plan, {h: shards[h] for h in plan.helper_nodes})
+            assert np.array_equal(execute_repair(plan, downloads), shards[failed]), k
+            continue
+        with pytest.raises(InconsistentSystemError, match="shard-layout rows" if failed < k else "paper's"):
+            plan_repair(p, other, failed)
 
 
 # Stripe counts of the shard-layout equivalence test: 2,624 is the 512 KiB
@@ -955,8 +946,8 @@ def test_data_plan_forms_agree_with_their_rows(k):
 def relabeled_plan(plan, order):
     """``plan`` for shards whose rows are relabeled, row r moving to
     order[r]: the downloads read the moved rows, and the solve writes
-    them.  No download is then a run select, so the plan runs
-    symbol-major."""
+    them.  Built by hand, it has neither the planner's selects nor a
+    projector base."""
     n = plan.params.n_rows
     downloads = {h: SparseRows(order[m.slots], n) for h, m in plan.downloads.items()}
     solve = np.empty_like(plan.solve_inverse.slots)
@@ -967,22 +958,35 @@ def relabeled_plan(plan, order):
 
 
 @pytest.mark.parametrize("k", range(2, 8))
-def test_other_one_slot_forms_run_symbol_major(k):
-    # Rows in reverse order: every selection descends, and so do the solve
-    # rows that read the top half.  A plan built by hand, or replaced, has
-    # no recorded form, so it runs symbol-major.
+def test_plans_of_neither_kind_are_refused(k, monkeypatch):
+    # A plan built by hand (a data plan with its rows relabeled), or by
+    # ``dataclasses.replace`` of any plan, has no selects; without a base
+    # it is neither a data plan nor a parity plan.  Both steps refuse it
+    # with ``ValueError`` before any kernel runs.
     p, cm = setup_k(k)
-    rng = np.random.default_rng(950 + k)
-    shards = encode_parts_array(p, cm, rng.integers(0, 3, size=(k, 33, p.n_rows), dtype=np.uint8))
+    shards = encode_parts_array(p, cm, np.random.default_rng(950 + k).integers(0, 3, (k, 33, p.n_rows), dtype=np.uint8))
     order = np.arange(p.n_rows)[::-1]
-    moved = shards[..., ::-1].copy()
-    for failed in range(k):
-        plan = relabeled_plan(plan_repair(p, cm, failed), order)
-        assert plan._selects is None
-        assert dataclasses.replace(plan_repair(p, cm, failed), top=dict(plan.top))._selects is None
-        downloads = compute_downloads(plan, {h: moved[h] for h in plan.helper_nodes})
-        assert np.array_equal(execute_repair(plan, downloads), moved[failed]), (k, failed)
-        assert "_gathers" not in vars(plan)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel called")
+
+    for failed in range(p.n_nodes):
+        plan = plan_repair(p, cm, failed)
+        payloads = {h: shards[h] for h in plan.helper_nodes}
+        downloads = compute_downloads(plan, payloads)
+        with monkeypatch.context() as m:
+            for name in ("residues", "_transpose", "_residue_stack", "_apply", "_sum_halves"):
+                m.setattr(repair, name, refuse)
+            hands = [dataclasses.replace(plan, projector_base=None)]
+            if failed < k:
+                hands.append(relabeled_plan(plan, order))
+            for hand in hands:
+                assert hand._selects is None and hand.projector_base is None
+                with pytest.raises(ValueError, match="neither"):
+                    compute_downloads(hand, payloads)
+                with pytest.raises(ValueError, match="neither"):
+                    execute_repair(hand, downloads)
+                assert "_gathers" not in vars(hand) and "_one_slot" not in vars(hand)
 
 
 @pytest.mark.parametrize("cols", [1, 2, 4, 8, 16, 64])
