@@ -175,7 +175,7 @@ class SignedPermutation:
     O(N^2) for the dense form.  ``A @ B`` composes two of them.
     """
 
-    __slots__ = ("target", "sign", "_xor", "_sign_line")
+    __slots__ = ("target", "sign", "_xor", "_sign_line", "_hash")
 
     def __init__(self, target, sign):
         target = np.asarray(target, dtype=np.int64)
@@ -193,6 +193,7 @@ class SignedPermutation:
         self.sign = sign
         self._xor = None
         self._sign_line = None
+        self._hash = None
 
     @property
     def size(self) -> int:
@@ -261,7 +262,10 @@ class SignedPermutation:
         return np.array_equal(self.target, other.target) and np.array_equal(self.sign, other.sign)
 
     def __hash__(self) -> int:
-        return hash((self.target.tobytes(), self.sign.tobytes()))
+        # The arrays are read-only, so the hash is found once and kept.
+        if self._hash is None:
+            self._hash = hash((self.target.tobytes(), self.sign.tobytes()))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"SignedPermutation(target={self.target.tolist()}, sign={self.sign.tolist()})"

@@ -259,10 +259,22 @@ class SparseRows:
         return self._columns
 
 
+# A sweep k keeps each permutation's slot image up to this N (32 KiB an
+# image).  Past it, one costs little beside the products it maps, and the
+# k + 1 images of k = 16 raised the sweep's peak by 8.5 MiB.
+_KEPT_IMAGE_N = 1 << 10
+
+
 def _slot_image(p: SignedPermutation) -> np.ndarray:
-    """Where ``SparseRows.times`` sends each slot over p.size columns."""
+    """Where ``SparseRows.times`` sends each slot over p.size columns,
+    found once per permutation in a ``_sharing`` block up to
+    ``_KEPT_IMAGE_N``."""
     n = p.size
-    return np.concatenate([p.target + n * (p.sign < 0), p.target + n * (p.sign > 0), [2 * n]])
+
+    def image():
+        return np.concatenate([p.target + n * (p.sign < 0), p.target + n * (p.sign > 0), [2 * n]])
+
+    return _shared(("slot image", p), image) if n <= _KEPT_IMAGE_N else image()
 
 
 def _permutation_slots(target, sign) -> np.ndarray:
@@ -332,21 +344,21 @@ class _Terms:
         return self.key & 3
 
 
+def _term_table(n: int) -> np.ndarray:
+    """The low bits of a term key, column << 2 | value, for each of the
+    2n + 1 slots over n columns; 0 for padding."""
+    column = np.arange(n) << 2
+    return np.concatenate([column | 1, column | 2, [0]])
+
+
 def _terms(slots: np.ndarray, n: int) -> _Terms:
     """The terms of a slot array over n columns, one per slot that is not
-    padding, in row order; a row may name a column more than once."""
+    padding, in row order; a row may name a column more than once.  The
+    table of their low bits is made once per ``_sharing`` block."""
     rows = slots.shape[0]
-    low = np.concatenate([(np.arange(n) << 2) | 1, (np.arange(n) << 2) | 2, [0]])
+    low = _shared(("term table", n), lambda: _term_table(n))
     key = np.take(low, slots) | (np.arange(rows) << _shift(n))[:, None]
     return _Terms(rows, n, key[slots < 2 * n])
-
-
-def _stacked(blocks: list[_Terms]) -> _Terms:
-    """Terms of one column count stacked as row blocks."""
-    offsets = np.cumsum([0] + [t.rows for t in blocks])
-    shift = blocks[0].shift
-    key = np.concatenate([t.key + (int(o) << shift) for t, o in zip(blocks, offsets)])
-    return _Terms(int(offsets[-1]), blocks[0].cols, key)
 
 
 def _summed(t: _Terms) -> _Terms:
@@ -355,22 +367,16 @@ def _summed(t: _Terms) -> _Terms:
 
     One ``np.sort`` of the keys lines equal (row, column) cells up, and
     one ``np.add.reduceat`` adds their values mod 3; what cancels is
-    dropped.
+    dropped.  Two keys name one cell when they differ only in the value
+    bits, so no array of cells is formed.
     """
     key = np.sort(t.key)
-    cell = key >> 2
-    start = np.flatnonzero(np.concatenate([[True], cell[1:] != cell[:-1]]))
+    start = np.flatnonzero(np.concatenate([[True], (key[1:] ^ key[:-1]) > 3]))
     if start.size >= key.size:  # no cell repeats (or no terms)
         return _Terms(t.rows, t.cols, key)
     total = np.add.reduceat(key & 3, start) % 3
-    return _Terms(t.rows, t.cols, (cell[start[total != 0]] << 2) | total[total != 0])
-
-
-def _merged(t: _Terms) -> SparseRows:
-    """The ``SparseRows`` of a sum of terms, each row in ascending column
-    order."""
-    t = _summed(t)
-    return _pack(t.rows, t.cols, t.r, t.c, t.v)
+    kept = total != 0
+    return _Terms(t.rows, t.cols, (key[start[kept]] & ~3) | total[kept])
 
 
 def _combined(parts: list[_Terms], combos) -> _Terms:
@@ -386,10 +392,12 @@ def _combined(parts: list[_Terms], combos) -> _Terms:
     return _summed(_Terms(len(combos) * rows, parts[0].cols, np.concatenate(keys)))
 
 
-def _part(t: _Terms, i: int, rows: int) -> _Terms:
-    """Block i of ``rows`` rows of summed terms, renumbered from row 0."""
-    lo, hi = np.searchsorted(t.key, np.array([i, i + 1]) * rows << t.shift)
-    return _Terms(rows, t.cols, t.key[lo:hi] - (i * rows << t.shift))
+def _parts(t: _Terms, rows: int, blocks) -> list[_Terms]:
+    """Blocks ``blocks`` of ``rows`` rows of summed terms, each renumbered
+    from row 0; one ``np.searchsorted`` finds them all."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    bounds = np.searchsorted(t.key, np.stack([blocks, blocks + 1]) * rows << t.shift).T.tolist()
+    return [_Terms(rows, t.cols, t.key[lo:hi] - (int(i) * rows << t.shift)) for i, (lo, hi) in zip(blocks, bounds)]
 
 
 def _gathered(a: _Terms, b: _Terms) -> _Terms:
@@ -471,7 +479,12 @@ def _build_recursion(k: int, variant: str) -> tuple[SparseRows, SparseRows]:
         slots = np.concatenate([top, np.where(bottom < pad, bottom + n, pad)], axis=1)
         e = np.concatenate([e, e[::-1] + n], axis=1)
         n *= 2
-    return _merged(_terms(slots[0], n_final)), _merged(_terms(slots[1], n_final))
+    # Each row in ascending column order, padding last, as one sort of
+    # both matrices; a slot names column slot mod N.
+    column = np.where(slots < pad, slots % n_final, n_final)
+    slots = np.take_along_axis(slots, np.argsort(column, axis=-1, kind="stable"), axis=-1)
+    width = np.count_nonzero(slots < pad, axis=-1).max(axis=-1).tolist()
+    return SparseRows(slots[0, :, : width[0]], n_final), SparseRows(slots[1, :, : width[1]], n_final)
 
 
 def build_repair_pair(k: int, variant: str) -> RepairMatrixPair:
@@ -548,8 +561,9 @@ def _eliminate(s: SparseRows, pivots: _Pivots, t: _Terms) -> tuple[_Terms, _Term
     """
     q = pivots.row_of[t.c]
     on = q >= 0
-    flip = 3 * (pivots.sign[q[on]] == 2)
-    x = _Terms.of(t.rows, s.rows, t.r[on], q[on], t.v[on] ^ flip)
+    key, q = t.key[on], q[on]
+    flip = 3 * (pivots.sign[q] == 2)
+    x = _Terms.of(t.rows, s.rows, key >> t.shift, q, (key & 3) ^ flip)
     xs = _gathered(_Terms(x.rows, x.cols, x.key ^ 3), pivots.rest)
     residual = _summed(_Terms(t.rows, s.cols, np.concatenate([t.key[~on], xs.key])))
     return _summed(x), residual
@@ -593,8 +607,9 @@ def _block_ranks(t: _Terms, rows: int) -> list[int]:
     per_row = np.bincount(r, minlength=t.rows).reshape(blocks, rows).max(axis=1, initial=0)
     per_col = np.bincount(b * t.cols + c, minlength=blocks * t.cols).reshape(blocks, t.cols).max(axis=1, initial=0)
     ranks = np.bincount(b, minlength=blocks).tolist()
-    for i in np.flatnonzero((per_row > 1) | (per_col > 1)):
-        ranks[i] = _rank(_part(t, i, rows))
+    failing = np.flatnonzero((per_row > 1) | (per_col > 1))
+    for i, block in zip(failing, _parts(t, rows, failing)):
+        ranks[i] = _rank(block)
     return ranks
 
 
@@ -610,20 +625,21 @@ _BATCH_ENTRIES = 1 << 15
 
 # What the checks of one sweep k share (``_sharing``): its repair pairs,
 # by (N, variant); per pair, by (s, s_tilde), the X and R of every
-# product s_tilde P reduced so far, by P; and by the matrix itself, the
-# unit-column pivots of each matrix reduced against so far.
+# product s_tilde P reduced so far, by P; and what ``_shared`` keeps by
+# its keys: the unit-column pivots of each matrix reduced against, each
+# coding set's conditions and each permutation's slot image.
 _SHARED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_SHARED", default=None)
 
 
 @contextlib.contextmanager
 def _sharing(pairs: list[RepairMatrixPair]) -> Iterator[None]:
-    """Share ``pairs``, which parity plans take instead of building their
-    own, and their pivots and reductions among the calls made inside.  The
-    first call that reduces a product s_tilde P of a pair pays for it and
-    keeps X and R; later calls read them, and the check of the pair's
-    parity plan (``_check_parity_plan``), their last reader, takes them
-    away.  A reduction that raises is not kept, so each caller that needs
-    it fails on its own.  Nothing outlives the block."""
+    """Share ``pairs``, which parity-plan checks take instead of building
+    their own, and their pivots and reductions among the calls made
+    inside.  The first call that reduces a product s_tilde P of a pair
+    pays for it and keeps X and R; later calls read them, and the check
+    of the pair's parity plan (``_check_parity_plan``), their last reader,
+    takes them away.  A reduction that raises is not kept, so each caller
+    that needs it fails on its own.  Nothing outlives the block."""
     token = _SHARED.set({(p.s.cols, p.variant): p for p in pairs} | {(p.s, p.s_tilde): {} for p in pairs})
     try:
         yield
@@ -631,14 +647,27 @@ def _sharing(pairs: list[RepairMatrixPair]) -> Iterator[None]:
         _SHARED.reset(token)
 
 
-def _pivots_of(s: SparseRows) -> _Pivots:
-    """``_unit_pivots`` of ``s``, found once per ``_sharing`` block."""
+def _shared(key, make):
+    """``make()``, made once per ``_sharing`` block and kept under ``key``
+    (a key compares what it names by value, or a matrix by identity);
+    outside a block, made on every call."""
     shared = _SHARED.get()
     if shared is None:
-        return _unit_pivots(s)
-    if s not in shared:
-        shared[s] = _unit_pivots(s)
-    return shared[s]
+        return make()
+    if key not in shared:
+        shared[key] = make()
+    return shared[key]
+
+
+def _of_set(cm: CodingMatrixSet, what: str, make):
+    """``_shared`` for the coding set ``cm``, kept by its identity (faster
+    to hash than its k matrices) with the set, which holds that identity."""
+    return _shared((what, id(cm)), lambda: (cm, make()))[1]
+
+
+def _pivots_of(s: SparseRows) -> _Pivots:
+    """``_unit_pivots`` of ``s``, found once per ``_sharing`` block."""
+    return _shared(s, lambda: _unit_pivots(s))
 
 
 def _reductions(
@@ -652,17 +681,24 @@ def _reductions(
     of them is formed at once.  Every m P has the terms of m, and the
     widest row of s_C bounds the terms of X s_C each term forms, so a
     batch of max(1, ``_BATCH_ENTRIES`` // cost) products forms at most
-    ``_BATCH_ENTRIES`` of them (a product over it goes alone)."""
+    ``_BATCH_ENTRIES`` of them (a product over it goes alone).  A batch
+    is one ``np.take`` of the slots of m through its stacked slot images,
+    and ``_parts`` splits its X and R per product."""
     shared = _SHARED.get() or {}
     memo = (shared.pop if take else shared.get)((s, m), {})
     todo = [p for p in dict.fromkeys(perms) if p not in memo]
+    if not todo:
+        return [memo[p] for p in perms]
     half = s.rows
     per_term = max(1, int(np.bincount(pivots.rest.r, minlength=half).max(initial=0)))
     step = max(1, _BATCH_ENTRIES // max(1, int(np.count_nonzero(m.slots < 2 * m.cols)) * per_term))
     for i in range(0, len(todo), step):
         batch = todo[i : i + step]
-        x, residual = _eliminate(s, pivots, _stacked([_terms(m.times(p).slots, m.cols) for p in batch]))
-        memo.update((p, (_part(x, j, half), _part(residual, j, half))) for j, p in enumerate(batch))
+        images = np.stack([_slot_image(p) for p in batch])
+        slots = np.take(images, m.slots, axis=1).reshape(-1, m.slots.shape[1])
+        x, residual = _eliminate(s, pivots, _terms(slots, m.cols))
+        every = range(len(batch))
+        memo.update(zip(batch, zip(_parts(x, half, every), _parts(residual, half, every))))
     return [memo[p] for p in perms]
 
 
@@ -680,8 +716,9 @@ def _stacked_ranks(s: SparseRows, m: SparseRows, perms: list[SignedPermutation],
     return [s.rows + r for r in _block_ranks(residual, s.rows)]
 
 
-def _stacked_inverse(s: SparseRows, pivots: _Pivots, m: _Terms, schur: _Terms) -> SparseRows:
-    """Inverse of the square stack(s, base), from its Schur factors.
+def _stacked_inverse(s: SparseRows, pivots: _Pivots, m: _Terms, schur: _Terms) -> _Terms:
+    """Inverse of the square stack(s, base), from its Schur factors, as
+    summed terms.
 
     ``m`` = M = base_U diag(d) and ``schur`` = S = base - M s are what
     ``_eliminate`` returns for ``base``; S lives on the columns C off the
@@ -712,7 +749,7 @@ def _stacked_inverse(s: SparseRows, pivots: _Pivots, m: _Terms, schur: _Terms) -
     # Row u_q takes -d_q s[q, c] times row c of y, and d_q at column q.
     moved = _Terms.of(n, n, pivots.unit[rest.r], rest.c, rest.v ^ (3 * (d[rest.r] == 1)))
     pivot_rows = _Terms.of(n, n, pivots.unit, np.arange(half), d)
-    return _merged(_Terms(n, n, np.concatenate([y.key, _gathered(moved, y).key, pivot_rows.key])))
+    return _summed(_Terms(n, n, np.concatenate([y.key, _gathered(moved, y).key, pivot_rows.key])))
 
 
 # ---------------------------------------------------------------------------
@@ -750,11 +787,19 @@ def _conditions(cm: CodingMatrixSet, variant: str) -> tuple[list[SignedPermutati
     combine, and each condition's combination as (index, sign) pairs:
     m A_0^(+-1) for full rank, then m (I - A_l) for the row-sum parity
     and m (I + A_l) for the zigzag parity, l = 1..k-1 (A_0^-1 - A_l^-1 =
-    I + A_l since A_l squares to -I)."""
-    a0 = cm.matrices[0] if variant == FIRST_PARITY else cm.matrices[0].inverse()
-    perms = [SignedPermutation.identity(cm.params.n_rows), a0, *cm.matrices[1:]]
-    sign = -1 if variant == FIRST_PARITY else 1
-    return perms, [((1, 1),)] + [((0, 1), (l + 1, sign)) for l in range(1, cm.params.k)]
+    I + A_l since A_l squares to -I).  Inside ``_sharing`` they are made
+    once per coding set and variant; callers do not change them."""
+
+    def conditions():
+        identity = SignedPermutation.identity(cm.params.n_rows)
+        a0 = cm.matrices[0] if variant == FIRST_PARITY else cm.matrices[0].inverse()
+        # An A_0 equal to I (the paper's) is I itself, so looking up its
+        # product finds I's by identity, with no comparison of entries.
+        perms = [identity, identity if a0 == identity else a0, *cm.matrices[1:]]
+        sign = -1 if variant == FIRST_PARITY else 1
+        return perms, [((1, 1),)] + [((0, 1), (l + 1, sign)) for l in range(1, cm.params.k)]
+
+    return _of_set(cm, f"conditions {variant}", conditions)
 
 
 def _condition_report(variant: str, n: int, ranks: list[int]) -> ConditionReport:
@@ -822,7 +867,9 @@ def verify_duality(pair: RepairMatrixPair, cm: CodingMatrixSet) -> DualityReport
     ranks = _stacked_ranks(pair.s_tilde, pair.s, perms, combos + lhs_combos)
     lhs = ranks[k:] if lhs_combos else ranks[1:]
     swapped_report = _condition_report(swapped.variant, cm.params.n_rows, ranks[:k])
-    perms = [SignedPermutation.identity(cm.params.n_rows), *cm.matrices[1:]]
+    # I and the A_l of the pair's own conditions, whose products are reduced.
+    perms = _conditions(cm, pair.variant)[0]
+    perms = [perms[0], *perms[2:]]
     rhs = _stacked_ranks(pair.s, pair.s_tilde, perms, [((0, 1), (l, -1)) for l in range(1, k)])
     equalities = tuple(RankEquality(l, lhs[l - 1], rhs[l - 1]) for l in range(1, k))
     return DualityReport(swapped_report, equalities)
@@ -867,10 +914,9 @@ def _propagation_violations(
     columns = _summed(_Terms.of(other.cols, other.rows, t.c, t.r, t.v))
     out = []
     for i in zero_cols:
-        base = _part(columns, i, 1).key
-        for l in range(1, params.k):
-            j = i ^ basis_index(params, l)
-            col = _part(columns, j, 1).key
+        flipped = [i ^ basis_index(params, l) for l in range(1, params.k)]
+        base, *cols = (c.key for c in _parts(columns, 1, [i, *flipped]))
+        for l, (j, col) in enumerate(zip(flipped, cols), 1):
             if not (np.array_equal(col, base) or np.array_equal(col, base ^ 3)):
                 out.append(f"{label}: column {j} is not +-column {i} (flip l={l})")
     return out
@@ -1116,7 +1162,7 @@ def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> Repair
     certificate: the sweep's ``io-meters`` check compares every parity
     plan with it (``_check_parity_plan``), downloads included.
     """
-    if not _is_paper_set(cm):
+    if not _of_set(cm, "paper set", lambda: _is_paper_set(cm)):
         raise InconsistentSystemError("parity plans are certified for the paper's coding matrices only")
     k = params.k
     half = params.n_rows // 2
@@ -1130,16 +1176,17 @@ def _plan_parity(params: CodeParams, cm: CodingMatrixSet, failed: int) -> Repair
         downloads = {j: s.times(cm.matrices[j]) for j in range(k)}
     downloads[surviving] = s_tilde
     even = np.flatnonzero(~_odd_weight(np.arange(params.n_rows)))
+    # All k - 1 one-slot parts at once: c A_l's sign at the pair A_l sends each even row to.
+    targets = np.stack([a.target[even] for a in cm.matrices[1:]])
+    signs = np.stack([a.sign[even] for a in cm.matrices[1:]])
+    parts = (targets >> 1) + half * (signs * -sigma < 0)
     return RepairPlan(
         params=params,
         failed_node=failed,
         downloads=downloads,
         top={j: 1 for j in range(k)},
         bottom_node=surviving,
-        projectors={
-            l: SparseRows(((a.target[even] >> 1) + half * (a.sign[even] * -sigma < 0))[:, None], half)
-            for l, a in enumerate(cm.matrices[1:], 1)
-        },
+        projectors={l: SparseRows(part[:, None], half) for l, part in enumerate(parts, 1)},
         solve_inverse=solve,
         projector_base=base,
     )
@@ -1166,8 +1213,7 @@ def _closed_form(k: int, sigma: int) -> tuple[SparseRows, SparseRows, SparseRows
     half = n // 2
     u = np.arange(n)
     keep = np.ones((n, k), dtype=bool)
-    for b in range(k - 1):
-        keep[:, b + 1] = ((u >> b) & 1) == 0
+    keep[:, 1:] = ((u[:, None] >> np.arange(k - 1)) & 1) == 0
     r, t = np.nonzero(keep)
     bit = (1 << t) >> 1  # 2^b at t = b + 1, 0 on the diagonal
     minus = (t > 0) & (_odd_weight(r & (bit - 1)) ^ (sigma < 0))  # C is (-1)^popcount(u mod 2^b)
@@ -1220,10 +1266,12 @@ def _check_parity_plan(plan: RepairPlan, cm: CodingMatrixSet) -> list[str]:
     # are in merged order as they stand.
     parts = _terms(np.concatenate([plan.projectors[l].slots for l in range(1, k)]), half)
     found = []
-    downloads = {j: pair.s if variant == FIRST_PARITY else pair.s.times(cm.matrices[j]) for j in range(k)}
-    downloads[plan.bottom_node] = pair.s_tilde
-    if plan.downloads.keys() != downloads.keys() or not all(
-        np.array_equal(plan.downloads[h].slots, m.slots) for h, m in downloads.items()
+    # s A_j has the slots of s through A_j's slot image, formed one at a time.
+    zigzag = variant == SECOND_PARITY
+    systematic = (np.take(_slot_image(a), pair.s.slots) if zigzag else pair.s.slots for a in cm.matrices)
+    downloads = itertools.chain(enumerate(systematic), [(plan.bottom_node, pair.s_tilde.slots)])
+    if plan.downloads.keys() != {*range(k), plan.bottom_node} or not all(
+        np.array_equal(plan.downloads[h].slots, slots) for h, slots in downloads
     ):
         found.append("downloads")
     if not np.array_equal(_terms(plan.projector_base.slots, half).key, xs[0].key):
@@ -1231,7 +1279,7 @@ def _check_parity_plan(plan: RepairPlan, cm: CodingMatrixSet) -> list[str]:
     if not np.array_equal(parts.key, _combined(xs, [combo[1:] for combo in combos[1:]]).key):
         found.append("one-slot projectors")
     inverse = plan.solve_inverse
-    if not np.array_equal(_summed(_terms(inverse.slots, inverse.cols)).key, _terms(solve.slots, solve.cols).key):
+    if not np.array_equal(_summed(_terms(inverse.slots, inverse.cols)).key, solve.key):
         found.append("solve inverse")
     return found
 

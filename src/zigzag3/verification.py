@@ -5,13 +5,15 @@ two coding-matrix constructions, the encoder's two parity formulas on
 random data, both variants' repair rank conditions, the swap duality, the
 zero-column census/propagation behind the I/O counts, and the I/O meter
 formulas on a repair plan for every node.  Each check records its
-wall-clock seconds.  A fault hook lets tests corrupt the coding matrices
-and watch the sweep object.
+wall-clock seconds, and each k its set-up seconds: its coding matrices
+and both repair pairs, built once, before the checks.  A k's set-up and
+check seconds tile its wall time, each span starting where the one before
+it ended.  A fault hook lets tests corrupt the coding matrices and watch
+the sweep object.
 
-Per k, both repair pairs are built once, before the checks and outside
-their seconds, and each product s_tilde P of a pair is reduced against the
-pivots of s once (``repair._sharing``): the repair-conditions check pays
-for it, and the pair's duality check and the io-meters check reuse it.
+Each product s_tilde P of a pair is reduced against the pivots of s once
+per k (``repair._sharing``): the repair-conditions check pays for it, and
+the pair's duality check and the io-meters check reuse it.
 Parity plans are built in closed form, with no elimination; io-meters
 compares each with what those reductions give (``_check_parity_plan``).
 """
@@ -70,6 +72,8 @@ class SweepReport:
     trials: int
     seed: int
     checks: tuple[SweepCheck, ...]
+    # Per k of ``k_values``, the seconds spent before its first check.
+    setup_seconds: tuple[float, ...] = field(default=(), compare=False)
 
     @property
     def passed(self) -> bool:
@@ -85,6 +89,7 @@ class SweepReport:
             "trials": self.trials,
             "seed": self.seed,
             "passed": self.passed,
+            "setup_seconds": [{"k": k, "seconds": s} for k, s in zip(self.k_values, self.setup_seconds)],
             "checks": [c.to_dict() for c in self.checks],
         }
 
@@ -175,23 +180,32 @@ def run_sweep(
         raise ValueError(f"run_sweep needs at least one k and trials >= 1, got k={k_values}, trials={trials}")
     rng = np.random.default_rng(seed)
     checks: list[SweepCheck] = []
+    setup: list[float] = []
+    # Where the span being timed began: each span ends at the next reading.
+    mark = 0.0
+
+    def lap() -> float:
+        nonlocal mark
+        start, mark = mark, time.perf_counter()
+        return mark - start
 
     def record(k: int, name: str, fn) -> None:
         # A corrupted matrix set may violate a precondition deep inside a
         # check; that is a failure to report, not a crash.
-        start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # noqa: BLE001
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        checks.append(SweepCheck(k, name, ok, detail, time.perf_counter() - start))
+        checks.append(SweepCheck(k, name, ok, detail, lap()))
 
     for k in k_values:
+        lap()
         params = CodeParams(k)
         cm = build_coding_matrices(params)
         if fault_hook is not None:
             cm = fault_hook(cm)
         pairs = [build_repair_pair(k, variant) for variant in (FIRST_PARITY, SECOND_PARITY)]
+        setup.append(lap())
         with _sharing(pairs):
             def check_mds():
                 mds = verify_mds(cm)
@@ -229,4 +243,4 @@ def run_sweep(
 
             record(k, "io-meters", lambda: _check_meters(params, cm))
             record(k, "alt-seed-census", lambda: _check_alt_seed_census(params, pairs[0]))
-    return SweepReport(k_values, trials, seed, tuple(checks))
+    return SweepReport(k_values, trials, seed, tuple(checks), tuple(setup))

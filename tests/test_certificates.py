@@ -10,7 +10,9 @@ must equal what each check reports on its own.
 
 import contextlib
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,8 +193,8 @@ def test_flipped_sign_reports_fail():
 
 def without_seconds(report):
     out = report.to_dict()
-    for check in out["checks"]:
-        assert check.pop("seconds") >= 0
+    for timed in out["checks"] + out.pop("setup_seconds"):
+        assert timed.pop("seconds") >= 0
     return out
 
 
@@ -257,6 +259,26 @@ def a0_three_cycle(cm):
     target = cm.matrices[0].target.copy()
     target[:3] = target[[1, 2, 0]]
     return with_a0(cm, target, cm.matrices[0].sign)
+
+
+SWEEP_FIXTURE = Path(__file__).resolve().parent / "fixtures" / "sweep.json"
+
+
+def sweep_rows(report):
+    """(k, name, passed, detail) of every check, as JSON lists; the
+    seconds vary from run to run and are left out."""
+    return [[c.k, c.name, c.passed, c.detail] for c in report.checks]
+
+
+def test_sweep_reports_what_the_fixture_pins():
+    # Every check's verdict and detail, healthy at k = 2..9 and with one
+    # flipped sign at k = 2..6, equal what `fixtures/sweep.json` pins:
+    # a faster sweep computes and reports the same.  The fixture is
+    # {"healthy": sweep_rows(run_sweep(range(2, 10))),
+    #  "flipped": sweep_rows(run_sweep(range(2, 7), fault_hook=flip_one_sign))}.
+    want = json.loads(SWEEP_FIXTURE.read_text())
+    assert sweep_rows(run_sweep(range(2, 10))) == want["healthy"]
+    assert sweep_rows(run_sweep(range(2, 7), fault_hook=flip_one_sign)) == want["flipped"]
 
 
 @pytest.mark.parametrize("fault_hook", [None, flip_one_sign], ids=["healthy", "flipped"])
@@ -387,6 +409,28 @@ def test_reductions_stack_a_fixed_number_of_products(k, monkeypatch):
     assert split
 
 
+@pytest.mark.parametrize("batch_entries", [repair._BATCH_ENTRIES, 1], ids=["default", "one-per-batch"])
+@pytest.mark.parametrize("k", range(2, 10))
+def test_batched_reductions_equal_each_product_alone(k, batch_entries, monkeypatch):
+    # `_reductions` forms a batch's products by one take of their stacked
+    # slot images and splits X and R per product.  Each must equal the
+    # reduction of that product alone, formed by `SparseRows.times`: every
+    # product of both variants' conditions (the duality check reduces the
+    # other variant's), against either matrix of either pair, healthy and
+    # with a flipped sign, in the default batches and one product a time.
+    monkeypatch.setattr(repair, "_BATCH_ENTRIES", batch_entries)
+    for cm in coding_sets(k).values():
+        perms = list(dict.fromkeys(p for variant in VARIANTS for p in _conditions(cm, variant)[0]))
+        for pair in (build_repair_pair(k, variant) for variant in VARIANTS):
+            for s, m in ((pair.s, pair.s_tilde), (pair.s_tilde, pair.s)):
+                pivots = _unit_pivots(s)
+                for p, got in zip(perms, repair._reductions(s, pivots, m, perms)):
+                    want = repair._eliminate(s, pivots, repair._terms(m.times(p).slots, m.cols))
+                    for g, w in zip(got, want):
+                        assert (g.rows, g.cols) == (w.rows, w.cols)
+                        assert np.array_equal(g.key, w.key), (k, pair.variant, s is pair.s)
+
+
 def test_shared_reductions_end_with_the_sweep():
     # Outside a sweep nothing is kept; inside, the check of a pair's plan
     # takes them, and the plan itself reads none.
@@ -492,6 +536,27 @@ def test_io_meters_catch_a_plan_that_differs_from_elimination(part, monkeypatch)
     report = run_sweep([4], trials=2)
     detail = f"node 4: {part} differs from elimination; node 5: {part} differs from elimination"
     assert [(c.name, c.detail) for c in report.failures] == [("io-meters", detail)]
+
+
+def test_setup_and_check_seconds_tile_each_k(monkeypatch):
+    # A clock that reads 0, 1, 2, ...: each k's set-up and check seconds
+    # are whole spans between readings, and together they cover every
+    # span but the one before each k starts (the previous k's release of
+    # what it shared).  So no reading is lost between a k's set-up and its
+    # checks or between two checks.
+    readings = []
+
+    class Clock:
+        @staticmethod
+        def perf_counter():
+            readings.append(len(readings))
+            return float(readings[-1])
+
+    monkeypatch.setattr(verification, "time", Clock)
+    report = run_sweep([2, 3], trials=2)
+    assert [c.seconds for c in report.checks] == [1.0] * len(report.checks)
+    assert report.setup_seconds == (1.0, 1.0)
+    assert sum(report.setup_seconds) + sum(c.seconds for c in report.checks) == len(readings) - 2
 
 
 @pytest.mark.parametrize("k_values, trials", [([], 5), ([3], 0), ([3], -5)])
@@ -685,7 +750,8 @@ def test_repair_pairs_own_unit_pivots(k, variant):
         # rest is m off the pivot columns.
         off = a.copy()
         off[:, pivots.unit] = 0
-        assert np.array_equal(repair._merged(pivots.rest).array, off)
+        rest = pivots.rest
+        assert np.array_equal(repair._pack(m.rows, m.cols, rest.r, rest.c, rest.v).array, off)
         # Each pivot is the first unit column of its row.
         unit_cols = np.flatnonzero((a != 0).sum(axis=0) == 1)
         owns = a[:, unit_cols] != 0

@@ -249,8 +249,13 @@ def test_verify_json_is_machine_parseable(capsys):
 
 def test_verify_reports_check_seconds(capsys):
     assert main(["--format", "json", "verify", "--k-range", "2..3", "--trials", "3"]) == 0
-    checks = json.loads(capsys.readouterr().out)["checks"]
+    report = json.loads(capsys.readouterr().out)
+    checks = report["checks"]
     assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0 for c in checks)
+    # Each k's set-up (its coding matrices and repair pairs), which no
+    # check's seconds include.
+    assert [s["k"] for s in report["setup_seconds"]] == [2, 3]
+    assert all(isinstance(s["seconds"], float) and s["seconds"] >= 0 for s in report["setup_seconds"])
     assert main(["--verbose", "verify", "--k-range", "2..2", "--trials", "3"]) == 0
     verbose = capsys.readouterr().out.splitlines()
     assert main(["verify", "--k-range", "2..2", "--trials", "3"]) == 0

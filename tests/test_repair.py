@@ -36,7 +36,7 @@ from zigzag3.repair import (
     _combined,
     _conditions,
     _gathered,
-    _merged,
+    _pack,
     _Pairs,
     _rank,
     _reductions,
@@ -399,7 +399,8 @@ def merged_key(*matrices):
 def eliminated_parity_plan(p, cm, failed):
     """The pair, projectors and solve inverse of a parity plan by
     unit-column elimination: X of each interference block, as merged
-    keys, and the inverse of the stack from its Schur factors."""
+    keys, and the inverse of the stack from its Schur factors, as summed
+    terms."""
     variant = FIRST_PARITY if failed == p.k else SECOND_PARITY
     pair = build_repair_pair(p.k, variant)
     pivots = _unit_pivots(pair.s)
@@ -433,7 +434,7 @@ def test_closed_form_plans_equal_eliminated_plans(k):
         for l, key in projectors.items():
             assert plan.projectors[l].slots.shape == (n // 2, 1)
             assert np.array_equal(merged_key(plan.projector_base, plan.projectors[l]), key), (k, failed, l)
-        assert np.array_equal(merged_key(plan.solve_inverse), merged_key(solve)), (k, failed)
+        assert np.array_equal(merged_key(plan.solve_inverse), solve.key), (k, failed)
 
 
 def test_projector_base_needs_one_slot_parts_of_top_helpers():
@@ -649,16 +650,23 @@ def dense_sum(t):
     return out % 3
 
 
+def merged(t):
+    """The ``SparseRows`` of a sum of terms: ``_summed``, then packed, each
+    row in ascending column order."""
+    t = _summed(t)
+    return _pack(t.rows, t.cols, t.r, t.c, t.v)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_merged_terms_match_dense_sum(seed):
     # Repeated cells, cells that cancel (1 + 2) and empty rows.
     rng = np.random.default_rng(seed)
     t = random_terms(rng, 9, 7, 60)
-    m = _merged(t)
+    m = merged(t)
     assert np.array_equal(m.array, dense_sum(t))
     cols = np.where(m.slots < 2 * m.cols, m.slots % m.cols, m.cols)
     assert np.array_equal(np.sort(cols, axis=1), cols)
-    assert _merged(_Terms(3, 5, np.zeros(0, dtype=np.int64))).array.tolist() == [[0] * 5] * 3
+    assert merged(_Terms(3, 5, np.zeros(0, dtype=np.int64))).array.tolist() == [[0] * 5] * 3
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -666,7 +674,7 @@ def test_gathered_product_matches_dense(seed):
     rng = np.random.default_rng(10 + seed)
     a, b = random_terms(rng, 6, 8, 20), random_terms(rng, 8, 11, 30)
     want = (dense_sum(a) @ dense_sum(b)) % 3
-    assert np.array_equal(_merged(_gathered(a, b)).array, want)
+    assert np.array_equal(merged(_gathered(a, b)).array, want)
     with pytest.raises(ValueError):
         _gathered(b, a)
 
