@@ -17,18 +17,25 @@ shards.
 
 On disk a shard packs five trits per byte (3^5 = 243 <= 256) behind a
 fixed little-endian header and a CRC32 trailer; see ``shard_to_bytes``.
-The header's version byte names the byte layout: version 2 is the word
-layout above, version 1 the older one, six trits per byte in file order,
-which ``extract`` still reads.
+The header's version byte names the stripes' byte layout and the packing.
+Versions 2 and 3 hold the word layout above, version 1 the older one, six
+trits per byte in file order, which ``extract`` still reads.  Versions 1
+and 2 pack interleaved, byte i holding trits 5i .. 5i+4.  Version 3, which
+encode writes, packs planar: with M = ceil(count / 5), byte i holds trits
+i, M+i, 2M+i, 3M+i and 4M+i, so each place value of the packed bytes is
+one contiguous plane of trits.  Older sets are still read, and a repair
+writes its helpers' version.
 
 Ingest splits each word by 3^20, 3^10 and 243 into uint8 groups of five
 digits and peels those by uint8 division straight into the digit planes;
 extract runs the inverse Horner steps.  Both work a whole number of
 blocks at a time, so every pass is a contiguous elementwise one and no
-temporary is file-sized.  Packing a shard multiplies each 5-trit group,
-read as an 8-byte word, by one constant that sums its place values into
-one byte of the product (see ``_pack_trits``).  Unpacking looks each packed
-byte up in the 243-row table of its five trits.
+temporary is file-sized.  Planar packing is the same kind of work: a
+Horner pass over the five trit planes packs, and four uint8 division
+rounds unpack.  Interleaved packing multiplies each 5-trit group, read as
+an 8-byte word, by one constant that sums its place values into one byte
+of the product, and interleaved unpacking looks each packed byte up in
+the 243-row table of its five trits (see ``_pack_trits``).
 """
 
 from __future__ import annotations
@@ -120,9 +127,10 @@ def _word_digits(words: np.ndarray, planes: np.ndarray) -> None:
     A word splits by 3^20 into halves, each half by 3^10 into quarters and
     each quarter by 243 into two uint8 groups of five digits.  The top
     quarter holds eleven digits, but is at most 89,594 < 2 * 3^10: its
-    top digit is 1 exactly when it reaches 3^10, and is taken out first.
-    The eight groups are then peeled together, four uint8 divisions
-    writing straight into the planes.
+    top digit is 1 exactly when it reaches 3^10, and is taken out first:
+    the quarter becomes the smaller of itself and itself less 3^10, which
+    wraps around in uint32 below 3^10.  The eight groups are then peeled
+    together, four uint8 divisions writing straight into the planes.
     """
     count = words.shape[0]
     halves = np.empty((2, count), dtype=np.uint64)
@@ -135,9 +143,8 @@ def _word_digits(words: np.ndarray, planes: np.ndarray) -> None:
     quotient *= _P10
     np.subtract(halves, quotient, out=quarters[:, 1], casting="unsafe")
     quarters = quarters.reshape(4, count)
-    top = planes[0].view(np.bool_)
-    np.greater_equal(quarters[0], _P10, out=top)
-    np.subtract(quarters[0], _P10, out=quarters[0], where=top)
+    np.greater_equal(quarters[0], _P10, out=planes[0].view(np.bool_))
+    np.minimum(quarters[0], quarters[0] - np.uint32(_P10), out=quarters[0])
     quotient = quarters // 243
     groups = np.empty((4, 2, count), dtype=np.uint8)
     groups[:, 0] = quotient
@@ -210,9 +217,10 @@ def trits_to_bytes(trits: np.ndarray, byte_count: int, *, first: int = 0) -> byt
 _PACK_MULTIPLIER = np.uint64(81 << 32 | 27 << 24 | 9 << 16 | 3 << 8 | 1)
 
 
-def _pack_trits(trits: np.ndarray) -> bytes:
-    """Pack 5 trits per byte, earliest trit in the highest place value; a
-    last group of fewer than 5 trits is zero-padded on the right.
+def _pack_interleaved(trits: np.ndarray) -> bytes:
+    """Pack trits 5g .. 5g+4 into byte g, earliest trit in the highest
+    place value; a last group of fewer than 5 trits is zero-padded on the
+    right.
 
     The trits are copied into a zero-padded buffer that is read as one
     little-endian uint64 word per group, at a stride of 5 bytes: word g
@@ -234,17 +242,47 @@ def _pack_trits(trits: np.ndarray) -> bytes:
     return product.view(np.uint8)[4::8].tobytes()
 
 
-def _unpack_trits(blob: bytes, trit_count: int) -> np.ndarray:
-    """The first ``trit_count`` trits of 5-trit packed bytes.  A byte >= 243,
-    too short a payload, or a nonzero trit past ``trit_count`` (which
-    ``_pack_trits`` never writes) raises ``ShardFormatError``.
+def _pack_planar(trits: np.ndarray) -> bytes:
+    """Pack the trits, zero-padded to 5M for M = ceil(count / 5), as five
+    planes of M: byte i is 81*t[i] + 27*t[M+i] + 9*t[2M+i] + 3*t[3M+i] +
+    t[4M+i], one Horner step per plane."""
+    count = trits.shape[0]
+    m = -(-count // 5)
+    buf = np.empty(5 * m, dtype=np.uint8)
+    buf[:count] = trits
+    buf[count:] = 0
+    planes = buf.reshape(5, m)
+    packed = planes[0] * np.uint8(3)
+    for plane in planes[1:4]:
+        packed += plane
+        packed *= 3
+    packed += planes[4]
+    return packed.tobytes()
 
-    One whole-row lookup: each byte takes its 5 trits from
-    ``_PACKED_TO_TRITS``, 1,215 read-only bytes built at import, which
-    stay in L1 cache from shard to shard.  Each output byte is written
-    once, so the result does not depend on the order numpy writes rows in.
-    Every index is in range, so ``clip`` never clips; it only lets the
-    take write into the result directly.
+
+def _pack_trits(trits: np.ndarray, version: int) -> bytes:
+    """Pack trits 5 per byte in the packing of shard ``version``:
+    interleaved for versions 1 and 2, planar for version 3."""
+    return _pack_interleaved(trits) if version < 3 else _pack_planar(trits)
+
+
+def _unpack_trits(blob: bytes, trit_count: int, version: int) -> np.ndarray:
+    """The first ``trit_count`` trits of bytes that ``_pack_trits`` packed
+    for shard ``version``.  A byte >= 243, too short a payload, or a
+    nonzero trit past ``trit_count`` in the packer's trit order (which it
+    never writes) raises ``ShardFormatError``.
+
+    Interleaved bytes are one whole-row lookup: each byte takes its 5
+    trits from ``_PACKED_TO_TRITS``, 1,215 read-only bytes built at
+    import, which stay in L1 cache from shard to shard.  Each output byte
+    is written once, so the result does not depend on the order numpy
+    writes rows in.  Every index is in range, so ``clip`` never clips; it
+    only lets the take write into the result directly.
+
+    Planar bytes are peeled by place value 81, 27, 9 and 3 in turn: each
+    round divides the remainder into the next plane of the result and
+    leaves its own remainder in the last plane, all in contiguous uint8
+    passes.
     """
     arr = np.frombuffer(blob, dtype=np.uint8)
     if arr.size and int(arr.max()) >= 243:
@@ -252,7 +290,17 @@ def _unpack_trits(blob: bytes, trit_count: int) -> np.ndarray:
     if 5 * arr.size < trit_count:
         raise ShardFormatError(f"payload holds {5 * arr.size} trits, header claims {trit_count}")
     trits = np.empty(5 * arr.size, dtype=np.uint8)
-    np.take(_PACKED_TO_TRITS, arr, out=trits.view(_PACKED_TO_TRITS.dtype), mode="clip")
+    if version < 3:
+        np.take(_PACKED_TO_TRITS, arr, out=trits.view(_PACKED_TO_TRITS.dtype), mode="clip")
+    else:
+        planes = trits.reshape(5, arr.size)
+        step = np.empty(arr.size, dtype=np.uint8)
+        rest = arr
+        for plane, place in zip(planes, (81, 27, 9, 3)):
+            np.floor_divide(rest, place, out=plane)
+            np.multiply(plane, place, out=step)
+            np.subtract(rest, step, out=planes[4])
+            rest = planes[4]
     if trits[trit_count:].any():
         raise ShardFormatError(f"payload has a nonzero padding trit past trit {trit_count}")
     return trits[:trit_count]
@@ -262,16 +310,17 @@ def _unpack_trits(blob: bytes, trit_count: int) -> np.ndarray:
 # Ingest / extract
 # ---------------------------------------------------------------------------
 
-# The byte layout ingest writes; extract and the shard reader also take
-# version 1.
-SHARD_VERSION = 2
-_SHARD_VERSIONS = (1, 2)
+# The shard version encode writes.  Its byte layout is version 2's, which
+# ingest writes; extract and the shard reader also take versions 1 and 2.
+SHARD_VERSION = 3
+_SHARD_VERSIONS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
 class FileMeta:
     """Original byte length plus the stripe geometry it padded out to, and
-    the shard version whose byte layout the stripes hold."""
+    the shard version whose byte layout the stripes hold (versions 2 and 3
+    hold the same one)."""
 
     original_len: int
     stripe_count: int
@@ -291,7 +340,7 @@ def byte_capacity(params: CodeParams, stripes: int, version: int) -> int:
     kn = params.file_symbols
     if version == 1:
         return stripes * kn // 6
-    if version != 2:
+    if version not in _SHARD_VERSIONS:
         raise ValueError(f"unsupported shard version {version}")
     blocks, rest = divmod(stripes, _WORD_TRITS)
     return 8 * (blocks * kn + rest * kn // _WORD_TRITS)
@@ -350,8 +399,8 @@ def _chunk_buffer(params: CodeParams, chunks) -> np.ndarray:
 
 
 def ingest(params: CodeParams, data: bytes) -> tuple[np.ndarray, FileMeta]:
-    """Split a byte string into parts of shape (k, stripes, N) in the
-    version-2 layout (see the module docstring).
+    """Split a byte string into parts of shape (k, stripes, N) in the word
+    layout of versions 2 and 3 (see the module docstring).
 
     An empty file still occupies one all-zero stripe.  The words are
     converted chunk by chunk, each chunk's digits copied into the parts as
@@ -392,7 +441,7 @@ def extract(params: CodeParams, parts: np.ndarray, meta: FileMeta) -> bytes:
         raise ValueError(f"parts shape {parts.shape} != ({k}, {meta.stripe_count}, {n})")
     if meta.version == 1:
         return _extract_v1(params, parts, meta)
-    if meta.version != 2:
+    if meta.version not in _SHARD_VERSIONS:
         raise ValueError(f"unsupported shard version {meta.version}")
     size = meta.original_len
     words = -(-size // 8)
@@ -444,9 +493,9 @@ def shard_to_bytes(
 ) -> bytes:
     """Serialize one node's payload (stripes, N) to the shard wire format.
 
-    ``version`` only sets the header's version byte: every version packs
-    its payload alike, and the byte tells a reader which byte layout the
-    stripes hold.
+    ``version`` sets the header's version byte and the packing: the byte
+    tells a reader which byte layout the stripes hold and how the payload
+    packs them (see ``_pack_trits``).
     """
     if not 0 <= node_id < params.n_nodes:
         raise ValueError(f"node id {node_id} out of range")
@@ -456,7 +505,7 @@ def shard_to_bytes(
     if n != params.n_rows:
         raise ValueError(f"payload row length {n} != {params.n_rows}")
     trits = residues(payload).reshape(-1)
-    packed = _pack_trits(trits)
+    packed = _pack_trits(trits, version)
     head = (
         SHARD_MAGIC
         + bytes([version, params.k, node_id])
@@ -473,8 +522,9 @@ def shard_from_bytes(blob: bytes) -> tuple[CodeParams, int, np.ndarray]:
         raise ShardFormatError("shard too short for header and CRC")
     if blob[:4] != SHARD_MAGIC:
         raise ShardFormatError(f"bad magic {blob[:4]!r}")
-    if blob[4] not in _SHARD_VERSIONS:
-        raise ShardFormatError(f"unsupported version {blob[4]}")
+    version = blob[4]
+    if version not in _SHARD_VERSIONS:
+        raise ShardFormatError(f"unsupported version {version}")
     k = blob[5]
     node_id = blob[6]
     stripes = int.from_bytes(blob[7:11], "little")
@@ -497,7 +547,7 @@ def shard_from_bytes(blob: bytes) -> tuple[CodeParams, int, np.ndarray]:
     crc_stored = int.from_bytes(blob[-4:], "little")
     if zlib.crc32(packed) & 0xFFFFFFFF != crc_stored:
         raise ShardFormatError("payload CRC mismatch")
-    trits = _unpack_trits(packed, trit_count)
+    trits = _unpack_trits(packed, trit_count, version)
     return params, node_id, trits.reshape(stripes, params.n_rows)
 
 

@@ -1,5 +1,5 @@
-"""The byte layouts of both shard versions, written the plain way, as
-test oracles.
+"""The byte layouts and packings of every shard version, written the plain
+way, as test oracles.
 
 Version 1 expanded each byte to its six base-3 digits, most significant
 first, and laid the trit stream out in file order: stripe s holds trits
@@ -14,11 +14,16 @@ stores each block of kN words as its 41 digit planes, digit d of word i of
 a block of W words at stream position d*W + i; ``word_stream`` builds that
 stream one Python int at a time.
 
-Both versions pack a shard's trits five to a byte, earliest trit in the
-highest place value; ``pack_trits_horner`` is the five-step Horner loop
-the program packed with before it used one word multiply, and
-``unpack_trits_by_rows`` unpacks by plain row indexing into the program's
-digit table.
+Version 3 keeps the version-2 layout.  Every version packs a shard's
+trits five to a byte, earliest trit in the highest place value.  Versions
+1 and 2 pack interleaved, byte i holding trits 5i .. 5i+4:
+``pack_trits_horner`` is the five-step Horner loop the program packed
+with before it used one word multiply, and ``unpack_trits_by_rows``
+unpacks by plain row indexing into the program's digit table.  Version 3
+packs planar, byte i holding trits i, M+i, .., 4M+i of the trits
+zero-padded to 5M: ``pack_trits_reference`` and ``unpack_trits_reference``
+give either packing, the planar one as the interleaved one of the
+transposed planes.
 """
 
 import numpy as np
@@ -95,3 +100,25 @@ def unpack_trits_by_rows(blob: bytes) -> np.ndarray:
     """All 5 * len(blob) trits of packed bytes < 243, each byte's row of
     ``PACKED_ROWS`` picked by fancy indexing."""
     return PACKED_ROWS[np.frombuffer(blob, dtype=np.uint8)].reshape(-1)
+
+
+def pack_trits_reference(trits: np.ndarray, version: int) -> bytes:
+    """Pack trits as shard ``version`` does: interleaved for versions 1
+    and 2; for version 3, the trits zero-padded to 5M are five planes of
+    M, and byte i is the Horner value of column i of those planes."""
+    if version < 3:
+        return pack_trits_horner(trits)
+    count = trits.shape[0]
+    m = -(-count // 5)
+    padded = np.zeros(5 * m, dtype=np.uint8)
+    padded[:count] = trits
+    return pack_trits_horner(padded.reshape(5, m).T.reshape(-1))
+
+
+def unpack_trits_reference(blob: bytes, version: int) -> np.ndarray:
+    """All 5 * len(blob) trits of bytes < 243 packed as shard ``version``
+    does: each byte's row of ``PACKED_ROWS``, laid out in rows for
+    versions 1 and 2 and in columns, one plane per place value, for
+    version 3."""
+    rows = PACKED_ROWS[np.frombuffer(blob, dtype=np.uint8)]
+    return (rows if version < 3 else rows.T).reshape(-1)

@@ -44,7 +44,7 @@ def test_encode_empty_file(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["encode", "--k", "3", "--input", str(src), "--out-dir", str(out_dir)]) == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest == {"k": 3, "stripes": 1, "original_len": 0, "shard_version": 2,
+    assert manifest == {"k": 3, "stripes": 1, "original_len": 0, "shard_version": 3,
                         "file_crc32": 0, "shard_crc": manifest["shard_crc"]}
     out = tmp_path / "back.bin"
     shards = [shard(out_dir, i) for i in range(3)]
@@ -429,6 +429,7 @@ def test_repair_missing_manifest_exits_4(encoded):
 # ---------------------------------------------------------------------------
 
 V1_SET = Path(__file__).resolve().parent / "fixtures" / "v1" / "k4_1001"
+V2_DIR = Path(__file__).resolve().parent / "fixtures" / "v2"
 
 
 def copy_set(source: Path, target: Path) -> Path:
@@ -506,27 +507,32 @@ def test_edited_original_len_fails_the_file_crc(tmp_path, capsys, original_len):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("size", [280, 4])
+@pytest.mark.parametrize("size", [280, 16, 4])
 def test_version_flipped_on_every_shard_exit_4(tmp_path, capsys, size):
-    # The version byte is outside the shard CRC.  4 bytes fit in the
-    # stripes of either layout: read as version 1, they used to decode
-    # to 4 wrong bytes with exit 0.
+    # The version byte is outside the shard CRC.  16 bytes fit in the
+    # stripes of either layout: read as version 1, 4 bytes used to decode
+    # to 4 wrong bytes with exit 0.  Relabelled 1 or 2, a version-3 set is
+    # read interleaved; at 280 and 16 bytes each shard has at most one
+    # padding trit, the last in either packing, so only the manifest's
+    # version check refuses the set.  4 bytes leave 4 padding trits per
+    # shard, 3 of them data trits of the planar packing, and the padding
+    # check refuses it first.
     out_dir = encode_bytes(tmp_path, np.random.default_rng(size).bytes(size))
-    for node in range(K + 2):
-        path = Path(shard(out_dir, node))
-        blob = bytearray(path.read_bytes())
-        assert blob[4] == 2
-        blob[4] = 1
-        path.write_bytes(bytes(blob))
-    capsys.readouterr()
-    out = tmp_path / "restored.bin"
-    assert main(["decode", "--shards", *[shard(out_dir, i) for i in range(K)], "--out", str(out)]) == 4
-    assert "shard version 2, shards 1" in capsys.readouterr().err
-    assert not out.exists()
-    helpers = [shard(out_dir, i) for i in range(1, K + 2)]
-    assert main(["repair", "--shards", *helpers, "--rebuild", "0", "--out-dir", str(tmp_path / "r")]) == 4
-    assert "shard version 2, shards 1" in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()
+    blobs = [Path(shard(out_dir, node)).read_bytes() for node in range(K + 2)]
+    assert {blob[4] for blob in blobs} == {3}
+    for label in (1, 2):
+        for node, blob in enumerate(blobs):
+            Path(shard(out_dir, node)).write_bytes(blob[:4] + bytes([label]) + blob[5:])
+        error = "nonzero padding trit" if size == 4 else f"shard version 3, shards {label}"
+        capsys.readouterr()
+        out = tmp_path / "restored.bin"
+        assert main(["decode", "--shards", *[shard(out_dir, i) for i in range(K)], "--out", str(out)]) == 4
+        assert error in capsys.readouterr().err
+        assert not out.exists()
+        helpers = [shard(out_dir, i) for i in range(1, K + 2)]
+        assert main(["repair", "--shards", *helpers, "--rebuild", "0", "--out-dir", str(tmp_path / "r")]) == 4
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 def test_manifest_without_version_or_file_crc_decodes(tmp_path):
@@ -552,20 +558,27 @@ def test_manifest_without_version_or_file_crc_decodes(tmp_path):
 
 def test_mixed_shard_versions_exit_4(encoded, capsys):
     # The version byte is outside the CRC, so only the version check can
-    # refuse a set that mixes layouts.
-    _, out_dir, tmp_path = encoded
-    path = out_dir / "node_3.shard"
-    blob = bytearray(path.read_bytes())
-    blob[4] = 1
-    path.write_bytes(bytes(blob))
-    capsys.readouterr()
-    shards = [shard(out_dir, i) for i in range(K)]
-    assert main(["decode", "--shards", *shards, "--out", str(tmp_path / "x")]) == 4
-    assert "mixed shard versions" in capsys.readouterr().err
-    helpers = [shard(out_dir, i) for i in (0, 1, 2, 3, 5)]
-    assert main(["repair", "--shards", *helpers, "--rebuild", "4", "--out-dir", str(tmp_path / "r")]) == 4
-    assert "mixed shard versions" in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()
+    # refuse a set that mixes layouts.  One shard of a version-3 set is
+    # relabelled 1 or 2, and one of a version-2 set 3; each set has one
+    # padding trit per shard, the last in either packing, so the
+    # relabelled shard itself still parses.
+    _, v3_dir, tmp_path = encoded
+    v2_dir = copy_set(V2_DIR / "k2_5000", tmp_path / "v2")
+    for out_dir, k, node, label in ((v3_dir, K, 3, 1), (v3_dir, K, 3, 2), (v2_dir, 2, 1, 3)):
+        path = out_dir / f"node_{node}.shard"
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + bytes([label]) + blob[5:])
+        capsys.readouterr()
+        shards = [shard(out_dir, i) for i in range(k)]
+        assert main(["decode", "--shards", *shards, "--out", str(tmp_path / "x")]) == 4
+        assert "mixed shard versions" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+        helpers = [shard(out_dir, i) for i in range(k + 1)]
+        argv = ["repair", "--shards", *helpers, "--rebuild", str(k + 1), "--out-dir", str(tmp_path / "r")]
+        assert main(argv) == 4
+        assert "mixed shard versions" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+        path.write_bytes(blob)
 
 
 def test_a_nonzero_padding_trit_exits_4(encoded, capsys):
@@ -598,11 +611,13 @@ def test_a_nonzero_padding_trit_exits_4(encoded, capsys):
     assert out.read_bytes() == data
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_repair_writes_the_helpers_version(version, encoded, capsys):
     _, out_dir, tmp_path = encoded
     if version == 1:
         out_dir = copy_set(V1_SET, tmp_path / "v1")
+    elif version == 2:
+        out_dir = copy_set(V2_DIR / "k4_5000", tmp_path / "v2")
     for node in (0, K, K + 1):
         helpers = [shard(out_dir, i) for i in range(K + 2) if i != node]
         rebuilt_dir = tmp_path / f"rebuilt{node}"
@@ -623,10 +638,10 @@ def test_json_reports_report_the_shard_version(encoded, capsys):
     argv = ["--format", "json", "encode", "--k", str(K), "--input", str(src),
             "--out-dir", str(tmp_path / "again")]
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["shard_version"] == 2
+    assert json.loads(capsys.readouterr().out)["shard_version"] == 3
     shards = [shard(out_dir, i) for i in range(K)]
     assert main(["--format", "json", "decode", "--shards", *shards, "--out", str(tmp_path / "x")]) == 0
-    assert json.loads(capsys.readouterr().out)["shard_version"] == 2
+    assert json.loads(capsys.readouterr().out)["shard_version"] == 3
     assert (tmp_path / "x").read_bytes() == data
 
 

@@ -3,11 +3,20 @@
 import itertools
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from cluster_helpers import extract_file
-from layout_oracle import bytes_to_trits, digits, ingest_v1, unpack_trits_by_rows, word_stream, words_of
+from layout_oracle import (
+    bytes_to_trits,
+    digits,
+    ingest_v1,
+    pack_trits_reference,
+    unpack_trits_reference,
+    word_stream,
+    words_of,
+)
 
 import zigzag3.cluster as cluster_module
 from zigzag3.cluster import (
@@ -16,6 +25,7 @@ from zigzag3.cluster import (
     CorruptDataError,
     FileMeta,
     ShardFormatError,
+    _pack_trits,
     _unpack_trits,
     byte_capacity,
     extract,
@@ -61,73 +71,113 @@ def test_ingest_every_byte_with_padding():
     stream = parts.transpose(1, 0, 2).reshape(-1).tolist()
     assert stream == [t for b in range(256) for t in digits(b, 6)] + [0] * 64
     assert extract(p, parts, meta) == bytes(range(256))
-    # Version 2: the same 32 words, at 80 words per block, are one partial
-    # block stored digit-major, 41 * 32 = 1312 trits in 17 stripes.
+    # Versions 2 and 3: the same 32 words, at 80 words per block, are one
+    # partial block stored digit-major, 41 * 32 = 1312 trits in 17 stripes.
     parts, meta = ingest(p, bytes(range(256)))
-    assert meta == FileMeta(256, 17) and meta.version == SHARD_VERSION == 2
+    assert meta == FileMeta(256, 17) and meta.version == SHARD_VERSION == 3
     words = [int.from_bytes(bytes(range(8 * i, 8 * i + 8)), "little") for i in range(32)]
     stream = parts.transpose(1, 0, 2).reshape(-1).tolist()
     assert stream == [digits(w, 41)[d] for d in range(41) for w in words] + [0] * 48
     assert extract(p, parts, meta) == bytes(range(256))
 
 
+PACKINGS = (2, 3)  # the interleaved and the planar shard version
+
+
 def test_unpack_every_packed_value():
-    trits = _unpack_trits(bytes(range(243)), 5 * 243)
+    trits = _unpack_trits(bytes(range(243)), 5 * 243, 2)
     assert trits.tolist() == [t for b in range(243) for t in digits(b, 5)]
+    trits = _unpack_trits(bytes(range(243)), 5 * 243, 3)
+    assert trits.tolist() == [digits(b, 5)[p] for p in range(5) for b in range(243)]
     # 7 trits end in a byte whose last 3 digits are padding: 108 = 11000
     # in base 3 has zero padding, 100 = 10201 does not.
-    assert _unpack_trits(bytes([242, 108]), 7).tolist() == [2] * 5 + digits(108, 5)[:2]
+    assert _unpack_trits(bytes([242, 108]), 7, 2).tolist() == [2] * 5 + digits(108, 5)[:2]
     with pytest.raises(ShardFormatError, match="padding trit past trit 7"):
-        _unpack_trits(bytes([242, 100]), 7)
+        _unpack_trits(bytes([242, 100]), 7, 2)
+    # Planar, 7 trits fill planes 0-2 of 2 bytes and the first trit of
+    # plane 3: the last digit of byte 0 and the last two of byte 1 are
+    # padding.  240 = 22220, and 241 = 22221 sets padding.
+    assert _unpack_trits(bytes([240, 108]), 7, 3).tolist() == [2, 1, 2, 1, 2, 0, 2]
+    for data in ([241, 108], [240, 100]):
+        with pytest.raises(ShardFormatError, match="padding trit past trit 7"):
+            _unpack_trits(bytes(data), 7, 3)
 
 
 def test_unpack_matches_the_reference_at_every_position():
     # Every byte value at every position of payloads of 0-12 bytes, the
-    # other bytes random, and one random 67 KB payload (a bulk-k8 shard).
+    # other bytes random, and one random 67 KB payload (a bulk-k8 shard),
+    # in either packing.
     rng = np.random.default_rng(21)
     for length in range(13):
         base = rng.integers(0, 243, size=length, dtype=np.uint8)
-        assert np.array_equal(_unpack_trits(base.tobytes(), 5 * length), unpack_trits_by_rows(base.tobytes()))
-        for pos in range(length):
-            for value in range(243):
-                data = base.copy()
-                data[pos] = value
-                got = _unpack_trits(data.tobytes(), 5 * length)
-                assert np.array_equal(got, unpack_trits_by_rows(data.tobytes())), (length, pos, value)
+        for version in PACKINGS:
+            want = unpack_trits_reference(base.tobytes(), version)
+            assert np.array_equal(_unpack_trits(base.tobytes(), 5 * length, version), want)
+            for pos in range(length):
+                for value in range(243):
+                    data = base.copy()
+                    data[pos] = value
+                    got = _unpack_trits(data.tobytes(), 5 * length, version)
+                    want = unpack_trits_reference(data.tobytes(), version)
+                    assert np.array_equal(got, want), (length, pos, value, version)
     payload = rng.integers(0, 243, size=67_000, dtype=np.uint8).tobytes()
-    assert np.array_equal(_unpack_trits(payload, 5 * len(payload)), unpack_trits_by_rows(payload))
+    for version in PACKINGS:
+        got = _unpack_trits(payload, 5 * len(payload), version)
+        assert np.array_equal(got, unpack_trits_reference(payload, version))
 
 
 @pytest.mark.parametrize("length", [1, 3, 7, 64, 1001])
 def test_unpack_odd_and_even_payloads(length):
     data = np.random.default_rng(length).integers(0, 243, size=length, dtype=np.uint8).tobytes()
-    want = [t for b in data for t in digits(b, 5)]
-    for count in (5 * length, 5 * length - 1, 5 * length - 4, 0):
-        # The same payload with every trit past ``count`` zeroed decodes to
-        # the first ``count`` trits; the random one only if that changed
-        # nothing.
-        trits = want[:count] + [0] * (5 * length - count)
-        canonical = bytes(int("".join(map(str, trits[i : i + 5])), 3) for i in range(0, len(trits), 5))
-        got = _unpack_trits(canonical, count)
-        assert got.dtype == np.uint8 and got.tolist() == want[:count]
-        if canonical == data:
-            assert _unpack_trits(data, count).tolist() == want[:count]
-        else:
-            with pytest.raises(ShardFormatError, match="padding trit"):
-                _unpack_trits(data, count)
-    with pytest.raises(ShardFormatError, match="header claims"):
-        _unpack_trits(data, 5 * length + 1)
+    for version in PACKINGS:
+        want = unpack_trits_reference(data, version).tolist()
+        for count in (5 * length, 5 * length - 1, 5 * length - 4, 0):
+            # The same payload with every trit past ``count`` zeroed
+            # decodes to the first ``count`` trits; the random one only if
+            # that changed nothing.
+            trits = np.array(want[:count] + [0] * (5 * length - count), dtype=np.uint8)
+            canonical = pack_trits_reference(trits, version)
+            got = _unpack_trits(canonical, count, version)
+            assert got.dtype == np.uint8 and got.tolist() == want[:count]
+            if canonical == data:
+                assert _unpack_trits(data, count, version).tolist() == want[:count]
+            else:
+                with pytest.raises(ShardFormatError, match="padding trit"):
+                    _unpack_trits(data, count, version)
+        with pytest.raises(ShardFormatError, match="header claims"):
+            _unpack_trits(data, 5 * length + 1, version)
+
+
+def test_unpack_rejects_every_padding_trit_of_short_payloads():
+    # Up to 20 trits, planar padding reaches planes before the last: 6
+    # trits in 2 bytes leave planes 3 and 4 all padding.  Each padding
+    # trit is set alone, in either packing.
+    rng = np.random.default_rng(24)
+    for length in range(1, 26):
+        trits = rng.integers(0, 3, length, dtype=np.uint8)
+        for version in PACKINGS:
+            packed = _pack_trits(trits, version)
+            m = len(packed)
+            assert np.array_equal(_unpack_trits(packed, length, version), trits)
+            for pos in range(length, 5 * m):
+                byte, place = divmod(pos, 5) if version == 2 else (pos % m, pos // m)
+                bad = bytearray(packed)
+                bad[byte] += 3 ** (4 - place)
+                with pytest.raises(ShardFormatError, match=f"padding trit past trit {length}"):
+                    _unpack_trits(bytes(bad), length, version)
 
 
 @pytest.mark.parametrize("length", [4, 5])
 def test_unpack_rejects_an_invalid_byte_in_either_place_of_a_pair(length):
-    # Every position of an even and an odd payload, the last included.
-    for pos in range(length):
-        for value in (243, 250, 255):
-            data = bytearray([0, 1, 241, 242, 100][:length])
-            data[pos] = value
-            with pytest.raises(ShardFormatError, match=">= 243"):
-                _unpack_trits(bytes(data), 5 * length)
+    # Every position of an even and an odd payload, the last included; a
+    # planar byte holds a trit of every plane.
+    for version in PACKINGS:
+        for pos in range(length):
+            for value in (243, 250, 255):
+                data = bytearray([0, 1, 241, 242, 100][:length])
+                data[pos] = value
+                with pytest.raises(ShardFormatError, match=">= 243"):
+                    _unpack_trits(bytes(data), 5 * length, version)
 
 
 @pytest.mark.parametrize("value", range(243, 256))
@@ -323,14 +373,14 @@ def test_byte_capacity_is_what_the_stripes_hold(k):
         assert ingest_v1(p, bytes(v1))[1].stripe_count <= stripes
         assert ingest_v1(p, bytes(v1 + 1))[1].stripe_count > stripes
         v2 = byte_capacity(p, stripes, 2)
-        assert v2 % 8 == 0
+        assert v2 % 8 == 0 and byte_capacity(p, stripes, 3) == v2
         assert ingest(p, bytes(v2))[1].stripe_count <= stripes
         assert ingest(p, bytes(v2 + 1))[1].stripe_count > stripes
     with pytest.raises(ValueError, match="version"):
-        byte_capacity(p, 1, 3)
+        byte_capacity(p, 1, 4)
 
 
-@pytest.mark.parametrize("version", [0, 3])
+@pytest.mark.parametrize("version", [0, 4])
 def test_extract_rejects_an_unknown_version(version):
     p = CodeParams(3)
     parts, meta = ingest(p, b"abc")
@@ -386,11 +436,30 @@ def make_payload(k=4, stripes=3, seed=0):
 
 def test_shard_roundtrip():
     p, payload = make_payload()
-    for version, blob in ((2, shard_to_bytes(p, 2, payload)), (1, shard_to_bytes(p, 2, payload, version=1))):
+    assert shard_to_bytes(p, 2, payload) == shard_to_bytes(p, 2, payload, version=3)
+    for version in (1, 2, 3):
+        blob = shard_to_bytes(p, 2, payload, version=version)
         assert blob[:4] == b"ZZG3" and blob[4] == version == shard_version(blob)
         params, node, got = shard_from_bytes(blob)
         assert params.k == 4 and node == 2
         assert np.array_equal(got, payload)
+
+
+def test_every_shard_version_has_pinned_sets():
+    # A shard version lands with checked-in sets: the one encode writes
+    # with the k x size grid its tests re-encode, and every readable one
+    # with a directory of sets its tests decode and repair.
+    fixtures = Path(__file__).resolve().parent / "fixtures"
+    current = fixtures / f"v{SHARD_VERSION}"
+    sets = sorted(d.name for d in current.iterdir() if d.is_dir())
+    assert sets == sorted(f"k{k}_{size}" for k in (2, 4, 8) for size in (0, 17, 5000))
+    for name in sets:
+        k = int(name.removeprefix("k").split("_")[0])
+        files = sorted(p.name for p in (current / name).iterdir())
+        assert files == ["manifest.json"] + sorted(f"node_{i}.shard" for i in range(k + 2))
+    for version in cluster_module._SHARD_VERSIONS:
+        directory = fixtures / f"v{version}"
+        assert (directory / "README.md").is_file() and any(d.is_dir() for d in directory.iterdir()), version
 
 
 def test_shard_bytes_reduce_signed_payload():
@@ -406,16 +475,27 @@ def test_shard_wire_format_is_bit_exact():
     blob = shard_to_bytes(CodeParams(2), 0, np.array([[1, 2]], dtype=np.uint8))
     expected = (
         bytes.fromhex("5a5a4733")          # magic "ZZG3"
-        + bytes([2, 2, 0])                 # version, k, node_id
+        + bytes([3, 2, 0])                 # version, k, node_id
         + (1).to_bytes(4, "little")        # stripe count
         + (2).to_bytes(8, "little")        # payload trit count
         + bytes([135])                     # packed trits
         + (zlib.crc32(bytes([135])) & 0xFFFFFFFF).to_bytes(4, "little")
     )
     assert blob == expected
-    # A version-1 shard differs only in its version byte.
-    v1 = shard_to_bytes(CodeParams(2), 0, np.array([[1, 2]], dtype=np.uint8), version=1)
-    assert v1 == expected[:4] + bytes([1]) + expected[5:]
+    # In one byte the packings agree: versions 1 and 2 differ only in
+    # their version byte.
+    for version in (1, 2):
+        old = shard_to_bytes(CodeParams(2), 0, np.array([[1, 2]], dtype=np.uint8), version=version)
+        assert old == expected[:4] + bytes([version]) + expected[5:]
+    # Three stripes, trits 1 2 0 1 2 2: planar, the planes are (1, 2),
+    # (0, 1), (2, 2) and two of padding, so the bytes are 81 + 18 = 99
+    # and 162 + 27 + 18 = 207; interleaved, 12012 = 140 and 20000 = 162.
+    payload = np.array([[1, 2], [0, 1], [2, 2]], dtype=np.uint8)
+    for version, packed in ((3, [99, 207]), (2, [140, 162])):
+        blob = shard_to_bytes(CodeParams(2), 0, payload, version=version)
+        assert blob[4] == version and blob[11:19] == (6).to_bytes(8, "little")
+        assert blob[19:-4] == bytes(packed)
+        assert np.array_equal(shard_from_bytes(blob)[2], payload)
 
 
 def test_shard_rejects_bad_magic():
@@ -428,12 +508,12 @@ def test_shard_rejects_bad_magic():
 def test_shard_rejects_bad_version():
     p, payload = make_payload()
     blob = bytearray(shard_to_bytes(p, 0, payload))
-    for version in (0, 3, 9):
+    for version in (0, 4, 9):
         blob[4] = version
         with pytest.raises(ShardFormatError, match="version"):
             shard_from_bytes(bytes(blob))
     with pytest.raises(ValueError, match="version"):
-        shard_to_bytes(p, 0, payload, version=3)
+        shard_to_bytes(p, 0, payload, version=4)
 
 
 def test_shard_rejects_crc_mismatch():

@@ -4,9 +4,10 @@ hypothesis.
 The word gather of ``SignedPermutation.terms`` is compared with a
 per-byte gather, the encoder with the row rule, and the decoder with the
 parts it started from.  The version-2 codec is compared with the
-Python-int layout oracle in ``layout_oracle.py``, and the shard packer
-with the Horner packer there.  Examples are few and small, so the module
-runs in a few seconds; no example database is written.
+Python-int layout oracle in ``layout_oracle.py``, and both shard packings,
+interleaved and planar, with the Horner references there.  Examples are
+few and small, so the module runs in a few seconds; no example database
+is written.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from layout_oracle import (  # noqa: E402
     digits,
-    pack_trits_horner,
+    pack_trits_reference,
     stream_to_parts,
     word_stream,
     words_of,
@@ -169,18 +170,25 @@ def trit_operand(rng, length: int, layout: str) -> np.ndarray:
     return rng.integers(0, 3, length, dtype=np.uint8)[::-1]
 
 
+PACKINGS = (2, 3)  # the interleaved and the planar shard version
+
+
 @FEW
 @given(seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["contiguous", "column", "reversed"]))
 def test_packer_equals_the_horner_reference_at_every_short_length(seed, layout):
     # Every length 0..64 ends a group at every place, so the zero padding
-    # and the window over it are each hit at every offset.
+    # and the window over it are each hit at every offset, in either
+    # packing; up to 20 trits the planar padding reaches earlier planes.
     rng = np.random.default_rng(seed)
     for length in range(65):
         trits = trit_operand(rng, length, layout)
-        packed = _pack_trits(trits)
-        assert packed == pack_trits_horner(trits)
-        assert np.array_equal(_unpack_trits(packed, length), trits)
-    assert _pack_trits(np.full(64, 2, dtype=np.uint8)) == bytes([242] * 12 + [240])
+        for version in PACKINGS:
+            packed = _pack_trits(trits, version)
+            assert packed == pack_trits_reference(trits, version), (length, version)
+            assert np.array_equal(_unpack_trits(packed, length, version), trits)
+    assert _pack_trits(np.full(64, 2, dtype=np.uint8), 2) == bytes([242] * 12 + [240])
+    # 13 planar bytes: planes 0-3 full, plane 4 holding the last 12 trits.
+    assert _pack_trits(np.full(64, 2, dtype=np.uint8), 3) == bytes([242] * 12 + [240])
 
 
 @FEW
@@ -191,9 +199,10 @@ def test_packer_equals_the_horner_reference_at_every_short_length(seed, layout):
 )
 def test_packer_equals_the_horner_reference_at_any_length(length, seed, layout):
     trits = trit_operand(np.random.default_rng(seed), length, layout)
-    packed = _pack_trits(trits)
-    assert packed == pack_trits_horner(trits)
-    assert np.array_equal(_unpack_trits(packed, length), trits)
+    for version in PACKINGS:
+        packed = _pack_trits(trits, version)
+        assert packed == pack_trits_reference(trits, version)
+        assert np.array_equal(_unpack_trits(packed, length, version), trits)
 
 
 @FEW
@@ -201,13 +210,19 @@ def test_packer_equals_the_horner_reference_at_any_length(length, seed, layout):
     groups=st.integers(0, 400),
     tail=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
-    bump=st.integers(1, 80),
+    pick=st.integers(0, 2**32 - 1),
 )
-def test_unpack_rejects_a_nonzero_padding_trit(groups, tail, seed, bump):
-    # The last byte's low 5 - tail digits are padding, zero as packed;
-    # adding 1 .. 3^(5 - tail) - 1 sets some of them and nothing else.
+def test_unpack_rejects_a_nonzero_padding_trit(groups, tail, seed, pick):
+    # Padding trits are zero as packed, so adding the place value of one
+    # of them to its byte sets it and nothing else.  Interleaved, they are
+    # the last byte's low digits; planar, the ends of the last planes.
     length = 5 * groups + tail
-    packed = bytearray(_pack_trits(np.random.default_rng(seed).integers(0, 3, length, dtype=np.uint8)))
-    packed[-1] += 1 + (bump - 1) % (3 ** (5 - tail) - 1)
-    with pytest.raises(ShardFormatError, match="padding trit"):
-        _unpack_trits(bytes(packed), length)
+    trits = np.random.default_rng(seed).integers(0, 3, length, dtype=np.uint8)
+    for version in PACKINGS:
+        packed = bytearray(_pack_trits(trits, version))
+        m = len(packed)
+        pos = length + pick % (5 * m - length)
+        byte, place = divmod(pos, 5) if version < 3 else (pos % m, pos // m)
+        packed[byte] += 3 ** (4 - place)
+        with pytest.raises(ShardFormatError, match="padding trit"):
+            _unpack_trits(bytes(packed), length, version)

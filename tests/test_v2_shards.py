@@ -1,18 +1,23 @@
 """The version-2 shard format is pinned by checked-in sets.
 
-The sets under ``fixtures/v2`` were written by ``zigzag3 encode`` (see the
-README there).  Encoding the same input now must write every shard and the
-manifest byte for byte, decoding a set must give back its input, and
-rebuilding any node must give back that node's shard with ``match``.
+The sets under ``fixtures/v2`` were written by ``zigzag3 encode`` while it
+wrote version 2 (see the README there).  ``zigzag3 repair`` still writes
+version 2 for a version-2 set, so the version-2 packer must still write
+every shard of a set byte for byte from the encoded input; decoding a set
+must give back its input, and rebuilding any node must give back that
+node's shard with ``match``.
 """
 
 import hashlib
 import json
+import zlib
 from pathlib import Path
 
 import pytest
 
 from zigzag3.cli import main
+from zigzag3.cluster import ingest, shard_to_bytes
+from zigzag3.code import CodeParams, build_coding_matrices, encode_parts_array
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v2"
 SETS = sorted(d.name for d in FIXTURES.iterdir() if d.is_dir())
@@ -32,17 +37,25 @@ def test_every_set_is_present():
 
 
 @pytest.mark.parametrize("name", SETS)
-def test_encode_writes_the_v2_set_byte_for_byte(name, tmp_path):
+def test_encode_writes_the_v2_set_byte_for_byte(name):
+    # ``zigzag3 encode`` writes version 3; the input's parts and parities,
+    # packed as version 2, must be the set's shards, and the manifest must
+    # list their CRCs.
     k, size, directory = shard_set(name)
-    source = tmp_path / "input.bin"
-    source.write_bytes(fixture_input(size))
-    out_dir = tmp_path / "shards"
-    assert main(["encode", "--k", str(k), "--input", str(source), "--out-dir", str(out_dir)]) == 0
+    params = CodeParams(k)
+    data = fixture_input(size)
+    parts, meta = ingest(params, data)
+    shards = encode_parts_array(params, build_coding_matrices(params), parts)
     names = sorted(p.name for p in directory.iterdir())
-    assert names == sorted(p.name for p in out_dir.iterdir())
     assert names == ["manifest.json"] + sorted(f"node_{i}.shard" for i in range(k + 2))
-    for file_name in names:
-        assert (out_dir / file_name).read_bytes() == (directory / file_name).read_bytes(), file_name
+    crcs = []
+    for node in range(k + 2):
+        blob = shard_to_bytes(params, node, shards[node], version=2)
+        assert blob == (directory / f"node_{node}.shard").read_bytes(), node
+        crcs.append(int.from_bytes(blob[-4:], "little"))
+    manifest = json.loads((directory / "manifest.json").read_text())
+    assert manifest == {"k": k, "stripes": meta.stripe_count, "original_len": size, "shard_version": 2,
+                        "file_crc32": zlib.crc32(data), "shard_crc": crcs}
 
 
 @pytest.mark.parametrize("name", SETS)
