@@ -41,8 +41,8 @@ from .cluster import (
     ingest,
     repair_lost_node,
     shard_from_bytes,
+    shard_header,
     shard_to_bytes,
-    shard_version,
     write_shard_file,
 )
 from .repair import brute_force_min_io, io_lower_bound, repair_bandwidth
@@ -136,32 +136,34 @@ def cmd_encode(cfg: Config, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_shards(paths) -> tuple[CodeParams, int, int, dict[int, np.ndarray], dict[int, int]]:
-    """Read shard files that share k, stripe count and shard version
-    (anything else raises ``ShardFormatError``); returns (params,
-    stripes, version, payloads, stored CRCs)."""
-    payloads: dict[int, np.ndarray] = {}
+def _load_shards(paths) -> tuple[CodeParams, int, int, np.ndarray, dict[int, int]]:
+    """Read shard files that share k, stripe count and shard version into
+    one (k+2, stripes, N) stack, allocated once the first header checks:
+    each shard is unpacked into its node's row, and the rows of nodes not
+    read are never written.  A shard whose k, stripe count or version
+    differs from the first's, or whose node was read already, raises
+    ``ShardFormatError`` before its payload is unpacked.  Returns (params,
+    stripes, version, stack, stored CRCs by node in the order read)."""
     crcs: dict[int, int] = {}
-    params = None
-    stripes = version = None
+    stack = None
     for p in paths:
         blob = Path(p).read_bytes()
-        sp, node, payload = shard_from_bytes(blob)
-        sv = shard_version(blob)
-        if params is None:
-            params, stripes, version = sp, payload.shape[0], sv
-        elif sp.k != params.k or payload.shape[0] != stripes:
+        head = shard_header(blob)
+        if stack is None:
+            params, stripes, version = head.params, head.stripes, head.version
+            stack = np.empty((params.n_nodes, stripes, params.n_rows), dtype=np.uint8)
+        elif head.params != params or head.stripes != stripes:
             raise ShardFormatError(
-                f"mixed manifests: {p} has k={sp.k}, stripes={payload.shape[0]}, "
+                f"mixed manifests: {p} has k={head.params.k}, stripes={head.stripes}, "
                 f"expected k={params.k}, stripes={stripes}"
             )
-        elif sv != version:
-            raise ShardFormatError(f"mixed shard versions: {p} has version {sv}, expected {version}")
-        if node in payloads:
-            raise ShardFormatError(f"duplicate shard for node {node}")
-        payloads[node] = payload
-        crcs[node] = int.from_bytes(blob[-4:], "little")
-    return params, stripes, version, payloads, crcs
+        elif head.version != version:
+            raise ShardFormatError(f"mixed shard versions: {p} has version {head.version}, expected {version}")
+        if head.node_id in crcs:
+            raise ShardFormatError(f"duplicate shard for node {head.node_id}")
+        shard_from_bytes(blob, stack[head.node_id])
+        crcs[head.node_id] = int.from_bytes(blob[-4:], "little")
+    return params, stripes, version, stack, crcs
 
 
 def _is_int(value) -> bool:
@@ -235,20 +237,22 @@ def _check_against_manifest(
 
 
 def cmd_decode(cfg: Config, args) -> int:
-    params, stripes, version, payloads, crcs = _load_shards(args.shards)
+    params, stripes, version, stack, crcs = _load_shards(args.shards)
     manifest = _load_manifest(args, args.shards, version)
     _check_against_manifest(manifest, params, stripes, crcs)
-    if len(payloads) < params.k:
+    if len(crcs) < params.k:
         raise InsufficientShardsError(
-            f"got {len(payloads)} shards, need at least {params.k}"
+            f"got {len(crcs)} shards, need at least {params.k}"
         )
     cm = build_coding_matrices(params)
-    used = sorted(payloads)
-    parts = decode_shards_array(params, cm, payloads)
-    # As in encode: the payloads go before extract builds the output.
-    del payloads
+    used = sorted(crcs)
+    # The parts are the stack's first k rows: decode writes the lost ones
+    # in place, and extract reads them there.
+    parts = decode_shards_array(params, cm, stack, used)
     meta = FileMeta(manifest["original_len"], stripes, version)
     data = extract(params, parts, meta)
+    # As in encode: the shards go before the bytes are checked and written.
+    del stack, parts
     if "file_crc32" in manifest and zlib.crc32(data) != manifest["file_crc32"]:
         raise ShardFormatError("the decoded bytes do not match the manifest's file_crc32")
     Path(args.out).write_bytes(data)
@@ -280,7 +284,8 @@ def cmd_repair(cfg: Config, args) -> int:
     written; a mismatch is a format error and writes nothing.  The rebuilt
     shard takes its helpers' shard version.
     """
-    params, stripes, version, payloads, crcs = _load_shards(args.shards)
+    params, stripes, version, stack, crcs = _load_shards(args.shards)
+    payloads = {node: stack[node] for node in crcs}
     rebuild = args.rebuild
     if not 0 <= rebuild < params.n_nodes:
         print(f"error: node {rebuild} out of range for k={params.k}", file=sys.stderr)

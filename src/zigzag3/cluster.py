@@ -24,7 +24,11 @@ and 2 pack interleaved, byte i holding trits 5i .. 5i+4.  Version 3, which
 encode writes, packs planar: with M = ceil(count / 5), byte i holds trits
 i, M+i, 2M+i, 3M+i and 4M+i, so each place value of the packed bytes is
 one contiguous plane of trits.  Older sets are still read, and a repair
-writes its helpers' version.
+writes its helpers' version.  ``shard_header`` checks a shard's header
+alone, so a reader can check a shard against others before it unpacks
+it, and ``shard_from_bytes`` can unpack into a given row, such as one of
+the (k+2, stripes, N) stack that ``zigzag3 decode`` reads every shard
+into and decodes in place.
 
 Ingest splits each word by 3^20, 3^10 and 243 into uint8 groups of five
 digits and peels those by uint8 division straight into the digit planes;
@@ -67,8 +71,9 @@ __all__ = [
     "SHARD_MAGIC",
     "SHARD_VERSION",
     "shard_to_bytes",
+    "ShardHeader",
+    "shard_header",
     "shard_from_bytes",
-    "shard_version",
     "write_shard_file",
     "NodeStore",
     "RepairReport",
@@ -107,8 +112,8 @@ _WORD_TRITS = 41
 _WORD = np.dtype("<u8")
 _P10 = 3**10
 _P20 = 3**20
-# 2^64 - 1 = _HI_MAX * 3^20 + _LO_MAX
-_HI_MAX, _LO_MAX = divmod(2**64 - 1, _P20)
+# 2^64 - 1 = 3 * (_HI_MAX * 3^20 + _LO_MAX), a multiple of 3
+_HI_MAX, _LO_MAX = divmod((2**64 - 1) // 3, _P20)
 
 
 def _horner(groups: np.ndarray, dtype) -> np.ndarray:
@@ -162,35 +167,40 @@ def _word_digits(words: np.ndarray, planes: np.ndarray) -> None:
 def _digit_words(planes: np.ndarray, first: int) -> np.ndarray:
     """Inverse of ``_word_digits``: the uint64 words of the digit planes
     (41, count).  A word whose digits exceed 2^64 - 1 raises
-    ``CorruptDataError`` naming its index, counted from ``first``."""
+    ``CorruptDataError`` naming its index, counted from ``first``.
+
+    Digits 0-39 form eight uint8 groups of five, pairs of groups uint16
+    quarters below 3^10, and pairs of quarters uint32 halves below 3^20;
+    a word is (high * 3^20 + low) * 3 plus digit 40, each step in the
+    narrowest type that holds it.
+    """
     count = planes.shape[1]
-    groups = planes[1::5] * np.uint8(3)
-    groups += planes[2::5]
-    for d in (3, 4, 5):
+    groups = planes[0:40:5] * np.uint8(3)
+    groups += planes[1:40:5]
+    for d in (2, 3, 4):
         groups *= 3
-        groups += planes[d::5]
-    groups = groups.reshape(4, 2, count)
-    quarters = groups[:, 0].astype(np.uint32)
+        groups += planes[d:40:5]
+    quarters = groups[0::2].astype(np.uint16)
     quarters *= 243
-    quarters += groups[:, 1]
-    top = planes[0].astype(np.uint32)
-    top *= _P10
-    quarters[0] += top
-    quarters = quarters.reshape(2, 2, count)
-    halves = quarters[:, 0].astype(np.uint64)
+    quarters += groups[1::2]
+    halves = quarters[0::2].astype(np.uint32)
     halves *= _P10
-    halves += quarters[:, 1]
+    halves += quarters[1::2]
     high, low = halves
-    # Below this top quarter, no word can exceed 2^64 - 1.
-    if count and int(quarters[0, 0].max()) >= _HI_MAX // _P10:
-        bad = (high > _HI_MAX) | ((high == _HI_MAX) & (low > _LO_MAX))
+    last = planes[40]
+    # Below this high half, no word can exceed 2^64 - 1.
+    if count and int(high.max()) >= _HI_MAX:
+        bad = (high > _HI_MAX) | ((high == _HI_MAX) & ((low > _LO_MAX) | ((low == _LO_MAX) & (last > 0))))
         if bad.any():
             i = int(np.argmax(bad))
-            value = int(high[i]) * _P20 + int(low[i])
+            value = (int(high[i]) * _P20 + int(low[i])) * 3 + int(last[i])
             raise CorruptDataError(f"word {first + i} recombines to {value} >= 2**64")
-    high *= _P20
-    high += low
-    return high
+    words = high.astype(np.uint64)
+    words *= _P20
+    words += low
+    words *= 3
+    words += last
+    return words
 
 
 def trits_to_bytes(trits: np.ndarray, byte_count: int, *, first: int = 0) -> bytes:
@@ -266,44 +276,64 @@ def _pack_trits(trits: np.ndarray, version: int) -> bytes:
     return _pack_interleaved(trits) if version < 3 else _pack_planar(trits)
 
 
-def _unpack_trits(blob: bytes, trit_count: int, version: int) -> np.ndarray:
-    """The first ``trit_count`` trits of bytes that ``_pack_trits`` packed
-    for shard ``version``.  A byte >= 243, too short a payload, or a
-    nonzero trit past ``trit_count`` in the packer's trit order (which it
-    never writes) raises ``ShardFormatError``.
+def _trit_rows(packed: np.ndarray) -> np.ndarray:
+    """The 5 base-3 digits of each packed byte, most significant first,
+    as a (bytes, 5) uint8 array."""
+    return _PACKED_TO_TRITS[packed].view(np.uint8).reshape(-1, 5)
 
+
+def _unpack_trits(packed, out: np.ndarray, version: int) -> None:
+    """Unpack into the flat uint8 ``out`` the first ``out.size`` trits of
+    the bytes ``packed`` (any buffer) that ``_pack_trits`` packed for
+    shard ``version``.  A byte >= 243, too short a payload, or a nonzero
+    trit past ``out.size`` in the packer's trit order (which it never
+    writes) raises ``ShardFormatError`` before anything is written.
+
+    Only the bytes that hold padding trits, at most four, are unpacked
+    apart, through ``_trit_rows``; the rest go straight into ``out``.
     Interleaved bytes are one whole-row lookup: each byte takes its 5
     trits from ``_PACKED_TO_TRITS``, 1,215 read-only bytes built at
     import, which stay in L1 cache from shard to shard.  Each output byte
     is written once, so the result does not depend on the order numpy
     writes rows in.  Every index is in range, so ``clip`` never clips; it
-    only lets the take write into the result directly.
+    only lets the take write into ``out`` directly.
 
     Planar bytes are peeled by place value 81, 27, 9 and 3 in turn: each
-    round divides the remainder into the next plane of the result and
-    leaves its own remainder in the last plane, all in contiguous uint8
-    passes.
+    round divides the remainder into the next plane of ``out`` and leaves
+    its own remainder in the last plane, all in contiguous uint8 passes.
+    The padding is the end of the last plane, the place-1 digits of the
+    last bytes; a payload of under 17 trits, whose planes are shorter
+    than the padding, is unpacked whole through ``_trit_rows``.
     """
-    arr = np.frombuffer(blob, dtype=np.uint8)
-    if arr.size and int(arr.max()) >= 243:
+    packed = np.frombuffer(packed, dtype=np.uint8)
+    count, m = out.size, packed.size
+    if m and int(packed.max()) >= 243:
         raise ShardFormatError("payload byte >= 243 cannot encode 5 trits")
-    if 5 * arr.size < trit_count:
-        raise ShardFormatError(f"payload holds {5 * arr.size} trits, header claims {trit_count}")
-    trits = np.empty(5 * arr.size, dtype=np.uint8)
-    if version < 3:
-        np.take(_PACKED_TO_TRITS, arr, out=trits.view(_PACKED_TO_TRITS.dtype), mode="clip")
-    else:
-        planes = trits.reshape(5, arr.size)
-        step = np.empty(arr.size, dtype=np.uint8)
-        rest = arr
-        for plane, place in zip(planes, (81, 27, 9, 3)):
+    if 5 * m < count:
+        raise ShardFormatError(f"payload holds {5 * m} trits, header claims {count}")
+    if version >= 3 and count > 4 * m:
+        head = count - 4 * m
+        tail = _trit_rows(packed[head:])
+        if tail[:, 4].any():
+            raise ShardFormatError(f"payload has a nonzero padding trit past trit {count}")
+        planes = out[: 4 * m].reshape(4, m)
+        planes[:, head:] = tail[:, :4].T
+        rest, last = packed[:head], out[4 * m :]
+        step = np.empty(head, dtype=np.uint8)
+        for plane, place in zip(planes[:, :head], (81, 27, 9, 3)):
             np.floor_divide(rest, place, out=plane)
             np.multiply(plane, place, out=step)
-            np.subtract(rest, step, out=planes[4])
-            rest = planes[4]
-    if trits[trit_count:].any():
-        raise ShardFormatError(f"payload has a nonzero padding trit past trit {trit_count}")
-    return trits[:trit_count]
+            np.subtract(rest, step, out=last)
+            rest = last
+        return
+    head = count // 5 if version < 3 else 0
+    tail = _trit_rows(packed[head:])
+    tail = (tail if version < 3 else tail.T).reshape(-1)
+    rest = count - 5 * head
+    if tail[rest:].any():
+        raise ShardFormatError(f"payload has a nonzero padding trit past trit {count}")
+    out[5 * head :] = tail[:rest]
+    np.take(_PACKED_TO_TRITS, packed[:head], out=out[: 5 * head].view(_PACKED_TO_TRITS.dtype), mode="clip")
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +546,21 @@ def shard_to_bytes(
     return head + packed + crc.to_bytes(4, "little")
 
 
-def shard_from_bytes(blob: bytes) -> tuple[CodeParams, int, np.ndarray]:
-    """Parse and validate a shard; returns (params, node_id, payload)."""
+@dataclass(frozen=True)
+class ShardHeader:
+    """What a shard's header says, once ``shard_header`` has checked it."""
+
+    params: CodeParams
+    node_id: int
+    stripes: int
+    version: int
+
+
+def shard_header(blob: bytes) -> ShardHeader:
+    """Parse and check a shard's header: magic, version, k, node id, a
+    trit count of stripes*N, and a blob exactly as long as the header,
+    the packed trits and the CRC.  Anything else raises
+    ``ShardFormatError``."""
     if len(blob) < _HEADER_LEN + 4:
         raise ShardFormatError("shard too short for header and CRC")
     if blob[:4] != SHARD_MAGIC:
@@ -539,21 +582,26 @@ def shard_from_bytes(blob: bytes) -> tuple[CodeParams, int, np.ndarray]:
         raise ShardFormatError(
             f"trit count {trit_count} != stripes*N = {stripes * params.n_rows}"
         )
-    payload_len = (trit_count + 4) // 5
-    expected_len = _HEADER_LEN + payload_len + 4
+    expected_len = _HEADER_LEN + (trit_count + 4) // 5 + 4
     if len(blob) != expected_len:
         raise ShardFormatError(f"shard length {len(blob)} != expected {expected_len}")
-    packed = blob[_HEADER_LEN : _HEADER_LEN + payload_len]
-    crc_stored = int.from_bytes(blob[-4:], "little")
-    if zlib.crc32(packed) & 0xFFFFFFFF != crc_stored:
+    return ShardHeader(params, node_id, stripes, version)
+
+
+def shard_from_bytes(blob: bytes, out: np.ndarray) -> None:
+    """Check a shard and unpack its (stripes, N) trits into ``out``, a
+    C-contiguous uint8 array of that shape, such as one row of a decode's
+    shard stack.  The header, the CRC and the packed bytes are all
+    checked before anything is written, and the payload is read through a
+    view of ``blob``, never copied."""
+    header = shard_header(blob)
+    shape = (header.stripes, header.params.n_rows)
+    if out.shape != shape or out.dtype != np.uint8 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous uint8 array of shape {shape}")
+    packed = memoryview(blob)[_HEADER_LEN:-4]
+    if zlib.crc32(packed) & 0xFFFFFFFF != int.from_bytes(blob[-4:], "little"):
         raise ShardFormatError("payload CRC mismatch")
-    trits = _unpack_trits(packed, trit_count, version)
-    return params, node_id, trits.reshape(stripes, params.n_rows)
-
-
-def shard_version(blob: bytes) -> int:
-    """The version byte of a shard that ``shard_from_bytes`` accepted."""
-    return blob[4]
+    _unpack_trits(packed, out.reshape(-1), header.version)
 
 
 def write_shard_file(path, params: CodeParams, node_id: int, payload: np.ndarray) -> int:

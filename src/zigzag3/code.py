@@ -12,8 +12,10 @@ decoding apply the permutations through the int8 symbol kernel of ``gf3``.
 Each A_j maps row l to l ^ e_j, and so do their inverses and the products
 decode forms, with l ^ e_j1 ^ e_j2, so every apply is a gather of whole
 8-byte words plus byte reversals inside them (``SignedPermutation.terms``);
-``second_parity_by_rows`` keeps a per-byte gather as the reference.  Two
-lost systematic parts are recovered in closed form, O(N) per stripe.
+``second_parity_by_rows`` keeps a per-byte gather as the reference.
+Decoding works in place in a stack of every node's shard and writes only
+the lost systematic rows; two lost parts are recovered in closed form,
+O(N) per stripe.
 
 All symbols live in GF(3) with 2 standing for -1.
 """
@@ -341,93 +343,101 @@ def verify_mds(cm: CodingMatrixSet) -> MdsReport:
 
 def _residual(parity: np.ndarray, terms) -> np.ndarray:
     """int8 ``parity - sum(terms)``, left unreduced for the caller's reduce_sum."""
-    acc = residues(parity).astype(np.int8)
+    acc = parity.astype(np.int8)
     for t in terms:
         acc -= t
     return acc
 
 
-def _common_lead(arrays: dict[int, np.ndarray], length: int, what: str) -> tuple[int, ...]:
-    """The leading shape every array in ``arrays`` shares, each with last
-    axis ``length``; ``ValueError`` naming the first array that differs
-    otherwise."""
-    lead = None
-    for node, a in arrays.items():
-        shape = np.shape(a)
-        if not shape or shape[-1] != length:
-            got = shape[-1] if shape else "no axis"
-            raise ValueError(f"{what} {node} has last axis {got}, expected {length}")
-        if lead is None:
-            lead = shape[:-1]
-        elif shape[:-1] != lead:
-            raise ValueError(f"{what} {node}: inconsistent leading shapes, {shape[:-1]} against {lead}")
-    return lead
+@functools.lru_cache(maxsize=16)
+def _decode_operators(cm: CodingMatrixSet, missing: tuple[int, ...]) -> tuple[SignedPermutation, ...]:
+    """The signed permutations that rebuild the ``missing`` systematic
+    parts: A_j^-1 for one part j peeled off the zigzag parity, and for two,
+    j1 < j2, A_j1^-1 and P A_j1^-1 with P = A_j1^-1 A_j2, once P^2 = -I
+    holds (see ``decode_shards_array``).
+
+    Kept per coding set and pattern, the last 16 of them (about 10 MB at
+    k = 16).  A pair that fails the check raises ``SingularMatrixError``,
+    which is never kept, so it raises on every call."""
+    mats = cm.matrices
+    a1_inv = mats[missing[0]].inverse()
+    if len(missing) == 1:
+        return (a1_inv,)
+    j1, j2 = missing
+    p = a1_inv @ mats[j2]
+    if p @ p != SignedPermutation.identity(cm.params.n_rows).negate():
+        raise SingularMatrixError(f"A_{j1} - A_{j2} is singular: A_{j1}^-1 A_{j2} does not square to -I")
+    return a1_inv, p @ a1_inv
 
 
-def decode_shards_array(
-    params: CodeParams, cm: CodingMatrixSet, available: dict[int, np.ndarray]
-) -> np.ndarray:
-    """Recover all k parts (shape (k, ..., N)) from any >= k shards.
+def decode_shards_array(params: CodeParams, cm: CodingMatrixSet, shards: np.ndarray, present) -> np.ndarray:
+    """Recover all k parts from any >= k shards, in place in a stack of
+    every node's shard.
 
-    Case split: all systematic present -> copy; one missing -> peel it off
-    a parity (inverting a single signed permutation); two missing, j1 < j2
-    -> closed form.  With r1 = f_j1 + f_j2 and r2 = A_j1 f_j1 + A_j2 f_j2
-    left after peeling the present parts off both parities, let
-    P = A_j1^-1 A_j2.  Its index map x -> x ^ e_j1 ^ e_j2 has only
-    2-cycles, so A_j1 - A_j2 = A_j1 (I - P) is invertible exactly when
-    P^2 = -I, and then (I - P)^-1 = -(I + P).  Hence
+    ``shards`` is a uint8 array of shape (k+2, ..., N), row i node i's
+    shard; the rows named by ``present`` hold residues 0..2, and the
+    others anything.  The missing systematic rows are written, and only
+    they: the present rows and any missing parity row are left as they
+    are.  Returns the view ``shards[:k]`` of the parts, so when every
+    systematic shard is present nothing is copied.
+
+    Case split: one systematic part missing -> peel it off a parity (the
+    row sum when present, else the zigzag parity through A_j^-1); two
+    missing, j1 < j2 -> closed form.  With r1 = f_j1 + f_j2 and
+    r2 = A_j1 f_j1 + A_j2 f_j2 left after peeling the present parts off
+    both parities, let P = A_j1^-1 A_j2.  Its index map x -> x ^ e_j1 ^ e_j2
+    has only 2-cycles, so A_j1 - A_j2 = A_j1 (I - P) is invertible exactly
+    when P^2 = -I, and then (I - P)^-1 = -(I + P).  Hence
     f_j1 = -(I + P) A_j1^-1 (r2 - A_j2 r1) and f_j2 = r1 - f_j1, O(N) per
-    stripe; if P^2 != -I, SingularMatrixError is raised.  With more than
-    k shards the extras are cross-checked against a re-encode.  Every
-    shard must have last axis N and all must share one leading shape,
-    else ``ValueError`` naming the shard.
+    stripe; if P^2 != -I, SingularMatrixError is raised.  The operators
+    come from ``_decode_operators``.  With more than k shards the present
+    parities are cross-checked against a re-encode of the parts.  A stack
+    of another shape or dtype, or a node id outside it, raises
+    ``ValueError``.
     """
     k, n = params.k, params.n_rows
-    for node in available:
+    if shards.dtype != np.uint8 or shards.ndim < 2 or shards.shape[0] != k + 2 or shards.shape[-1] != n:
+        raise ValueError(
+            f"shard stack has shape {shards.shape} and dtype {shards.dtype}, expected uint8 ({k + 2}, ..., {n})"
+        )
+    present = set(present)
+    for node in present:
         if not 0 <= node < params.n_nodes:
             raise ValueError(f"unknown node id {node}")
-    lead = _common_lead(available, n, "shard")
-    if len(available) < k:
-        raise InsufficientShardsError(f"got {len(available)} shards, need at least {k}")
+    if len(present) < k:
+        raise InsufficientShardsError(f"got {len(present)} shards, need at least {k}")
 
-    present = [j for j in range(k) if j in available]
-    missing_sys = [j for j in range(k) if j not in available]
-    parts = np.empty((k,) + lead + (n,), dtype=np.uint8)
-    for j in present:
-        parts[j] = residues(available[j])
+    parts = shards[:k]
+    kept = [j for j in range(k) if j in present]
+    missing = tuple(j for j in range(k) if j not in present)
     mats = cm.matrices
 
     def row_sum_residual():
-        return _residual(available[k], (parts[l].view(np.int8) for l in present))
+        return _residual(shards[k], (parts[l].view(np.int8) for l in kept))
 
     def zigzag_residual():
-        return _residual(available[k + 1], (mats[l].terms(parts[l]) for l in present))
+        return _residual(shards[k + 1], (mats[l].terms(parts[l]) for l in kept))
 
-    if len(missing_sys) == 1:
-        j = missing_sys[0]
-        if k in available:
+    if len(missing) == 1:
+        j = missing[0]
+        if k in present:
             parts[j] = reduce_sum(row_sum_residual())
         else:
-            parts[j] = reduce_sum(mats[j].inverse().terms(zigzag_residual()))
-    elif len(missing_sys) == 2:
-        j1, j2 = missing_sys
-        a1_inv = mats[j1].inverse()
-        p = a1_inv @ mats[j2]
-        if p @ p != SignedPermutation.identity(n).negate():
-            raise SingularMatrixError(
-                f"A_{j1} - A_{j2} is singular: A_{j1}^-1 A_{j2} does not square to -I"
-            )
+            (a_inv,) = _decode_operators(cm, missing)
+            parts[j] = reduce_sum(a_inv.terms(zigzag_residual()))
+    elif len(missing) == 2:
+        j1, j2 = missing
+        a1_inv, pa1_inv = _decode_operators(cm, missing)
         r1 = reduce_sum(row_sum_residual())
         r2 = reduce_sum(zigzag_residual())
         t = r2.view(np.int8) - mats[j2].terms(r1)
-        f1 = reduce_sum(-(a1_inv.terms(t) + (p @ a1_inv).terms(t)))
+        f1 = reduce_sum(-(a1_inv.terms(t) + pa1_inv.terms(t)))
         parts[j1] = f1
         parts[j2] = reduce_sum(r1.view(np.int8) - f1.view(np.int8))
 
-    if len(available) > k:
-        shards = encode_parts_array(params, cm, parts)
-        for node, data in available.items():
-            if not np.array_equal(shards[node], residues(data)):
+    if len(present) > k:
+        parities = _encode_parities(cm, parts)
+        for node in sorted(present - set(range(k))):
+            if not np.array_equal(parities[node - k], shards[node]):
                 raise InconsistentShardsError(f"shard {node} disagrees with the reconstruction")
     return parts
-

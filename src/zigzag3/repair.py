@@ -96,7 +96,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .code import CodeParams, CodingMatrixSet, _common_lead, _is_paper_set, _odd_weight, basis_index
+from .code import CodeParams, CodingMatrixSet, _is_paper_set, _odd_weight, basis_index
 from .gf3 import (
     Gf3ShapeError,
     InconsistentSystemError,
@@ -1463,6 +1463,23 @@ def _check_kind(plan: RepairPlan) -> None:
     selects or a parity plan with a base."""
     if plan._selects is None and plan.projector_base is None:
         raise ValueError("a plan runs with its planner's row selects or with a projector base; this one has neither")
+
+
+def _common_lead(arrays: dict[int, np.ndarray], length: int, what: str) -> tuple[int, ...]:
+    """The leading shape every array in ``arrays`` shares, each with last
+    axis ``length``; ``ValueError`` naming the first array that differs
+    otherwise."""
+    lead = None
+    for node, a in arrays.items():
+        shape = np.shape(a)
+        if not shape or shape[-1] != length:
+            got = shape[-1] if shape else "no axis"
+            raise ValueError(f"{what} {node} has last axis {got}, expected {length}")
+        if lead is None:
+            lead = shape[:-1]
+        elif shape[:-1] != lead:
+            raise ValueError(f"{what} {node}: inconsistent leading shapes, {shape[:-1]} against {lead}")
+    return lead
 
 
 def compute_downloads(plan: RepairPlan, payloads: dict[int, np.ndarray]) -> dict[int, np.ndarray]:

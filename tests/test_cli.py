@@ -706,3 +706,33 @@ def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
     # The same calls in order, each after the ones before it.
     assert [_run(argv, capsys) for argv in calls] == first
     assert (tmp_path / "json.bin").read_bytes() == (tmp_path / "text.bin").read_bytes() == data
+
+
+def test_a_lost0_decode_peaks_at_its_stack_and_output(tmp_path, capsys):
+    # Every shard is unpacked into its row of one (k+2, stripes, N) stack,
+    # and extract reads the parts there: a k = 8 decode of 512 KiB from
+    # the data shards peaks within the stack, extract's words and bytes,
+    # and one shard of scratch (file reads, chunk buffers), so no copy of
+    # the parts fits.  The decode runs once first, so only the traced
+    # call's own arrays count.
+    import tracemalloc
+
+    k, size = 8, 512 * 1024
+    data = np.random.default_rng(88).bytes(size)
+    source = tmp_path / "input.bin"
+    source.write_bytes(data)
+    out_dir = tmp_path / "shards"
+    assert main(["encode", "--k", str(k), "--input", str(source), "--out-dir", str(out_dir)]) == 0
+    stripes = json.loads((out_dir / "manifest.json").read_text())["stripes"]
+    out = tmp_path / "restored.bin"
+    argv = ["decode", "--shards", *[shard(out_dir, i) for i in range(k)], "--out", str(out)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == data
+    one_shard = stripes * CodeParams(k).n_rows
+    assert peak < (k + 2) * one_shard + 2 * size + one_shard, (peak, one_shard)

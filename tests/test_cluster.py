@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from cluster_helpers import extract_file
+from cluster_helpers import decode_available, extract_file, read_shard, unpack_trits
 from layout_oracle import (
     bytes_to_trits,
     digits,
@@ -26,16 +26,15 @@ from zigzag3.cluster import (
     FileMeta,
     ShardFormatError,
     _pack_trits,
-    _unpack_trits,
     byte_capacity,
     extract,
     ingest,
     shard_from_bytes,
     shard_to_bytes,
-    shard_version,
+    shard_header,
     trits_to_bytes,
 )
-from zigzag3.code import CodeParams, build_coding_matrices, decode_shards_array, encode_parts_array
+from zigzag3.code import CodeParams, build_coding_matrices, encode_parts_array
 from zigzag3.gf3 import InconsistentSystemError
 from zigzag3.repair import expected_repair_io, repair_bandwidth
 from zigzag3.verification import flip_one_sign
@@ -85,22 +84,22 @@ PACKINGS = (2, 3)  # the interleaved and the planar shard version
 
 
 def test_unpack_every_packed_value():
-    trits = _unpack_trits(bytes(range(243)), 5 * 243, 2)
+    trits = unpack_trits(bytes(range(243)), 5 * 243, 2)
     assert trits.tolist() == [t for b in range(243) for t in digits(b, 5)]
-    trits = _unpack_trits(bytes(range(243)), 5 * 243, 3)
+    trits = unpack_trits(bytes(range(243)), 5 * 243, 3)
     assert trits.tolist() == [digits(b, 5)[p] for p in range(5) for b in range(243)]
     # 7 trits end in a byte whose last 3 digits are padding: 108 = 11000
     # in base 3 has zero padding, 100 = 10201 does not.
-    assert _unpack_trits(bytes([242, 108]), 7, 2).tolist() == [2] * 5 + digits(108, 5)[:2]
+    assert unpack_trits(bytes([242, 108]), 7, 2).tolist() == [2] * 5 + digits(108, 5)[:2]
     with pytest.raises(ShardFormatError, match="padding trit past trit 7"):
-        _unpack_trits(bytes([242, 100]), 7, 2)
+        unpack_trits(bytes([242, 100]), 7, 2)
     # Planar, 7 trits fill planes 0-2 of 2 bytes and the first trit of
     # plane 3: the last digit of byte 0 and the last two of byte 1 are
     # padding.  240 = 22220, and 241 = 22221 sets padding.
-    assert _unpack_trits(bytes([240, 108]), 7, 3).tolist() == [2, 1, 2, 1, 2, 0, 2]
+    assert unpack_trits(bytes([240, 108]), 7, 3).tolist() == [2, 1, 2, 1, 2, 0, 2]
     for data in ([241, 108], [240, 100]):
         with pytest.raises(ShardFormatError, match="padding trit past trit 7"):
-            _unpack_trits(bytes(data), 7, 3)
+            unpack_trits(bytes(data), 7, 3)
 
 
 def test_unpack_matches_the_reference_at_every_position():
@@ -112,17 +111,17 @@ def test_unpack_matches_the_reference_at_every_position():
         base = rng.integers(0, 243, size=length, dtype=np.uint8)
         for version in PACKINGS:
             want = unpack_trits_reference(base.tobytes(), version)
-            assert np.array_equal(_unpack_trits(base.tobytes(), 5 * length, version), want)
+            assert np.array_equal(unpack_trits(base.tobytes(), 5 * length, version), want)
             for pos in range(length):
                 for value in range(243):
                     data = base.copy()
                     data[pos] = value
-                    got = _unpack_trits(data.tobytes(), 5 * length, version)
+                    got = unpack_trits(data.tobytes(), 5 * length, version)
                     want = unpack_trits_reference(data.tobytes(), version)
                     assert np.array_equal(got, want), (length, pos, value, version)
     payload = rng.integers(0, 243, size=67_000, dtype=np.uint8).tobytes()
     for version in PACKINGS:
-        got = _unpack_trits(payload, 5 * len(payload), version)
+        got = unpack_trits(payload, 5 * len(payload), version)
         assert np.array_equal(got, unpack_trits_reference(payload, version))
 
 
@@ -137,15 +136,15 @@ def test_unpack_odd_and_even_payloads(length):
             # that changed nothing.
             trits = np.array(want[:count] + [0] * (5 * length - count), dtype=np.uint8)
             canonical = pack_trits_reference(trits, version)
-            got = _unpack_trits(canonical, count, version)
+            got = unpack_trits(canonical, count, version)
             assert got.dtype == np.uint8 and got.tolist() == want[:count]
             if canonical == data:
-                assert _unpack_trits(data, count, version).tolist() == want[:count]
+                assert unpack_trits(data, count, version).tolist() == want[:count]
             else:
                 with pytest.raises(ShardFormatError, match="padding trit"):
-                    _unpack_trits(data, count, version)
+                    unpack_trits(data, count, version)
         with pytest.raises(ShardFormatError, match="header claims"):
-            _unpack_trits(data, 5 * length + 1, version)
+            unpack_trits(data, 5 * length + 1, version)
 
 
 def test_unpack_rejects_every_padding_trit_of_short_payloads():
@@ -158,13 +157,13 @@ def test_unpack_rejects_every_padding_trit_of_short_payloads():
         for version in PACKINGS:
             packed = _pack_trits(trits, version)
             m = len(packed)
-            assert np.array_equal(_unpack_trits(packed, length, version), trits)
+            assert np.array_equal(unpack_trits(packed, length, version), trits)
             for pos in range(length, 5 * m):
                 byte, place = divmod(pos, 5) if version == 2 else (pos % m, pos // m)
                 bad = bytearray(packed)
                 bad[byte] += 3 ** (4 - place)
                 with pytest.raises(ShardFormatError, match=f"padding trit past trit {length}"):
-                    _unpack_trits(bytes(bad), length, version)
+                    unpack_trits(bytes(bad), length, version)
 
 
 @pytest.mark.parametrize("length", [4, 5])
@@ -177,7 +176,7 @@ def test_unpack_rejects_an_invalid_byte_in_either_place_of_a_pair(length):
                 data = bytearray([0, 1, 241, 242, 100][:length])
                 data[pos] = value
                 with pytest.raises(ShardFormatError, match=">= 243"):
-                    _unpack_trits(bytes(data), 5 * length, version)
+                    unpack_trits(bytes(data), 5 * length, version)
 
 
 @pytest.mark.parametrize("value", range(243, 256))
@@ -193,7 +192,7 @@ def test_shard_rejects_packed_byte_out_of_range(value):
         packed = bytes(bad[header_len:-4])
         bad[-4:] = (zlib.crc32(packed) & 0xFFFFFFFF).to_bytes(4, "little")
         with pytest.raises(ShardFormatError, match=">= 243"):
-            shard_from_bytes(bytes(bad))
+            read_shard(bytes(bad))
 
 
 def test_trits_roundtrip_all_bytes():
@@ -305,7 +304,7 @@ def test_files_round_trip_through_any_k_shards(k):
         parts, meta = ingest(p, data)
         shards = encode_parts_array(p, cm, parts)
         for nodes in subsets:
-            decoded = decode_shards_array(p, cm, {i: shards[i] for i in nodes})
+            decoded = decode_available(p, cm, {i: shards[i] for i in nodes})
             assert extract(p, decoded, meta) == data, (size, nodes)
 
 
@@ -439,8 +438,8 @@ def test_shard_roundtrip():
     assert shard_to_bytes(p, 2, payload) == shard_to_bytes(p, 2, payload, version=3)
     for version in (1, 2, 3):
         blob = shard_to_bytes(p, 2, payload, version=version)
-        assert blob[:4] == b"ZZG3" and blob[4] == version == shard_version(blob)
-        params, node, got = shard_from_bytes(blob)
+        assert blob[:4] == b"ZZG3" and blob[4] == version == shard_header(blob).version
+        params, node, got = read_shard(blob)
         assert params.k == 4 and node == 2
         assert np.array_equal(got, payload)
 
@@ -463,7 +462,7 @@ def test_every_shard_version_has_pinned_sets():
 
 
 def test_shard_bytes_reduce_signed_payload():
-    _, _, got = shard_from_bytes(shard_to_bytes(CodeParams(2), 0, np.array([[-1, 1]])))
+    _, _, got = read_shard(shard_to_bytes(CodeParams(2), 0, np.array([[-1, 1]])))
     assert got.tolist() == [[2, 1]]
 
 
@@ -495,14 +494,14 @@ def test_shard_wire_format_is_bit_exact():
         blob = shard_to_bytes(CodeParams(2), 0, payload, version=version)
         assert blob[4] == version and blob[11:19] == (6).to_bytes(8, "little")
         assert blob[19:-4] == bytes(packed)
-        assert np.array_equal(shard_from_bytes(blob)[2], payload)
+        assert np.array_equal(read_shard(blob)[2], payload)
 
 
 def test_shard_rejects_bad_magic():
     p, payload = make_payload()
     blob = shard_to_bytes(p, 0, payload)
     with pytest.raises(ShardFormatError, match="magic"):
-        shard_from_bytes(b"XXXX" + blob[4:])
+        read_shard(b"XXXX" + blob[4:])
 
 
 def test_shard_rejects_bad_version():
@@ -511,7 +510,7 @@ def test_shard_rejects_bad_version():
     for version in (0, 4, 9):
         blob[4] = version
         with pytest.raises(ShardFormatError, match="version"):
-            shard_from_bytes(bytes(blob))
+            read_shard(bytes(blob))
     with pytest.raises(ValueError, match="version"):
         shard_to_bytes(p, 0, payload, version=4)
 
@@ -521,14 +520,14 @@ def test_shard_rejects_crc_mismatch():
     blob = bytearray(shard_to_bytes(p, 0, payload))
     blob[25] ^= 1  # flip a payload bit
     with pytest.raises(ShardFormatError, match="CRC"):
-        shard_from_bytes(bytes(blob))
+        read_shard(bytes(blob))
 
 
 def test_shard_rejects_truncation():
     p, payload = make_payload()
     blob = shard_to_bytes(p, 0, payload)
     with pytest.raises(ShardFormatError):
-        shard_from_bytes(blob[:-3])
+        read_shard(blob[:-3])
 
 
 def test_shard_rejects_invalid_packed_byte():
@@ -542,7 +541,41 @@ def test_shard_rejects_invalid_packed_byte():
     crc = zlib.crc32(bytes(blob[19 : 19 + payload_len])) & 0xFFFFFFFF
     blob[-4:] = crc.to_bytes(4, "little")
     with pytest.raises(ShardFormatError, match="243"):
-        shard_from_bytes(bytes(blob))
+        read_shard(bytes(blob))
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_a_refused_shard_writes_nothing_into_its_row(version):
+    # Into a row of a stack, a shard unpacks in place; every check runs
+    # before the first write, so a refused shard leaves the row as it was.
+    p, payload = make_payload(k=4, stripes=7, seed=version)
+    blob = shard_to_bytes(p, 1, payload, version=version)
+    stack = np.full((6, 7, p.n_rows), 0xA5, dtype=np.uint8)
+
+    def with_crc(data):
+        data = bytearray(data)
+        data[-4:] = zlib.crc32(bytes(data[19:-4])).to_bytes(4, "little")
+        return bytes(data)
+
+    padded = bytearray(blob)
+    padded[-5] += 1  # 56 trits in 12 bytes: the last byte holds padding in either packing
+    refused = {
+        "magic": b"XXXX" + blob[4:],
+        "version": blob[:4] + bytes([7]) + blob[5:],
+        "length": blob[:-1],
+        "CRC": blob[:19] + bytes([blob[19] ^ 1]) + blob[20:],
+        "243": with_crc(blob[:19] + bytes([250]) + blob[20:]),
+        "padding": with_crc(padded),
+    }
+    for reason, bad in refused.items():
+        with pytest.raises(ShardFormatError):
+            shard_from_bytes(bad, stack[1])
+        assert (stack == 0xA5).all(), reason
+    with pytest.raises(ValueError, match="out must be"):
+        shard_from_bytes(blob, stack[1, :6])
+    assert (stack == 0xA5).all()
+    shard_from_bytes(blob, stack[1])
+    assert np.array_equal(stack[1], payload) and (stack[[0, 2, 3, 4, 5]] == 0xA5).all()
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from cluster_helpers import UNSET, decode_available
 from gf3_oracle import dense, gf3, identity, mul
 from zigzag3.cli import main
+from zigzag3.cluster import extract, ingest
 from zigzag3.code import (
     MAX_K,
     CodeParams,
@@ -300,7 +302,7 @@ def test_decode_systematic_passthrough():
     rng = np.random.default_rng(31)
     parts = rng.integers(0, 3, size=(4, p.n_rows), dtype=np.uint8)
     shards = encode_parts_array(p, cm, parts)
-    got = decode_shards_array(p, cm, {j: shards[j] for j in range(4)})
+    got = decode_available(p, cm, {j: shards[j] for j in range(4)})
     assert np.array_equal(got, parts)
 
 
@@ -310,7 +312,7 @@ def test_decode_from_parities_only_k2_exhaustive():
     for vals in itertools.product(range(3), repeat=4):
         parts = np.array(vals, dtype=np.uint8).reshape(2, 2)
         shards = encode_parts_array(p, cm, parts)
-        got = decode_shards_array(p, cm, {2: shards[2], 3: shards[3]})
+        got = decode_available(p, cm, {2: shards[2], 3: shards[3]})
         assert np.array_equal(got, parts)
 
 
@@ -322,7 +324,7 @@ def test_decode_every_subset_exhaustive_small(k):
     parts = rng.integers(0, 3, size=(k, 25, p.n_rows), dtype=np.uint8)
     shards = encode_parts_array(p, cm, parts)
     for subset in all_k_subsets(k):
-        got = decode_shards_array(p, cm, {i: shards[i] for i in subset})
+        got = decode_available(p, cm, {i: shards[i] for i in subset})
         assert np.array_equal(got, parts), subset
 
 
@@ -334,7 +336,7 @@ def test_decode_every_subset_sampled(k):
     parts = rng.integers(0, 3, size=(k, 5, p.n_rows), dtype=np.uint8)
     shards = encode_parts_array(p, cm, parts)
     for subset in all_k_subsets(k):
-        got = decode_shards_array(p, cm, {i: shards[i] for i in subset})
+        got = decode_available(p, cm, {i: shards[i] for i in subset})
         assert np.array_equal(got, parts), subset
 
 
@@ -345,7 +347,7 @@ def test_decode_drop_two_systematic_repeated():
     parts = rng.integers(0, 3, size=(4, 100, p.n_rows), dtype=np.uint8)
     shards = encode_parts_array(p, cm, parts)
     available = {i: shards[i] for i in (0, 2, 4, 5)}  # drop nodes 1 and 3
-    assert np.array_equal(decode_shards_array(p, cm, available), parts)
+    assert np.array_equal(decode_available(p, cm, available), parts)
 
 
 def dense_two_erasure_solve(params, cm, shards, j1, j2):
@@ -375,7 +377,7 @@ def test_two_erasure_closed_form_matches_dense_oracle(k):
     shards = encode_parts_array(p, cm, parts)
     for j1, j2 in itertools.combinations(range(k), 2):
         available = {i: shards[i] for i in range(k + 2) if i not in (j1, j2)}
-        got = decode_shards_array(p, cm, available)
+        got = decode_available(p, cm, available)
         want1, want2 = dense_two_erasure_solve(p, cm, shards, j1, j2)
         assert np.array_equal(got[j1], want1), (j1, j2)
         assert np.array_equal(got[j2], want2), (j1, j2)
@@ -393,7 +395,7 @@ def test_two_erasure_decode_refuses_singular_pair(k):
     with pytest.raises(SingularMatrixError):
         dense_two_erasure_solve(p, bad, shards, 0, 1)
     with pytest.raises(SingularMatrixError):
-        decode_shards_array(p, bad, {i: shards[i] for i in range(2, k + 2)})
+        decode_available(p, bad, {i: shards[i] for i in range(2, k + 2)})
 
 
 def test_worst_case_accumulation_at_max_k():
@@ -415,7 +417,7 @@ def test_worst_case_accumulation_at_max_k():
     lost1_zigzag = {i: shards[i] for i in (*range(1, k), k + 1)}
     lost2 = {i: shards[i] for i in range(2, k + 2)}
     for available in (lost1_zigzag, lost2):
-        assert np.array_equal(decode_shards_array(p, cm, available), parts)
+        assert np.array_equal(decode_available(p, cm, available), parts)
 
 
 def test_decode_insufficient_shards():
@@ -423,7 +425,7 @@ def test_decode_insufficient_shards():
     cm = cm_for(3)
     shards = encode_parts_array(p, cm, np.zeros((3, 4), dtype=np.uint8))
     with pytest.raises(InsufficientShardsError):
-        decode_shards_array(p, cm, {0: shards[0], 1: shards[1]})
+        decode_available(p, cm, {0: shards[0], 1: shards[1]})
 
 
 SHORT_SHARD_CASES = {"lost0": (0, 1, 2, 3), "lost1": (0, 1, 2, 4), "lost2": (0, 1, 4, 5)}
@@ -431,19 +433,20 @@ SHORT_SHARD_CASES = {"lost0": (0, 1, 2, 3), "lost1": (0, 1, 2, 4), "lost2": (0, 
 
 @pytest.mark.parametrize("case", SHORT_SHARD_CASES)
 def test_decode_rejects_a_short_shard(case):
-    # Node 1's shard cut to 1 of 3 stripes, or to 7 of 8 symbols a stripe:
-    # every decode case names it.
+    # A stack short of a node, of a symbol per stripe, or of uint8, or a
+    # node id outside it: every decode case refuses it before it writes.
     p = CodeParams(4)
     cm = cm_for(4)
     parts = np.random.default_rng(62).integers(0, 3, size=(4, 3, p.n_rows), dtype=np.uint8)
     shards = encode_parts_array(p, cm, parts)
-    available = {i: shards[i] for i in SHORT_SHARD_CASES[case]}
-    available[1] = shards[1][:1]
-    with pytest.raises(ValueError, match="shard 1: inconsistent leading shapes"):
-        decode_shards_array(p, cm, available)
-    available[1] = shards[1][:, :7]
-    with pytest.raises(ValueError, match="shard 1 has last axis 7"):
-        decode_shards_array(p, cm, available)
+    present = SHORT_SHARD_CASES[case]
+    for stack in (shards[:5], shards[..., :7], shards.astype(np.int8)):
+        before = stack.copy()
+        with pytest.raises(ValueError, match="shard stack has shape"):
+            decode_shards_array(p, cm, stack, present)
+        assert np.array_equal(stack, before)
+    with pytest.raises(ValueError, match="unknown node id 6"):
+        decode_shards_array(p, cm, shards, (*present, 6))
 
 
 def test_decode_detects_inconsistent_extra_shard():
@@ -456,7 +459,55 @@ def test_decode_detects_inconsistent_extra_shard():
     tampered[0] = (tampered[0] + 1) % 3
     available = {0: shards[0], 1: shards[1], 2: shards[2], 4: tampered}
     with pytest.raises(InconsistentShardsError):
-        decode_shards_array(p, cm, available)
+        decode_available(p, cm, available)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_every_erasure_pattern_decodes_in_the_stack(k):
+    # Every set of k, k+1 or k+2 shards, laid out in one stack: the decode
+    # writes only the lost systematic rows, returns the stack's first k
+    # rows, and extract reads the file back from them.
+    p, cm = CodeParams(k), cm_for(k)
+    for size in (0, 1, 17, 5000):
+        data = np.random.default_rng(700 * k + size).bytes(size)
+        parts, meta = ingest(p, data)
+        shards = encode_parts_array(p, cm, parts)
+        for count in (k, k + 1, k + 2):
+            for nodes in itertools.combinations(range(k + 2), count):
+                stack = np.full_like(shards, UNSET)
+                stack[list(nodes)] = shards[list(nodes)]
+                got = decode_shards_array(p, cm, stack, nodes)
+                assert np.shares_memory(got, stack) and got.shape == parts.shape
+                assert extract(p, got, meta) == data, (size, nodes)
+                assert np.array_equal(stack[list(nodes)], shards[list(nodes)]), nodes
+                assert np.array_equal(stack[:k], parts), nodes
+                for node in set(range(k, k + 2)) - set(nodes):
+                    assert (stack[node] == UNSET).all(), nodes
+
+
+def test_decode_operators_never_keep_a_failure():
+    # flip_one_sign breaks the pair (0, 1): every lost-2 decode of it
+    # raises, the first and the second alike, while the healthy set's
+    # operators are the same objects on every call.
+    import zigzag3.code as code
+
+    k = 5
+    p, cm = CodeParams(k), cm_for(k)
+    bad = flip_one_sign(cm)
+    shards = encode_parts_array(p, cm, np.random.default_rng(71).integers(0, 3, (k, 4, p.n_rows), dtype=np.uint8))
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError):
+            decode_shards_array(p, bad, shards.copy(), range(2, k + 2))
+        with pytest.raises(SingularMatrixError):
+            code._decode_operators(bad, (0, 1))
+    first = code._decode_operators(cm, (0, 1))
+    for _ in range(2):
+        stack = shards.copy()
+        stack[:2] = 0
+        assert np.array_equal(decode_shards_array(p, cm, stack, range(2, k + 2)), shards[:k])
+        assert all(a is b for a, b in zip(code._decode_operators(cm, (0, 1)), first))
+    assert code._decode_operators(cm, (3,))[0] is code._decode_operators(cm, (3,))[0]
+    assert code._decode_operators(cm, (3,))[0] == cm.matrices[3].inverse()
 
 
 @pytest.mark.parametrize("k", range(4, 13))
@@ -493,7 +544,7 @@ def test_encode_and_decode_run_every_apply_through_the_word_gather(k, monkeypatc
     parts = np.random.default_rng(500 + k).integers(0, 3, size=(k, 2, p.n_rows), dtype=np.uint8)
     shards = encode_parts_array(p, cm, parts)
     for nodes in itertools.combinations(range(k + 2), k):
-        assert np.array_equal(decode_shards_array(p, cm, {i: shards[i] for i in nodes}), parts)
+        assert np.array_equal(decode_available(p, cm, {i: shards[i] for i in nodes}), parts)
     assert calls["terms"] > 0 and calls["words"] == calls["terms"]
 
 

@@ -19,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from cluster_helpers import decode_available, unpack_trits  # noqa: E402
 from layout_oracle import (  # noqa: E402
     digits,
     pack_trits_reference,
@@ -32,14 +33,12 @@ from zigzag3.cluster import (  # noqa: E402
     FileMeta,
     ShardFormatError,
     _pack_trits,
-    _unpack_trits,
     extract,
     ingest,
 )
 from zigzag3.code import (  # noqa: E402
     CodeParams,
     build_coding_matrices,
-    decode_shards_array,
     encode_parts_array,
     second_parity_by_rows,
 )
@@ -113,7 +112,7 @@ def test_every_k_subset_decodes_to_the_parts(k, stripes, seed):
     parts = np.random.default_rng(seed).integers(0, 3, size=(k, stripes, p.n_rows), dtype=np.uint8)
     shards = encode_parts_array(p, cm, parts)
     for nodes in itertools.combinations(range(k + 2), k):
-        assert np.array_equal(decode_shards_array(p, cm, {i: shards[i] for i in nodes}), parts), nodes
+        assert np.array_equal(decode_available(p, cm, {i: shards[i] for i in nodes}), parts), nodes
 
 
 @st.composite
@@ -185,7 +184,7 @@ def test_packer_equals_the_horner_reference_at_every_short_length(seed, layout):
         for version in PACKINGS:
             packed = _pack_trits(trits, version)
             assert packed == pack_trits_reference(trits, version), (length, version)
-            assert np.array_equal(_unpack_trits(packed, length, version), trits)
+            assert np.array_equal(unpack_trits(packed, length, version), trits)
     assert _pack_trits(np.full(64, 2, dtype=np.uint8), 2) == bytes([242] * 12 + [240])
     # 13 planar bytes: planes 0-3 full, plane 4 holding the last 12 trits.
     assert _pack_trits(np.full(64, 2, dtype=np.uint8), 3) == bytes([242] * 12 + [240])
@@ -202,7 +201,7 @@ def test_packer_equals_the_horner_reference_at_any_length(length, seed, layout):
     for version in PACKINGS:
         packed = _pack_trits(trits, version)
         assert packed == pack_trits_reference(trits, version)
-        assert np.array_equal(_unpack_trits(packed, length, version), trits)
+        assert np.array_equal(unpack_trits(packed, length, version), trits)
 
 
 @FEW
@@ -225,4 +224,4 @@ def test_unpack_rejects_a_nonzero_padding_trit(groups, tail, seed, pick):
         byte, place = divmod(pos, 5) if version < 3 else (pos % m, pos // m)
         packed[byte] += 3 ** (4 - place)
         with pytest.raises(ShardFormatError, match="padding trit"):
-            _unpack_trits(bytes(packed), length, version)
+            unpack_trits(bytes(packed), length, version)

@@ -9,6 +9,7 @@ node's shard with ``match``.
 """
 
 import hashlib
+import itertools
 import json
 import zlib
 from pathlib import Path
@@ -61,7 +62,9 @@ def test_encode_writes_the_v2_set_byte_for_byte(name):
 @pytest.mark.parametrize("name", SETS)
 def test_v2_set_decodes_byte_identically(name, tmp_path, capsys):
     k, size, directory = shard_set(name)
-    for nodes in (range(k), range(2, k + 2)):
+    # Every set of k or more shards: each is unpacked into its row of one
+    # stack, and the lost data rows are rebuilt there.
+    for nodes in (c for count in (k, k + 1, k + 2) for c in itertools.combinations(range(k + 2), count)):
         out = tmp_path / "restored.bin"
         shards = [str(directory / f"node_{i}.shard") for i in nodes]
         assert main(["--format", "json", "decode", "--shards", *shards, "--out", str(out)]) == 0
