@@ -37,12 +37,13 @@ from .cluster import (
     FileMeta,
     ShardFormatError,
     byte_capacity,
-    extract,
+    extract_array,
     ingest,
     repair_lost_node,
     shard_from_bytes,
     shard_header,
     shard_to_bytes,
+    unpack_groups,
     write_shard_file,
 )
 from .repair import brute_force_min_io, io_lower_bound, repair_bandwidth
@@ -136,15 +137,24 @@ def cmd_encode(cfg: Config, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_shards(paths) -> tuple[CodeParams, int, int, np.ndarray, dict[int, int]]:
+def _load_shards(
+    paths, *, keep_packed: bool = False
+) -> tuple[CodeParams, int, int, np.ndarray, dict[int, int], dict[int, memoryview]]:
     """Read shard files that share k, stripe count and shard version into
     one (k+2, stripes, N) stack, allocated once the first header checks:
     each shard is unpacked into its node's row, and the rows of nodes not
     read are never written.  A shard whose k, stripe count or version
     differs from the first's, or whose node was read already, raises
-    ``ShardFormatError`` before its payload is unpacked.  Returns (params,
-    stripes, version, stack, stored CRCs by node in the order read)."""
+    ``ShardFormatError`` before its payload is unpacked.
+
+    Every shard is checked whole as it is read, but version-4 group
+    regions are unpacked only once all shards have passed, and not at all
+    when ``keep_packed`` is set and the shards are exactly the k data
+    shards: a decode then recombines their words from the packed bytes.
+    Returns (params, stripes, version, stack, stored CRCs by node in the
+    order read, the data shards' packed payloads by node)."""
     crcs: dict[int, int] = {}
+    payloads = {}
     stack = None
     for p in paths:
         blob = Path(p).read_bytes()
@@ -161,9 +171,12 @@ def _load_shards(paths) -> tuple[CodeParams, int, int, np.ndarray, dict[int, int
             raise ShardFormatError(f"mixed shard versions: {p} has version {head.version}, expected {version}")
         if head.node_id in crcs:
             raise ShardFormatError(f"duplicate shard for node {head.node_id}")
-        shard_from_bytes(blob, stack[head.node_id])
+        payloads[head.node_id] = shard_from_bytes(blob, stack[head.node_id], head)
         crcs[head.node_id] = int.from_bytes(blob[-4:], "little")
-    return params, stripes, version, stack, crcs
+    if version == 4 and not (keep_packed and sorted(crcs) == list(range(params.k))):
+        for node, payload in payloads.items():
+            unpack_groups(payload, stack[node])
+    return params, stripes, version, stack, crcs, {j: p for j, p in payloads.items() if j < params.k}
 
 
 def _is_int(value) -> bool:
@@ -237,7 +250,7 @@ def _check_against_manifest(
 
 
 def cmd_decode(cfg: Config, args) -> int:
-    params, stripes, version, stack, crcs = _load_shards(args.shards)
+    params, stripes, version, stack, crcs, packed = _load_shards(args.shards, keep_packed=True)
     manifest = _load_manifest(args, args.shards, version)
     _check_against_manifest(manifest, params, stripes, crcs)
     if len(crcs) < params.k:
@@ -247,12 +260,13 @@ def cmd_decode(cfg: Config, args) -> int:
     cm = build_coding_matrices(params)
     used = sorted(crcs)
     # The parts are the stack's first k rows: decode writes the lost ones
-    # in place, and extract reads them there.
+    # in place, and extract reads them there, and the present ones' words
+    # from their packed bytes.
     parts = decode_shards_array(params, cm, stack, used)
     meta = FileMeta(manifest["original_len"], stripes, version)
-    data = extract(params, parts, meta)
+    data = extract_array(params, parts, meta, packed)
     # As in encode: the shards go before the bytes are checked and written.
-    del stack, parts
+    del stack, parts, packed
     if "file_crc32" in manifest and zlib.crc32(data) != manifest["file_crc32"]:
         raise ShardFormatError("the decoded bytes do not match the manifest's file_crc32")
     Path(args.out).write_bytes(data)
@@ -284,7 +298,7 @@ def cmd_repair(cfg: Config, args) -> int:
     written; a mismatch is a format error and writes nothing.  The rebuilt
     shard takes its helpers' shard version.
     """
-    params, stripes, version, stack, crcs = _load_shards(args.shards)
+    params, stripes, version, stack, crcs, _ = _load_shards(args.shards)
     payloads = {node: stack[node] for node in crcs}
     rebuild = args.rebuild
     if not 0 <= rebuild < params.n_nodes:

@@ -3,11 +3,16 @@
 A byte file is read as little-endian 8-byte words, the last one
 zero-padded, and each word is written as its 41 base-3 digits
 (3^41 > 2^64), so a byte costs 41/8 = 5.125 trits.  The digits go to
-stripes of k*N symbols plane by plane: block b of kN words fills stripes
-41b .. 41b+40, stripe 41b+d holding digit d of every word of the block,
-word j*N + r of the block in row r of part j.  A last block of W' < kN
-words is stored digit-major (digit d of word i at d*W' + i) and
-zero-padded to whole stripes.  The code is a fixed-size block code, so
+stripes of k*N symbols plane by plane: a block of kN words fills 41
+stripes, each holding one digit of every word of the block, word j*N + r
+of the block in row r of part j.  Versions 2 and 3 keep each block's
+stripes together, block b's digit d in stripe 41b+d.  Version 4 orders the
+B = stripes // 41 whole blocks digit-major: digit 5g+i of block b (g < 8,
+i < 5) goes to stripe (8i+g)*B + b, digit 40 of block b to stripe 40B+b.
+A last block of W' < kN words is stored digit-major (digit d of word i at
+d*W' + i) and zero-padded to whole stripes; in version 4 one that needs
+all 41 stripes is stored as a whole block of zero-padded words instead, so
+the stripe count alone gives B.  The code is a fixed-size block code, so
 striping is the standard lift and all meters aggregate across stripes.
 A node is its payload, and is failed while that is None.  A repair's
 report meters the reads of each helper by the nonzero columns of the
@@ -18,23 +23,31 @@ shards.
 On disk a shard packs five trits per byte (3^5 = 243 <= 256) behind a
 fixed little-endian header and a CRC32 trailer; see ``shard_to_bytes``.
 The header's version byte names the stripes' byte layout and the packing.
-Versions 2 and 3 hold the word layout above, version 1 the older one, six
-trits per byte in file order, which ``extract`` still reads.  Versions 1
-and 2 pack interleaved, byte i holding trits 5i .. 5i+4.  Version 3, which
-encode writes, packs planar: with M = ceil(count / 5), byte i holds trits
-i, M+i, 2M+i, 3M+i and 4M+i, so each place value of the packed bytes is
-one contiguous plane of trits.  Older sets are still read, and a repair
-writes its helpers' version.  ``shard_header`` checks a shard's header
-alone, so a reader can check a shard against others before it unpacks
-it, and ``shard_from_bytes`` can unpack into a given row, such as one of
-the (k+2, stripes, N) stack that ``zigzag3 decode`` reads every shard
-into and decodes in place.
+Version 1 holds an older layout, six trits per byte in file order, which
+``extract`` still reads.  Versions 1 and 2 pack interleaved, byte i
+holding trits 5i .. 5i+4.  Version 3 packs planar: with M = ceil(count /
+5), byte i holds trits i, M+i, 2M+i, 3M+i and 4M+i, so each place value of
+the packed bytes is one contiguous plane of trits.  Version 4, which
+encode writes, packs its first 40BN trits, the group region, planar on
+their own, and the rest, the tail, planar after them.  Each place value i
+of the group region is then digit 5g+i of every word of every whole block,
+so byte g*BN + b*N + r is digits 5g .. 5g+4 of the word in row r of block b
+as one base-3 value: a decode recombines a data shard's words from its
+packed bytes without unpacking them.  The shard is as long as in version
+3.  Older sets are still read, and a repair writes its helpers' version.
+``shard_header`` checks a shard's header alone, so a reader can check a
+shard against others before it unpacks it, and ``shard_from_bytes`` can
+unpack into a given row, such as one of the (k+2, stripes, N) stack that
+``zigzag3 decode`` reads every shard into and decodes in place; it leaves
+a version-4 group region packed until ``unpack_groups``.
 
-Ingest splits each word by 3^20, 3^10 and 243 into uint8 groups of five
-digits and peels those by uint8 division straight into the digit planes;
-extract runs the inverse Horner steps.  Both work a whole number of
-blocks at a time, so every pass is a contiguous elementwise one and no
-temporary is file-sized.  Planar packing is the same kind of work: a
+Ingest splits each word by 3 into its digit 40 and a third, and the
+third by 3^20, 3^10 and 243 into the eight uint8 groups of five digits
+that a version-4 group region holds; uint8 division rounds peel the
+groups straight into the parts' stripes.  Extract runs the inverse steps
+on groups packed from the parts, or read from a data shard's packed bytes.
+Both work a few blocks at a time, so no temporary is file-sized.
+Planar packing is the same kind of work as the groups: a
 Horner pass over the five trit planes packs, and four uint8 division
 rounds unpack.  Interleaved packing multiplies each 5-trit group, read as
 an 8-byte word, by one constant that sums its place values into one byte
@@ -68,12 +81,14 @@ __all__ = [
     "byte_capacity",
     "ingest",
     "extract",
+    "extract_array",
     "SHARD_MAGIC",
     "SHARD_VERSION",
     "shard_to_bytes",
     "ShardHeader",
     "shard_header",
     "shard_from_bytes",
+    "unpack_groups",
     "write_shard_file",
     "NodeStore",
     "RepairReport",
@@ -104,8 +119,11 @@ def _digit_rows(values: int, digits: int) -> np.ndarray:
     return rows
 
 
-# packed byte value -> its 5 base-3 digits (values >= 243 are invalid)
+# packed byte value -> its 5 base-3 digits (values >= 243 are invalid),
+# as one opaque row per value, and as five planes of 243 (plane i digit i)
 _PACKED_TO_TRITS = _digit_rows(243, 5)
+_PACKED_PLANES = np.ascontiguousarray(_PACKED_TO_TRITS.view(np.uint8).reshape(243, 5).T)
+_PACKED_PLANES.setflags(write=False)
 
 # Base-3 digits per 8-byte word: 3^40 < 2^64 < 3^41.
 _WORD_TRITS = 41
@@ -125,82 +143,87 @@ def _horner(groups: np.ndarray, dtype) -> np.ndarray:
     return vals
 
 
-def _word_digits(words: np.ndarray, planes: np.ndarray) -> None:
-    """Write the base-3 digits of each word, most significant first, into
-    ``planes`` (41, len(words)): plane d gets digit d of every word.
+def _word_groups(words: np.ndarray, groups: np.ndarray, last: np.ndarray) -> None:
+    """Write the base-3 digits of each word, most significant first, as
+    eight uint8 groups into ``groups`` (8, *words.shape), group g the
+    base-3 value of digits 5g .. 5g+4, and digit 40 into ``last``.
 
-    A word splits by 3^20 into halves, each half by 3^10 into quarters and
-    each quarter by 243 into two uint8 groups of five digits.  The top
-    quarter holds eleven digits, but is at most 89,594 < 2 * 3^10: its
-    top digit is 1 exactly when it reaches 3^10, and is taken out first:
-    the quarter becomes the smaller of itself and itself less 3^10, which
-    wraps around in uint32 below 3^10.  The eight groups are then peeled
-    together, four uint8 divisions writing straight into the planes.
+    A word is 3 * third + digit 40, and its third is below 3^40.  The
+    third splits by 3^20 into uint32 halves, each half by 3^10 into uint16
+    quarters, and each quarter by 243 into two groups.  ``words`` may be
+    any view: the first division writes the thirds in C order, so every
+    later pass is contiguous.
     """
-    count = words.shape[0]
-    halves = np.empty((2, count), dtype=np.uint64)
-    np.floor_divide(words, _P20, out=halves[0])
-    np.multiply(halves[0], _P20, out=halves[1])
-    np.subtract(words, halves[1], out=halves[1])
+    shape = words.shape
+    thirds = np.empty(shape, dtype=np.uint64)
+    np.floor_divide(words, 3, out=thirds)
+    np.subtract(words, thirds * 3, out=last, casting="unsafe")
+    high = thirds // _P20
+    halves = np.empty((2, *shape), dtype=np.uint32)
+    halves[0] = high
+    high *= _P20
+    np.subtract(thirds, high, out=halves[1], casting="unsafe")
     quotient = halves // _P10
-    quarters = np.empty((2, 2, count), dtype=np.uint32)
+    quarters = np.empty((2, 2, *shape), dtype=np.uint16)
     quarters[:, 0] = quotient
     quotient *= _P10
     np.subtract(halves, quotient, out=quarters[:, 1], casting="unsafe")
-    quarters = quarters.reshape(4, count)
-    np.greater_equal(quarters[0], _P10, out=planes[0].view(np.bool_))
-    np.minimum(quarters[0], quarters[0] - np.uint32(_P10), out=quarters[0])
+    quarters = quarters.reshape(4, *shape)
     quotient = quarters // 243
-    groups = np.empty((4, 2, count), dtype=np.uint8)
-    groups[:, 0] = quotient
+    pairs = groups.reshape(4, 2, *shape)
+    pairs[:, 0] = quotient
     quotient *= 243
-    np.subtract(quarters, quotient, out=groups[:, 1], casting="unsafe")
-    groups = groups.reshape(8, count)
-    step = np.empty_like(groups)
-    for i, place in enumerate((81, 27, 9, 3)):
-        digit = planes[1 + i :: 5]
-        np.floor_divide(groups, place, out=digit)
-        np.multiply(digit, place, out=step)
-        np.subtract(groups, step, out=groups if i < 3 else planes[5::5])
+    np.subtract(quarters, quotient, out=pairs[:, 1], casting="unsafe")
 
 
-def _digit_words(planes: np.ndarray, first: int) -> np.ndarray:
-    """Inverse of ``_word_digits``: the uint64 words of the digit planes
-    (41, count).  A word whose digits exceed 2^64 - 1 raises
-    ``CorruptDataError`` naming its index, counted from ``first``.
+def _group_words(groups: np.ndarray, last: np.ndarray, where) -> np.ndarray:
+    """The uint64 words whose digits 5g .. 5g+4, as one base-3 value
+    below 243, are the uint8 ``groups[g]`` (g < 8) and whose digit 40 is
+    ``last``.  A word that would exceed 2^64 - 1 raises
+    ``CorruptDataError`` naming it by ``where(i)``, i its flat index.
 
-    Digits 0-39 form eight uint8 groups of five, pairs of groups uint16
-    quarters below 3^10, and pairs of quarters uint32 halves below 3^20;
-    a word is (high * 3^20 + low) * 3 plus digit 40, each step in the
-    narrowest type that holds it.
+    Pairs of groups form uint16 quarters below 3^10, and pairs of quarters
+    uint32 halves below 3^20; a word is (high * 3^20 + low) * 3 plus digit
+    40, each step in the narrowest type that holds it.  The words are a
+    new contiguous array: the uint64 steps run about twice as fast there
+    as in a strided view of the caller's output.
     """
-    count = planes.shape[1]
-    groups = planes[0:40:5] * np.uint8(3)
-    groups += planes[1:40:5]
-    for d in (2, 3, 4):
-        groups *= 3
-        groups += planes[d:40:5]
-    quarters = groups[0::2].astype(np.uint16)
-    quarters *= 243
+    quarters = np.multiply(groups[0::2], np.uint16(243))
     quarters += groups[1::2]
-    halves = quarters[0::2].astype(np.uint32)
-    halves *= _P10
+    halves = np.multiply(quarters[0::2], np.uint32(_P10))
     halves += quarters[1::2]
     high, low = halves
-    last = planes[40]
     # Below this high half, no word can exceed 2^64 - 1.
-    if count and int(high.max()) >= _HI_MAX:
+    if high.size and int(high.max()) >= _HI_MAX:
         bad = (high > _HI_MAX) | ((high == _HI_MAX) & ((low > _LO_MAX) | ((low == _LO_MAX) & (last > 0))))
         if bad.any():
             i = int(np.argmax(bad))
-            value = (int(high[i]) * _P20 + int(low[i])) * 3 + int(last[i])
-            raise CorruptDataError(f"word {first + i} recombines to {value} >= 2**64")
-    words = high.astype(np.uint64)
-    words *= _P20
+            value = (int(high.flat[i]) * _P20 + int(low.flat[i])) * 3 + int(last.flat[i])
+            raise CorruptDataError(f"word {where(i)} recombines to {value} >= 2**64")
+    words = np.multiply(high, np.uint64(_P20))
     words += low
     words *= 3
     words += last
     return words
+
+
+def _horner5(planes: np.ndarray) -> np.ndarray:
+    """The uint8 base-3 value of each position of the five trit planes
+    ``planes[0..4]``, plane 0 most significant."""
+    packed = planes[0] * np.uint8(3)
+    for plane in planes[1:4]:
+        packed += plane
+        packed *= 3
+    packed += planes[4]
+    return packed
+
+
+def _digit_words(planes: np.ndarray, first: int) -> np.ndarray:
+    """Inverse of ``_word_planes``: the uint64 words of the digit planes
+    (41, count).  A word whose digits exceed 2^64 - 1 raises
+    ``CorruptDataError`` naming its index, counted from ``first``."""
+    groups = _horner5(planes[:40].reshape(8, 5, -1).transpose(1, 0, 2))
+    return _group_words(groups, planes[40], lambda i: first + i)
 
 
 def trits_to_bytes(trits: np.ndarray, byte_count: int, *, first: int = 0) -> bytes:
@@ -227,7 +250,7 @@ def trits_to_bytes(trits: np.ndarray, byte_count: int, *, first: int = 0) -> byt
 _PACK_MULTIPLIER = np.uint64(81 << 32 | 27 << 24 | 9 << 16 | 3 << 8 | 1)
 
 
-def _pack_interleaved(trits: np.ndarray) -> bytes:
+def _pack_interleaved(trits: np.ndarray) -> np.ndarray:
     """Pack trits 5g .. 5g+4 into byte g, earliest trit in the highest
     place value; a last group of fewer than 5 trits is zero-padded on the
     right.
@@ -249,48 +272,79 @@ def _pack_interleaved(trits: np.ndarray) -> bytes:
     words = np.ndarray((groups,), dtype=_WORD, buffer=buf, strides=(5,))
     product = np.empty(groups, dtype=_WORD)
     np.multiply(words, _PACK_MULTIPLIER, out=product)
-    return product.view(np.uint8)[4::8].tobytes()
+    return product.view(np.uint8)[4::8].copy()
 
 
-def _pack_planar(trits: np.ndarray) -> bytes:
-    """Pack the trits, zero-padded to 5M for M = ceil(count / 5), as five
-    planes of M: byte i is 81*t[i] + 27*t[M+i] + 9*t[2M+i] + 3*t[3M+i] +
-    t[4M+i], one Horner step per plane."""
-    count = trits.shape[0]
-    m = -(-count // 5)
-    buf = np.empty(5 * m, dtype=np.uint8)
-    buf[:count] = trits
-    buf[count:] = 0
-    planes = buf.reshape(5, m)
-    packed = planes[0] * np.uint8(3)
-    for plane in planes[1:4]:
-        packed += plane
-        packed *= 3
-    packed += planes[4]
-    return packed.tobytes()
+def _pack_planar(trits: np.ndarray, split: int = 0) -> np.ndarray:
+    """Pack the trits planar, one Horner step per plane: the trits,
+    zero-padded to 5M for M = ceil(count / 5), as five planes of M, so
+    byte i is 81*t[i] + 27*t[M+i] + 9*t[2M+i] + 3*t[3M+i] + t[4M+i].
+
+    With ``split``, a multiple of 5, the first ``split`` trits pack so on
+    their own, into split / 5 bytes with no padding, and the rest after
+    them; one Horner pass covers both.
+    """
+    count = trits.shape[0] - split
+    g, m = split // 5, -(-count // 5)
+    buf = np.empty((5, g + m), dtype=np.uint8)
+    if g:
+        buf[:, :g] = trits[:split].reshape(5, g)
+        rest = np.zeros(5 * m, dtype=np.uint8)
+        rest[:count] = trits[split:]
+        buf[:, g:] = rest.reshape(5, m)
+    else:
+        flat = buf.reshape(-1)
+        flat[:count] = trits
+        flat[count:] = 0
+    return _horner5(buf)
 
 
-def _pack_trits(trits: np.ndarray, version: int) -> bytes:
-    """Pack trits 5 per byte in the packing of shard ``version``:
-    interleaved for versions 1 and 2, planar for version 3."""
+def _pack_trits(trits: np.ndarray, version: int) -> np.ndarray:
+    """Pack trits 5 per byte in the packing of shard ``version`` 1, 2 or
+    3: interleaved for versions 1 and 2, planar for version 3."""
     return _pack_interleaved(trits) if version < 3 else _pack_planar(trits)
 
 
-def _trit_rows(packed: np.ndarray) -> np.ndarray:
-    """The 5 base-3 digits of each packed byte, most significant first,
-    as a (bytes, 5) uint8 array."""
-    return _PACKED_TO_TRITS[packed].view(np.uint8).reshape(-1, 5)
+def _group_bytes(stripes: int, n: int) -> int:
+    """Bytes of a version-4 shard's group region: the eight groups of
+    five digits of each of its N rows in each of its ``stripes // 41``
+    whole blocks."""
+    return 8 * (stripes // _WORD_TRITS) * n
 
 
-def _unpack_trits(packed, out: np.ndarray, version: int) -> None:
+def _peel(packed: np.ndarray, planes: np.ndarray, last: np.ndarray) -> None:
+    """Unpack planar bytes below 243 into their five digit planes: four
+    uint8 division rounds write place values 81, 27, 9 and 3 into
+    ``planes[0..3]``, each leaving its remainder in ``last``."""
+    step = np.empty(packed.shape, dtype=np.uint8)
+    rest = packed
+    for plane, place in zip(planes, (81, 27, 9, 3)):
+        np.floor_divide(rest, place, out=plane)
+        np.multiply(plane, place, out=step)
+        np.subtract(rest, step, out=last)
+        rest = last
+
+
+# Packed bytes from which a planar payload is peeled rather than looked up.
+_PEEL_BYTES = 2048
+
+
+def _check_bytes(packed: np.ndarray) -> None:
+    if packed.size and int(packed.max()) >= 243:
+        raise ShardFormatError("payload byte >= 243 cannot encode 5 trits")
+
+
+def _unpack_trits(packed, out: np.ndarray, version: int, before: int) -> None:
     """Unpack into the flat uint8 ``out`` the first ``out.size`` trits of
     the bytes ``packed`` (any buffer) that ``_pack_trits`` packed for
     shard ``version``.  A byte >= 243, too short a payload, or a nonzero
     trit past ``out.size`` in the packer's trit order (which it never
-    writes) raises ``ShardFormatError`` before anything is written.
+    writes) raises ``ShardFormatError`` before anything is written.  The
+    messages count ``before`` more trits, those of the shard that precede
+    ``out``'s, as in a version-4 tail.
 
     Only the bytes that hold padding trits, at most four, are unpacked
-    apart, through ``_trit_rows``; the rest go straight into ``out``.
+    apart, through a table; the rest go straight into ``out``.
     Interleaved bytes are one whole-row lookup: each byte takes its 5
     trits from ``_PACKED_TO_TRITS``, 1,215 read-only bytes built at
     import, which stay in L1 cache from shard to shard.  Each output byte
@@ -298,52 +352,50 @@ def _unpack_trits(packed, out: np.ndarray, version: int) -> None:
     writes rows in.  Every index is in range, so ``clip`` never clips; it
     only lets the take write into ``out`` directly.
 
-    Planar bytes are peeled by place value 81, 27, 9 and 3 in turn: each
-    round divides the remainder into the next plane of ``out`` and leaves
-    its own remainder in the last plane, all in contiguous uint8 passes.
+    Planar bytes are peeled by ``_peel``, all in contiguous uint8 passes.
     The padding is the end of the last plane, the place-1 digits of the
-    last bytes; a payload of under 17 trits, whose planes are shorter
-    than the padding, is unpacked whole through ``_trit_rows``.
+    last bytes.  A payload of fewer than ``_PEEL_BYTES`` bytes, such as a
+    version-4 tail, is instead one lookup in ``_PACKED_PLANES``, the same
+    table as five planes: the peel's dozen or so numpy calls cost more
+    than the lookup there, which also covers a payload whose planes are
+    shorter than its padding.
     """
     packed = np.frombuffer(packed, dtype=np.uint8)
+    _check_bytes(packed)
     count, m = out.size, packed.size
-    if m and int(packed.max()) >= 243:
-        raise ShardFormatError("payload byte >= 243 cannot encode 5 trits")
     if 5 * m < count:
-        raise ShardFormatError(f"payload holds {5 * m} trits, header claims {count}")
-    if version >= 3 and count > 4 * m:
+        raise ShardFormatError(f"payload holds {before + 5 * m} trits, header claims {before + count}")
+    padding = f"payload has a nonzero padding trit past trit {before + count}"
+    if version >= 3 and m >= _PEEL_BYTES and count > 4 * m:
         head = count - 4 * m
-        tail = _trit_rows(packed[head:])
-        if tail[:, 4].any():
-            raise ShardFormatError(f"payload has a nonzero padding trit past trit {count}")
+        tail = _PACKED_PLANES.take(packed[head:], axis=1)
+        if tail[4].any():
+            raise ShardFormatError(padding)
         planes = out[: 4 * m].reshape(4, m)
-        planes[:, head:] = tail[:, :4].T
-        rest, last = packed[:head], out[4 * m :]
-        step = np.empty(head, dtype=np.uint8)
-        for plane, place in zip(planes[:, :head], (81, 27, 9, 3)):
-            np.floor_divide(rest, place, out=plane)
-            np.multiply(plane, place, out=step)
-            np.subtract(rest, step, out=last)
-            rest = last
-        return
-    head = count // 5 if version < 3 else 0
-    tail = _trit_rows(packed[head:])
-    tail = (tail if version < 3 else tail.T).reshape(-1)
-    rest = count - 5 * head
-    if tail[rest:].any():
-        raise ShardFormatError(f"payload has a nonzero padding trit past trit {count}")
-    out[5 * head :] = tail[:rest]
-    np.take(_PACKED_TO_TRITS, packed[:head], out=out[: 5 * head].view(_PACKED_TO_TRITS.dtype), mode="clip")
+        planes[:, head:] = tail[:4]
+        _peel(packed[:head], planes[:, :head], out[4 * m :])
+    elif version >= 3:
+        planes = _PACKED_PLANES.take(packed, axis=1).reshape(-1)
+        if planes[count:].any():
+            raise ShardFormatError(padding)
+        out[:] = planes[:count]
+    else:
+        head = count // 5
+        tail = _PACKED_TO_TRITS[packed[head:]].view(np.uint8)
+        if tail[count - 5 * head :].any():
+            raise ShardFormatError(padding)
+        out[5 * head :] = tail[: count - 5 * head]
+        np.take(_PACKED_TO_TRITS, packed[:head], out=out[: 5 * head].view(_PACKED_TO_TRITS.dtype), mode="clip")
 
 
 # ---------------------------------------------------------------------------
 # Ingest / extract
 # ---------------------------------------------------------------------------
 
-# The shard version encode writes.  Its byte layout is version 2's, which
-# ingest writes; extract and the shard reader also take versions 1 and 2.
-SHARD_VERSION = 3
-_SHARD_VERSIONS = (1, 2, 3)
+# The shard version encode writes, in the byte layout ingest writes;
+# extract and the shard reader also take versions 1 to 3.
+SHARD_VERSION = 4
+_SHARD_VERSIONS = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -376,20 +428,23 @@ def byte_capacity(params: CodeParams, stripes: int, version: int) -> int:
     return 8 * (blocks * kn + rest * kn // _WORD_TRITS)
 
 
-# Trits per codec chunk: ingest and extract convert the stream a few
-# stripes at a time, so neither lays out a file-sized copy of it.
+# Trits per codec chunk of extract: it converts the stream a few stripes
+# at a time, so it lays out no file-sized copy of it.
 _BLOCK_TRITS = 1 << 18
+# Words that a version-4 ingest, or a recombination of one part, handles
+# at a time.
+_GROUP_WORDS = 1 << 14
 
 
-def _chunks(params: CodeParams, words: int, stripes: int) -> list[tuple[int, int, int, int]]:
+def _chunks(params: CodeParams, whole: int, words: int, stripes: int, first: int = 0):
     """(first word, end word, first stripe, end stripe) of each codec
-    chunk: runs of whole blocks, about ``_BLOCK_TRITS`` trits each (one
-    block where a block alone is larger, from k = 11), then the last
-    partial block and the padding, if any stripe is left."""
+    chunk: runs of whole blocks over words [first, whole), about
+    ``_BLOCK_TRITS`` trits each (one block where a block alone is larger,
+    from k = 11), then the last partial block, words [whole, words), and
+    the padding, if any stripe is left."""
     kn = params.file_symbols
     step = kn * max(1, _BLOCK_TRITS // (_WORD_TRITS * kn))
-    whole = words - words % kn
-    ends = [*range(0, whole, step), whole]
+    ends = [*range(first, whole, step), whole]
     chunks = [(w0, w1, _WORD_TRITS * w0 // kn, _WORD_TRITS * w1 // kn) for w0, w1 in zip(ends, ends[1:])]
     if _WORD_TRITS * whole // kn < stripes:
         chunks.append((whole, words, _WORD_TRITS * whole // kn, stripes))
@@ -402,8 +457,9 @@ def _chunk_views(params: CodeParams, rows: np.ndarray, buf: np.ndarray, chunk):
     buffer ``buf``, and the chunk's (41, words) digit planes within ``buf``.
 
     A run of whole blocks is laid out digit-major across the whole run, so
-    each plane is one contiguous row; the last partial block is the stream
-    itself, its planes followed by zero padding."""
+    each plane is one contiguous row, its stripes those of version 2; the
+    last partial block is the stream itself, its planes followed by zero
+    padding."""
     k, kn = params.k, params.file_symbols
     w0, w1, s0, s1 = chunk
     count = w1 - w0
@@ -425,37 +481,59 @@ def _as_rows(parts: np.ndarray) -> np.ndarray:
 
 
 def _chunk_buffer(params: CodeParams, chunks) -> np.ndarray:
-    return np.empty(max(s1 - s0 for _, _, s0, s1 in chunks) * params.file_symbols, dtype=np.uint8)
+    return np.empty(max((s1 - s0 for _, _, s0, s1 in chunks), default=0) * params.file_symbols, dtype=np.uint8)
+
+
+def _file_words(view: memoryview, w0: int, w1: int) -> np.ndarray:
+    """Words [w0, w1) of the bytes ``view``, zero-padded past its end."""
+    if 8 * w1 <= len(view):
+        return np.frombuffer(view[8 * w0 : 8 * w1], dtype=_WORD)
+    words = np.zeros(w1 - w0, dtype=_WORD)
+    words.view(np.uint8)[: len(view) - 8 * w0] = np.frombuffer(view[8 * w0 :], dtype=np.uint8)
+    return words
+
+
+def _word_planes(words: np.ndarray, planes: np.ndarray) -> None:
+    """Write the base-3 digits of each word into ``planes`` (41,
+    len(words)): plane d gets digit d of every word."""
+    groups = np.empty((8, words.shape[0]), dtype=np.uint8)
+    _word_groups(words, groups, planes[40])
+    digits = planes[:40].reshape(8, 5, -1).transpose(1, 0, 2)
+    _peel(groups, digits[:4], digits[4])
 
 
 def ingest(params: CodeParams, data: bytes) -> tuple[np.ndarray, FileMeta]:
-    """Split a byte string into parts of shape (k, stripes, N) in the word
-    layout of versions 2 and 3 (see the module docstring).
+    """Split a byte string into parts of shape (k, stripes, N) in version
+    4's word layout (see the module docstring).
 
-    An empty file still occupies one all-zero stripe.  The words are
-    converted chunk by chunk, each chunk's digits copied into the parts as
-    whole N-symbol rows.
+    An empty file still occupies one all-zero stripe.  Whole blocks are
+    converted a run at a time, each part's words of the run side by side,
+    so their groups are peeled straight into runs of contiguous rows of
+    the parts; the last partial block goes through a stream buffer.
     """
-    k, n = params.k, params.n_rows
+    k, n, kn = params.k, params.n_rows, params.file_symbols
     size = len(data)
     words = -(-size // 8)
     stripes = _stripe_count(params, words)
+    blocks = stripes // _WORD_TRITS
     parts = np.empty((k, stripes, n), dtype=np.uint8)
-    rows = _as_rows(parts)
-    chunks = _chunks(params, words, stripes)
-    buf = _chunk_buffer(params, chunks)
+    # digit 5g+i of part j's row r of block b, as [i, g, j, b, r]
+    digits = parts[:, : 40 * blocks].reshape(k, 5, 8, blocks, n).transpose(1, 2, 0, 3, 4)
+    last = parts[:, 40 * blocks : 41 * blocks]
     view = memoryview(data)
-    for chunk in chunks:
-        w0, w1, s0, s1 = chunk
-        if 8 * w1 <= size:
-            block = np.frombuffer(view[8 * w0 : 8 * w1], dtype=_WORD)
-        else:
-            block = np.zeros(w1 - w0, dtype=_WORD)
-            block.view(np.uint8)[: size - 8 * w0] = np.frombuffer(view[8 * w0 :], dtype=np.uint8)
-        stored, grid, planes = _chunk_views(params, rows, buf, chunk)
-        buf[_WORD_TRITS * (w1 - w0) : (s1 - s0) * params.file_symbols] = 0
-        _word_digits(block, planes)
-        stored[...] = grid
+    step = max(1, _GROUP_WORDS // kn)
+    for b0 in range(0, blocks, step):
+        b1 = min(blocks, b0 + step)
+        run = _file_words(view, b0 * kn, b1 * kn).reshape(b1 - b0, k, n)
+        groups = np.empty((8, k, b1 - b0, n), dtype=np.uint8)
+        _word_groups(run.transpose(1, 0, 2), groups, last[:, b0:b1])
+        run_digits = digits[:, :, :, b0:b1]
+        _peel(groups, run_digits[:4], run_digits[4])
+    if _WORD_TRITS * blocks < stripes:
+        w0 = kn * blocks
+        stream = np.zeros((stripes - _WORD_TRITS * blocks) * kn, dtype=np.uint8)
+        _word_planes(_file_words(view, w0, words), stream[: _WORD_TRITS * (words - w0)].reshape(_WORD_TRITS, -1))
+        parts[:, _WORD_TRITS * blocks :] = stream.reshape(-1, k, n).transpose(1, 0, 2)
     return parts, FileMeta(size, stripes)
 
 
@@ -466,11 +544,24 @@ def extract(params: CodeParams, parts: np.ndarray, meta: FileMeta) -> bytes:
     ``parts`` holds trits 0..2.  Like ``ingest`` it works chunk by chunk:
     only one chunk of the stream is ever laid out in file order.
     """
-    k, n = params.k, params.n_rows
+    return extract_array(params, parts, meta).tobytes()
+
+
+def extract_array(params: CodeParams, parts: np.ndarray, meta: FileMeta, packed=None) -> np.ndarray:
+    """``extract``'s bytes as a uint8 array, a view of the recombined
+    words, so a caller that only checks and writes them copies nothing.
+
+    In version 4's layout, ``packed`` may map a part index to that data
+    shard's packed payload (as ``shard_from_bytes`` returns it): the part's
+    whole-block words are then recombined from the payload's group region,
+    and its group stripes in ``parts`` are not read.  The group region of
+    any other part is packed from ``parts`` a few blocks at a time.
+    """
+    k, n, kn = params.k, params.n_rows, params.file_symbols
     if parts.shape != (k, meta.stripe_count, n):
         raise ValueError(f"parts shape {parts.shape} != ({k}, {meta.stripe_count}, {n})")
     if meta.version == 1:
-        return _extract_v1(params, parts, meta)
+        return np.frombuffer(_extract_v1(params, parts, meta), dtype=np.uint8)
     if meta.version not in _SHARD_VERSIONS:
         raise ValueError(f"unsupported shard version {meta.version}")
     size = meta.original_len
@@ -478,15 +569,49 @@ def extract(params: CodeParams, parts: np.ndarray, meta: FileMeta) -> bytes:
     stripes = _stripe_count(params, words)
     if meta.stripe_count < stripes:
         raise CorruptDataError(f"need {stripes} stripes for {size} bytes, got {meta.stripe_count}")
-    rows = _as_rows(np.ascontiguousarray(parts, dtype=np.uint8))
-    chunks = _chunks(params, words, stripes)
+    parts = np.ascontiguousarray(parts, dtype=np.uint8)
+    if meta.version == 4:
+        # Only the whole blocks the length reaches are read.
+        blocks = min(meta.stripe_count // _WORD_TRITS, -(-words // kn))
+        whole = first = kn * blocks
+        out = np.empty(max(words, whole), dtype=_WORD)
+        _block_words(params, parts, out[:whole].reshape(blocks, k, n), packed or {})
+    else:
+        whole, first = words - words % kn, 0
+        out = np.empty(words, dtype=_WORD)
+    rows = _as_rows(parts)
+    chunks = _chunks(params, whole, words, stripes, first)
     buf = _chunk_buffer(params, chunks)
-    out = np.empty(words, dtype=_WORD)
     for chunk in chunks:
         stored, grid, planes = _chunk_views(params, rows, buf, chunk)
         grid[...] = stored
         out[chunk[0] : chunk[1]] = _digit_words(planes, chunk[0])
-    return out.view(np.uint8)[:size].tobytes()
+    return out.view(np.uint8)[:size]
+
+
+def _block_words(params: CodeParams, parts: np.ndarray, out: np.ndarray, packed) -> None:
+    """Recombine into ``out`` (blocks, k, N) the words of the first
+    ``blocks`` whole blocks of version 4's layout, part by part and a few
+    blocks at a time.
+
+    Part j's groups are the group region of its packed payload
+    ``packed[j]`` where given, else one planar Horner pass over its group
+    stripes; digit 40 is read from its stripes 40B .. 41B-1.
+    """
+    k, n, kn = params.k, params.n_rows, params.file_symbols
+    blocks = out.shape[0]
+    total = parts.shape[1] // _WORD_TRITS
+    step = max(1, _GROUP_WORDS // n)
+    for j in range(k):
+        if j in packed:
+            groups = np.frombuffer(packed[j], dtype=np.uint8, count=8 * total * n).reshape(8, total, n)
+        else:
+            digits = parts[j, : 40 * total].reshape(5, 8, total, n)
+        for b0 in range(0, blocks, step):
+            b1 = min(blocks, b0 + step)
+            chunk = groups[:, b0:b1] if j in packed else _horner5(digits[:, :, b0:b1])
+            last = parts[j, 40 * total + b0 : 40 * total + b1]
+            out[b0:b1, j] = _group_words(chunk, last, lambda i: (b0 + i // n) * kn + j * n + i % n)
 
 
 def _extract_v1(params: CodeParams, parts: np.ndarray, meta: FileMeta) -> bytes:
@@ -518,15 +643,9 @@ SHARD_MAGIC = b"ZZG3"
 _HEADER_LEN = 4 + 1 + 1 + 1 + 4 + 8
 
 
-def shard_to_bytes(
-    params: CodeParams, node_id: int, payload: np.ndarray, *, version: int = SHARD_VERSION
-) -> bytes:
-    """Serialize one node's payload (stripes, N) to the shard wire format.
-
-    ``version`` sets the header's version byte and the packing: the byte
-    tells a reader which byte layout the stripes hold and how the payload
-    packs them (see ``_pack_trits``).
-    """
+def _shard_pieces(params: CodeParams, node_id: int, payload: np.ndarray, version: int):
+    """The header, the packed payload and the payload CRC32 of one node's
+    (stripes, N) payload in the shard wire format."""
     if not 0 <= node_id < params.n_nodes:
         raise ValueError(f"node id {node_id} out of range")
     if version not in _SHARD_VERSIONS:
@@ -535,15 +654,30 @@ def shard_to_bytes(
     if n != params.n_rows:
         raise ValueError(f"payload row length {n} != {params.n_rows}")
     trits = residues(payload).reshape(-1)
-    packed = _pack_trits(trits, version)
+    if version < 4:
+        packed = _pack_trits(trits, version)
+    else:
+        packed = _pack_planar(trits, 5 * _group_bytes(stripes, n))
     head = (
         SHARD_MAGIC
         + bytes([version, params.k, node_id])
         + stripes.to_bytes(4, "little")
         + trits.shape[0].to_bytes(8, "little")
     )
-    crc = zlib.crc32(packed) & 0xFFFFFFFF
-    return head + packed + crc.to_bytes(4, "little")
+    return head, packed, zlib.crc32(packed) & 0xFFFFFFFF
+
+
+def shard_to_bytes(
+    params: CodeParams, node_id: int, payload: np.ndarray, *, version: int = SHARD_VERSION
+) -> bytes:
+    """Serialize one node's payload (stripes, N) to the shard wire format.
+
+    ``version`` sets the header's version byte and the packing: the byte
+    tells a reader which byte layout the stripes hold and how the payload
+    packs them (see the module docstring).
+    """
+    head, packed, crc = _shard_pieces(params, node_id, payload, version)
+    return b"".join([head, packed, crc.to_bytes(4, "little")])
 
 
 @dataclass(frozen=True)
@@ -588,28 +722,52 @@ def shard_header(blob: bytes) -> ShardHeader:
     return ShardHeader(params, node_id, stripes, version)
 
 
-def shard_from_bytes(blob: bytes, out: np.ndarray) -> None:
-    """Check a shard and unpack its (stripes, N) trits into ``out``, a
-    C-contiguous uint8 array of that shape, such as one row of a decode's
-    shard stack.  The header, the CRC and the packed bytes are all
-    checked before anything is written, and the payload is read through a
-    view of ``blob``, never copied."""
-    header = shard_header(blob)
+def shard_from_bytes(blob: bytes, out: np.ndarray, header: ShardHeader) -> memoryview:
+    """Check a shard whole and unpack its (stripes, N) trits into ``out``,
+    a C-contiguous uint8 array of that shape, such as one row of a
+    decode's shard stack, all but a version-4 shard's group region.
+    ``header`` is ``shard_header(blob)``.  The CRC and the packed bytes
+    are all checked before anything is written, and the payload is read
+    through a view of ``blob``, never copied.  Returns that view.
+
+    The group region is checked but left packed, and its stripes of
+    ``out`` are not written: ``unpack_groups`` unpacks it, and
+    ``extract_array`` can recombine the shard's words from the payload as
+    it is.
+    """
     shape = (header.stripes, header.params.n_rows)
     if out.shape != shape or out.dtype != np.uint8 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous uint8 array of shape {shape}")
     packed = memoryview(blob)[_HEADER_LEN:-4]
     if zlib.crc32(packed) & 0xFFFFFFFF != int.from_bytes(blob[-4:], "little"):
         raise ShardFormatError("payload CRC mismatch")
-    _unpack_trits(packed, out.reshape(-1), header.version)
+    # A version-4 tail packs as a version-3 payload of its own.
+    data = np.frombuffer(packed, dtype=np.uint8)
+    size = _group_bytes(*shape) if header.version == 4 else 0
+    _check_bytes(data[:size])
+    _unpack_trits(data[size:], out.reshape(-1)[5 * size :], min(header.version, 3), 5 * size)
+    return packed
+
+
+def unpack_groups(packed, out: np.ndarray) -> None:
+    """Unpack the group region of a version-4 payload ``packed`` that
+    ``shard_from_bytes`` has checked into its stripes of ``out``, the
+    shard's (stripes, N) row."""
+    size = _group_bytes(*out.shape)
+    planes = out.reshape(-1)[: 5 * size].reshape(5, size)
+    _peel(np.frombuffer(packed, dtype=np.uint8)[:size], planes[:4], planes[4])
 
 
 def write_shard_file(path, params: CodeParams, node_id: int, payload: np.ndarray) -> int:
-    """Write a shard file; returns the payload CRC32."""
-    blob = shard_to_bytes(params, node_id, payload)
+    """Write a shard file of the version encode writes, its header,
+    packed payload and CRC one after another with no joined copy; returns
+    the payload CRC32."""
+    head, packed, crc = _shard_pieces(params, node_id, payload, SHARD_VERSION)
     with open(path, "wb") as fh:
-        fh.write(blob)
-    return int.from_bytes(blob[-4:], "little")
+        fh.write(head)
+        fh.write(packed)
+        fh.write(crc.to_bytes(4, "little"))
+    return crc
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ payloads, so these live with the tests.
 
 import numpy as np
 
-from zigzag3.cluster import _unpack_trits, extract, shard_from_bytes, shard_header
+from zigzag3.cluster import _unpack_trits, extract, shard_from_bytes, shard_header, unpack_groups
 from zigzag3.code import decode_shards_array
 from zigzag3.gf3 import residues
 
@@ -18,10 +18,13 @@ UNSET = 0xA5
 
 def read_shard(blob: bytes):
     """(params, node id, payload) of a shard, its payload unpacked by
-    ``shard_from_bytes`` into a new array."""
+    ``shard_from_bytes`` and, for version 4, ``unpack_groups`` into a new
+    array."""
     header = shard_header(blob)
     payload = np.empty((header.stripes, header.params.n_rows), dtype=np.uint8)
-    shard_from_bytes(blob, payload)
+    packed = shard_from_bytes(blob, payload, header)
+    if header.version == 4:
+        unpack_groups(packed, payload)
     return header.params, header.node_id, payload
 
 
@@ -29,7 +32,7 @@ def unpack_trits(packed: bytes, count: int, version: int) -> np.ndarray:
     """The first ``count`` trits of the shard payload ``packed``, unpacked
     by ``zigzag3.cluster._unpack_trits`` into a new array."""
     out = np.empty(count, dtype=np.uint8)
-    _unpack_trits(packed, out, version)
+    _unpack_trits(packed, out, version, 0)
     return out
 
 

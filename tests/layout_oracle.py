@@ -14,7 +14,12 @@ stores each block of kN words as its 41 digit planes, digit d of word i of
 a block of W words at stream position d*W + i; ``word_stream`` builds that
 stream one Python int at a time.
 
-Version 3 keeps the version-2 layout.  Every version packs a shard's
+Version 3 keeps the version-2 layout.  Version 4 orders the stripes of
+the B whole blocks digit-major, digit 5g+i of block b in stripe
+(8i+g)*B + b and digit 40 in stripe 40B + b, where B = stripes // 41, so a
+last block that needs all 41 stripes is a whole block of zero-padded
+words; ``word_stream_v4`` builds that stream, its last partial block as
+``word_stream`` does.  Every version packs a shard's
 trits five to a byte, earliest trit in the highest place value.  Versions
 1 and 2 pack interleaved, byte i holding trits 5i .. 5i+4:
 ``pack_trits_horner`` is the five-step Horner loop the program packed
@@ -77,6 +82,22 @@ def word_stream(params: CodeParams, words: list[int]) -> list[int]:
         block = [digits(w, 41) for w in words[b0 : b0 + kn]]
         stream += [w[d] for d in range(41) for w in block]
     return stream + [0] * (-len(stream) % kn if stream else kn)
+
+
+def word_stream_v4(params: CodeParams, words: list[int]) -> list[int]:
+    """The version-4 trit stream of ``words``, padded to whole stripes."""
+    kn = params.file_symbols
+    stripes = len(word_stream(params, words)) // kn
+    blocks = stripes // 41
+    padded = words + [0] * (blocks * kn - len(words))
+    rows = [[digits(w, 41) for w in padded[b * kn : (b + 1) * kn]] for b in range(blocks)]
+    stream = []
+    for d in [5 * g + i for i in range(5) for g in range(8)] + [40]:
+        for block in rows:
+            stream += [row[d] for row in block]
+    if 41 * blocks < stripes:
+        stream += word_stream(params, words[blocks * kn :])
+    return stream
 
 
 def pack_trits_horner(trits: np.ndarray) -> bytes:

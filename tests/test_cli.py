@@ -44,7 +44,7 @@ def test_encode_empty_file(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["encode", "--k", "3", "--input", str(src), "--out-dir", str(out_dir)]) == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert manifest == {"k": 3, "stripes": 1, "original_len": 0, "shard_version": 3,
+    assert manifest == {"k": 3, "stripes": 1, "original_len": 0, "shard_version": 4,
                         "file_crc32": 0, "shard_crc": manifest["shard_crc"]}
     out = tmp_path / "back.bin"
     shards = [shard(out_dir, i) for i in range(3)]
@@ -511,19 +511,21 @@ def test_edited_original_len_fails_the_file_crc(tmp_path, capsys, original_len):
 def test_version_flipped_on_every_shard_exit_4(tmp_path, capsys, size):
     # The version byte is outside the shard CRC.  16 bytes fit in the
     # stripes of either layout: read as version 1, 4 bytes used to decode
-    # to 4 wrong bytes with exit 0.  Relabelled 1 or 2, a version-3 set is
-    # read interleaved; at 280 and 16 bytes each shard has at most one
-    # padding trit, the last in either packing, so only the manifest's
-    # version check refuses the set.  4 bytes leave 4 padding trits per
-    # shard, 3 of them data trits of the planar packing, and the padding
-    # check refuses it first.
+    # to 4 wrong bytes with exit 0.  Relabelled 1 or 2, a version-4 set is
+    # read interleaved, and relabelled 3 planar without a group region; at
+    # 280 and 16 bytes each shard has at most one padding trit, the last in
+    # every packing, so only the manifest's version check refuses the set.
+    # 4 bytes leave 4 padding trits per shard, 3 of them data trits of the
+    # planar packing, and read interleaved the padding check refuses it
+    # first.
     out_dir = encode_bytes(tmp_path, np.random.default_rng(size).bytes(size))
     blobs = [Path(shard(out_dir, node)).read_bytes() for node in range(K + 2)]
-    assert {blob[4] for blob in blobs} == {3}
-    for label in (1, 2):
+    assert {blob[4] for blob in blobs} == {4}
+    for label in (1, 2, 3):
         for node, blob in enumerate(blobs):
             Path(shard(out_dir, node)).write_bytes(blob[:4] + bytes([label]) + blob[5:])
-        error = "nonzero padding trit" if size == 4 else f"shard version 3, shards {label}"
+        padding = size == 4 and label < 3
+        error = "nonzero padding trit" if padding else f"shard version 4, shards {label}"
         capsys.readouterr()
         out = tmp_path / "restored.bin"
         assert main(["decode", "--shards", *[shard(out_dir, i) for i in range(K)], "--out", str(out)]) == 4
@@ -558,13 +560,14 @@ def test_manifest_without_version_or_file_crc_decodes(tmp_path):
 
 def test_mixed_shard_versions_exit_4(encoded, capsys):
     # The version byte is outside the CRC, so only the version check can
-    # refuse a set that mixes layouts.  One shard of a version-3 set is
-    # relabelled 1 or 2, and one of a version-2 set 3; each set has one
-    # padding trit per shard, the last in either packing, so the
+    # refuse a set that mixes layouts.  One shard of a version-4 set is
+    # relabelled 1, 2 or 3, and one of a version-2 set 3 or 4; each set
+    # has one padding trit per shard, the last in every packing, so the
     # relabelled shard itself still parses.
-    _, v3_dir, tmp_path = encoded
+    _, v4_dir, tmp_path = encoded
     v2_dir = copy_set(V2_DIR / "k2_5000", tmp_path / "v2")
-    for out_dir, k, node, label in ((v3_dir, K, 3, 1), (v3_dir, K, 3, 2), (v2_dir, 2, 1, 3)):
+    for out_dir, k, node, label in ((v4_dir, K, 3, 1), (v4_dir, K, 3, 2), (v4_dir, K, 3, 3), (v2_dir, 2, 1, 3),
+                                    (v2_dir, 2, 1, 4)):
         path = out_dir / f"node_{node}.shard"
         blob = path.read_bytes()
         path.write_bytes(blob[:4] + bytes([label]) + blob[5:])
@@ -611,13 +614,13 @@ def test_a_nonzero_padding_trit_exits_4(encoded, capsys):
     assert out.read_bytes() == data
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_repair_writes_the_helpers_version(version, encoded, capsys):
     _, out_dir, tmp_path = encoded
     if version == 1:
         out_dir = copy_set(V1_SET, tmp_path / "v1")
-    elif version == 2:
-        out_dir = copy_set(V2_DIR / "k4_5000", tmp_path / "v2")
+    elif version < 4:
+        out_dir = copy_set(V2_DIR.parent / f"v{version}" / "k4_5000", tmp_path / f"v{version}")
     for node in (0, K, K + 1):
         helpers = [shard(out_dir, i) for i in range(K + 2) if i != node]
         rebuilt_dir = tmp_path / f"rebuilt{node}"
@@ -638,16 +641,17 @@ def test_json_reports_report_the_shard_version(encoded, capsys):
     argv = ["--format", "json", "encode", "--k", str(K), "--input", str(src),
             "--out-dir", str(tmp_path / "again")]
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["shard_version"] == 3
+    assert json.loads(capsys.readouterr().out)["shard_version"] == 4
     shards = [shard(out_dir, i) for i in range(K)]
     assert main(["--format", "json", "decode", "--shards", *shards, "--out", str(tmp_path / "x")]) == 0
-    assert json.loads(capsys.readouterr().out)["shard_version"] == 3
+    assert json.loads(capsys.readouterr().out)["shard_version"] == 4
     assert (tmp_path / "x").read_bytes() == data
 
 
 def test_a_packed_byte_over_242_exits_4(encoded, capsys):
     # The shard CRC and the manifest's entry are recomputed, so only the
-    # range check can refuse the byte.
+    # range check can refuse the byte.  It lies in the group region, which
+    # a decode from the data shards leaves packed.
     _, out_dir, tmp_path = encoded
     path = out_dir / "node_2.shard"
     blob = bytearray(path.read_bytes())
@@ -664,6 +668,54 @@ def test_a_packed_byte_over_242_exits_4(encoded, capsys):
     assert main(["decode", "--shards", *[shard(out_dir, i) for i in range(K)], "--out", str(out)]) == 4
     assert "payload byte >= 243" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_word_over_2_64_in_the_packed_bytes_exits_4(encoded, capsys):
+    # 2,048 bytes at k = 4 are 8 whole blocks of 32 words.  Setting the
+    # eight group bytes of row 0 of block 0 in node 1 to 242 makes word 8
+    # at least 3 * (3^40 - 1) >= 2^64.  With the CRCs recomputed, only the
+    # recombination refuses it, from the packed bytes of the data shards.
+    # Node 0 rebuilt from the row sum and node 1 is as bad: word 0, its row
+    # 0 of block 0, is refused first.
+    _, out_dir, tmp_path = encoded
+    path = out_dir / "node_1.shard"
+    blob = bytearray(path.read_bytes())
+    for g in range(8):
+        blob[19 + 64 * g] = 242
+    crc = zlib.crc32(blob[19:-4])
+    blob[-4:] = crc.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["shard_crc"][1] = crc
+    manifest_path.write_text(json.dumps(manifest))
+    for nodes, word in ((range(K), 8), (range(1, K + 1), 0)):
+        capsys.readouterr()
+        out = tmp_path / "restored.bin"
+        assert main(["decode", "--shards", *[shard(out_dir, i) for i in nodes], "--out", str(out)]) == 4
+        assert f"word {word} recombines to" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("k", range(12, 17))
+def test_one_stripe_round_trips_at_the_top_k(k, tmp_path, capsys):
+    # 1,000 bytes are one stripe at every k from 12 (kN = 24,576 words).
+    # Encode, a decode without data nodes 0 and 1, and the repair of data
+    # node 0 and of both parities, each byte for byte.
+    data = np.random.default_rng(k).bytes(1000)
+    source = tmp_path / "input.bin"
+    source.write_bytes(data)
+    out_dir = tmp_path / "shards"
+    assert main(["encode", "--k", str(k), "--input", str(source), "--out-dir", str(out_dir)]) == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["stripes"] == 1
+    out = tmp_path / "restored.bin"
+    assert main(["decode", "--shards", *[shard(out_dir, i) for i in range(2, k + 2)], "--out", str(out)]) == 0
+    assert out.read_bytes() == data
+    for node in (0, k, k + 1):
+        helpers = [shard(out_dir, i) for i in range(k + 2) if i != node]
+        rebuilt = tmp_path / f"rebuilt{node}"
+        assert main(["repair", "--shards", *helpers, "--rebuild", str(node), "--out-dir", str(rebuilt)]) == 0
+        assert (rebuilt / f"node_{node}.shard").read_bytes() == Path(shard(out_dir, node)).read_bytes()
 
 
 def _run(argv, capsys):

@@ -8,13 +8,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 from cluster_helpers import decode_available, extract_file, read_shard, unpack_trits
+from fixture_sets import CURRENT_SETS, GRID
 from layout_oracle import (
     bytes_to_trits,
     digits,
     ingest_v1,
     pack_trits_reference,
+    stream_to_parts,
     unpack_trits_reference,
     word_stream,
+    word_stream_v4,
     words_of,
 )
 
@@ -28,11 +31,13 @@ from zigzag3.cluster import (
     _pack_trits,
     byte_capacity,
     extract,
+    extract_array,
     ingest,
     shard_from_bytes,
     shard_to_bytes,
     shard_header,
     trits_to_bytes,
+    unpack_groups,
 )
 from zigzag3.code import CodeParams, build_coding_matrices, encode_parts_array
 from zigzag3.gf3 import InconsistentSystemError
@@ -70,10 +75,10 @@ def test_ingest_every_byte_with_padding():
     stream = parts.transpose(1, 0, 2).reshape(-1).tolist()
     assert stream == [t for b in range(256) for t in digits(b, 6)] + [0] * 64
     assert extract(p, parts, meta) == bytes(range(256))
-    # Versions 2 and 3: the same 32 words, at 80 words per block, are one
+    # Versions 2 to 4: the same 32 words, at 80 words per block, are one
     # partial block stored digit-major, 41 * 32 = 1312 trits in 17 stripes.
     parts, meta = ingest(p, bytes(range(256)))
-    assert meta == FileMeta(256, 17) and meta.version == SHARD_VERSION == 3
+    assert meta == FileMeta(256, 17) and meta.version == SHARD_VERSION == 4
     words = [int.from_bytes(bytes(range(8 * i, 8 * i + 8)), "little") for i in range(32)]
     stream = parts.transpose(1, 0, 2).reshape(-1).tolist()
     assert stream == [digits(w, 41)[d] for d in range(41) for w in words] + [0] * 48
@@ -211,16 +216,24 @@ def test_words_take_41_digit_planes(k, size):
     # Whole blocks of kN words put one digit plane in each stripe; a last
     # partial block is digit-major and padded.  At k = 2 (4 words a block)
     # 40 bytes are one whole block and one word; 64 bytes are two blocks.
+    # Ingest writes version 4's stripe order, and extract still reads
+    # version 3's.
     p = CodeParams(k)
     data = np.random.default_rng(size).bytes(size)
     parts, meta = ingest(p, data)
-    want = word_stream(p, words_of(data))
+    want = word_stream_v4(p, words_of(data))
     assert meta == FileMeta(size, len(want) // p.file_symbols)
     assert parts.transpose(1, 0, 2).reshape(-1).tolist() == want
+    old = word_stream(p, words_of(data))
+    assert len(old) == len(want)
+    assert extract(p, stream_to_parts(p, old), FileMeta(size, meta.stripe_count, 3)) == data
     if size % 8 == 0 and size // 8 % p.file_symbols == 0:
-        # every stripe is one digit plane of one block
+        # every stripe is one digit plane of one block, digit 5g+i of
+        # block b in stripe (8i+g)B + b
+        blocks = meta.stripe_count // 41
         for s in range(meta.stripe_count):
-            block, d = divmod(s, 41)
+            place, block = divmod(s, blocks)
+            d = 40 if place == 40 else 5 * (place % 8) + place // 8
             words = np.frombuffer(data, dtype="<u8").reshape(-1, p.k, p.n_rows)[block]
             assert parts[:, s].tolist() == [[digits(int(w), 41)[d] for w in row] for row in words]
     assert extract(p, parts, meta) == data
@@ -261,9 +274,11 @@ def test_ingest_blocks_match_the_flat_stream(k):
     assert extract(p, parts, meta) == data
 
 
-def flat_word_planes(params, data: bytes) -> np.ndarray:
-    """The version-2 trit stream of ``data``, built in one piece: all
-    digits by 41 successive divisions by 3, then each block's planes."""
+def flat_word_planes(params, data: bytes, version: int) -> np.ndarray:
+    """The trit stream of ``data`` in shard ``version`` 3's or 4's layout,
+    built in one piece: all digits by 41 successive divisions by 3, then
+    each block's planes, or all whole blocks' planes in version 4's
+    order."""
     kn = params.file_symbols
     count = -(-len(data) // 8)
     words = np.frombuffer(data + bytes(8 * count - len(data)), dtype="<u8").copy()
@@ -272,6 +287,10 @@ def flat_word_planes(params, data: bytes) -> np.ndarray:
         planes[d] = words % 3
         words //= 3
     pieces = [planes[:, b0 : b0 + kn].reshape(-1) for b0 in range(0, count, kn)]
+    if version == 4 and count >= kn:
+        whole = count - count % kn
+        order = [5 * g + i for i in range(5) for g in range(8)] + [40]
+        pieces = [planes[order, :whole].reshape(-1), *pieces[whole // kn :]]
     stream = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
     return np.concatenate([stream, np.zeros(-stream.size % kn if stream.size else kn, dtype=np.uint8)])
 
@@ -279,14 +298,17 @@ def flat_word_planes(params, data: bytes) -> np.ndarray:
 @pytest.mark.parametrize("k", [2, 3, 6, 8, 10])
 def test_word_planes_match_the_flat_stream(k):
     # 200,003 bytes span several codec chunks at each k, and end in a
-    # partial block and a partial word.
+    # partial block (of fewer than 41 stripes) and a partial word.
+    # Ingest writes version 4, and extract reads versions 3 and 4.
     p = CodeParams(k)
     data = np.random.default_rng(k).bytes(200_003)
     parts, meta = ingest(p, data)
-    want = flat_word_planes(p, data)
+    want = flat_word_planes(p, data, 4)
     assert meta == FileMeta(len(data), want.size // p.file_symbols)
     assert np.array_equal(parts.transpose(1, 0, 2).reshape(-1), want)
     assert extract(p, parts, meta) == data
+    old = stream_to_parts(p, flat_word_planes(p, data, 3))
+    assert extract(p, old, FileMeta(len(data), meta.stripe_count, 3)) == data
 
 
 @pytest.mark.parametrize("k", range(2, 11))
@@ -322,16 +344,20 @@ def test_extract_reports_a_corrupt_group_by_its_stream_index():
 
 @pytest.mark.parametrize("word", [0, 9_001, 12_499])
 def test_extract_reports_an_overflowing_word_by_its_index(word):
-    # 100,000 bytes are 12,500 words at k = 4, 32 words a block: word
-    # 9,001 lies in the second codec chunk, 12,499 in the last, partial
-    # block.  All-2 digits recombine to 3^41 - 1.
+    # 100,000 bytes are 12,500 words at k = 4, 32 words a block: 390 whole
+    # blocks, in version 4's stripe order, then 20 words of a partial
+    # block.  Word 9,001 lies in part 2 of block 281, 12,499 in the
+    # partial block.  All-2 digits recombine to 3^41 - 1.
     p = CodeParams(4)
     kn = p.file_symbols
     parts, meta = ingest(p, bytes(100_000))
+    blocks = meta.stripe_count // 41
     block, i = divmod(word, kn)
-    width = min(kn, 12_500 - block * kn)
     for d in range(41):
-        s, rest = divmod(block * 41 * kn + d * width + i, kn)
+        if block < blocks:
+            s, rest = (40 if d == 40 else 8 * (d % 5) + d // 5) * blocks + block, i
+        else:
+            s, rest = divmod(41 * blocks * kn + d * (12_500 - blocks * kn) + i, kn)
         parts[rest // p.n_rows, s, rest % p.n_rows] = 2
     with pytest.raises(CorruptDataError, match=f"word {word} recombines to {3**41 - 1} >= 2\\*\\*64"):
         extract(p, parts, meta)
@@ -372,14 +398,14 @@ def test_byte_capacity_is_what_the_stripes_hold(k):
         assert ingest_v1(p, bytes(v1))[1].stripe_count <= stripes
         assert ingest_v1(p, bytes(v1 + 1))[1].stripe_count > stripes
         v2 = byte_capacity(p, stripes, 2)
-        assert v2 % 8 == 0 and byte_capacity(p, stripes, 3) == v2
+        assert v2 % 8 == 0 and byte_capacity(p, stripes, 3) == byte_capacity(p, stripes, 4) == v2
         assert ingest(p, bytes(v2))[1].stripe_count <= stripes
         assert ingest(p, bytes(v2 + 1))[1].stripe_count > stripes
     with pytest.raises(ValueError, match="version"):
-        byte_capacity(p, 1, 4)
+        byte_capacity(p, 1, 5)
 
 
-@pytest.mark.parametrize("version", [0, 4])
+@pytest.mark.parametrize("version", [0, 5])
 def test_extract_rejects_an_unknown_version(version):
     p = CodeParams(3)
     parts, meta = ingest(p, b"abc")
@@ -435,8 +461,8 @@ def make_payload(k=4, stripes=3, seed=0):
 
 def test_shard_roundtrip():
     p, payload = make_payload()
-    assert shard_to_bytes(p, 2, payload) == shard_to_bytes(p, 2, payload, version=3)
-    for version in (1, 2, 3):
+    assert shard_to_bytes(p, 2, payload) == shard_to_bytes(p, 2, payload, version=4)
+    for version in (1, 2, 3, 4):
         blob = shard_to_bytes(p, 2, payload, version=version)
         assert blob[:4] == b"ZZG3" and blob[4] == version == shard_header(blob).version
         params, node, got = read_shard(blob)
@@ -448,10 +474,11 @@ def test_every_shard_version_has_pinned_sets():
     # A shard version lands with checked-in sets: the one encode writes
     # with the k x size grid its tests re-encode, and every readable one
     # with a directory of sets its tests decode and repair.
+    # Version 4's sets add k8_20000, the first at k = 8 with whole blocks.
     fixtures = Path(__file__).resolve().parent / "fixtures"
     current = fixtures / f"v{SHARD_VERSION}"
     sets = sorted(d.name for d in current.iterdir() if d.is_dir())
-    assert sets == sorted(f"k{k}_{size}" for k in (2, 4, 8) for size in (0, 17, 5000))
+    assert sets == CURRENT_SETS and set(GRID) < set(sets)
     for name in sets:
         k = int(name.removeprefix("k").split("_")[0])
         files = sorted(p.name for p in (current / name).iterdir())
@@ -474,23 +501,24 @@ def test_shard_wire_format_is_bit_exact():
     blob = shard_to_bytes(CodeParams(2), 0, np.array([[1, 2]], dtype=np.uint8))
     expected = (
         bytes.fromhex("5a5a4733")          # magic "ZZG3"
-        + bytes([3, 2, 0])                 # version, k, node_id
+        + bytes([4, 2, 0])                 # version, k, node_id
         + (1).to_bytes(4, "little")        # stripe count
         + (2).to_bytes(8, "little")        # payload trit count
         + bytes([135])                     # packed trits
         + (zlib.crc32(bytes([135])) & 0xFFFFFFFF).to_bytes(4, "little")
     )
     assert blob == expected
-    # In one byte the packings agree: versions 1 and 2 differ only in
-    # their version byte.
-    for version in (1, 2):
+    # In one byte the packings agree: versions 1 to 3 differ only in their
+    # version byte.
+    for version in (1, 2, 3):
         old = shard_to_bytes(CodeParams(2), 0, np.array([[1, 2]], dtype=np.uint8), version=version)
         assert old == expected[:4] + bytes([version]) + expected[5:]
     # Three stripes, trits 1 2 0 1 2 2: planar, the planes are (1, 2),
     # (0, 1), (2, 2) and two of padding, so the bytes are 81 + 18 = 99
     # and 162 + 27 + 18 = 207; interleaved, 12012 = 140 and 20000 = 162.
+    # Below 41 stripes, version 4 is all tail, planar as version 3.
     payload = np.array([[1, 2], [0, 1], [2, 2]], dtype=np.uint8)
-    for version, packed in ((3, [99, 207]), (2, [140, 162])):
+    for version, packed in ((4, [99, 207]), (3, [99, 207]), (2, [140, 162])):
         blob = shard_to_bytes(CodeParams(2), 0, payload, version=version)
         assert blob[4] == version and blob[11:19] == (6).to_bytes(8, "little")
         assert blob[19:-4] == bytes(packed)
@@ -507,12 +535,12 @@ def test_shard_rejects_bad_magic():
 def test_shard_rejects_bad_version():
     p, payload = make_payload()
     blob = bytearray(shard_to_bytes(p, 0, payload))
-    for version in (0, 4, 9):
+    for version in (0, 5, 9):
         blob[4] = version
         with pytest.raises(ShardFormatError, match="version"):
             read_shard(bytes(blob))
     with pytest.raises(ValueError, match="version"):
-        shard_to_bytes(p, 0, payload, version=4)
+        shard_to_bytes(p, 0, payload, version=5)
 
 
 def test_shard_rejects_crc_mismatch():
@@ -544,7 +572,7 @@ def test_shard_rejects_invalid_packed_byte():
         read_shard(bytes(blob))
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_a_refused_shard_writes_nothing_into_its_row(version):
     # Into a row of a stack, a shard unpacks in place; every check runs
     # before the first write, so a refused shard leaves the row as it was.
@@ -569,13 +597,95 @@ def test_a_refused_shard_writes_nothing_into_its_row(version):
     }
     for reason, bad in refused.items():
         with pytest.raises(ShardFormatError):
-            shard_from_bytes(bad, stack[1])
+            shard_from_bytes(bad, stack[1], shard_header(bad))
         assert (stack == 0xA5).all(), reason
     with pytest.raises(ValueError, match="out must be"):
-        shard_from_bytes(blob, stack[1, :6])
+        shard_from_bytes(blob, stack[1, :6], shard_header(blob))
     assert (stack == 0xA5).all()
-    shard_from_bytes(blob, stack[1])
+    shard_from_bytes(blob, stack[1], shard_header(blob))
     assert np.array_equal(stack[1], payload) and (stack[[0, 2, 3, 4, 5]] == 0xA5).all()
+
+
+def test_a_v4_group_byte_is_five_digits_of_one_word():
+    # k = 2, 4 words: one whole block in 41 stripes.  Node 0 holds words 0
+    # and 1 in rows 0 and 1; group byte g*N + r is digits 5g .. 5g+4 of
+    # word r, and the tail (stripe 40, the digits 40) packs planar as one
+    # byte.
+    p = CodeParams(2)
+    data = np.random.default_rng(4).bytes(32)
+    parts, meta = ingest(p, data)
+    assert meta.stripe_count == 41
+    blob = shard_to_bytes(p, 0, parts[0])
+    words = np.frombuffer(data, dtype="<u8").tolist()
+    want = [int(words[r]) // 3 ** (36 - 5 * g) % 243 for g in range(8) for r in range(2)]
+    assert list(blob[19:35]) == want
+    assert blob[35:-4] == bytes([81 * (words[0] % 3) + 27 * (words[1] % 3)])
+
+
+def v4_set(k=4, size=2_800, seed=9):
+    """Parts, meta, shards and shard blobs of a file of whole blocks and a
+    partial one (at k = 4: 10 blocks of 32 words, then 30 words in 39
+    stripes)."""
+    p = CodeParams(k)
+    data = np.random.default_rng(seed).bytes(size)
+    parts, meta = ingest(p, data)
+    shards = encode_parts_array(p, build_coding_matrices(p), parts)
+    return p, data, meta, shards, [shard_to_bytes(p, i, shards[i]) for i in range(k + 2)]
+
+
+def with_crc(data) -> bytes:
+    data = bytearray(data)
+    data[-4:] = zlib.crc32(bytes(data[19:-4])).to_bytes(4, "little")
+    return bytes(data)
+
+
+def test_a_v4_shard_is_checked_whole_but_leaves_its_groups_packed():
+    p, data, meta, shards, blobs = v4_set()
+    stripes, n = meta.stripe_count, p.n_rows
+    region = 40 * (stripes // 41)
+    row = np.full((stripes, n), 0xA5, dtype=np.uint8)
+    payload = shard_from_bytes(blobs[1], row, shard_header(blobs[1]))
+    assert bytes(payload) == blobs[1][19:-4]
+    assert (row[:region] == 0xA5).all() and np.array_equal(row[region:], shards[1][region:])
+    unpack_groups(payload, row)
+    assert np.array_equal(row, shards[1])
+    # A byte >= 243 in the group region, or a padding trit in the tail, is
+    # refused with the group region left packed, before anything is written.
+    padded = bytearray(blobs[1])
+    padded[-5] += 1  # a tail of 392 trits in 79 bytes: the last holds padding
+    for reason, bad in {"243": with_crc(blobs[1][:30] + bytes([243]) + blobs[1][31:]),
+                        "padding trit past trit 3592": with_crc(padded)}.items():
+        row[...] = 0xA5
+        with pytest.raises(ShardFormatError, match=reason):
+            shard_from_bytes(bad, row, shard_header(bad))
+        assert (row == 0xA5).all()
+
+
+def test_extract_array_recombines_words_from_packed_payloads():
+    # The group stripes of the parts whose payloads are given are never
+    # read; those of the others are packed from the parts.
+    p, data, meta, shards, blobs = v4_set()
+    region = 40 * (meta.stripe_count // 41)
+    parts = shards[: p.k].copy()
+    packed = {j: memoryview(blobs[j])[19:-4] for j in (0, 2)}
+    parts[[0, 2], :region] = 7
+    got = extract_array(p, parts, meta, packed)
+    assert got.dtype == np.uint8 and got.tobytes() == data
+    assert extract(p, shards[: p.k], meta) == data
+
+
+def test_an_overflowing_word_in_a_packed_payload_is_named():
+    # Groups 242, 242, ... recombine to 3^41 - 1 with digit 40 = 2.  Word
+    # 45 of the file is row 5 of part 1 in block 1, 32 + 8 + 5 (32 words a
+    # block, 8 a row).
+    p, data, meta, shards, blobs = v4_set()
+    blocks, n = meta.stripe_count // 41, p.n_rows
+    packed = np.frombuffer(blobs[1], dtype=np.uint8)[19:-4].copy()
+    packed.reshape(-1)[: 8 * blocks * n].reshape(8, blocks, n)[:, 1, 5] = 242
+    parts = shards[: p.k].copy()
+    parts[1, 40 * blocks + 1, 5] = 2
+    with pytest.raises(CorruptDataError, match=f"word 45 recombines to {3**41 - 1} >= 2"):
+        extract_array(p, parts, meta, {1: packed})
 
 
 # ---------------------------------------------------------------------------

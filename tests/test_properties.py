@@ -3,8 +3,8 @@ hypothesis.
 
 The word gather of ``SignedPermutation.terms`` is compared with a
 per-byte gather, the encoder with the row rule, and the decoder with the
-parts it started from.  The version-2 codec is compared with the
-Python-int layout oracle in ``layout_oracle.py``, and both shard packings,
+parts it started from.  The codec is compared with the Python-int layout
+oracles of versions 2 and 4 in ``layout_oracle.py``, and both packings,
 interleaved and planar, with the Horner references there.  Examples are
 few and small, so the module runs in a few seconds; no example database
 is written.
@@ -25,6 +25,7 @@ from layout_oracle import (  # noqa: E402
     pack_trits_reference,
     stream_to_parts,
     word_stream,
+    word_stream_v4,
     words_of,
 )
 
@@ -133,9 +134,11 @@ def test_word_codec_round_trips_and_matches_the_oracle(shape, seed):
     p = CodeParams(k)
     data = np.random.default_rng(seed).bytes(length)
     parts, meta = ingest(p, data)
-    want = stream_to_parts(p, word_stream(p, words_of(data)))
+    want = stream_to_parts(p, word_stream_v4(p, words_of(data)))
     assert np.array_equal(parts, want)
     assert extract(p, want, meta) == data
+    old = stream_to_parts(p, word_stream(p, words_of(data)))
+    assert extract(p, old, FileMeta(length, meta.stripe_count, 3)) == data
     # The stripe count, from the word count W and a block of kN words.
     words, kn = -(-length // 8), k * p.n_rows
     assert meta == FileMeta(length, max(1, 41 * (words // kn) + -(-41 * (words % kn) // kn)))
@@ -150,14 +153,16 @@ def test_word_codec_round_trips_and_matches_the_oracle(shape, seed):
 )
 def test_an_overflowing_word_is_reported_by_its_index(k, words, pick, value):
     # Any digit pattern above 2^64 - 1, in any word of whole or partial
-    # blocks, is corruption named by that word's index.
+    # blocks, is corruption named by that word's index, in the layouts of
+    # versions 3 and 4.
     p = CodeParams(k)
     bad = pick % len(words)
-    stream = word_stream(p, words[:bad] + [value] + words[bad + 1 :])
     assert int("".join(map(str, digits(value, 41))), 3) == value
-    meta = FileMeta(8 * len(words), len(stream) // p.file_symbols)
-    with pytest.raises(CorruptDataError, match=f"word {bad} recombines to {value} "):
-        extract(p, stream_to_parts(p, stream), meta)
+    for version, layout in ((3, word_stream), (4, word_stream_v4)):
+        stream = layout(p, words[:bad] + [value] + words[bad + 1 :])
+        meta = FileMeta(8 * len(words), len(stream) // p.file_symbols, version)
+        with pytest.raises(CorruptDataError, match=f"word {bad} recombines to {value} "):
+            extract(p, stream_to_parts(p, stream), meta)
 
 
 def trit_operand(rng, length: int, layout: str) -> np.ndarray:
@@ -182,12 +187,12 @@ def test_packer_equals_the_horner_reference_at_every_short_length(seed, layout):
     for length in range(65):
         trits = trit_operand(rng, length, layout)
         for version in PACKINGS:
-            packed = _pack_trits(trits, version)
+            packed = _pack_trits(trits, version).tobytes()
             assert packed == pack_trits_reference(trits, version), (length, version)
             assert np.array_equal(unpack_trits(packed, length, version), trits)
-    assert _pack_trits(np.full(64, 2, dtype=np.uint8), 2) == bytes([242] * 12 + [240])
+    assert _pack_trits(np.full(64, 2, dtype=np.uint8), 2).tobytes() == bytes([242] * 12 + [240])
     # 13 planar bytes: planes 0-3 full, plane 4 holding the last 12 trits.
-    assert _pack_trits(np.full(64, 2, dtype=np.uint8), 3) == bytes([242] * 12 + [240])
+    assert _pack_trits(np.full(64, 2, dtype=np.uint8), 3).tobytes() == bytes([242] * 12 + [240])
 
 
 @FEW
@@ -199,7 +204,7 @@ def test_packer_equals_the_horner_reference_at_every_short_length(seed, layout):
 def test_packer_equals_the_horner_reference_at_any_length(length, seed, layout):
     trits = trit_operand(np.random.default_rng(seed), length, layout)
     for version in PACKINGS:
-        packed = _pack_trits(trits, version)
+        packed = _pack_trits(trits, version).tobytes()
         assert packed == pack_trits_reference(trits, version)
         assert np.array_equal(unpack_trits(packed, length, version), trits)
 

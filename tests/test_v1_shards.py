@@ -7,26 +7,15 @@ node's shard, version byte included, with the repair reads the plan
 expects.
 """
 
-import hashlib
 import itertools
 import json
-from pathlib import Path
 
 import pytest
+from fixture_sets import FIXTURES, fixture_input, shard_set
 
 from zigzag3.cli import main
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures" / "v1"
-SETS = sorted(d.name for d in FIXTURES.iterdir() if d.is_dir())
-
-
-def fixture_input(size: int) -> bytes:
-    return hashlib.shake_256(b"zigzag3 v1 fixture %d" % size).digest(size)
-
-
-def shard_set(name: str) -> tuple[int, int, Path]:
-    k, size = name.removeprefix("k").split("_")
-    return int(k), int(size), FIXTURES / name
+SETS = sorted(d.name for d in (FIXTURES / "v1").iterdir() if d.is_dir())
 
 
 def test_every_set_is_present():
@@ -35,7 +24,7 @@ def test_every_set_is_present():
 
 @pytest.mark.parametrize("name", SETS)
 def test_v1_set_decodes_byte_identically(name, tmp_path, capsys):
-    k, size, directory = shard_set(name)
+    k, size, directory = shard_set(1, name)
     # Every set of k or more shards: each is unpacked into its row of one
     # stack, and the lost data rows are rebuilt there.
     for nodes in (c for count in (k, k + 1, k + 2) for c in itertools.combinations(range(k + 2), count)):
@@ -48,7 +37,7 @@ def test_v1_set_decodes_byte_identically(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", SETS)
 def test_v1_set_repairs_every_node_with_match(name, tmp_path, capsys):
-    k, _, directory = shard_set(name)
+    k, _, directory = shard_set(1, name)
     for node in range(k + 2):
         helpers = [str(directory / f"node_{i}.shard") for i in range(k + 2) if i != node]
         out_dir = tmp_path / f"node{node}"
