@@ -47,7 +47,6 @@ __all__ = [
     "second_parity_by_rows",
     "second_parity_by_matrices",
     "encode_parts_array",
-    "MdsReport",
     "verify_mds",
     "decode_shards_array",
 ]
@@ -264,16 +263,6 @@ def _encode_parities(cm: CodingMatrixSet, parts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MdsReport:
-    params: CodeParams
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _fixed_space_dim(target: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """Nullity of I - P over GF(3) for each signed permutation P given by
     a row of the (products, n) ``target`` and ``sign``: the number of
@@ -309,8 +298,9 @@ def _fixed_space_dim(target: np.ndarray, sign: np.ndarray) -> np.ndarray:
 _MDS_SYMBOLS = 1 << 16
 
 
-def verify_mds(cm: CodingMatrixSet) -> MdsReport:
-    """Check rank(A_i - A_j) = N for all i != j.
+def verify_mds(cm: CodingMatrixSet) -> tuple[bool, str]:
+    """Check rank(A_i - A_j) = N for all i != j: (ok, every violation,
+    joined by "; ").
 
     rank(A_i - A_j) = rank(I - A_i^-1 A_j) = N - c, with c the number of
     cycles of the signed permutation A_i^-1 A_j whose sign product is +1
@@ -333,7 +323,7 @@ def verify_mds(cm: CodingMatrixSet) -> MdsReport:
         u = inverse[i]
         nullity = _fixed_space_dim(np.take_along_axis(target[j], u, 1), np.take_along_axis(sign[i] * sign[j], u, 1))
         violations += [f"rank(A_{a} - A_{b}) = {n - c}, expected {n}" for a, b, c in zip(i, j, nullity) if c]
-    return MdsReport(params, tuple(violations))
+    return not violations, "; ".join(violations)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .code import CodeParams, CodingMatrixSet, _is_paper_set, _odd_weight, basis_index
+from .code import CodeParams, CodingMatrixSet, _is_paper_set, _odd_weight, basis_index, build_coding_matrices
 from .gf3 import (
     Gf3ShapeError,
     InconsistentSystemError,
@@ -114,12 +114,8 @@ __all__ = [
     "SECOND_PARITY",
     "RepairMatrixPair",
     "build_repair_pair",
-    "ConditionCheck",
-    "ConditionReport",
     "verify_repair_conditions",
-    "DualityReport",
     "verify_duality",
-    "ZeroColumnReport",
     "verify_zero_column_structure",
     "MissingPivotError",
     "SparseRows",
@@ -757,31 +753,6 @@ def _stacked_inverse(s: SparseRows, pivots: _Pivots, m: _Terms, schur: _Terms) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    expected: int
-    actual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    variant: str
-    checks: tuple[ConditionCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def violations(self) -> tuple[ConditionCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
-
 def _conditions(cm: CodingMatrixSet, variant: str) -> tuple[list[SignedPermutation], list]:
     """The signed permutations P whose products m P the repair conditions
     combine, and each condition's combination as (index, sign) pairs:
@@ -802,16 +773,23 @@ def _conditions(cm: CodingMatrixSet, variant: str) -> tuple[list[SignedPermutati
     return _of_set(cm, f"conditions {variant}", conditions)
 
 
-def _condition_report(variant: str, n: int, ranks: list[int]) -> ConditionReport:
-    checks = [ConditionCheck("full-rank", n, ranks[0])]
-    checks += [ConditionCheck(f"interference-l{l}", n // 2, r) for l, r in enumerate(ranks[1:], 1)]
-    return ConditionReport(variant, tuple(checks))
+def _condition_failures(n: int, ranks: list[int]) -> list[str]:
+    """"name: actual != expected" for each rank of ``ranks`` (full rank,
+    expected N, then interference l = 1, 2, ..., expected N/2) that misses."""
+    expected = [("full-rank", n)] + [(f"interference-l{l}", n // 2) for l in range(1, len(ranks))]
+    return [f"{name}: {r} != {want}" for (name, want), r in zip(expected, ranks) if r != want]
 
 
-def verify_repair_conditions(pair: RepairMatrixPair, cm: CodingMatrixSet) -> ConditionReport:
+def _condition_ranks(pair: RepairMatrixPair, cm: CodingMatrixSet) -> list[int]:
+    """The ranks of the full-rank stack and of each interference stack."""
+    return _stacked_ranks(pair.s, pair.s_tilde, *_conditions(cm, pair.variant))
+
+
+def verify_repair_conditions(pair: RepairMatrixPair, cm: CodingMatrixSet) -> tuple[bool, str]:
     """Rank conditions for optimal repair: the stacked pair must reach full
     rank N (recoverability) while every interference stack collapses to
-    rank N/2 (cancellability).
+    rank N/2 (cancellability).  Returns (ok, the failing conditions as
+    "name: actual != expected", joined by "; ").
 
     The ranks are ``_stacked_ranks`` of ``pair.s`` over the rows of
     ``_conditions``, reduced against the unit-column pivots of
@@ -821,40 +799,17 @@ def verify_repair_conditions(pair: RepairMatrixPair, cm: CodingMatrixSet) -> Con
     other residual is ranked exactly, so a failing pair reports its true
     rank.
     """
-    ranks = _stacked_ranks(pair.s, pair.s_tilde, *_conditions(cm, pair.variant))
-    return _condition_report(pair.variant, cm.params.n_rows, ranks)
+    failures = _condition_failures(cm.params.n_rows, _condition_ranks(pair, cm))
+    return not failures, "; ".join(failures)
 
 
-@dataclass(frozen=True)
-class RankEquality:
-    l: int
-    swapped_rank: int
-    direct_rank: int
+def _duality_ranks(pair: RepairMatrixPair, cm: CodingMatrixSet) -> tuple[list[int], list[tuple[int, int]]]:
+    """The swapped pair's condition ranks, and per l = 1..k-1 the ranks of
+    the two sides of the identity ``verify_duality`` checks.
 
-    @property
-    def ok(self) -> bool:
-        return self.swapped_rank == self.direct_rank
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    swapped_report: ConditionReport
-    equalities: tuple[RankEquality, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.swapped_report.ok and all(e.ok for e in self.equalities)
-
-
-def verify_duality(pair: RepairMatrixPair, cm: CodingMatrixSet) -> DualityReport:
-    """A valid pair for one parity, with roles swapped, repairs the other.
-
-    Beyond re-running the swapped pair through the other parity's
-    conditions, the underlying rank identity is checked for every l:
-    stacking s_tilde over s(I + A_l) has the same rank as stacking s over
-    s_tilde(I - A_l).  Both sides are ``_stacked_ranks`` certificates: the
-    swapped conditions and every left side against the unit-column pivots
-    of ``s_tilde``, every right side against those of ``s``: the products
+    Both sides are ``_stacked_ranks`` certificates: the swapped
+    conditions and every left side against the unit-column pivots of
+    ``s_tilde``, every right side against those of ``s``: the products
     s_tilde P of the repair conditions, which a sweep reduces once
     (``_sharing``).  When the swapped pair serves the zigzag parity, its
     interference rows are the left sides s(I + A_l) themselves, so their
@@ -866,40 +821,29 @@ def verify_duality(pair: RepairMatrixPair, cm: CodingMatrixSet) -> DualityReport
     lhs_combos = [] if swapped.variant == SECOND_PARITY else [((0, 1), (l + 1, 1)) for l in range(1, k)]
     ranks = _stacked_ranks(pair.s_tilde, pair.s, perms, combos + lhs_combos)
     lhs = ranks[k:] if lhs_combos else ranks[1:]
-    swapped_report = _condition_report(swapped.variant, cm.params.n_rows, ranks[:k])
     # I and the A_l of the pair's own conditions, whose products are reduced.
     perms = _conditions(cm, pair.variant)[0]
     perms = [perms[0], *perms[2:]]
     rhs = _stacked_ranks(pair.s, pair.s_tilde, perms, [((0, 1), (l, -1)) for l in range(1, k)])
-    equalities = tuple(RankEquality(l, lhs[l - 1], rhs[l - 1]) for l in range(1, k))
-    return DualityReport(swapped_report, equalities)
+    return ranks[:k], list(zip(lhs, rhs))
+
+
+def verify_duality(pair: RepairMatrixPair, cm: CodingMatrixSet) -> tuple[bool, str]:
+    """A valid pair for one parity, with roles swapped, repairs the other.
+
+    Beyond re-running the swapped pair through the other parity's
+    conditions, the underlying rank identity is checked for every l:
+    stacking s_tilde over s(I + A_l) has the same rank as stacking s over
+    s_tilde(I - A_l) (``_duality_ranks``).  Returns (ok, "" or what failed).
+    """
+    swapped, sides = _duality_ranks(pair, cm)
+    ok = not _condition_failures(cm.params.n_rows, swapped) and all(a == b for a, b in sides)
+    return ok, "" if ok else "swapped-pair conditions or rank equalities failed"
 
 
 # ---------------------------------------------------------------------------
 # Zero-column structure (census and propagation)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZeroColumnReport:
-    variant: str
-    zero_cols_s: tuple[int, ...]
-    zero_cols_s_tilde: tuple[int, ...]
-    nonzero_cols_s: int
-    nonzero_cols_s_tilde: int
-    per_matrix_floor: Fraction
-    propagation_violations: tuple[str, ...]
-
-    @property
-    def census_ok(self) -> bool:
-        return (
-            self.nonzero_cols_s >= self.per_matrix_floor
-            and self.nonzero_cols_s_tilde >= self.per_matrix_floor
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.census_ok and not self.propagation_violations
 
 
 def _propagation_violations(
@@ -922,23 +866,22 @@ def _propagation_violations(
     return out
 
 
-def verify_zero_column_structure(pair: RepairMatrixPair, params: CodeParams) -> ZeroColumnReport:
-    """Zero columns of both matrices, the columns no slot reads, and the
-    +- equal column pairs each of them forces in the other matrix."""
-    n = params.n_rows
-    zc_s = np.flatnonzero(~pair.s.read_columns()).tolist()
-    zc_st = np.flatnonzero(~pair.s_tilde.read_columns()).tolist()
+def _zero_columns(pair: RepairMatrixPair) -> tuple[list[int], list[int]]:
+    """The zero columns of ``s`` and of ``s_tilde``: the columns no slot reads."""
+    return tuple(np.flatnonzero(~m.read_columns()).tolist() for m in (pair.s, pair.s_tilde))
+
+
+def verify_zero_column_structure(pair: RepairMatrixPair, params: CodeParams) -> tuple[bool, str]:
+    """The zero-column census behind the read count kN + N - k (column 0
+    of ``s`` only, which meets the floor of N - N/(2(k-1)) nonzero columns
+    since N >= 2(k-1)), and the +- equal column pairs each zero column
+    forces in the other matrix: (ok, census; floor; any violations)."""
+    zc_s, zc_st = _zero_columns(pair)
     violations = _propagation_violations(params, zc_s, pair.s_tilde, "parity-side")
     violations += _propagation_violations(params, zc_st, pair.s, "systematic-side")
-    return ZeroColumnReport(
-        variant=pair.variant,
-        zero_cols_s=tuple(zc_s),
-        zero_cols_s_tilde=tuple(zc_st),
-        nonzero_cols_s=n - len(zc_s),
-        nonzero_cols_s_tilde=n - len(zc_st),
-        per_matrix_floor=n - Fraction(n, 2 * (params.k - 1)),
-        propagation_violations=tuple(violations),
-    )
+    floor = io_lower_bound(params.k).per_matrix_floor
+    detail = "; ".join([f"zero cols s={tuple(zc_s)} s_tilde={tuple(zc_st)}; floor {floor}", *violations])
+    return zc_s == [0] and not zc_st and not violations, detail
 
 
 # ---------------------------------------------------------------------------
@@ -1704,8 +1647,6 @@ def brute_force_min_io(k: int, cm: CodingMatrixSet | None = None) -> BruteForceR
         )
     params = CodeParams(k)
     if cm is None:
-        from .code import build_coding_matrices
-
         cm = build_coding_matrices(params)
     n = params.n_rows
     half = n // 2

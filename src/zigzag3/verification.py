@@ -35,6 +35,7 @@ from .code import (
     second_parity_by_rows,
     verify_mds,
 )
+from .gf3 import SignedPermutation
 from .repair import (
     FIRST_PARITY,
     SECOND_PARITY,
@@ -96,8 +97,6 @@ class SweepReport:
 
 def flip_one_sign(cm: CodingMatrixSet) -> CodingMatrixSet:
     """Fault hook: negate one entry of the second coding matrix."""
-    from .gf3 import SignedPermutation
-
     mats = list(cm.matrices)
     bad = mats[1]
     sign = bad.sign.copy()
@@ -207,39 +206,14 @@ def run_sweep(
         pairs = [build_repair_pair(k, variant) for variant in (FIRST_PARITY, SECOND_PARITY)]
         setup.append(lap())
         with _sharing(pairs):
-            def check_mds():
-                mds = verify_mds(cm)
-                return mds.ok, "; ".join(mds.violations)
-
-            record(k, "mds-ranks", check_mds)
+            record(k, "mds-ranks", lambda: verify_mds(cm))
             record(k, "coding-matrix-equivalence", lambda: _check_equivalence(params, cm))
             record(k, "encoder-forms", lambda: _check_encoder_forms(params, cm, trials, rng))
 
             for pair, tag in zip(pairs, ("first", "second")):
-                def check_conditions(pair=pair):
-                    cond = verify_repair_conditions(pair, cm)
-                    return cond.ok, "; ".join(
-                        f"{c.name}: {c.actual} != {c.expected}" for c in cond.violations
-                    )
-
-                def check_duality(pair=pair):
-                    dual = verify_duality(pair, cm)
-                    return dual.ok, "" if dual.ok else "swapped-pair conditions or rank equalities failed"
-
-                def check_zero_columns(pair=pair):
-                    zc = verify_zero_column_structure(pair, params)
-                    census_ok = zc.zero_cols_s == (0,) and zc.zero_cols_s_tilde == ()
-                    detail = (
-                        f"zero cols s={zc.zero_cols_s} s_tilde={zc.zero_cols_s_tilde}; "
-                        f"floor {zc.per_matrix_floor}"
-                    )
-                    if zc.propagation_violations:
-                        detail += "; " + "; ".join(zc.propagation_violations)
-                    return zc.ok and census_ok, detail
-
-                record(k, f"repair-conditions-{tag}", check_conditions)
-                record(k, f"duality-{tag}", check_duality)
-                record(k, f"zero-columns-{tag}", check_zero_columns)
+                record(k, f"repair-conditions-{tag}", lambda: verify_repair_conditions(pair, cm))
+                record(k, f"duality-{tag}", lambda: verify_duality(pair, cm))
+                record(k, f"zero-columns-{tag}", lambda: verify_zero_column_structure(pair, params))
 
             record(k, "io-meters", lambda: _check_meters(params, cm))
             record(k, "alt-seed-census", lambda: _check_alt_seed_census(params, pairs[0]))

@@ -2,10 +2,11 @@
 
 The runtime checks MDS ranks by a cycle walk and the repair rank
 conditions by unit-column pivots, on sparse rows.  The dense bodies they
-replaced are kept here, and the reports of both must agree exactly, on
-the healthy coding matrices and on ones with a flipped sign.  A sweep
-shares each repair pair's reductions among its checks; what it reports
-must equal what each check reports on its own.
+replaced are kept here.  Every rank and zero-column set the certificates
+compute, and each check's (ok, detail), must equal what dense elimination
+gives, on the healthy coding matrices and on ones with a flipped sign.
+A sweep shares each repair pair's reductions among its checks; what it
+reports must equal what each check reports on its own.
 """
 
 import contextlib
@@ -25,7 +26,6 @@ from zigzag3.code import (
     CodeParams,
     encode_parts_array,
     CodingMatrixSet,
-    MdsReport,
     _fixed_space_dim,
     build_coding_matrices,
     verify_mds,
@@ -34,18 +34,16 @@ from zigzag3.gf3 import SignedPermutation, SingularMatrixError, inverse, rank
 from zigzag3.repair import (
     FIRST_PARITY,
     SECOND_PARITY,
-    ConditionCheck,
-    ConditionReport,
-    DualityReport,
     MissingPivotError,
-    RankEquality,
     RepairMatrixPair,
     RepairPlan,
     SparseRows,
-    ZeroColumnReport,
+    _condition_ranks,
     _conditions,
+    _duality_ranks,
     _stacked_ranks,
     _unit_pivots,
+    _zero_columns,
     build_repair_pair,
     compute_downloads,
     execute_repair,
@@ -81,7 +79,7 @@ def dense_verify_mds(cm):
             r = rank(sub(a[i], a[j]))
             if r != n:
                 violations.append(f"rank(A_{i} - A_{j}) = {r}, expected {n}")
-    return MdsReport(params, tuple(violations))
+    return not violations, "; ".join(violations)
 
 
 def dense_interference_transform(cm, l, variant):
@@ -89,29 +87,48 @@ def dense_interference_transform(cm, l, variant):
     return sub(a0, a_l) if variant == FIRST_PARITY else add(a0, a_l)
 
 
-def dense_verify_repair_conditions(pair, cm):
+def dense_condition_ranks(pair, cm):
+    """The rank of the full-rank stack, then of each interference stack."""
     variant = pair.variant
-    n = cm.params.n_rows
     s, st = pair.s.array, pair.s_tilde.array
     base = mul(st, dense(cm.matrices[0] if variant == FIRST_PARITY else cm.matrices[0].inverse()))
-    checks = [ConditionCheck("full-rank", n, rank(np.vstack([s, base])))]
+    ranks = [rank(np.vstack([s, base]))]
     for l in range(1, cm.params.k):
-        stacked = np.vstack([s, mul(st, dense_interference_transform(cm, l, variant))])
-        checks.append(ConditionCheck(f"interference-l{l}", n // 2, rank(stacked)))
-    return ConditionReport(variant, tuple(checks))
+        ranks.append(rank(np.vstack([s, mul(st, dense_interference_transform(cm, l, variant))])))
+    return ranks
+
+
+def condition_failures(n, ranks):
+    names = ["full-rank"] + [f"interference-l{l}" for l in range(1, len(ranks))]
+    expected = [n] + [n // 2] * (len(ranks) - 1)
+    return [f"{name}: {r} != {e}" for name, r, e in zip(names, ranks, expected) if r != e]
+
+
+def dense_verify_repair_conditions(pair, cm):
+    failures = condition_failures(cm.params.n_rows, dense_condition_ranks(pair, cm))
+    return not failures, "; ".join(failures)
+
+
+def dense_duality_ranks(pair, cm):
+    """The swapped pair's condition ranks, and per l the ranks of
+    stack(s_tilde, s(A_0 + A_l)) and stack(s, s_tilde(A_0 - A_l))."""
+    a0 = dense(cm.matrices[0])
+    s, st = pair.s.array, pair.s_tilde.array
+    sides = []
+    for l in range(1, cm.params.k):
+        a_l = dense(cm.matrices[l])
+        sides.append((rank(np.vstack([st, mul(s, add(a0, a_l))])), rank(np.vstack([s, mul(st, sub(a0, a_l))]))))
+    return dense_condition_ranks(pair.swapped(), cm), sides
 
 
 def dense_verify_duality(pair, cm):
-    swapped_report = dense_verify_repair_conditions(pair.swapped(), cm)
-    a0 = dense(cm.matrices[0])
-    s, st = pair.s.array, pair.s_tilde.array
-    equalities = []
-    for l in range(1, cm.params.k):
-        a_l = dense(cm.matrices[l])
-        lhs = rank(np.vstack([st, mul(s, add(a0, a_l))]))
-        rhs = rank(np.vstack([s, mul(st, sub(a0, a_l))]))
-        equalities.append(RankEquality(l, lhs, rhs))
-    return DualityReport(swapped_report, tuple(equalities))
+    swapped, sides = dense_duality_ranks(pair, cm)
+    ok = not condition_failures(cm.params.n_rows, swapped) and all(a == b for a, b in sides)
+    return ok, "" if ok else "swapped-pair conditions or rank equalities failed"
+
+
+def dense_zero_columns(pair):
+    return tuple(np.flatnonzero(~m.array.any(axis=0)).tolist() for m in (pair.s, pair.s_tilde))
 
 
 def dense_verify_zero_column_structure(pair, params):
@@ -129,18 +146,11 @@ def dense_verify_zero_column_structure(pair, params):
                     out.append(f"{label}: column {j} is not +-column {i} (flip l={l})")
         return out
 
-    zc_s, zc_st = (np.flatnonzero(~m.any(axis=0)).tolist() for m in (s, st))
-    return ZeroColumnReport(
-        variant=pair.variant,
-        zero_cols_s=tuple(zc_s),
-        zero_cols_s_tilde=tuple(zc_st),
-        nonzero_cols_s=int(s.any(axis=0).sum()),
-        nonzero_cols_s_tilde=int(st.any(axis=0).sum()),
-        per_matrix_floor=n - Fraction(n, 2 * (params.k - 1)),
-        propagation_violations=tuple(
-            violations(zc_s, st, "parity-side") + violations(zc_st, s, "systematic-side")
-        ),
-    )
+    zc_s, zc_st = dense_zero_columns(pair)
+    found = violations(zc_s, st, "parity-side") + violations(zc_st, s, "systematic-side")
+    floor = n - Fraction(n, 2 * (params.k - 1))
+    detail = "; ".join([f"zero cols s={tuple(zc_s)} s_tilde={tuple(zc_st)}; floor {floor}", *found])
+    return zc_s == [0] and not zc_st and not found, detail
 
 
 def coding_sets(k):
@@ -155,17 +165,21 @@ def coding_sets(k):
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_reports_match_dense_oracle(k):
+    # Each rank and zero-column set a check computes, and its verdict and
+    # detail, equal the oracle's.
     for label, cm in coding_sets(k).items():
         assert verify_mds(cm) == dense_verify_mds(cm), (k, label)
         for variant in VARIANTS:
             pair = build_repair_pair(k, variant)
-            assert verify_repair_conditions(pair, cm) == dense_verify_repair_conditions(
-                pair, cm
-            ), (k, label, variant)
-            assert verify_duality(pair, cm) == dense_verify_duality(pair, cm), (k, label, variant)
+            at = (k, label, variant)
+            assert _condition_ranks(pair, cm) == dense_condition_ranks(pair, cm), at
+            assert verify_repair_conditions(pair, cm) == dense_verify_repair_conditions(pair, cm), at
+            assert _duality_ranks(pair, cm) == dense_duality_ranks(pair, cm), at
+            assert verify_duality(pair, cm) == dense_verify_duality(pair, cm), at
+            assert _zero_columns(pair) == dense_zero_columns(pair), at
             assert verify_zero_column_structure(pair, cm.params) == dense_verify_zero_column_structure(
                 pair, cm.params
-            ), (k, label, variant)
+            ), at
 
 
 def test_zero_column_report_on_other_pairs():
@@ -178,6 +192,7 @@ def test_zero_column_report_on_other_pairs():
         (healthy.s.array, np.zeros((2, 4))),
     ):
         pair = RepairMatrixPair(SparseRows.from_dense(s), SparseRows.from_dense(st), FIRST_PARITY)
+        assert _zero_columns(pair) == dense_zero_columns(pair)
         assert verify_zero_column_structure(pair, params) == dense_verify_zero_column_structure(pair, params)
 
 
@@ -186,9 +201,9 @@ def test_flipped_sign_reports_fail():
     # really fails: MDS from k = 2, the repair conditions from k = 3.
     for k in (2, 3, 6):
         bad = coding_sets(k)["flipped"]
-        assert not verify_mds(bad).ok, k
+        assert not verify_mds(bad)[0], k
         if k > 2:
-            assert not verify_repair_conditions(build_repair_pair(k, FIRST_PARITY), bad).ok, k
+            assert not verify_repair_conditions(build_repair_pair(k, FIRST_PARITY), bad)[0], k
 
 
 def without_seconds(report):
@@ -639,7 +654,8 @@ def test_pivot_free_matrices_raise_missing_pivot(monkeypatch):
     healthy = build_repair_pair(3, FIRST_PARITY)
     free_s = RepairMatrixPair(PIVOT_FREE, healthy.s_tilde, FIRST_PARITY)
     free_st = RepairMatrixPair(healthy.s, PIVOT_FREE, FIRST_PARITY)
-    assert verify_repair_conditions(free_st, cm).checks[0].name == "full-rank"
+    assert _condition_ranks(free_st, cm) == dense_condition_ranks(free_st, cm)
+    assert verify_repair_conditions(free_st, cm) == dense_verify_repair_conditions(free_st, cm)
     with pytest.raises(MissingPivotError):
         verify_repair_conditions(free_s, cm)
     for pair in (free_s, free_st):

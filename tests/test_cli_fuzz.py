@@ -5,14 +5,16 @@ drawn damage: header bytes set to drawn values, payloads cut short or
 extended, a payload byte set to 243 or more (in a version-4 shard's group
 region where it has one) or a padding trit set, each with the shard's CRC
 recomputed, shards given twice, and shards taken from a set of another k
-or of another stripe count.  Every run must either exit 0 with the
-original bytes (or, for a repair, the original shard) or exit 3, 4 or 5
-with nothing written, and never raise.
+or of another stripe count.  The manifest beside them may have one key
+set to a drawn JSON value, moved with its value kept, or dropped.  Every
+run must either exit 0 with the original bytes (or, for a repair, the
+original shard) or exit 3, 4 or 5 with nothing written, and never raise.
 """
 
 import contextlib
 import functools
 import io
+import json
 import tempfile
 import zlib
 from pathlib import Path
@@ -22,10 +24,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from fixture_sets import word_layout_set  # noqa: E402
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from zigzag3.cli import main  # noqa: E402
+from zigzag3.cluster import byte_capacity  # noqa: E402
+from zigzag3.code import CodeParams  # noqa: E402
 
 KS = (2, 3, 4)
 SIZES = (40, 300)  # at every k in KS, two different stripe counts; 300 bytes are whole blocks and more
@@ -60,6 +64,32 @@ damage = st.one_of(
 )
 
 
+MANIFEST_KEYS = ("k", "stripes", "original_len", "shard_version", "file_crc32", "shard_crc")
+# Keys a manifest may leave out: decode and repair then go without them.
+OPTIONAL_KEYS = ("shard_version", "file_crc32")
+
+# (action, index into MANIFEST_KEYS, argument) of damage to one manifest
+# key: set it to a drawn JSON value (another int, a negative, a bool, a
+# string or a short list), set original_len past what the stripes hold
+# by the argument, move the key to the end with its value kept, or drop
+# it.
+manifest_damage = st.one_of(
+    st.tuples(
+        st.just("set"),
+        st.integers(0, len(MANIFEST_KEYS) - 1),
+        st.one_of(
+            st.integers(0, 2**33),
+            st.integers(max_value=-1),
+            st.booleans(),
+            st.text(max_size=3),
+            st.lists(st.integers(0, 2**32), max_size=3),
+        ),
+    ),
+    st.tuples(st.just("past-capacity"), st.just(MANIFEST_KEYS.index("original_len")), st.integers(1, 2**16)),
+    st.tuples(st.sampled_from(["keep", "drop"]), st.integers(0, len(MANIFEST_KEYS) - 1), st.just(0)),
+)
+
+
 def with_crc(blob: bytearray) -> None:
     blob[-4:] = zlib.crc32(bytes(blob[19:-4])).to_bytes(4, "little")
 
@@ -88,10 +118,14 @@ def damaged_set(k: int, size: int, version: int, nodes: list[int], damages) -> t
             region = 8 * (stripes // 41) * n if version == 4 else 0
             blobs[i][19 + arg % min(region or len(blobs[i]), len(blobs[i]) - 23)] = value
             with_crc(blobs[i])
-        elif kind == "padding" and len(blobs[i]) > 23 and blobs[i][-5] % 3 == 0:
-            # a trit count not a multiple of 5 pads the last byte's place-1 digit
-            if int.from_bytes(blobs[i][11:19], "little") % 5:
-                blobs[i][-5] += 1
+        elif kind == "padding" and len(blobs[i]) > 23:
+            # A trit count not a multiple of 5 pads the place-1 digit of the
+            # last payload byte, byte 19 + ceil(trits / 5) - 1: the last
+            # before the CRC while the shard keeps its length.
+            trits = int.from_bytes(blobs[i][11:19], "little")
+            last = 19 + -(-trits // 5) - 1
+            if trits % 5 and last < len(blobs[i]) - 4 and blobs[i][last] < 243 and blobs[i][last] % 3 == 0:
+                blobs[i][last] += 1
                 with_crc(blobs[i])
         elif kind == "duplicate":
             ids.append(ids[i])
@@ -103,6 +137,33 @@ def damaged_set(k: int, size: int, version: int, nodes: list[int], damages) -> t
             blobs[i] = bytearray(shard_set(other_k, other_size, version)[1][f"node_{node}.shard"])
     blobs = [bytes(b) for b in blobs]
     return blobs, blobs != intact
+
+
+def damaged_manifest(k: int, size: int, version: int, damage) -> tuple[bytes, bool]:
+    """The manifest of the (k, size, version) set with ``damage`` done to
+    it (none if ``None``), and whether its meaning changed: a key's value
+    differs as JSON, or a key that is not optional is gone."""
+    text = shard_set(k, size, version)[1]["manifest.json"]
+    if damage is None:
+        return text, False
+    original = json.loads(text)
+    manifest = dict(original)
+    action, which, value = damage
+    name = MANIFEST_KEYS[which]
+    if action == "set":
+        manifest[name] = value
+    elif action == "past-capacity":
+        manifest[name] = byte_capacity(CodeParams(k), original["stripes"], version) + value
+    elif action == "keep":
+        manifest[name] = manifest.pop(name)
+    else:
+        del manifest[name]
+    changed = any(
+        json.dumps(manifest.get(key)) != json.dumps(original[key])
+        and not (key in OPTIONAL_KEYS and key not in manifest)
+        for key in MANIFEST_KEYS
+    )
+    return json.dumps(manifest).encode(), changed
 
 
 def run(argv) -> int:
@@ -118,23 +179,52 @@ def run(argv) -> int:
     order=st.permutations(range(6)),
     spare=st.integers(-1, 2),
     damages=st.lists(damage, max_size=2),
+    manifest=st.one_of(st.none(), manifest_damage),
     repair=st.booleans(),
 )
-def test_damaged_shard_sets_decode_right_or_exit_cleanly(k, size, version, order, spare, damages, repair):
+# A padding trit set after an extend: the last payload byte is no longer
+# the shard's fifth-last.
+@example(k=2, size=40, version=3, order=list(range(6)), spare=0,
+         damages=[("extend", 0, 5, 255), ("padding", 0, 0, 0)], manifest=None, repair=False)
+def test_damaged_shard_sets_decode_right_or_exit_cleanly(k, size, version, order, spare, damages, manifest, repair):
+    assert_right_or_clean_exit(k, size, version, order, spare, damages, manifest, repair)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    k=st.sampled_from(KS),
+    size=st.sampled_from(SIZES),
+    version=st.sampled_from([3, 4]),
+    order=st.permutations(range(6)),
+    spare=st.integers(0, 2),
+    manifest=manifest_damage,
+    repair=st.booleans(),
+)
+def test_damaged_manifests_decode_right_or_exit_cleanly(k, size, version, order, spare, manifest, repair):
+    # Intact shards, enough for a decode, beside a damaged manifest.
+    assert_right_or_clean_exit(k, size, version, order, spare, [], manifest, repair)
+
+
+def assert_right_or_clean_exit(k, size, version, order, spare, damages, manifest, repair):
     # ``spare`` shards beyond k are given (k - 1 to k + 2 in all), in the
     # drawn order; a repair rebuilds the first node left out, or node 0.
     # Intact, a decode exits 0 from k shards or more and 3 from fewer, and
     # a repair 0 from k + 1, 3 from fewer and 5 when node 0 was given.
     # Damaged, any shard makes a decode exit 4, since every shard is
     # checked before the shard count, and a repair fail with 3, 4 or 5.
+    # With intact shards, a manifest whose meaning changed makes a decode
+    # exit 4 (or 3 from fewer than k shards), and may let a repair that
+    # would exit 0 exit 4 instead: it reads neither original_len nor
+    # file_crc32.
     data, files = shard_set(k, size, version)
     order = [node for node in order if node < k + 2]
     nodes = order[: k + spare]
     rebuild = order[k + spare] if k + spare < k + 2 else 0
     blobs, damaged = damaged_set(k, size, version, nodes, damages)
+    manifest_text, changed = damaged_manifest(k, size, version, manifest)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "manifest.json").write_bytes(files["manifest.json"])
+        (tmp / "manifest.json").write_bytes(manifest_text)
         paths = []
         for i, blob in enumerate(blobs):
             path = tmp / f"shard_{i}.bin"
@@ -143,16 +233,24 @@ def test_damaged_shard_sets_decode_right_or_exit_cleanly(k, size, version, order
         if repair:
             out = tmp / "rebuilt"
             code = run(["repair", "--shards", *paths, "--rebuild", str(rebuild), "--out-dir", str(out)])
+            intact = {k - 1: 3, k: 3, k + 1: 0, k + 2: 5}[len(nodes)]
             if damaged:
                 assert code in (3, 4, 5), code
+            elif changed and intact == 0:
+                assert code in (0, 4), code
             else:
-                assert code == {k - 1: 3, k: 3, k + 1: 0, k + 2: 5}[len(nodes)], code
+                assert code == intact, code
             if code == 0:
                 assert (out / f"node_{rebuild}.shard").read_bytes() == files[f"node_{rebuild}.shard"]
         else:
             out = tmp / "restored.bin"
             code = run(["decode", "--shards", *paths, "--out", str(out)])
-            assert code == (4 if damaged else 3 if len(nodes) < k else 0), code
+            if damaged:
+                assert code == 4, code
+            elif changed:
+                assert code in ((3, 4) if len(nodes) < k else (4,)), code
+            else:
+                assert code == (3 if len(nodes) < k else 0), code
             if code == 0:
                 assert out.read_bytes() == data
         if code:

@@ -220,16 +220,16 @@ def test_matrices_square_to_minus_identity_compact(k):
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_mds_ranks_hold(k):
-    assert verify_mds(cm_for(k)).ok
+    assert verify_mds(cm_for(k)) == (True, "")
 
 
 def test_mds_detects_duplicate_matrix():
     p = CodeParams(3)
     cm = cm_for(3)
     broken = CodingMatrixSet(p, (cm.matrices[1], cm.matrices[1], cm.matrices[2]))
-    report = verify_mds(broken)
-    assert not report.ok
-    assert any("A_0 - A_1" in v for v in report.violations)
+    ok, detail = verify_mds(broken)
+    assert not ok
+    assert any("A_0 - A_1" in v for v in detail.split("; "))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,9 @@ from zigzag3.repair import (
     SparseRows,
     _apply,
     _combined,
+    _condition_ranks,
     _conditions,
+    _duality_ranks,
     _gathered,
     _pack,
     _Pairs,
@@ -49,6 +51,7 @@ from zigzag3.repair import (
     _terms,
     _transpose,
     _unit_pivots,
+    _zero_columns,
     brute_force_min_io,
     build_repair_pair,
     compute_downloads,
@@ -174,17 +177,18 @@ def test_pair_ranks(k, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_repair_conditions_hold(k, variant):
     p, cm = setup_k(k)
-    report = verify_repair_conditions(build_repair_pair(k, variant), cm)
-    assert report.ok, report.violations
+    ok, detail = verify_repair_conditions(build_repair_pair(k, variant), cm)
+    assert ok, detail
 
 
 def test_repair_conditions_reject_duplicated_matrix():
     p, cm = setup_k(3)
     s = build_repair_pair(3, FIRST_PARITY).s
-    report = verify_repair_conditions(RepairMatrixPair(s, s, FIRST_PARITY), cm)
-    full = report.checks[0]
-    assert full.name == "full-rank" and full.actual == p.n_rows // 2
-    assert not report.ok
+    pair = RepairMatrixPair(s, s, FIRST_PARITY)
+    assert _condition_ranks(pair, cm)[0] == p.n_rows // 2
+    ok, detail = verify_repair_conditions(pair, cm)
+    assert not ok
+    assert detail.split("; ")[0] == f"full-rank: {p.n_rows // 2} != {p.n_rows}"
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -192,9 +196,11 @@ def test_repair_conditions_reject_duplicated_matrix():
 def test_duality(k, variant):
     _, cm = setup_k(k)
     pair = build_repair_pair(k, variant)
-    report = verify_duality(pair, cm)
-    assert report.ok
-    assert report.swapped_report.variant != variant
+    assert pair.swapped().variant != variant
+    assert verify_duality(pair, cm) == (True, "")
+    swapped, sides = _duality_ranks(pair, cm)
+    assert len(swapped) == k and len(sides) == k - 1
+    assert all(a == b for a, b in sides)
 
 
 def test_duality_swap_is_involution():
@@ -202,6 +208,7 @@ def test_duality_swap_is_involution():
     pair = build_repair_pair(4, FIRST_PARITY)
     again = pair.swapped().swapped()
     assert again.s == pair.s and again.s_tilde == pair.s_tilde and again.variant == pair.variant
+    assert _duality_ranks(again, cm) == _duality_ranks(pair, cm)
     assert verify_duality(again, cm) == verify_duality(pair, cm)
 
 
@@ -214,13 +221,11 @@ def test_duality_swap_is_involution():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_zero_column_census_and_propagation(k, variant):
     p = CodeParams(k)
-    report = verify_zero_column_structure(build_repair_pair(k, variant), p)
-    assert report.zero_cols_s == (0,)
-    assert report.zero_cols_s_tilde == ()
-    assert report.nonzero_cols_s == p.n_rows - 1
-    assert report.nonzero_cols_s_tilde == p.n_rows
-    assert report.per_matrix_floor == p.n_rows - Fraction(p.n_rows, 2 * (k - 1))
-    assert report.ok, report.propagation_violations
+    pair = build_repair_pair(k, variant)
+    assert _zero_columns(pair) == ([0], [])
+    floor = p.n_rows - Fraction(p.n_rows, 2 * (k - 1))
+    assert p.n_rows - 1 >= floor
+    assert verify_zero_column_structure(pair, p) == (True, f"zero cols s=(0,) s_tilde=(); floor {floor}")
 
 
 # ---------------------------------------------------------------------------
@@ -1216,7 +1221,7 @@ def test_brute_force_k3():
 def test_brute_force_witness_is_valid():
     _, cm = setup_k(2)
     r = brute_force_min_io(2)
-    assert verify_repair_conditions(r.witness, cm).ok
+    assert verify_repair_conditions(r.witness, cm) == (True, "")
 
 
 def test_brute_force_matches_dense_ranks_on_a_flipped_set():
