@@ -46,8 +46,7 @@ from .cluster import (
     unpack_groups,
     write_shard_file,
 )
-from .repair import brute_force_min_io, io_lower_bound, repair_bandwidth
-from .verification import flip_one_sign, run_sweep
+from .repair import repair_bandwidth
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -379,6 +378,7 @@ def cmd_verify(cfg: Config, args) -> int:
     if args.trials < 1:
         print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
         return EXIT_PARAMS
+    from .verification import flip_one_sign, run_sweep  # certificates load only for the commands that run them
     hook = flip_one_sign if args.inject_fault else None
     report = run_sweep(ks, trials=args.trials, seed=cfg.seed, fault_hook=hook)
     lines = [
@@ -396,6 +396,7 @@ def cmd_verify(cfg: Config, args) -> int:
 
 
 def cmd_bound(cfg: Config, args) -> int:
+    from .verification import io_lower_bound  # certificates load only for the commands that run them
     try:
         params = CodeParams(args.k)
         report = io_lower_bound(args.k)
@@ -430,6 +431,7 @@ def cmd_bound(cfg: Config, args) -> int:
 
 
 def cmd_bruteforce(cfg: Config, args) -> int:
+    from .verification import brute_force_min_io  # certificates load only for the commands that run them
     try:
         result = brute_force_min_io(args.k)
     except ValueError as exc:

@@ -5,14 +5,15 @@ Nodes 0..k-1 store the parts uncoded, node k stores the row sums, and node
 k+1 stores the zigzag parity: row l combines one symbol from each part,
 picked by XOR-ing the row index with a basis vector and weighted by a +-1
 coefficient.  Equivalently, node k+1 stores sum_j A_j f_j for k signed
-permutation matrices A_j, built here both by the recursive block definition
-and directly from the row/coefficient description; the two constructions
-must agree entrywise, which the condition sweep checks.  Encoding and
+permutation matrices A_j, built here by the recursive block definition;
+the condition sweep checks them entrywise against the row/coefficient
+description (``verification.coding_matrix_from_zigzag``).  Encoding and
 decoding apply the permutations through the int8 symbol kernel of ``gf3``.
 Each A_j maps row l to l ^ e_j, and so do their inverses and the products
 decode forms, with l ^ e_j1 ^ e_j2, so every apply is a gather of whole
 8-byte words plus byte reversals inside them (``SignedPermutation.terms``);
-``second_parity_by_rows`` keeps a per-byte gather as the reference.
+``verification.second_parity_by_rows`` keeps a per-byte gather as the
+reference.
 Decoding works in place in a stack of every node's shard and writes only
 the lost systematic rows; two lost parts are recovered in closed form,
 O(N) per stripe.
@@ -41,13 +42,9 @@ __all__ = [
     "InsufficientShardsError",
     "InconsistentShardsError",
     "basis_index",
-    "beta_row_coefficients",
     "build_coding_matrices",
-    "coding_matrix_from_zigzag",
-    "second_parity_by_rows",
     "second_parity_by_matrices",
     "encode_parts_array",
-    "verify_mds",
     "decode_shards_array",
 ]
 
@@ -106,20 +103,6 @@ def basis_index(params: CodeParams, j: int) -> int:
     return 0 if j == 0 else 1 << (params.k - 1 - j)
 
 
-def beta_row_coefficients(params: CodeParams, j: int) -> np.ndarray:
-    """Coefficient beta(i, j) of part j's row-i symbol in the zigzag
-    parity, for all rows i at once, as uint8 field elements.
-
-    beta(i, 0) = 1; for j >= 1 it is +1 (1) when the first j of the k-1
-    index bits of i have even parity and -1 (2) otherwise.  The parities
-    of every row are folded down together by XOR shifts.
-    """
-    if not 0 <= j < params.k:
-        raise ValueError(f"node index {j} out of range [0, {params.k})")
-    if j == 0:
-        return np.ones(params.n_rows, dtype=np.uint8)
-    return 1 + _odd_weight(np.arange(params.n_rows) >> (params.k - 1 - j)).astype(np.uint8)
-
 
 def _odd_weight(x: np.ndarray) -> np.ndarray:
     """Whether each of the nonnegative integers ``x`` has an odd count of
@@ -171,23 +154,14 @@ def build_coding_matrices(params: CodeParams) -> CodingMatrixSet:
     return CodingMatrixSet(params, tuple(SignedPermutation(t, s) for t, s in _recursion_level(params.k)))
 
 
-def coding_matrix_from_zigzag(params: CodeParams, j: int) -> SignedPermutation:
-    """Coding matrix j built from the row/coefficient description.
-
-    Row l has its single nonzero at column l ^ e_j with value beta(l ^ e_j, j).
-    Independent of the block recursion; the two must agree entrywise.
-    """
-    target = np.arange(params.n_rows) ^ basis_index(params, j)
-    sign = np.where(beta_row_coefficients(params, j)[target] == 1, 1, -1)
-    return SignedPermutation(target, sign)
-
 
 def _is_paper_set(cm: CodingMatrixSet) -> bool:
     """Whether ``cm`` holds exactly the paper's k coding matrices, entry by
     entry in O(kN): the row/coefficient rule of
-    ``coding_matrix_from_zigzag`` for every j at once.  Row l of A_j has
-    its nonzero at l ^ e_j, -1 where the first j index bits of that column
-    have odd parity: the bits left by shifting it k-1-j places right."""
+    ``verification.coding_matrix_from_zigzag`` for every j at once.  Row
+    l of A_j has its nonzero at l ^ e_j, -1 where the first j index bits
+    of that column have odd parity: the bits left by shifting it k-1-j
+    places right."""
     k, n = cm.params.k, cm.params.n_rows
     if len(cm.matrices) != k:
         return False
@@ -203,23 +177,6 @@ def _is_paper_set(cm: CodingMatrixSet) -> bool:
 # Encoding
 # ---------------------------------------------------------------------------
 
-
-def second_parity_by_rows(params: CodeParams, parts: np.ndarray) -> np.ndarray:
-    """Zigzag parity via the per-row combination rule.
-
-    ``parts`` has shape (k, ..., N); the result row l sums, over parts j,
-    the coefficient beta(l ^ e_j, j) times symbol l ^ e_j of part j.
-    """
-    parts = residues(parts)
-    rows = np.arange(params.n_rows)
-    acc = np.zeros(parts.shape[1:], dtype=np.int8)
-    for j in range(params.k):
-        idx = rows ^ basis_index(params, j)
-        signs = np.where(beta_row_coefficients(params, j) == 1, 1, -1).astype(np.int8)
-        term = np.take(parts[j].view(np.int8), idx, axis=-1)
-        term *= signs[idx]
-        acc += term
-    return reduce_sum(acc)
 
 
 def second_parity_by_matrices(cm: CodingMatrixSet, parts: np.ndarray) -> np.ndarray:
@@ -250,80 +207,12 @@ def encode_parts_array(params: CodeParams, cm: CodingMatrixSet, parts: np.ndarra
 def _encode_parities(cm: CodingMatrixSet, parts: np.ndarray) -> np.ndarray:
     """The row-sum and zigzag parities of the k uint8 residue parts
     (k, ..., N), as one uint8 array (2, ..., N).  The zigzag parity is
-    produced by the O(kN) permutation path; ``second_parity_by_rows`` is
-    its reference, which the sweep's ``encoder-forms`` check compares."""
+    produced by the O(kN) permutation path; the sweep's ``encoder-forms``
+    check compares it with ``verification.second_parity_by_rows``."""
     parities = np.empty((2,) + parts.shape[1:], dtype=np.uint8)
     parities[0] = reduce_sum(parts.sum(axis=0, dtype=np.uint8))
     parities[1] = second_parity_by_matrices(cm, parts)
     return parities
-
-
-# ---------------------------------------------------------------------------
-# MDS verification
-# ---------------------------------------------------------------------------
-
-
-def _fixed_space_dim(target: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Nullity of I - P over GF(3) for each signed permutation P given by
-    a row of the (products, n) ``target`` and ``sign``: the number of
-    cycles of P whose sign product is +1.
-
-    P x = x forces x[r] = sign[r] x[target[r]] around each cycle, so a
-    cycle carries one free value if its signs multiply to +1 and forces 0
-    if they multiply to -1.  The rows are laid end to end as one
-    permutation, and all its cycles are walked in lockstep, as many steps
-    as the longest cycle has; each cycle is counted once, at its smallest
-    index.
-    """
-    products, n = target.shape
-    flat = (target + n * np.arange(products)[:, None]).ravel()
-    sign = sign.ravel()
-    start = np.arange(flat.size)
-    at = flat.copy()
-    product = sign.copy()
-    least = np.minimum(start, at)
-    walking = np.flatnonzero(at != start)
-    while walking.size:
-        step = at[walking]
-        product[walking] *= sign[step]
-        step = flat[step]
-        at[walking] = step
-        least[walking] = np.minimum(least[walking], step)
-        walking = walking[step != walking]
-    return np.count_nonzero(((least == start) & (product == 1)).reshape(products, n), axis=1)
-
-
-# Symbols of the products A_i^-1 A_j one walk takes (all up to k = 10, two
-# at k = 16): its random gathers stay near the size of a core's cache.
-_MDS_SYMBOLS = 1 << 16
-
-
-def verify_mds(cm: CodingMatrixSet) -> tuple[bool, str]:
-    """Check rank(A_i - A_j) = N for all i != j: (ok, every violation,
-    joined by "; ").
-
-    rank(A_i - A_j) = rank(I - A_i^-1 A_j) = N - c, with c the number of
-    cycles of the signed permutation A_i^-1 A_j whose sign product is +1
-    (``_fixed_space_dim``), so no elimination is needed.  Row r of the
-    product is (sign_i sign_j)[u] at column target_j[u], u = A_i^-1's
-    target at r: one gather forms ``_MDS_SYMBOLS`` symbols of products, and
-    one walk counts their cycles.  rank(A_i) = N needs no check:
-    ``SignedPermutation`` only holds invertible matrices.
-    """
-    params = cm.params
-    n = params.n_rows
-    target = np.stack([m.target for m in cm.matrices])
-    sign = np.stack([m.sign for m in cm.matrices])
-    inverse = np.argsort(target, axis=1)
-    first, second = np.nonzero(~np.eye(params.k, dtype=bool))
-    step = max(1, _MDS_SYMBOLS // n)
-    violations = []
-    for lo in range(0, first.size, step):
-        i, j = first[lo : lo + step], second[lo : lo + step]
-        u = inverse[i]
-        nullity = _fixed_space_dim(np.take_along_axis(target[j], u, 1), np.take_along_axis(sign[i] * sign[j], u, 1))
-        violations += [f"rank(A_{a} - A_{b}) = {n - c}, expected {n}" for a, b, c in zip(i, j, nullity) if c]
-    return not violations, "; ".join(violations)
 
 
 # ---------------------------------------------------------------------------

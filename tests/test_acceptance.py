@@ -18,25 +18,27 @@ from zigzag3.cluster import ClusterState
 from zigzag3.code import (
     CodeParams,
     build_coding_matrices,
-    coding_matrix_from_zigzag,
     encode_parts_array,
     second_parity_by_matrices,
-    second_parity_by_rows,
-    verify_mds,
 )
 from zigzag3.repair import (
     FIRST_PARITY,
     SECOND_PARITY,
-    _zero_columns,
-    brute_force_min_io,
-    build_repair_pair,
     compute_downloads,
     execute_repair,
     expected_repair_io,
-    io_lower_bound,
     plan_repair,
     repair_bandwidth,
+)
+from zigzag3.verification import (
+    _zero_columns,
+    brute_force_min_io,
+    build_repair_pair,
+    coding_matrix_from_zigzag,
+    io_lower_bound,
+    second_parity_by_rows,
     verify_duality,
+    verify_mds,
     verify_repair_conditions,
     verify_zero_column_structure,
 )

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import zigzag3.code as code
 import zigzag3.repair as repair
 import zigzag3.verification as verification
 from gf3_oracle import add, dense, gf3, identity, mul, sub
@@ -26,34 +25,37 @@ from zigzag3.code import (
     CodeParams,
     encode_parts_array,
     CodingMatrixSet,
-    _fixed_space_dim,
     build_coding_matrices,
-    verify_mds,
 )
 from zigzag3.gf3 import SignedPermutation, SingularMatrixError, inverse, rank
 from zigzag3.repair import (
     FIRST_PARITY,
     SECOND_PARITY,
-    MissingPivotError,
-    RepairMatrixPair,
     RepairPlan,
     SparseRows,
+    compute_downloads,
+    execute_repair,
+    plan_repair,
+)
+from zigzag3.code import basis_index
+from zigzag3.verification import (
+    MissingPivotError,
+    RepairMatrixPair,
     _condition_ranks,
     _conditions,
     _duality_ranks,
+    _fixed_space_dim,
     _stacked_ranks,
     _unit_pivots,
     _zero_columns,
     build_repair_pair,
-    compute_downloads,
-    execute_repair,
-    plan_repair,
+    flip_one_sign,
+    run_sweep,
     verify_duality,
+    verify_mds,
     verify_repair_conditions,
     verify_zero_column_structure,
 )
-from zigzag3.code import basis_index
-from zigzag3.verification import flip_one_sign, run_sweep
 
 VARIANTS = (FIRST_PARITY, SECOND_PARITY)
 
@@ -338,7 +340,7 @@ def assert_shared_sweep_matches_independent(k, fault_hook, monkeypatch):
     # The sweep stops planning at the first plan that raises, so both
     # parity plans are also built from reductions shared by hand.
     pairs = [build_repair_pair(k, variant) for variant in VARIANTS]
-    with repair._sharing(pairs):
+    with verification._sharing(pairs):
         for pair in pairs:
             verify_repair_conditions(pair, cm)
             verify_duality(pair, cm)
@@ -356,7 +358,7 @@ def counting_eliminations(monkeypatch):
     as (s, pivots, products): every product it stacks, as the bytes of s
     and of the product's own terms."""
     reductions = []
-    real_reductions, real_eliminate = repair._reductions, repair._eliminate
+    real_reductions, real_eliminate = verification._reductions, verification._eliminate
 
     def counting_reductions(*args, **kwargs):
         reductions.append([])
@@ -371,8 +373,8 @@ def counting_eliminations(monkeypatch):
         reductions[-1].append((s, pivots, products))
         return real_eliminate(s, pivots, t)
 
-    monkeypatch.setattr(repair, "_reductions", counting_reductions)
-    monkeypatch.setattr(repair, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(verification, "_reductions", counting_reductions)
+    monkeypatch.setattr(verification, "_eliminate", counting_eliminate)
     return reductions
 
 
@@ -383,14 +385,13 @@ def test_sweep_eliminates_each_product_once(k, monkeypatch):
     # `_eliminate` once.  A_0 = I, so each pair's conditions, duality and
     # plan share k products, and each duality left side has k of its own.
     built = []
-    real_build = repair.build_repair_pair
+    real_build = verification.build_repair_pair
 
     def counting_build(k, variant):
         built.append((k, variant))
         return real_build(k, variant)
 
     reductions = counting_eliminations(monkeypatch)
-    monkeypatch.setattr(repair, "build_repair_pair", counting_build)
     monkeypatch.setattr(verification, "build_repair_pair", counting_build)
     report = run_sweep([k], trials=2)
     assert report.passed
@@ -416,7 +417,7 @@ def test_reductions_stack_a_fixed_number_of_products(k, monkeypatch):
         per_term = max(1, int(np.bincount(pivots.rest.r, minlength=s.rows).max()))
         costs = {np.frombuffer(t).size * per_term for _, _, batch in calls for _, t in batch}
         assert len(costs) == 1
-        step = max(1, repair._BATCH_ENTRIES // costs.pop())
+        step = max(1, verification._BATCH_ENTRIES // costs.pop())
         sizes = [len(batch) for _, _, batch in calls]
         total = sum(sizes)
         assert sizes == [step] * (total // step) + [total % step] * (total % step > 0), (k, step)
@@ -424,7 +425,7 @@ def test_reductions_stack_a_fixed_number_of_products(k, monkeypatch):
     assert split
 
 
-@pytest.mark.parametrize("batch_entries", [repair._BATCH_ENTRIES, 1], ids=["default", "one-per-batch"])
+@pytest.mark.parametrize("batch_entries", [verification._BATCH_ENTRIES, 1], ids=["default", "one-per-batch"])
 @pytest.mark.parametrize("k", range(2, 10))
 def test_batched_reductions_equal_each_product_alone(k, batch_entries, monkeypatch):
     # `_reductions` forms a batch's products by one take of their stacked
@@ -433,14 +434,14 @@ def test_batched_reductions_equal_each_product_alone(k, batch_entries, monkeypat
     # product of both variants' conditions (the duality check reduces the
     # other variant's), against either matrix of either pair, healthy and
     # with a flipped sign, in the default batches and one product a time.
-    monkeypatch.setattr(repair, "_BATCH_ENTRIES", batch_entries)
+    monkeypatch.setattr(verification, "_BATCH_ENTRIES", batch_entries)
     for cm in coding_sets(k).values():
         perms = list(dict.fromkeys(p for variant in VARIANTS for p in _conditions(cm, variant)[0]))
         for pair in (build_repair_pair(k, variant) for variant in VARIANTS):
             for s, m in ((pair.s, pair.s_tilde), (pair.s_tilde, pair.s)):
                 pivots = _unit_pivots(s)
-                for p, got in zip(perms, repair._reductions(s, pivots, m, perms)):
-                    want = repair._eliminate(s, pivots, repair._terms(m.times(p).slots, m.cols))
+                for p, got in zip(perms, verification._reductions(s, pivots, m, perms)):
+                    want = verification._eliminate(s, pivots, verification._terms(m.times(p).slots, m.cols))
                     for g, w in zip(got, want):
                         assert (g.rows, g.cols) == (w.rows, w.cols)
                         assert np.array_equal(g.key, w.key), (k, pair.variant, s is pair.s)
@@ -449,32 +450,32 @@ def test_batched_reductions_equal_each_product_alone(k, batch_entries, monkeypat
 def test_shared_reductions_end_with_the_sweep():
     # Outside a sweep nothing is kept; inside, the check of a pair's plan
     # takes them, and the plan itself reads none.
-    assert repair._SHARED.get() is None
+    assert verification._SHARED.get() is None
     cm = build_coding_matrices(CodeParams(4))
     pairs = [build_repair_pair(4, v) for v in VARIANTS]
-    with repair._sharing(pairs):
+    with verification._sharing(pairs):
         verify_repair_conditions(pairs[0], cm)
-        assert len(repair._SHARED.get()[(pairs[0].s, pairs[0].s_tilde)]) == 4
+        assert len(verification._SHARED.get()[(pairs[0].s, pairs[0].s_tilde)]) == 4
         plan = plan_repair(cm.params, cm, 4)
-        assert len(repair._SHARED.get()[(pairs[0].s, pairs[0].s_tilde)]) == 4
-        assert repair._check_parity_plan(plan, cm) == []
-        assert (pairs[0].s, pairs[0].s_tilde) not in repair._SHARED.get()
-    assert repair._SHARED.get() is None
+        assert len(verification._SHARED.get()[(pairs[0].s, pairs[0].s_tilde)]) == 4
+        assert verification._check_parity_plan(plan, cm) == []
+        assert (pairs[0].s, pairs[0].s_tilde) not in verification._SHARED.get()
+    assert verification._SHARED.get() is None
     run_sweep([3, 4])
-    assert repair._SHARED.get() is None
+    assert verification._SHARED.get() is None
 
 
 def test_failing_elimination_fails_each_check_that_needs_it(monkeypatch):
     # At k = 4 every reduction raises: each check that needs one fails
     # with its own detail, and k = 5 still runs and passes.
-    real = repair._eliminate
+    real = verification._eliminate
 
     def failing(s, pivots, t):
         if s.cols == 8:
             raise RuntimeError("no reduction at N = 8")
         return real(s, pivots, t)
 
-    monkeypatch.setattr(repair, "_eliminate", failing)
+    monkeypatch.setattr(verification, "_eliminate", failing)
     report = run_sweep([4, 5], trials=2)
     failed = [(c.k, c.name, c.detail) for c in report.failures]
     needs = ["repair-conditions-first", "duality-first", "repair-conditions-second", "duality-second", "io-meters"]
@@ -488,7 +489,7 @@ def test_healthy_paths_never_reach_dense_elimination(monkeypatch):
     def refuse(m):
         raise AssertionError(f"dense rank of a {np.shape(m)} matrix")
 
-    monkeypatch.setattr(repair, "rank", refuse)
+    monkeypatch.setattr(verification, "rank", refuse)
     report = run_sweep(range(2, 12))
     assert report.passed, [(c.k, c.name, c.detail) for c in report.failures]
     for k in range(2, 12):
@@ -506,7 +507,7 @@ def test_parity_plans_never_eliminate_outside_a_sweep(monkeypatch):
         raise AssertionError("elimination reached")
 
     for name in ("build_repair_pair", "_unit_pivots", "_eliminate", "_reductions", "_stacked_inverse"):
-        monkeypatch.setattr(repair, name, refuse)
+        monkeypatch.setattr(verification, name, refuse)
     for k in range(2, 13):
         params = CodeParams(k)
         cm = build_coding_matrices(params)
@@ -519,8 +520,8 @@ def test_sweep_finds_each_matrix_pivots_once(k, monkeypatch):
     # The conditions, duality and io-meters checks reduce against the
     # pivots of s and s_tilde of both pairs: four matrices, each found once.
     found = []
-    real = repair._unit_pivots
-    monkeypatch.setattr(repair, "_unit_pivots", lambda s: found.append(s) or real(s))
+    real = verification._unit_pivots
+    monkeypatch.setattr(verification, "_unit_pivots", lambda s: found.append(s) or real(s))
     assert run_sweep([k], trials=2).passed
     assert len(found) == len({id(s) for s in found}) == 4
 
@@ -615,10 +616,10 @@ def test_stacked_rank_matches_dense_on_flipped_entries(monkeypatch):
             branches.add("pattern")
         return got
 
-    real_rank, real_block_ranks = repair._rank, repair._block_ranks
-    monkeypatch.setattr(repair, "rank", counting_rank)
-    monkeypatch.setattr(repair, "_rank", branch_rank)
-    monkeypatch.setattr(repair, "_block_ranks", branch_block_ranks)
+    real_rank, real_block_ranks = verification._rank, verification._block_ranks
+    monkeypatch.setattr(verification, "rank", counting_rank)
+    monkeypatch.setattr(verification, "_rank", branch_rank)
+    monkeypatch.setattr(verification, "_block_ranks", branch_block_ranks)
     rng = np.random.default_rng(606)
     for k in range(3, 7):
         cm = build_coding_matrices(CodeParams(k))
@@ -661,9 +662,9 @@ def test_pivot_free_matrices_raise_missing_pivot(monkeypatch):
     for pair in (free_s, free_st):
         with pytest.raises(MissingPivotError):
             verify_duality(pair, cm)
-    monkeypatch.setattr(repair, "build_repair_pair", lambda k, variant: free_s)
+    monkeypatch.setattr(verification, "build_repair_pair", lambda k, variant: free_s)
     with pytest.raises(MissingPivotError):
-        repair._check_parity_plan(plan_repair(p, cm, p.k), cm)
+        verification._check_parity_plan(plan_repair(p, cm, p.k), cm)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +727,7 @@ def test_fixed_space_dim_cycle_sign_products():
 @pytest.mark.parametrize("symbols", [1, 24])
 def test_verify_mds_walks_products_in_blocks(symbols, monkeypatch):
     # One product, or three at k = 4 (N = 8), per walk: the same report.
-    monkeypatch.setattr(code, "_MDS_SYMBOLS", symbols)
+    monkeypatch.setattr(verification, "_MDS_SYMBOLS", symbols)
     rng = np.random.default_rng(7)
     for k in (3, 4):
         params = CodeParams(k)
@@ -781,11 +782,11 @@ def test_plan_rejects_pivot_free_pair(monkeypatch):
     p = CodeParams(3)
     cm = build_coding_matrices(p)
     monkeypatch.setattr(
-        repair, "build_repair_pair", lambda k, variant: RepairMatrixPair(PIVOT_FREE, PIVOT_FREE, variant)
+        verification, "build_repair_pair", lambda k, variant: RepairMatrixPair(PIVOT_FREE, PIVOT_FREE, variant)
     )
     for failed in (3, 4):
         with pytest.raises(MissingPivotError):
-            repair._check_parity_plan(plan_repair(p, cm, failed), cm)
+            verification._check_parity_plan(plan_repair(p, cm, failed), cm)
 
 
 def test_plan_rejects_singular_stack_like_dense_inverse(monkeypatch):
@@ -796,12 +797,12 @@ def test_plan_rejects_singular_stack_like_dense_inverse(monkeypatch):
     cm = build_coding_matrices(p)
     s = build_repair_pair(3, FIRST_PARITY).s
     zero = SparseRows.from_dense(np.zeros((s.rows, s.cols)))
-    monkeypatch.setattr(repair, "build_repair_pair", lambda k, variant: RepairMatrixPair(s, zero, variant))
+    monkeypatch.setattr(verification, "build_repair_pair", lambda k, variant: RepairMatrixPair(s, zero, variant))
     with pytest.raises(SingularMatrixError):
         inverse(np.vstack([s.array, zero.array]))
     for failed in (3, 4):
         with pytest.raises(SingularMatrixError):
-            repair._check_parity_plan(plan_repair(p, cm, failed), cm)
+            verification._check_parity_plan(plan_repair(p, cm, failed), cm)
 
 
 @pytest.mark.parametrize("k", [9, 10, 11])

@@ -9,7 +9,8 @@ import pytest
 
 from zigzag3.cli import main
 from zigzag3.cluster import byte_capacity
-from zigzag3.code import CodeParams, coding_matrix_from_zigzag
+from zigzag3.code import CodeParams
+from zigzag3.verification import coding_matrix_from_zigzag
 
 K = 4
 
@@ -697,20 +698,27 @@ def test_a_word_over_2_64_in_the_packed_bytes_exits_4(encoded, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("whole_blocks", [0, 1], ids=["one-stripe", "block-and-tail"])
 @pytest.mark.parametrize("k", range(12, 17))
-def test_one_stripe_round_trips_at_the_top_k(k, tmp_path, capsys):
+def test_round_trips_at_the_top_k(k, whole_blocks, tmp_path, capsys):
     # 1,000 bytes are one stripe at every k from 12 (kN = 24,576 words).
-    # Encode, a decode without data nodes 0 and 1, and the repair of data
-    # node 0 and of both parities, each byte for byte.
-    data = np.random.default_rng(k).bytes(1000)
+    # kN words and 17 bytes more fill one whole block of 41 stripes and a
+    # tail, so the packed group region and its recombination run too.
+    # Encode, a decode from the data nodes, one without data nodes 0 and
+    # 1, and the repair of data node 0 and of both parities, each byte
+    # for byte.
+    size = 8 * k * 2 ** (k - 1) + 17 if whole_blocks else 1000
+    data = np.random.default_rng(k).bytes(size)
     source = tmp_path / "input.bin"
     source.write_bytes(data)
     out_dir = tmp_path / "shards"
     assert main(["encode", "--k", str(k), "--input", str(source), "--out-dir", str(out_dir)]) == 0
-    assert json.loads((out_dir / "manifest.json").read_text())["stripes"] == 1
-    out = tmp_path / "restored.bin"
-    assert main(["decode", "--shards", *[shard(out_dir, i) for i in range(2, k + 2)], "--out", str(out)]) == 0
-    assert out.read_bytes() == data
+    assert json.loads((out_dir / "manifest.json").read_text())["stripes"] // 41 == whole_blocks
+    for lost in ((k, k + 1), (0, 1)):
+        out = tmp_path / "restored.bin"
+        shards = [shard(out_dir, i) for i in range(k + 2) if i not in lost]
+        assert main(["decode", "--shards", *shards, "--out", str(out)]) == 0
+        assert out.read_bytes() == data
     for node in (0, k, k + 1):
         helpers = [shard(out_dir, i) for i in range(k + 2) if i != node]
         rebuilt = tmp_path / f"rebuilt{node}"

@@ -16,17 +16,19 @@ from zigzag3.code import (
     InconsistentShardsError,
     InsufficientShardsError,
     basis_index,
-    beta_row_coefficients,
     build_coding_matrices,
-    coding_matrix_from_zigzag,
     decode_shards_array,
     encode_parts_array,
     second_parity_by_matrices,
+)
+from zigzag3.gf3 import SignedPermutation, SingularMatrixError, solve_square
+from zigzag3.verification import (
+    beta_row_coefficients,
+    coding_matrix_from_zigzag,
+    flip_one_sign,
     second_parity_by_rows,
     verify_mds,
 )
-from zigzag3.gf3 import SignedPermutation, SingularMatrixError, solve_square
-from zigzag3.verification import flip_one_sign
 
 
 def cm_for(k):

@@ -41,9 +41,9 @@ from zigzag3.code import (  # noqa: E402
     CodeParams,
     build_coding_matrices,
     encode_parts_array,
-    second_parity_by_rows,
 )
 from zigzag3.gf3 import SignedPermutation  # noqa: E402
+from zigzag3.verification import second_parity_by_rows  # noqa: E402
 
 FEW = settings(max_examples=30, deadline=None, database=None)
 

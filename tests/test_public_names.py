@@ -29,7 +29,7 @@ SRC = ROOT / "src" / "zigzag3"
 # ``brute_force_min_io(cm=)`` is a test seam: it lets the tests compare the
 # row-space masks with dense ranks on coding matrices the construction
 # does not use.
-UNPASSED_DEFAULTS = {"repair.brute_force_min_io.cm"}
+UNPASSED_DEFAULTS = {"verification.brute_force_min_io.cm"}
 
 
 def module_all(tree: ast.Module) -> list[str]:

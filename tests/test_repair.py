@@ -29,43 +29,45 @@ from zigzag3.gf3 import (
 from zigzag3.repair import (
     FIRST_PARITY,
     SECOND_PARITY,
-    RepairMatrixPair,
     RepairPlan,
     SparseRows,
     _apply,
+    _pack,
+    _Pairs,
+    _residue_stack,
+    _Runs,
+    _signed,
+    _transpose,
+    compute_downloads,
+    execute_repair,
+    expected_repair_io,
+    plan_repair,
+    repair_bandwidth,
+)
+from zigzag3.verification import (
+    RepairMatrixPair,
     _combined,
     _condition_ranks,
     _conditions,
     _duality_ranks,
     _gathered,
-    _pack,
-    _Pairs,
     _rank,
     _reductions,
-    _residue_stack,
-    _Runs,
-    _signed,
     _stacked_inverse,
     _summed,
-    _Terms,
     _terms,
-    _transpose,
+    _Terms,
     _unit_pivots,
     _zero_columns,
     brute_force_min_io,
     build_repair_pair,
-    compute_downloads,
     enumerate_rref,
-    execute_repair,
-    expected_repair_io,
+    flip_one_sign,
     io_lower_bound,
-    plan_repair,
-    repair_bandwidth,
     verify_duality,
     verify_repair_conditions,
     verify_zero_column_structure,
 )
-from zigzag3.verification import flip_one_sign
 
 VARIANTS = (FIRST_PARITY, SECOND_PARITY)
 
