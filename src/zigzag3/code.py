@@ -103,7 +103,6 @@ def basis_index(params: CodeParams, j: int) -> int:
     return 0 if j == 0 else 1 << (params.k - 1 - j)
 
 
-
 def _odd_weight(x: np.ndarray) -> np.ndarray:
     """Whether each of the nonnegative integers ``x`` has an odd count of
     set bits."""
@@ -154,7 +153,6 @@ def build_coding_matrices(params: CodeParams) -> CodingMatrixSet:
     return CodingMatrixSet(params, tuple(SignedPermutation(t, s) for t, s in _recursion_level(params.k)))
 
 
-
 def _is_paper_set(cm: CodingMatrixSet) -> bool:
     """Whether ``cm`` holds exactly the paper's k coding matrices, entry by
     entry in O(kN): the row/coefficient rule of
@@ -176,7 +174,6 @@ def _is_paper_set(cm: CodingMatrixSet) -> bool:
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
-
 
 
 def second_parity_by_matrices(cm: CodingMatrixSet, parts: np.ndarray) -> np.ndarray:

@@ -17,11 +17,12 @@ reorders the bytes inside each word by up to three byte reversals of
 the same way.  Other permutations are gathered byte by byte.
 
 Dense elimination (``rank`` and the solvers) takes any 2-D integer
-array-like, reduces it mod 3, and returns read-only uint8 arrays.  At
-run time it ranks only what peeling leaves of a sparse matrix
-(``repair._rank``).  Gaussian elimination uses the leftmost nonzero
-column as pivot and the first nonzero row as tie-break, which makes
-rank/solve outputs fully deterministic.
+array-like, reduces it mod 3, and returns read-only uint8 arrays.  Only
+the certificates rank with it, what peeling leaves of a sparse residual
+(``verification._rank``); encode, decode and repair never rank.
+Gaussian elimination uses the leftmost nonzero column as pivot and the
+first nonzero row as tie-break, which makes rank/solve outputs fully
+deterministic.
 """
 
 from __future__ import annotations

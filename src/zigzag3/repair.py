@@ -234,7 +234,6 @@ def _pack(rows: int, n: int, r: np.ndarray, c: np.ndarray, v: np.ndarray) -> Spa
     return SparseRows(slots, n)
 
 
-
 # ---------------------------------------------------------------------------
 # Planning and executing a repair
 # ---------------------------------------------------------------------------

@@ -133,7 +133,6 @@ def coding_matrix_from_zigzag(params: CodeParams, j: int) -> SignedPermutation:
     return SignedPermutation(target, sign)
 
 
-
 def second_parity_by_rows(params: CodeParams, parts: np.ndarray) -> np.ndarray:
     """Zigzag parity via the per-row combination rule.
 
@@ -150,7 +149,6 @@ def second_parity_by_rows(params: CodeParams, parts: np.ndarray) -> np.ndarray:
         term *= signs[idx]
         acc += term
     return reduce_sum(acc)
-
 
 
 # ---------------------------------------------------------------------------
