@@ -44,15 +44,19 @@ a version-4 group region packed until ``unpack_groups``.
 Ingest splits each word by 3 into its digit 40 and a third, and the
 third by 3^20, 3^10 and 243 into the eight uint8 groups of five digits
 that a version-4 group region holds; uint8 division rounds peel the
-groups straight into the parts' stripes.  Extract runs the inverse steps
-on groups packed from the parts, or read from a data shard's packed bytes.
-Both work a few blocks at a time, so no temporary is file-sized.
-Planar packing is the same kind of work as the groups: a
-Horner pass over the five trit planes packs, and four uint8 division
-rounds unpack.  Interleaved packing multiplies each 5-trit group, read as
-an 8-byte word, by one constant that sums its place values into one byte
-of the product, and interleaved unpacking looks each packed byte up in
-the 243-row table of its five trits (see ``_pack_trits``).
+groups straight into the parts' stripes.  Extract's ``_block_words``
+runs the inverse steps on the whole blocks of versions 2 to 4, on groups
+packed from the parts by a Horner pass or read from a version-4 data
+shard's packed bytes; a run of version-2 or -3 blocks, which differ only
+in stripe order, is first copied into version 4's digit order.  A last
+partial block is one transposed copy of its stripes.  Both work a few
+blocks at a time, so no temporary is file-sized.  Planar packing is the
+same kind of work as the groups: a Horner pass over the five trit planes
+packs, and four uint8 division rounds unpack.  Interleaved packing
+multiplies each 5-trit group, read as an 8-byte word, by one constant
+that sums its place values into one byte of the product, and interleaved
+unpacking looks each packed byte up in the 243-row table of its five
+trits (see ``_pack_trits``).
 """
 
 from __future__ import annotations
@@ -428,60 +432,12 @@ def byte_capacity(params: CodeParams, stripes: int, version: int) -> int:
     return 8 * (blocks * kn + rest * kn // _WORD_TRITS)
 
 
-# Trits per codec chunk of extract: it converts the stream a few stripes
-# at a time, so it lays out no file-sized copy of it.
+# Trits per codec block of the version-1 reader: it converts the stream a
+# few stripes at a time, so it lays out no file-sized copy of it.
 _BLOCK_TRITS = 1 << 18
-# Words that a version-4 ingest, or a recombination of one part, handles
-# at a time.
+# Words that ingest and extract handle at a time: of all k parts in ingest
+# and in extract's versions 2 and 3, of one part in extract's version 4.
 _GROUP_WORDS = 1 << 14
-
-
-def _chunks(params: CodeParams, whole: int, words: int, stripes: int, first: int = 0):
-    """(first word, end word, first stripe, end stripe) of each codec
-    chunk: runs of whole blocks over words [first, whole), about
-    ``_BLOCK_TRITS`` trits each (one block where a block alone is larger,
-    from k = 11), then the last partial block, words [whole, words), and
-    the padding, if any stripe is left."""
-    kn = params.file_symbols
-    step = kn * max(1, _BLOCK_TRITS // (_WORD_TRITS * kn))
-    ends = [*range(first, whole, step), whole]
-    chunks = [(w0, w1, _WORD_TRITS * w0 // kn, _WORD_TRITS * w1 // kn) for w0, w1 in zip(ends, ends[1:])]
-    if _WORD_TRITS * whole // kn < stripes:
-        chunks.append((whole, words, _WORD_TRITS * whole // kn, stripes))
-    return chunks
-
-
-def _chunk_views(params: CodeParams, rows: np.ndarray, buf: np.ndarray, chunk):
-    """Two views of one shape over a chunk's stripes, one into ``rows`` (the
-    parts as (k, stripes) opaque N-symbol rows) and one into the stream
-    buffer ``buf``, and the chunk's (41, words) digit planes within ``buf``.
-
-    A run of whole blocks is laid out digit-major across the whole run, so
-    each plane is one contiguous row, its stripes those of version 2; the
-    last partial block is the stream itself, its planes followed by zero
-    padding."""
-    k, kn = params.k, params.file_symbols
-    w0, w1, s0, s1 = chunk
-    count = w1 - w0
-    rowtype = rows.dtype
-    if count and count % kn == 0:
-        blocks = count // kn
-        planes = buf[: _WORD_TRITS * count].reshape(_WORD_TRITS, count)
-        grid = planes.view(rowtype).reshape(_WORD_TRITS, blocks, k).transpose(2, 1, 0)
-        return rows[:, s0:s1].reshape(k, blocks, _WORD_TRITS), grid, planes
-    stream = buf[: (s1 - s0) * kn]
-    planes = stream[: _WORD_TRITS * count].reshape(_WORD_TRITS, count)
-    return rows[:, s0:s1], stream.view(rowtype).reshape(s1 - s0, k).T, planes
-
-
-def _as_rows(parts: np.ndarray) -> np.ndarray:
-    """A (k, stripes) view of C-contiguous uint8 parts with one opaque
-    N-byte row per stripe and part."""
-    return parts.view(np.dtype((np.void, parts.shape[-1])))[..., 0]
-
-
-def _chunk_buffer(params: CodeParams, chunks) -> np.ndarray:
-    return np.empty(max((s1 - s0 for _, _, s0, s1 in chunks), default=0) * params.file_symbols, dtype=np.uint8)
 
 
 def _file_words(view: memoryview, w0: int, w1: int) -> np.ndarray:
@@ -541,8 +497,8 @@ def extract(params: CodeParams, parts: np.ndarray, meta: FileMeta) -> bytes:
     """Inverse of ingest: recombine the words of the layout ``meta.version``
     names and strip the padding.
 
-    ``parts`` holds trits 0..2.  Like ``ingest`` it works chunk by chunk:
-    only one chunk of the stream is ever laid out in file order.
+    ``parts`` holds trits 0..2.  Like ``ingest`` it works a few blocks at
+    a time, so no temporary is file-sized.
     """
     return extract_array(params, parts, meta).tobytes()
 
@@ -551,11 +507,12 @@ def extract_array(params: CodeParams, parts: np.ndarray, meta: FileMeta, packed=
     """``extract``'s bytes as a uint8 array, a view of the recombined
     words, so a caller that only checks and writes them copies nothing.
 
-    In version 4's layout, ``packed`` may map a part index to that data
-    shard's packed payload (as ``shard_from_bytes`` returns it): the part's
-    whole-block words are then recombined from the payload's group region,
-    and its group stripes in ``parts`` are not read.  The group region of
-    any other part is packed from ``parts`` a few blocks at a time.
+    Whole blocks recombine through ``_block_words``, the last partial
+    block from one transposed copy of its stripes.  In version 4's layout,
+    ``packed`` may map a part index to that data shard's packed payload
+    (as ``shard_from_bytes`` returns it): the part's whole-block words are
+    then recombined from the payload's group region, and its group stripes
+    in ``parts`` are not read.
     """
     k, n, kn = params.k, params.n_rows, params.file_symbols
     if parts.shape != (k, meta.stripe_count, n):
@@ -573,33 +530,46 @@ def extract_array(params: CodeParams, parts: np.ndarray, meta: FileMeta, packed=
     if meta.version == 4:
         # Only the whole blocks the length reaches are read.
         blocks = min(meta.stripe_count // _WORD_TRITS, -(-words // kn))
-        whole = first = kn * blocks
-        out = np.empty(max(words, whole), dtype=_WORD)
-        _block_words(params, parts, out[:whole].reshape(blocks, k, n), packed or {})
     else:
-        whole, first = words - words % kn, 0
-        out = np.empty(words, dtype=_WORD)
-    rows = _as_rows(parts)
-    chunks = _chunks(params, whole, words, stripes, first)
-    buf = _chunk_buffer(params, chunks)
-    for chunk in chunks:
-        stored, grid, planes = _chunk_views(params, rows, buf, chunk)
-        grid[...] = stored
-        out[chunk[0] : chunk[1]] = _digit_words(planes, chunk[0])
+        blocks = words // kn
+    whole = kn * blocks
+    out = np.empty(max(words, whole), dtype=_WORD)
+    _block_words(params, parts, out[:whole].reshape(blocks, k, n), meta.version, packed or {})
+    if whole < words:
+        stream = parts[:, _WORD_TRITS * blocks : stripes].transpose(1, 0, 2).reshape(-1)
+        out[whole:words] = _digit_words(stream[: _WORD_TRITS * (words - whole)].reshape(_WORD_TRITS, -1), whole)
     return out.view(np.uint8)[:size]
 
 
-def _block_words(params: CodeParams, parts: np.ndarray, out: np.ndarray, packed) -> None:
+def _block_words(params: CodeParams, parts: np.ndarray, out: np.ndarray, version: int, packed) -> None:
     """Recombine into ``out`` (blocks, k, N) the words of the first
-    ``blocks`` whole blocks of version 4's layout, part by part and a few
-    blocks at a time.
+    ``blocks`` whole blocks of shard ``version``'s layout (2, 3 or 4), a
+    few blocks at a time, from their digits 5g+i read as [i, g, b] and
+    their digit 40.
 
-    Part j's groups are the group region of its packed payload
-    ``packed[j]`` where given, else one planar Horner pass over its group
-    stripes; digit 40 is read from its stripes 40B .. 41B-1.
+    Versions 2 and 3 hold digit d of block b in stripe 41b + d.  A run of
+    blocks is copied into [i, g, b, j] order first, each stripe of part j
+    as one opaque N-byte row, so the Horner pass is contiguous rather than
+    N bytes at a time; its words come out in file order, so an overflow
+    names the first overflowing word.  Version 4 holds digit 5g+i in
+    stripe (8i+g)B + b and digit 40 in stripe 40B + b, contiguous runs of
+    blocks, read part by part: part j's groups are the group region of its
+    packed payload ``packed[j]`` where given, else one planar Horner pass
+    over its group stripes.
     """
     k, n, kn = params.k, params.n_rows, params.file_symbols
     blocks = out.shape[0]
+    if version < 4:
+        stored = parts[:, : _WORD_TRITS * blocks].reshape(k, blocks, _WORD_TRITS, n)
+        rows = stored[:, :, :40].view(np.dtype((np.void, n)))[..., 0]
+        digits = rows.reshape(k, blocks, 8, 5).transpose(3, 2, 1, 0)
+        last = stored[:, :, 40].transpose(1, 0, 2)
+        step = max(1, _GROUP_WORDS // kn)
+        for b0 in range(0, blocks, step):
+            b1 = min(blocks, b0 + step)
+            groups = _horner5(np.ascontiguousarray(digits[:, :, b0:b1]).view(np.uint8).reshape(5, 8, -1, k, n))
+            out[b0:b1] = _group_words(groups, last[b0:b1], lambda i: b0 * kn + i)
+        return
     total = parts.shape[1] // _WORD_TRITS
     step = max(1, _GROUP_WORDS // n)
     for j in range(k):

@@ -484,12 +484,15 @@ def test_failing_elimination_fails_each_check_that_needs_it(monkeypatch):
 
 
 def test_healthy_paths_never_reach_dense_elimination(monkeypatch):
-    # The certificates and peeling rank everything a healthy sweep and
-    # every plan meet; dense elimination is only for what fails them.
+    # The certificates rank everything a healthy sweep and every plan
+    # meet: each healthy block is ranked by its pattern, so neither the
+    # peeling of `_rank` nor dense elimination runs; both are only for
+    # what fails them (test_stacked_rank_matches_dense_on_flipped_entries).
     def refuse(m):
-        raise AssertionError(f"dense rank of a {np.shape(m)} matrix")
+        raise AssertionError(f"rank of a {np.shape(m)} matrix")
 
     monkeypatch.setattr(verification, "rank", refuse)
+    monkeypatch.setattr(verification, "_rank", refuse)
     report = run_sweep(range(2, 12))
     assert report.passed, [(c.k, c.name, c.detail) for c in report.failures]
     for k in range(2, 12):

@@ -211,13 +211,16 @@ def test_trit_group_overflow_is_corruption():
         trits_to_bytes(trits, 1)
 
 
-@pytest.mark.parametrize("k, size", [(2, 40), (2, 64), (3, 97), (4, 256), (4, 263)])
+@pytest.mark.parametrize("k, size", [(2, 40), (2, 64), (3, 97), (4, 256), (4, 263), (5, 1272), (8, 24568)])
 def test_words_take_41_digit_planes(k, size):
     # Whole blocks of kN words put one digit plane in each stripe; a last
     # partial block is digit-major and padded.  At k = 2 (4 words a block)
     # 40 bytes are one whole block and one word; 64 bytes are two blocks.
-    # Ingest writes version 4's stripe order, and extract still reads
-    # version 3's.
+    # From k = 5 a last block of more than 40kN/41 words takes all 41
+    # stripes: 1,272 bytes at k = 5 are 80 + 79 words and 24,568 bytes at
+    # k = 8 are 2 * 1,024 + 1,023, 82 and 123 stripes, digit-major in
+    # version 3 and a zero-padded whole block in version 4.  Ingest writes
+    # version 4's stripe order, and extract still reads version 3's.
     p = CodeParams(k)
     data = np.random.default_rng(size).bytes(size)
     parts, meta = ingest(p, data)
@@ -342,22 +345,31 @@ def test_extract_reports_a_corrupt_group_by_its_stream_index():
         extract(p, parts, meta)
 
 
-@pytest.mark.parametrize("word", [0, 9_001, 12_499])
-def test_extract_reports_an_overflowing_word_by_its_index(word):
+@pytest.mark.parametrize(
+    "version, word",
+    [pytest.param(4, w, id=str(w)) for w in (0, 9_001, 12_499)]
+    + [pytest.param(3, w, id=f"{w}-v3") for w in (0, 9_001, 12_499)],
+)
+def test_extract_reports_an_overflowing_word_by_its_index(version, word):
     # 100,000 bytes are 12,500 words at k = 4, 32 words a block: 390 whole
-    # blocks, in version 4's stripe order, then 20 words of a partial
-    # block.  Word 9,001 lies in part 2 of block 281, 12,499 in the
-    # partial block.  All-2 digits recombine to 3^41 - 1.
+    # blocks, in version 3's or 4's stripe order, then 20 words of a
+    # partial block.  Word 9,001 lies in part 2 of block 281, 12,499 in
+    # the partial block.  All-2 digits recombine to 3^41 - 1.
     p = CodeParams(4)
     kn = p.file_symbols
-    parts, meta = ingest(p, bytes(100_000))
+    if version == 4:
+        parts, meta = ingest(p, bytes(100_000))
+    else:
+        parts = stream_to_parts(p, word_stream(p, [0] * 12_500))
+        meta = FileMeta(100_000, parts.shape[1], 3)
     blocks = meta.stripe_count // 41
     block, i = divmod(word, kn)
+    width = min(kn, 12_500 - block * kn)
     for d in range(41):
-        if block < blocks:
+        if block < blocks and version == 4:
             s, rest = (40 if d == 40 else 8 * (d % 5) + d // 5) * blocks + block, i
         else:
-            s, rest = divmod(41 * blocks * kn + d * (12_500 - blocks * kn) + i, kn)
+            s, rest = divmod(41 * block * kn + d * width + i, kn)
         parts[rest // p.n_rows, s, rest % p.n_rows] = 2
     with pytest.raises(CorruptDataError, match=f"word {word} recombines to {3**41 - 1} >= 2\\*\\*64"):
         extract(p, parts, meta)
@@ -413,14 +425,19 @@ def test_extract_rejects_an_unknown_version(version):
         extract(p, parts, FileMeta(3, meta.stripe_count, version))
 
 
-def test_extract_needs_the_stripes_the_length_takes():
+@pytest.mark.parametrize("version", [3, 4])
+def test_extract_needs_the_stripes_the_length_takes(version):
     p = CodeParams(3)
-    parts, _ = ingest(p, bytes(97))  # 45 stripes
+    data = np.random.default_rng(97).bytes(97)
+    if version == 4:
+        parts, _ = ingest(p, data)  # 45 stripes
+    else:
+        parts = stream_to_parts(p, word_stream(p, words_of(data)))
     with pytest.raises(CorruptDataError, match="need 45 stripes"):
-        extract(p, parts[:, :44], FileMeta(97, 44))
+        extract(p, parts[:, :44], FileMeta(97, 44, version))
     # Stripes past those the length takes are padding.
     wide = np.concatenate([parts, np.ones((3, 5, 4), dtype=np.uint8)], axis=1)
-    assert extract(p, wide, FileMeta(97, 50)) == bytes(97)
+    assert extract(p, wide, FileMeta(97, 50, version)) == data
 
 
 def test_codec_temporaries_do_not_grow_with_the_file():
