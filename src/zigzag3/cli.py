@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,6 @@ from .code import (
     CodeParams,
     InconsistentShardsError,
     InsufficientShardsError,
-    _encode_parities,
     build_coding_matrices,
     decode_shards_array,
 )
@@ -37,8 +37,8 @@ from .cluster import (
     FileMeta,
     ShardFormatError,
     byte_capacity,
+    encode_file,
     extract_array,
-    ingest,
     repair_lost_node,
     shard_from_bytes,
     shard_header,
@@ -92,37 +92,47 @@ def _shard_name(node_id: int) -> str:
 
 
 def cmd_encode(cfg: Config, args) -> int:
+    """Encode a file into k+2 shard files and a manifest.
+
+    The JSON report's ``stage_seconds`` times each stage of the encode:
+    ``read`` (the file and its CRC), ``ingest`` and ``parities``
+    (``EncodedFile.stage_seconds``), ``pack`` (the shards' packed tails
+    and CRCs) and ``write`` (the shard files and the manifest).
+    """
     try:
         params = CodeParams(args.k)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
+    start = time.perf_counter()
     data = Path(args.input).read_bytes()
     file_crc = zlib.crc32(data)
-    cm = build_coding_matrices(params)
-    # The file's bytes are released once the parts hold them; the data
-    # shards are the parts themselves, so only the two parities are new.
-    parts, meta = ingest(params, data)
+    read_s = time.perf_counter() - start
+    # The file's bytes are released once the data shards' groups hold them.
+    encoded = encode_file(params, data)
     del data
-    shards = [*parts, *_encode_parities(cm, parts)]
+    meta = encoded.meta
+    start = time.perf_counter()
+    shards = encoded.shards()
+    packed = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    crcs = []
-    for node in range(params.n_nodes):
-        crc = write_shard_file(out_dir / _shard_name(node), params, node, shards[node])
-        crcs.append(crc)
+    for node, (pieces, _) in enumerate(shards):
+        write_shard_file(out_dir / _shard_name(node), pieces)
     manifest = {
         "k": params.k,
         "stripes": meta.stripe_count,
         "original_len": meta.original_len,
         "shard_version": SHARD_VERSION,
         "file_crc32": file_crc,
-        "shard_crc": crcs,
+        "shard_crc": [crc for _, crc in shards],
     }
     (out_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
+    stage_seconds = {"read": read_s, **encoded.stage_seconds, "pack": packed - start,
+                     "write": time.perf_counter() - packed}
     _emit(
         cfg,
-        {"command": "encode", **manifest, "out_dir": str(out_dir)},
+        {"command": "encode", **manifest, "out_dir": str(out_dir), "stage_seconds": stage_seconds},
         [
             f"encoded {meta.original_len} bytes at k={params.k}: "
             f"{meta.stripe_count} stripe(s), {params.n_nodes} shards in {out_dir}",

@@ -41,26 +41,32 @@ unpack into a given row, such as one of the (k+2, stripes, N) stack that
 ``zigzag3 decode`` reads every shard into and decodes in place; it leaves
 a version-4 group region packed until ``unpack_groups``.
 
-Ingest splits each word by 3 into its digit 40 and a third, and the
-third by 3^20, 3^10 and 243 into the eight uint8 groups of five digits
-that a version-4 group region holds; uint8 division rounds peel the
-groups straight into the parts' stripes.  Extract's ``_block_words``
-runs the inverse steps on the whole blocks of versions 2 to 4, on groups
-packed from the parts by a Horner pass or read from a version-4 data
-shard's packed bytes; a run of version-2 or -3 blocks, which differ only
-in stripe order, is first copied into version 4's digit order.  A last
-partial block is one transposed copy of its stripes.  Both work a few
-blocks at a time, so no temporary is file-sized.  Planar packing is the
-same kind of work as the groups: a Horner pass over the five trit planes
-packs, and four uint8 division rounds unpack.  Interleaved packing
-multiplies each 5-trit group, read as an 8-byte word, by one constant
-that sums its place values into one byte of the product, and interleaved
-unpacking looks each packed byte up in the 243-row table of its five
-trits (see ``_pack_trits``).
+Encode and ingest share one run stage: it splits each word of a run of
+blocks by 3 into its digit 40 and a third, and the third by 3^20, 3^10
+and 243 into the eight uint8 groups of five digits that a version-4
+group region holds.  Encode (``encode_file``) keeps the groups as the
+data shards' group regions, peels each run by uint8 division rounds into
+a small digit buffer, sums the run's parities from it and packs them
+into the parity shards' group regions; it builds no parts array and
+packs only each shard's tail.  Ingest peels each run's groups into the
+parts' stripes.  Extract's ``_block_words`` runs the inverse steps on
+the whole blocks of versions 2 to 4, on groups packed from the parts by
+a Horner pass or read from a version-4 data shard's packed bytes; a run
+of version-2 or -3 blocks, which differ only in stripe order, is first
+copied into version 4's digit order.  A last partial block is one
+transposed copy of its stripes.  All three work a few blocks at a time,
+so no temporary is file-sized.  Planar packing is the same kind of work
+as the groups: a Horner pass over the five trit planes packs, and four
+uint8 division rounds unpack.  Interleaved packing multiplies each
+5-trit group, read as an 8-byte word, by one constant that sums its
+place values into one byte of the product, and interleaved unpacking
+looks each packed byte up in the 243-row table of its five trits (see
+``_pack_trits``).
 """
 
 from __future__ import annotations
 
+import os
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -71,6 +77,7 @@ import numpy as np
 from .code import (
     CodeParams,
     CodingMatrixSet,
+    _encode_parities,
     build_coding_matrices,
     encode_parts_array,
 )
@@ -84,6 +91,8 @@ __all__ = [
     "trits_to_bytes",
     "byte_capacity",
     "ingest",
+    "EncodedFile",
+    "encode_file",
     "extract",
     "extract_array",
     "SHARD_MAGIC",
@@ -154,9 +163,9 @@ def _word_groups(words: np.ndarray, groups: np.ndarray, last: np.ndarray) -> Non
 
     A word is 3 * third + digit 40, and its third is below 3^40.  The
     third splits by 3^20 into uint32 halves, each half by 3^10 into uint16
-    quarters, and each quarter by 243 into two groups.  ``words`` may be
-    any view: the first division writes the thirds in C order, so every
-    later pass is contiguous.
+    quarters, and each quarter by 243 into two groups.  ``words``,
+    ``groups`` and ``last`` may be any views: the first division writes
+    the thirds in C order, so every pass before the last is contiguous.
     """
     shape = words.shape
     thirds = np.empty(shape, dtype=np.uint64)
@@ -174,10 +183,9 @@ def _word_groups(words: np.ndarray, groups: np.ndarray, last: np.ndarray) -> Non
     np.subtract(halves, quotient, out=quarters[:, 1], casting="unsafe")
     quarters = quarters.reshape(4, *shape)
     quotient = quarters // 243
-    pairs = groups.reshape(4, 2, *shape)
-    pairs[:, 0] = quotient
+    groups[0::2] = quotient
     quotient *= 243
-    np.subtract(quarters, quotient, out=pairs[:, 1], casting="unsafe")
+    np.subtract(quarters, quotient, out=groups[1::2], casting="unsafe")
 
 
 def _group_words(groups: np.ndarray, last: np.ndarray, where) -> np.ndarray:
@@ -280,27 +288,28 @@ def _pack_interleaved(trits: np.ndarray) -> np.ndarray:
 
 
 def _pack_planar(trits: np.ndarray, split: int = 0) -> np.ndarray:
-    """Pack the trits planar, one Horner step per plane: the trits,
-    zero-padded to 5M for M = ceil(count / 5), as five planes of M, so
-    byte i is 81*t[i] + 27*t[M+i] + 9*t[2M+i] + 3*t[3M+i] + t[4M+i].
+    """Pack the trits of each row along the last axis planar, one Horner
+    step per plane: a row, zero-padded to 5M for M = ceil(count / 5), as
+    five planes of M, so byte i is 81*t[i] + 27*t[M+i] + 9*t[2M+i] +
+    3*t[3M+i] + t[4M+i].
 
-    With ``split``, a multiple of 5, the first ``split`` trits pack so on
-    their own, into split / 5 bytes with no padding, and the rest after
-    them; one Horner pass covers both.
+    With ``split``, a multiple of 5, the first ``split`` trits of a row
+    pack so on their own, into split / 5 bytes with no padding, and the
+    rest after them; one Horner pass covers both, and every row.
     """
-    count = trits.shape[0] - split
+    lead, count = trits.shape[:-1], trits.shape[-1] - split
     g, m = split // 5, -(-count // 5)
-    buf = np.empty((5, g + m), dtype=np.uint8)
+    buf = np.empty((*lead, 5, g + m), dtype=np.uint8)
     if g:
-        buf[:, :g] = trits[:split].reshape(5, g)
-        rest = np.zeros(5 * m, dtype=np.uint8)
-        rest[:count] = trits[split:]
-        buf[:, g:] = rest.reshape(5, m)
+        buf[..., :g] = trits[..., :split].reshape(*lead, 5, g)
+        rest = np.zeros((*lead, 5 * m), dtype=np.uint8)
+        rest[..., :count] = trits[..., split:]
+        buf[..., g:] = rest.reshape(*lead, 5, m)
     else:
-        flat = buf.reshape(-1)
-        flat[:count] = trits
-        flat[count:] = 0
-    return _horner5(buf)
+        flat = buf.reshape(*lead, 5 * m)
+        flat[..., :count] = trits
+        flat[..., count:] = 0
+    return _horner5(np.moveaxis(buf, -2, 0))
 
 
 def _pack_trits(trits: np.ndarray, version: int) -> np.ndarray:
@@ -458,39 +467,148 @@ def _word_planes(words: np.ndarray, planes: np.ndarray) -> None:
     _peel(groups, digits[:4], digits[4])
 
 
+def _geometry(params: CodeParams, size: int) -> tuple[int, int, int]:
+    """(stripes, B, R) of a file of ``size`` bytes: its stripes, their
+    whole blocks and the blocks of a run of ingest and encode, at most B
+    (``_block_runs``)."""
+    stripes = _stripe_count(params, -(-size // 8))
+    blocks = stripes // _WORD_TRITS
+    return stripes, blocks, min(blocks, max(1, _GROUP_WORDS // params.file_symbols))
+
+
+def _block_runs(blocks: int, block_words: int):
+    """(b0, b1) of each run of blocks [0, blocks) that holds about
+    ``_GROUP_WORDS`` words, at least one block of ``block_words``."""
+    step = max(1, _GROUP_WORDS // block_words)
+    for b0 in range(0, blocks, step):
+        yield b0, min(blocks, b0 + step)
+
+
+def _run_groups(params: CodeParams, view: memoryview, b0: int, groups: np.ndarray, last: np.ndarray) -> None:
+    """The run stage of ingest and encode: write the groups of each word
+    of the whole blocks from ``b0`` of the file bytes ``view`` into
+    ``groups`` (k, 8, blocks, N), a run of the data shards' group
+    regions, and their digit 40 into ``last`` (k, blocks, N)."""
+    k, n, kn = params.k, params.n_rows, params.file_symbols
+    blocks = groups.shape[2]
+    run = _file_words(view, b0 * kn, (b0 + blocks) * kn).reshape(blocks, k, n)
+    _word_groups(run.transpose(1, 0, 2), groups.swapaxes(0, 1), last)
+
+
+def _partial_block(params: CodeParams, view: memoryview, blocks: int, rest: np.ndarray) -> None:
+    """Write the stripes of the words of ``view`` past ``blocks`` whole
+    blocks, digit-major and zero-padded, into ``rest`` (k, stripes, N)."""
+    k, n, kn = params.k, params.n_rows, params.file_symbols
+    if rest.shape[1]:
+        w0, words = kn * blocks, -(-len(view) // 8)
+        stream = np.zeros(rest.shape[1] * kn, dtype=np.uint8)
+        _word_planes(_file_words(view, w0, words), stream[: _WORD_TRITS * (words - w0)].reshape(_WORD_TRITS, -1))
+        rest[...] = stream.reshape(-1, k, n).transpose(1, 0, 2)
+
+
 def ingest(params: CodeParams, data: bytes) -> tuple[np.ndarray, FileMeta]:
     """Split a byte string into parts of shape (k, stripes, N) in version
     4's word layout (see the module docstring).
 
-    An empty file still occupies one all-zero stripe.  Whole blocks are
-    converted a run at a time, each part's words of the run side by side,
-    so their groups are peeled straight into runs of contiguous rows of
-    the parts; the last partial block goes through a stream buffer.
+    An empty file still occupies one all-zero stripe.  Whole blocks go
+    through encode's run stage (``_run_groups``) a run at a time, digit
+    40 straight into the parts, and each run's groups are peeled into
+    runs of contiguous rows of the parts; the last partial block goes
+    through a stream buffer.
     """
     k, n, kn = params.k, params.n_rows, params.file_symbols
-    size = len(data)
-    words = -(-size // 8)
-    stripes = _stripe_count(params, words)
-    blocks = stripes // _WORD_TRITS
+    stripes, blocks, step = _geometry(params, len(data))
     parts = np.empty((k, stripes, n), dtype=np.uint8)
     # digit 5g+i of part j's row r of block b, as [i, g, j, b, r]
     digits = parts[:, : 40 * blocks].reshape(k, 5, 8, blocks, n).transpose(1, 2, 0, 3, 4)
-    last = parts[:, 40 * blocks : 41 * blocks]
+    tails = parts[:, 40 * blocks :]
+    groups = np.empty((k, 8, step, n), dtype=np.uint8)
     view = memoryview(data)
-    step = max(1, _GROUP_WORDS // kn)
-    for b0 in range(0, blocks, step):
-        b1 = min(blocks, b0 + step)
-        run = _file_words(view, b0 * kn, b1 * kn).reshape(b1 - b0, k, n)
-        groups = np.empty((8, k, b1 - b0, n), dtype=np.uint8)
-        _word_groups(run.transpose(1, 0, 2), groups, last[:, b0:b1])
+    for b0, b1 in _block_runs(blocks, kn):
+        run = groups[:, :, : b1 - b0]
+        _run_groups(params, view, b0, run, tails[:, b0:b1])
         run_digits = digits[:, :, :, b0:b1]
-        _peel(groups, run_digits[:4], run_digits[4])
-    if _WORD_TRITS * blocks < stripes:
-        w0 = kn * blocks
-        stream = np.zeros((stripes - _WORD_TRITS * blocks) * kn, dtype=np.uint8)
-        _word_planes(_file_words(view, w0, words), stream[: _WORD_TRITS * (words - w0)].reshape(_WORD_TRITS, -1))
-        parts[:, _WORD_TRITS * blocks :] = stream.reshape(-1, k, n).transpose(1, 0, 2)
-    return parts, FileMeta(size, stripes)
+        _peel(run.swapaxes(0, 1), run_digits[:4], run_digits[4])
+    _partial_block(params, view, blocks, tails[:, blocks:])
+    return parts, FileMeta(len(data), stripes)
+
+
+@dataclass(frozen=True)
+class EncodedFile:
+    """A file as ``zigzag3 encode`` writes it, in version 4's layout.
+
+    ``groups`` (k+2, 8, B, N) is byte for byte the group region of each
+    node's shard, and ``tails`` (k+2, stripes - 40B, N) the trits of each
+    shard's tail: digit 40 of every whole block, then the last partial
+    block.  ``stage_seconds`` holds ``ingest``, the data shards' groups
+    and tails, and ``parities``.
+    """
+
+    params: CodeParams
+    meta: FileMeta
+    groups: np.ndarray
+    tails: np.ndarray
+    stage_seconds: dict[str, float]
+
+    def shards(self) -> list[tuple[list, int]]:
+        """Each node's shard file as its pieces, flat byte buffers (its
+        header, its group region, its packed tail and its CRC trailer),
+        and its payload CRC32.  Only the tails are packed here, all in
+        one pass."""
+        k, stripes = self.params.k, self.meta.stripe_count
+        tails = _pack_planar(self.tails.reshape(k + 2, -1))
+        shards = []
+        for node in range(k + 2):
+            regions = [self.groups[node].reshape(-1), tails[node]]
+            crc = zlib.crc32(regions[1], zlib.crc32(regions[0]))
+            head = _shard_head(self.params, node, stripes, SHARD_VERSION)
+            shards.append(([head, *regions, crc.to_bytes(4, "little")], crc))
+        return shards
+
+
+def encode_file(params: CodeParams, data: bytes) -> EncodedFile:
+    """Encode ``data`` into the shards ``zigzag3 encode`` writes, a run of
+    whole blocks at a time.
+
+    The run stage (``_run_groups``) writes each run's groups into the
+    data shards' group regions and its digit 40 into their tails.
+    ``_peel`` unpacks the run's groups into a small contiguous digit
+    buffer, [i, g, j, b, r]; the run's two parities are summed from it
+    (``code._encode_parities``), and packed by one Horner pass into the
+    parity shards' group regions.  The last partial block then goes into
+    the data shards' tails, and the parities' tails are summed from them.
+    So no (k, stripes, N) array of the parts is built, and no trit that
+    encode computed is scanned for residues or packed twice.
+    """
+    k, n, kn = params.k, params.n_rows, params.file_symbols
+    stripes, blocks, step = _geometry(params, len(data))
+    cm = build_coding_matrices(params)
+    groups = np.empty((k + 2, 8, blocks, n), dtype=np.uint8)
+    tails = np.empty((k + 2, stripes - 40 * blocks, n), dtype=np.uint8)
+    digits = np.empty((5, 8, k, step, n), dtype=np.uint8)
+    # the run's parity digits 5g+i of row r of block b, as [p, i, g, b, r]
+    parities = np.empty((2, 5, 8, step, n), dtype=np.uint8)
+    view = memoryview(data)
+    ingest_s = parities_s = 0.0
+    for b0, b1 in _block_runs(blocks, kn):
+        start = time.perf_counter()
+        _run_groups(params, view, b0, groups[:k, :, b0:b1], tails[:k, b0:b1])
+        middle = time.perf_counter()
+        run, run_parities = digits[:, :, :, : b1 - b0], parities[:, :, :, : b1 - b0]
+        _peel(groups[:k, :, b0:b1].swapaxes(0, 1), run[:4], run[4])
+        _encode_parities(cm, run.transpose(2, 0, 1, 3, 4), run_parities)
+        groups[k:, :, b0:b1] = _horner5(run_parities.swapaxes(0, 1))
+        end = time.perf_counter()
+        ingest_s += middle - start
+        parities_s += end - middle
+    start = time.perf_counter()
+    _partial_block(params, view, blocks, tails[:k, blocks:])
+    middle = time.perf_counter()
+    _encode_parities(cm, tails[:k], tails[k:])
+    ingest_s += middle - start
+    parities_s += time.perf_counter() - middle
+    seconds = {"ingest": ingest_s, "parities": parities_s}
+    return EncodedFile(params, FileMeta(len(data), stripes), groups, tails, seconds)
 
 
 def extract(params: CodeParams, parts: np.ndarray, meta: FileMeta) -> bytes:
@@ -564,21 +682,17 @@ def _block_words(params: CodeParams, parts: np.ndarray, out: np.ndarray, version
         rows = stored[:, :, :40].view(np.dtype((np.void, n)))[..., 0]
         digits = rows.reshape(k, blocks, 8, 5).transpose(3, 2, 1, 0)
         last = stored[:, :, 40].transpose(1, 0, 2)
-        step = max(1, _GROUP_WORDS // kn)
-        for b0 in range(0, blocks, step):
-            b1 = min(blocks, b0 + step)
+        for b0, b1 in _block_runs(blocks, kn):
             groups = _horner5(np.ascontiguousarray(digits[:, :, b0:b1]).view(np.uint8).reshape(5, 8, -1, k, n))
             out[b0:b1] = _group_words(groups, last[b0:b1], lambda i: b0 * kn + i)
         return
     total = parts.shape[1] // _WORD_TRITS
-    step = max(1, _GROUP_WORDS // n)
     for j in range(k):
         if j in packed:
             groups = np.frombuffer(packed[j], dtype=np.uint8, count=8 * total * n).reshape(8, total, n)
         else:
             digits = parts[j, : 40 * total].reshape(5, 8, total, n)
-        for b0 in range(0, blocks, step):
-            b1 = min(blocks, b0 + step)
+        for b0, b1 in _block_runs(blocks, n):
             chunk = groups[:, b0:b1] if j in packed else _horner5(digits[:, :, b0:b1])
             last = parts[j, 40 * total + b0 : 40 * total + b1]
             out[b0:b1, j] = _group_words(chunk, last, lambda i: (b0 + i // n) * kn + j * n + i % n)
@@ -613,9 +727,26 @@ SHARD_MAGIC = b"ZZG3"
 _HEADER_LEN = 4 + 1 + 1 + 1 + 4 + 8
 
 
-def _shard_pieces(params: CodeParams, node_id: int, payload: np.ndarray, version: int):
-    """The header, the packed payload and the payload CRC32 of one node's
-    (stripes, N) payload in the shard wire format."""
+def _shard_head(params: CodeParams, node_id: int, stripes: int, version: int) -> bytes:
+    """The header of node ``node_id``'s shard of ``stripes`` stripes."""
+    return (
+        SHARD_MAGIC
+        + bytes([version, params.k, node_id])
+        + stripes.to_bytes(4, "little")
+        + (stripes * params.n_rows).to_bytes(8, "little")
+    )
+
+
+def shard_to_bytes(
+    params: CodeParams, node_id: int, payload: np.ndarray, *, version: int = SHARD_VERSION
+) -> bytes:
+    """Serialize one node's payload (stripes, N), trits taken mod 3, to
+    the shard wire format.
+
+    ``version`` sets the header's version byte and the packing: the byte
+    tells a reader which byte layout the stripes hold and how the payload
+    packs them (see the module docstring).
+    """
     if not 0 <= node_id < params.n_nodes:
         raise ValueError(f"node id {node_id} out of range")
     if version not in _SHARD_VERSIONS:
@@ -628,26 +759,8 @@ def _shard_pieces(params: CodeParams, node_id: int, payload: np.ndarray, version
         packed = _pack_trits(trits, version)
     else:
         packed = _pack_planar(trits, 5 * _group_bytes(stripes, n))
-    head = (
-        SHARD_MAGIC
-        + bytes([version, params.k, node_id])
-        + stripes.to_bytes(4, "little")
-        + trits.shape[0].to_bytes(8, "little")
-    )
-    return head, packed, zlib.crc32(packed) & 0xFFFFFFFF
-
-
-def shard_to_bytes(
-    params: CodeParams, node_id: int, payload: np.ndarray, *, version: int = SHARD_VERSION
-) -> bytes:
-    """Serialize one node's payload (stripes, N) to the shard wire format.
-
-    ``version`` sets the header's version byte and the packing: the byte
-    tells a reader which byte layout the stripes hold and how the payload
-    packs them (see the module docstring).
-    """
-    head, packed, crc = _shard_pieces(params, node_id, payload, version)
-    return b"".join([head, packed, crc.to_bytes(4, "little")])
+    crc = zlib.crc32(packed)
+    return b"".join([_shard_head(params, node_id, stripes, version), packed, crc.to_bytes(4, "little")])
 
 
 @dataclass(frozen=True)
@@ -728,16 +841,21 @@ def unpack_groups(packed, out: np.ndarray) -> None:
     _peel(np.frombuffer(packed, dtype=np.uint8)[:size], planes[:4], planes[4])
 
 
-def write_shard_file(path, params: CodeParams, node_id: int, payload: np.ndarray) -> int:
-    """Write a shard file of the version encode writes, its header,
-    packed payload and CRC one after another with no joined copy; returns
-    the payload CRC32."""
-    head, packed, crc = _shard_pieces(params, node_id, payload, SHARD_VERSION)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(packed)
-        fh.write(crc.to_bytes(4, "little"))
-    return crc
+def write_shard_file(path, pieces) -> None:
+    """Write a shard file from its pieces (``EncodedFile.shards``),
+    one after another with no joined copy: one gathering write, repeated
+    for whatever a short write left."""
+    views = [memoryview(piece) for piece in pieces]
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while views:
+            written = os.writev(fd, views)
+            while views and written >= len(views[0]):
+                written -= len(views.pop(0))
+            if views:
+                views[0] = views[0][written:]
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ picked by XOR-ing the row index with a basis vector and weighted by a +-1
 coefficient.  Equivalently, node k+1 stores sum_j A_j f_j for k signed
 permutation matrices A_j, built here by the recursive block definition;
 the condition sweep checks them entrywise against the row/coefficient
-description (``verification.coding_matrix_from_zigzag``).  Encoding and
-decoding apply the permutations through the int8 symbol kernel of ``gf3``.
+description (``verification.coding_matrix_from_zigzag``).  Encoding sums
+the permutations' residue terms, negated by XOR 3 (``_zigzag_sum``), and
+decoding applies them through the int8 symbol kernel of ``gf3``.
 Each A_j maps row l to l ^ e_j, and so do their inverses and the products
 decode forms, with l ^ e_j1 ^ e_j2, so every apply is a gather of whole
 8-byte words plus byte reversals inside them (``SignedPermutation.terms``);
@@ -31,6 +32,7 @@ import numpy as np
 from .gf3 import (
     SignedPermutation,
     SingularMatrixError,
+    _mod3,
     reduce_sum,
     residues,
 )
@@ -177,12 +179,21 @@ def _is_paper_set(cm: CodingMatrixSet) -> bool:
 
 
 def second_parity_by_matrices(cm: CodingMatrixSet, parts: np.ndarray) -> np.ndarray:
-    """Zigzag parity as sum_j A_j f_j using the compact permutations."""
+    """Zigzag parity as sum_j A_j f_j using the compact permutations, for
+    parts of any integer dtype, taken mod 3 first (``_zigzag_sum``)."""
     parts = residues(parts)
-    acc = np.zeros(parts.shape[1:], dtype=np.int8)
-    for j, m in enumerate(cm.matrices):
-        acc += m.terms(parts[j])
-    return reduce_sum(acc)
+    return _zigzag_sum(cm, parts, np.empty(parts.shape[1:], dtype=np.uint8))
+
+
+def _zigzag_sum(cm: CodingMatrixSet, parts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_j A_j f_j of the uint8 residue parts (k, ..., N), written into
+    ``out`` (..., N) and returned.  Each term is a gather with negation as
+    XOR 3 (``SignedPermutation.residue_terms``), so the uint8 sum is
+    nonnegative, at most 3k, and ``_mod3`` reduces it."""
+    acc = cm.matrices[0].residue_terms(parts[0])
+    for j in range(1, len(cm.matrices)):
+        acc += cm.matrices[j].residue_terms(parts[j])
+    return _mod3(acc, out)
 
 
 def encode_parts_array(params: CodeParams, cm: CodingMatrixSet, parts: np.ndarray) -> np.ndarray:
@@ -201,15 +212,17 @@ def encode_parts_array(params: CodeParams, cm: CodingMatrixSet, parts: np.ndarra
     return shards
 
 
-def _encode_parities(cm: CodingMatrixSet, parts: np.ndarray) -> np.ndarray:
+def _encode_parities(cm: CodingMatrixSet, parts: np.ndarray, out=None) -> np.ndarray:
     """The row-sum and zigzag parities of the k uint8 residue parts
-    (k, ..., N), as one uint8 array (2, ..., N).  The zigzag parity is
-    produced by the O(kN) permutation path; the sweep's ``encoder-forms``
-    check compares it with ``verification.second_parity_by_rows``."""
-    parities = np.empty((2,) + parts.shape[1:], dtype=np.uint8)
-    parities[0] = reduce_sum(parts.sum(axis=0, dtype=np.uint8))
-    parities[1] = second_parity_by_matrices(cm, parts)
-    return parities
+    (k, ..., N), written into ``out`` (2, ..., N), a new array if None,
+    and returned.  The zigzag parity is ``_zigzag_sum``, the kernel that
+    the sweep's ``encoder-forms`` check compares with
+    ``verification.second_parity_by_rows``."""
+    if out is None:
+        out = np.empty((2,) + parts.shape[1:], dtype=np.uint8)
+    _mod3(parts.sum(axis=0, dtype=np.uint8), out[0])
+    _zigzag_sum(cm, parts, out[1])
+    return out
 
 
 # ---------------------------------------------------------------------------

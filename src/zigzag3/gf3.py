@@ -8,7 +8,10 @@ The symbol kernel serves the encode/decode data path.  Symbols are uint8
 residues; a signed permutation contributes int8 terms sign * symbol in
 {-2..2}, a caller adds up to a few dozen such terms in int8 without
 overflow, and ``reduce_sum`` maps the sum back to residues with five
-whole-array uint8 steps instead of a division per term.
+whole-array uint8 steps instead of a division per term.  A sum of
+residues alone, such as the encoder's, takes its terms nonnegative
+instead: a negated residue v is v ^ 3 = 3 - v (``residue_terms``), and
+``_mod3`` reduces the uint8 sum in three steps.
 Every zigzag coding matrix, its inverse and every product decode forms
 sends row r to column r ^ c for one constant c, so ``terms`` moves
 whole 8-byte words: it gathers word w from word w ^ (c >> 3) and then
@@ -121,20 +124,29 @@ def _line_of(column: np.ndarray) -> np.ndarray:
     return np.tile(column, max(1, _LINE_BYTES // max(1, column.nbytes)))
 
 
-def _times_per_column(x: np.ndarray, line: np.ndarray) -> np.ndarray:
-    """``x *= column`` along the last axis, in place, given ``line`` =
+def _per_column(op, x: np.ndarray, line: np.ndarray) -> np.ndarray:
+    """``x = op(x, column)`` along the last axis, in place, for a binary
+    ufunc ``op`` such as ``np.multiply``, given ``line`` =
     ``_line_of(column)``.  When ``x`` is C-contiguous, whole lines of rows
     go flat and only the rows left over take the column."""
     n = x.shape[-1]
     if not (x.size and x.flags.c_contiguous):
-        x *= line[:n]
+        op(x, line[:n], out=x)
         return x
     flat = x.reshape(-1)
     body = flat.size - flat.size % line.size
     lines, left = flat[:body].reshape(-1, line.size), flat[body:].reshape(-1, n)
-    lines *= line
-    left *= line[:n]
+    op(lines, line, out=lines)
+    op(left, line[:n], out=left)
     return x
+
+
+def _mod3(acc: np.ndarray, out=None) -> np.ndarray:
+    """``acc`` mod 3 for a uint8 sum, in place or into ``out``: three
+    uint8 passes, where ``reduce_sum`` takes five to handle signed sums."""
+    q = acc // 3
+    q *= 3
+    return np.subtract(acc, q, out=acc if out is None else out)
 
 
 # Byte reversal inside each 2-, 4- or 8-byte lane maps byte r of a word to
@@ -176,7 +188,7 @@ class SignedPermutation:
     O(N^2) for the dense form.  ``A @ B`` composes two of them.
     """
 
-    __slots__ = ("target", "sign", "_xor", "_sign_line", "_hash")
+    __slots__ = ("target", "sign", "_xor", "_sign_line", "_flip_line", "_hash")
 
     def __init__(self, target, sign):
         target = np.asarray(target, dtype=np.int64)
@@ -194,6 +206,7 @@ class SignedPermutation:
         self.sign = sign
         self._xor = None
         self._sign_line = None
+        self._flip_line = None
         self._hash = None
 
     @property
@@ -224,21 +237,39 @@ class SignedPermutation:
         ``reduce_sum``.  When ``target[r] == r ^ c`` (``_word_xor``) and
         the last axis of ``x`` is contiguous, the gather moves whole
         8-byte words (``_xor_gather``); otherwise it takes byte by byte.
-        The signs are applied a line of rows at a time (``_times_per_column``).
+        The signs are applied a line of rows at a time (``_per_column``).
         """
         if x.dtype not in (np.uint8, np.int8):
             raise TypeError(f"terms need uint8 residues or an int8 sum, got {x.dtype}")
-        if x.shape[-1] != self.size:
-            raise Gf3ShapeError(f"vector length {x.shape[-1]} != {self.size}")
-        x = x.view(np.int8)
-        c = self._word_xor()
-        if c >= 0 and x.strides[-1] == 1:
-            out = _xor_gather(x, c)
-        else:
-            out = np.take(x, self.target, axis=-1)
+        out = self._gather(x.view(np.int8))
         if self._sign_line is None:
             self._sign_line = _line_of(self.sign)
-        return _times_per_column(out, self._sign_line)
+        return _per_column(np.multiply, out, self._sign_line)
+
+    def residue_terms(self, x: np.ndarray) -> np.ndarray:
+        """``sign[r] * x[..., target[r]]`` mod 3 for uint8 residues ``x``,
+        as new uint8 values 0..3: the gather of ``terms``, then XOR 3 on the
+        rows of sign -1, which maps a residue v to 3 - v.  The terms are
+        nonnegative, so a sum of them needs only ``_mod3``; XOR 3 negates
+        only residues 0..2, so ``x`` must hold nothing else."""
+        out = self._gather(x)
+        if self._flip_line is None:
+            flips = np.where(self.sign < 0, 3, 0).astype(np.uint8)
+            self._flip_line = _line_of(flips) if flips.any() else flips[:0]
+        if self._flip_line.size:
+            _per_column(np.bitwise_xor, out, self._flip_line)
+        return out
+
+    def _gather(self, x: np.ndarray) -> np.ndarray:
+        """New array of ``x[..., target[r]]``: when ``target[r] == r ^ c``
+        (``_word_xor``) and the last axis of ``x`` is contiguous, a gather
+        of whole 8-byte words (``_xor_gather``), otherwise byte by byte."""
+        if x.shape[-1] != self.size:
+            raise Gf3ShapeError(f"vector length {x.shape[-1]} != {self.size}")
+        c = self._word_xor()
+        if c >= 0 and x.strides[-1] == 1:
+            return _xor_gather(x, c).view(x.dtype)
+        return np.take(x, self.target, axis=-1)
 
     def inverse(self) -> "SignedPermutation":
         # Entries are +-1, so the inverse is the transpose.

@@ -60,7 +60,8 @@ from .gf3 import (
     InconsistentSystemError,
     SignedPermutation,
     _line_of,
-    _times_per_column,
+    _mod3,
+    _per_column,
     reduce_sum,
     residues,
 )
@@ -564,15 +565,6 @@ def _residue_stack(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _mod3(acc: np.ndarray) -> np.ndarray:
-    """``acc`` mod 3, in place, for a uint8 sum: three uint8 passes, where
-    ``gf3.reduce_sum`` takes five to handle signed sums."""
-    q = acc // 3
-    q *= 3
-    acc -= q
-    return acc
-
-
 def _apply(m: SparseRows, stack: np.ndarray) -> np.ndarray:
     """``m`` applied to the block behind ``stack``, as (rows, stripes)
     uint8 residues in the rows' order.
@@ -648,7 +640,7 @@ class _Pairs:
     A select multiplies each word by 1 where it keeps the high row and by
     256 where the low one, and keeps the high byte; a merge multiplies
     each half into its byte.  The products run a line of rows at a time
-    (``gf3._times_per_column``); per column, over the short rows of a
+    (``gf3._per_column``); per column, over the short rows of a
     small k, they made node 0's repair slower than symbol-major.
     """
 
@@ -663,13 +655,13 @@ class _Pairs:
         return _line_of(keep), _line_of(keep ^ 257)
 
     def take(self, x: np.ndarray) -> np.ndarray:
-        words = _times_per_column(x.view(_little(2)).copy(), self._lines[0])
+        words = _per_column(np.multiply, x.view(_little(2)).copy(), self._lines[0])
         return (words >> 8).astype(np.uint8)
 
     def merge(self, mine: np.ndarray, other: np.ndarray) -> np.ndarray:
         keep, move = self._lines
-        words = _times_per_column(mine.astype(_little(2)), move)
-        words |= _times_per_column(other.astype(_little(2)), keep)
+        words = _per_column(np.multiply, mine.astype(_little(2)), move)
+        words |= _per_column(np.multiply, other.astype(_little(2)), keep)
         return words.view(np.uint8)
 
 

@@ -527,8 +527,8 @@ def test_every_encode_and_decode_apply_takes_the_word_gather(k):
 
 @pytest.mark.parametrize("k", [4, 6, 8])
 def test_encode_and_decode_run_every_apply_through_the_word_gather(k, monkeypatch):
-    # Counted in the code itself: every terms call of an encode and of
-    # each decode from k shards goes through the word gather.
+    # Counted in the code itself: every terms or residue_terms call of an
+    # encode and of each decode from k shards goes through the word gather.
     import zigzag3.gf3 as gf3
 
     calls = {"terms": 0, "words": 0}
@@ -541,6 +541,7 @@ def test_encode_and_decode_run_every_apply_through_the_word_gather(k, monkeypatc
         return wrapped
 
     monkeypatch.setattr(SignedPermutation, "terms", counting("terms", SignedPermutation.terms))
+    monkeypatch.setattr(SignedPermutation, "residue_terms", counting("terms", SignedPermutation.residue_terms))
     monkeypatch.setattr(gf3, "_xor_gather", counting("words", gf3._xor_gather))
     p, cm = CodeParams(k), cm_for(k)
     parts = np.random.default_rng(500 + k).integers(0, 3, size=(k, 2, p.n_rows), dtype=np.uint8)
